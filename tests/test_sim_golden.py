@@ -1,0 +1,82 @@
+"""Cross-commit determinism of the simulator: pinned result fingerprints.
+
+The simulated backend promises bit-identical results for a fixed seed — not
+only run to run (``tests/test_harness_parallel.py`` checks that) but commit
+to commit: a refactor of the drivers, the registry or the cost accounting
+must not move a single event.  Each case below runs one small fixed-seed
+experiment and compares a SHA-256 of the full ``RunResult`` JSON, the number
+of simulator events and the history the clients recorded for the checker
+(every PUT's timestamp and dependencies, every ROT's reads) against a digest
+committed here.
+
+The cases are the classes PR 4 verified by hand: the three protocols, the
+2-round and logical-clock ablations of Contrarian, and one fault scenario.
+
+A digest that changes means simulated behaviour changed.  If that is
+intended (a protocol fix, a cost-model change), regenerate with::
+
+    PYTHONPATH=src python tests/test_sim_golden.py
+
+and say so in the PR; if it is not intended, the change is wrong.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.cluster.config import ClusterConfig
+from repro.faults.library import dc_partition
+from repro.harness.runner import run_experiment
+
+_SMALL = dict(seed=7, num_dcs=2, clients_per_dc=2, warmup_seconds=0.05,
+              duration_seconds=0.2)
+
+#: name -> (protocol, ClusterConfig.test_scale overrides, scenario factory)
+CASES = {
+    "contrarian": ("contrarian", _SMALL, None),
+    "cure": ("cure", _SMALL, None),
+    "cc-lo": ("cc-lo", _SMALL, None),
+    "contrarian-2-rounds": ("contrarian", dict(_SMALL, rot_rounds=2.0), None),
+    "contrarian-logical-clock": (
+        "contrarian", dict(_SMALL, clock_mode="logical"), None),
+    "cc-lo-dc-partition": (
+        "cc-lo", dict(_SMALL, duration_seconds=0.3),
+        lambda: dc_partition(start=0.1, heal=0.2)),
+}
+
+#: Generated at the parent of the kernel-host refactor (commit 18a964f).
+GOLDEN = {
+    "contrarian": "f2515aa9dc194bdaa4c70916bfb83a4d76c0506fc6f3286e2fdb2d7c1fce2654",
+    "cure": "b35bb96e8ddfab576ff54a146d4ccded447ea89a2a6d05dda8867e81ae88dde1",
+    "cc-lo": "c52e082e662007748292ff74cd0c49c5784fc6415992a89f8793547a1727fccd",
+    "contrarian-2-rounds": "e6d33551d4d833aad1ac365438c80e5afde946ab5dc6ecd834f414cc4faa541c",
+    "contrarian-logical-clock": "b9b0fe07c52ac12c3613a18e1fbdf346f70f20ad15ed29e5421d17e9457982fe",
+    "cc-lo-dc-partition": "9455b672d650bcff00eda8747a4e1249f03bfe568b2149fbeb2edff3764ccbf1",
+}
+
+
+def fingerprint(name: str) -> str:
+    """SHA-256 over result row, event count and recorded history of a case."""
+    protocol, overrides, scenario = CASES[name]
+    outcome = run_experiment(
+        protocol, ClusterConfig.test_scale(**overrides), enable_checker=True,
+        scenario=scenario() if scenario is not None else None)
+    puts, rots = outcome.cluster.checker.recorded_history()
+    payload = {"result": outcome.result.as_json_dict(),
+               "events_processed": outcome.cluster.sim.events_processed,
+               "history": [repr(record) for record in (*puts, *rots)]}
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fixed_seed_run_matches_the_committed_fingerprint(name):
+    assert fingerprint(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":  # regenerate the table above
+    for case in CASES:
+        print(f'    "{case}": "{fingerprint(case)}",')
