@@ -3,7 +3,7 @@
 Several packages resolve their exports lazily so that importing a sans-I/O
 kernel module never drags in the simulator.  Each ``__init__`` declares an
 ``{export_name: defining_module}`` mapping and calls :func:`make_lazy` for
-its ``__getattr__``/``__dir__`` pair — one implementation, six users.
+its ``__getattr__``/``__dir__`` pair — one implementation for all of them.
 
 Attribute access falls back to submodules: ``repro.harness`` resolves even
 though ``harness`` is not an export, matching the behaviour of the old eager

@@ -32,7 +32,6 @@ from typing import Optional, Sequence
 from repro.causal.checker import CheckerReport
 from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
-from repro.core.common.messages import ReadResult
 from repro.errors import ConfigurationError, RuntimeBackendError
 from repro.faults import Scenario, get_scenario
 from repro.harness.builder import BuiltCluster, build_cluster
@@ -239,14 +238,20 @@ class CausalStore:
 
     def _drive(self, client, operation) -> OperationResult:
         self._ensure_open()
-        if self.backend == "realtime":
-            result = self._drive_realtime(client, operation)
+        drive = (self._drive_realtime if self.backend == "realtime"
+                 else self._drive_sim)
+        outcome, seconds = drive(client, operation)
+        if operation.is_put:
+            values: dict[str, Optional[int]] = {outcome.key: outcome.timestamp}
         else:
-            result = self._drive_sim(client, operation)
+            values = {read.key: read.timestamp
+                      for read in outcome.results.values()}
+        result = OperationResult(kind=operation.kind, keys=operation.keys,
+                                 values=values, latency_ms=seconds * 1000.0)
         self._results.append(result)
         return result
 
-    def _drive_realtime(self, client, operation) -> OperationResult:
+    def _drive_realtime(self, client, operation) -> tuple[object, float]:
         clock = self._rt_cluster.clock
         started = clock.now
         try:
@@ -258,68 +263,25 @@ class CausalStore:
             if failure is not None:
                 raise failure
             raise
-        if operation.kind == "put":
-            values: dict[str, Optional[int]] = {outcome.key: outcome.timestamp}
-        else:
-            values = {result.key: result.timestamp
-                      for result in outcome.results.values()}
-        return OperationResult(kind=operation.kind, keys=operation.keys,
-                               values=values,
-                               latency_ms=(clock.now - started) * 1000.0)
+        return outcome, clock.now - started
 
-    def _drive_sim(self, client, operation) -> OperationResult:
+    def _drive_sim(self, client, operation) -> tuple[object, float]:
+        # The facade's clients are never started, so completing an operation
+        # does not re-enter the closed loop: the facade issues each one
+        # itself and steps the simulator until the host reports it done.
         sim = self._cluster.sim
         started = sim.now
-        done: dict[str, object] = {}
-
-        original_complete_rot = client.complete_rot
-        original_complete_put = client.complete_put
-        original_issue_next = client._issue_next
-
-        def capture_rot(rot_id: str, results: dict[str, ReadResult]) -> None:
-            done["values"] = {result.key: result.timestamp
-                              for result in results.values()}
-            original_complete_rot(rot_id, results)
-
-        def capture_put(key: str, timestamp: int, origin_dc: int,
-                        dependencies: tuple = ()) -> None:
-            done["values"] = {key: timestamp}
-            original_complete_put(key, timestamp, origin_dc, dependencies)
-
-        def no_next() -> None:
-            # The facade issues operations explicitly; suppress the closed loop.
-            return None
-
-        client.complete_rot = capture_rot
-        client.complete_put = capture_put
-        client._issue_next = no_next
-        try:
-            client.sequence += 1
-            client.metrics.note_issue(operation.kind == "put")
-            tracer = client._tracer
-            if tracer is not None:
-                client._begin_trace(tracer, operation)
-            client._op_started_at = sim.now
-            if operation.kind == "put":
-                client.issue_put(operation)
-            else:
-                client.issue_rot(operation)
-            guard = 0
-            while "values" not in done:
-                if not sim.step():
-                    raise ConfigurationError(
-                        "the simulation ran out of events before the operation "
-                        "completed; this indicates a protocol bug")
-                guard += 1
-                if guard > 5_000_000:
-                    raise ConfigurationError("operation did not complete")
-        finally:
-            client.complete_rot = original_complete_rot
-            client.complete_put = original_complete_put
-            client._issue_next = original_issue_next
-        return OperationResult(kind=operation.kind, keys=operation.keys,
-                               values=dict(done["values"]),
-                               latency_ms=(sim.now - started) * 1000.0)
+        client.issue(operation)
+        guard = 0
+        while client.operation is not None:
+            if not sim.step():
+                raise ConfigurationError(
+                    "the simulation ran out of events before the operation "
+                    "completed; this indicates a protocol bug")
+            guard += 1
+            if guard > 5_000_000:
+                raise ConfigurationError("operation did not complete")
+        return client.outcome, sim.now - started
 
     # ------------------------------------------------------------------ audit
     def advance(self, seconds: float) -> None:

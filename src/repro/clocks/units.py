@@ -3,8 +3,7 @@
 All run time in this library — simulated or wall-clock — is a float measured
 in **seconds**; protocol timestamps are integer microseconds (so they can be
 mixed with logical counters in hybrid clocks).  These helpers are the single
-place the conversions live: :mod:`repro.sim.engine` re-exports them for
-backwards compatibility, and the sans-I/O protocol kernels import them from
+place the conversions live; the sans-I/O protocol kernels import them from
 here so they carry no dependency on the simulator.
 """
 

@@ -19,8 +19,8 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.common.client import BaseClient
-    from repro.core.common.server import PartitionServer
+    from repro.core.common.kernel import Addr
+    from repro.sim.drivers import BaseClient, PartitionServer, SimDriver
 
 
 class ActiveRotRegistry:
@@ -91,7 +91,8 @@ class ClusterTopology:
         self.partitioner = HashPartitioner(config.num_partitions)
         self._servers: dict[tuple[int, int], "PartitionServer"] = {}
         self._clients: list["BaseClient"] = []
-        self._clients_by_id: dict[str, "BaseClient"] = {}
+        #: Every node by its abstract kernel address (how sends are routed).
+        self._nodes: dict["Addr", "SimDriver"] = {}
         #: In-flight ROT tracking; ``None`` on the healthy path, created via
         #: :meth:`enable_rot_tracking` when a fault scenario is installed.
         self.rot_registry: Optional[ActiveRotRegistry] = None
@@ -109,6 +110,7 @@ class ClusterTopology:
         if slot in self._servers:
             raise ConfigurationError(f"duplicate server for DC/partition {slot}")
         self._servers[slot] = server
+        self._nodes[server.addr] = server
 
     def server(self, dc: int, partition: int) -> "PartitionServer":
         """The server hosting ``partition`` in data center ``dc``."""
@@ -155,14 +157,14 @@ class ClusterTopology:
     def add_client(self, client: "BaseClient") -> None:
         """Register a closed-loop client."""
         self._clients.append(client)
-        self._clients_by_id[client.node_id] = client
+        self._nodes[client.addr] = client
 
-    def client_by_id(self, node_id: str) -> "BaseClient":
-        """Look up a client by its node identifier (used to route replies)."""
+    def node_at(self, addr: "Addr") -> "SimDriver":
+        """The node a kernel's :class:`Send` effect addresses."""
         try:
-            return self._clients_by_id[node_id]
+            return self._nodes[addr]
         except KeyError as exc:
-            raise ConfigurationError(f"unknown client {node_id!r}") from exc
+            raise ConfigurationError(f"no node at {addr!r}") from exc
 
     @property
     def clients(self) -> list["BaseClient"]:

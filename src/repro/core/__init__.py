@@ -1,18 +1,18 @@
-"""Protocol implementations: sans-I/O kernels plus backend drivers.
+"""Protocol implementations: sans-I/O kernels plus one backend-free host.
 
-Every protocol is split into two layers (the kernel/driver split):
+Every protocol is a pair of **kernels** — pure state machines in
+``core/<family>/kernel.py`` with the API ``on_message(msg, now) /
+on_timer(tag, payload, now) -> list[Effect]``, where effects are ``Send``,
+``SetTimer`` and ``Complete`` (see :mod:`repro.core.common.kernel`).  Kernels
+import neither the simulator nor any event loop, so the same protocol logic
+serves the discrete-event backend, the real-time asyncio backend
+(:mod:`repro.runtime`) and isolated unit tests.
 
-* a **kernel** — a pure state machine in ``core/<family>/kernel.py`` with the
-  API ``on_message(msg, now) / on_timer(tag, payload, now) ->
-  list[Effect]``, where effects are ``Send``, ``SetTimer`` and ``Complete``
-  (see :mod:`repro.core.common.kernel`).  Kernels import neither the
-  simulator nor any event loop, so the same protocol logic serves the
-  discrete-event backend, the real-time asyncio backend
-  (:mod:`repro.runtime`) and isolated unit tests.
-* a **driver** — the backend-specific shell that feeds the kernel and
-  executes its effects: the simulated drivers live next to the kernels
-  (``core/<family>/server.py`` / ``client.py``), the real-time ones in
-  :mod:`repro.runtime`.
+Nothing else is per protocol.  :mod:`repro.core.common.host` feeds a kernel
+and carries out its effects for both backends; the backend drivers
+(:mod:`repro.sim.drivers`, :mod:`repro.runtime.nodes`) add only their clock,
+their send and their timers; :mod:`repro.core.registry` maps a protocol name
+to its kernel classes and builds them.
 
 The families:
 
@@ -27,13 +27,12 @@ The families:
   check performed on every PUT.
 
 Exports resolve lazily (PEP 562) so that importing a kernel module never
-drags in the registry's driver classes — and therefore never the simulator.
+drags in the registry.
 """
 
 from repro._lazy import make_lazy
 
 _EXPORTS = {
-    "PROTOCOLS": "repro.core.registry",
     "ProtocolSpec": "repro.core.registry",
     "protocol_properties": "repro.core.registry",
     "register_protocol": "repro.core.registry",

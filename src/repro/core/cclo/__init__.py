@@ -11,17 +11,14 @@ aggressive garbage collection of reader records (500 ms instead of 5 s) and
 at most one ROT id per client in each readers-check response.
 
 The protocol state machines live in :mod:`repro.core.cclo.kernel`
-(sans-I/O); the simulated drivers in ``server``/``client``.  Exports resolve
-lazily so kernel imports stay simulator-free.
+(sans-I/O).  Exports resolve lazily so kernel imports stay simulator-free.
 """
 
 from repro._lazy import make_lazy
 
 _EXPORTS = {
-    "CcloClient": "repro.core.cclo.client",
     "CcloClientKernel": "repro.core.cclo.kernel",
     "CcloKernel": "repro.core.cclo.kernel",
-    "CcloServer": "repro.core.cclo.server",
     "PROTOCOL_NAME": "repro.core.cclo.kernel",
     "ReaderRecords": "repro.core.cclo.readers",
 }

@@ -2,18 +2,17 @@
 
 :mod:`repro.core.common.kernel` defines the sans-I/O side (effects,
 addresses, kernel base classes); :mod:`repro.core.common.messages` the wire
-messages both backends exchange; ``server``/``client`` the simulated
-drivers.  Exports resolve lazily so kernel imports stay simulator-free.
+messages both backends exchange; :mod:`repro.core.common.host` the
+backend-free kernel hosts both backends' drivers are built on.  Exports
+resolve lazily so kernel imports stay simulator-free.
 """
 
 from repro._lazy import make_lazy
 
 _EXPORTS = {
-    "BaseClient": "repro.core.common.client",
     "ClientAddr": "repro.core.common.kernel",
     "ClientKernel": "repro.core.common.kernel",
     "Complete": "repro.core.common.kernel",
-    "PartitionServer": "repro.core.common.server",
     "Send": "repro.core.common.kernel",
     "ServerAddr": "repro.core.common.kernel",
     "ServerKernel": "repro.core.common.kernel",

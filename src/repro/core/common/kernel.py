@@ -17,11 +17,11 @@ and describes everything it wants done to the outside world as a list of
 * :class:`Complete` — (client kernels only) the in-flight operation
   finished with the attached outcome.
 
-A *driver* owns the I/O: the simulated backend
-(:class:`repro.core.common.server.PartitionServer`,
-:class:`repro.core.common.client.BaseClient`) resolves addresses against the
-cluster topology and turns timers into simulator events; the real-time
-backend (:mod:`repro.runtime`) resolves them against asyncio mailboxes and
+A *host* (:mod:`repro.core.common.host`) interprets the effects, the same
+way for every backend; a backend *driver* owns the I/O underneath it: the
+simulated one (:mod:`repro.sim.drivers`) resolves addresses against the
+cluster topology and turns timers into simulator events, the real-time one
+(:mod:`repro.runtime.nodes`) resolves them against a transport and
 ``asyncio`` sleeps.  Effects are executed strictly in emission order, which
 is what keeps simulated runs bit-identical to the pre-kernel implementation.
 
@@ -60,6 +60,16 @@ class ClientAddr:
 
 
 Addr = Union[ServerAddr, ClientAddr]
+
+
+def client_node_id(dc: int, index: int) -> str:
+    """The globally unique id of client ``index`` in data center ``dc``.
+
+    One naming scheme shared by every backend and by the process-cluster
+    peer table, so a client's address is derivable from its (DC, index)
+    placement alone.
+    """
+    return f"client-dc{dc}-{index}"
 
 
 # --------------------------------------------------------------------------
@@ -317,4 +327,5 @@ __all__ = [
     "ServerKernel",
     "SetTimer",
     "TimerSpec",
+    "client_node_id",
 ]

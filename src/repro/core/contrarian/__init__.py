@@ -15,28 +15,8 @@ expressed.
 
 from __future__ import annotations
 
-from repro.core.vector.client import VectorClient
 from repro.core.vector.kernel import ContrarianClientKernel, ContrarianKernel
-from repro.core.vector.server import VectorServer
 
 PROTOCOL_NAME = "contrarian"
 
-
-class ContrarianServer(VectorServer):
-    """Contrarian partition server: HLC (by default) and cheap PUTs.
-
-    A thin driver: the protocol state machine is
-    :class:`~repro.core.vector.kernel.ContrarianKernel`.
-    """
-
-    kernel_class = ContrarianKernel
-
-
-class ContrarianClient(VectorClient):
-    """Contrarian client: 1½-round ROTs by default, 2 rounds if configured."""
-
-    kernel_class = ContrarianClientKernel
-
-
-__all__ = ["ContrarianClient", "ContrarianKernel", "ContrarianServer",
-           "PROTOCOL_NAME"]
+__all__ = ["ContrarianClientKernel", "ContrarianKernel", "PROTOCOL_NAME"]

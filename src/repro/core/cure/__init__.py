@@ -14,27 +14,8 @@ latency/throughput dynamics studied here).
 
 from __future__ import annotations
 
-from repro.core.vector.client import VectorClient
 from repro.core.vector.kernel import CureClientKernel, CureKernel
-from repro.core.vector.server import VectorServer
 
 PROTOCOL_NAME = "cure"
 
-
-class CureServer(VectorServer):
-    """Cure partition server: physical clocks, hence blocking ROTs.
-
-    A thin driver: the protocol state machine is
-    :class:`~repro.core.vector.kernel.CureKernel`.
-    """
-
-    kernel_class = CureKernel
-
-
-class CureClient(VectorClient):
-    """Cure client: always two rounds of client-server communication."""
-
-    kernel_class = CureClientKernel
-
-
-__all__ = ["CureClient", "CureKernel", "CureServer", "PROTOCOL_NAME"]
+__all__ = ["CureClientKernel", "CureKernel", "PROTOCOL_NAME"]

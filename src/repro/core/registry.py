@@ -1,23 +1,26 @@
 """Protocol registry and static characterisation (Table 2).
 
-The registry maps protocol names to a :class:`ProtocolSpec` — the simulated
-driver classes (server/client), the sans-I/O kernel classes both backends
-share, and the static properties the paper tabulates in Table 2.  It is
-*extensible*: :func:`register_protocol` adds (or replaces) an entry, so
-external designs can plug into the harness, the builder and the real-time
-backend without editing this module; a bad lookup raises
+The registry maps protocol names to a :class:`ProtocolSpec` — the sans-I/O
+kernel classes every backend runs and the static properties the paper
+tabulates in Table 2 — and is the one place kernels are built from a cluster
+configuration.  It is *extensible*: :func:`register_protocol` adds (or
+replaces) an entry, so an external design plugs into the harness, the
+builder and the real-time backend by supplying two kernel classes, without
+editing this module or writing a driver; a bad lookup raises
 :class:`~repro.errors.ConfigurationError` listing every known name.
+
+This module must stay importable without ``repro.sim``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.cclo import CcloClient, CcloServer
+from repro.cluster.seeding import node_rng
 from repro.core.cclo.kernel import CcloClientKernel, CcloKernel
-from repro.core.contrarian import ContrarianClient, ContrarianServer
-from repro.core.cure import CureClient, CureServer
+from repro.core.common.kernel import client_node_id
 from repro.core.vector.kernel import (
     ContrarianClientKernel,
     ContrarianKernel,
@@ -47,11 +50,12 @@ class ProtocolProperties:
 class ProtocolSpec:
     """Everything the builders know about one registered protocol.
 
-    ``server`` / ``client`` are the simulated drivers; ``kernel`` /
-    ``client_kernel`` the sans-I/O state machines (used directly by the
-    real-time backend and by kernel-level tests).  Kernel classes expose a
-    ``from_config(config, ...)`` factory; see
-    :class:`repro.core.common.kernel.ServerKernel`.
+    ``kernel`` / ``client_kernel`` are the sans-I/O state machines; each
+    exposes a ``from_config(config, ...)`` factory (see
+    :class:`repro.core.common.kernel.ServerKernel`).  Both backends build
+    their kernels through :meth:`build_server_kernel` /
+    :meth:`build_client_kernel`, so a node draws the same random streams
+    wherever it is instantiated.
 
     ``transports`` lists the real-time transports the protocol supports
     (subset of :data:`repro.runtime.transport.TRANSPORTS`).  The built-ins
@@ -61,25 +65,45 @@ class ProtocolSpec:
     """
 
     name: str
-    server: type
-    client: type
-    kernel: Optional[type] = None
-    client_kernel: Optional[type] = None
+    kernel: type
+    client_kernel: type
     properties: Optional[ProtocolProperties] = None
     transports: tuple[str, ...] = ("inproc", "tcp")
+
+    def build_server_kernel(self, config, dc: int, partition: int, *,
+                            partitioner, time_source, rot_registry=None):
+        """The kernel of partition ``partition`` in data center ``dc``.
+
+        Its clock-skew offset is drawn from the node's own derived stream
+        (kernels without a physical clock ignore it).
+        """
+        offset = config.skew_model.draw_offset(
+            node_rng(config.seed, "clock-skew", dc, partition))
+        return self.kernel.from_config(
+            config, dc, partition, partitioner=partitioner,
+            time_source=time_source, skew_offset_us=offset,
+            rot_registry=rot_registry)
+
+    def build_client_kernel(self, config, dc: int, index: int, *, partitioner,
+                            rot_registry=None) -> tuple[object, random.Random]:
+        """The kernel of client ``index`` in ``dc``, and the client's RNG.
+
+        The kernel draws from that RNG (coordinator choices); a driver with
+        draws of its own (the simulated client's start jitter) must take
+        them from the same object to keep the interleaving of a seed stable.
+        """
+        rng = node_rng(config.seed, "client", dc, index)
+        kernel = self.client_kernel.from_config(
+            config, client_node_id(dc, index), dc, partitioner=partitioner,
+            rng=rng, rot_registry=rot_registry)
+        return kernel, rng
 
 
 #: Live registry; mutated only through :func:`register_protocol`.
 _SPECS: dict[str, ProtocolSpec] = {}
 
-#: Backwards-compatible view: name -> (server, client).  Kept in sync by
-#: :func:`register_protocol`.
-PROTOCOLS: dict[str, tuple[type, type]] = {}
 
-
-def register_protocol(name: str, server: type, client: type, *,
-                      kernel: Optional[type] = None,
-                      client_kernel: Optional[type] = None,
+def register_protocol(name: str, *, kernel: type, client_kernel: type,
                       properties: Optional[ProtocolProperties] = None,
                       transports: tuple[str, ...] = ("inproc", "tcp"),
                       replace: bool = False) -> ProtocolSpec:
@@ -87,12 +111,11 @@ def register_protocol(name: str, server: type, client: type, *,
 
     Parameters
     ----------
-    server / client:
-        Simulated driver classes with the builder's
-        ``(topology, dc_id, index, ...)`` constructor contract.
     kernel / client_kernel:
-        Sans-I/O kernel classes (``from_config`` factories); required for
-        the real-time backend, optional for simulation-only designs.
+        Sans-I/O kernel classes with the ``from_config`` factories of
+        :class:`~repro.core.common.kernel.ServerKernel` /
+        :class:`~repro.core.common.kernel.ClientKernel`; every backend
+        hosts them unchanged.
     properties:
         Table-2 row for the design (optional).
     transports:
@@ -106,18 +129,15 @@ def register_protocol(name: str, server: type, client: type, *,
         raise ConfigurationError(
             f"protocol {name!r} is already registered; "
             f"pass replace=True to override")
-    spec = ProtocolSpec(name=name, server=server, client=client,
-                        kernel=kernel, client_kernel=client_kernel,
+    spec = ProtocolSpec(name=name, kernel=kernel, client_kernel=client_kernel,
                         properties=properties, transports=tuple(transports))
     _SPECS[name] = spec
-    PROTOCOLS[name] = (server, client)
     return spec
 
 
 def unregister_protocol(name: str) -> None:
     """Remove a registration (primarily for tests of the registry itself)."""
     _SPECS.pop(name, None)
-    PROTOCOLS.pop(name, None)
 
 
 def resolve_spec(name: str) -> ProtocolSpec:
@@ -127,12 +147,6 @@ def resolve_spec(name: str) -> ProtocolSpec:
     except KeyError as exc:
         raise ConfigurationError(
             f"unknown protocol {name!r}; known: {sorted(_SPECS)}") from exc
-
-
-def resolve(name: str) -> tuple[type, type]:
-    """Server and client driver classes of a registered protocol."""
-    spec = resolve_spec(name)
-    return spec.server, spec.client
 
 
 def protocol_properties(name: str) -> ProtocolProperties:
@@ -145,20 +159,14 @@ def protocol_properties(name: str) -> ProtocolProperties:
 
 
 def implemented_protocols() -> tuple[str, ...]:
-    """Names of protocols that can actually be run."""
+    """Names of protocols that can actually be run (on every backend)."""
     return tuple(_SPECS)
 
 
-def realtime_protocols() -> tuple[str, ...]:
-    """Names of protocols with kernels, i.e. runnable on the asyncio backend."""
-    return tuple(name for name, spec in _SPECS.items()
-                 if spec.kernel is not None and spec.client_kernel is not None)
-
-
 def transport_protocols(transport: str) -> tuple[str, ...]:
-    """Names of realtime protocols that support the given transport."""
-    return tuple(name for name in realtime_protocols()
-                 if transport in _SPECS[name].transports)
+    """Names of protocols that support the given real-time transport."""
+    return tuple(name for name, spec in _SPECS.items()
+                 if transport in spec.transports)
 
 
 # --------------------------------------------------------------------------
@@ -166,7 +174,7 @@ def transport_protocols(transport: str) -> tuple[str, ...]:
 # --------------------------------------------------------------------------
 
 register_protocol(
-    "contrarian", ContrarianServer, ContrarianClient,
+    "contrarian",
     kernel=ContrarianKernel, client_kernel=ContrarianClientKernel,
     properties=ProtocolProperties(
         name="Contrarian", nonblocking=True, rot_rounds="1 1/2 (or 2)",
@@ -175,7 +183,7 @@ register_protocol(
         metadata_server_server="-", clock="Hybrid", latency_optimal=False))
 
 register_protocol(
-    "cure", CureServer, CureClient,
+    "cure",
     kernel=CureKernel, client_kernel=CureClientKernel,
     properties=ProtocolProperties(
         name="Cure", nonblocking=False, rot_rounds="2", rot_versions=1,
@@ -184,7 +192,7 @@ register_protocol(
         clock="Physical", latency_optimal=False))
 
 register_protocol(
-    "cc-lo", CcloServer, CcloClient,
+    "cc-lo",
     kernel=CcloKernel, client_kernel=CcloClientKernel,
     properties=ProtocolProperties(
         name="COPS-SNOW (CC-LO)", nonblocking=True, rot_rounds="1",
@@ -219,14 +227,11 @@ def surveyed_properties() -> tuple[ProtocolProperties, ...]:
 
 
 __all__ = [
-    "PROTOCOLS",
     "ProtocolProperties",
     "ProtocolSpec",
     "implemented_protocols",
     "protocol_properties",
-    "realtime_protocols",
     "register_protocol",
-    "resolve",
     "resolve_spec",
     "surveyed_properties",
     "transport_protocols",

@@ -7,10 +7,9 @@ stabilization protocol computes the Global Stable Snapshot, and ROTs read a
 coordinator-chosen snapshot vector.  The two systems differ in the clock used
 to timestamp events (HLC vs physical) and in the number of communication
 rounds of a ROT (1½ vs 2), so both are implemented as configurations of the
-same kernel/driver pair: the protocol state machines live in
-:mod:`repro.core.vector.kernel` (sans-I/O), the simulated drivers in
-``server``/``client``.  Exports resolve lazily so kernel imports stay
-simulator-free.
+same kernel pair: the protocol state machines live in
+:mod:`repro.core.vector.kernel` (sans-I/O).  Exports resolve lazily so
+kernel imports stay simulator-free.
 """
 
 from repro._lazy import make_lazy
@@ -18,9 +17,7 @@ from repro._lazy import make_lazy
 _EXPORTS = {
     "ContrarianKernel": "repro.core.vector.kernel",
     "CureKernel": "repro.core.vector.kernel",
-    "VectorClient": "repro.core.vector.client",
     "VectorClientKernel": "repro.core.vector.kernel",
-    "VectorServer": "repro.core.vector.server",
     "VectorServerKernel": "repro.core.vector.kernel",
 }
 

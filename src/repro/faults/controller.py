@@ -28,10 +28,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.clocks.hlc import LOGICAL_BITS
+from repro.clocks.units import milliseconds
 from repro.errors import ConfigurationError
 from repro.faults.scenario import FaultEvent, Scenario
 from repro.metrics.collectors import MetricsRegistry
-from repro.sim.engine import PeriodicTask, milliseconds
+from repro.sim.engine import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import ClusterTopology
@@ -137,10 +138,11 @@ class FaultController:
         registry = self.topology.enable_rot_tracking()
         topology = self.topology
         for server in topology.all_servers():
-            if hasattr(server, "gss"):
+            kernel = server.kernel
+            if hasattr(kernel, "gss"):
                 server.store.set_retention_policy(
                     self._vector_retention_policy(server, registry, topology))
-            elif hasattr(server, "readers"):
+            elif hasattr(kernel, "readers"):
                 server.store.set_retention_policy(
                     self._cclo_retention_policy(server, registry))
                 # Same-key replicated versions must become visible in order,
@@ -148,14 +150,14 @@ class FaultController:
                 # expose updates whose exact dependency is still invisible
                 # (a window the post-heal backlog stretches to hundreds of
                 # milliseconds).
-                server.enable_ordered_replication()
+                kernel.enable_ordered_replication()
 
     @staticmethod
     def _vector_retention_policy(server, registry, topology):
         def policy(chain, excess: int) -> int:
             floor = None
             for peer in topology.servers_in_dc(server.dc_id):
-                gss = peer.gss
+                gss = peer.kernel.gss
                 floor = gss if floor is None else tuple(
                     min(ours, theirs) for ours, theirs in zip(floor, gss))
             floor = registry.snapshot_floor(server.dc_id, floor)
@@ -293,8 +295,9 @@ class FaultController:
         readers_entries = 0
         waiting_checks = 0
         for server in self.topology.all_servers():
-            vector = getattr(server, "version_vector", None)
-            clock = getattr(server, "clock", None)
+            kernel = server.kernel
+            vector = getattr(kernel, "version_vector", None)
+            clock = getattr(kernel, "clock", None)
             if vector is not None and clock is not None and self._num_dcs > 1:
                 local_us = _timestamp_to_us(clock.mode, clock.read())
                 if local_us is not None:
@@ -305,10 +308,10 @@ class FaultController:
                         if entry_us is not None:
                             visibility_lag_us = max(visibility_lag_us,
                                                     local_us - entry_us)
-            readers = getattr(server, "readers", None)
+            readers = getattr(kernel, "readers", None)
             if readers is not None:
                 readers_entries += readers.total_tracked_entries()
-            waiting = getattr(server, "_waiting_remote_checks", None)
+            waiting = getattr(kernel, "_waiting_remote_checks", None)
             if waiting is not None:
                 waiting_checks += len(waiting)
         if self._num_dcs > 1:

@@ -1,9 +1,10 @@
 """Builds a simulated cluster for one experiment run.
 
 The builder instantiates the simulator, the network, one partition server per
-(DC, partition) pair for the chosen protocol, preloads the keyspace (the paper
-preloads 1M keys per partition before measuring) and creates the closed-loop
-clients with independently seeded workload generators.
+(DC, partition) pair hosting the chosen protocol's kernel, preloads the
+keyspace (the paper preloads 1M keys per partition before measuring) and
+creates the closed-loop clients with independently seeded workload
+generators.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from typing import Optional
 
 from repro.causal.checker import CausalConsistencyChecker
 from repro.cluster.config import ClusterConfig
-from repro.cluster.seeding import preload_initial_keyspace
+from repro.cluster.seeding import node_rng, preload_initial_keyspace
 from repro.cluster.topology import ClusterTopology
-from repro.core.registry import resolve
+from repro.core.registry import resolve_spec
 from repro.metrics.collectors import MetricsRegistry
 from repro.obs.bus import EventBus
+from repro.sim.drivers import BaseClient, PartitionServer
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.workload.generator import WorkloadGenerator
@@ -56,9 +58,7 @@ class BuiltCluster:
         for client in self.topology.clients:
             client.stop()
         for server in self.topology.all_servers():
-            stop = getattr(server, "stop_background_tasks", None)
-            if callable(stop):
-                stop()
+            server.stop_background_tasks()
 
     # ``close`` is the lifecycle spelling the facade uses; it is the same
     # idempotent teardown.
@@ -89,7 +89,7 @@ def build_cluster(protocol: str, config: ClusterConfig,
         as :attr:`BuiltCluster.trace_bus`.  Tracing never perturbs the
         simulation — a traced run produces bit-identical results.
     """
-    server_cls, client_cls = resolve(protocol)
+    spec = resolve_spec(protocol)
     sim = Simulator(seed=config.seed)
     network = Network(sim, config.latency_model)
     topology = ClusterTopology(sim, network, config)
@@ -97,12 +97,17 @@ def build_cluster(protocol: str, config: ClusterConfig,
     checker = CausalConsistencyChecker() if enable_checker else None
     trace_bus = EventBus(sim, source="sim") if trace else None
 
+    def rot_registry():
+        # Looked up per use: fault scenarios install it after construction.
+        return topology.rot_registry
+
     for dc in range(config.num_dcs):
         for partition in range(config.num_partitions):
-            server = server_cls(topology, dc, partition)
-            if trace_bus is not None:
-                server._tracer = trace_bus
-                server.kernel.tracer = trace_bus
+            kernel = spec.build_server_kernel(
+                config, dc, partition, partitioner=topology.partitioner,
+                time_source=sim, rot_registry=rot_registry)
+            server = PartitionServer(topology, kernel)
+            server.tracer = kernel.tracer = trace_bus
             topology.add_server(server)
 
     preload_initial_keyspace(
@@ -117,11 +122,13 @@ def build_cluster(protocol: str, config: ClusterConfig,
         for index in range(config.clients_per_dc):
             generator = WorkloadGenerator(
                 workload, topology.partitioner, config.keys_per_partition,
-                rng=sim.derived_rng(f"workload:{dc}:{index}"))
-            client = client_cls(topology, dc, index, generator, metrics, checker)
-            if trace_bus is not None:
-                client._tracer = trace_bus
-                client.kernel.tracer = trace_bus
+                rng=node_rng(config.seed, "workload", dc, index))
+            kernel, rng = spec.build_client_kernel(
+                config, dc, index, partitioner=topology.partitioner,
+                rot_registry=rot_registry)
+            client = BaseClient(topology, kernel, rng, generator, metrics,
+                                checker)
+            client.tracer = kernel.tracer = trace_bus
             topology.add_client(client)
 
     return BuiltCluster(protocol=protocol, config=config, workload=workload,

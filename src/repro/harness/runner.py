@@ -19,8 +19,8 @@ from repro.faults.controller import FaultController
 from repro.faults.scenario import Scenario
 from repro.harness.builder import BuiltCluster, build_cluster
 from repro.metrics.collectors import RunResult
+from repro.metrics.overheads import OverheadCounters
 from repro.obs.trace import TraceAssembler
-from repro.sim.costs import OverheadCounters
 from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 
 

@@ -2,10 +2,9 @@
 
 These counters back Figure 6 (ROT ids exchanged per readers check) and the
 message/metadata columns of Table 2.  They are filled in by the sans-I/O
-protocol kernels (and by the drivers' send paths), so they live here in the
-metrics layer rather than in the simulator: both the simulated and the
+protocol kernels (and by the kernel host's send path), so they live here in
+the metrics layer rather than in the simulator: both the simulated and the
 real-time backends account overheads through the same object.
-``repro.sim.costs`` re-exports the class for backwards compatibility.
 """
 
 from __future__ import annotations

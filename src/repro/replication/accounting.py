@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.sim.costs import OverheadCounters
+from repro.metrics.overheads import OverheadCounters
 
 
 @dataclass(frozen=True)

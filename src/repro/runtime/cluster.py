@@ -28,7 +28,6 @@ from repro.clocks.timesource import WallClock
 from repro.cluster.config import ClusterConfig
 from repro.cluster.partitioning import HashPartitioner
 from repro.cluster.seeding import node_rng, preload_initial_keyspace
-from repro.core.common.kernel import Addr
 from repro.core.registry import resolve_spec
 from repro.errors import ConfigurationError, RuntimeBackendError
 from repro.metrics.collectors import MetricsRegistry
@@ -41,24 +40,14 @@ from repro.workload.generator import WorkloadGenerator
 from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 
 
-def client_node_id(dc: int, index: int) -> str:
-    """The globally unique id of client ``index`` in data center ``dc``.
-
-    One naming scheme shared by in-process clusters, worker processes and
-    the process-cluster peer table, so a client's address is derivable from
-    its (DC, index) placement alone.
-    """
-    return f"client-dc{dc}-{index}"
-
-
 class RealtimeCluster:
     """The real-time nodes of one run (or of one worker's local slice).
 
     Parameters
     ----------
     protocol:
-        Registered protocol name; the registration must carry kernel classes
-        (see :func:`repro.core.registry.register_protocol`).
+        Registered protocol name (see
+        :func:`repro.core.registry.register_protocol`).
     config / workload:
         Same objects the simulated builder takes.
     enable_checker:
@@ -104,12 +93,7 @@ class RealtimeCluster:
         self.protocol = protocol
         self.config = config = config or ClusterConfig()
         self.workload = workload = workload or DEFAULT_WORKLOAD
-        spec = resolve_spec(protocol)
-        if spec.kernel is None or spec.client_kernel is None:
-            raise ConfigurationError(
-                f"protocol {protocol!r} is registered without sans-I/O "
-                f"kernels; the realtime backend needs them")
-        self._spec = spec
+        self._spec = spec = resolve_spec(protocol)
         self.clock = WallClock()
         if transport is not None:
             if batch is not None:
@@ -140,21 +124,16 @@ class RealtimeCluster:
                           for partition in range(config.num_partitions)]
         self.servers: dict[tuple[int, int], RealtimeServer] = {}
         for dc, partition in server_ids:
-            skew_rng = node_rng(config.seed, "clock-skew", dc, partition)
-            offset = config.skew_model.draw_offset(skew_rng)
-            kernel = spec.kernel.from_config(
+            kernel = spec.build_server_kernel(
                 config, dc, partition, partitioner=self.partitioner,
-                time_source=self.clock, skew_offset_us=offset)
+                time_source=self.clock)
             server = RealtimeServer(self, kernel)
-            if self.trace_bus is not None:
-                server.tracer = self.trace_bus
-                kernel.tracer = self.trace_bus
+            server.tracer = kernel.tracer = self.trace_bus
             self.servers[(dc, partition)] = server
             self.transport.register_local(server.addr, server)
         self._preload_keyspace()
 
         self.clients: list[RealtimeClient] = []
-        self._clients_by_id: dict[str, RealtimeClient] = {}
         if workload_clients:
             for dc in range(config.num_dcs):
                 for index in range(config.clients_per_dc):
@@ -173,16 +152,11 @@ class RealtimeCluster:
     def add_client(self, dc: int, index: int, *,
                    generator=None) -> RealtimeClient:
         """Create (and register) a client bound to data center ``dc``."""
-        client_id = client_node_id(dc, index)
-        kernel = self._spec.client_kernel.from_config(
-            self.config, client_id, dc, partitioner=self.partitioner,
-            rng=node_rng(self.config.seed, "client", dc, index))
+        kernel, _rng = self._spec.build_client_kernel(
+            self.config, dc, index, partitioner=self.partitioner)
         client = RealtimeClient(self, kernel, generator=generator)
-        if self.trace_bus is not None:
-            client.tracer = self.trace_bus
-            kernel.tracer = self.trace_bus
+        client.tracer = kernel.tracer = self.trace_bus
         self.clients.append(client)
-        self._clients_by_id[client_id] = client
         self.transport.register_local(client.addr, client)
         if self._started:
             client.start()
@@ -203,12 +177,6 @@ class RealtimeCluster:
     def clients_in_dc(self, dc: int) -> list[RealtimeClient]:
         """Clients attached to data center ``dc``."""
         return [client for client in self.clients if client.dc_id == dc]
-
-    # ---------------------------------------------------------------- routing
-    def route(self, sender: Optional[Addr], dest: Addr, message: object,
-              trace: Optional[str] = None) -> None:
-        """Deliver a kernel Send effect through the transport."""
-        self.transport.send(sender, dest, message, trace)
 
     # -------------------------------------------------------------- lifecycle
     async def start(self, *, wall_epoch: Optional[float] = None) -> None:
@@ -326,5 +294,5 @@ async def drive_closed_loops(cluster: RealtimeCluster,
             f"the grace period (an operation is stuck)")
 
 
-__all__ = ["CLOSED_LOOP_GRACE_SECONDS", "RealtimeCluster", "client_node_id",
+__all__ = ["CLOSED_LOOP_GRACE_SECONDS", "RealtimeCluster",
            "drive_closed_loops"]

@@ -1,19 +1,18 @@
-"""Real-time (asyncio) drivers for the sans-I/O protocol kernels.
+"""Real-time (asyncio) drivers: kernel hosts on an event loop.
 
-Where the simulated backend wraps a kernel in a
-:class:`~repro.sim.node.Node` with a FIFO CPU queue and virtual time, the
-real-time backend wraps the *same kernel* in an asyncio task with a real
-mailbox (:class:`asyncio.Queue`) and wall-clock time:
+Where the simulated backend puts a kernel host on a
+:class:`~repro.sim.node.Node` with a FIFO CPU queue and virtual time
+(:mod:`repro.sim.drivers`), the real-time backend puts the *same host*
+(:mod:`repro.core.common.host`) on an asyncio task with a real mailbox
+(:class:`asyncio.Queue`) and wall-clock time.  The drivers here add only
+what asyncio has:
 
-* :class:`RealtimeServer` — one task draining the mailbox; every message is
-  fed to ``kernel.on_message`` and the returned effects are executed
-  immediately (sends route through the cluster, ``SetTimer`` becomes an
-  ``asyncio.sleep`` task, periodic timers become looping tasks).
+* :class:`RealtimeServer` — one task draining the mailbox into the host;
+  sends go to the cluster's transport, ``SetTimer`` becomes an
+  ``asyncio.sleep`` task, periodic timers become looping tasks.
 * :class:`RealtimeClient` — the closed-loop / interactive client: it issues
-  an operation by executing the client kernel's effects and awaits the
-  :class:`~repro.core.common.kernel.Complete` effect, recording wall-clock
-  latency into the shared :class:`~repro.metrics.collectors.MetricsRegistry`
-  and (optionally) the operation history for the causal checker.
+  an operation through the host and awaits the future the host's completion
+  resolves.
 
 Kernels are only ever touched from the event loop's thread, and every
 ``on_message`` / ``on_timer`` call runs synchronously between awaits, so no
@@ -25,23 +24,15 @@ from __future__ import annotations
 import asyncio
 from typing import TYPE_CHECKING, Optional
 
-from repro.causal.checker import RecordedPut, RecordedRead, RecordedRot
+from repro.core.common.host import ClientHost, ServerHost
 from repro.core.common.kernel import (
     Addr,
-    ClientAddr,
     ClientKernel,
-    Complete,
-    Effect,
-    PutOutcome,
-    RotOutcome,
-    Send,
-    ServerAddr,
     ServerKernel,
     SetTimer,
     TimerSpec,
 )
-from repro.errors import ProtocolError, RuntimeBackendError
-from repro.obs.events import EFFECT, MSG_RECV, MSG_SEND, OP_FINISH, OP_START
+from repro.errors import RuntimeBackendError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.cluster import RealtimeCluster
@@ -59,7 +50,11 @@ NODE_STOP_TIMEOUT_SECONDS = 5.0
 
 
 class _MailboxNode:
-    """Shared mailbox/task machinery of the real-time nodes."""
+    """The event loop's side of a kernel host: mailbox, tasks, transport.
+
+    Listed before the host in a driver's bases, so its primitives override
+    the host's placeholders.
+    """
 
     def __init__(self, cluster: "RealtimeCluster") -> None:
         self.cluster = cluster
@@ -69,17 +64,15 @@ class _MailboxNode:
         #: :meth:`RealtimeCluster.first_failure` so a dead pump fails the run
         #: with its root cause instead of an opaque downstream timeout.
         self.failure: Optional[BaseException] = None
-        #: Event bus (see :mod:`repro.obs`), attached by the cluster when
-        #: tracing is enabled, and the trace id of the message currently
-        #: being served; both stay None with tracing disabled and every emit
-        #: site guards on ``tracer is not None``.
-        self.tracer = None
-        self.current_trace: Optional[str] = None
 
     def deliver(self, sender: Addr, message: object,
                 trace: Optional[str] = None) -> None:
-        """Called by the cluster router when a message arrives here."""
+        """Called by the transport when a message arrives here."""
         self.mailbox.put_nowait((sender, message, trace))
+
+    def _send(self, dest: Addr, message: object) -> None:
+        self.cluster.transport.send(self.addr, dest, message,
+                                    self.current_trace)
 
     def _spawn(self, coro) -> asyncio.Task:
         task = asyncio.ensure_future(coro)
@@ -124,76 +117,30 @@ class _MailboxNode:
                 f"for {NODE_STOP_TIMEOUT_SECONDS}s during stop()")
 
     async def _pump(self) -> None:
-        raise NotImplementedError
+        while True:
+            sender, message, trace = await self.mailbox.get()
+            self.dispatch(sender, message, trace)
 
 
-class RealtimeServer(_MailboxNode):
+class RealtimeServer(_MailboxNode, ServerHost):
     """An asyncio task serving one partition through its kernel."""
 
     def __init__(self, cluster: "RealtimeCluster", kernel: ServerKernel) -> None:
-        super().__init__(cluster)
-        self.kernel = kernel
-        self.addr = ServerAddr(kernel.dc_id, kernel.partition_index)
-        self.node_id = kernel.node_id
-        self.dc_id = kernel.dc_id
+        _MailboxNode.__init__(self, cluster)
+        ServerHost.__init__(self, kernel, cluster.clock)
 
-    # ------------------------------------------------------------------ store
-    @property
-    def store(self):
-        return self.kernel.store
+    def _arm_timer(self, timer: SetTimer, trace: Optional[str]) -> None:
+        self._spawn(self._one_shot(timer, trace))
 
-    @property
-    def counters(self):
-        return self.kernel.counters
-
-    # ---------------------------------------------------------------- effects
-    def execute_effects(self, effects: list[Effect]) -> None:
-        tracer = self.tracer
-        for effect in effects:
-            if isinstance(effect, Send):
-                self.counters.messages_sent += 1
-                size_fn = getattr(effect.message, "size_bytes", None)
-                if callable(size_fn):
-                    self.counters.bytes_sent += int(size_fn())
-                if tracer is not None:
-                    tracer.emit(self.node_id, MSG_SEND,
-                                trace=self.current_trace,
-                                name=type(effect.message).__name__,
-                                dc=self.dc_id)
-                self.cluster.route(self.addr, effect.dest, effect.message,
-                                   self.current_trace)
-            elif isinstance(effect, SetTimer):
-                if tracer is not None:
-                    tracer.emit(self.node_id, EFFECT,
-                                trace=self.current_trace,
-                                name=f"set-timer:{effect.tag}", dc=self.dc_id)
-                # The coroutine captures the current trace so timer-deferred
-                # work keeps its operation's trace (always None when tracing
-                # is disabled).
-                self._spawn(self._one_shot(effect, self.current_trace))
-            else:
-                raise ProtocolError(
-                    f"{self.node_id} cannot execute effect {effect!r}")
-
-    async def _one_shot(self, timer: SetTimer,
-                        trace: Optional[str] = None) -> None:
+    async def _one_shot(self, timer: SetTimer, trace: Optional[str]) -> None:
         await asyncio.sleep(timer.delay)
-        self.current_trace = trace
-        if self.tracer is not None:
-            self.kernel.current_trace = trace
-        self.execute_effects(self.kernel.on_timer(
-            timer.tag, timer.payload, self.cluster.clock.now))
+        self.fire_timer(timer.tag, timer.payload, trace)
 
     async def _periodic(self, spec: TimerSpec) -> None:
         delay = spec.interval if spec.start_delay is None else spec.start_delay
         await asyncio.sleep(delay)
         while True:
-            # Background protocol work runs outside any operation's trace.
-            self.current_trace = None
-            if self.tracer is not None:
-                self.kernel.current_trace = None
-            self.execute_effects(self.kernel.on_timer(
-                spec.tag, None, self.cluster.clock.now))
+            self.fire_timer(spec.tag)
             await asyncio.sleep(spec.interval)
 
     def start(self) -> None:
@@ -201,20 +148,8 @@ class RealtimeServer(_MailboxNode):
         for spec in self.kernel.periodic_timers():
             self._spawn(self._periodic(spec))
 
-    async def _pump(self) -> None:
-        while True:
-            sender, message, trace = await self.mailbox.get()
-            self.current_trace = trace
-            tracer = self.tracer
-            if tracer is not None:
-                self.kernel.current_trace = trace
-                tracer.emit(self.node_id, MSG_RECV, trace=trace,
-                            name=type(message).__name__, dc=self.dc_id)
-            self.execute_effects(self.kernel.on_message(
-                sender, message, self.cluster.clock.now))
 
-
-class RealtimeClient(_MailboxNode):
+class RealtimeClient(_MailboxNode, ClientHost):
     """A client driving one operation at a time through its kernel.
 
     Used in two modes: *closed loop* (:meth:`run_closed_loop`, the load
@@ -225,16 +160,9 @@ class RealtimeClient(_MailboxNode):
 
     def __init__(self, cluster: "RealtimeCluster", kernel: ClientKernel,
                  generator=None) -> None:
-        super().__init__(cluster)
-        self.kernel = kernel
-        self.node_id = kernel.client_id
-        self.addr = ClientAddr(kernel.client_id)
-        self.dc_id = kernel.dc_id
-        self.generator = generator
-        self.metrics = cluster.metrics
-        self.checker = cluster.checker
-        self.sequence = 0
-        self._op_started_at = 0.0
+        _MailboxNode.__init__(self, cluster)
+        ClientHost.__init__(self, kernel, cluster.clock, generator,
+                            cluster.metrics, cluster.checker)
         self._op_future: Optional[asyncio.Future] = None
         # Set when an operation timed out: the kernel still considers that
         # operation in flight, so a later completion could otherwise resolve
@@ -242,50 +170,7 @@ class RealtimeClient(_MailboxNode):
         # further operations instead.
         self._broken: Optional[str] = None
 
-    # ---------------------------------------------------------------- effects
-    def execute_effects(self, effects: list[Effect]) -> None:
-        tracer = self.tracer
-        for effect in effects:
-            if isinstance(effect, Send):
-                if tracer is not None:
-                    tracer.emit(self.node_id, MSG_SEND,
-                                trace=self.current_trace,
-                                name=type(effect.message).__name__,
-                                dc=self.dc_id)
-                self.cluster.route(self.addr, effect.dest, effect.message,
-                                   self.current_trace)
-            elif isinstance(effect, Complete):
-                self._finish(effect)
-            else:
-                raise ProtocolError(
-                    f"{self.node_id} cannot execute effect {effect!r}")
-
-    def _finish(self, effect: Complete) -> None:
-        now = self.cluster.clock.now
-        result = effect.result
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(self.node_id, OP_FINISH, trace=self.current_trace,
-                        name=effect.op, dc=self.dc_id)
-        if effect.op == "put":
-            assert isinstance(result, PutOutcome)
-            self.metrics.record_put(self._op_started_at, now)
-            if self.checker is not None:
-                self.checker.record_put(RecordedPut(
-                    key=result.key, timestamp=result.timestamp,
-                    origin_dc=result.origin_dc, client=self.node_id,
-                    sequence=self.sequence,
-                    dependencies=result.dependencies))
-        else:
-            assert isinstance(result, RotOutcome)
-            self.metrics.record_rot(self._op_started_at, now)
-            if self.checker is not None:
-                reads = tuple(RecordedRead(key=r.key, timestamp=r.timestamp,
-                                           origin_dc=r.origin_dc)
-                              for r in result.results.values())
-                self.checker.record_rot(RecordedRot(
-                    rot_id=result.rot_id, client=self.node_id,
-                    sequence=self.sequence, reads=reads))
+    def _completed(self, result) -> None:
         future, self._op_future = self._op_future, None
         if future is not None and not future.done():
             future.set_result(result)
@@ -305,20 +190,8 @@ class RealtimeClient(_MailboxNode):
         if self._op_future is not None:
             raise RuntimeBackendError(
                 f"{self.node_id} already has an operation in flight")
-        self.sequence += 1
-        self.metrics.note_issue(operation.is_put)
-        tracer = self.tracer
-        if tracer is not None:
-            trace = f"{self.node_id}#{self.sequence}"
-            self.current_trace = trace
-            self.kernel.current_trace = trace
-            tracer.emit(self.node_id, OP_START, trace=trace,
-                        name=operation.kind, dc=self.dc_id,
-                        data=(("key", operation.keys[0]),))
-        self._op_started_at = self.cluster.clock.now
         self._op_future = asyncio.get_running_loop().create_future()
-        self.execute_effects(self.kernel.start_operation(
-            operation, self.sequence, self._op_started_at))
+        self.issue(operation)
         try:
             return await asyncio.wait_for(
                 asyncio.shield(self._op_future), timeout)
@@ -334,18 +207,6 @@ class RealtimeClient(_MailboxNode):
         """Issue operations back-to-back until ``stop`` is set."""
         while not stop.is_set():
             await self.perform(self.generator.next_operation())
-
-    async def _pump(self) -> None:
-        while True:
-            _sender, message, trace = await self.mailbox.get()
-            self.current_trace = trace
-            tracer = self.tracer
-            if tracer is not None:
-                self.kernel.current_trace = trace
-                tracer.emit(self.node_id, MSG_RECV, trace=trace,
-                            name=type(message).__name__, dc=self.dc_id)
-            self.execute_effects(self.kernel.on_message(
-                message, self.cluster.clock.now))
 
 
 __all__ = ["NODE_STOP_TIMEOUT_SECONDS", "OPERATION_TIMEOUT_SECONDS",

@@ -48,7 +48,12 @@ from typing import Optional
 from repro.causal.checker import RecordedPut, RecordedRead, RecordedRot
 from repro.causal.streaming import ObservationBuffer, StreamingChecker
 from repro.cluster.config import ClusterConfig
-from repro.core.common.kernel import Addr, ClientAddr, ServerAddr
+from repro.core.common.kernel import (
+    Addr,
+    ClientAddr,
+    ServerAddr,
+    client_node_id,
+)
 from repro.core.registry import resolve_spec
 from repro.errors import (
     ConfigurationError,
@@ -58,11 +63,7 @@ from repro.errors import (
 from repro.metrics.overheads import OverheadCounters
 from repro.obs.events import TraceEvent
 from repro.obs.trace import TraceAssembler
-from repro.runtime.cluster import (
-    RealtimeCluster,
-    client_node_id,
-    drive_closed_loops,
-)
+from repro.runtime.cluster import RealtimeCluster, drive_closed_loops
 from repro.runtime.nodes import OPERATION_TIMEOUT_SECONDS
 from repro.runtime.transport import (
     BatchOption,
@@ -466,10 +467,6 @@ class ProcessCluster:
         self.config = config = config or ClusterConfig()
         self.workload = workload = workload or DEFAULT_WORKLOAD
         spec = resolve_spec(protocol)
-        if spec.kernel is None or spec.client_kernel is None:
-            raise ConfigurationError(
-                f"protocol {protocol!r} is registered without sans-I/O "
-                f"kernels; the realtime backend needs them")
         if "tcp" not in spec.transports:
             raise ConfigurationError(
                 f"protocol {protocol!r} does not support the 'tcp' "

@@ -97,8 +97,7 @@ class Envelope:
     """One routed message on the wire: sender, destination, payload.
 
     ``trace`` carries the causal trace id of the operation the payload
-    belongs to (see :mod:`repro.obs`); it defaults to ``None`` so wire
-    version 1 frames — which predate the field — still decode.
+    belongs to (see :mod:`repro.obs`); ``None`` when tracing is disabled.
     """
 
     sender: Optional[Addr]

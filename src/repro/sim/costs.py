@@ -22,9 +22,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.clocks.units import microseconds
+from repro.core.common.messages import (
+    CcloPutRequest,
+    CcloReplicateUpdate,
+    OneRoundReadRequest,
+    ReadersCheckReply,
+    ReadersCheckRequest,
+    RemoteHeartbeat,
+    ReplicateUpdate,
+    RotCoordinatorRequest,
+    RotProxyRead,
+    RotReadRequest,
+    StabilizationMessage,
+    VectorPutRequest,
+)
 from repro.errors import ConfigurationError
-from repro.metrics.overheads import OverheadCounters
-from repro.sim.engine import microseconds
 
 
 @dataclass(frozen=True)
@@ -137,4 +150,96 @@ class CostModel:
         return microseconds(self.client_overhead_us)
 
 
-__all__ = ["CostModel", "OverheadCounters"]
+# --------------------------------------------------------------------------
+# What each message costs the partition server that handles it
+# --------------------------------------------------------------------------
+# One pricing function per message type, ``(cost_model, kernel, message) ->
+# seconds``, charged on top of :meth:`CostModel.message_cost`.  ``kernel`` is
+# the serving partition's kernel: some prices depend on what it stores.  The
+# CPU price of every message is what produces the queueing dynamics the paper
+# measures; the readers-check prices are its central overhead.
+
+
+def _stored_value_size(kernel, keys: list[str]) -> int:
+    for key in keys:
+        version = kernel.store.latest_visible(key)
+        if version is not None:
+            return version.size_bytes
+    return 0
+
+
+def _read(cost: CostModel, kernel, message) -> float:
+    # For CC-LO, checking whether the ROT id appears in a version's
+    # old-reader record is a hash lookup, so the read path pays no per-id
+    # cost; the readers check (PUT path) is where the id lists are scanned.
+    keys = list(message.keys)
+    return cost.read_cost(len(keys), _stored_value_size(kernel, keys))
+
+
+def _vector_put(cost: CostModel, kernel, message: VectorPutRequest) -> float:
+    return (cost.put_cost(message.value_size)
+            + cost.dependency_cost(len(message.client_vector)))
+
+
+def _rot_coordinator(cost: CostModel, kernel,
+                     message: RotCoordinatorRequest) -> float:
+    partitions = len(kernel.partitioner.group_by_partition(list(message.keys)))
+    own_keys = [key for key in message.keys
+                if kernel.partitioner.partition_of(key)
+                == kernel.partition_index]
+    read = cost.read_cost(len(own_keys), _stored_value_size(kernel, own_keys)) \
+        if not message.two_round and own_keys else 0.0
+    return cost.coordinator_cost(partitions) + read
+
+
+def _stabilization(cost: CostModel, kernel, message) -> float:
+    return cost.stabilization_cost()
+
+
+def _replication(cost: CostModel, kernel, message) -> float:
+    return cost.replication_cost(message.value_size, len(message.dependencies))
+
+
+def _cclo_put(cost: CostModel, kernel, message: CcloPutRequest) -> float:
+    return (cost.put_cost(message.value_size)
+            + cost.dependency_cost(len(message.dependencies)))
+
+
+def _readers_check_request(cost: CostModel, kernel,
+                           message: ReadersCheckRequest) -> float:
+    ids = sum(kernel.readers.old_reader_count(key)
+              for key, _, _ in message.dependencies)
+    return cost.readers_check_cost(ids) \
+        + cost.dependency_cost(len(message.dependencies))
+
+
+def _readers_check_reply(cost: CostModel, kernel,
+                         message: ReadersCheckReply) -> float:
+    return cost.readers_check_cost(len(message.old_readers))
+
+
+_MESSAGE_PRICES = {
+    VectorPutRequest: _vector_put,
+    RotCoordinatorRequest: _rot_coordinator,
+    RotProxyRead: _read,
+    RotReadRequest: _read,
+    StabilizationMessage: _stabilization,
+    RemoteHeartbeat: _stabilization,
+    ReplicateUpdate: _replication,
+    OneRoundReadRequest: _read,
+    CcloPutRequest: _cclo_put,
+    ReadersCheckRequest: _readers_check_request,
+    ReadersCheckReply: _readers_check_reply,
+    CcloReplicateUpdate: _replication,
+}
+
+
+def message_cost(cost: CostModel, kernel, message: object) -> float:
+    """Protocol-specific CPU seconds ``message`` costs the server hosting
+    ``kernel``; messages without a price (replies in transit to clients,
+    unknown types) cost nothing beyond the fixed per-message charge."""
+    price = _MESSAGE_PRICES.get(type(message))
+    return price(cost, kernel, message) if price is not None else 0.0
+
+
+__all__ = ["CostModel", "message_cost"]

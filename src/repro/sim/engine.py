@@ -4,7 +4,7 @@ The engine keeps a priority queue of events ordered by simulated time.  All
 other components (network, nodes, protocol timers) schedule callbacks through
 :meth:`Simulator.schedule` / :meth:`Simulator.call_at`.  Simulated time is a
 float measured in **seconds**; component code typically works in milliseconds
-or microseconds and converts through the helpers in this module.
+or microseconds and converts through the helpers in :mod:`repro.clocks.units`.
 """
 
 from __future__ import annotations
@@ -14,15 +14,6 @@ import itertools
 import random
 from typing import Callable, Optional
 
-from repro.clocks.units import (  # noqa: F401 - re-exported for compatibility
-    MICROSECOND,
-    MILLISECOND,
-    SECOND,
-    as_microseconds,
-    as_milliseconds,
-    microseconds,
-    milliseconds,
-)
 from repro.errors import SimulationError
 
 
@@ -232,15 +223,4 @@ class PeriodicTask:
                                              label=self._label)
 
 
-__all__ = [
-    "Event",
-    "PeriodicTask",
-    "Simulator",
-    "MICROSECOND",
-    "MILLISECOND",
-    "SECOND",
-    "as_microseconds",
-    "as_milliseconds",
-    "microseconds",
-    "milliseconds",
-]
+__all__ = ["Event", "PeriodicTask", "Simulator"]

@@ -16,8 +16,9 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.clocks.units import microseconds
 from repro.errors import ConfigurationError
-from repro.sim.engine import Simulator, microseconds
+from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.node import Node

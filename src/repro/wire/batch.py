@@ -23,10 +23,8 @@ tagged dicts.  The receive side decodes integer columns through
 one C-level ``map`` sweep, interning key fields as it goes.  Short
 heterogeneous runs fall back to the generic per-value encoding.
 
-Batch frames are a wire **version 3** format: a v2 peer rejects the format
-tag loudly instead of mis-parsing, and a v3 peer still decodes every v1/v2
-frame (nothing batched is ever required — batching is a transport policy,
-see :class:`FlushPolicy` and :mod:`repro.runtime.transport`).
+Nothing batched is ever required — batching is a transport policy, see
+:class:`FlushPolicy` and :mod:`repro.runtime.transport`.
 """
 
 from __future__ import annotations

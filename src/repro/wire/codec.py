@@ -50,16 +50,11 @@ from repro.wire.intern import intern_key
 
 #: First byte of every frame.
 MAGIC = 0xA7
-#: Current wire version; bumped on payload-layout changes.  Version 2 added
-#: trailing optional struct fields (Envelope trace ids, worker trace-event
-#: shipping); version-1 frames remain decodable because missing trailing
-#: fields fall back to their dataclass defaults.  Version 3 added the batch
-#: frame format (:data:`FORMAT_BATCH`, see :mod:`repro.wire.batch`) with
-#: columnar struct arrays; versions 1 and 2 remain decodable because no
-#: existing tag changed meaning.
+#: Current wire version; bumped on every payload-layout change.
 WIRE_VERSION = 3
-#: Every version this codec can decode.
-SUPPORTED_WIRE_VERSIONS = (1, 2, 3)
+#: Every version this codec can decode: every peer of a run is started from
+#: the same tree, so there is exactly one, and anything else is rejected.
+SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION,)
 #: Format tags (third header byte).
 FORMAT_BINARY = 0x01
 FORMAT_JSON = 0x02
@@ -340,19 +335,15 @@ def _decode_value(reader: _Reader) -> Any:
             raise WireFormatError(
                 f"struct {cls.__name__} payload is not a field array")
         names = _FIELDS[cls]
-        if len(values) > len(names):
+        if len(values) != len(names):
             raise WireFormatError(
                 f"struct {cls.__name__} carries {len(values)} fields, "
-                f"expected at most {len(names)}")
-        # Fewer values than fields is tolerated when the class declares
-        # defaults for the missing trailing fields — that is how frames from
-        # older wire versions decode after a field was appended.
+                f"expected {len(names)}")
         try:
             return cls(*values)
         except (TypeError, ValueError) as exc:
             raise WireFormatError(
-                f"cannot reconstruct {cls.__name__} from {len(values)} "
-                f"of its {len(names)} fields: {exc}") from exc
+                f"cannot reconstruct {cls.__name__}: {exc}") from exc
     raise WireFormatError(f"unknown binary tag 0x{tag:02X}")
 
 
@@ -398,16 +389,13 @@ def _dejsonify(value: Any) -> Any:
                     f"unknown wire type name {value['__wire__']!r}")
             fields = value.get("fields", {})
             names = _FIELDS[cls]
-            unknown = set(fields) - set(names)
-            if unknown:
+            if set(fields) != set(names):
                 raise WireFormatError(
                     f"struct {cls.__name__} field mismatch: "
                     f"{sorted(fields)} != {sorted(names)}")
-            # Absent fields (older wire versions) fall back to dataclass
-            # defaults, mirroring the binary decoder's trailing-field rule.
             try:
                 return cls(**{name: _dejsonify(fields[name])
-                              for name in names if name in fields})
+                              for name in names})
             except (TypeError, ValueError) as exc:
                 raise WireFormatError(
                     f"cannot reconstruct {cls.__name__}: {exc}") from exc
@@ -694,9 +682,6 @@ def decode(data: bytes) -> Any:
                 f"frame payload")
         return value
     if format_tag == FORMAT_BATCH:
-        if data[1] < 3:
-            raise WireFormatError(
-                f"batch frames require wire version >= 3, got {data[1]}")
         global _decode_batch
         if _decode_batch is None:
             from repro.wire.batch import decode_batch_payload

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.cluster.config import ClusterConfig
 from repro.cluster.partitioning import HashPartitioner
 from repro.cluster.topology import ClusterTopology
+from repro.core.common.kernel import ClientAddr, ServerAddr
 from repro.errors import ConfigurationError
 from repro.harness.builder import build_cluster
 from repro.sim.costs import CostModel
@@ -169,12 +170,13 @@ class TestClusterTopology:
         assert len(topology.clients) == 4
         assert len(topology.clients_in_dc(1)) == 2
 
-    def test_client_lookup_by_id(self):
+    def test_nodes_are_found_by_kernel_address(self):
         topology = self._topology()
         client = topology.clients[0]
-        assert topology.client_by_id(client.node_id) is client
+        assert topology.node_at(client.addr) is client
+        assert topology.node_at(ServerAddr(0, 2)) is topology.server(0, 2)
         with pytest.raises(ConfigurationError):
-            topology.client_by_id("nobody")
+            topology.node_at(ClientAddr("nobody"))
 
     def test_duplicate_server_rejected(self):
         config = ClusterConfig.test_scale()

@@ -18,7 +18,7 @@ from repro.harness.report import (
 )
 from repro.metrics.collectors import RunResult
 from repro.metrics.latency import LatencySummary
-from repro.sim.costs import OverheadCounters
+from repro.metrics.overheads import OverheadCounters
 
 
 def _result(clients: int, throughput: float, rot_mean: float) -> RunResult:

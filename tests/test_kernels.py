@@ -53,6 +53,8 @@ class TestSansIoImport:
             import repro.core.vector.kernel  # noqa: F401
             import repro.core.cclo.kernel  # noqa: F401
             import repro.core.common.kernel  # noqa: F401
+            import repro.core.common.host  # noqa: F401
+            import repro.core.registry  # noqa: F401
             sim_modules = [name for name in sys.modules
                            if name.startswith("repro.sim")]
             assert sim_modules == []
@@ -62,6 +64,23 @@ class TestSansIoImport:
             for name in [n for n in sys.modules if n.startswith("repro")]:
                 del sys.modules[name]
             sys.modules.update(saved)
+
+    def test_kernel_host_needs_no_event_loop(self):
+        """The host is backend-free: importing it (and the registry that
+        builds kernels) loads neither the simulator nor asyncio.  A fresh
+        interpreter, because this process has long since imported both."""
+        import os
+        import subprocess
+
+        import repro
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        script = ("import sys, repro.core.common.host, repro.core.registry\n"
+                  "loaded = [name for name in sys.modules if name == 'asyncio'"
+                  " or name.startswith('repro.sim')]\n"
+                  "assert not loaded, loaded")
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env={**os.environ, "PYTHONPATH": source_root},
+                       timeout=60)
 
 
 def vector_kernel(mode="hlc", num_dcs=2, clock=None, partitions=4):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.common.kernel import ClientKernel, ServerKernel
 from repro.core.common.messages import (
     CcloPutRequest,
     CcloReplicateUpdate,
@@ -23,7 +24,7 @@ from repro.core.common.messages import (
 from repro.core.registry import (
     implemented_protocols,
     protocol_properties,
-    resolve,
+    resolve_spec,
     surveyed_properties,
 )
 from repro.errors import ConfigurationError
@@ -108,14 +109,15 @@ class TestRegistry:
     def test_implemented_protocols(self):
         assert set(implemented_protocols()) == {"contrarian", "cure", "cc-lo"}
 
-    def test_resolve_returns_classes(self):
-        server_cls, client_cls = resolve("contrarian")
-        assert "Server" in server_cls.__name__
-        assert "Client" in client_cls.__name__
+    def test_spec_carries_the_kernel_classes(self):
+        for name in implemented_protocols():
+            spec = resolve_spec(name)
+            assert issubclass(spec.kernel, ServerKernel)
+            assert issubclass(spec.client_kernel, ClientKernel)
 
     def test_resolve_unknown_protocol(self):
-        with pytest.raises(ConfigurationError):
-            resolve("spanner")
+        with pytest.raises(ConfigurationError, match="known"):
+            resolve_spec("spanner")
 
     def test_properties_match_table2(self):
         contrarian = protocol_properties("contrarian")

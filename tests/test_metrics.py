@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.metrics.collectors import MetricsRegistry
 from repro.metrics.latency import LatencyRecorder, LatencySummary, percentile
-from repro.sim.costs import OverheadCounters
+from repro.metrics.overheads import OverheadCounters
 
 
 class TestPercentile:

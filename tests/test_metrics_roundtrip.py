@@ -14,7 +14,7 @@ from repro.metrics.collectors import (
     RunResult,
 )
 from repro.metrics.latency import LatencySummary
-from repro.sim.costs import OverheadCounters
+from repro.metrics.overheads import OverheadCounters
 
 
 def _synthetic_result(**overrides) -> RunResult:

@@ -68,7 +68,7 @@ class TestVectorServerMechanics:
         outcome = run_experiment("contrarian", tiny_config(num_dcs=2,
                                                            clients_per_dc=3))
         for server in outcome.cluster.topology.all_servers():
-            assert all(entry > 0 for entry in server.gss)
+            assert all(entry > 0 for entry in server.kernel.gss)
 
     def test_unknown_message_rejected(self):
         cluster = build_cluster("contrarian", tiny_config(), DEFAULT_WORKLOAD)
@@ -129,7 +129,7 @@ class TestCcloServerMechanics:
         store.rot(["0:0", "1:0"])       # the facade client reads 0:0
         store.put("0:0")                # overwriting demotes that reader
         server = store.cluster.topology.server_for_key(0, "0:0")
-        assert server.readers.old_reader_count("0:0") >= 1
+        assert server.kernel.readers.old_reader_count("0:0") >= 1
 
     @pytest.mark.slow
     def test_replicated_updates_carry_dependencies(self):

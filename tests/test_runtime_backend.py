@@ -10,9 +10,8 @@ import pytest
 
 from repro.api import CausalStore
 from repro.cluster.config import ClusterConfig
-from repro.core.registry import implemented_protocols, realtime_protocols
 from repro.errors import ConfigurationError
-from repro.runtime import RealtimeCluster, run_realtime_experiment
+from repro.runtime import run_realtime_experiment
 
 PROTOCOLS = ("contrarian", "cure", "cc-lo")
 
@@ -180,28 +179,35 @@ class TestRealtimeLifecycle:
 
 
 class TestRegistryExtensibility:
-    def test_all_builtins_are_realtime_capable(self):
-        assert set(realtime_protocols()) == set(implemented_protocols())
-
     def test_register_protocol_rejects_duplicates(self):
         from repro.core.registry import register_protocol
         with pytest.raises(ConfigurationError, match="already registered"):
-            register_protocol("contrarian", object, object)
+            register_protocol("contrarian", kernel=object,
+                              client_kernel=object)
 
-    def test_registered_protocol_resolves_and_unregisters(self):
+    def test_kernels_are_all_a_registration_needs(self):
+        """Two kernel classes — no driver — run on both backends."""
         from repro.core.registry import (
             register_protocol,
-            resolve,
             resolve_spec,
             unregister_protocol,
         )
-        register_protocol("toy", object, object)
+        from repro.core.vector.kernel import (
+            ContrarianClientKernel,
+            ContrarianKernel,
+        )
+        with pytest.raises(TypeError):
+            register_protocol("toy")  # a protocol without kernels is none
+        register_protocol("toy", kernel=ContrarianKernel,
+                          client_kernel=ContrarianClientKernel)
         try:
-            assert resolve("toy") == (object, object)
-            assert resolve_spec("toy").kernel is None
-            with pytest.raises(ConfigurationError, match="toy"):
-                RealtimeCluster("toy", ClusterConfig.test_scale())
+            assert resolve_spec("toy").kernel is ContrarianKernel
+            for backend in ("sim", "realtime"):
+                with CausalStore(protocol="toy", backend=backend) as store:
+                    written = store.put("k").values["k"]
+                    assert store.get("k") == written
+                    assert store.check().ok
         finally:
             unregister_protocol("toy")
         with pytest.raises(ConfigurationError, match="known"):
-            resolve("toy")
+            resolve_spec("toy")

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.engine import (
-    PeriodicTask,
-    Simulator,
+from repro.clocks.units import (
     as_microseconds,
     as_milliseconds,
     microseconds,
     milliseconds,
 )
+from repro.errors import SimulationError
+from repro.sim.engine import PeriodicTask, Simulator
 
 
 class TestScheduling:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.engine import Simulator, microseconds
+from repro.clocks.units import microseconds
+from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
 from repro.sim.node import Node
 

@@ -107,8 +107,7 @@ class TestTransportSelection:
             ContrarianClientKernel,
             ContrarianKernel,
         )
-        register_protocol("inproc-only", object, object,
-                          kernel=ContrarianKernel,
+        register_protocol("inproc-only", kernel=ContrarianKernel,
                           client_kernel=ContrarianClientKernel,
                           transports=("inproc",))
         try:

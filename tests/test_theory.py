@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import TheoryError
 from repro.metrics.collectors import RunResult
 from repro.metrics.latency import LatencySummary
-from repro.sim.costs import OverheadCounters
+from repro.metrics.overheads import OverheadCounters
 from repro.theory.executions import (
     LamportOnlyProtocol,
     ReaderTrackingProtocol,

@@ -1,7 +1,7 @@
 """Batch frame tests: columnar coalescing, flush policies, edge cases.
 
 Covers the wire side (encode_batch/decode round trips, empty and single
-batches, oversize rejection, version gating, torn-frame reassembly through
+batches, oversize rejection, torn-frame reassembly through
 FrameDecoder) and the transport side (threshold and idle flushes, graceful
 stop, batch trace events) without spawning any processes.
 """
@@ -117,24 +117,6 @@ class TestBatchCodec:
             decode(payload[:len(payload) - 3])
         with pytest.raises(WireFormatError, match="short"):
             decode_batch_payload(bytes((MAGIC, WIRE_VERSION, FORMAT_BATCH)))
-
-
-class TestVersionGating:
-    def test_batch_frames_require_version_3(self):
-        # A (buggy or hostile) peer stamping the batch format with an older
-        # version byte must be rejected loudly, not mis-parsed.
-        payload = bytearray(encode_batch([_replicate(i) for i in range(4)]))
-        assert payload[1] == 3
-        payload[1] = 2
-        with pytest.raises(WireFormatError, match="version"):
-            decode(bytes(payload))
-
-    def test_v2_per_message_frames_decode_under_v3(self):
-        from repro.wire.codec import encode
-        envelope = _replicate(0)
-        payload = bytearray(encode(envelope))
-        payload[1] = 2
-        assert decode(bytes(payload)) == envelope
 
 
 class TestColumnarDetails:

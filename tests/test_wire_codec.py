@@ -212,38 +212,34 @@ class TestFraming:
             decoder.feed(struct.pack(">I", MAX_FRAME_BYTES + 1))
 
 
-class TestWireVersionCompat:
-    """Wire versions 2 (trace-carrying) and 3 (batch frames) vs old peers.
+class TestWireVersion:
+    """One wire version: every peer of a run is started from the same tree.
 
-    Version 2 appended trailing optional struct fields (``Envelope.trace``,
-    ``TraceEvent`` shipping); both decoders fill absent trailing fields from
-    dataclass defaults, so v1 frames — and v2 frames from senders built
-    before a field was appended — keep decoding.  Version 3 added the batch
-    frame format (0x03); per-message v1/v2 frames are unchanged, so they
-    keep decoding under a v3 codec.
+    The version byte stays in the header so that a frame from anything else
+    is rejected loudly instead of mis-parsed, and a struct must carry exactly
+    the fields its class declares.
     """
 
     def test_version_constants(self):
         from repro.wire.codec import SUPPORTED_WIRE_VERSIONS
         assert WIRE_VERSION == 3
-        assert SUPPORTED_WIRE_VERSIONS == (1, 2, 3)
-        assert WIRE_VERSION in SUPPORTED_WIRE_VERSIONS
-
-    def test_older_version_frames_still_decode(self):
-        for version in (1, 2):
-            for format in ("binary", "json"):
-                payload = bytearray(encode(SAMPLES[CcloPutReply],
-                                           format=format))
-                assert payload[1] == WIRE_VERSION
-                payload[1] = version
-                assert decode(bytes(payload)) == SAMPLES[CcloPutReply]
+        assert SUPPORTED_WIRE_VERSIONS == (WIRE_VERSION,)
 
     def test_unsupported_versions_rejected(self):
-        for version in (0, 4, 99):
-            payload = bytearray(encode(SAMPLES[CcloPutReply]))
-            payload[1] = version
-            with pytest.raises(WireFormatError, match="version"):
-                decode(bytes(payload))
+        from repro.runtime.transport import Envelope
+        from repro.core.common.kernel import ServerAddr
+        from repro.wire.batch import encode_batch
+        batch = encode_batch([Envelope(sender=None, dest=ServerAddr(0, 0),
+                                       payload=SAMPLES[CcloPutReply])] * 3)
+        frames = [encode(SAMPLES[CcloPutReply], format="binary"),
+                  encode(SAMPLES[CcloPutReply], format="json"), batch]
+        for version in (0, 1, 2, 4, 99):
+            for frame in frames:
+                payload = bytearray(frame)
+                assert payload[1] == WIRE_VERSION
+                payload[1] = version
+                with pytest.raises(WireFormatError, match="version"):
+                    decode(bytes(payload))
 
     def test_envelope_trace_round_trips(self):
         from repro.runtime.transport import Envelope
@@ -255,53 +251,45 @@ class TestWireVersionCompat:
         for format in ("binary", "json"):
             assert decode(encode(envelope, format=format)) == envelope
 
-    def test_three_field_envelope_frame_decodes_without_trace(self):
-        # A v1 peer encodes Envelope with only (sender, dest, payload).
-        # Build that frame by hand: struct tag, Envelope's type id, then a
-        # 3-element field array spliced from individually encoded values.
+    @staticmethod
+    def _struct_frame(instance, values):
+        """A binary frame of ``instance``'s type carrying ``values`` as its
+        field array, spliced from individually encoded values."""
         import struct
+        type_id = struct.unpack(">H", encode(instance)[4:6])[0]
+        body = bytes((MAGIC, WIRE_VERSION, 0x01, 0xD8)) \
+            + struct.pack(">H", type_id) + bytes((0x90 | len(values),))
+        for value in values:
+            body += encode(value)[3:]  # strip the standalone 3-byte header
+        return body
+
+    def test_truncated_structs_rejected(self):
+        # Fields with dataclass defaults are no exception: a short field
+        # array is a malformed frame, not an older peer.
         from repro.runtime.transport import Envelope
         from repro.core.common.kernel import ClientAddr
-        full = encode(Envelope(sender=None, dest=ClientAddr(client_id="c-1"),
-                               payload=7, trace="x"))
-        envelope_type_id = struct.unpack(">H", full[4:6])[0]
-
-        def bare(value):  # strip the 3-byte header off a standalone encode
-            return encode(value)[3:]
-
-        body = bytes((MAGIC, 1, 0x01, 0xD8)) \
-            + struct.pack(">H", envelope_type_id) \
-            + bytes((0x90 | 3,)) \
-            + bare(None) + bare(ClientAddr(client_id="c-1")) + bare(7)
-        decoded = decode(body)
-        assert decoded == Envelope(sender=None,
-                                   dest=ClientAddr(client_id="c-1"),
-                                   payload=7, trace=None)
+        dest = ClientAddr(client_id="c-1")
+        envelope = Envelope(sender=None, dest=dest, payload=7, trace="x")
+        assert decode(self._struct_frame(
+            envelope, (None, dest, 7, "x"))) == envelope
+        with pytest.raises(WireFormatError, match="expected 4"):
+            decode(self._struct_frame(envelope, (None, dest, 7)))
+        with pytest.raises(WireFormatError, match="expected 2"):
+            decode(self._struct_frame(SAMPLES[CcloPutReply], ("k",)))
 
     def test_excess_struct_fields_rejected(self):
-        import struct
-        full = encode(SAMPLES[CcloPutReply])
-        type_id = struct.unpack(">H", full[4:6])[0]
+        with pytest.raises(WireFormatError, match="expected 2"):
+            decode(self._struct_frame(SAMPLES[CcloPutReply], ("k", 1, 2)))
 
-        def bare(value):
-            return encode(value)[3:]
-
-        body = bytes((MAGIC, WIRE_VERSION, 0x01, 0xD8)) \
-            + struct.pack(">H", type_id) + bytes((0x90 | 3,)) \
-            + bare("k") + bare(1) + bare(2)
-        with pytest.raises(WireFormatError, match="expected at most"):
-            decode(body)
-
-    def test_json_frame_with_absent_trailing_fields(self):
+    def test_json_struct_with_absent_fields_rejected(self):
         import json
-        from repro.obs.events import TraceEvent
         document = {"__wire__": "TraceEvent",
                     "fields": {"seq": 4, "ts": 1.25, "node": "client-0",
                                "kind": "op_start"}}
         body = bytes((MAGIC, WIRE_VERSION, 0x02)) \
             + json.dumps(document).encode()
-        assert decode(body) == TraceEvent(seq=4, ts=1.25, node="client-0",
-                                          kind="op_start")
+        with pytest.raises(WireFormatError, match="field mismatch"):
+            decode(body)
 
     def test_trace_event_round_trips(self):
         from repro.obs.events import TraceEvent
