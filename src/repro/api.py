@@ -257,7 +257,7 @@ class CausalStore:
         try:
             outcome = self._loop.run_until_complete(client.perform(operation))
         except RuntimeBackendError:
-            # A timed-out operation usually means a node task died; surface
+            # A timed-out operation usually means a node failed; surface
             # that root cause instead of the generic timeout.
             failure = self._rt_cluster.first_failure()
             if failure is not None:

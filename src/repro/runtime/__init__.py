@@ -5,12 +5,12 @@ This package is the second driver of the protocol kernels in
 :mod:`repro.sim`), layered as wire -> transport -> runtime:
 
 * :mod:`repro.wire` encodes messages into self-describing frames;
-* :mod:`repro.runtime.transport` delivers them — in-process mailboxes
-  (:class:`InprocTransport`) or length-prefixed frames over asyncio TCP
-  streams (:class:`TcpTransport`);
-* the runtime drives the kernels: servers and clients are asyncio tasks on
-  wall-clock time — real concurrency, real HLC/physical clocks, the same
-  protocol logic, the same metrics and the same causal-consistency checker.
+* :mod:`repro.runtime.transport` delivers them — straight into the
+  destination's run queue (:class:`InprocTransport`) or as length-prefixed
+  frames over asyncio TCP streams (:class:`TcpTransport`);
+* the runtime drives the kernels from one run queue and loop timers per
+  cluster, on wall-clock time — real concurrency, real HLC/physical clocks,
+  the same protocol logic, the same metrics and the same consistency checker.
   With :class:`ProcessCluster`, every partition server runs in its own OS
   process (true multi-core execution) and the parent checks the merged
   cross-process history.

@@ -10,8 +10,8 @@ exactly like the simulated builder, creates clients, and routes kernel
 and Cure's skew-induced blocking are driven by the actual clock.
 
 With the default :class:`~repro.runtime.transport.InprocTransport` every node
-lives on one event loop and delivery is a queue enqueue — genuine concurrency
-without serialisation cost.  With a
+lives on one event loop and delivery is an append to the cluster's run queue
+— genuine concurrency without serialisation cost.  With a
 :class:`~repro.runtime.transport.TcpTransport` the cluster holds only the
 *local* subset of nodes (``server_ids``) and remote sends become wire-encoded
 frames — the building block :class:`~repro.runtime.process.ProcessCluster`
@@ -21,6 +21,7 @@ spawns one of per worker process.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Iterable, Optional
 
 from repro.causal.checker import CausalConsistencyChecker
@@ -116,7 +117,14 @@ class RealtimeCluster:
             if self.checker is not None and hasattr(self.checker, "tracer"):
                 self.checker.tracer = self.trace_bus
         self._closed = False
-        self._started = False
+        #: Every delivery to a local node, in arrival order (which is
+        #: per-node FIFO for free), until the next :meth:`_drain` pass.
+        self._run_queue: deque = deque()
+        self._drain_handle: Optional[asyncio.Handle] = None
+        #: The loop the nodes are served on: ``None`` before ``start()``
+        #: (deliveries are held) and after ``stop()``, which is also the
+        #: gate the servers' pending timer handles check when they come due.
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
 
         if server_ids is None:
             server_ids = [(dc, partition)
@@ -158,8 +166,6 @@ class RealtimeCluster:
         client.tracer = kernel.tracer = self.trace_bus
         self.clients.append(client)
         self.transport.register_local(client.addr, client)
-        if self._started:
-            client.start()
         return client
 
     def add_workload_client(self, dc: int, index: int) -> RealtimeClient:
@@ -180,7 +186,7 @@ class RealtimeCluster:
 
     # -------------------------------------------------------------- lifecycle
     async def start(self, *, wall_epoch: Optional[float] = None) -> None:
-        """Spawn every node's tasks on the running event loop.
+        """Start serving the nodes on the running event loop.
 
         ``wall_epoch`` (a ``time.time()`` instant) aligns this cluster's
         clock with other processes of the same run; without it the clock
@@ -188,9 +194,9 @@ class RealtimeCluster:
         """
         if self._closed:
             raise RuntimeBackendError("cluster is closed")
-        if self._started:
-            # Idempotent: a second start must not duplicate pump/timer tasks
-            # (doubled stabilization and heartbeat traffic otherwise).
+        if self.loop is not None:
+            # Idempotent: a second start must not arm the periodic timers
+            # twice (doubled stabilization and heartbeat traffic otherwise).
             return
         await self.transport.start()
         # Re-zero the run clock: construction work (keyspace preload) must
@@ -199,29 +205,54 @@ class RealtimeCluster:
             self.clock.reset()
         else:
             self.clock.sync_to_wall_epoch(wall_epoch)
-        self._started = True
+        self.loop = asyncio.get_running_loop()
+        if self._run_queue:
+            self._drain_handle = self.loop.call_soon(self._drain)
         for server in self.servers.values():
             server.start()
-        for client in self.clients:
-            client.start()
 
     async def stop(self) -> None:
-        """Cancel every node task, then close the transport; idempotent."""
+        """Stop serving (no kernel is called once this returns), then close
+        the transport; idempotent."""
         if self._closed:
             return
         self._closed = True
-        for client in self.clients:
-            await client.stop()
-        for server in self.servers.values():
-            await server.stop()
+        self.loop = None
+        if self._drain_handle is not None:
+            self._drain_handle.cancel()
+        self._run_queue.clear()
         await self.transport.stop()
 
-    def first_failure(self) -> Optional[BaseException]:
-        """The first exception that killed any node task or transport link.
+    # -------------------------------------------------------------- run queue
+    def enqueue(self, node, sender, message: object,
+                trace: Optional[str]) -> None:
+        """A node's ``deliver``: queue the message, never dispatch it."""
+        self._run_queue.append((node, sender, message, trace))
+        if self._drain_handle is None and self.loop is not None:
+            self._drain_handle = self.loop.call_soon(self._drain)
 
-        A dead pump, timer task or peer connection otherwise only manifests
-        as downstream operation timeouts; the experiment runner raises this
-        root cause instead.
+    def _drain(self) -> None:
+        # One pass serves only what was queued when it started; what the
+        # pass itself enqueues waits for the next (the first such
+        # ``enqueue`` schedules it).  Timers, sockets and other coroutines
+        # thus get the loop back after every pass, as between two rounds of
+        # the loop's own ready queue: a message chain cannot starve them.
+        self._drain_handle = None
+        queue = self._run_queue
+        for _ in range(len(queue)):
+            node, sender, message, trace = queue.popleft()
+            if node.failure is None:
+                try:
+                    node.dispatch(sender, message, trace)
+                except Exception as error:  # noqa: BLE001 - kept on the node
+                    node.fail(error)
+
+    def first_failure(self) -> Optional[BaseException]:
+        """The first exception that stopped any node or transport link.
+
+        A node whose kernel raised or a dead peer connection otherwise only
+        manifests as downstream operation timeouts; the experiment runner
+        raises this root cause instead.
         """
         for node in [*self.servers.values(), *self.clients]:
             if node.failure is not None:
@@ -266,7 +297,13 @@ async def drive_closed_loops(cluster: RealtimeCluster,
     stop = asyncio.Event()
     loops = [asyncio.ensure_future(client.run_closed_loop(stop))
              for client in cluster.clients]
-    await asyncio.sleep(duration_seconds)
+    if loops:
+        # A closed loop never returns before ``stop`` is set, so one that is
+        # done early has failed: report it now, not when the run is over.
+        await asyncio.wait(loops, timeout=duration_seconds,
+                           return_when=asyncio.FIRST_COMPLETED)
+    else:
+        await asyncio.sleep(duration_seconds)
     stop.set()
     stuck: list[asyncio.Task] = []
     errors: list[BaseException] = []
@@ -281,7 +318,7 @@ async def drive_closed_loops(cluster: RealtimeCluster,
         errors = [error for task in done
                   if not task.cancelled()
                   and (error := task.exception()) is not None]
-    # Root cause first: a dead server pump explains both the client-side
+    # Root cause first: a dead server explains both the client-side
     # timeout errors and any stuck loops.
     failure = cluster.first_failure()
     if failure is not None:

@@ -144,8 +144,8 @@ def run_realtime_experiment(protocol: str,
                 await drive_closed_loops(cluster, duration)
             finally:
                 await cluster.stop()
-            # Failures recorded during teardown (e.g. a task that ignored
-            # cancellation) must fail the run too, not just mid-run ones.
+            # Failures recorded during teardown (e.g. a link that broke
+            # while flushing) must fail the run too, not just mid-run ones.
             failure = cluster.first_failure()
             if failure is not None:
                 raise failure

@@ -11,8 +11,8 @@ another OS process.
 Two implementations:
 
 * :class:`InprocTransport` — every node is local; ``send`` is a dictionary
-  lookup plus a mailbox ``put_nowait``.  This preserves the exact behaviour
-  (and error messages) of the pre-transport router.
+  lookup plus an append to the cluster's run queue.  This preserves the exact
+  behaviour (and error messages) of the pre-transport router.
 * :class:`TcpTransport` — local nodes plus a peer table mapping remote
   addresses to ``(host, port)`` endpoints.  Remote sends are wire-encoded
   :class:`Envelope` frames (see :mod:`repro.wire`) written to a per-peer
@@ -175,12 +175,12 @@ class Transport(ABC):
 
 
 class InprocTransport(Transport):
-    """All nodes share one event loop; delivery is a mailbox enqueue.
+    """All nodes share one event loop; delivery is a run-queue append.
 
     With ``batch`` set, sends are buffered and fanned out together — at the
     policy's message threshold, or when the event loop next goes idle (one
-    ``call_soon`` hop).  In-process delivery has no frames to coalesce, so
-    the win is purely scheduling (fewer mailbox wakeups per burst); mostly
+    ``call_soon`` hop).  In-process delivery has no frames to coalesce and
+    the run queue already serves a burst in one pass, so nothing is won;
     this mode exists so batched semantics are testable without sockets.
     """
 
