@@ -1,26 +1,20 @@
 #!/usr/bin/env python
-"""Diff a fresh benchmark report against the committed baseline.
+"""Diff a fresh checker benchmark report against the committed baseline.
 
-CI regenerates the benchmark JSON on every push and runs::
+CI regenerates ``BENCH_checker.json`` on every push and runs::
 
     python benchmarks/bench_compare.py \
-        --baseline benchmarks/results/BENCH_saturation.json \
-        --current BENCH_saturation.json
+        --baseline benchmarks/results/BENCH_checker.json \
+        --current BENCH_checker.json
 
-The report kind is dispatched on the baseline's ``"benchmark"`` field.
-
-For **saturation** reports the comparison **fails** (exit 1) when any
-protocol's batched firehose throughput regresses more than ``--tolerance``
-(default 25%) below the committed baseline, or when the best batching
-speedup drops under ``--min-speedup`` (default 2x, the acceptance gate of
-the batched hot path).
-
-For **checker** reports it fails when streaming or monolithic checking
-throughput regresses more than ``--tolerance``, when the streaming
-checker's peak-memory growth over the 8x history-length series exceeds
-``--max-memory-growth`` (default 2.0 — the bounded-memory gate: O(window)
-memory must stay flat while history length scales), or when the current
-run's streaming and monolithic reports were not byte-identical.
+``checker`` is the only report kind; a baseline of any other kind is
+rejected.  The comparison **fails** (exit 1) when streaming or monolithic
+checking throughput regresses more than ``--tolerance`` (default 25%) below
+the committed baseline, when the streaming checker's peak-memory growth
+over the 8x history-length series exceeds ``--max-memory-growth`` (default
+2.0 — the bounded-memory gate: O(window) memory must stay flat while
+history length scales), or when the current run's streaming and monolithic
+reports were not byte-identical.
 
 Improvements are reported but never fail; after an intentional performance
 change, regenerate the baseline and commit it alongside the code.
@@ -34,9 +28,6 @@ import sys
 
 #: Allowed slowdown vs baseline before the comparison fails (fraction).
 DEFAULT_TOLERANCE = 0.25
-#: The batched replication path must keep at least this speedup on one
-#: protocol (the bar the batching work was merged against).
-DEFAULT_MIN_SPEEDUP = 2.0
 #: Allowed streaming-checker peak-RSS growth across the 8x history-length
 #: series (1.0 = perfectly flat; O(history) growth would approach 8x).
 DEFAULT_MAX_MEMORY_GROWTH = 2.0
@@ -89,72 +80,30 @@ def compare_checker(baseline: dict, current: dict, tolerance: float,
     return failures
 
 
-def compare(baseline: dict, current: dict, tolerance: float,
-            min_speedup: float) -> list[str]:
-    """Return the list of failures (empty = comparison passed)."""
-    failures: list[str] = []
-    base_fire = baseline.get("firehose", {})
-    cur_fire = current.get("firehose", {})
-    for protocol, base_row in sorted(base_fire.items()):
-        cur_row = cur_fire.get(protocol)
-        if cur_row is None:
-            failures.append(f"{protocol}: missing from the current report")
-            continue
-        for metric in ("batched_ops_s", "unbatched_ops_s"):
-            base_value = base_row[metric]
-            cur_value = cur_row[metric]
-            change = (cur_value - base_value) / base_value
-            verdict = "ok"
-            if change < -tolerance:
-                verdict = "REGRESSION"
-                failures.append(
-                    f"{protocol} {metric}: {cur_value:,.0f} is "
-                    f"{-change * 100:.1f}% below the baseline "
-                    f"{base_value:,.0f} (tolerance {tolerance * 100:.0f}%)")
-            print(f"  {protocol:<12} {metric:<16} "
-                  f"{base_value:>12,.0f} -> {cur_value:>12,.0f} "
-                  f"({change * +100:+.1f}%) {verdict}")
-    if cur_fire:
-        best = max(row["speedup"] for row in cur_fire.values())
-        print(f"  best batching speedup: {best:.2f}x "
-              f"(required: {min_speedup:.1f}x)")
-        if best < min_speedup:
-            failures.append(
-                f"best batching speedup {best:.2f}x is below the "
-                f"{min_speedup:.1f}x bar")
-    else:
-        failures.append("current report has no firehose stage")
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", required=True,
-                        help="committed baseline JSON")
+                        help="committed checker-report baseline JSON")
     parser.add_argument("--current", required=True,
-                        help="freshly measured JSON")
+                        help="freshly measured checker-report JSON")
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="allowed fractional slowdown before failing "
                              "(default: %(default)s)")
-    parser.add_argument("--min-speedup", type=float,
-                        default=DEFAULT_MIN_SPEEDUP,
-                        help="required best batched/unbatched speedup "
-                             "(saturation reports; default: %(default)s)")
     parser.add_argument("--max-memory-growth", type=float,
                         default=DEFAULT_MAX_MEMORY_GROWTH,
                         help="allowed streaming-checker memory growth over "
-                             "the history-length series (checker reports; "
-                             "default: %(default)s)")
+                             "the history-length series "
+                             "(default: %(default)s)")
     args = parser.parse_args(argv)
 
     print(f"comparing {args.current} against baseline {args.baseline}:")
     baseline, current = load(args.baseline), load(args.current)
-    if baseline.get("benchmark") == "checker":
-        failures = compare_checker(baseline, current, args.tolerance,
-                                   args.max_memory_growth)
-    else:
-        failures = compare(baseline, current, args.tolerance,
-                           args.min_speedup)
+    if baseline.get("benchmark") != "checker":
+        parser.error(f"{args.baseline} is a "
+                     f"{baseline.get('benchmark')!r} report; only "
+                     f"'checker' reports can be compared")
+    failures = compare_checker(baseline, current, args.tolerance,
+                               args.max_memory_growth)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -11,15 +11,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/run_smoke_benchmark.py \
         [--output BENCH_smoke.json] [--workers N] [--backend sim|realtime] \
-        [--transport inproc|tcp] [--batch|--no-batch] \
+        [--transport inproc|tcp] \
         [--checker monolithic|streaming] \
         [--emit-trace TRACE_smoke.json] \
         [--protocols cc-lo cure] [--clients 2 4 8] [--scenario dc-partition]
-
-``--batch`` (realtime backend only) turns on transport send coalescing
-with the default flush policy; the chosen mode is recorded in the JSON
-report's ``batch`` field so artifact consumers can tell the two hot paths
-apart.
 
 ``--emit-trace PATH`` additionally runs one 2-DC point per protocol twice —
 tracing off, then tracing on — writes the merged Perfetto/Chrome timeline of
@@ -89,7 +84,6 @@ def run_smoke(workers: int | None = None,
               scenario_name: str = "none",
               backend: str = "sim",
               transport: str = "inproc",
-              batch: bool = False,
               checker: str = "monolithic") -> dict[str, object]:
     """Run the smoke grid and return the JSON-ready report."""
     protocols = list(protocols or implemented_protocols())
@@ -101,8 +95,6 @@ def run_smoke(workers: int | None = None,
     if transport != "inproc" and backend != "realtime":
         raise ConfigurationError(
             f"transport {transport!r} requires the realtime backend")
-    if batch and backend != "realtime":
-        raise ConfigurationError("--batch requires the realtime backend")
     if checker != "monolithic" and backend != "realtime":
         raise ConfigurationError(
             f"checker {checker!r} requires the realtime backend")
@@ -114,7 +106,6 @@ def run_smoke(workers: int | None = None,
                       config.with_changes(clients_per_dc=count),
                       duration_seconds=REALTIME_POINT_SECONDS,
                       transport=transport,
-                      batch=batch,
                       check_consistency=True,
                       checker=checker,
                       label=f"smoke-realtime[{transport}]").result
@@ -129,7 +120,6 @@ def run_smoke(workers: int | None = None,
         "benchmark": "smoke",
         "backend": backend,
         "transport": transport if backend == "realtime" else "n/a",
-        "batch": batch if backend == "realtime" else False,
         "checker": checker if backend == "realtime" else "n/a",
         "client_counts": clients,
         "scenario": scenario_name if not scenario.is_empty else "none",
@@ -242,12 +232,6 @@ def main(argv: list[str] | None = None) -> int:
                              "in-process or from one OS process per "
                              "partition server over TCP "
                              "(default: %(default)s)")
-    parser.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="realtime backend only: coalesce transport "
-                             "sends with the default flush policy "
-                             "(recorded in the JSON report; "
-                             "default: --no-batch)")
     parser.add_argument("--checker", default="monolithic",
                         choices=["monolithic", "streaming"],
                         help="realtime backend only: validate each run with "
@@ -269,8 +253,6 @@ def main(argv: list[str] | None = None) -> int:
                      "(the realtime sweep runs points sequentially)")
     if args.transport != "inproc" and args.backend != "realtime":
         parser.error("--transport tcp requires --backend realtime")
-    if args.batch and args.backend != "realtime":
-        parser.error("--batch requires --backend realtime")
     if args.checker != "monolithic" and args.backend != "realtime":
         parser.error("--checker streaming requires --backend realtime")
 
@@ -280,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report = run_smoke(args.workers, args.protocols, args.clients,
                        args.scenario, args.backend, args.transport,
-                       args.batch, args.checker)
+                       args.checker)
     if args.emit_trace:
         trace_dir = os.path.dirname(os.path.abspath(args.emit_trace))
         os.makedirs(trace_dir, exist_ok=True)

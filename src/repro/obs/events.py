@@ -55,11 +55,11 @@ WINDOW_SEAL = "window_seal"
 WINDOW_RETIRE = "window_retire"
 
 #: Every event kind the bus emits, in rough lifecycle order.  The batch
-#: kinds are transport-level: a batching transport emits one ``batch_flush``
-#: per coalesced frame it writes and one ``batch_recv`` per frame it fans
-#: back out (``data`` carries the envelope count), while the per-message
-#: ``msg_send``/``msg_recv`` events keep being emitted by the nodes
-#: themselves — so traces stay gap-free whether or not batching is on.
+#: kinds are transport-level: the TCP transport emits one ``batch_flush``
+#: per coalesced frame it writes and one ``batch_recv`` per batch frame it
+#: fans back out (``data`` carries the envelope count), while the
+#: per-message ``msg_send``/``msg_recv`` events keep being emitted by the
+#: nodes themselves.
 #: The window kinds are validation-side: the streaming checker emits one
 #: ``window_seal`` when a verification window is handed to the checkers and
 #: one ``window_retire`` when its versions leave the live set (``data``

@@ -13,9 +13,10 @@ With the default :class:`~repro.runtime.transport.InprocTransport` every node
 lives on one event loop and delivery is an append to the cluster's run queue
 — genuine concurrency without serialisation cost.  With a
 :class:`~repro.runtime.transport.TcpTransport` the cluster holds only the
-*local* subset of nodes (``server_ids``) and remote sends become wire-encoded
-frames — the building block :class:`~repro.runtime.process.ProcessCluster`
-spawns one of per worker process.
+*local* subset of nodes (``server_ids``) and remote sends become coalesced
+wire-encoded frames — the building block
+:class:`~repro.runtime.process.ProcessCluster` spawns one of per worker
+process.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.partitioning import HashPartitioner
 from repro.cluster.seeding import node_rng, preload_initial_keyspace
 from repro.core.registry import resolve_spec
-from repro.errors import ConfigurationError, RuntimeBackendError
+from repro.errors import RuntimeBackendError
 from repro.metrics.collectors import MetricsRegistry
 from repro.metrics.overheads import OverheadCounters
 from repro.obs.bus import EventBus
 from repro.obs.trace import TraceAssembler
 from repro.runtime.nodes import RealtimeClient, RealtimeServer
-from repro.runtime.transport import BatchOption, InprocTransport, Transport
+from repro.runtime.transport import InprocTransport, Transport
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 
@@ -68,10 +69,6 @@ class RealtimeCluster:
     transport:
         Message delivery between nodes; defaults to a fresh
         :class:`~repro.runtime.transport.InprocTransport`.
-    batch:
-        Flush policy for the default transport (``True`` for the default
-        :class:`~repro.wire.batch.FlushPolicy`); mutually exclusive with an
-        explicit ``transport``, which carries its own policy.
     server_ids:
         The (DC, partition) pairs instantiated *locally*; ``None`` (default)
         means the full topology.  Worker processes pass their slice and rely
@@ -88,7 +85,6 @@ class RealtimeCluster:
                  checker: Optional[object] = None,
                  workload_clients: bool = True,
                  transport: Optional[Transport] = None,
-                 batch: BatchOption = None,
                  server_ids: Optional[Iterable[tuple[int, int]]] = None,
                  trace: bool = False, trace_source: str = "local") -> None:
         self.protocol = protocol
@@ -96,14 +92,8 @@ class RealtimeCluster:
         self.workload = workload = workload or DEFAULT_WORKLOAD
         self._spec = spec = resolve_spec(protocol)
         self.clock = WallClock()
-        if transport is not None:
-            if batch is not None:
-                raise ConfigurationError(
-                    "pass batch= to the transport constructor when "
-                    "supplying an explicit transport")
-            self.transport = transport
-        else:
-            self.transport = InprocTransport(batch=batch)
+        self.transport = (transport if transport is not None
+                          else InprocTransport())
         self.partitioner = HashPartitioner(config.num_partitions)
         self.metrics = MetricsRegistry(warmup_seconds=config.warmup_seconds)
         if checker is not None:

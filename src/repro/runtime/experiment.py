@@ -15,8 +15,8 @@ simulated and real-time numbers can sit in the same table
   :class:`~repro.runtime.transport.InprocTransport`);
 * ``"tcp"`` — a :class:`~repro.runtime.process.ProcessCluster`: every
   partition server in its own OS process, per-DC client worker processes,
-  wire-codec frames over TCP, observation logs shipped back to the parent
-  for run-wide consistency checking.
+  coalesced wire-codec frames over TCP, observation logs shipped back to
+  the parent for run-wide consistency checking.
 
 Real seconds are expensive compared to simulated ones, so the default
 duration is deliberately short; pass ``duration_seconds`` explicitly for
@@ -38,7 +38,7 @@ from repro.metrics.collectors import RunResult
 from repro.obs.trace import TraceAssembler
 from repro.runtime.cluster import RealtimeCluster, drive_closed_loops
 from repro.runtime.process import ProcessCluster
-from repro.runtime.transport import TRANSPORTS, BatchOption
+from repro.runtime.transport import TRANSPORTS
 from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 
 #: Default wall-clock run length (seconds) including warmup.
@@ -73,7 +73,6 @@ def run_realtime_experiment(protocol: str,
                             workload: Optional[WorkloadParameters] = None, *,
                             duration_seconds: Optional[float] = None,
                             transport: str = "inproc",
-                            batch: BatchOption = None,
                             enable_checker: bool = False,
                             check_consistency: bool = False,
                             checker: str = "monolithic",
@@ -87,10 +86,8 @@ def run_realtime_experiment(protocol: str,
     simulated duration, because real seconds actually elapse.  With
     ``transport="tcp"`` the warmup window is re-anchored at traffic start in
     every client worker, so the measurement window matches the in-process
-    semantics.  ``batch`` turns on send coalescing on every transport in the
-    run (``True`` for the default :class:`~repro.wire.batch.FlushPolicy`).
-    ``checker`` selects the validation strategy when checking is enabled:
-    ``"monolithic"`` buffers the whole history and checks at the end;
+    semantics.  ``checker`` selects the validation strategy when checking is
+    enabled: ``"monolithic"`` buffers the whole history and checks at the end;
     ``"streaming"`` verifies GSS-bounded windows incrementally with bounded
     memory — and over TCP additionally makes the workers ship their
     observation logs as chunks during the run instead of one giant result
@@ -118,7 +115,7 @@ def run_realtime_experiment(protocol: str,
         cluster: Union[RealtimeCluster, ProcessCluster] = ProcessCluster(
             protocol, config, workload, enable_checker=enable_checker,
             checker="streaming" if streaming else None,
-            workload_clients=True, batch=batch, trace=trace)
+            workload_clients=True, trace=trace)
 
         async def _run() -> None:
             # stop() also covers a start() that failed mid-handshake: the
@@ -136,7 +133,7 @@ def run_realtime_experiment(protocol: str,
                                   enable_checker=enable_checker,
                                   checker=(StreamingChecker() if streaming
                                            else None),
-                                  batch=batch, trace=trace)
+                                  trace=trace)
 
         async def _run() -> None:
             try:

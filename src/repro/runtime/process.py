@@ -65,16 +65,8 @@ from repro.obs.events import TraceEvent
 from repro.obs.trace import TraceAssembler
 from repro.runtime.cluster import RealtimeCluster, drive_closed_loops
 from repro.runtime.nodes import OPERATION_TIMEOUT_SECONDS
-from repro.runtime.transport import (
-    BatchOption,
-    TcpTransport,
-    resolve_flush_policy,
-)
-from repro.wire.batch import (
-    FlushPolicy,
-    decode_record_batch,
-    encode_record_batch,
-)
+from repro.runtime.transport import TcpTransport
+from repro.wire.batch import decode_record_batch, encode_record_batch
 from repro.wire.codec import decode, encode, register_wire_type
 from repro.wire.framing import read_frame, write_frame
 from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
@@ -116,15 +108,11 @@ class WorkerSpec:
     control_host: str
     control_port: int
     enable_checker: bool
-    #: Enable the repro.obs event bus in the worker (trailing default keeps
-    #: the wire encoding decodable by peers that predate tracing).
+    #: Enable the repro.obs event bus in the worker.
     trace: bool = False
-    #: Flush policy for the worker's TcpTransport, or None for unbatched.
-    batch: Optional[FlushPolicy] = None
     #: Ship the observation log incrementally as ObservationChunk frames
     #: during the run (the parent feeds them into its streaming checker)
-    #: instead of one giant WorkerResult at the end.  Trailing default keeps
-    #: the wire encoding decodable by pre-streaming peers.
+    #: instead of one giant WorkerResult at the end.
     stream_observations: bool = False
 
 
@@ -200,8 +188,7 @@ class WorkerResult:
     overhead: OverheadCounters
     #: Drained repro.obs trace events (empty when tracing is off) plus the
     #: worker bus's drop counter, so the parent's assembler can tell lost
-    #: events from an idle worker.  Trailing defaults keep the frame
-    #: decodable by pre-tracing peers.
+    #: events from an idle worker.
     events: tuple[TraceEvent, ...] = ()
     events_dropped: int = 0
 
@@ -325,7 +312,7 @@ async def _observation_flusher(buffer: ObservationBuffer,
 
 async def _worker_main(spec: WorkerSpec) -> None:
     role = spec.role
-    transport = TcpTransport(batch=spec.batch)
+    transport = TcpTransport()
     await transport.start()
     wants_checker = spec.enable_checker and bool(role.client_ids)
     observations: Optional[ObservationBuffer] = (
@@ -461,7 +448,6 @@ class ProcessCluster:
                  enable_checker: bool = False,
                  checker: object = None,
                  workload_clients: bool = True,
-                 batch: BatchOption = None,
                  trace: bool = False) -> None:
         self.protocol = protocol
         self.config = config = config or ClusterConfig()
@@ -492,9 +478,6 @@ class ProcessCluster:
         #: ObservationChunk frames folded into the streaming checker so far.
         self.chunks_ingested = 0
         self._trace = trace
-        #: One policy for the whole mesh: every worker transport and the
-        #: parent's view transport flush identically.
-        self._batch = resolve_flush_policy(batch)
         #: Run-wide timeline: every worker ships its drained event stream
         #: over the control plane and the parent assembles one global view.
         self.trace_assembler: Optional[TraceAssembler] = (
@@ -505,7 +488,7 @@ class ProcessCluster:
         self.view = RealtimeCluster(
             protocol, config, workload, enable_checker=enable_checker,
             checker=self._checker_instance,
-            workload_clients=False, transport=TcpTransport(batch=self._batch),
+            workload_clients=False, transport=TcpTransport(),
             server_ids=(), trace=trace, trace_source="parent")
         self._processes: dict[int, multiprocessing.process.BaseProcess] = {}
         self._writers: dict[int, asyncio.StreamWriter] = {}
@@ -732,7 +715,7 @@ class ProcessCluster:
                 workload=self.workload, role=role,
                 control_host="127.0.0.1", control_port=control_port,
                 enable_checker=self._enable_checker,
-                trace=self._trace, batch=self._batch,
+                trace=self._trace,
                 stream_observations=self.streaming_observations)
             process = context.Process(target=worker_entry, args=(spec,),
                                       daemon=True)

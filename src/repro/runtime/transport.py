@@ -11,25 +11,23 @@ another OS process.
 Two implementations:
 
 * :class:`InprocTransport` — every node is local; ``send`` is a dictionary
-  lookup plus an append to the cluster's run queue.  This preserves the exact
-  behaviour (and error messages) of the pre-transport router.
+  lookup plus an append to the cluster's run queue.
 * :class:`TcpTransport` — local nodes plus a peer table mapping remote
-  addresses to ``(host, port)`` endpoints.  Remote sends are wire-encoded
-  :class:`Envelope` frames (see :mod:`repro.wire`) written to a per-peer
-  connection that is opened lazily and written by a dedicated drain task, so
-  the synchronous ``send`` path never blocks a kernel.  Inbound connections
-  are served by one handler per peer; graceful shutdown flushes every
-  outbound queue (bounded) before closing.
-
-Both transports optionally *coalesce* sends (``batch=`` a
-:class:`~repro.wire.batch.FlushPolicy` or ``True`` for the default): pending
-messages are flushed together at the policy's count/byte thresholds or when
-the event loop next goes idle.  Over TCP a flush of two or more envelopes
-becomes one :mod:`batch frame <repro.wire.batch>` — one length prefix, one
-queue hop, one socket write for the whole burst, with homogeneous runs
-(replication, heartbeats) encoded columnar.  Batching transports emit
-``batch_flush``/``batch_recv`` trace events; per-message ``msg_send`` /
-``msg_recv`` events stay with the nodes, so traces are gap-free either way.
+  addresses to ``(host, port)`` endpoints.  Remote sends *coalesce*: each
+  one joins the destination endpoint's pending list, which is flushed at
+  the :class:`~repro.wire.batch.FlushPolicy`'s count/byte thresholds or
+  when the event loop next goes idle (one ``call_soon`` hop).  A flush of
+  one envelope is a plain :class:`Envelope` frame; two or more become one
+  :mod:`batch frame <repro.wire.batch>` — one length prefix, one queue hop,
+  one socket write for the whole burst, with homogeneous runs (replication,
+  heartbeats) encoded columnar.  Frames go to a per-peer connection that is
+  opened lazily and written by a dedicated drain task, so the synchronous
+  ``send`` path never blocks a kernel.  Inbound connections are served by
+  one handler per peer; graceful shutdown flushes every pending list and
+  outbound queue (bounded) before closing, after which ``send`` raises.
+  Every flush is a ``batch_flush`` trace event and every batch frame read
+  a ``batch_recv``; per-message ``msg_send``/``msg_recv`` events stay with
+  the nodes.
 
 Both are single-loop objects: all methods except the constructor must be
 called from the event loop that runs the cluster.
@@ -57,23 +55,6 @@ from repro.wire.framing import frame, read_frame
 #: Names a registered protocol can support (``ProtocolSpec.transports``).
 TRANSPORTS = ("inproc", "tcp")
 
-#: What call sites may pass as a batching policy: ``None``/``False`` for the
-#: classic one-message-per-frame path, ``True`` for the default policy, or
-#: an explicit :class:`~repro.wire.batch.FlushPolicy`.
-BatchOption = Union[None, bool, FlushPolicy]
-
-
-def resolve_flush_policy(batch: BatchOption) -> Optional[FlushPolicy]:
-    """Normalise a ``batch`` argument into a policy (or None for off)."""
-    if batch is None or batch is False:
-        return None
-    if batch is True:
-        return DEFAULT_FLUSH_POLICY
-    if isinstance(batch, FlushPolicy):
-        return batch
-    raise ConfigurationError(
-        f"batch must be None, a bool or a FlushPolicy, got {batch!r}")
-
 
 def _estimate_bytes(message: object) -> int:
     """Cheap wire-size estimate for the flush byte threshold."""
@@ -81,6 +62,7 @@ def _estimate_bytes(message: object) -> int:
     if callable(size_fn):
         return int(size_fn())
     return 64
+
 
 #: Reserved wire type ids of the runtime layer (kept out of the message and
 #: dynamic ranges so every process agrees on them without import-order luck).
@@ -130,25 +112,14 @@ def _unroutable(dest: Addr) -> ConfigurationError:
 class Transport(ABC):
     """Message delivery between nodes addressed by :class:`Addr`."""
 
-    def __init__(self, batch: BatchOption = None) -> None:
+    def __init__(self) -> None:
         self._local: dict[Addr, object] = {}
         #: First delivery/connection error; surfaced through the cluster's
         #: ``first_failure`` so a broken link fails the run with its cause.
         self.failure: Optional[BaseException] = None
-        #: Flush policy when coalescing is on, else ``None`` (the default):
-        #: the unbatched path is bit-identical to the pre-batching transport.
-        self.flush_policy: Optional[FlushPolicy] = resolve_flush_policy(batch)
         #: Optional :class:`~repro.obs.bus.EventBus` for transport-level
         #: ``batch_flush``/``batch_recv`` events; attached by the cluster.
         self.tracer = None
-
-    def _emit_batch(self, kind: str, count: int,
-                    peer: Optional[str] = None) -> None:
-        if self.tracer is not None and count:
-            data = (("count", count),)
-            if peer is not None:
-                data += (("peer", peer),)
-            self.tracer.emit("transport", kind, data=data)
 
     def register_local(self, addr: Addr, node) -> None:
         """Attach a node (anything with ``deliver(sender, message, trace)``)."""
@@ -175,58 +146,14 @@ class Transport(ABC):
 
 
 class InprocTransport(Transport):
-    """All nodes share one event loop; delivery is a run-queue append.
-
-    With ``batch`` set, sends are buffered and fanned out together — at the
-    policy's message threshold, or when the event loop next goes idle (one
-    ``call_soon`` hop).  In-process delivery has no frames to coalesce and
-    the run queue already serves a burst in one pass, so nothing is won;
-    this mode exists so batched semantics are testable without sockets.
-    """
-
-    def __init__(self, batch: BatchOption = None) -> None:
-        super().__init__(batch)
-        self._pending: list[tuple[object, Optional[Addr], object,
-                                  Optional[str]]] = []
-        self._flush_scheduled = False
+    """All nodes share one event loop; delivery is a run-queue append."""
 
     def send(self, sender: Optional[Addr], dest: Addr, message: object,
              trace: Optional[str] = None) -> None:
         node = self._local.get(dest)
         if node is None:
             raise _unroutable(dest)
-        if self.flush_policy is None:
-            node.deliver(sender, message, trace)
-            return
-        self._pending.append((node, sender, message, trace))
-        if len(self._pending) >= self.flush_policy.max_messages:
-            self.flush()
-        elif not self._flush_scheduled:
-            try:
-                loop = asyncio.get_running_loop()
-            except RuntimeError:
-                # No loop (unit tests driving the transport directly):
-                # deliver now rather than strand the buffer.
-                self.flush()
-                return
-            self._flush_scheduled = True
-            loop.call_soon(self._idle_flush)
-
-    def _idle_flush(self) -> None:
-        self._flush_scheduled = False
-        self.flush()
-
-    def flush(self) -> None:
-        """Deliver every buffered send, in order."""
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        self._emit_batch(BATCH_FLUSH, len(pending))
-        for node, sender, message, trace in pending:
-            node.deliver(sender, message, trace)
-
-    async def stop(self) -> None:
-        self.flush()
+        node.deliver(sender, message, trace)
 
 
 class _PeerLink:
@@ -303,12 +230,24 @@ class TcpTransport(Transport):
 
     Lifecycle: construct, :meth:`start` (binds the listener; ``port`` is the
     bound port), :meth:`set_peers` with the cluster-wide address table, then
-    ``send`` freely; :meth:`stop` flushes and closes everything.
+    ``send`` freely; :meth:`stop` flushes and closes everything and is
+    terminal: a remote ``send`` after it raises.
+
+    ``batch`` sets the coalescing thresholds, nothing else: ``True`` is
+    :data:`~repro.wire.batch.DEFAULT_FLUSH_POLICY`, a
+    :class:`~repro.wire.batch.FlushPolicy` is used as given.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 batch: BatchOption = None) -> None:
-        super().__init__(batch)
+                 batch: Union[bool, FlushPolicy] = True) -> None:
+        super().__init__()
+        if batch is True:
+            batch = DEFAULT_FLUSH_POLICY
+        elif not isinstance(batch, FlushPolicy):
+            raise ConfigurationError(
+                f"batch must be True or a FlushPolicy, got {batch!r}: every "
+                f"remote send coalesces, the unbatched path is gone")
+        self.flush_policy: FlushPolicy = batch
         self.host = host
         self.port: Optional[int] = None
         self._requested_port = port
@@ -316,7 +255,8 @@ class TcpTransport(Transport):
         self._links: dict[tuple[str, int], _PeerLink] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._inbound: set[asyncio.Task] = set()
-        # Batching state, all keyed by peer endpoint.
+        self._stopped = False
+        # Coalescing state, all keyed by peer endpoint.
         self._pending: dict[tuple[str, int], list[Envelope]] = {}
         self._pending_bytes: dict[tuple[str, int], int] = {}
         self._flush_scheduled: set[tuple[str, int]] = set()
@@ -330,6 +270,7 @@ class TcpTransport(Transport):
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        self._stopped = True
         for endpoint in list(self._pending):
             self._flush_endpoint(endpoint, raise_errors=False)
         links, self._links = list(self._links.values()), {}
@@ -364,11 +305,8 @@ class TcpTransport(Transport):
         endpoint = self._endpoints.get(dest)
         if endpoint is None:
             raise _unroutable(dest)
-        if self.flush_policy is None:
-            link = self._link_for(endpoint)
-            link.enqueue(frame(encode(Envelope(sender, dest, message,
-                                               trace))))
-            return
+        if self._stopped:
+            raise TransportError("transport is stopped")
         pending = self._pending.setdefault(endpoint, [])
         pending.append(Envelope(sender, dest, message, trace))
         self._pending_bytes[endpoint] = (
@@ -378,13 +316,8 @@ class TcpTransport(Transport):
                 >= self.flush_policy.max_bytes):
             self._flush_endpoint(endpoint)
         elif endpoint not in self._flush_scheduled:
-            try:
-                loop = asyncio.get_running_loop()
-            except RuntimeError:
-                self._flush_endpoint(endpoint)
-                return
+            asyncio.get_running_loop().call_soon(self._idle_flush, endpoint)
             self._flush_scheduled.add(endpoint)
-            loop.call_soon(self._idle_flush, endpoint)
 
     def _link_for(self, endpoint: tuple[str, int]) -> _PeerLink:
         link = self._links.get(endpoint)
@@ -408,10 +341,9 @@ class TcpTransport(Transport):
                         raise_errors: bool = True) -> None:
         """Write the endpoint's pending envelopes as one coalesced frame.
 
-        A single pending envelope goes out as a plain per-message frame
-        (identical to the unbatched path, decodable by v2 peers); two or
-        more become one batch frame.  With ``raise_errors`` off (idle and
-        shutdown flushes, which have no caller to fail) link errors are
+        A single pending envelope goes out as a plain per-message frame;
+        two or more become one batch frame.  With ``raise_errors`` off (idle
+        and shutdown flushes, which have no caller to fail) link errors are
         parked in :attr:`failure` instead of raised.
         """
         pending = self._pending.get(endpoint)
@@ -431,8 +363,10 @@ class TcpTransport(Transport):
             link.enqueue(frame(encode(pending[0])))
         else:
             link.enqueue(frame(encode_batch(pending)))
-        self._emit_batch(BATCH_FLUSH, len(pending),
-                         peer=f"{endpoint[0]}:{endpoint[1]}")
+        if self.tracer is not None:
+            self.tracer.emit("transport", BATCH_FLUSH, data=(
+                ("count", len(pending)),
+                ("peer", f"{endpoint[0]}:{endpoint[1]}")))
 
     # ---------------------------------------------------------------- inbound
     def _deliver_envelope(self, envelope: Envelope) -> None:
@@ -460,7 +394,9 @@ class TcpTransport(Transport):
                     break
                 decoded = decode(payload)
                 if isinstance(decoded, BatchFrame):
-                    self._emit_batch(BATCH_RECV, len(decoded))
+                    if self.tracer is not None and decoded.envelopes:
+                        self.tracer.emit("transport", BATCH_RECV, data=(
+                            ("count", len(decoded)),))
                     for envelope in decoded.envelopes:
                         self._deliver_envelope(envelope)
                 elif isinstance(decoded, Envelope):
@@ -486,11 +422,9 @@ class TcpTransport(Transport):
 
 
 __all__ = [
-    "BatchOption",
     "Envelope",
     "InprocTransport",
     "TRANSPORTS",
     "TcpTransport",
     "Transport",
-    "resolve_flush_policy",
 ]

@@ -74,7 +74,8 @@ class BatchFrame:
 
 @dataclass(frozen=True)
 class FlushPolicy:
-    """When a batching transport flushes its pending envelopes.
+    """When :class:`~repro.runtime.transport.TcpTransport` flushes its
+    pending envelopes.
 
     A flush happens at whichever comes first:
 
@@ -97,7 +98,7 @@ class FlushPolicy:
             raise ValueError(f"max_bytes must be positive, got {self.max_bytes}")
 
 
-#: The default policy of batching transports (``batch=True`` call sites).
+#: The thresholds a default-constructed ``TcpTransport`` flushes at.
 DEFAULT_FLUSH_POLICY = FlushPolicy()
 
 

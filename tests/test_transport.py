@@ -5,12 +5,17 @@ event loop — fast enough for the default tier (no cluster, no processes).
 """
 
 import asyncio
+import dataclasses
+import inspect
 
 import pytest
 
 from repro.core.common.kernel import ClientAddr, ServerAddr
 from repro.core.common.messages import CcloPutReply, VectorPutRequest
-from repro.errors import ConfigurationError, WireFormatError
+from repro.errors import ConfigurationError, TransportError, WireFormatError
+from repro.runtime.cluster import RealtimeCluster
+from repro.runtime.experiment import run_realtime_experiment
+from repro.runtime.process import ProcessCluster, WorkerSpec
 from repro.runtime.transport import (
     Envelope,
     InprocTransport,
@@ -65,6 +70,13 @@ class TestInprocTransport:
     def test_transport_names(self):
         assert TRANSPORTS == ("inproc", "tcp")
 
+    def test_no_batch_option_above_the_tcp_transport(self):
+        for accepts in (run_realtime_experiment, RealtimeCluster,
+                        ProcessCluster, InprocTransport):
+            assert "batch" not in inspect.signature(accepts).parameters
+        assert "batch" not in {
+            field.name for field in dataclasses.fields(WorkerSpec)}
+
 
 class TestTcpTransport:
     def test_cross_transport_delivery_and_graceful_flush(self):
@@ -111,6 +123,31 @@ class TestTcpTransport:
             assert b.failure is None
 
         asyncio.run(scenario())
+
+    def test_stop_is_terminal_for_remote_sends(self):
+        async def scenario():
+            a, b = TcpTransport(), TcpTransport()
+            await a.start()
+            await b.start()
+            node = _SinkNode()
+            b.register_local(ServerAddr(0, 0), node)
+            a.set_peers({ServerAddr(0, 0): ("127.0.0.1", b.port)})
+            await a.stop()
+            with pytest.raises(TransportError, match="transport is stopped"):
+                a.send(None, ServerAddr(0, 0), PUT)
+            await asyncio.sleep(0.05)
+            assert node.received == []
+            await b.stop()
+            # No link, no drain task, no scheduled flush left behind.
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+
+        asyncio.run(scenario())
+
+    def test_remote_send_without_a_running_loop_raises(self):
+        transport = TcpTransport()
+        transport.set_peers({ServerAddr(0, 0): ("127.0.0.1", 1)})
+        with pytest.raises(RuntimeError, match="no running event loop"):
+            transport.send(None, ServerAddr(0, 0), PUT)
 
     def test_unroutable_without_peer_entry(self):
         async def scenario():

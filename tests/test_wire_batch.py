@@ -17,12 +17,7 @@ from repro.core.common.messages import (
     ReplicateUpdate,
 )
 from repro.errors import ConfigurationError, WireFormatError
-from repro.runtime.transport import (
-    Envelope,
-    InprocTransport,
-    TcpTransport,
-    resolve_flush_policy,
-)
+from repro.runtime.transport import Envelope, TcpTransport
 from repro.wire.batch import (
     DEFAULT_FLUSH_POLICY,
     BatchFrame,
@@ -166,14 +161,14 @@ class TestFlushPolicy:
         with pytest.raises(ValueError, match="max_bytes"):
             FlushPolicy(max_bytes=0)
 
-    def test_resolve(self):
-        assert resolve_flush_policy(None) is None
-        assert resolve_flush_policy(False) is None
-        assert resolve_flush_policy(True) is DEFAULT_FLUSH_POLICY
+    def test_tcp_batch_keyword_is_thresholds_only(self):
+        assert TcpTransport().flush_policy is DEFAULT_FLUSH_POLICY
+        assert TcpTransport(batch=True).flush_policy is DEFAULT_FLUSH_POLICY
         policy = FlushPolicy(max_messages=4)
-        assert resolve_flush_policy(policy) is policy
-        with pytest.raises(ConfigurationError, match="batch"):
-            resolve_flush_policy(128)
+        assert TcpTransport(batch=policy).flush_policy is policy
+        for off in (False, None, 128):
+            with pytest.raises(ConfigurationError, match="unbatched"):
+                TcpTransport(batch=off)
 
 
 class _SinkNode:
@@ -192,47 +187,6 @@ class _RecordingTracer:
 
     def emit(self, node, kind, *, trace=None, name="", dc=-1, data=()):
         self.events.append((kind, data))
-
-
-class TestInprocBatching:
-    def test_threshold_flush_inside_send(self):
-        async def scenario():
-            transport = InprocTransport(batch=FlushPolicy(max_messages=3))
-            node = _SinkNode()
-            transport.register_local(DEST, node)
-            for i in range(2):
-                transport.send(None, DEST, _replicate(i).payload)
-            assert node.received == []  # still buffered
-            transport.send(None, DEST, _replicate(2).payload)
-            assert len(node.received) == 3  # threshold flush, in order
-
-        asyncio.run(scenario())
-
-    def test_idle_flush_and_stop(self):
-        async def scenario():
-            transport = InprocTransport(batch=True)
-            tracer = _RecordingTracer()
-            transport.tracer = tracer
-            node = _SinkNode()
-            transport.register_local(DEST, node)
-            transport.send(None, DEST, _replicate(0).payload)
-            assert node.received == []
-            await asyncio.sleep(0)  # the scheduled idle flush runs
-            assert len(node.received) == 1
-            transport.send(None, DEST, _replicate(1).payload)
-            await transport.stop()  # stop() flushes whatever is pending
-            assert len(node.received) == 2
-            assert [kind for kind, _data in tracer.events] == [
-                "batch_flush", "batch_flush"]
-
-        asyncio.run(scenario())
-
-    def test_without_loop_falls_back_to_direct_delivery(self):
-        transport = InprocTransport(batch=True)
-        node = _SinkNode()
-        transport.register_local(DEST, node)
-        transport.send(None, DEST, _replicate(0).payload)
-        assert len(node.received) == 1
 
 
 class TestTcpBatching:
@@ -268,6 +222,62 @@ class TestTcpBatching:
             await a.stop()
             assert a.failure is None
             assert b.failure is None
+
+        asyncio.run(scenario())
+
+    def test_default_constructor_coalesces_one_loop_turn(self):
+        async def scenario():
+            a, b = TcpTransport(), TcpTransport()
+            send_tracer, recv_tracer = _RecordingTracer(), _RecordingTracer()
+            b.tracer, a.tracer = send_tracer, recv_tracer
+            await a.start()
+            await b.start()
+            node = _SinkNode()
+            a.register_local(DEST, node)
+            b.set_peers({DEST: ("127.0.0.1", a.port)})
+            for i in range(7):
+                b.send(None, DEST, _replicate(i).payload)
+            for _ in range(500):
+                if len(node.received) >= 7:
+                    break
+                await asyncio.sleep(0.01)
+            assert len(node.received) == 7
+            # Seven sends in one loop turn: one frame out, one frame in.
+            assert send_tracer.events == [
+                ("batch_flush", (("count", 7),
+                                 ("peer", f"127.0.0.1:{a.port}")))]
+            assert recv_tracer.events == [("batch_recv", (("count", 7),))]
+            await b.stop()
+            await a.stop()
+
+        asyncio.run(scenario())
+
+    def test_fifo_across_threshold_then_idle_flush(self):
+        async def scenario():
+            policy = FlushPolicy(max_messages=5)
+            a, b = TcpTransport(), TcpTransport(batch=policy)
+            tracer = _RecordingTracer()
+            a.tracer = tracer
+            await a.start()
+            await b.start()
+            node = _SinkNode()
+            a.register_local(DEST, node)
+            b.set_peers({DEST: ("127.0.0.1", a.port)})
+            total = policy.max_messages + 3
+            sent = [_replicate(i).payload for i in range(total)]
+            for payload in sent:
+                b.send(None, DEST, payload)
+            for _ in range(500):
+                if len(node.received) >= total:
+                    break
+                await asyncio.sleep(0.01)
+            assert [message for _sender, message in node.received] == sent
+            # Two frames on the wire: the threshold flush inside send, then
+            # the idle flush.
+            assert [dict(data)["count"] for _kind, data in tracer.events] == [
+                policy.max_messages, 3]
+            await b.stop()
+            await a.stop()
 
         asyncio.run(scenario())
 
