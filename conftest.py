@@ -5,10 +5,11 @@ been installed (e.g. on an offline machine where ``pip install -e .`` cannot
 build an editable wheel).  When the package *is* installed, the installed
 copy and this path point at the same files, so the shim is harmless.
 
-Also registers the ``slow`` marker that separates the fast tier (unit tests,
-run on every PR with ``-m "not slow"``, optionally ``-n auto`` under
-pytest-xdist) from the long integration/checker tests and the figure
-benchmarks (run nightly and locally with a plain ``pytest``).
+Also registers the ``nightly`` hypothesis profile and the ``slow`` marker
+that separates the fast tier (unit tests, run on every PR with ``-m "not
+slow"``, optionally ``-n auto`` under pytest-xdist) from the long
+integration/checker tests and the figure benchmarks (run nightly and locally
+with a plain ``pytest``).
 """
 
 import os
@@ -17,6 +18,17 @@ import sys
 _SRC = os.path.join(os.path.dirname(__file__), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+
+try:
+    from hypothesis import settings
+except ImportError:  # the figure benchmarks run without it
+    pass
+else:
+    # ``--hypothesis-profile=nightly``: ten times the default examples for
+    # the tests that leave ``max_examples`` to the profile (the wire
+    # round-trip and fuzz tests; every other test pins its own count).
+    settings.register_profile(
+        "nightly", max_examples=10 * settings.default.max_examples)
 
 
 def pytest_configure(config):

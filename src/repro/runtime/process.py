@@ -201,10 +201,11 @@ class ObservationChunk:
     the parent's :class:`~repro.causal.streaming.StreamingChecker` verifies
     windows while traffic is still flowing and no process ever holds the
     whole history.  ``puts_blob``/``rots_blob`` are
-    :func:`repro.wire.batch.encode_record_batch` encodings (the PR 7
-    columnar struct-array layout); the redundant counts let the parent
-    detect truncated blobs before feeding the checker.  ``sequence`` is
-    per-worker and monotonically increasing from 1.
+    :func:`repro.wire.batch.encode_record_batch` encodings (a count plus
+    the records row by row through their types' compiled packers, like a
+    batch frame); the redundant counts let the parent detect truncated
+    blobs before feeding the checker.  ``sequence`` is per-worker and
+    monotonically increasing from 1.
     """
 
     worker_id: int

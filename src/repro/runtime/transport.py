@@ -16,11 +16,10 @@ Two implementations:
   addresses to ``(host, port)`` endpoints.  Remote sends *coalesce*: each
   one joins the destination endpoint's pending list, which is flushed at
   the :class:`~repro.wire.batch.FlushPolicy`'s count/byte thresholds or
-  when the event loop next goes idle (one ``call_soon`` hop).  A flush of
-  one envelope is a plain :class:`Envelope` frame; two or more become one
-  :mod:`batch frame <repro.wire.batch>` — one length prefix, one queue hop,
-  one socket write for the whole burst, with homogeneous runs (replication,
-  heartbeats) encoded columnar.  Frames go to a per-peer connection that is
+  when the event loop next goes idle (one ``call_soon`` hop).  Every flush
+  is one :mod:`batch frame <repro.wire.batch>` — one length prefix, one
+  queue hop, one socket write for the whole burst, however many envelopes
+  it holds.  Frames go to a per-peer connection that is
   opened lazily and written by a dedicated drain task, so the synchronous
   ``send`` path never blocks a kernel.  Inbound connections are served by
   one handler per peer; graceful shutdown flushes every pending list and
@@ -49,7 +48,7 @@ from repro.wire.batch import (
     FlushPolicy,
     encode_batch,
 )
-from repro.wire.codec import decode, encode, register_wire_type
+from repro.wire.codec import decode, register_wire_type
 from repro.wire.framing import frame, read_frame
 
 #: Names a registered protocol can support (``ProtocolSpec.transports``).
@@ -225,6 +224,17 @@ class _PeerLink:
             pass
 
 
+class _Pending:
+    """What one peer endpoint has buffered since its last flush."""
+
+    __slots__ = ("envelopes", "bytes", "flush_scheduled")
+
+    def __init__(self) -> None:
+        self.envelopes: list[Envelope] = []
+        self.bytes = 0
+        self.flush_scheduled = False
+
+
 class TcpTransport(Transport):
     """Length-prefixed wire frames over asyncio TCP streams.
 
@@ -256,10 +266,8 @@ class TcpTransport(Transport):
         self._server: Optional[asyncio.base_events.Server] = None
         self._inbound: set[asyncio.Task] = set()
         self._stopped = False
-        # Coalescing state, all keyed by peer endpoint.
-        self._pending: dict[tuple[str, int], list[Envelope]] = {}
-        self._pending_bytes: dict[tuple[str, int], int] = {}
-        self._flush_scheduled: set[tuple[str, int]] = set()
+        # Coalescing state per peer endpoint.
+        self._pending: dict[tuple[str, int], _Pending] = {}
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -271,8 +279,8 @@ class TcpTransport(Transport):
 
     async def stop(self) -> None:
         self._stopped = True
-        for endpoint in list(self._pending):
-            self._flush_endpoint(endpoint, raise_errors=False)
+        for endpoint, pending in self._pending.items():
+            self._flush_endpoint(endpoint, pending, raise_errors=False)
         links, self._links = list(self._links.values()), {}
         for link in links:
             await link.close()
@@ -307,17 +315,18 @@ class TcpTransport(Transport):
             raise _unroutable(dest)
         if self._stopped:
             raise TransportError("transport is stopped")
-        pending = self._pending.setdefault(endpoint, [])
-        pending.append(Envelope(sender, dest, message, trace))
-        self._pending_bytes[endpoint] = (
-            self._pending_bytes.get(endpoint, 0) + _estimate_bytes(message))
-        if (len(pending) >= self.flush_policy.max_messages
-                or self._pending_bytes[endpoint]
-                >= self.flush_policy.max_bytes):
-            self._flush_endpoint(endpoint)
-        elif endpoint not in self._flush_scheduled:
-            asyncio.get_running_loop().call_soon(self._idle_flush, endpoint)
-            self._flush_scheduled.add(endpoint)
+        pending = self._pending.get(endpoint)
+        if pending is None:
+            pending = self._pending[endpoint] = _Pending()
+        pending.envelopes.append(Envelope(sender, dest, message, trace))
+        pending.bytes += _estimate_bytes(message)
+        if (len(pending.envelopes) >= self.flush_policy.max_messages
+                or pending.bytes >= self.flush_policy.max_bytes):
+            self._flush_endpoint(endpoint, pending)
+        elif not pending.flush_scheduled:
+            asyncio.get_running_loop().call_soon(
+                self._idle_flush, endpoint, pending)
+            pending.flush_scheduled = True
 
     def _link_for(self, endpoint: tuple[str, int]) -> _PeerLink:
         link = self._links.get(endpoint)
@@ -333,24 +342,24 @@ class TcpTransport(Transport):
             link = self._links[endpoint] = _PeerLink(self, endpoint)
         return link
 
-    def _idle_flush(self, endpoint: tuple[str, int]) -> None:
-        self._flush_scheduled.discard(endpoint)
-        self._flush_endpoint(endpoint, raise_errors=False)
+    def _idle_flush(self, endpoint: tuple[str, int],
+                    pending: _Pending) -> None:
+        pending.flush_scheduled = False
+        self._flush_endpoint(endpoint, pending, raise_errors=False)
 
-    def _flush_endpoint(self, endpoint: tuple[str, int], *,
-                        raise_errors: bool = True) -> None:
-        """Write the endpoint's pending envelopes as one coalesced frame.
+    def _flush_endpoint(self, endpoint: tuple[str, int], pending: _Pending,
+                        *, raise_errors: bool = True) -> None:
+        """Write the endpoint's pending envelopes as one batch frame.
 
-        A single pending envelope goes out as a plain per-message frame;
-        two or more become one batch frame.  With ``raise_errors`` off (idle
-        and shutdown flushes, which have no caller to fail) link errors are
-        parked in :attr:`failure` instead of raised.
+        With ``raise_errors`` off (idle and shutdown flushes, which have no
+        caller to fail) link errors are parked in :attr:`failure` instead of
+        raised.
         """
-        pending = self._pending.get(endpoint)
-        if not pending:
+        envelopes = pending.envelopes
+        if not envelopes:
             return
-        self._pending[endpoint] = []
-        self._pending_bytes[endpoint] = 0
+        pending.envelopes = []
+        pending.bytes = 0
         try:
             link = self._link_for(endpoint)
         except TransportError as exc:
@@ -359,13 +368,10 @@ class TcpTransport(Transport):
             if self.failure is None:
                 self.failure = exc
             return
-        if len(pending) == 1:
-            link.enqueue(frame(encode(pending[0])))
-        else:
-            link.enqueue(frame(encode_batch(pending)))
+        link.enqueue(frame(encode_batch(envelopes)))
         if self.tracer is not None:
             self.tracer.emit("transport", BATCH_FLUSH, data=(
-                ("count", len(pending)),
+                ("count", len(envelopes)),
                 ("peer", f"{endpoint[0]}:{endpoint[1]}")))
 
     # ---------------------------------------------------------------- inbound
@@ -393,18 +399,15 @@ class TcpTransport(Transport):
                 if payload is None:
                     break
                 decoded = decode(payload)
-                if isinstance(decoded, BatchFrame):
-                    if self.tracer is not None and decoded.envelopes:
-                        self.tracer.emit("transport", BATCH_RECV, data=(
-                            ("count", len(decoded)),))
-                    for envelope in decoded.envelopes:
-                        self._deliver_envelope(envelope)
-                elif isinstance(decoded, Envelope):
-                    self._deliver_envelope(decoded)
-                else:
+                if not isinstance(decoded, BatchFrame):
                     raise TransportError(
-                        f"expected an Envelope or batch frame, got "
+                        f"expected a batch frame, got "
                         f"{type(decoded).__name__}")
+                if self.tracer is not None and decoded.envelopes:
+                    self.tracer.emit("transport", BATCH_RECV, data=(
+                        ("count", len(decoded)),))
+                for envelope in decoded.envelopes:
+                    self._deliver_envelope(envelope)
         except asyncio.CancelledError:
             # Cancelled only by stop(); swallowing (rather than re-raising)
             # keeps asyncio.streams' internal done-callback from logging a

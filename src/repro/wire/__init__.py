@@ -3,10 +3,11 @@
 The wire layer is the bottom of the three-layer message path
 (wire -> transport -> runtime): it turns the protocol message dataclasses of
 :mod:`repro.core.common.messages` — and any dataclass registered through
-:func:`register_wire_type` — into self-describing bytes and back, and splits
-byte streams into length-prefixed frames.  It knows nothing about sockets,
-event loops or protocols; the transports in :mod:`repro.runtime.transport`
-own the I/O.
+:func:`register_wire_type` — into self-describing bytes and back through one
+compiled packer per type (:func:`field_plan` is a type's layout), coalesces
+envelopes into batch frames, and splits byte streams into length-prefixed
+frames.  It knows nothing about sockets, event loops or protocols; the
+transports in :mod:`repro.runtime.transport` own the I/O.
 
 Exports resolve lazily (PEP 562) to keep this package importable without any
 heavyweight sibling.
@@ -15,7 +16,7 @@ heavyweight sibling.
 from repro._lazy import make_lazy
 
 _EXPORTS = {
-    "BatchFrame": "repro.wire.batch",
+    "BatchFrame": "repro.wire.codec",
     "DEFAULT_FLUSH_POLICY": "repro.wire.batch",
     "FORMAT_BATCH": "repro.wire.codec",
     "FORMAT_BINARY": "repro.wire.codec",
@@ -30,6 +31,7 @@ _EXPORTS = {
     "decode": "repro.wire.codec",
     "encode": "repro.wire.codec",
     "encode_batch": "repro.wire.batch",
+    "field_plan": "repro.wire.codec",
     "frame": "repro.wire.framing",
     "intern_key": "repro.wire.intern",
     "read_frame": "repro.wire.framing",

@@ -1,25 +1,51 @@
-"""Versioned, self-describing wire codec for protocol messages.
+"""Versioned wire codec: one compiled pack/unpack closure per registered type.
 
 Every value that crosses a process boundary is encoded into a *frame body*::
 
-    [magic 0xA7] [wire version] [format tag] [payload ...]
+    [magic 0xA7] [wire version 4] [format tag] [payload ...]
 
-Two payload formats share that header:
+Three payload formats share that header:
 
-* **binary** (:data:`FORMAT_BINARY`, the default) — a compact msgpack-style
-  tagged encoding written from scratch (no third-party dependency): small
-  integers, strings and containers use single-byte tags with embedded
-  lengths; registered dataclasses are encoded as a ``STRUCT`` tag plus a
-  16-bit type id plus their field values in declaration order.
+* **binary** (:data:`FORMAT_BINARY`, the default) — one *tagged value*.
+* **batch** (:data:`FORMAT_BATCH`) — ``[u32 count]`` followed by ``count``
+  tagged values, written row by row (see :mod:`repro.wire.batch`).
 * **JSON debug** (:data:`FORMAT_JSON`) — the same object graph rendered as
   human-readable JSON (``{"__wire__": "VectorPutRequest", "fields": {...}}``)
-  for protocol debugging (``tcpdump``/log inspection); byte-for-byte bigger,
-  value-for-value identical after decoding.
+  for protocol debugging; byte-for-byte bigger, value-for-value identical
+  after decoding.
 
-The codec is *self-describing*: a decoder needs only the frame bytes — type
-tags identify every registered dataclass, and the header pins the wire
-version so incompatible peers fail loudly
-(:class:`~repro.errors.WireFormatError`) instead of mis-parsing.
+A tagged value is a msgpack-style tag byte plus payload.  Plain values
+(``None``, bools, ints, floats, strings, bytes, sequences, dicts) are written
+by a small generic walker.  A registered dataclass is ``[0xD8] [u16 type id]``
+followed by the *body* its type's compiled packer writes — no per-field tags,
+everything big-endian:
+
+* one fixed-width ``struct`` block holding, in field order, every ``int``
+  (``q``), ``float`` (``d``) and ``bool`` (``?``), a ``?`` presence flag in
+  front of each ``Optional`` one, and one *length byte* for every
+  variable-width field: its byte length or element count below 254, 254 for
+  ``None`` (``Optional`` fields only), 255 when a ``u32`` length precedes
+  the field's tail instead;
+* then the variable tails, in field order: UTF-8/raw bytes for ``str`` /
+  ``bytes``; ``count * 8`` bytes for ``tuple[int, ...]`` / ``tuple[float,
+  ...]``; ``[length byte][bytes]`` per element of ``tuple[str, ...]``;
+  ``[length byte][q][q?][bytes]`` per row of ``tuple[tuple[str, int[, int]],
+  ...]``; the bodies of a ``tuple[T, ...]`` of one registered type ``T``;
+  and a tagged value for every field the planner does not recognise
+  (``Envelope.payload``, address unions, ``TraceEvent.data``, lists, dicts).
+
+The layout of a type is *planned* once from its type hints
+(:func:`field_plan`) and compiled into two closures — ``pack(obj, out)`` and
+``unpack(data, pos) -> (obj, pos)`` — the first time the type is encoded or
+decoded; importing this module generates nothing.
+
+Decoding does no per-read bounds checks: a count is compared with the bytes
+that remain before anything is sized by it, and everything else a malformed
+frame can trigger (``struct.error``, ``IndexError``, bad UTF-8, a constructor
+rejecting its arguments) is converted to
+:class:`~repro.errors.WireFormatError` at the frame boundary, where the final
+position must equal the frame length.  A value that contradicts its field's
+annotation (or an int outside int64) fails the same way at encode.
 
 Type registration
 -----------------
@@ -39,10 +65,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-import sys
-from array import array
-from itertools import chain, repeat
-from typing import Any, Optional
+from typing import (
+    Any,
+    Callable,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.core.common import messages as _messages
 from repro.errors import WireFormatError
@@ -51,20 +84,19 @@ from repro.wire.intern import intern_key
 #: First byte of every frame.
 MAGIC = 0xA7
 #: Current wire version; bumped on every payload-layout change.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 #: Every version this codec can decode: every peer of a run is started from
 #: the same tree, so there is exactly one, and anything else is rejected.
 SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION,)
 #: Format tags (third header byte).
 FORMAT_BINARY = 0x01
 FORMAT_JSON = 0x02
-#: Batch frames (wire v3+): N envelopes coalesced into one flush, with
-#: homogeneous runs encoded column-wise (see :mod:`repro.wire.batch`).
 FORMAT_BATCH = 0x03
 
 _FORMATS = {"binary": FORMAT_BINARY, "json": FORMAT_JSON}
 
-# Binary type tags (msgpack-inspired; fix-ranges inline small values).
+# Tags of the generic value walker (msgpack-inspired; fix-ranges inline
+# small values).
 _NIL = 0xC0
 _FALSE = 0xC2
 _TRUE = 0xC3
@@ -74,7 +106,7 @@ _BIN32 = 0xC6
 _BIGINT = 0xC7          # 1-byte length + signed big-endian two's complement
 _FLOAT64 = 0xCB
 _INT64 = 0xD3           # 8-byte signed big-endian
-_STRUCT = 0xD8          # 2-byte type id + field-value array
+_STRUCT = 0xD8          # 2-byte type id + the type's compiled body
 _STR8 = 0xD9
 _STR16 = 0xDA
 _STR32 = 0xDB
@@ -90,10 +122,29 @@ _pack_u16 = struct.Struct(">H").pack
 _pack_u32 = struct.Struct(">I").pack
 _pack_i64 = struct.Struct(">q").pack
 _pack_f64 = struct.Struct(">d").pack
+_unpack_u8 = struct.Struct(">B").unpack_from
 _unpack_u16 = struct.Struct(">H").unpack_from
 _unpack_u32 = struct.Struct(">I").unpack_from
 _unpack_i64 = struct.Struct(">q").unpack_from
 _unpack_f64 = struct.Struct(">d").unpack_from
+
+#: What a malformed frame may raise while being decoded, and a mistyped
+#: value while being encoded; both surface as ``WireFormatError``.
+_DECODE_ERRORS = (struct.error, IndexError, ValueError, TypeError,
+                  RecursionError)
+_ENCODE_ERRORS = (struct.error, AttributeError, ValueError, TypeError,
+                  OverflowError, RecursionError)
+
+
+@dataclasses.dataclass(frozen=True)
+class BatchFrame:
+    """The decoded form of one batch frame: the coalesced envelopes, in
+    send order.  Transports fan these back out to per-node delivery."""
+
+    envelopes: tuple
+
+    def __len__(self) -> int:
+        return len(self.envelopes)
 
 
 # --------------------------------------------------------------------------
@@ -109,6 +160,15 @@ _ID_TO_CLASS: dict[int, type] = {}
 _NAME_TO_CLASS: dict[str, type] = {}
 _FIELDS: dict[type, tuple[str, ...]] = {}
 _next_dynamic_id = DYNAMIC_TYPE_ID_BASE
+
+#: Compiled codecs, filled on a type's first use: class -> (prefix, pack)
+#: and prefix -> unpack, where prefix is the struct tag + type id bytes.
+_PACKERS: dict[type, tuple[bytes, Callable]] = {}
+_UNPACKERS: dict[bytes, Callable] = {}
+
+
+def _struct_prefix(type_id: int) -> bytes:
+    return bytes((_STRUCT,)) + _pack_u16(type_id)
 
 
 def register_wire_type(cls: type, *, type_id: Optional[int] = None) -> type:
@@ -153,11 +213,337 @@ for _index, _cls in enumerate(_messages.WIRE_MESSAGES):
 
 
 # --------------------------------------------------------------------------
-# Binary encoding
+# Field plans
 # --------------------------------------------------------------------------
 
+class FieldKind(NamedTuple):
+    """How one dataclass field is laid out.
+
+    ``base`` is ``int``/``bool``/``float``/``str``/``bytes`` (a scalar),
+    ``ints``/``floats``/``strs`` (a homogeneous tuple), ``rows`` (a tuple of
+    ``(str, int[, int])``; ``arg`` is the number of ints), ``structs`` (a
+    tuple of the registered type ``arg``) or ``value`` (anything else: a
+    tagged value).  ``optional`` scalars and tuples may also be ``None``.
+    """
+
+    base: str
+    optional: bool = False
+    arg: Any = None
+
+
+_VALUE = FieldKind("value")
+_SCALAR_CODES = {"int": "q", "bool": "?", "float": "d"}
+_ROW_SHAPES = {(str, int): 1, (str, int, int): 2}
+
+#: ``str`` fields whose decoded values are interned (bounded key/writer
+#: spaces; trace ids and ROT ids are unique per operation and must stay out
+#: of the intern cache).
+_INTERNED_FIELDS = frozenset({"key", "put_key", "writer"})
+#: Types with a small closed value space (a cluster's addresses), decoded
+#: through a per-type cache so a frame does not construct them again.
+_CACHED_TYPES = frozenset({"ServerAddr", "ClientAddr"})
+_MAX_CACHED_INSTANCES = 4096
+
+
+def _plan_field(annotation: Any) -> FieldKind:
+    optional = False
+    args = get_args(annotation)
+    if (get_origin(annotation) is Union and len(args) == 2
+            and type(None) in args):
+        annotation = args[0] if args[1] is type(None) else args[1]
+        optional = True
+        args = get_args(annotation)
+    if annotation in (int, bool, float, str, bytes):
+        return FieldKind(annotation.__name__, optional)
+    if (get_origin(annotation) is tuple and len(args) == 2
+            and args[1] is Ellipsis):
+        element = args[0]
+        if element in (int, float, str):
+            return FieldKind(element.__name__ + "s", optional)
+        if not optional and element in _CLASS_TO_ID:
+            return FieldKind("structs", arg=element)
+        if not optional and get_args(element) in _ROW_SHAPES:
+            return FieldKind("rows", arg=_ROW_SHAPES[get_args(element)])
+    return _VALUE
+
+
+def field_plan(cls: type) -> tuple[tuple[str, FieldKind], ...]:
+    """``(field name, FieldKind)`` for every field of a registered class.
+
+    This is the one description of a type's binary layout: the codec
+    compiles it, and the round-trip tests build their value strategies from
+    it.  Annotations that cannot be resolved (a dataclass local to a
+    function) plan as ``value`` fields.
+    """
+    try:
+        hints = get_type_hints(cls)
+    except (NameError, TypeError, SyntaxError):
+        hints = {}
+    return tuple((name, _plan_field(hints.get(name)))
+                 for name in _FIELDS[cls])
+
+
+# --------------------------------------------------------------------------
+# Code generation
+# --------------------------------------------------------------------------
+
+class _VectorStructs(dict):
+    """``count -> Struct(">{count}{code}")``; short vectors (dependency and
+    version vectors have one entry per DC) stay cached."""
+
+    def __init__(self, code: str) -> None:
+        super().__init__()
+        self.code = code
+
+    def __missing__(self, count: int) -> struct.Struct:
+        packer = struct.Struct(f">{count}{self.code}")
+        if count <= 64:
+            self[count] = packer
+        return packer
+
+
+def _short(what: str, count: int) -> WireFormatError:
+    return WireFormatError(
+        f"truncated frame: {what} announces {count} elements, more than "
+        f"the bytes that remain")
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _read_length(n: str) -> list[str]:
+    """Decode statements resolving length byte ``n``: 255 announces a u32."""
+    return [f"if {n} == 255:", f"    {n} = U32(data, pos)[0]", "    pos += 4"]
+
+
+def _read_sized(optional: bool, n: str, v: str, body: list[str],
+                empty: Optional[str]) -> list[str]:
+    """The decode statements of a variable-width field around ``body``:
+    ``None`` at length byte 254 when ``optional``, ``empty`` (if given) at
+    length zero."""
+    if empty is not None:
+        body = [f"if {n}:", *_indent(body), "else:", f"    {v} = {empty}"]
+    body = _read_length(n) + body
+    if optional:
+        body = [f"if {n} == 254:", f"    {v} = None", "else:", *_indent(body)]
+    return body
+
+
+def _compile(cls: type) -> tuple[bytes, Callable]:
+    """Generate and install ``cls``'s pack and unpack closures; returns its
+    ``_PACKERS`` entry."""
+    type_id = _CLASS_TO_ID.get(cls)
+    if type_id is None:
+        raise WireFormatError(
+            f"cannot encode {cls.__name__!r}: not a registered wire type "
+            f"(see repro.wire.register_wire_type)")
+    namespace: dict[str, Any] = {
+        "cls": cls, "short": _short, "intern": intern_key,
+        "PACKERS": _PACKERS, "UNPACKERS": _UNPACKERS,
+        "packer": _packer, "unpacker": _unpacker,
+        "encode_value": _encode_value, "decode_value": _decode_value,
+        "U32": _unpack_u32, "P32": _pack_u32,
+        "VQ": _INT_VECTORS, "VD": _FLOAT_VECTORS,
+    }
+    fmt = ">"           # the fixed block's struct format
+    pre: list[str] = []     # encode: statements before the fixed block
+    packed: list[str] = []  # encode: the fixed block's arguments
+    tails: list[str] = []   # encode: variable tails
+    names: list[str] = []   # decode: targets of the fixed block
+    reads: list[str] = []   # decode: variable tails
+    ctor: list[str] = []    # decode: constructor arguments
+
+    for i, (name, kind) in enumerate(field_plan(cls)):
+        v, n, r = f"v{i}", f"n{i}", f"r{i}"
+        base, optional = kind.base, kind.optional
+        label = repr(f"{cls.__name__}.{name}")
+        ctor.append(v)
+        if base == "value":
+            tails += [f"{v} = o.{name}",
+                      f"e = PACKERS.get(type({v}))",
+                      "if e is None:",
+                      f"    encode_value({v}, out)",
+                      "else:",
+                      "    out += e[0]",
+                      f"    e[1]({v}, out)"]
+            reads += ["d = UNPACKERS.get(data[pos:pos + 3])",
+                      "if d is None:",
+                      f"    {v}, pos = decode_value(data, pos)",
+                      "else:",
+                      f"    {v}, pos = d(data, pos + 3)"]
+            continue
+        if base in _SCALAR_CODES:
+            if optional or base == "bool":
+                pre.append(f"{v} = o.{name}")
+            if base == "bool":  # struct's "?" would coerce any truthy value
+                unset = f" and {v} is not None" if optional else ""
+                pre += [f"if {v} is not True and {v} is not False{unset}:",
+                        f"    raise TypeError({label} + ' is not a bool')"]
+            if optional:
+                fmt += "?" + _SCALAR_CODES[base]
+                packed += [f"{v} is not None", f"0 if {v} is None else {v}"]
+                names += [n, v]
+                ctor[-1] = f"{v} if {n} else None"
+            else:
+                fmt += _SCALAR_CODES[base]
+                packed.append(v if base == "bool" else f"o.{name}")
+                names.append(v)
+            continue
+        # Variable width: one length byte in the fixed block — the length
+        # below 254, 254 for None, 255 announcing a u32 ahead of the tail.
+        fmt += "B"
+        names.append(n)
+        pre.append(f"{v} = o.{name}")
+        sized = r if base in ("str", "bytes") else v
+        if base == "str":
+            pre.append(f'{r} = b"" if {v} is None else {v}.encode()'
+                       if optional else f"{r} = {v}.encode()")
+        elif base == "bytes":
+            pre += [f'{r} = b"" if {v} is None else {v}' if optional
+                    else f"{r} = {v}",
+                    f"if type({r}) is not bytes:",
+                    f"    raise TypeError({label} + ' is not bytes')"]
+        if optional:
+            pre.append(f"{n} = -1 if {v} is None else len({sized})")
+            packed.append(f"254 if {n} < 0 else {n} if {n} < 254 else 255")
+        else:
+            pre.append(f"{n} = len({sized})")
+            packed.append(f"{n} if {n} < 254 else 255")
+        tails += [f"if {n} >= 254:", f"    out += P32({n})"]
+        if base in ("str", "bytes"):
+            value = "data[pos:end]" + (".decode()" if base == "str" else "")
+            if name in _INTERNED_FIELDS and base == "str" and not optional:
+                value = f"intern({value})"
+            tails.append(f"out += {r}")
+            reads += _read_sized(optional, n, v, [
+                f"end = pos + {n}", f"{v} = {value}", "pos = end"], None)
+            continue
+        if base in ("ints", "floats"):
+            table = "VQ" if base == "ints" else "VD"
+            tails += [f"if {n} > 0:", f"    out += {table}[{n}].pack(*{v})"]
+            body = [f"if {n} > (len(data) - pos) >> 3:",
+                    f"    raise short({label}, {n})",
+                    f"{v} = {table}[{n}].unpack_from(data, pos)",
+                    f"pos += {n} << 3"]
+        elif base in ("strs", "rows"):  # strings with ``kind.arg`` ints each
+            row = struct.Struct(">B" + "q" * (kind.arg or 0))
+            namespace[f"ROW{i}"] = row
+            ints = "".join(f", {c}" for c in "ab"[:kind.arg or 0])
+            byte = "m if m < 254 else 255"
+            tails += [f"for s{ints} in {v} or ():",
+                      "    r = s.encode()",
+                      "    m = len(r)",
+                      f"    out += ROW{i}.pack({byte}{ints})" if ints
+                      else f"    out.append({byte})",
+                      "    if m >= 254:",
+                      "        out += P32(m)",
+                      "    out += r"]
+            body = [f"if {n} > (len(data) - pos) // {row.size}:",
+                    f"    raise short({label}, {n})",
+                    "items = []",
+                    f"for _ in range({n}):",
+                    f"    m{ints} = ROW{i}.unpack_from(data, pos)" if ints
+                    else "    m = data[pos]",
+                    f"    pos += {row.size}",
+                    *_indent(_read_length("m")),
+                    "    end = pos + m",
+                    f"    items.append((data[pos:end].decode(){ints}))",
+                    "    pos = end",
+                    f"{v} = tuple(items)"]
+        else:  # structs: looked up per call, so element types compile lazily
+            namespace[f"T{i}"] = kind.arg
+            tails += [f"if {n}:",
+                      f"    p = packer(T{i})[1]",
+                      f"    for x in {v}:",
+                      "        p(x, out)"]
+            body = [f"if {n} > len(data) - pos:",
+                    f"    raise short({label}, {n})",
+                    f"d = unpacker({_struct_prefix(_CLASS_TO_ID[kind.arg])})",
+                    "items = []",
+                    f"for _ in range({n}):",
+                    "    x, pos = d(data, pos)",
+                    "    items.append(x)",
+                    f"{v} = tuple(items)"]
+        reads += _read_sized(optional, n, v, body, "()")
+
+    fixed = struct.Struct(fmt)
+    namespace["S"] = fixed
+    if names:
+        pre.append(f"out += S.pack({', '.join(packed)})")
+        reads = [f"{', '.join(names)}, = S.unpack_from(data, pos)",
+                 f"pos += {fixed.size}", *reads]
+    if cls.__name__ in _CACHED_TYPES:
+        namespace["CACHE"] = {}
+        build = [f"key = ({', '.join(ctor)},)",
+                 "obj = CACHE.get(key)",
+                 "if obj is None:",
+                 "    obj = cls(*key)",
+                 f"    if len(CACHE) < {_MAX_CACHED_INSTANCES}:",
+                 "        CACHE[key] = obj",
+                 "return obj, pos"]
+    else:
+        build = [f"return cls({', '.join(ctor)}), pos"]
+    source = "\n".join(["def pack(o, out):", *_indent(pre + tails or ["pass"]),
+                        "def unpack(data, pos):", *_indent(reads + build)])
+    exec(compile(source, f"<wire codec for {cls.__name__}>", "exec"), namespace)
+    prefix = _struct_prefix(type_id)
+    _UNPACKERS[prefix] = namespace["unpack"]
+    _PACKERS[cls] = entry = (prefix, namespace["pack"])
+    return entry
+
+
+_INT_VECTORS = _VectorStructs("q")
+_FLOAT_VECTORS = _VectorStructs("d")
+
+
+def _packer(cls: type) -> tuple[bytes, Callable]:
+    """``(tag + type id bytes, pack)`` of a registered class."""
+    return _PACKERS.get(cls) or _compile(cls)
+
+
+def _unpacker(prefix: bytes) -> Callable:
+    """The ``unpack(data, pos) -> (obj, pos)`` closure behind a struct's
+    three prefix bytes."""
+    unpack = _UNPACKERS.get(prefix)
+    if unpack is None:
+        type_id = _unpack_u16(prefix, 1)[0]
+        cls = _ID_TO_CLASS.get(type_id)
+        if cls is None:
+            raise WireFormatError(f"unknown wire type id {type_id}")
+        _compile(cls)
+        unpack = _UNPACKERS[prefix]
+    return unpack
+
+
+# --------------------------------------------------------------------------
+# The generic value walker (plain values, and the fallback for fields the
+# planner does not recognise)
+# --------------------------------------------------------------------------
+
+def _encode_head(out: bytearray, n: int, fix: Optional[tuple[int, int]],
+                 tag8: Optional[int], tag16: int) -> None:
+    """A container/string head: fix-tag, or ``tag8``/``tag16``/``tag16 + 1``
+    followed by a big-endian length."""
+    if fix is not None and n < fix[1]:
+        out.append(fix[0] | n)
+    elif tag8 is not None and n < 256:
+        out.append(tag8)
+        out.append(n)
+    elif n < 65536:
+        out.append(tag16)
+        out += _pack_u16(n)
+    else:
+        out.append(tag16 + 1)
+        out += _pack_u32(n)
+
+
 def _encode_value(value: Any, out: bytearray) -> None:
-    if value is None:
+    entry = _PACKERS.get(type(value))
+    if entry is not None:
+        out += entry[0]
+        entry[1](value, out)
+    elif value is None:
         out.append(_NIL)
     elif value is True:
         out.append(_TRUE)
@@ -184,167 +570,90 @@ def _encode_value(value: Any, out: bytearray) -> None:
         out += _pack_f64(value)
     elif type(value) is str:
         raw = value.encode("utf-8")
-        n = len(raw)
-        if n < 32:
-            out.append(_FIXSTR | n)
-        elif n < 256:
-            out.append(_STR8)
-            out.append(n)
-        elif n < 65536:
-            out.append(_STR16)
-            out += _pack_u16(n)
-        else:
-            out.append(_STR32)
-            out += _pack_u32(n)
+        _encode_head(out, len(raw), (_FIXSTR, 32), _STR8, _STR16)
         out += raw
     elif type(value) is bytes:
-        n = len(value)
-        if n < 256:
-            out.append(_BIN8)
-            out.append(n)
-        elif n < 65536:
-            out.append(_BIN16)
-            out += _pack_u16(n)
-        else:
-            out.append(_BIN32)
-            out += _pack_u32(n)
+        _encode_head(out, len(value), None, _BIN8, _BIN16)
         out += value
     elif type(value) in (tuple, list):
-        n = len(value)
-        if n < 16:
-            out.append(_FIXARR | n)
-        elif n < 65536:
-            out.append(_ARR16)
-            out += _pack_u16(n)
-        else:
-            out.append(_ARR32)
-            out += _pack_u32(n)
+        _encode_head(out, len(value), (_FIXARR, 16), None, _ARR16)
         for item in value:
             _encode_value(item, out)
     elif type(value) is dict:
-        n = len(value)
-        if n < 16:
-            out.append(_FIXMAP | n)
-        elif n < 65536:
-            out.append(_MAP16)
-            out += _pack_u16(n)
-        else:
-            out.append(_MAP32)
-            out += _pack_u32(n)
+        _encode_head(out, len(value), (_FIXMAP, 16), None, _MAP16)
         for key, item in value.items():
             _encode_value(key, out)
             _encode_value(item, out)
     else:
-        type_id = _CLASS_TO_ID.get(type(value))
-        if type_id is None:
-            raise WireFormatError(
-                f"cannot encode {type(value).__name__!r}: not a registered "
-                f"wire type (see repro.wire.register_wire_type)")
-        out.append(_STRUCT)
-        out += _pack_u16(type_id)
-        _encode_value(tuple(getattr(value, name)
-                            for name in _FIELDS[type(value)]), out)
+        prefix, pack = _packer(type(value))
+        out += prefix
+        pack(value, out)
 
 
-class _Reader:
-    """Cursor over a frame payload with bounds-checked reads."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes, pos: int) -> None:
-        self.data = data
-        self.pos = pos
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise WireFormatError(
-                f"truncated frame: needed {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise WireFormatError("truncated frame: ran out of bytes")
-        value = self.data[self.pos]
-        self.pos += 1
-        return value
+_CONSTANTS = {_NIL: None, _TRUE: True, _FALSE: False}
+#: Tags followed by an explicit length: tag -> (kind, length width, reader).
+_SIZED = {
+    _STR8: (str, 1, _unpack_u8), _STR16: (str, 2, _unpack_u16),
+    _STR32: (str, 4, _unpack_u32),
+    _BIN8: (bytes, 1, _unpack_u8), _BIN16: (bytes, 2, _unpack_u16),
+    _BIN32: (bytes, 4, _unpack_u32),
+    _ARR16: (tuple, 2, _unpack_u16), _ARR32: (tuple, 4, _unpack_u32),
+    _MAP16: (dict, 2, _unpack_u16), _MAP32: (dict, 4, _unpack_u32),
+}
 
 
-def _decode_value(reader: _Reader) -> Any:
-    tag = reader.byte()
+def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
+    prefix = data[pos:pos + 3]
+    unpack = _UNPACKERS.get(prefix)
+    if unpack is not None:
+        return unpack(data, pos + 3)
+    tag = data[pos]
+    if tag == _STRUCT:  # a type's first use: compile it
+        return _unpacker(prefix)(data, pos + 3)
+    pos += 1
     if tag <= 0x7F:
-        return tag
+        return tag, pos
     if tag >= 0xE0:
-        return tag - 256
-    if tag == _NIL:
-        return None
-    if tag == _TRUE:
-        return True
-    if tag == _FALSE:
-        return False
+        return tag - 256, pos
+    if tag in _CONSTANTS:
+        return _CONSTANTS[tag], pos
     if tag == _INT64:
-        return _unpack_i64(reader.take(8))[0]
-    if tag == _BIGINT:
-        length = reader.byte()
-        return int.from_bytes(reader.take(length), "big", signed=True)
+        return _unpack_i64(data, pos)[0], pos + 8
     if tag == _FLOAT64:
-        return _unpack_f64(reader.take(8))[0]
-    if _FIXSTR <= tag <= 0xBF:
-        return reader.take(tag & 0x1F).decode("utf-8")
-    if tag == _STR8:
-        return reader.take(reader.byte()).decode("utf-8")
-    if tag == _STR16:
-        return reader.take(_unpack_u16(reader.take(2))[0]).decode("utf-8")
-    if tag == _STR32:
-        return reader.take(_unpack_u32(reader.take(4))[0]).decode("utf-8")
-    if tag == _BIN8:
-        return reader.take(reader.byte())
-    if tag == _BIN16:
-        return reader.take(_unpack_u16(reader.take(2))[0])
-    if tag == _BIN32:
-        return reader.take(_unpack_u32(reader.take(4))[0])
-    if _FIXARR <= tag <= 0x9F:
-        return tuple(_decode_value(reader) for _ in range(tag & 0x0F))
-    if tag == _ARR16:
-        n = _unpack_u16(reader.take(2))[0]
-        return tuple(_decode_value(reader) for _ in range(n))
-    if tag == _ARR32:
-        n = _unpack_u32(reader.take(4))[0]
-        return tuple(_decode_value(reader) for _ in range(n))
-    if _FIXMAP <= tag <= 0x8F:
-        return {_decode_value(reader): _decode_value(reader)
-                for _ in range(tag & 0x0F)}
-    if tag == _MAP16:
-        n = _unpack_u16(reader.take(2))[0]
-        return {_decode_value(reader): _decode_value(reader)
-                for _ in range(n)}
-    if tag == _MAP32:
-        n = _unpack_u32(reader.take(4))[0]
-        return {_decode_value(reader): _decode_value(reader)
-                for _ in range(n)}
-    if tag == _STRUCT:
-        type_id = _unpack_u16(reader.take(2))[0]
-        cls = _ID_TO_CLASS.get(type_id)
-        if cls is None:
-            raise WireFormatError(f"unknown wire type id {type_id}")
-        values = _decode_value(reader)
-        if not isinstance(values, tuple):
-            raise WireFormatError(
-                f"struct {cls.__name__} payload is not a field array")
-        names = _FIELDS[cls]
-        if len(values) != len(names):
-            raise WireFormatError(
-                f"struct {cls.__name__} carries {len(values)} fields, "
-                f"expected {len(names)}")
-        try:
-            return cls(*values)
-        except (TypeError, ValueError) as exc:
-            raise WireFormatError(
-                f"cannot reconstruct {cls.__name__}: {exc}") from exc
-    raise WireFormatError(f"unknown binary tag 0x{tag:02X}")
+        return _unpack_f64(data, pos)[0], pos + 8
+    if tag == _BIGINT:
+        end = pos + 1 + data[pos]
+        return int.from_bytes(data[pos + 1:end], "big", signed=True), end
+    sized = _SIZED.get(tag)
+    if sized is not None:
+        kind, width, read = sized
+        n = read(data, pos)[0]
+        pos += width
+    elif tag > 0xBF:
+        raise WireFormatError(f"unknown binary tag 0x{tag:02X}")
+    elif tag >= _FIXSTR:
+        kind, n = str, tag & 0x1F
+    elif tag >= _FIXARR:
+        kind, n = tuple, tag & 0x0F
+    else:
+        kind, n = dict, tag & 0x0F
+    if kind is str:
+        return data[pos:pos + n].decode(), pos + n
+    if kind is bytes:
+        return data[pos:pos + n], pos + n
+    # Containers are sized by what is parsed, never by the announced count:
+    # every element consumes at least its tag byte.
+    if kind is tuple:
+        items = []
+        for _ in range(n):
+            item, pos = _decode_value(data, pos)
+            items.append(item)
+        return tuple(items), pos
+    mapping = {}
+    for _ in range(n):
+        key, pos = _decode_value(data, pos)
+        mapping[key], pos = _decode_value(data, pos)
+    return mapping, pos
 
 
 # --------------------------------------------------------------------------
@@ -393,250 +702,36 @@ def _dejsonify(value: Any) -> Any:
                 raise WireFormatError(
                     f"struct {cls.__name__} field mismatch: "
                     f"{sorted(fields)} != {sorted(names)}")
-            try:
-                return cls(**{name: _dejsonify(fields[name])
-                              for name in names})
-            except (TypeError, ValueError) as exc:
-                raise WireFormatError(
-                    f"cannot reconstruct {cls.__name__}: {exc}") from exc
+            return cls(**{name: _dejsonify(fields[name]) for name in names})
         raise WireFormatError(
             f"malformed JSON wire object with keys {sorted(value)}")
     raise WireFormatError(f"unencodable JSON value {value!r}")
 
 
 # --------------------------------------------------------------------------
-# Columnar struct arrays (wire v3)
-# --------------------------------------------------------------------------
-# A *struct array* encodes N instances of one registered dataclass column by
-# column instead of instance by instance.  Per column the encoder picks the
-# cheapest of six layouts; the decoder reconstructs instances with one
-# ``map(cls, *columns)`` sweep.  Integer columns are raw little-endian int64
-# arrays read back through ``array.frombytes`` over a ``memoryview`` (no
-# per-value tag dispatch, no intermediate copies); string columns are one
-# UTF-8 blob plus a uint16 length array, decoded straight off the
-# ``memoryview`` and interned for key-shaped fields.
-#
-#     struct_array := u16 type_id, u32 count, u8 n_fields, column...
-#     column       := u8 kind, payload
-#       KIND_GENERIC 0: count standard-encoded values
-#       KIND_CONST   1: one standard-encoded value (all N are equal)
-#       KIND_I64     2: count * 8 bytes, little-endian signed
-#       KIND_STR     3: count * u16 UTF-8 lengths (LE), then the blob
-#       KIND_ITUP    4: u16 tuple length L, then count * L int64 (LE)
-#       KIND_STRUCT  5: a nested struct array (same count)
-
-KIND_GENERIC = 0
-KIND_CONST = 1
-KIND_I64 = 2
-KIND_STR = 3
-KIND_ITUP = 4
-KIND_STRUCT = 5
-
-#: Upper bound on one struct array's element count (also the upper bound on
-#: envelopes per batch frame; a prefix beyond it means corruption).
-MAX_STRUCT_ARRAY = 1 << 16
-
-#: Fields whose decoded strings are interned (bounded key/writer spaces;
-#: trace ids and ROT ids are unique per operation and must stay out of the
-#: intern cache).
-_INTERNED_FIELDS = frozenset({"key", "put_key", "writer"})
-
-_I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63
-_IS_LITTLE_ENDIAN = sys.byteorder == "little"
-_SCALARS = (int, float, str, bytes)
-
-
-def _column_kind(values: list) -> int:
-    """Pick the cheapest lossless column layout for ``values``."""
-    first = values[0]
-    first_type = type(first)
-    if first is None or first_type in (bool, *_SCALARS):
-        # Constant folding compares types too: 0 == 0.0 and (1,) == (1.0,)
-        # are Python-equal but decode to different objects.
-        if all(type(v) is first_type and v == first for v in values):
-            return KIND_CONST
-    elif all(v is first for v in values):
-        return KIND_CONST
-    if first_type is int:
-        if all(type(v) is int and _I64_MIN <= v < _I64_MAX for v in values):
-            return KIND_I64
-        return KIND_GENERIC
-    if first_type is str:
-        if all(type(v) is str for v in values):
-            return KIND_STR
-        return KIND_GENERIC
-    if first_type is tuple and first:
-        length = len(first)
-        if all(type(v) is tuple and len(v) == length
-               and all(type(item) is int and _I64_MIN <= item < _I64_MAX
-                       for item in v)
-               for v in values):
-            return KIND_ITUP
-        return KIND_GENERIC
-    if first_type in _CLASS_TO_ID:
-        if all(type(v) is first_type for v in values):
-            return KIND_STRUCT
-    return KIND_GENERIC
-
-
-def encode_struct_array(values: list, out: bytearray) -> None:
-    """Append the struct-array encoding of ``values`` (same-type, >= 1)."""
-    cls = type(values[0])
-    type_id = _CLASS_TO_ID.get(cls)
-    if type_id is None:
-        raise WireFormatError(
-            f"cannot encode {cls.__name__!r}: not a registered wire type "
-            f"(see repro.wire.register_wire_type)")
-    count = len(values)
-    if count > MAX_STRUCT_ARRAY:
-        raise WireFormatError(
-            f"struct array of {count} {cls.__name__} elements exceeds the "
-            f"{MAX_STRUCT_ARRAY}-element limit")
-    names = _FIELDS[cls]
-    out += _pack_u16(type_id)
-    out += _pack_u32(count)
-    out.append(len(names))
-    for name in names:
-        column = [getattr(v, name) for v in values]
-        kind = _column_kind(column)
-        out.append(kind)
-        if kind == KIND_CONST:
-            _encode_value(column[0], out)
-        elif kind == KIND_I64:
-            out += struct.pack(f"<{count}q", *column)
-        elif kind == KIND_STR:
-            blobs = [v.encode("utf-8") for v in column]
-            if any(len(blob) > 0xFFFF for blob in blobs):
-                out[-1] = KIND_GENERIC
-                for value in column:
-                    _encode_value(value, out)
-                continue
-            out += struct.pack(f"<{count}H", *map(len, blobs))
-            for blob in blobs:
-                out += blob
-        elif kind == KIND_ITUP:
-            length = len(column[0])
-            out += _pack_u16(length)
-            out += struct.pack(f"<{count * length}q",
-                               *chain.from_iterable(column))
-        elif kind == KIND_STRUCT:
-            encode_struct_array(column, out)
-        else:
-            for value in column:
-                _encode_value(value, out)
-
-
-def _take_i64_array(mv: memoryview, pos: int, count: int) -> tuple[array, int]:
-    end = pos + count * 8
-    if end > len(mv):
-        raise WireFormatError(
-            f"truncated struct array: int64 column needs {count * 8} bytes "
-            f"at offset {pos}, have {len(mv) - pos}")
-    values = array("q")
-    values.frombytes(mv[pos:end])
-    if not _IS_LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-        values.byteswap()
-    return values, end
-
-
-def decode_struct_array(data, mv: memoryview, pos: int) -> tuple[list, int]:
-    """Decode one struct array at ``pos``; returns ``(instances, new_pos)``.
-
-    ``data`` is the underlying buffer (for the generic-column fallback
-    decoder); ``mv`` a memoryview over it, so integer and string columns
-    come straight off the receive buffer without intermediate copies.
-    """
-    if pos + 7 > len(mv):
-        raise WireFormatError("truncated struct array header")
-    type_id = _unpack_u16(mv, pos)[0]
-    count = _unpack_u32(mv, pos + 2)[0]
-    n_fields = mv[pos + 6]
-    pos += 7
-    cls = _ID_TO_CLASS.get(type_id)
-    if cls is None:
-        raise WireFormatError(f"unknown wire type id {type_id}")
-    if count == 0:
-        raise WireFormatError(
-            f"empty struct array of {cls.__name__} (count must be >= 1)")
-    if count > MAX_STRUCT_ARRAY:
-        raise WireFormatError(
-            f"struct array count {count} exceeds the "
-            f"{MAX_STRUCT_ARRAY}-element limit (corrupt frame?)")
-    names = _FIELDS[cls]
-    if n_fields != len(names):
-        raise WireFormatError(
-            f"struct array of {cls.__name__} carries {n_fields} columns, "
-            f"expected {len(names)}")
-    columns = []
-    for name in names:
-        if pos >= len(mv):
-            raise WireFormatError("truncated struct array column header")
-        kind = mv[pos]
-        pos += 1
-        if kind == KIND_CONST:
-            reader = _Reader(data, pos)
-            value = _decode_value(reader)
-            pos = reader.pos
-            if name in _INTERNED_FIELDS and type(value) is str:
-                value = intern_key(value)
-            columns.append(repeat(value, count))
-        elif kind == KIND_I64:
-            values, pos = _take_i64_array(mv, pos, count)
-            columns.append(values)
-        elif kind == KIND_STR:
-            lengths, end = pos + 2 * count, 0
-            if lengths > len(mv):
-                raise WireFormatError("truncated struct array string column")
-            sizes = array("H")
-            sizes.frombytes(mv[pos:lengths])
-            if not _IS_LITTLE_ENDIAN:  # pragma: no cover
-                sizes.byteswap()
-            pos, end = lengths, lengths + sum(sizes)
-            if end > len(mv):
-                raise WireFormatError("truncated struct array string blob")
-            strings: list[str] = []
-            if name in _INTERNED_FIELDS:
-                for size in sizes:
-                    strings.append(intern_key(str(mv[pos:pos + size],
-                                                  "utf-8")))
-                    pos += size
-            else:
-                for size in sizes:
-                    strings.append(str(mv[pos:pos + size], "utf-8"))
-                    pos += size
-            columns.append(strings)
-        elif kind == KIND_ITUP:
-            if pos + 2 > len(mv):
-                raise WireFormatError("truncated struct array tuple column")
-            length = _unpack_u16(mv, pos)[0]
-            values, pos = _take_i64_array(mv, pos + 2, count * length)
-            it = iter(values)
-            columns.append([tuple(row) for row in zip(*([it] * length))])
-        elif kind == KIND_STRUCT:
-            values, pos = decode_struct_array(data, mv, pos)
-            columns.append(values)
-        elif kind == KIND_GENERIC:
-            reader = _Reader(data, pos)
-            columns.append([_decode_value(reader) for _ in range(count)])
-            pos = reader.pos
-        else:
-            raise WireFormatError(
-                f"unknown struct array column kind {kind} "
-                f"(field {cls.__name__}.{name})")
-    try:
-        return list(map(cls, *columns)), pos
-    except (TypeError, ValueError) as exc:
-        raise WireFormatError(
-            f"cannot reconstruct {cls.__name__} column-wise: {exc}") from exc
-
-
-# --------------------------------------------------------------------------
 # Frame API
 # --------------------------------------------------------------------------
 
-#: Lazily bound :func:`repro.wire.batch.decode_batch_payload` (the batch
-#: module imports this one, so the binding happens on first batch decode).
-_decode_batch = None
+def _unencodable(value: Any, exc: BaseException) -> WireFormatError:
+    return WireFormatError(
+        f"cannot encode {type(value).__name__}: a field contradicts its "
+        f"annotation or is out of range ({type(exc).__name__}: {exc})")
+
+
+def _malformed(exc: BaseException) -> WireFormatError:
+    return WireFormatError(f"malformed frame ({type(exc).__name__}: {exc})")
+
+
+def _check_consumed(pos: int, length: int) -> None:
+    """Lengths inside a frame are trusted while slicing, so an overrun shows
+    up here: every decode ends with this check."""
+    if pos > length:
+        raise WireFormatError(
+            f"truncated frame: the payload overruns it by {pos - length} "
+            f"bytes")
+    if pos < length:
+        raise WireFormatError(
+            f"{length - pos} trailing bytes after the frame payload")
 
 
 def encode(value: Any, *, format: str = "binary") -> bytes:
@@ -651,16 +746,51 @@ def encode(value: Any, *, format: str = "binary") -> bytes:
             f"unknown wire format {format!r}; known: "
             f"{sorted(_FORMATS)}") from None
     out = bytearray((MAGIC, WIRE_VERSION, format_tag))
-    if format_tag == FORMAT_BINARY:
-        _encode_value(value, out)
-    else:
+    if format_tag == FORMAT_JSON:
         out += json.dumps(_jsonify(value), separators=(",", ":"),
                           sort_keys=True).encode("utf-8")
+        return bytes(out)
+    try:
+        _encode_value(value, out)
+    except _ENCODE_ERRORS as exc:
+        raise _unencodable(value, exc) from exc
     return bytes(out)
 
 
+def encode_run(values: Sequence, header: bytes = b"") -> bytes:
+    """``header`` + ``[u32 count]`` + ``values`` as tagged values, row by row
+    (the payload of batch frames and record blobs)."""
+    out = bytearray(header)
+    out += _pack_u32(len(values))
+    try:
+        for value in values:
+            _encode_value(value, out)
+    except _ENCODE_ERRORS as exc:
+        raise _unencodable(value, exc) from exc
+    return bytes(out)
+
+
+def decode_run(data: bytes, start: int = 0) -> list:
+    """Decode the :func:`encode_run` payload that fills ``data[start:]``."""
+    values = []
+    try:
+        data = bytes(data)  # a no-op for bytes; slices must be hashable
+        count = _unpack_u32(data, start)[0]
+        pos = start + 4
+        if count > len(data) - pos:
+            raise _short("run", count)
+        for _ in range(count):
+            value, pos = _decode_value(data, pos)
+            values.append(value)
+    except _DECODE_ERRORS as exc:
+        raise _malformed(exc) from exc
+    _check_consumed(pos, len(data))
+    return values
+
+
 def decode(data: bytes) -> Any:
-    """Decode one frame body produced by :func:`encode` (either format)."""
+    """Decode one frame body produced by :func:`encode` (either format) or
+    :func:`repro.wire.batch.encode_batch` (to a :class:`BatchFrame`)."""
     if len(data) < 3:
         raise WireFormatError(
             f"frame too short ({len(data)} bytes); need at least the "
@@ -673,42 +803,35 @@ def decode(data: bytes) -> Any:
             f"unsupported wire version {data[1]} (this codec speaks "
             f"versions {SUPPORTED_WIRE_VERSIONS})")
     format_tag = data[2]
-    if format_tag == FORMAT_BINARY:
-        reader = _Reader(data, 3)
-        value = _decode_value(reader)
-        if reader.pos != len(data):
-            raise WireFormatError(
-                f"{len(data) - reader.pos} trailing bytes after the "
-                f"frame payload")
-        return value
     if format_tag == FORMAT_BATCH:
-        global _decode_batch
-        if _decode_batch is None:
-            from repro.wire.batch import decode_batch_payload
-            _decode_batch = decode_batch_payload
-        return _decode_batch(data)
-    if format_tag == FORMAT_JSON:
-        try:
-            payload = json.loads(data[3:].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireFormatError(f"malformed JSON frame: {exc}") from exc
-        return _dejsonify(payload)
-    raise WireFormatError(f"unknown wire format tag 0x{format_tag:02X}")
+        return BatchFrame(envelopes=tuple(decode_run(data, 3)))
+    if format_tag not in (FORMAT_BINARY, FORMAT_JSON):
+        raise WireFormatError(f"unknown wire format tag 0x{format_tag:02X}")
+    try:
+        if format_tag == FORMAT_JSON:
+            return _dejsonify(json.loads(str(data[3:], "utf-8")))
+        value, pos = _decode_value(bytes(data), 3)
+    except _DECODE_ERRORS as exc:
+        raise _malformed(exc) from exc
+    _check_consumed(pos, len(data))
+    return value
 
 
 __all__ = [
+    "BatchFrame",
     "DYNAMIC_TYPE_ID_BASE",
     "FORMAT_BATCH",
     "FORMAT_BINARY",
     "FORMAT_JSON",
+    "FieldKind",
     "MAGIC",
-    "MAX_STRUCT_ARRAY",
     "SUPPORTED_WIRE_VERSIONS",
     "WIRE_VERSION",
     "decode",
-    "decode_struct_array",
+    "decode_run",
     "encode",
-    "encode_struct_array",
+    "encode_run",
+    "field_plan",
     "register_wire_type",
     "registered_wire_types",
 ]

@@ -30,7 +30,7 @@ LENGTH_BYTES = 4
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _pack_len = struct.Struct(">I").pack
-_unpack_len = struct.Struct(">I").unpack
+_unpack_len = struct.Struct(">I").unpack_from
 
 
 def frame(payload: bytes) -> bytes:
@@ -58,21 +58,24 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[bytes]:
         """Append ``data`` and return the payloads of all complete frames."""
-        self._buffer += data
+        buffer = self._buffer
+        buffer += data
         frames: list[bytes] = []
-        while True:
-            if len(self._buffer) < LENGTH_BYTES:
-                break
-            (length,) = _unpack_len(self._buffer[:LENGTH_BYTES])
+        start, available = 0, len(buffer)
+        while available - start >= LENGTH_BYTES:
+            (length,) = _unpack_len(buffer, start)
             if length > MAX_FRAME_BYTES:
                 raise WireFormatError(
                     f"frame length prefix {length} exceeds the "
                     f"{MAX_FRAME_BYTES}-byte limit (corrupt stream?)")
-            if len(self._buffer) < LENGTH_BYTES + length:
+            end = start + LENGTH_BYTES + length
+            if end > available:
                 break
-            frames.append(bytes(self._buffer[LENGTH_BYTES:
-                                             LENGTH_BYTES + length]))
-            del self._buffer[:LENGTH_BYTES + length]
+            frames.append(bytes(buffer[start + LENGTH_BYTES:end]))
+            start = end
+        # One shift per feed, not per frame: a chunk of many small frames
+        # would otherwise move the rest of the buffer once for each.
+        del buffer[:start]
         return frames
 
     @property

@@ -1,7 +1,7 @@
-"""Batch frame tests: columnar coalescing, flush policies, edge cases.
+"""Batch frame tests: row-wise coalescing, flush policies, edge cases.
 
 Covers the wire side (encode_batch/decode round trips, empty and single
-batches, oversize rejection, torn-frame reassembly through
+batches, oversize rejection, count mismatches, torn-frame reassembly through
 FrameDecoder) and the transport side (threshold and idle flushes, graceful
 stop, batch trace events) without spawning any processes.
 """
@@ -23,11 +23,9 @@ from repro.wire.batch import (
     BatchFrame,
     FlushPolicy,
     MAX_BATCH_MESSAGES,
-    MIN_COLUMNAR_RUN,
-    decode_batch_payload,
     encode_batch,
 )
-from repro.wire.codec import FORMAT_BATCH, MAGIC, WIRE_VERSION, decode
+from repro.wire.codec import FORMAT_BATCH, MAGIC, WIRE_VERSION, decode, encode
 from repro.wire.framing import FrameDecoder, frame
 from repro.wire.intern import clear_interned, intern_key
 
@@ -59,8 +57,6 @@ class TestBatchCodec:
         assert list(decoded.envelopes) == envelopes
 
     def test_heterogeneous_batch_round_trips(self):
-        # Alternating payload types: every run is shorter than
-        # MIN_COLUMNAR_RUN, so everything lands in generic sections.
         envelopes = []
         for i in range(6):
             envelopes.append(_replicate(i))
@@ -68,12 +64,17 @@ class TestBatchCodec:
         decoded = decode(encode_batch(envelopes))
         assert list(decoded.envelopes) == envelopes
 
-    def test_mixed_runs_round_trip(self):
-        envelopes = ([_replicate(i) for i in range(MIN_COLUMNAR_RUN)]
-                     + [_heartbeat(0)]
+    def test_a_batch_is_its_envelopes_row_by_row(self):
+        # One layout: a row of a batch frame is byte for byte what encode()
+        # writes for that envelope after the 3-byte frame header.
+        envelopes = ([_replicate(i) for i in range(4)] + [_heartbeat(0)]
                      + [_replicate(i, key=f"k{i}") for i in range(9)])
-        decoded = decode(encode_batch(envelopes))
-        assert list(decoded.envelopes) == envelopes
+        payload = encode_batch(envelopes)
+        assert payload[:3] == bytes((MAGIC, WIRE_VERSION, FORMAT_BATCH))
+        assert payload[3:7] == len(envelopes).to_bytes(4, "big")
+        assert payload[7:] == b"".join(encode(envelope)[3:]
+                                       for envelope in envelopes)
+        assert list(decode(payload).envelopes) == envelopes
 
     def test_empty_batch_round_trips(self):
         decoded = decode(encode_batch([]))
@@ -92,13 +93,13 @@ class TestBatchCodec:
     def test_announced_count_must_match(self):
         payload = bytearray(encode_batch([_replicate(i) for i in range(5)]))
         payload[3:7] = (6).to_bytes(4, "big")
-        with pytest.raises(WireFormatError, match="announced"):
+        with pytest.raises(WireFormatError, match="malformed|truncated"):
             decode(bytes(payload))
-
-    def test_unknown_section_kind_rejected(self):
-        payload = bytearray(encode_batch([_replicate(i) for i in range(5)]))
-        payload[9] = 77  # first section kind byte
-        with pytest.raises(WireFormatError, match="section kind"):
+        payload[3:7] = (4).to_bytes(4, "big")
+        with pytest.raises(WireFormatError, match="trailing"):
+            decode(bytes(payload))
+        payload[3:7] = (2 ** 32 - 1).to_bytes(4, "big")
+        with pytest.raises(WireFormatError, match="more than the bytes"):
             decode(bytes(payload))
 
     def test_trailing_bytes_rejected(self):
@@ -108,37 +109,35 @@ class TestBatchCodec:
 
     def test_truncated_batch_rejected(self):
         payload = encode_batch([_replicate(i) for i in range(5)])
-        with pytest.raises(WireFormatError):
-            decode(payload[:len(payload) - 3])
-        with pytest.raises(WireFormatError, match="short"):
-            decode_batch_payload(bytes((MAGIC, WIRE_VERSION, FORMAT_BATCH)))
+        for cut in range(1, len(payload) - 3):
+            with pytest.raises(WireFormatError):
+                decode(payload[:len(payload) - cut])
 
-
-class TestColumnarDetails:
-    def test_type_changing_constant_folds_are_refused(self):
-        # 0 == 0.0 in Python, so a naive constant fold would silently turn
-        # the float into an int on decode.  The encoder must notice the
-        # type split and fall back to a per-value column.
-        envelopes = [Envelope(sender=None, dest=DEST,
-                              payload=CcloPutReply(key="k", timestamp=0))
-                     for _ in range(4)]
-        envelopes.append(Envelope(sender=None, dest=DEST,
-                                  payload=CcloPutReply(key="k",
-                                                       timestamp=0.0)))
-        decoded = decode(encode_batch(envelopes)).envelopes
-        assert [type(e.payload.timestamp) for e in decoded] == [
-            int, int, int, int, float]
+    def test_a_row_that_is_not_an_envelope_still_decodes_as_a_value(self):
+        # The frame is a run of tagged values; that they are envelopes is
+        # the transport's contract, checked there (_deliver_envelope).
+        rows = [_replicate(0), CcloPutReply(key="k", timestamp=1), 7, None]
+        assert list(decode(encode_batch(rows)).envelopes) == rows
 
     def test_decoded_keys_are_interned(self):
         clear_interned()
         try:
-            decoded = decode(encode_batch(
-                [_replicate(i) for i in range(8)])).envelopes
-            keys = {id(envelope.payload.key) for envelope in decoded}
-            assert len(keys) == 1
-            assert decoded[0].payload.key is intern_key("hot-key")
+            for payload in (encode_batch([_replicate(i) for i in range(8)]),
+                            encode_batch([_replicate(0)])):
+                decoded = decode(payload).envelopes
+                keys = {id(envelope.payload.key) for envelope in decoded}
+                assert len(keys) == 1
+                assert decoded[0].payload.key is intern_key("hot-key")
+                assert decoded[0].payload.writer is intern_key("c-0")
         finally:
             clear_interned()
+
+    def test_decoded_addresses_are_shared(self):
+        decoded = decode(encode_batch([_replicate(i) for i in range(8)]))
+        assert len({id(envelope.dest) for envelope in decoded.envelopes}) == 1
+        assert len({id(envelope.sender)
+                    for envelope in decoded.envelopes}) == 1
+        assert decoded.envelopes[0].dest == DEST
 
     def test_torn_frame_reassembles_through_frame_decoder(self):
         envelopes = [_replicate(i) for i in range(12)]
@@ -303,7 +302,7 @@ class TestTcpBatching:
 
         asyncio.run(scenario())
 
-    def test_single_pending_envelope_goes_out_unbatched(self):
+    def test_single_pending_envelope_goes_out_as_a_batch_of_one(self):
         async def scenario():
             a = TcpTransport()
             b = TcpTransport(batch=True)
@@ -316,10 +315,9 @@ class TestTcpBatching:
             b.set_peers({DEST: ("127.0.0.1", a.port)})
             b.send(None, DEST, _replicate(0).payload)
             await asyncio.wait_for(node.event.wait(), 5.0)
-            # A flush of one envelope is a plain per-message frame, so the
-            # receiver sees no batch_recv event.
-            assert all(kind != "batch_recv"
-                       for kind, _data in recv_tracer.events)
+            # One frame kind on the data plane: a flush of one envelope is a
+            # batch frame of one.
+            assert recv_tracer.events == [("batch_recv", (("count", 1),))]
             await b.stop()
             await a.stop()
 
