@@ -42,12 +42,14 @@ class GlobalStableSnapshot:
         self._known_vv: list[tuple[int, ...]] = [zero_vector(num_dcs)
                                                  for _ in range(num_partitions)]
         self._partition_index = partition_index
-        self._gss = zero_vector(num_dcs)
-
-    @property
-    def gss(self) -> tuple[int, ...]:
-        """The current Global Stable Snapshot (entry-wise minimum of VVs)."""
-        return self._gss
+        #: Entry-wise minimum of the known VVs, recomputed only when a
+        #: recorded VV advanced.
+        self._stable = zero_vector(num_dcs)
+        #: The current Global Stable Snapshot: ``_stable`` as of the last
+        #: record, moved forward by :meth:`merge_observed_gss` since.  A plain
+        #: attribute (read several times per message); only this class
+        #: assigns it.
+        self.gss = self._stable
 
     def update_local_vv(self, vv: Sequence[int]) -> None:
         """Record this partition's own version vector."""
@@ -56,7 +58,7 @@ class GlobalStableSnapshot:
     def observe_remote_vv(self, partition_index: int, vv: Sequence[int]) -> tuple[int, ...]:
         """Record a VV received from another partition and recompute the GSS."""
         self._record(partition_index, vv)
-        return self._gss
+        return self.gss
 
     def _record(self, partition_index: int, vv: Sequence[int]) -> None:
         if len(vv) != self._num_dcs:
@@ -64,8 +66,11 @@ class GlobalStableSnapshot:
                 f"version vector has {len(vv)} entries, expected {self._num_dcs}")
         # VV entries never move backwards; guard against reordered messages.
         current = self._known_vv[partition_index]
-        self._known_vv[partition_index] = entrywise_max(current, tuple(vv))
-        self._gss = entrywise_min_all(self._known_vv)
+        merged = entrywise_max(current, vv)
+        if merged != current:
+            self._known_vv[partition_index] = merged
+            self._stable = entrywise_min_all(self._known_vv)
+        self.gss = self._stable
 
     def merge_observed_gss(self, other: Sequence[int]) -> tuple[int, ...]:
         """Merge a GSS observed from a client or coordinator (entry-wise max).
@@ -74,8 +79,8 @@ class GlobalStableSnapshot:
         that they observe monotonically increasing snapshots; a partition
         merging that value may only move its own view forward.
         """
-        self._gss = entrywise_max(self._gss, tuple(other))
-        return self._gss
+        self.gss = entrywise_max(self.gss, other)
+        return self.gss
 
 
 __all__ = ["GlobalStableSnapshot"]

@@ -71,55 +71,47 @@ class HybridLogicalClock:
 
     def __init__(self, physical: PhysicalClock) -> None:
         self._physical = physical
-        # Start below the physical clock so the first event at a fresh
+        # The latest timestamp generated or observed, kept packed: every
+        # operation below is then integer arithmetic (a carry out of the
+        # logical bits lands in the physical part, as ``pack`` folds it).
+        # Starts below the physical clock so the first event at a fresh
         # microsecond gets logical component 0.
-        self._latest = HLCTimestamp(physical=0, logical=0)
+        self._latest = 0
 
     # ------------------------------------------------------------------ reads
     @property
     def latest(self) -> HLCTimestamp:
         """The latest timestamp generated or observed (no side effect)."""
-        return self._latest
+        return HLCTimestamp.unpack(self._latest)
 
     def now(self) -> int:
         """Packed reading reflecting physical time, without recording an event."""
-        physical_now = self._physical.now_us()
-        if physical_now > self._latest.physical:
-            return HLCTimestamp(physical_now, 0).pack()
-        return self._latest.pack()
+        fresh = self._physical.now_us() << LOGICAL_BITS
+        return fresh if fresh > self._latest else self._latest
 
     @property
     def value(self) -> int:
         """Packed value of the latest recorded timestamp."""
-        return self._latest.pack()
+        return self._latest
 
     # ----------------------------------------------------------------- events
     def tick(self) -> int:
         """Timestamp a local event and return the packed timestamp."""
-        physical_now = self._physical.now_us()
-        if physical_now > self._latest.physical:
-            self._latest = HLCTimestamp(physical_now, 0)
-        else:
-            self._latest = HLCTimestamp(self._latest.physical,
-                                        self._latest.logical + 1)
-        return self._latest.pack()
+        fresh = self._physical.now_us() << LOGICAL_BITS
+        self._latest = fresh if fresh > self._latest else self._latest + 1
+        return self._latest
 
     def update(self, observed_packed: int) -> int:
         """Merge a timestamp observed in a message and timestamp the receipt."""
-        observed = HLCTimestamp.unpack(observed_packed)
-        physical_now = self._physical.now_us()
-        max_physical = max(physical_now, self._latest.physical, observed.physical)
-        if max_physical == physical_now and physical_now > self._latest.physical \
-                and physical_now > observed.physical:
-            logical = 0
-        elif max_physical == self._latest.physical and max_physical == observed.physical:
-            logical = max(self._latest.logical, observed.logical) + 1
-        elif max_physical == self._latest.physical:
-            logical = self._latest.logical + 1
-        else:
-            logical = observed.logical + 1
-        self._latest = HLCTimestamp(max_physical, logical)
-        return self._latest.pack()
+        if observed_packed < 0:
+            raise ClockError("packed HLC timestamp must be non-negative, got "
+                             f"{observed_packed}")
+        fresh = self._physical.now_us() << LOGICAL_BITS
+        seen = max(self._latest, observed_packed)
+        # A physical clock ahead of both starts a fresh microsecond; otherwise
+        # the receipt is the event after the later of the two.
+        self._latest = fresh if fresh > seen else seen + 1
+        return self._latest
 
     def advance_to(self, target_packed: int) -> int:
         """Move the clock forward to at least ``target_packed``.
@@ -128,12 +120,13 @@ class HybridLogicalClock:
         Contrarian's ROTs never block: a partition that receives a snapshot
         timestamp ahead of its HLC simply adopts it.
         """
-        if target_packed > self._latest.pack():
-            self._latest = HLCTimestamp.unpack(target_packed)
-        return self._latest.pack()
+        if target_packed > self._latest:
+            self._latest = target_packed
+        return self._latest
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"HybridLogicalClock({self._latest.physical}, {self._latest.logical})"
+        latest = self.latest
+        return f"HybridLogicalClock({latest.physical}, {latest.logical})"
 
 
 __all__ = ["HLCTimestamp", "HybridLogicalClock", "LOGICAL_BITS"]

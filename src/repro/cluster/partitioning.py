@@ -9,8 +9,34 @@ partitions storing the requested keys.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 from repro.errors import ConfigurationError
+from repro.wire.intern import MAX_INTERNED_KEYS
+
+
+class _PartitionMemo(dict):
+    """``memo[key]`` is the partition of ``key``, a plain dict lookup once the
+    key has been seen.  Bounded like :func:`repro.wire.intern.intern_key`:
+    when full it stops admitting (no eviction churn on adversarial keys)."""
+
+    def __init__(self, num_partitions: int) -> None:
+        super().__init__()
+        self._num_partitions = num_partitions
+
+    def __missing__(self, key: str) -> int:
+        # A structured key is ASCII decimal digits before the colon
+        # (``str.isdigit`` alone also accepts superscripts, which ``int``
+        # rejects, and digits of other scripts); anything else is hashed.
+        head, separator, _ = key.partition(":")
+        if separator and head.isascii() and head.isdigit():
+            partition = int(head) % self._num_partitions
+        else:
+            digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+            partition = int.from_bytes(digest, "big") % self._num_partitions
+        if len(self) < MAX_INTERNED_KEYS:
+            self[key] = partition
+        return partition
 
 
 class HashPartitioner:
@@ -26,6 +52,7 @@ class HashPartitioner:
             raise ConfigurationError(
                 f"need at least one partition, got {num_partitions}")
         self._num_partitions = num_partitions
+        self._memo = _PartitionMemo(num_partitions)
 
     @property
     def num_partitions(self) -> int:
@@ -45,17 +72,14 @@ class HashPartitioner:
 
     def partition_of(self, key: str) -> int:
         """Partition index that stores ``key``."""
-        head, separator, _ = key.partition(":")
-        if separator and head.isdigit():
-            return int(head) % self._num_partitions
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self._num_partitions
+        return self._memo[key]
 
-    def group_by_partition(self, keys: list[str]) -> dict[int, list[str]]:
+    def group_by_partition(self, keys: Iterable[str]) -> dict[int, list[str]]:
         """Group ``keys`` by the partition that stores them (order preserved)."""
         groups: dict[int, list[str]] = {}
+        memo = self._memo
         for key in keys:
-            groups.setdefault(self.partition_of(key), []).append(key)
+            groups.setdefault(memo[key], []).append(key)
         return groups
 
     def keys_for_partition(self, partition: int, num_keys: int,

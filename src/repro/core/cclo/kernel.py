@@ -6,9 +6,9 @@ dependency check and the fault-hardened ordered-replication mode — as a pure
 state machine; :class:`CcloClientKernel` holds the client side (explicit
 nearest dependencies, one read request per involved partition).  Both emit
 :mod:`repro.core.common.kernel` effects and never import the simulator;
-drivers execute the effects against the discrete-event simulator
-(:mod:`repro.core.cclo.server` / ``client``) or asyncio
-(:mod:`repro.runtime`).
+:mod:`repro.core.common.host` interprets the effects, on the discrete-event
+simulator (:mod:`repro.sim.drivers`) or an asyncio loop
+(:mod:`repro.runtime.nodes`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.core.common.kernel import (
     ClientKernel,
     PutOutcome,
     RotOutcome,
-    ServerAddr,
     ServerKernel,
     TimerSpec,
 )
@@ -125,6 +124,13 @@ class CcloKernel(ServerKernel):
         # finalised yet, keyed by (key, origin_dc, timestamp); only populated
         # while tracing (the finalize runs under a different message's trace).
         self._trace_by_version: dict[tuple[str, int, int], str] = {}
+        self._handlers = {
+            OneRoundReadRequest: self._handle_read,
+            CcloPutRequest: self._handle_put,
+            ReadersCheckRequest: self._handle_readers_check_request,
+            ReadersCheckReply: self._handle_readers_check_reply,
+            CcloReplicateUpdate: self._handle_replicated_update,
+        }
 
     # ------------------------------------------------------------ factories
     @classmethod
@@ -159,22 +165,6 @@ class CcloKernel(ServerKernel):
         else:
             super()._handle_timer(tag, payload)
 
-    # --------------------------------------------------------------- dispatch
-    def _dispatch(self, sender: Addr, message: object) -> None:
-        if isinstance(message, OneRoundReadRequest):
-            self._handle_read(sender, message)
-        elif isinstance(message, CcloPutRequest):
-            self._handle_put(sender, message)
-        elif isinstance(message, ReadersCheckRequest):
-            self._handle_readers_check_request(sender, message)
-        elif isinstance(message, ReadersCheckReply):
-            self._handle_readers_check_reply(message)
-        elif isinstance(message, CcloReplicateUpdate):
-            self._handle_replicated_update(message)
-        else:
-            raise ProtocolError(
-                f"{self.node_id} cannot handle {type(message).__name__}")
-
     # ------------------------------------------------------------------- ROT
     def _handle_read(self, sender: Addr, message: OneRoundReadRequest) -> None:
         results = []
@@ -184,16 +174,26 @@ class CcloKernel(ServerKernel):
                                              results=tuple(results)))
 
     def _read_key(self, key: str, rot_id: str, client_id: str) -> ReadResult:
-        latest_visible = self.store.latest_visible(key)
-        chosen = self.store.latest(
-            key, lambda v: v.is_visible() and not v.excludes_reader(rot_id))
+        latest_visible = None
+
+        def readable(version: Version) -> bool:
+            # One newest-first scan finds both the latest visible version
+            # (the first visible one it meets) and the one this ROT may read.
+            nonlocal latest_visible
+            if not version.visible:
+                return False
+            if latest_visible is None:
+                latest_visible = version
+            return rot_id not in version.old_readers
+
+        chosen = self.store.latest(key, readable)
         logical_time = self.clock.tick()
         now = self.now
         if chosen is None:
             # Nothing readable (should only happen for never-written keys).
             return ReadResult(key=key, timestamp=None, origin_dc=self.dc_id,
                               value_size=0)
-        if latest_visible is not None and chosen is latest_visible:
+        if chosen is latest_visible:
             self.readers.record_current_reader(key, rot_id, client_id,
                                                logical_time, now)
         else:
@@ -264,7 +264,7 @@ class CcloKernel(ServerKernel):
             return
         for partition_index, deps in groups.items():
             self.counters.readers_check_messages += 1
-            self._send(ServerAddr(self.dc_id, partition_index),
+            self._send(self._dc_servers[partition_index],
                        ReadersCheckRequest(
                            check_id=check_id, dependencies=tuple(deps),
                            put_key=version.key, put_timestamp=version.timestamp,
@@ -299,7 +299,8 @@ class CcloKernel(ServerKernel):
         self._send(sender, ReadersCheckReply(check_id=message.check_id,
                                              old_readers=tuple(collected)))
 
-    def _handle_readers_check_reply(self, message: ReadersCheckReply) -> None:
+    def _handle_readers_check_reply(self, sender: Addr,
+                                    message: ReadersCheckReply) -> None:
         pending = self._pending_checks.get(message.check_id)
         if pending is None:
             raise ProtocolError(f"unknown readers check {message.check_id}")
@@ -392,7 +393,7 @@ class CcloKernel(ServerKernel):
         origins = version.dependency_origins or (self.dc_id,) * len(version.dependencies)
         dependencies = tuple((key, ts, origin)
                              for (key, ts), origin in zip(version.dependencies, origins))
-        for replica in self.replicas():
+        for replica in self._replicas:
             self.counters.replication_messages += 1
             self.counters.dependency_entries_sent += len(dependencies)
             self._send(replica, CcloReplicateUpdate(
@@ -402,7 +403,8 @@ class CcloKernel(ServerKernel):
                 sequence=version.sequence,
                 old_readers=tuple(version.old_readers.items())))
 
-    def _handle_replicated_update(self, message: CcloReplicateUpdate) -> None:
+    def _handle_replicated_update(self, sender: Addr,
+                                  message: CcloReplicateUpdate) -> None:
         self.clock.update(message.timestamp)
         version = Version(key=intern_key(message.key), value=None,
                           timestamp=message.timestamp,
@@ -484,6 +486,8 @@ class CcloClientKernel(ClientKernel):
                          partitioner=partitioner, rot_registry=rot_registry)
         self.dep_context = ClientDependencyContext()
         self._pending_rot: Optional[PendingRot] = None
+        self._handlers = {OneRoundReadReply: self._handle_read_reply,
+                          CcloPutReply: self._handle_put_reply}
 
     @classmethod
     def from_config(cls, config, client_id: str, dc_id: int, *,
@@ -496,7 +500,7 @@ class CcloClientKernel(ClientKernel):
     # ------------------------------------------------------------------- ROT
     def _issue_rot(self, operation) -> None:
         rot_id = self.next_rot_id()
-        groups = self.partitioner.group_by_partition(list(operation.keys))
+        groups = self.partitioner.group_by_partition(operation.keys)
         self._pending_rot = PendingRot(rot_id=rot_id, keys=operation.keys,
                                        started_at=self.now,
                                        expected_replies=len(groups))
@@ -506,7 +510,7 @@ class CcloClientKernel(ClientKernel):
             # versions an old-reader-barred ROT must fall back to.
             registry.register(self.dc_id, rot_id)
         for partition_index, keys in groups.items():
-            self._send(ServerAddr(self.dc_id, partition_index),
+            self._send(self._servers[partition_index],
                        OneRoundReadRequest(rot_id=rot_id, keys=tuple(keys),
                                            client_id=self.client_id))
 
@@ -541,8 +545,7 @@ class CcloClientKernel(ClientKernel):
             dependencies=dependencies,
             dependency_partitions=self.dep_context.dependency_partitions(),
             client_id=self.client_id, sequence=self.sequence)
-        self._send(ServerAddr(self.dc_id, self.partitioner.partition_of(key)),
-                   request)
+        self._send(self._servers[self.partitioner.partition_of(key)], request)
 
     def _handle_put_reply(self, message: CcloPutReply) -> None:
         # Snapshot the causal context *before* the PUT subsumes it — the
@@ -555,16 +558,6 @@ class CcloClientKernel(ClientKernel):
                                          timestamp=message.timestamp,
                                          origin_dc=self.dc_id,
                                          dependencies=dependencies))
-
-    # -------------------------------------------------------------- dispatch
-    def _dispatch(self, message: object) -> None:
-        if isinstance(message, OneRoundReadReply):
-            self._handle_read_reply(message)
-        elif isinstance(message, CcloPutReply):
-            self._handle_put_reply(message)
-        else:
-            raise ProtocolError(
-                f"{self.client_id} cannot handle {type(message).__name__}")
 
     # ------------------------------------------------------------------ misc
     def checker_dependencies(self) -> tuple[tuple[str, int, int], ...]:

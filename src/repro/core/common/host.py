@@ -35,9 +35,24 @@ The drivers are :mod:`repro.sim.drivers` and :mod:`repro.runtime.nodes`.
 Because both run this code, a protocol cannot behave differently on one
 backend by accident of its driver.
 
-``kernel``, ``metrics``, ``checker`` and ``generator`` are plain attributes,
-read at every use: a caller may swap any of them on a live host (the layered
-benchmark wraps them in timing proxies after construction).
+The per-message path is a contract with everything that attaches to it from
+outside (the layered benchmark's timing proxies, the golden simulator runs):
+
+* **Read at every use**, never cached in a bound method at construction:
+  ``host.kernel``, ``host.generator``, ``host.metrics``, ``host.checker``,
+  ``kernel.store`` and ``cluster.transport`` — plain attributes a caller may
+  swap on a live node (the benchmark wraps each in a proxy after construction;
+  a read that bypassed ``kernel.store.latest`` would vanish from its numbers).
+* **One kernel entry call per delivery**, in delivery order —
+  ``on_message`` / ``on_timer`` / ``start_operation`` — returning a
+  ``list`` of ``Send`` / ``SetTimer`` / ``Complete`` instances that is run in
+  emission order; every ``Send`` leaves through ``self._send``.  Messages and
+  addresses are frozen dataclasses, compared and routed by value.
+* **May be precomputed**, because nothing outside can observe it and it never
+  changes: a kernel's routes (its address tables), its message-type handler
+  table, a partitioner's key memo.  Frames that only forward are folded away:
+  a delivery costs one host frame (``dispatch``), one kernel entry frame and
+  the handler.
 
 This module must stay importable without ``repro.sim`` and without
 ``asyncio``.
@@ -58,6 +73,7 @@ from repro.core.common.kernel import (
     ServerAddr,
     ServerKernel,
     SetTimer,
+    message_size,
 )
 from repro.errors import ProtocolError
 from repro.obs.events import EFFECT, MSG_RECV, MSG_SEND, OP_FINISH, OP_START
@@ -92,18 +108,20 @@ class KernelHost:
         tracer = self.tracer
         counters = self.counters
         for effect in effects:
+            # Most frequent first: several sends per message served, one
+            # completion per operation, a timer only when Cure blocks.
             if isinstance(effect, Send):
                 message = effect.message
                 if counters is not None:
                     counters.messages_sent += 1
-                    size_fn = getattr(message, "size_bytes", None)
-                    if callable(size_fn):
-                        counters.bytes_sent += int(size_fn())
+                    counters.bytes_sent += message_size(message, 0)
                 if tracer is not None:
                     tracer.emit(self.node_id, MSG_SEND,
                                 trace=self.current_trace,
                                 name=type(message).__name__, dc=self.dc_id)
                 self._send(effect.dest, message)
+            elif isinstance(effect, Complete):
+                self._finish(effect)
             elif isinstance(effect, SetTimer):
                 if tracer is not None:
                     tracer.emit(self.node_id, EFFECT,
@@ -113,8 +131,6 @@ class KernelHost:
                 # (Cure put-wait, rot-block) keeps its operation's trace;
                 # always None when tracing is disabled.
                 self._arm_timer(effect, self.current_trace)
-            elif isinstance(effect, Complete):
-                self._finish(effect)
             else:
                 self._reject(effect)
 
@@ -136,18 +152,15 @@ class KernelHost:
     def dispatch(self, sender: Addr, message: object,
                  trace: Optional[str]) -> None:
         """Serve one delivered message: adopt its trace, feed the kernel,
-        run the effects."""
-        self.current_trace = trace
-        kernel = self.kernel
-        tracer = self.tracer
-        if tracer is not None:
-            kernel.current_trace = trace
-            tracer.emit(self.node_id, MSG_RECV, trace=trace,
-                        name=type(message).__name__, dc=self.dc_id)
-        self.run_effects(self._feed(kernel, sender, message))
-
-    def _feed(self, kernel, sender: Addr, message: object) -> list[Effect]:
+        run the effects.  Each role spells this out (their kernels' entry
+        points differ), so that a delivery costs one host frame."""
         raise NotImplementedError
+
+    def _trace_recv(self, kernel, message: object,
+                    trace: Optional[str]) -> None:
+        kernel.current_trace = trace
+        self.tracer.emit(self.node_id, MSG_RECV, trace=trace,
+                         name=type(message).__name__, dc=self.dc_id)
 
 
 class ServerHost(KernelHost):
@@ -168,8 +181,14 @@ class ServerHost(KernelHost):
         """The kernel-owned overhead counters."""
         return self.kernel.counters
 
-    def _feed(self, kernel, sender: Addr, message: object) -> list[Effect]:
-        return kernel.on_message(sender, message, self.time_source.now)
+    def dispatch(self, sender: Addr, message: object,
+                 trace: Optional[str]) -> None:
+        self.current_trace = trace
+        kernel = self.kernel
+        if self.tracer is not None:
+            self._trace_recv(kernel, message, trace)
+        self.run_effects(
+            kernel.on_message(sender, message, self.time_source.now))
 
     def fire_timer(self, tag: str, payload: object = None,
                    trace: Optional[str] = None) -> None:
@@ -200,8 +219,13 @@ class ClientHost(KernelHost):
         self.outcome = None
         self._op_started_at = 0.0
 
-    def _feed(self, kernel, sender: Addr, message: object) -> list[Effect]:
-        return kernel.on_message(message, self.time_source.now)
+    def dispatch(self, sender: Addr, message: object,
+                 trace: Optional[str]) -> None:
+        self.current_trace = trace
+        kernel = self.kernel
+        if self.tracer is not None:
+            self._trace_recv(kernel, message, trace)
+        self.run_effects(kernel.on_message(message, self.time_source.now))
 
     # ------------------------------------------------------------------ issue
     def issue(self, operation) -> None:

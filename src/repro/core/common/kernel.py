@@ -21,8 +21,8 @@ A *host* (:mod:`repro.core.common.host`) interprets the effects, the same
 way for every backend; a backend *driver* owns the I/O underneath it: the
 simulated one (:mod:`repro.sim.drivers`) resolves addresses against the
 cluster topology and turns timers into simulator events, the real-time one
-(:mod:`repro.runtime.nodes`) resolves them against a transport and
-``asyncio`` sleeps.  Effects are executed strictly in emission order, which
+(:mod:`repro.runtime.nodes`) resolves them against a transport and loop
+timer handles.  Effects are executed strictly in emission order, which
 is what keeps simulated runs bit-identical to the pre-kernel implementation.
 
 Time enters a kernel only through the ``now`` arguments and through the
@@ -132,6 +132,14 @@ class Complete:
 Effect = Union[Send, SetTimer, Complete]
 
 
+def message_size(message: object, default: int = 64) -> int:
+    """Wire size of ``message`` as it reports it (``size_bytes()``), else
+    ``default``: the one sizing rule of the traffic counters, the simulated
+    network and the TCP flush threshold."""
+    size_bytes = getattr(message, "size_bytes", None)
+    return size_bytes() if size_bytes is not None else default
+
+
 @dataclass(frozen=True)
 class TimerSpec:
     """A recurring timer a server kernel asks its driver to run.
@@ -155,7 +163,7 @@ class _EffectBuffer:
 
     Kernel handler methods append through :meth:`_send` / :meth:`_set_timer`
     / :meth:`_complete` exactly where the pre-kernel code performed the I/O,
-    so the drained list preserves the original operation order.
+    so the list an entry point returns preserves the original operation order.
     """
 
     def __init__(self) -> None:
@@ -169,25 +177,32 @@ class _EffectBuffer:
         self.current_trace: Optional[str] = None
 
     def _send(self, dest: Addr, message: object) -> None:
-        self._effects.append(Send(dest=dest, message=message))
+        self._effects.append(Send(dest, message))
 
     def _set_timer(self, delay: float, tag: str, payload: Any = None) -> None:
-        self._effects.append(SetTimer(delay=delay, tag=tag, payload=payload))
+        self._effects.append(SetTimer(delay, tag, payload))
 
     def _complete(self, op: str, result: Union[PutOutcome, RotOutcome]) -> None:
-        self._effects.append(Complete(op=op, result=result))
+        self._effects.append(Complete(op, result))
 
-    def _drain(self) -> list[Effect]:
-        effects, self._effects = self._effects, []
-        return effects
+
+class _ClientAddrs(dict):
+    """``addrs[client_id]`` is that client's one :class:`ClientAddr`, built
+    at the first lookup (bounded by the clients that ever reach the kernel,
+    like the codec's address cache)."""
+
+    def __missing__(self, client_id: str) -> ClientAddr:
+        addr = self[client_id] = ClientAddr(client_id)
+        return addr
 
 
 class ServerKernel(_EffectBuffer):
     """Shared state and routing helpers of the partition-server kernels.
 
-    Concrete kernels implement ``_dispatch`` (the protocol logic) and
-    ``_handle_timer``; drivers call :meth:`on_message` / :meth:`on_timer`
-    and execute the returned effects.
+    Concrete kernels fill ``_handlers`` (message type -> bound method taking
+    ``(sender, message)``) or implement ``_dispatch`` (which gets every
+    message no handler claims), and ``_handle_timer``; drivers call
+    :meth:`on_message` / :meth:`on_timer` and execute the returned effects.
     """
 
     def __init__(self, *, node_id: str, dc_id: int, partition_index: int,
@@ -207,18 +222,24 @@ class ServerKernel(_EffectBuffer):
         #: install the registry after construction.
         self._rot_registry = rot_registry
         self.now = 0.0
+        self._handlers: dict[type, Callable[[Addr, Any], None]] = {}
+        # Routes, built once: a kernel's neighbours never change.
+        self._dc_servers = tuple(ServerAddr(dc_id, partition)
+                                 for partition in range(num_partitions))
+        self._peers = tuple(addr for addr in self._dc_servers
+                            if addr.partition != partition_index)
+        self._replicas = tuple(ServerAddr(dc, partition_index)
+                               for dc in range(num_dcs) if dc != dc_id)
+        self._client_addrs = _ClientAddrs()
 
     # -------------------------------------------------------------- routing
-    def replicas(self) -> list[ServerAddr]:
+    def replicas(self) -> tuple[ServerAddr, ...]:
         """Replicas of this partition in the other data centers, by DC."""
-        return [ServerAddr(dc, self.partition_index)
-                for dc in range(self.num_dcs) if dc != self.dc_id]
+        return self._replicas
 
-    def peers_in_dc(self) -> list[ServerAddr]:
+    def peers_in_dc(self) -> tuple[ServerAddr, ...]:
         """The other partition servers in this server's DC, by partition."""
-        return [ServerAddr(self.dc_id, partition)
-                for partition in range(self.num_partitions)
-                if partition != self.partition_index]
+        return self._peers
 
     def rot_registry(self):
         """The active-ROT registry, or ``None`` outside fault scenarios."""
@@ -230,15 +251,17 @@ class ServerKernel(_EffectBuffer):
                    now: float) -> list[Effect]:
         """Feed one message into the state machine; returns ordered effects."""
         self.now = now
-        self._dispatch(sender, message)
-        return self._drain()
+        (self._handlers.get(type(message)) or self._dispatch)(sender, message)
+        effects, self._effects = self._effects, []
+        return effects
 
     def on_timer(self, tag: str, payload: Any, now: float) -> list[Effect]:
         """Fire a timer previously requested via :class:`SetTimer` or
         :meth:`periodic_timers`."""
         self.now = now
         self._handle_timer(tag, payload)
-        return self._drain()
+        effects, self._effects = self._effects, []
+        return effects
 
     def periodic_timers(self) -> tuple[TimerSpec, ...]:
         """Recurring timers the driver must run; none by default."""
@@ -246,7 +269,8 @@ class ServerKernel(_EffectBuffer):
 
     # ----------------------------------------------------------------- hooks
     def _dispatch(self, sender: Addr, message: object) -> None:
-        raise NotImplementedError
+        raise ProtocolError(
+            f"{self.node_id} cannot handle {type(message).__name__}")
 
     def _handle_timer(self, tag: str, payload: Any) -> None:
         raise ProtocolError(f"{self.node_id} has no timer {tag!r}")
@@ -270,6 +294,10 @@ class ClientKernel(_EffectBuffer):
         self._rot_registry = rot_registry
         self.sequence = 0
         self.now = 0.0
+        self._handlers: dict[type, Callable[[Any], None]] = {}
+        #: Every destination a client has: the local DC's server addresses.
+        self._servers = tuple(ServerAddr(dc_id, partition) for partition
+                              in range(partitioner.num_partitions))
 
     def rot_registry(self):
         """The active-ROT registry, or ``None`` outside fault scenarios."""
@@ -291,13 +319,15 @@ class ClientKernel(_EffectBuffer):
             self._issue_put(operation)
         else:
             self._issue_rot(operation)
-        return self._drain()
+        effects, self._effects = self._effects, []
+        return effects
 
     def on_message(self, message: object, now: float) -> list[Effect]:
         """Feed one reply into the state machine; returns ordered effects."""
         self.now = now
-        self._dispatch(message)
-        return self._drain()
+        (self._handlers.get(type(message)) or self._dispatch)(message)
+        effects, self._effects = self._effects, []
+        return effects
 
     # ----------------------------------------------------------------- hooks
     def _issue_put(self, operation) -> None:
@@ -307,7 +337,8 @@ class ClientKernel(_EffectBuffer):
         raise NotImplementedError
 
     def _dispatch(self, message: object) -> None:
-        raise NotImplementedError
+        raise ProtocolError(
+            f"{self.client_id} cannot handle {type(message).__name__}")
 
     def checker_dependencies(self) -> tuple[tuple[str, int, int], ...]:
         """The causal context the checker records with PUTs."""
@@ -328,4 +359,5 @@ __all__ = [
     "SetTimer",
     "TimerSpec",
     "client_node_id",
+    "message_size",
 ]

@@ -9,27 +9,25 @@ published configurations: HLC + 1½ rounds versus physical clocks + 2 rounds.
 
 Nothing here imports the simulator: time arrives through ``now`` arguments
 and the injected :class:`~repro.core.vector.clockbox.ClockBox`; randomness
-through the injected client RNG.  The drivers in
-:mod:`repro.core.vector.server` / ``client`` execute the effects against the
-discrete-event simulator, the ones in :mod:`repro.runtime` against asyncio.
+through the injected client RNG.  :mod:`repro.core.common.host` interprets
+the effects; :mod:`repro.sim.drivers` puts that host on the discrete-event
+simulator, :mod:`repro.runtime.nodes` on an asyncio loop.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.causal.dependencies import ClientDependencyContext
 from repro.causal.stabilization import GlobalStableSnapshot
-from repro.causal.vectors import entrywise_max, vector_leq, zero_vector
+from repro.causal.vectors import entrywise_max, with_entry, zero_vector
 from repro.clocks.units import milliseconds
 from repro.core.common.kernel import (
     Addr,
-    ClientAddr,
     ClientKernel,
     PutOutcome,
     RotOutcome,
-    ServerAddr,
     ServerKernel,
     TimerSpec,
 )
@@ -84,6 +82,15 @@ class VectorServerKernel(ServerKernel):
         # Traced replicated versions not yet covered by the GSS; entries are
         # (trace, key, dependency_vector).  Only populated while tracing.
         self._trace_pending: list[tuple[str, str, tuple[int, ...]]] = []
+        self._handlers = {
+            VectorPutRequest: self._handle_put,
+            RotCoordinatorRequest: self._handle_coordinator_request,
+            RotProxyRead: self._handle_read,
+            RotReadRequest: self._handle_read,
+            StabilizationMessage: self._handle_stabilization,
+            RemoteHeartbeat: self._handle_heartbeat,
+            ReplicateUpdate: self._handle_replicated_update,
+        }
 
     # ------------------------------------------------------------ factories
     @classmethod
@@ -161,7 +168,7 @@ class VectorServerKernel(ServerKernel):
             self._trace_gss_advance(tracer)
         message = StabilizationMessage(partition_index=self.partition_index,
                                        version_vector=vv)
-        for peer in self.peers_in_dc():
+        for peer in self._peers:
             self.counters.stabilization_messages += 1
             self._send(peer, message)
 
@@ -169,34 +176,22 @@ class VectorServerKernel(ServerKernel):
         """Advertise the local clock to remote replicas of this partition."""
         message = RemoteHeartbeat(origin_dc=self.dc_id,
                                   timestamp=self.clock.read())
-        for replica in self.replicas():
+        for replica in self._replicas:
             self.counters.stabilization_messages += 1
             self._send(replica, message)
 
     # --------------------------------------------------------------- handlers
-    def _dispatch(self, sender: Addr, message: object) -> None:
-        if isinstance(message, VectorPutRequest):
-            self._handle_put(sender, message)
-        elif isinstance(message, RotCoordinatorRequest):
-            self._handle_coordinator_request(sender, message)
-        elif isinstance(message, RotProxyRead):
-            self._handle_read(message)
-        elif isinstance(message, RotReadRequest):
-            self._handle_read(message)
-        elif isinstance(message, StabilizationMessage):
-            tracer = self.tracer
-            before = self.gss_state.gss if tracer is not None else None
-            self.gss_state.observe_remote_vv(message.partition_index,
-                                             message.version_vector)
-            if tracer is not None and self.gss_state.gss != before:
-                self._trace_gss_advance(tracer)
-        elif isinstance(message, RemoteHeartbeat):
-            self._observe_remote_timestamp(message.origin_dc, message.timestamp)
-        elif isinstance(message, ReplicateUpdate):
-            self._handle_replicated_update(message)
-        else:
-            raise ProtocolError(
-                f"{self.node_id} cannot handle {type(message).__name__}")
+    def _handle_stabilization(self, sender: Addr,
+                              message: StabilizationMessage) -> None:
+        tracer = self.tracer
+        before = self.gss_state.gss if tracer is not None else None
+        self.gss_state.observe_remote_vv(message.partition_index,
+                                         message.version_vector)
+        if tracer is not None and self.gss_state.gss != before:
+            self._trace_gss_advance(tracer)
+
+    def _handle_heartbeat(self, sender: Addr, message: RemoteHeartbeat) -> None:
+        self._observe_remote_timestamp(message.origin_dc, message.timestamp)
 
     # -------------------------------------------------------------------- PUT
     def _handle_put(self, sender: Addr, message: VectorPutRequest) -> None:
@@ -217,9 +212,11 @@ class VectorServerKernel(ServerKernel):
             floor = max(message.client_vector) if message.client_vector else 0
             timestamp = self.clock.timestamp_after(floor).timestamp
         local = self.dc_id
-        dependency_vector = list(entrywise_max(message.client_vector,
-                                               self._gss_with_local_zero()))
-        dependency_vector[local] = timestamp
+        # The local entry is the version's own timestamp, whatever the
+        # client's vector and the GSS hold there.
+        dependency_vector = with_entry(
+            entrywise_max(message.client_vector, self.gss_state.gss),
+            local, timestamp)
         # Interning collapses the per-message key copies that arrive off the
         # wire (every put of a hot key decodes a fresh str) into one shared
         # object, so store indexes and dependency lists alias rather than
@@ -227,23 +224,18 @@ class VectorServerKernel(ServerKernel):
         version = Version(key=intern_key(message.key), value=None,
                           timestamp=timestamp,
                           origin_dc=local, size_bytes=message.value_size,
-                          dependency_vector=tuple(dependency_vector),
+                          dependency_vector=dependency_vector,
                           dependencies=message.dependencies,
                           created_at=self.now, writer=message.client_id,
                           sequence=message.sequence)
         self.store.install(version)
         self.version_vector[local] = max(self.version_vector[local], timestamp)
         self._send(sender, VectorPutReply(key=message.key, timestamp=timestamp,
-                                          gss=self.gss))
+                                          gss=self.gss_state.gss))
         self._replicate(version)
 
-    def _gss_with_local_zero(self) -> tuple[int, ...]:
-        gss = list(self.gss)
-        gss[self.dc_id] = 0
-        return tuple(gss)
-
     def _replicate(self, version: Version) -> None:
-        for replica in self.replicas():
+        for replica in self._replicas:
             self.counters.replication_messages += 1
             self.counters.dependency_entries_sent += len(version.dependencies)
             self._send(replica, ReplicateUpdate(
@@ -253,7 +245,8 @@ class VectorServerKernel(ServerKernel):
                 dependencies=version.dependencies,
                 writer=version.writer, sequence=version.sequence))
 
-    def _handle_replicated_update(self, message: ReplicateUpdate) -> None:
+    def _handle_replicated_update(self, sender: Addr,
+                                  message: ReplicateUpdate) -> None:
         self.clock.observe(message.timestamp)
         self._observe_remote_timestamp(message.origin_dc, message.timestamp)
         version = Version(key=intern_key(message.key), value=None,
@@ -326,32 +319,34 @@ class VectorServerKernel(ServerKernel):
             return
         # 1 1/2-round mode: fan the reads out to the involved partitions, which
         # reply to the client directly (three communication steps in total).
-        client = ClientAddr(message.client_id)
-        groups = self.partitioner.group_by_partition(list(message.keys))
+        groups = self.partitioner.group_by_partition(message.keys)
         for partition_index, keys in groups.items():
             if partition_index == self.partition_index:
                 continue
-            self._send(ServerAddr(self.dc_id, partition_index),
+            self._send(self._dc_servers[partition_index],
                        RotProxyRead(rot_id=message.rot_id,
                                     keys=tuple(keys), snapshot=snapshot,
                                     client_id=message.client_id))
-        own_keys = groups.get(self.partition_index, [])
+        own_keys = groups.get(self.partition_index)
         if own_keys:
-            self._serve_read(client, message.rot_id, tuple(own_keys), snapshot)
+            self._serve_read(self._client_addrs[message.client_id],
+                             message.rot_id, own_keys, snapshot)
 
     def _choose_snapshot(self, message: RotCoordinatorRequest) -> tuple[int, ...]:
-        snapshot = list(entrywise_max(self.gss, message.client_gss))
         local = self.dc_id
-        snapshot[local] = max(self.clock.read(), message.client_local_ts)
+        snapshot = with_entry(
+            entrywise_max(self.gss_state.gss, message.client_gss), local,
+            max(self.clock.read(), message.client_local_ts))
         registry = self.rot_registry()
         if registry is not None:
             # Fault runs track in-flight snapshots so version GC never evicts
             # what this ROT may still need (min-active-snapshot retention).
-            registry.attach_snapshot(self.dc_id, message.rot_id, tuple(snapshot))
-        return tuple(snapshot)
+            registry.attach_snapshot(local, message.rot_id, snapshot)
+        return snapshot
 
-    def _handle_read(self, message: "RotProxyRead | RotReadRequest") -> None:
-        client = ClientAddr(message.client_id)
+    def _handle_read(self, sender: Addr,
+                     message: "RotProxyRead | RotReadRequest") -> None:
+        client = self._client_addrs[message.client_id]
         wait = self.clock.catch_up(message.snapshot[self.dc_id])
         if wait > 0:
             # Physical clocks (Cure) block until the local clock reaches the
@@ -365,23 +360,34 @@ class VectorServerKernel(ServerKernel):
             return
         self._serve_read(client, message.rot_id, message.keys, message.snapshot)
 
-    def _serve_read(self, client: Addr, rot_id: str, keys: tuple[str, ...],
+    def _serve_read(self, client: Addr, rot_id: str, keys: Sequence[str],
                     snapshot: tuple[int, ...]) -> None:
-        results = tuple(self._read_key(key, snapshot) for key in keys)
-        self._send(client, RotValueReply(rot_id=rot_id, results=results,
-                                         snapshot=snapshot, gss=self.gss))
+        width = len(snapshot)
 
-    def _read_key(self, key: str, snapshot: tuple[int, ...]) -> ReadResult:
-        version = self.store.latest(
-            key, lambda v: v.is_visible()
-            and v.dependency_vector is not None
-            and vector_leq(v.dependency_vector, snapshot))
-        if version is None:
-            return ReadResult(key=key, timestamp=None, origin_dc=self.dc_id,
-                              value_size=0)
-        return ReadResult(key=key, timestamp=version.timestamp,
-                          origin_dc=version.origin_dc,
-                          value_size=version.size_bytes)
+        def in_snapshot(version: Version) -> bool:
+            # Everything a candidate version is tested for, in the one frame
+            # the store's scan calls per version: ``vector_leq`` spelled out.
+            vector = version.dependency_vector
+            if vector is None or not version.visible:
+                return False
+            if len(vector) != width:
+                raise ProtocolError(f"vector length mismatch: {len(vector)} vs "
+                                    f"{width} ({vector!r} vs {snapshot!r})")
+            for entry, bound in zip(vector, snapshot):
+                if entry > bound:
+                    return False
+            return True
+
+        results = []
+        for key in keys:
+            version = self.store.latest(key, in_snapshot)
+            results.append(
+                ReadResult(key, None, self.dc_id, 0) if version is None
+                else ReadResult(key, version.timestamp, version.origin_dc,
+                                version.size_bytes))
+        self._send(client, RotValueReply(rot_id=rot_id, results=tuple(results),
+                                         snapshot=snapshot,
+                                         gss=self.gss_state.gss))
 
 
 class ContrarianKernel(VectorServerKernel):
@@ -428,6 +434,11 @@ class VectorClientKernel(ClientKernel):
         self.dep_context = ClientDependencyContext()
         self._pending_rot: Optional[PendingRot] = None
         self._pending_put_gss: Optional[tuple[int, ...]] = None
+        self._handlers = {
+            VectorPutReply: self._handle_put_reply,
+            RotSnapshotReply: self._handle_snapshot_reply,
+            RotValueReply: self._handle_value_reply,
+        }
 
     @classmethod
     def resolved_two_round(cls, config) -> bool:
@@ -446,16 +457,14 @@ class VectorClientKernel(ClientKernel):
     # ------------------------------------------------------------------- PUT
     def _issue_put(self, operation) -> None:
         key = operation.keys[0]
-        client_vector = list(self.gss_seen)
-        client_vector[self.dc_id] = self.local_ts_seen
         request = VectorPutRequest(
             key=key, value_size=operation.value_size,
-            client_vector=tuple(client_vector), client_id=self.client_id,
-            sequence=self.sequence,
+            client_vector=with_entry(self.gss_seen, self.dc_id,
+                                     self.local_ts_seen),
+            client_id=self.client_id, sequence=self.sequence,
             dependencies=tuple(dep.as_pair()
                                for dep in self.dep_context.dependencies()))
-        self._send(ServerAddr(self.dc_id, self.partitioner.partition_of(key)),
-                   request)
+        self._send(self._servers[self.partitioner.partition_of(key)], request)
 
     def _handle_put_reply(self, message: VectorPutReply) -> None:
         self._pending_put_gss = message.gss
@@ -479,7 +488,7 @@ class VectorClientKernel(ClientKernel):
     # ------------------------------------------------------------------- ROT
     def _issue_rot(self, operation) -> None:
         rot_id = self.next_rot_id()
-        groups = self.partitioner.group_by_partition(list(operation.keys))
+        groups = self.partitioner.group_by_partition(operation.keys)
         involved = sorted(groups)
         coordinator_index = self.rng.choice(involved)
         self._pending_rot = PendingRot(rot_id=rot_id, keys=operation.keys,
@@ -488,7 +497,7 @@ class VectorClientKernel(ClientKernel):
         registry = self.rot_registry()
         if registry is not None:
             registry.register(self.dc_id, rot_id)
-        self._send(ServerAddr(self.dc_id, coordinator_index),
+        self._send(self._servers[coordinator_index],
                    RotCoordinatorRequest(
                        rot_id=rot_id, keys=operation.keys,
                        client_local_ts=self.local_ts_seen,
@@ -498,9 +507,9 @@ class VectorClientKernel(ClientKernel):
     def _handle_snapshot_reply(self, message: RotSnapshotReply) -> None:
         pending = self._expect_pending(message.rot_id)
         pending.snapshot = message.snapshot
-        groups = self.partitioner.group_by_partition(list(pending.keys))
+        groups = self.partitioner.group_by_partition(pending.keys)
         for partition_index, keys in groups.items():
-            self._send(ServerAddr(self.dc_id, partition_index),
+            self._send(self._servers[partition_index],
                        RotReadRequest(rot_id=message.rot_id,
                                       keys=tuple(keys),
                                       snapshot=message.snapshot,
@@ -513,11 +522,12 @@ class VectorClientKernel(ClientKernel):
         # returned by this ROT, so folding it into the client's causal context
         # guarantees that the client's subsequent PUTs causally cover what it
         # just read (including the remote dependencies of those versions).
-        self.local_ts_seen = max(self.local_ts_seen, message.snapshot[self.dc_id])
-        snapshot_remote = list(message.snapshot)
-        snapshot_remote[self.dc_id] = 0
-        self.gss_seen = entrywise_max(self.gss_seen, tuple(snapshot_remote))
-        self.gss_seen = entrywise_max(self.gss_seen, message.gss)
+        local = self.dc_id
+        self.local_ts_seen = max(self.local_ts_seen, message.snapshot[local])
+        # The snapshot's local entry is a clock reading, not a stable time.
+        self.gss_seen = entrywise_max(
+            entrywise_max(self.gss_seen, with_entry(message.snapshot, local, 0)),
+            message.gss)
         if not pending.complete:
             return
         self._pending_rot = None
@@ -538,18 +548,6 @@ class VectorClientKernel(ClientKernel):
             raise ProtocolError(
                 f"{self.client_id} received a reply for unknown ROT {rot_id}")
         return pending
-
-    # -------------------------------------------------------------- dispatch
-    def _dispatch(self, message: object) -> None:
-        if isinstance(message, VectorPutReply):
-            self._handle_put_reply(message)
-        elif isinstance(message, RotSnapshotReply):
-            self._handle_snapshot_reply(message)
-        elif isinstance(message, RotValueReply):
-            self._handle_value_reply(message)
-        else:
-            raise ProtocolError(
-                f"{self.client_id} cannot handle {type(message).__name__}")
 
     # ------------------------------------------------------------------ misc
     def checker_dependencies(self) -> tuple[tuple[str, int, int], ...]:

@@ -160,6 +160,10 @@ class RealtimeClient(_LoopNode, ClientHost):
         Returns the kernel's outcome (:class:`PutOutcome` /
         :class:`RotOutcome`).
         """
+        if self.cluster._closed:
+            # Nobody drains the run queue of a stopped cluster: fail now, not
+            # at the timeout (a stopped TCP transport refuses the send itself).
+            raise RuntimeBackendError("cluster is closed")
         if self._broken is not None:
             raise RuntimeBackendError(
                 f"{self.node_id} is unusable: {self._broken}")

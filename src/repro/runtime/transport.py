@@ -39,7 +39,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.core.common.kernel import Addr, ClientAddr, ServerAddr
+from repro.core.common.kernel import Addr, ClientAddr, ServerAddr, message_size
 from repro.errors import ConfigurationError, TransportError
 from repro.obs.events import BATCH_FLUSH, BATCH_RECV
 from repro.wire.batch import (
@@ -53,14 +53,6 @@ from repro.wire.framing import frame, read_frame
 
 #: Names a registered protocol can support (``ProtocolSpec.transports``).
 TRANSPORTS = ("inproc", "tcp")
-
-
-def _estimate_bytes(message: object) -> int:
-    """Cheap wire-size estimate for the flush byte threshold."""
-    size_fn = getattr(message, "size_bytes", None)
-    if callable(size_fn):
-        return int(size_fn())
-    return 64
 
 
 #: Reserved wire type ids of the runtime layer (kept out of the message and
@@ -319,7 +311,7 @@ class TcpTransport(Transport):
         if pending is None:
             pending = self._pending[endpoint] = _Pending()
         pending.envelopes.append(Envelope(sender, dest, message, trace))
-        pending.bytes += _estimate_bytes(message)
+        pending.bytes += message_size(message)
         if (len(pending.envelopes) >= self.flush_policy.max_messages
                 or pending.bytes >= self.flush_policy.max_bytes):
             self._flush_endpoint(endpoint, pending)

@@ -183,13 +183,11 @@ def _vector_put(cost: CostModel, kernel, message: VectorPutRequest) -> float:
 
 def _rot_coordinator(cost: CostModel, kernel,
                      message: RotCoordinatorRequest) -> float:
-    partitions = len(kernel.partitioner.group_by_partition(list(message.keys)))
-    own_keys = [key for key in message.keys
-                if kernel.partitioner.partition_of(key)
-                == kernel.partition_index]
+    groups = kernel.partitioner.group_by_partition(message.keys)
+    own_keys = groups.get(kernel.partition_index, ())
     read = cost.read_cost(len(own_keys), _stored_value_size(kernel, own_keys)) \
         if not message.two_round and own_keys else 0.0
-    return cost.coordinator_cost(partitions) + read
+    return cost.coordinator_cost(len(groups)) + read
 
 
 def _stabilization(cost: CostModel, kernel, message) -> float:

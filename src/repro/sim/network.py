@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.clocks.units import microseconds
+from repro.core.common.kernel import message_size
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 
@@ -205,7 +206,7 @@ class Network:
         replicated update or heartbeat: everything earlier from that replica
         has already arrived.
         """
-        size = self._message_size(message)
+        size = message_size(message)
         same_dc = sender.dc_id == destination.dc_id
         self.stats.record(size, same_dc)
         # The message inherits the trace of whatever the sender is currently
@@ -315,7 +316,7 @@ class Network:
             # Re-entering ``send`` would double-count stats; schedule with the
             # healthy delay directly (FIFO order is preserved by the clamp).
             delay = self._healthy_delay(sender.dc_id == destination.dc_id,
-                                        self._message_size(message))
+                                        message_size(message))
             self._schedule_arrival(sender, destination, message, delay, trace)
 
     def clear_link_faults(self) -> None:
@@ -336,13 +337,6 @@ class Network:
         costs CPU time to process.
         """
         node.enqueue_message(node, message, node.current_trace)
-
-    @staticmethod
-    def _message_size(message: object) -> int:
-        size_fn = getattr(message, "size_bytes", None)
-        if callable(size_fn):
-            return int(size_fn())
-        return 64
 
 
 __all__ = ["LatencyModel", "LinkFault", "Network", "NetworkStats"]

@@ -20,6 +20,34 @@ vectors = st.lists(st.integers(min_value=0, max_value=1_000_000),
                    min_size=1, max_size=5)
 
 
+def vectors_of(width):
+    # A small range, so that ties and equal vectors are common.
+    return st.lists(st.integers(min_value=0, max_value=4), min_size=width,
+                    max_size=width).map(tuple)
+
+
+#: One to four vectors of one width (1-5).
+same_width = st.integers(min_value=1, max_value=5).flatmap(
+    lambda width: st.lists(vectors_of(width), min_size=1, max_size=4))
+#: Two vectors of different widths.
+mismatched = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(
+    lambda widths: widths[0] != widths[1]).flatmap(
+    lambda widths: st.tuples(vectors_of(widths[0]), vectors_of(widths[1])))
+
+
+# The definitions the functions of ``repro.causal.vectors`` must equal.
+def reference_max(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def reference_min(a, b):
+    return tuple(min(x, y) for x, y in zip(a, b))
+
+
+def reference_leq(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
 class TestVectorHelpers:
     def test_zero_vector(self):
         assert zero_vector(3) == (0, 0, 0)
@@ -79,6 +107,39 @@ class TestVectorHelpers:
     def test_leq_is_reflexive(self, a):
         assert vector_leq(tuple(a), tuple(a))
 
+    @given(same_width)
+    @settings(max_examples=300, deadline=None)
+    def test_every_function_equals_its_definition(self, rows):
+        a, b = rows[0], rows[-1]  # the same vector when there is one row
+        for x, y in ((a, b), (b, a), (a, a), (list(a), b)):
+            assert entrywise_max(x, y) == reference_max(x, y)
+            assert entrywise_min(x, y) == reference_min(x, y)
+            assert vector_leq(x, y) is reference_leq(x, y)
+        folded = rows[0]
+        for row in rows[1:]:
+            folded = reference_min(folded, row)
+        assert entrywise_min_all(rows) == folded
+        assert entrywise_min_all(row for row in rows) == folded
+        assert entrywise_min_all([a]) == a
+        assert all(type(result) is tuple for result in (
+            entrywise_max(list(a), list(b)), entrywise_min(list(a), list(b)),
+            entrywise_min_all([list(a)])))
+
+    @given(mismatched)
+    @settings(max_examples=100, deadline=None)
+    def test_every_function_rejects_a_length_mismatch(self, pair):
+        a, b = pair
+        for function in (entrywise_max, entrywise_min, vector_leq):
+            with pytest.raises(ProtocolError, match="length mismatch"):
+                function(a, b)
+        for rows in ([a, b], [a, a, b], (row for row in (b, a))):
+            with pytest.raises(ProtocolError, match="length mismatch"):
+                entrywise_min_all(rows)
+
+    def test_min_all_of_an_empty_generator_rejected(self):
+        with pytest.raises(ProtocolError, match="at least one"):
+            entrywise_min_all(row for row in ())
+
 
 class TestGlobalStableSnapshot:
     def test_initial_gss_is_zero(self):
@@ -118,6 +179,39 @@ class TestGlobalStableSnapshot:
         gss.observe_remote_vv(1, (60, 80))
         gss.observe_remote_vv(2, (90, 10))
         assert gss.gss == (60, 10)
+
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_gss_equals_a_from_scratch_recomputation(self, data):
+        """Whatever is recorded in whatever order (older, reordered VVs
+        included), the incrementally kept GSS is what replaying the whole
+        history through the definitions gives."""
+        num_dcs = data.draw(st.integers(1, 4))
+        num_partitions = data.draw(st.integers(1, 4))
+        own = data.draw(st.integers(0, num_partitions - 1))
+        vv = vectors_of(num_dcs)
+        calls = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("local"), vv),
+            st.tuples(st.just("remote"), st.integers(0, num_partitions - 1), vv),
+            st.tuples(st.just("merge"), vv)), max_size=30))
+        state = GlobalStableSnapshot(num_dcs, num_partitions, own)
+        known = [(0,) * num_dcs] * num_partitions
+        expected = (0,) * num_dcs
+        for call in calls:
+            if call[0] == "merge":
+                assert state.merge_observed_gss(call[1]) \
+                    == (expected := reference_max(expected, call[1]))
+                continue
+            if call[0] == "local":
+                index, vector = own, call[1]
+                state.update_local_vv(vector)
+            else:
+                _, index, vector = call
+                assert state.observe_remote_vv(index, vector) == state.gss
+            known[index] = reference_max(known[index], vector)
+            expected = tuple(min(column) for column in zip(*known))
+            assert state.gss == expected
 
 
 class TestClientDependencyContext:

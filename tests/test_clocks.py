@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.clocks.hlc import HLCTimestamp, HybridLogicalClock
 from repro.clocks.lamport import LamportClock
 from repro.clocks.physical import PhysicalClock, SkewModel
+from repro.clocks.timesource import FixedClock
 from repro.errors import ClockError
 from repro.sim.engine import Simulator
 
@@ -197,3 +198,57 @@ class TestHybridLogicalClock:
             current = clock.update(observed)
             assert current > previous or current >= observed
             previous = max(previous, current)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["tick", "now", "update", "advance_to", "time"]),
+        # Arguments around the clock's own range: physical parts of a few
+        # microseconds, so equal and neighbouring components are common.
+        st.builds(lambda physical, logical: HLCTimestamp(physical, logical).pack(),
+                  st.integers(0, 6), st.integers(0, 3))), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_packed_state_equals_the_pairwise_definition(self, calls):
+        """The clock keeps its state as one packed integer; every operation
+        must return what the (physical, logical) definition of Kulkarni et
+        al. gives, written out here on pairs."""
+        time_source = FixedClock(0.0)
+        clock = HybridLogicalClock(PhysicalClock(time_source))
+        physical, logical = 0, 0  # the definition's state
+        for name, argument in calls:
+            now_us = int(time_source.now * 1_000_000)
+            if name == "time":
+                time_source.advance((argument >> 16) * 1e-6)
+                continue
+            if name == "now":
+                expected = (now_us, 0) if now_us > physical \
+                    else (physical, logical)
+                assert clock.now() == HLCTimestamp(*expected).pack()
+                continue
+            if name == "tick":
+                physical, logical = (now_us, 0) if now_us > physical \
+                    else (physical, logical + 1)
+                result = clock.tick()
+            elif name == "update":
+                seen = HLCTimestamp.unpack(argument)
+                top = max(now_us, physical, seen.physical)
+                if top == now_us and now_us > physical and now_us > seen.physical:
+                    logical = 0
+                elif top == physical == seen.physical:
+                    logical = max(logical, seen.logical) + 1
+                elif top == physical:
+                    logical += 1
+                else:
+                    logical = seen.logical + 1
+                physical = top
+                result = clock.update(argument)
+            else:
+                if argument > HLCTimestamp(physical, logical).pack():
+                    seen = HLCTimestamp.unpack(argument)
+                    physical, logical = seen.physical, seen.logical
+                result = clock.advance_to(argument)
+            assert result == clock.value == HLCTimestamp(physical, logical).pack()
+            assert clock.latest == HLCTimestamp(physical, logical)
+
+    def test_update_rejects_a_negative_timestamp(self):
+        _, clock = self._clock()
+        with pytest.raises(ClockError):
+            clock.update(-1)

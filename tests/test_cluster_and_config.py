@@ -1,9 +1,12 @@
 """Tests for the cluster configuration, partitioning and topology container."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import partitioning
 from repro.cluster.config import ClusterConfig
 from repro.cluster.partitioning import HashPartitioner
 from repro.cluster.topology import ClusterTopology
@@ -61,6 +64,53 @@ class TestHashPartitioner:
     @settings(max_examples=100, deadline=None)
     def test_any_key_maps_in_range(self, partitions, key):
         assert 0 <= HashPartitioner(partitions).partition_of(key) < partitions
+
+    def test_only_ascii_digits_make_a_structured_key(self):
+        """``str.isdigit`` also accepts superscripts (which ``int`` rejects:
+        this used to raise) and digits of other scripts (which ``int``
+        parses: "\u0661:2" used to land on partition 1); such user keys are
+        hashed like any other."""
+        partitioner = HashPartitioner(4)
+        for key in ("\u00b2:5", "\u0661:2", "\u2460:1", "1\u00b2:0", ":7", "-1:3"):
+            digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+            assert partitioner.partition_of(key) \
+                == int.from_bytes(digest, "big") % 4
+        assert partitioner.partition_of("007:x") == 3
+
+    #: User keys, with the shapes around the ``"<partition>:<index>"``
+    #: contract over-represented: digit-like heads of every Unicode kind.
+    user_keys = st.one_of(
+        st.text(max_size=20),
+        st.builds("{}:{}".format,
+                  st.text(st.characters(whitelist_categories=("Nd", "No", "Nl")),
+                          max_size=4),
+                  st.text(max_size=6)))
+
+    @given(st.integers(min_value=1, max_value=64),
+           st.lists(user_keys, min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_no_user_key_raises_and_the_memo_changes_no_answer(
+            self, partitions, keys):
+        memoised = HashPartitioner(partitions)
+        first = [memoised.partition_of(key) for key in keys]
+        assert all(0 <= partition < partitions for partition in first)
+        # Asked again (now from the memo), asked of a partitioner that has
+        # seen nothing else, and asked through group_by_partition.
+        assert [memoised.partition_of(key) for key in keys] == first
+        assert [HashPartitioner(partitions).partition_of(key)
+                for key in keys] == first
+        groups = memoised.group_by_partition(iter(keys))
+        assert {key: partition for partition, group in groups.items()
+                for key in group} == dict(zip(keys, first))
+
+    def test_the_memo_is_bounded_and_stops_admitting(self, monkeypatch):
+        monkeypatch.setattr(partitioning, "MAX_INTERNED_KEYS", 3)
+        partitioner = HashPartitioner(4)
+        keys = [HashPartitioner.structured_key(index % 4, index)
+                for index in range(10)]
+        assert [partitioner.partition_of(key) for key in keys] \
+            == [index % 4 for index in range(10)]
+        assert list(partitioner._memo) == keys[:3]
 
 
 class TestClusterConfig:

@@ -1,0 +1,44 @@
+"""A noise-free guard for the per-message path: Python-level calls per
+operation.
+
+Timing tests cannot tell a 10% regression from a neighbour's build on a
+shared VM; a count of interpreter calls can.  The drive is the loop-free one
+of ``benchmarks/run_kernel_cost.py`` (an unstarted 2 DC x 4 partition
+``RealtimeCluster`` on an ``InprocTransport``, fixed seed, a manual clock:
+``client.issue``, then ``cluster._drain()`` until the run queue is empty,
+every server's periodic timers fired by hand every 19 operations, CC-LO's
+250 ms reader GC in every 50th such round), run for 500 operations under
+``sys.setprofile``.  The count repeats exactly and is the same on CPython
+3.10 and 3.11; 3.12 inlines comprehensions and counts a few percent fewer.
+Ceilings sit about 10% above what the tree reached when they were set
+(contrarian 272, cure 295, cc-lo 281; the parent of that change: 408, 425,
+327), so the frames and allocations that change removed cannot come back
+unnoticed.
+"""
+
+import importlib.util
+import os
+
+import pytest
+
+_SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                       "run_kernel_cost.py")
+_spec = importlib.util.spec_from_file_location("run_kernel_cost", _SCRIPT)
+run_kernel_cost = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_kernel_cost)
+
+#: Python-level calls per operation.
+CEILINGS = {"contrarian": 299, "cure": 325, "cc-lo": 309}
+
+
+@pytest.mark.parametrize("protocol", run_kernel_cost.PROTOCOLS)
+def test_python_calls_per_operation_stay_under_the_ceiling(protocol):
+    counts = run_kernel_cost.count_calls(protocol, operations=500)
+    print(f"{protocol}: {counts['py_calls_per_op']:.1f} Python-level and "
+          f"{counts['c_calls_per_op']:.1f} C-level calls per operation, "
+          f"{counts['msgs_per_op']:.2f} messages per operation "
+          f"(ceiling {CEILINGS[protocol]})")
+    assert counts["py_calls_per_op"] < CEILINGS[protocol]
+    # The drive did what it says: every operation ran to completion through
+    # the run queue (a ROT alone is 1 + 3 + 4 deliveries).
+    assert counts["msgs_per_op"] > 5

@@ -24,19 +24,32 @@ from repro.core.common.kernel import (
 from repro.core.common.messages import (
     CcloPutReply,
     CcloPutRequest,
+    CcloReplicateUpdate,
+    OneRoundReadReply,
     OneRoundReadRequest,
+    ReadResult,
     ReadersCheckReply,
     ReadersCheckRequest,
+    RemoteHeartbeat,
     ReplicateUpdate,
     RotCoordinatorRequest,
     RotProxyRead,
+    RotReadRequest,
+    RotSnapshotReply,
     RotValueReply,
+    StabilizationMessage,
     VectorPutReply,
     VectorPutRequest,
 )
 from repro.core.vector.clockbox import ClockBox
-from repro.core.vector.kernel import VectorClientKernel, VectorServerKernel
+from repro.core.vector.kernel import (
+    ContrarianKernel,
+    CureKernel,
+    VectorClientKernel,
+    VectorServerKernel,
+)
 from repro.errors import ProtocolError
+from repro.storage.mvstore import MultiVersionStore
 from repro.storage.version import Version
 
 import random
@@ -274,6 +287,185 @@ class TestCcloKernel:
     def test_unknown_message_rejected(self):
         with pytest.raises(ProtocolError):
             cclo_kernel().on_message(ClientAddr("c"), object(), now=0.0)
+
+
+def server_kernel(protocol, clock=None):
+    """Partition 0 of DC 0 in a 2-DC, 4-partition cluster."""
+    common = dict(node_id="server-dc0-p0", dc_id=0, partition_index=0,
+                  num_dcs=2, num_partitions=4, partitioner=HashPartitioner(4))
+    if protocol == "cc-lo":
+        return CcloKernel(gc_window_seconds=0.5, one_id_per_client=True,
+                          **common)
+    kernel_class, mode = {"contrarian": (ContrarianKernel, "hlc"),
+                          "cure": (CureKernel, "physical")}[protocol]
+    return kernel_class(clock=ClockBox(mode, clock or FixedClock(0.001),
+                                       offset_us=0.0),
+                        stabilization_interval=0.005,
+                        heartbeat_interval=0.010, **common)
+
+
+class TestScriptedEffects:
+    """One PUT and one ROT through each server kernel, the whole effect list
+    asserted by value: pins the handler tables, the address tables (equal to
+    freshly built addresses) and the single-frame reads at the level drivers
+    and the wire see."""
+
+    CLIENT, PEER = ClientAddr("client-dc0-3"), ServerAddr(0, 2)
+
+    @pytest.mark.parametrize("protocol, timestamp", [
+        ("contrarian", 1000 << 16), ("cure", 1000)])
+    def test_vector_put_then_rot(self, protocol, timestamp):
+        kernel = server_kernel(protocol)
+        key = key_on(0, 7)
+        put = VectorPutRequest(key=key, value_size=8, client_vector=(5, 9),
+                               client_id="client-dc0-3", sequence=1,
+                               dependencies=(("1:1", 4),))
+        assert kernel.on_message(self.CLIENT, put, now=0.001) == [
+            Send(self.CLIENT, VectorPutReply(key=key, timestamp=timestamp,
+                                             gss=(0, 0))),
+            Send(ServerAddr(1, 0), ReplicateUpdate(
+                key=key, timestamp=timestamp, origin_dc=0, value_size=8,
+                dependency_vector=(timestamp, 9), dependencies=(("1:1", 4),),
+                writer="client-dc0-3", sequence=1))]
+        # A 1 1/2-round ROT over three partitions: two proxied reads, then
+        # the coordinator's own; the remote entry of the snapshot is the
+        # larger of the GSS (0) and what the client has seen (9).
+        keys = (key_on(1, 1), key, key_on(2, 2))
+        snapshot = (max(timestamp, 77), 9)
+        rot = RotCoordinatorRequest(
+            rot_id="client-dc0-3#2", keys=keys, client_local_ts=77,
+            client_gss=(3, 9), client_id="client-dc0-3", two_round=False)
+        assert kernel.on_message(self.CLIENT, rot, now=0.001) == [
+            Send(ServerAddr(0, 1), RotProxyRead(
+                rot_id="client-dc0-3#2", keys=(keys[0],), snapshot=snapshot,
+                client_id="client-dc0-3")),
+            Send(ServerAddr(0, 2), RotProxyRead(
+                rot_id="client-dc0-3#2", keys=(keys[2],), snapshot=snapshot,
+                client_id="client-dc0-3")),
+            Send(self.CLIENT, RotValueReply(
+                rot_id="client-dc0-3#2",
+                results=(ReadResult(key, timestamp, 0, 8),),
+                snapshot=snapshot, gss=(0, 0)))]
+        # The read a proxy serves; a snapshot below the version's remote
+        # dependency (9) excludes it, and a never-written key reads as bottom.
+        for remote, expected in ((9, timestamp), (8, None)):
+            read = RotProxyRead(rot_id="r", keys=(key, "0:404"),
+                                snapshot=(timestamp, remote),
+                                client_id="client-dc0-3")
+            assert kernel.on_message(self.PEER, read, now=0.001) == [
+                Send(self.CLIENT, RotValueReply(
+                    rot_id="r", snapshot=(timestamp, remote), gss=(0, 0),
+                    results=(ReadResult(key, expected, 0, 8 if expected else 0),
+                             ReadResult("0:404", None, 0, 0))))]
+
+    def test_two_round_rot(self):
+        kernel = server_kernel("cure")
+        rot = RotCoordinatorRequest(
+            rot_id="c#1", keys=(key_on(0), key_on(1)), client_local_ts=0,
+            client_gss=(0, 4), client_id="c", two_round=True)
+        assert kernel.on_message(ClientAddr("c"), rot, now=0.001) == [
+            Send(ClientAddr("c"), RotSnapshotReply(rot_id="c#1",
+                                                   snapshot=(1000, 4)))]
+        read = RotReadRequest(rot_id="c#1", keys=(key_on(0),),
+                              snapshot=(1000, 4), client_id="c")
+        assert kernel.on_message(ClientAddr("c"), read, now=0.001) == [
+            Send(ClientAddr("c"), RotValueReply(
+                rot_id="c#1", results=(ReadResult(key_on(0), None, 0, 0),),
+                snapshot=(1000, 4), gss=(0, 0)))]
+
+    def test_stabilization_and_heartbeat_timers(self):
+        kernel = server_kernel("contrarian")
+        now = 1000 << 16
+        assert kernel.on_timer("stabilization", None, now=0.001) == [
+            Send(ServerAddr(0, partition), StabilizationMessage(
+                partition_index=0, version_vector=(now, 0)))
+            for partition in (1, 2, 3)]
+        assert kernel.on_timer("remote-heartbeat", None, now=0.001) == [
+            Send(ServerAddr(1, 0), RemoteHeartbeat(origin_dc=0, timestamp=now))]
+        assert kernel.peers_in_dc() == tuple(
+            ServerAddr(0, partition) for partition in (1, 2, 3))
+        assert kernel.replicas() == (ServerAddr(1, 0),)
+        # A stabilization message and a heartbeat emit nothing; they move
+        # the GSS: every peer at (5, 6), this partition at (now, 7).
+        for partition in (1, 2, 3):
+            assert kernel.on_message(
+                ServerAddr(0, partition), StabilizationMessage(
+                    partition_index=partition, version_vector=(5, 6)),
+                now=0.001) == []
+        assert kernel.on_message(
+            ServerAddr(1, 0), RemoteHeartbeat(origin_dc=1, timestamp=7),
+            now=0.001) == []
+        kernel.on_timer("stabilization", None, now=0.001)
+        assert kernel.gss == (5, 6)
+
+    def test_cclo_put_then_rot(self):
+        kernel = server_kernel("cc-lo")
+        key = key_on(0, 7)
+        put = CcloPutRequest(key=key, value_size=8, dependencies=(),
+                             dependency_partitions=(),
+                             client_id="client-dc0-3", sequence=1)
+        assert kernel.on_message(self.CLIENT, put, now=0.0) == [
+            Send(self.CLIENT, CcloPutReply(key=key, timestamp=1)),
+            Send(ServerAddr(1, 0), CcloReplicateUpdate(
+                key=key, timestamp=1, origin_dc=0, value_size=8,
+                dependencies=(), writer="client-dc0-3", sequence=1,
+                old_readers=()))]
+        read = OneRoundReadRequest(rot_id="client-dc0-3#2",
+                                   keys=(key, "0:404"),
+                                   client_id="client-dc0-3")
+        assert kernel.on_message(self.CLIENT, read, now=0.0) == [
+            Send(self.CLIENT, OneRoundReadReply(
+                rot_id="client-dc0-3#2",
+                results=(ReadResult(key, 1, 0, 8),
+                         ReadResult("0:404", None, 0, 0))))]
+        assert kernel.readers.current_reader_count(key) == 1
+        # A PUT that depends on a key of partition 2 asks that partition.
+        put = CcloPutRequest(key=key, value_size=8,
+                             dependencies=((key_on(2), 3, 0),),
+                             dependency_partitions=(2,),
+                             client_id="client-dc0-3", sequence=3)
+        (check,) = kernel.on_message(self.CLIENT, put, now=0.0)
+        assert check == Send(self.PEER, ReadersCheckRequest(
+            check_id=check.message.check_id,
+            dependencies=((key_on(2), 3, 0),), put_key=key, put_timestamp=4,
+            require_present=False))
+
+    @pytest.mark.parametrize("protocol", ["contrarian", "cure", "cc-lo"])
+    def test_a_swapped_store_serves_the_next_read(self, protocol):
+        """The layered benchmark wraps ``kernel.store`` in a timing proxy
+        after construction: reads must enter through the attribute as it is
+        now, never through a method bound earlier."""
+        kernel = server_kernel(protocol)
+        key = key_on(0)
+        calls = []
+
+        class RecordingStore(MultiVersionStore):
+            def latest(self, key, predicate=None):
+                calls.append(key)
+                return super().latest(key, predicate)
+
+        kernel.store = RecordingStore()
+        kernel.store.install(Version(
+            key=key, value=None, timestamp=3, origin_dc=1, size_bytes=5,
+            dependency_vector=None if protocol == "cc-lo" else (0, 0)))
+        if protocol == "cc-lo":
+            read = OneRoundReadRequest(rot_id="c#1", keys=(key,),
+                                       client_id="c")
+        else:
+            read = RotReadRequest(rot_id="c#1", keys=(key,),
+                                  snapshot=(1000, 0), client_id="c")
+        (reply,) = kernel.on_message(ClientAddr("c"), read, now=0.001)
+        assert reply.message.results == (ReadResult(key, 3, 1, 5),)
+        assert calls == [key]
+
+    @pytest.mark.parametrize("protocol", ["contrarian", "cure", "cc-lo"])
+    def test_unknown_message_type_rejected(self, protocol):
+        kernel = server_kernel(protocol)
+        # A reply is a registered message, but no server handles it.
+        for message in (VectorPutReply(key="k", timestamp=1, gss=(0, 0)),
+                        object(), None):
+            with pytest.raises(ProtocolError, match="cannot handle"):
+                kernel.on_message(ClientAddr("c"), message, now=0.0)
 
 
 class TestClientKernels:

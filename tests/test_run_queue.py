@@ -23,7 +23,7 @@ from repro.core.common.kernel import (
     SetTimer,
     TimerSpec,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RuntimeBackendError
 from repro.metrics.overheads import OverheadCounters
 from repro.runtime.cluster import RealtimeCluster, drive_closed_loops
 from repro.runtime.nodes import RealtimeClient, RealtimeServer
@@ -329,6 +329,30 @@ class TestLifecycle:
         assert later == seen
         assert kernel.messages == [(A, "arms a timer that is due after stop")]
         assert "periodic" in kernel.timers and "one-shot" not in kernel.timers
+
+    @pytest.mark.parametrize("workload_clients", [True, False])
+    def test_perform_on_a_stopped_cluster_fails_at_once(self, workload_clients):
+        """An inproc cluster is terminal after ``stop()``, like a TCP one:
+        nobody drains its run queue, so ``perform`` must not wait for the
+        timeout — and must leave the client as it found it."""
+        async def main():
+            cluster = RealtimeCluster(
+                "contrarian", ClusterConfig.test_scale(clients_per_dc=1),
+                workload_clients=workload_clients)
+            client = (cluster.clients[0] if workload_clients
+                      else cluster.add_client(0, 0))
+            await cluster.start()
+            await client.perform(put(), timeout=5.0)
+            await cluster.stop()
+            started = time.perf_counter()
+            with pytest.raises(RuntimeBackendError, match="cluster is closed"):
+                await client.perform(put(), timeout=2.0)
+            return time.perf_counter() - started, cluster, client
+
+        elapsed, cluster, client = asyncio.run(main())
+        assert elapsed < 0.1
+        assert len(cluster._run_queue) == 0
+        assert client._op_future is None and client._broken is None
 
     def test_a_second_start_does_not_double_the_periodic_timers(self):
         async def main():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.clocks.units import microseconds
+from repro.core.common.kernel import message_size
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, Network
 from repro.sim.node import Node
@@ -110,8 +111,15 @@ class TestNetwork:
         assert network.stats.messages == 0
 
     def test_unknown_message_size_defaults(self):
-        assert Network._message_size(object()) == 64
-        assert Network._message_size(SizedMessage(12)) == 12
+        """One sizing rule (the network's, the traffic counters' and the TCP
+        flush threshold's): ``size_bytes()`` if the message has it."""
+        assert message_size(object()) == 64
+        assert message_size(object(), 0) == 0
+        assert message_size(SizedMessage(12)) == 12
+        sim = Simulator()
+        network = Network(sim)
+        network.send(RecordingNode(sim, "a"), RecordingNode(sim, "b"), object())
+        assert network.stats.bytes == 64
 
 
 class TestNodeCpuQueue:
