@@ -21,7 +21,8 @@ or this host happens to run it.  Per protocol it reports
   over ``--rounds`` rounds, each normalised by a fixed pure-Python spin timed
   next to it (a shared VM's speed drifts by several percent a minute);
 * ``py_calls_per_op`` / ``c_calls_per_op`` — Python-level and C-level calls
-  per operation under ``sys.setprofile`` (they repeat exactly; CPython 3.12
+  per operation under ``sys.setprofile``, counted after
+  :data:`WARM_OPERATIONS` uncounted ones (they repeat exactly; CPython 3.12
   counts a few percent fewer, it inlines comprehensions; what
   ``tests/test_hot_path_budget.py`` pins);
 * ``msgs_per_op`` — run-queue deliveries per operation.
@@ -65,6 +66,10 @@ WRITE_RATIO = {"contrarian": 0.05, "cure": 0.05, "cc-lo": 0.1}
 #: fires in every n-th round.
 OPS_PER_TIMER_ROUND = 19
 TIMER_ROUND_SECONDS = 0.005
+#: Operations driven before the counted ones: more than one turn of CC-LO's
+#: 500 ms reader window (1,900 operations of the manual clock), so that the
+#: counted operations record into, answer from and expire a full window.
+WARM_OPERATIONS = 2000
 SPIN_ITERATIONS = 200_000
 #: What :func:`spin_seconds` took on the machine the committed numbers come
 #: from; a round's time is scaled by ``REFERENCE_SPIN_SECONDS / spin``.
@@ -127,7 +132,7 @@ def drive(cluster: RealtimeCluster, schedule: list) -> int:
 
 
 def count_calls(protocol: str, operations: int = 500,
-                warm: int = 100) -> dict[str, float]:
+                warm: int = WARM_OPERATIONS) -> dict[str, float]:
     """Python-level and C-level calls and messages per operation."""
     cluster = build_cluster(protocol)
     drive(cluster, plan(cluster, warm))

@@ -353,10 +353,8 @@ class CcloKernel(ServerKernel):
         # Old-reader inheritance: a ROT barred from this version must also be
         # barred from any future version that causally depends on it, so the
         # collected ids become old readers of this key as well.
-        for rot_id, logical_time in pending.collected.items():
-            client_id = rot_id.rsplit("#", 1)[0]
-            self.readers.record_old_reader(version.key, rot_id, client_id,
-                                           logical_time, self.now)
+        self.readers.record_old_readers(version.key, pending.collected,
+                                        self.now)
         self.counters.record_readers_check(
             distinct_ids=len(pending.collected),
             cumulative_ids=pending.cumulative_ids,

@@ -33,6 +33,7 @@ messages, assert the emitted effects (see ``tests/test_kernels.py``).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
@@ -307,6 +308,11 @@ class ClientKernel(_EffectBuffer):
     def next_rot_id(self) -> str:
         """A globally unique ROT identifier (client id + sequence number)."""
         return f"{self.client_id}#{self.sequence}"
+
+    @staticmethod
+    def rot_client_id(rot_id: str) -> str:
+        """The client of ``rot_id`` (:meth:`next_rot_id` undone), interned."""
+        return sys.intern(rot_id.rsplit("#", 1)[0])
 
     # ------------------------------------------------------------ entry API
     def start_operation(self, operation, sequence: int,

@@ -1,4 +1,4 @@
-"""A noise-free guard for the per-message path: Python-level calls per
+"""A noise-free guard for the per-message path: interpreter calls per
 operation.
 
 Timing tests cannot tell a 10% regression from a neighbour's build on a
@@ -8,12 +8,18 @@ of ``benchmarks/run_kernel_cost.py`` (an unstarted 2 DC x 4 partition
 ``client.issue``, then ``cluster._drain()`` until the run queue is empty,
 every server's periodic timers fired by hand every 19 operations, CC-LO's
 250 ms reader GC in every 50th such round), run for 500 operations under
-``sys.setprofile``.  The count repeats exactly and is the same on CPython
-3.10 and 3.11; 3.12 inlines comprehensions and counts a few percent fewer.
-Ceilings sit about 10% above what the tree reached when they were set
-(contrarian 272, cure 295, cc-lo 281; the parent of that change: 408, 425,
-327), so the frames and allocations that change removed cannot come back
-unnoticed.
+``sys.setprofile`` after 2,000 uncounted ones — more than one turn of CC-LO's
+500 ms reader window on the manual clock, so the counted operations record
+into, answer from and expire a full window.  The count repeats exactly and is
+the same on CPython 3.10 and 3.11; 3.12 inlines comprehensions and counts a
+few percent fewer.  Ceilings sit about 10% above what the tree reached when
+they were set (Python-level: contrarian 270, cure 293, cc-lo 309; before the
+kernels' allocations were cut: 408, 425, 327 on a 100-operation warm-up), so
+the frames and allocations that change removed cannot come back unnoticed.
+CC-LO's C-level calls are pinned as well: a reader record examined is a
+``dict.get``, not a frame, and a readers check that rescans the window again
+(521 C-level calls per operation on the scan implementation, 265 on the
+per-client index) would pass the Python-level ceiling.
 """
 
 import importlib.util
@@ -28,7 +34,9 @@ run_kernel_cost = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(run_kernel_cost)
 
 #: Python-level calls per operation.
-CEILINGS = {"contrarian": 299, "cure": 325, "cc-lo": 309}
+CEILINGS = {"contrarian": 299, "cure": 325, "cc-lo": 339}
+#: C-level calls per operation, where they are what a regression would add.
+C_CEILINGS = {"cc-lo": 291}
 
 
 @pytest.mark.parametrize("protocol", run_kernel_cost.PROTOCOLS)
@@ -37,8 +45,9 @@ def test_python_calls_per_operation_stay_under_the_ceiling(protocol):
     print(f"{protocol}: {counts['py_calls_per_op']:.1f} Python-level and "
           f"{counts['c_calls_per_op']:.1f} C-level calls per operation, "
           f"{counts['msgs_per_op']:.2f} messages per operation "
-          f"(ceiling {CEILINGS[protocol]})")
+          f"(ceilings {CEILINGS[protocol]}, {C_CEILINGS.get(protocol)})")
     assert counts["py_calls_per_op"] < CEILINGS[protocol]
+    assert counts["c_calls_per_op"] < C_CEILINGS.get(protocol, float("inf"))
     # The drive did what it says: every operation ran to completion through
     # the run queue (a ROT alone is 1 + 3 + 4 deliveries).
     assert counts["msgs_per_op"] > 5
