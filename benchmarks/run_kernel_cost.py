@@ -27,6 +27,18 @@ or this host happens to run it.  Per protocol it reports
   ``tests/test_hot_path_budget.py`` pins);
 * ``msgs_per_op`` — run-queue deliveries per operation.
 
+A second drive puts the same kernels and host under the discrete-event
+simulator (``simulator`` in the result): the layered benchmark's
+``sim-three-protocols`` cluster (``build_cluster`` at bench scale, 2 DCs,
+:data:`SIM_CLIENTS_PER_DC` closed-loop clients per DC, fixed seed) runs
+:data:`SIM_WINDOW_SECONDS` of virtual time uncounted, then the window that is
+counted and, on a new cluster per round, timed.  Its rows add
+``events_per_op`` (engine events) and count every simulated message in
+``msgs_per_op``; both are exact functions of the seed, so a tree that
+changes them changed the simulation, not its cost.  The
+difference to the loop-free row is what the simulator itself costs an
+operation: engine, network, CPU queues and the cost model.
+
 ``--label NAME --output FILE`` stores the result under ``NAME`` in ``FILE``,
 keeping what the file already holds: ``benchmarks/results/
 BENCH_kernel_cost.json`` is this script run in a checkout of the parent
@@ -52,9 +64,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from repro.clocks.physical import SkewModel
 from repro.clocks.timesource import FixedClock
 from repro.cluster.config import ClusterConfig
+from repro.harness.builder import BuiltCluster
+from repro.harness.builder import build_cluster as build_simulated_cluster
 from repro.runtime import cluster as runtime_cluster
 from repro.runtime.cluster import RealtimeCluster
-from repro.workload.parameters import WorkloadParameters
+from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 
 PROTOCOLS = ("contrarian", "cure", "cc-lo")
 #: Write ratios of the layered benchmark's two in-process workloads.
@@ -74,6 +88,10 @@ SPIN_ITERATIONS = 200_000
 #: What :func:`spin_seconds` took on the machine the committed numbers come
 #: from; a round's time is scaled by ``REFERENCE_SPIN_SECONDS / spin``.
 REFERENCE_SPIN_SECONDS = 0.0069
+#: The simulator drive: closed-loop clients per DC (the loaded point of
+#: ``sim-three-protocols``) and the virtual seconds of one window.
+SIM_CLIENTS_PER_DC = 16
+SIM_WINDOW_SECONDS = 0.030
 
 
 def build_cluster(protocol: str, seed: int = 7) -> RealtimeCluster:
@@ -131,12 +149,9 @@ def drive(cluster: RealtimeCluster, schedule: list) -> int:
     return messages
 
 
-def count_calls(protocol: str, operations: int = 500,
-                warm: int = WARM_OPERATIONS) -> dict[str, float]:
-    """Python-level and C-level calls and messages per operation."""
-    cluster = build_cluster(protocol)
-    drive(cluster, plan(cluster, warm))
-    schedule = plan(cluster, operations, first=warm)
+def profiled(work) -> tuple[dict[str, int], object]:
+    """Run ``work()`` under ``sys.setprofile``; the Python-level (``call``)
+    and C-level (``c_call``) calls it made, and what it returned."""
     counts = {"call": 0, "c_call": 0}
 
     def profiler(frame, event, arg):
@@ -145,12 +160,61 @@ def count_calls(protocol: str, operations: int = 500,
 
     sys.setprofile(profiler)
     try:
-        messages = drive(cluster, schedule)
+        outcome = work()
     finally:
         sys.setprofile(None)
+    return counts, outcome
+
+
+def count_calls(protocol: str, operations: int = 500,
+                warm: int = WARM_OPERATIONS) -> dict[str, float]:
+    """Python-level and C-level calls and messages per operation."""
+    cluster = build_cluster(protocol)
+    drive(cluster, plan(cluster, warm))
+    schedule = plan(cluster, operations, first=warm)
+    counts, messages = profiled(lambda: drive(cluster, schedule))
     return {"py_calls_per_op": counts["call"] / operations,
             "c_calls_per_op": counts["c_call"] / operations,
             "msgs_per_op": messages / operations}
+
+
+def build_sim_cluster(protocol: str, seed: int = 7) -> BuiltCluster:
+    """The layered benchmark's loaded simulator cluster, started and run
+    through its first (uncounted) window."""
+    config = ClusterConfig.bench_scale(
+        num_dcs=2, clients_per_dc=SIM_CLIENTS_PER_DC, warmup_seconds=0.0,
+        seed=seed)
+    cluster = build_simulated_cluster(protocol, config, DEFAULT_WORKLOAD)
+    cluster.start()
+    sim_window(cluster)
+    return cluster
+
+
+def sim_window(cluster: BuiltCluster) -> tuple[int, int, int]:
+    """Simulate the next window; the operations completed, engine events
+    executed and messages sent in it."""
+    sim, metrics = cluster.sim, cluster.metrics
+    network = cluster.topology.network.stats
+
+    def totals() -> tuple[int, int, int]:
+        return (metrics.rots_completed + metrics.puts_completed,
+                sim.events_processed, network.messages)
+
+    before = totals()
+    sim.run(until=sim.now + SIM_WINDOW_SECONDS)
+    return tuple(after - start for after, start in zip(totals(), before))
+
+
+def count_sim_calls(protocol: str) -> dict[str, float]:
+    """Calls, engine events and messages per simulated operation."""
+    cluster = build_sim_cluster(protocol)
+    counts, (operations, events, messages) = profiled(
+        lambda: sim_window(cluster))
+    return {"py_calls_per_op": counts["call"] / operations,
+            "c_calls_per_op": counts["c_call"] / operations,
+            "events_per_op": events / operations,
+            "msgs_per_op": messages / operations,
+            "window": [operations, events, messages]}
 
 
 def spin_seconds() -> float:
@@ -162,6 +226,17 @@ def spin_seconds() -> float:
     return time.process_time() - started
 
 
+def timed(work) -> tuple[float, object]:
+    """CPU seconds ``work()`` took, scaled to the reference host speed by a
+    spin timed on either side of it, and what it returned."""
+    spin = spin_seconds()
+    started = time.process_time()
+    outcome = work()
+    elapsed = time.process_time() - started
+    spin = (spin + spin_seconds()) / 2
+    return elapsed * REFERENCE_SPIN_SECONDS / spin, outcome
+
+
 def time_rounds(protocol: str, rounds: int, operations: int) -> list[float]:
     """Normalised CPU microseconds per operation of each round."""
     cluster = build_cluster(protocol)
@@ -169,32 +244,44 @@ def time_rounds(protocol: str, rounds: int, operations: int) -> list[float]:
     samples = []
     for index in range(rounds):
         schedule = plan(cluster, operations, first=(index + 1) * operations)
-        spin = spin_seconds()
-        started = time.process_time()
-        drive(cluster, schedule)
-        elapsed = time.process_time() - started
-        spin = (spin + spin_seconds()) / 2
-        samples.append(elapsed / operations * 1e6
-                       * REFERENCE_SPIN_SECONDS / spin)
+        seconds, _ = timed(lambda: drive(cluster, schedule))
+        samples.append(seconds / operations * 1e6)
     return samples
 
 
-def measure(rounds: int, operations: int) -> dict:
-    protocols = {}
-    for protocol in PROTOCOLS:
-        samples = time_rounds(protocol, rounds, operations)
-        low, median, high = statistics.quantiles(samples, n=4)
-        protocols[protocol] = {
-            "cpu_us_per_op": {"median": round(median, 1),
+def time_sim_rounds(protocol: str, rounds: int) -> list[float]:
+    """Normalised CPU microseconds per simulated operation of each round:
+    every round times the window whose calls are counted, on a new cluster
+    (the state a simulated window leaves behind makes the next one dearer)."""
+    samples = []
+    for _ in range(rounds):
+        cluster = build_sim_cluster(protocol)
+        seconds, (operations, _, _) = timed(lambda: sim_window(cluster))
+        samples.append(seconds / operations * 1e6)
+    return samples
+
+
+def _row(samples: list[float], counts: dict[str, float]) -> dict:
+    low, median, high = statistics.quantiles(samples, n=4)
+    return {"cpu_us_per_op": {"median": round(median, 1),
                               "q1": round(low, 1), "q3": round(high, 1),
                               "rounds": [round(s, 1) for s in samples]},
-            **{name: round(value, 1)
-               for name, value in count_calls(protocol).items()},
-        }
+            **{name: round(value, 1) if isinstance(value, float) else value
+               for name, value in counts.items()}}
+
+
+def measure(rounds: int, operations: int) -> dict:
     return {"python": platform.python_version(),
             "hash_seed": os.environ.get("PYTHONHASHSEED", "random"),
             "rounds": rounds, "ops_per_round": operations,
-            "protocols": protocols}
+            "protocols": {
+                protocol: _row(time_rounds(protocol, rounds, operations),
+                               count_calls(protocol))
+                for protocol in PROTOCOLS},
+            "simulator": {
+                protocol: _row(time_sim_rounds(protocol, rounds),
+                               count_sim_calls(protocol))
+                for protocol in PROTOCOLS}}
 
 
 def main(argv=None) -> int:
@@ -209,12 +296,18 @@ def main(argv=None) -> int:
     if args.rounds < 2:
         parser.error("quartiles need at least two rounds")
     result = measure(args.rounds, args.operations)
-    for protocol, row in result["protocols"].items():
-        cpu = row["cpu_us_per_op"]
-        print(f"{protocol:>10}: {cpu['median']:7.1f} us/op "
-              f"(q1 {cpu['q1']}, q3 {cpu['q3']}), "
-              f"{row['py_calls_per_op']} Python + {row['c_calls_per_op']} C "
-              f"calls/op, {row['msgs_per_op']} msgs/op")
+    for drive_name, label in (("protocols", "loop-free"),
+                              ("simulator", "simulator")):
+        for protocol, row in result[drive_name].items():
+            cpu = row["cpu_us_per_op"]
+            events = (f", {row['events_per_op']} events/op"
+                      if "events_per_op" in row else "")
+            print(f"{label:>9} {protocol:>10}: "
+                  f"{cpu['median']:7.1f} us/op "
+                  f"(q1 {cpu['q1']}, q3 {cpu['q3']}), "
+                  f"{row['py_calls_per_op']} Python + "
+                  f"{row['c_calls_per_op']} C calls/op, "
+                  f"{row['msgs_per_op']} msgs/op{events}")
     if args.output:
         report = {}
         if os.path.exists(args.output):

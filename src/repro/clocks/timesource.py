@@ -4,8 +4,8 @@ Every clock in :mod:`repro.clocks` reads time through a *time source* — any
 object exposing a ``now`` attribute/property that returns seconds as a float.
 Two implementations exist:
 
-* the discrete-event :class:`repro.sim.engine.Simulator` (its ``now`` property
-  is simulated seconds) — used by the simulated backend; and
+* the discrete-event :class:`repro.sim.engine.Simulator` (its ``now``
+  attribute is simulated seconds) — used by the simulated backend; and
 * :class:`WallClock` below — monotonic wall-clock seconds since construction,
   used by the real-time asyncio backend.
 

@@ -91,8 +91,9 @@ class ClusterTopology:
         self.partitioner = HashPartitioner(config.num_partitions)
         self._servers: dict[tuple[int, int], "PartitionServer"] = {}
         self._clients: list["BaseClient"] = []
-        #: Every node by its abstract kernel address (how sends are routed).
-        self._nodes: dict["Addr", "SimDriver"] = {}
+        #: Every node by its abstract kernel address (how sends are routed;
+        #: :meth:`node_at` is the lookup that names a missing address).
+        self.nodes: dict["Addr", "SimDriver"] = {}
         #: In-flight ROT tracking; ``None`` on the healthy path, created via
         #: :meth:`enable_rot_tracking` when a fault scenario is installed.
         self.rot_registry: Optional[ActiveRotRegistry] = None
@@ -110,7 +111,7 @@ class ClusterTopology:
         if slot in self._servers:
             raise ConfigurationError(f"duplicate server for DC/partition {slot}")
         self._servers[slot] = server
-        self._nodes[server.addr] = server
+        self.nodes[server.addr] = server
 
     def server(self, dc: int, partition: int) -> "PartitionServer":
         """The server hosting ``partition`` in data center ``dc``."""
@@ -157,12 +158,12 @@ class ClusterTopology:
     def add_client(self, client: "BaseClient") -> None:
         """Register a closed-loop client."""
         self._clients.append(client)
-        self._nodes[client.addr] = client
+        self.nodes[client.addr] = client
 
     def node_at(self, addr: "Addr") -> "SimDriver":
         """The node a kernel's :class:`Send` effect addresses."""
         try:
-            return self._nodes[addr]
+            return self.nodes[addr]
         except KeyError as exc:
             raise ConfigurationError(f"no node at {addr!r}") from exc
 

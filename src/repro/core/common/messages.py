@@ -10,6 +10,7 @@ paper uses when estimating the 7 KB readers-check payload).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 #: Fixed per-message header (routing, type tag, request id).
@@ -22,6 +23,11 @@ DEPENDENCY_BYTES = 16
 ROT_ID_BYTES = 8
 #: Bytes per key name carried in a request.
 KEY_BYTES = 8
+
+#: A read reply is sized for every hop's counters and again by the simulated
+#: network: its payload sum stays out of the interpreter (no generator frame
+#: per result).
+_VALUE_SIZE = attrgetter("value_size")
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ class RotValueReply(Message):
     gss: tuple[int, ...]
 
     def size_bytes(self) -> int:
-        payload = sum(result.value_size for result in self.results)
+        payload = sum(map(_VALUE_SIZE, self.results))
         return (HEADER_BYTES + payload
                 + (KEY_BYTES + TIMESTAMP_BYTES) * len(self.results)
                 + TIMESTAMP_BYTES * (len(self.snapshot) + len(self.gss)))
@@ -215,7 +221,7 @@ class OneRoundReadReply(Message):
     results: tuple[ReadResult, ...]
 
     def size_bytes(self) -> int:
-        payload = sum(result.value_size for result in self.results)
+        payload = sum(map(_VALUE_SIZE, self.results))
         return (HEADER_BYTES + ROT_ID_BYTES + payload
                 + (KEY_BYTES + TIMESTAMP_BYTES) * len(self.results))
 

@@ -100,12 +100,10 @@ class FaultController:
         self._install_retention_policies()
         self.metrics.begin_phase(BASELINE_PHASE, self.sim.now)
         for event in self.scenario.events:
-            self.sim.call_at(event.at, self._make_apply(event),
-                             label=f"fault:{event.action}")
+            self.sim.call_at(event.at, self._make_apply(event))
         interval = milliseconds(self.sample_interval_ms)
         self._sampler = PeriodicTask(self.sim, interval, self._sample,
-                                     start_delay=interval / 2,
-                                     label="fault-sampler")
+                                     start_delay=interval / 2)
 
     def shutdown(self) -> None:
         """Cancel the gauge sampler (called once the run is over)."""

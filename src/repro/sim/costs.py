@@ -16,13 +16,22 @@ The default constants are calibrated so that an 8-partition cluster saturates
 in the hundreds of Kops/s, the same order of magnitude as the paper's
 32-partition cluster; the absolute values are not meant to match the paper's
 hardware, only to put the crossover points in a comparable regime.
+
+Pricing runs once per simulated message, so it is kept to one table lookup
+(:data:`MESSAGE_PRICES`, by message type, from the server's ``service_time``)
+and one helper of the :class:`CostModel`, each a single expression in
+microseconds times :data:`~repro.clocks.units.MICROSECOND`; the terms that do
+not depend on the message (the fixed per-message and client costs) are
+converted once per node.  Every simulated result depends on the last bit of
+these sums: a helper may be inlined or reordered only if the float operations
+and their order stay exactly what they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.clocks.units import microseconds
+from repro.clocks.units import MICROSECOND
 from repro.core.common.messages import (
     CcloPutRequest,
     CcloReplicateUpdate,
@@ -109,71 +118,71 @@ class CostModel:
     # Helpers return simulated seconds -------------------------------------
     def message_cost(self) -> float:
         """Fixed cost of handling a message."""
-        return microseconds(self.base_message_us)
+        return self.base_message_us * MICROSECOND
 
     def read_cost(self, num_keys: int, value_bytes: int) -> float:
         """Cost of serving a read of ``num_keys`` keys of ``value_bytes`` each."""
-        return microseconds(self.read_key_us * num_keys
-                            + self.per_byte_us * value_bytes * num_keys)
+        return (self.read_key_us * num_keys
+                + self.per_byte_us * value_bytes * num_keys) * MICROSECOND
 
     def put_cost(self, value_bytes: int) -> float:
         """Cost of installing one new version of ``value_bytes`` bytes."""
-        return microseconds(self.put_key_us + self.per_byte_us * value_bytes)
+        return (self.put_key_us + self.per_byte_us * value_bytes) * MICROSECOND
 
     def coordinator_cost(self, num_partitions: int) -> float:
         """Cost of computing a snapshot and fanning out to ``num_partitions``."""
-        return microseconds(self.coordinator_us * max(1, num_partitions))
+        return self.coordinator_us * max(1, num_partitions) * MICROSECOND
 
     def dependency_cost(self, num_dependencies: int) -> float:
         """Cost of processing a dependency list."""
-        return microseconds(self.per_dependency_us * num_dependencies)
-
-    def rot_id_cost(self, num_ids: int) -> float:
-        """Cost of processing ``num_ids`` ROT identifiers (readers check)."""
-        return microseconds(self.per_rot_id_us * num_ids)
+        return self.per_dependency_us * num_dependencies * MICROSECOND
 
     def readers_check_cost(self, num_ids: int) -> float:
         """Cost of one readers-check leg carrying ``num_ids`` identifiers."""
-        return microseconds(self.readers_check_request_us) + self.rot_id_cost(num_ids)
+        return (self.readers_check_request_us * MICROSECOND
+                + self.per_rot_id_us * num_ids * MICROSECOND)
 
     def stabilization_cost(self) -> float:
         """Cost of one stabilization-protocol message."""
-        return microseconds(self.stabilization_us)
+        return self.stabilization_us * MICROSECOND
 
     def replication_cost(self, value_bytes: int, num_dependencies: int) -> float:
         """Cost of applying one replicated update."""
-        return (microseconds(self.replication_us + self.per_byte_us * value_bytes)
-                + self.dependency_cost(num_dependencies))
+        return ((self.replication_us + self.per_byte_us * value_bytes)
+                * MICROSECOND + self.dependency_cost(num_dependencies))
 
     def client_cost(self) -> float:
         """Client-side cost of issuing or completing an operation."""
-        return microseconds(self.client_overhead_us)
+        return self.client_overhead_us * MICROSECOND
 
 
 # --------------------------------------------------------------------------
 # What each message costs the partition server that handles it
 # --------------------------------------------------------------------------
-# One pricing function per message type, ``(cost_model, kernel, message) ->
-# seconds``, charged on top of :meth:`CostModel.message_cost`.  ``kernel`` is
+# One pricing function per message type (:data:`MESSAGE_PRICES`),
+# ``(cost_model, kernel, message) -> seconds``, charged on top of
+# :meth:`CostModel.message_cost`; a type without one (replies in transit to
+# clients, unknown types) costs nothing beyond that fixed charge.  ``kernel`` is
 # the serving partition's kernel: some prices depend on what it stores.  The
 # CPU price of every message is what produces the queueing dynamics the paper
 # measures; the readers-check prices are its central overhead.
 
 
-def _stored_value_size(kernel, keys: list[str]) -> int:
-    for key in keys:
-        version = kernel.store.latest_visible(key)
-        if version is not None:
-            return version.size_bytes
-    return 0
-
-
-def _read(cost: CostModel, kernel, message) -> float:
+def _read(cost: CostModel, kernel, message, keys=None) -> float:
+    """Reading ``keys`` (the message's own unless given) from the store; the
+    values of a run share one size, so the first stored one prices them all."""
     # For CC-LO, checking whether the ROT id appears in a version's
     # old-reader record is a hash lookup, so the read path pays no per-id
     # cost; the readers check (PUT path) is where the id lists are scanned.
-    keys = list(message.keys)
-    return cost.read_cost(len(keys), _stored_value_size(kernel, keys))
+    if keys is None:
+        keys = message.keys
+    value_bytes = 0
+    for key in keys:
+        version = kernel.store.latest_visible(key)
+        if version is not None:
+            value_bytes = version.size_bytes
+            break
+    return cost.read_cost(len(keys), value_bytes)
 
 
 def _vector_put(cost: CostModel, kernel, message: VectorPutRequest) -> float:
@@ -185,7 +194,7 @@ def _rot_coordinator(cost: CostModel, kernel,
                      message: RotCoordinatorRequest) -> float:
     groups = kernel.partitioner.group_by_partition(message.keys)
     own_keys = groups.get(kernel.partition_index, ())
-    read = cost.read_cost(len(own_keys), _stored_value_size(kernel, own_keys)) \
+    read = _read(cost, kernel, message, own_keys) \
         if not message.two_round and own_keys else 0.0
     return cost.coordinator_cost(len(groups)) + read
 
@@ -205,8 +214,10 @@ def _cclo_put(cost: CostModel, kernel, message: CcloPutRequest) -> float:
 
 def _readers_check_request(cost: CostModel, kernel,
                            message: ReadersCheckRequest) -> float:
-    ids = sum(kernel.readers.old_reader_count(key)
-              for key, _, _ in message.dependencies)
+    old_reader_count = kernel.readers.old_reader_count
+    ids = 0
+    for key, _, _ in message.dependencies:
+        ids += old_reader_count(key)
     return cost.readers_check_cost(ids) \
         + cost.dependency_cost(len(message.dependencies))
 
@@ -216,7 +227,7 @@ def _readers_check_reply(cost: CostModel, kernel,
     return cost.readers_check_cost(len(message.old_readers))
 
 
-_MESSAGE_PRICES = {
+MESSAGE_PRICES = {
     VectorPutRequest: _vector_put,
     RotCoordinatorRequest: _rot_coordinator,
     RotProxyRead: _read,
@@ -232,12 +243,4 @@ _MESSAGE_PRICES = {
 }
 
 
-def message_cost(cost: CostModel, kernel, message: object) -> float:
-    """Protocol-specific CPU seconds ``message`` costs the server hosting
-    ``kernel``; messages without a price (replies in transit to clients,
-    unknown types) cost nothing beyond the fixed per-message charge."""
-    price = _MESSAGE_PRICES.get(type(message))
-    return price(cost, kernel, message) if price is not None else 0.0
-
-
-__all__ = ["CostModel", "message_cost"]
+__all__ = ["MESSAGE_PRICES", "CostModel"]

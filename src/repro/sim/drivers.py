@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.common.host import ClientHost, ServerHost
 from repro.core.common.kernel import Addr, ClientKernel, ServerKernel, SetTimer
-from repro.sim.costs import message_cost
+from repro.sim.costs import MESSAGE_PRICES
 from repro.sim.engine import PeriodicTask
 from repro.sim.node import Node
 
@@ -52,11 +52,27 @@ class SimDriver(Node):
     def _send(self, dest: Addr, message: object) -> None:
         # The network reads ``self.current_trace`` to tag the message.
         topology = self.topology
-        topology.network.send(self, topology.node_at(dest), message)
+        node = topology.nodes.get(dest)
+        if node is None:
+            node = topology.node_at(dest)  # raises: no node at ``dest``
+        topology.network.send(self, node, message)
 
     def handle_message(self, sender: Node, message: object) -> None:
-        """Called by the CPU queue once ``message`` has been served."""
+        """Feed a served ``message`` to the kernel host."""
         self.dispatch(sender.addr, message, self.current_trace)
+
+    def _complete_serving(self) -> None:
+        # Node's completion with ``handle_message`` folded into it: a served
+        # message goes straight to the host's ``dispatch`` (which adopts the
+        # trace), one frame fewer on every simulated message.
+        sender, message, trace = self._serving  # type: ignore[misc]
+        self._serving = None
+        self.stats.messages_processed += 1
+        self.dispatch(sender.addr, message, trace)
+        if self._queue and not self._paused:
+            self._serve_next()
+        else:
+            self._busy = False
 
 
 class PartitionServer(SimDriver, ServerHost):
@@ -68,17 +84,21 @@ class PartitionServer(SimDriver, ServerHost):
         SimDriver.__init__(self, topology,
                            threads=topology.config.server_threads)
         self._periodic_tasks: list[PeriodicTask] = []
+        self._base_cost = self.cost_model.message_cost()
 
     def _arm_timer(self, timer: SetTimer, trace: Optional[str]) -> None:
         tag, payload = timer.tag, timer.payload
         self.sim.schedule(timer.delay,
-                          lambda: self.fire_timer(tag, payload, trace),
-                          label=tag)
+                          lambda: self.fire_timer(tag, payload, trace))
 
     def service_time(self, message: object) -> float:
-        """Charge the CPU for ``message`` according to the cost model."""
-        return self.cost_model.message_cost() \
-            + message_cost(self.cost_model, self.kernel, message)
+        """Charge the CPU for ``message`` according to the cost model: the
+        fixed per-message cost plus the message type's price, if it has one
+        (replies in transit to clients and unknown types have none)."""
+        price = MESSAGE_PRICES.get(type(message))
+        if price is None:
+            return self._base_cost
+        return self._base_cost + price(self.cost_model, self.kernel, message)
 
     def start(self) -> None:
         """Start the kernel's periodic protocol tasks (stabilization, GC)."""
@@ -86,7 +106,7 @@ class PartitionServer(SimDriver, ServerHost):
             self._periodic_tasks.append(PeriodicTask(
                 self.sim, spec.interval,
                 lambda tag=spec.tag: self.fire_timer(tag),
-                start_delay=spec.start_delay, label=spec.tag))
+                start_delay=spec.start_delay))
 
     def stop_background_tasks(self) -> None:
         """Cancel periodic tasks (lets the event queue drain at run end)."""
@@ -112,6 +132,7 @@ class BaseClient(SimDriver, ClientHost):
         ClientHost.__init__(self, kernel, topology.sim, generator, metrics,
                             checker)
         SimDriver.__init__(self, topology)
+        self._client_cost = self.cost_model.client_cost()
         self.rng = rng
         self._running = False
         # Fault-injection state (see repro.faults): a suspended client stops
@@ -125,8 +146,7 @@ class BaseClient(SimDriver, ClientHost):
         self._running = True
         # Desynchronise client start times slightly so the first wave of
         # requests does not arrive in lockstep.
-        self.sim.schedule(self.rng.random() * 1e-3, self._issue_next,
-                          label="client-start")
+        self.sim.schedule(self.rng.random() * 1e-3, self._issue_next)
 
     def stop(self) -> None:
         """Stop issuing new operations (in-flight ones finish naturally)."""
@@ -169,7 +189,7 @@ class BaseClient(SimDriver, ClientHost):
     def service_time(self, message: object) -> float:
         """Clients pay a token CPU cost; they are never the bottleneck."""
         del message
-        return self.cost_model.client_cost()
+        return self._client_cost
 
 
 __all__ = ["BaseClient", "PartitionServer", "SimDriver"]

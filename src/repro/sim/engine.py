@@ -5,48 +5,37 @@ other components (network, nodes, protocol timers) schedule callbacks through
 :meth:`Simulator.schedule` / :meth:`Simulator.call_at`.  Simulated time is a
 float measured in **seconds**; component code typically works in milliseconds
 or microseconds and converts through the helpers in :mod:`repro.clocks.units`.
+
+Every simulated message is two events, so what an event costs is what a
+figure waits for.  An event is therefore one small list, the heap entry
+itself, which doubles as the handle to cancel it (:data:`Event`); it carries
+no label; and :attr:`Simulator.now` is a plain attribute the engine assigns
+before each callback — read-only by convention, exact whenever it is read
+(inside a callback, between ``run(until=...)`` slices, after a callback
+raised), like :attr:`Simulator.events_processed`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
 
 
-class Event:
-    """A scheduled callback.
-
-    The engine orders events by ``(time, sequence)`` so that simultaneous
-    events fire in the order they were scheduled, which keeps runs
-    deterministic.  The ordering key is kept outside the event (the heap
-    stores ``(time, sequence, event)`` tuples) and the event itself is a
-    ``__slots__`` class: event creation and the attribute loads in the heap
-    loop are the hottest allocations of the whole simulator, and slotted
-    instances are measurably cheaper than dataclass instances here.
-    """
-
-    __slots__ = ("time", "sequence", "callback", "cancelled", "label")
-
-    def __init__(self, time: float, sequence: int,
-                 callback: Callable[[], None], label: str = "") -> None:
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.cancelled = False
-        self.label = label
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when it is popped."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = " cancelled" if self.cancelled else ""
-        return (f"Event(time={self.time:.9f}, seq={self.sequence}, "
-                f"label={self.label!r}{state})")
+#: A scheduled callback: the heap entry ``[time, sequence, callback]``.  The
+#: engine orders events by ``(time, sequence)`` so that simultaneous events
+#: fire in the order they were scheduled, which keeps runs deterministic; the
+#: pair is unique, so the callback is never compared.  The entry the heap
+#: holds *is* the handle :meth:`Simulator.schedule` returns and
+#: :meth:`Simulator.cancel` takes: a plain list, because an event is the
+#: hottest allocation of the whole simulator and an instance of any class —
+#: even a ``list`` subclass — costs several times as much to create, index
+#: and free.
+Event = list
 
 
 class Simulator:
@@ -61,20 +50,18 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[Event] = []
         self._sequence = itertools.count()
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute, because
+        #: every clock, host and node reads it several times per message;
+        #: only the engine assigns it (before each callback it runs).
+        self.now = 0.0
         self._processed = 0
         self.random = random.Random(seed)
         self._seed = seed
         self._stopped = False
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def seed(self) -> int:
         """Seed the simulator was created with."""
@@ -100,23 +87,29 @@ class Simulator:
         return random.Random(f"{self._seed}:{name}")
 
     # ------------------------------------------------------------- scheduling
-    def schedule(self, delay: float, callback: Callable[[], None],
-                 label: str = "") -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past: delay={delay}")
-        return self.call_at(self._now + delay, callback, label=label)
-
-    def call_at(self, when: float, callback: Callable[[], None],
-                label: str = "") -> Event:
-        """Schedule ``callback`` to run at absolute simulated time ``when``."""
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule an event at {when:.9f} before now={self._now:.9f}")
-        sequence = next(self._sequence)
-        event = Event(when, sequence, callback, label)
-        heapq.heappush(self._queue, (when, sequence, event))
+        event = [self.now + delay, next(self._sequence), callback]
+        heapq.heappush(self._queue, event)
         return event
+
+    def call_at(self, when: float, callback: Callable[[], None]) -> Event:
+        """Schedule ``callback`` to run at absolute simulated time ``when``."""
+        if when < self.now:
+            raise SimulationError(
+                f"cannot schedule an event at {when:.9f} before now={self.now:.9f}")
+        event = [when, next(self._sequence), callback]
+        heapq.heappush(self._queue, event)
+        return event
+
+    @staticmethod
+    def cancel(event: Event) -> None:
+        """Cancel a scheduled event: the engine skips it when it is popped
+        (it counts as pending until then, never as processed).  A no-op for
+        an event that already fired or was cancelled."""
+        event[2] = None
 
     # -------------------------------------------------------------- execution
     def step(self) -> bool:
@@ -125,12 +118,13 @@ class Simulator:
         Returns ``True`` if an event was executed, ``False`` if the queue was
         empty or only contained cancelled events.
         """
-        while self._queue:
-            _, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
+        queue = self._queue
+        while queue:
+            when, _, callback = heapq.heappop(queue)
+            if callback is None:
                 continue
-            self._now = event.time
-            event.callback()
+            self.now = when
+            callback()
             self._processed += 1
             return True
         return False
@@ -143,10 +137,16 @@ class Simulator:
         ----------
         until:
             Stop once simulated time would exceed this value.  Events scheduled
-            exactly at ``until`` are executed.
+            exactly at ``until`` are executed, and the clock is advanced to
+            ``until`` when the run ends because nothing earlier is left — not
+            when :meth:`stop` or ``max_events`` ended it with such events
+            still pending.
         max_events:
-            Safety valve: stop after executing this many events.
+            Safety valve: stop after executing exactly this many events.
         """
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be >= 0, got {max_events}")
+        horizon = math.inf if until is None else until
         executed = 0
         self._stopped = False
         # The heap pop/dispatch below is the single hottest loop in the whole
@@ -154,22 +154,22 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         while queue and not self._stopped:
-            event = queue[0][2]
-            if event.cancelled:
+            if executed == max_events:
+                return
+            event = queue[0]
+            callback = event[2]
+            if callback is None:
                 heappop(queue)
                 continue
-            if until is not None and event.time > until:
-                self._now = until
-                return
+            if event[0] > horizon:
+                break
             heappop(queue)
-            self._now = event.time
-            event.callback()
+            self.now = event[0]
+            callback()
             self._processed += 1
             executed += 1
-            if max_events is not None and executed >= max_events:
-                return
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and not self._stopped and self.now < until:
+            self.now = until
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -177,7 +177,7 @@ class Simulator:
 
     # ------------------------------------------------------------------ misc
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"Simulator(now={self._now:.6f}, pending={len(self._queue)}, "
+        return (f"Simulator(now={self.now:.6f}, pending={len(self._queue)}, "
                 f"processed={self._processed})")
 
 
@@ -185,24 +185,20 @@ class PeriodicTask:
     """Helper that reschedules a callback at a fixed period.
 
     Used for the stabilization protocol, heartbeats and metric sampling.  The
-    task stops either when :meth:`cancel` is called or when ``stop_after``
-    simulated seconds have elapsed.
+    task runs until :meth:`cancel` is called (which its own callback may do).
     """
 
     def __init__(self, sim: Simulator, period: float,
                  callback: Callable[[], None], *,
-                 start_delay: Optional[float] = None,
-                 label: str = "periodic") -> None:
+                 start_delay: Optional[float] = None) -> None:
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period}")
         self._sim = sim
         self._period = period
         self._callback = callback
-        self._label = label
         self._cancelled = False
-        self._event: Optional[Event] = None
         delay = period if start_delay is None else start_delay
-        self._event = sim.schedule(delay, self._fire, label=label)
+        self._event = sim.schedule(delay, self._fire)
 
     @property
     def cancelled(self) -> bool:
@@ -211,16 +207,12 @@ class PeriodicTask:
     def cancel(self) -> None:
         """Stop rescheduling and cancel the pending occurrence."""
         self._cancelled = True
-        if self._event is not None:
-            self._event.cancel()
+        self._sim.cancel(self._event)
 
     def _fire(self) -> None:
-        if self._cancelled:
-            return
         self._callback()
         if not self._cancelled:
-            self._event = self._sim.schedule(self._period, self._fire,
-                                             label=self._label)
+            self._event = self._sim.schedule(self._period, self._fire)
 
 
 __all__ = ["Event", "PeriodicTask", "Simulator"]

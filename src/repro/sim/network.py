@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.clocks.units import microseconds
+from repro.clocks.units import MICROSECOND, microseconds
 from repro.core.common.kernel import message_size
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
@@ -80,14 +80,6 @@ class NetworkStats:
     intra_dc_messages: int = 0
     inter_dc_messages: int = 0
 
-    def record(self, size_bytes: int, same_dc: bool) -> None:
-        self.messages += 1
-        self.bytes += size_bytes
-        if same_dc:
-            self.intra_dc_messages += 1
-        else:
-            self.inter_dc_messages += 1
-
 
 class _DeliveryBatch:
     """All messages of one channel arriving at the same simulated instant.
@@ -102,17 +94,17 @@ class _DeliveryBatch:
     number).  Runs remain fully deterministic for a given seed, and the
     protocols only rely on per-channel ordering, not on cross-channel
     same-instant interleavings.
+
+    A channel's newest batch is also its FIFO clamp: nothing sent later may
+    arrive before ``time``.  Almost every batch carries one message, so the
+    first rides in its own slots and ``more`` stays ``None`` until a second
+    joins; the fields are assigned by :meth:`Network._schedule_arrival`, the
+    only place that creates a batch (once per simulated message: no
+    ``__init__`` frame).
     """
 
-    __slots__ = ("time", "sender", "destination", "messages", "closed")
-
-    def __init__(self, time: float, sender: "Node", destination: "Node",
-                 message: object, trace: Optional[str]) -> None:
-        self.time = time
-        self.sender = sender
-        self.destination = destination
-        self.messages = [(message, trace)]
-        self.closed = False
+    __slots__ = ("time", "sender", "destination", "message", "trace", "more",
+                 "closed")
 
     def deliver(self) -> None:
         # Close before draining: with a zero-latency model a handler can send
@@ -121,9 +113,10 @@ class _DeliveryBatch:
         self.closed = True
         destination = self.destination
         sender = self.sender
-        messages, self.messages = self.messages, []
-        for message, trace in messages:
-            destination.enqueue_message(sender, message, trace)
+        destination.enqueue_message(sender, self.message, self.trace)
+        if self.more is not None:
+            for message, trace in self.more:
+                destination.enqueue_message(sender, message, trace)
 
 
 class LinkFault:
@@ -179,8 +172,8 @@ class Network:
         self.latency = latency or LatencyModel()
         self.stats = NetworkStats()
         self._rng = sim.derived_rng("network-jitter")
-        self._last_delivery: dict[tuple[str, str], float] = {}
-        self._open_batches: dict[tuple[str, str], _DeliveryBatch] = {}
+        #: The newest delivery batch of every (sender, destination) channel.
+        self._batches: dict[tuple["Node", "Node"], _DeliveryBatch] = {}
         # The latency model is frozen, so its terms can be flattened into the
         # per-send fast path below (``send`` runs once per simulated message).
         self._intra_us = self.latency.intra_dc_us
@@ -207,8 +200,15 @@ class Network:
         has already arrived.
         """
         size = message_size(message)
-        same_dc = sender.dc_id == destination.dc_id
-        self.stats.record(size, same_dc)
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += size
+        if sender.dc_id == destination.dc_id:
+            stats.intra_dc_messages += 1
+            base = self._intra_us
+        else:
+            stats.inter_dc_messages += 1
+            base = self._inter_us
         # The message inherits the trace of whatever the sender is currently
         # serving (pure metadata: no RNG draws, no ordering changes, always
         # None with tracing disabled).
@@ -219,29 +219,38 @@ class Network:
                 self._send_faulted(sender, destination, message, size, fault,
                                    trace)
                 return
-        # Inlined LatencyModel.one_way_delay (identical arithmetic).
-        base = self._intra_us if same_dc else self._inter_us
-        delay = microseconds(base + size / self._bandwidth
-                             + self._jitter_us * self._rng.random())
-        self._schedule_arrival(sender, destination, message, delay, trace)
+        # LatencyModel.one_way_delay, flattened (identical arithmetic: this
+        # runs once per simulated message).
+        self._schedule_arrival(
+            sender, destination, message,
+            (base + size / self._bandwidth
+             + self._jitter_us * self._rng.random()) * MICROSECOND, trace)
 
     def _schedule_arrival(self, sender: "Node", destination: "Node",
                           message: object, delay: float,
                           trace: Optional[str] = None) -> None:
         """Clamp to per-channel FIFO order and schedule the delivery event."""
-        channel = (sender.node_id, destination.node_id)
-        arrival = max(self.sim.now + delay, self._last_delivery.get(channel, 0.0))
-        self._last_delivery[channel] = arrival
-        batch = self._open_batches.get(channel)
-        if batch is not None and not batch.closed and batch.time == arrival:
-            # The channel is backlogged and this message lands on the same
-            # tick as the previous one: piggyback on its delivery event.
-            batch.messages.append((message, trace))
-            return
-        batch = _DeliveryBatch(arrival, sender, destination, message, trace)
-        self._open_batches[channel] = batch
-        self.sim.call_at(arrival, batch.deliver,
-                         label=f"deliver:{type(message).__name__}")
+        channel = (sender, destination)
+        arrival = self.sim.now + delay
+        batch = self._batches.get(channel)
+        if batch is not None and arrival <= batch.time:
+            arrival = batch.time
+            if not batch.closed:
+                # The channel is backlogged and this message lands on the same
+                # tick as the previous one: piggyback on its delivery event.
+                if batch.more is None:
+                    batch.more = []
+                batch.more.append((message, trace))
+                return
+        batch = self._batches[channel] = _DeliveryBatch()
+        batch.time = arrival
+        batch.sender = sender
+        batch.destination = destination
+        batch.message = message
+        batch.trace = trace
+        batch.more = None
+        batch.closed = False
+        self.sim.call_at(arrival, batch.deliver)
 
     # ------------------------------------------------------------ fault hooks
     def _send_faulted(self, sender: "Node", destination: "Node",
@@ -295,17 +304,6 @@ class Network:
         else:
             fault.blocked = True
 
-    def _healthy_delay(self, same_dc: bool, size: int) -> float:
-        """One-way delay of a healthy link, in simulated seconds.
-
-        Must stay arithmetically identical to the inlined fast path in
-        :meth:`send` (which keeps its own copy because it runs once per
-        simulated message).
-        """
-        base = self._intra_us if same_dc else self._inter_us
-        return microseconds(base + size / self._bandwidth
-                            + self._jitter_us * self._rng.random())
-
     def unblock_link(self, src_dc: int, dst_dc: int) -> None:
         """Restore one directed link and flush its held messages in order."""
         fault = self._link_faults.pop((src_dc, dst_dc), None)
@@ -315,8 +313,9 @@ class Network:
                 (src_dc, dst_dc), []):
             # Re-entering ``send`` would double-count stats; schedule with the
             # healthy delay directly (FIFO order is preserved by the clamp).
-            delay = self._healthy_delay(sender.dc_id == destination.dc_id,
-                                        message_size(message))
+            delay = self.latency.one_way_delay(
+                sender.dc_id == destination.dc_id, message_size(message),
+                self._rng.random())
             self._schedule_arrival(sender, destination, message, delay, trace)
 
     def clear_link_faults(self) -> None:

@@ -7,12 +7,19 @@ them in FIFO order, charging each message the service time returned by the
 node's :meth:`Node.service_time` hook.  Queueing at the CPU — not the network —
 is what produces the latency inflation under load that the paper reports, and
 what makes CC-LO's extra PUT work visible in ROT latencies.
+
+A message costs two engine events — its delivery and the completion of its
+service — and the queue is touched only when there is queueing.  That rests on
+one invariant: **a CPU that is neither busy nor paused has an empty queue**
+(``_busy`` is cleared only when the queue is empty or the node is paused, and
+:meth:`Node.resume` restarts service before it returns), so a message that
+arrives at an idle CPU enters service at once, having waited exactly zero.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -27,7 +34,6 @@ class ProcessingStats:
     busy_time: float = 0.0
     total_queue_wait: float = 0.0
     max_queue_length: int = 0
-    queue_samples: list[int] = field(default_factory=list)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of wall-clock (simulated) time the CPU was busy."""
@@ -77,30 +83,38 @@ class Node:
     def enqueue_message(self, sender: "Node", message: object,
                         trace: Optional[str] = None) -> None:
         """Called by the network when a message arrives at this node."""
-        self._queue.append((sender, message, trace, self.sim.now))
-        self.stats.max_queue_length = max(self.stats.max_queue_length,
-                                          len(self._queue))
-        if not self._busy and not self._paused:
-            self._serve_next()
-
-    def _serve_next(self) -> None:
-        if self._paused or not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        sender, message, trace, enqueued_at = self._queue.popleft()
         stats = self.stats
-        stats.total_queue_wait += self.sim.now - enqueued_at
+        if self._busy or self._paused:
+            queue = self._queue
+            queue.append((sender, message, trace, self.sim.now))
+            if len(queue) > stats.max_queue_length:
+                stats.max_queue_length = len(queue)
+            return
+        # Idle (the common case below saturation), hence an empty queue (see
+        # the module docstring): the message would be appended, make a queue
+        # of one, be popped again and be charged a wait of exactly zero.
+        if not stats.max_queue_length:
+            stats.max_queue_length = 1
+        self._serve(sender, message, trace)
+
+    def _serve(self, sender: "Node", message: object,
+               trace: Optional[str]) -> None:
+        self._busy = True
         service = self.service_time(message) / self.threads
         if self._service_factor != 1.0:
             service *= self._service_factor
-        stats.busy_time += service
+        self.stats.busy_time += service
         # One message is in service at a time (the busy flag serialises the
         # CPU), so the in-flight triple can live on the node instead of in a
-        # per-message closure — this loop runs once per simulated message.
+        # per-message closure — this runs once per simulated message.
         self._serving = (sender, message, trace)
-        self.sim.schedule(service, self._complete_serving,
-                          label=type(message).__name__)
+        self.sim.schedule(service, self._complete_serving)
+
+    def _serve_next(self) -> None:
+        """Start on the head of the (non-empty) queue of a running CPU."""
+        sender, message, trace, enqueued_at = self._queue.popleft()
+        self.stats.total_queue_wait += self.sim.now - enqueued_at
+        self._serve(sender, message, trace)
 
     def _complete_serving(self) -> None:
         sender, message, trace = self._serving  # type: ignore[misc]
@@ -108,7 +122,10 @@ class Node:
         self.current_trace = trace
         self.stats.messages_processed += 1
         self.handle_message(sender, message)
-        self._serve_next()
+        if self._queue and not self._paused:
+            self._serve_next()
+        else:
+            self._busy = False
 
     # ----------------------------------------------------------------- faults
     def set_service_factor(self, factor: float) -> None:
@@ -168,18 +185,4 @@ class Node:
         return f"{type(self).__name__}({self.node_id!r}, dc={self.dc_id})"
 
 
-class DelayedCall:
-    """A cancellable timer bound to a node (thin wrapper over the simulator).
-
-    Protocol code uses this for retransmission-free timers such as the
-    Cure blocking wait or the CC-LO reader garbage collection.
-    """
-
-    def __init__(self, node: Node, delay: float, callback, label: str = "timer") -> None:
-        self._event = node.sim.schedule(delay, callback, label=label)
-
-    def cancel(self) -> None:
-        self._event.cancel()
-
-
-__all__ = ["DelayedCall", "Node", "ProcessingStats"]
+__all__ = ["Node", "ProcessingStats"]
