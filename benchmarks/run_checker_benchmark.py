@@ -22,10 +22,15 @@ violations in the same order — ``"equivalent"`` in the JSON, gated by
 
 **TCP capture** — a short multi-process run
 (:func:`~repro.runtime.experiment.run_realtime_experiment` with
-``transport="tcp", checker="streaming"``): workers stream observation-log
-chunks over the wire codec during the run and the parent checks them
-incrementally.  Validates the capture path end-to-end; fails the benchmark
-on any violation or if no chunks were streamed.
+``transport="tcp", checker=StreamingChecker()``): workers stream
+observation-log chunks over the wire codec during the run and the parent
+checks them incrementally.  Validates the capture path end-to-end; fails the
+benchmark on any violation or if no chunks were streamed.
+
+There is no parallel row: the pooled window check lost to the serial one on
+every core count it was measured on (250k ops on two cores: 10.1-10.8 kops/s
+at 53.4 MB against 15.3-15.4 kops/s at 36.9 MB; one core: 8.6k against
+28.4k) and was deleted in PR 23.  ``cpu_count`` is recorded all the same.
 
 Usage::
 
@@ -71,9 +76,9 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _stream_check(total_ops: int, workers: int | None) -> dict[str, object]:
+def _stream_check(total_ops: int) -> dict[str, object]:
     """Feed a synthetic history chunk-wise through a streaming checker."""
-    checker = StreamingChecker(window_ops=WINDOW_OPS, max_workers=workers)
+    checker = StreamingChecker(window_ops=WINDOW_OPS)
     started = time.perf_counter()
     puts, rots, pending = [], [], 0
     for kind, op in generate_history(total_ops):
@@ -116,12 +121,10 @@ def _mono_check(total_ops: int) -> dict[str, object]:
     }
 
 
-def _run_child(kind: str, total_ops: int, workers: int | None) -> dict:
+def _run_child(kind: str, total_ops: int) -> dict:
     """One measurement in a fresh subprocess (isolated, attributable RSS)."""
     argv = [sys.executable, os.path.abspath(__file__), "--child", kind,
             "--ops", str(total_ops)]
-    if workers:
-        argv += ["--workers", str(workers)]
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
@@ -136,26 +139,22 @@ def _run_child(kind: str, total_ops: int, workers: int | None) -> dict:
 def run_streaming_series(max_ops: int) -> dict[str, object]:
     series = []
     for ops in (max_ops // 8, max_ops // 4, max_ops // 2, max_ops):
-        row = _run_child("streaming", ops, None)
+        row = _run_child("streaming", ops)
         series.append(row)
         print(f"  streaming {ops:>9,} ops: {row['ops_s']:>9,.0f} ops/s, "
               f"peak RSS {row['peak_rss_mb']:.0f} MB, "
               f"peak live {row['peak_live_versions']:,} versions, "
               f"{row['windows_sealed']} windows")
     growth = series[-1]["peak_rss_mb"] / series[0]["peak_rss_mb"]
-    parallel = _run_child("streaming", max_ops // 8, 2)
-    print(f"  streaming {max_ops // 8:>9,} ops (2 workers): "
-          f"{parallel['ops_s']:>9,.0f} ops/s")
     return {
         "series": series,
         "memory_growth": round(growth, 3),
         "ops_s": series[-1]["ops_s"],
-        "parallel_ops_s": parallel["ops_s"],
     }
 
 
 def run_monolithic_compare(compare_ops: int) -> dict[str, object]:
-    row = _run_child("monolithic", compare_ops, None)
+    row = _run_child("monolithic", compare_ops)
     print(f"  monolithic {compare_ops:>8,} ops: {row['ops_s']:>9,.0f} ops/s, "
           f"peak RSS {row['peak_rss_mb']:.0f} MB")
     return row
@@ -197,7 +196,7 @@ def run_tcp_capture() -> dict[str, object]:
     outcome = run_realtime_experiment(
         "contrarian", ClusterConfig.test_scale(num_dcs=2),
         duration_seconds=TCP_CAPTURE_SECONDS, transport="tcp",
-        enable_checker=True, checker="streaming", label="checker-capture")
+        checker=StreamingChecker(), label="checker-capture")
     report = outcome.checker_report
     cluster = outcome.cluster
     row = {
@@ -215,8 +214,8 @@ def run_tcp_capture() -> dict[str, object]:
     return row
 
 
-def child_main(kind: str, total_ops: int, workers: int | None) -> int:
-    row = (_stream_check(total_ops, workers) if kind == "streaming"
+def child_main(kind: str, total_ops: int) -> int:
+    row = (_stream_check(total_ops) if kind == "streaming"
            else _mono_check(total_ops))
     json.dump(row, sys.stdout)
     return 0
@@ -238,11 +237,9 @@ def main(argv: list[str] | None = None) -> int:
                              "clusters)")
     parser.add_argument("--child", choices=("streaming", "monolithic"),
                         help=argparse.SUPPRESS)
-    parser.add_argument("--workers", type=int, default=None,
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        return child_main(args.child, args.ops, args.workers)
+        return child_main(args.child, args.ops)
     if args.ops < 8:
         parser.error("--ops must be at least 8")
 

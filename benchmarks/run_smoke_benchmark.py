@@ -50,6 +50,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.core.registry import implemented_protocols
@@ -107,7 +108,8 @@ def run_smoke(workers: int | None = None,
                       duration_seconds=REALTIME_POINT_SECONDS,
                       transport=transport,
                       check_consistency=True,
-                      checker=checker,
+                      checker=(StreamingChecker() if checker == "streaming"
+                               else None),
                       label=f"smoke-realtime[{transport}]").result
                   for count in clients]
                   for protocol in protocols}
@@ -236,10 +238,10 @@ def main(argv: list[str] | None = None) -> int:
                         choices=["monolithic", "streaming"],
                         help="realtime backend only: validate each run with "
                              "the buffer-everything monolithic checker or "
-                             "the bounded-memory streaming checker (over "
-                             "TCP, streaming also ships observations as "
-                             "chunks during the run; "
-                             "default: %(default)s)")
+                             "the bounded-memory streaming checker (this "
+                             "flag builds the instance the run is given; "
+                             "over TCP either one is fed by observation "
+                             "chunks during the run; default: %(default)s)")
     parser.add_argument("--emit-trace", default=None, metavar="PATH",
                         help="also run a traced 2-DC point per protocol, "
                              "write the merged Perfetto timeline to PATH "

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.causal.checker import CheckerReport
-from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigurationError, RuntimeBackendError
 from repro.faults import Scenario, get_scenario
@@ -98,11 +97,11 @@ class CausalStore:
         bus; inspect via :meth:`trace_timeline` or export a Perfetto/Chrome
         timeline with :meth:`dump_trace`.
     checker:
-        Realtime backend only.  ``"monolithic"`` (default) buffers the
-        whole history for :meth:`check`; ``"streaming"`` validates it
-        incrementally in GSS-bounded windows with bounded memory (see
-        :mod:`repro.causal.streaming`) — over TCP the worker processes then
-        also stream their observation logs during the run.
+        Realtime backend only: the recorder instance :meth:`check` asks,
+        e.g. a :class:`~repro.causal.streaming.StreamingChecker` to validate
+        the history incrementally in GSS-bounded windows with bounded
+        memory.  ``None`` (default) buffers the whole history in a
+        :class:`~repro.causal.checker.CausalConsistencyChecker`.
 
     The store is a context manager; :meth:`close` (idempotent) tears down
     the built cluster — periodic simulator tasks or asyncio tasks, worker
@@ -114,7 +113,7 @@ class CausalStore:
                  num_partitions: int = 4, num_dcs: int = 1,
                  config: Optional[ClusterConfig] = None,
                  trace: bool = False,
-                 checker: str = "monolithic") -> None:
+                 checker: Optional[object] = None) -> None:
         if backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {backend!r}; known: {list(BACKENDS)}")
@@ -125,15 +124,10 @@ class CausalStore:
             raise ConfigurationError(
                 f"transport {transport!r} requires backend='realtime' "
                 f"(the sim backend has no wire)")
-        if checker not in ("monolithic", "streaming"):
+        if checker is not None and backend != "realtime":
             raise ConfigurationError(
-                f"unknown checker {checker!r}; known: "
-                f"['monolithic', 'streaming']")
-        if checker == "streaming" and backend != "realtime":
-            raise ConfigurationError(
-                "checker='streaming' requires backend='realtime' (the sim "
-                "backend records its history in the monolithic checker)")
-        self.checker_kind = checker
+                "checker= requires backend='realtime' (the sim backend "
+                "records its history in the monolithic checker)")
         self.protocol = protocol
         self.backend = backend
         self.transport = transport
@@ -146,7 +140,7 @@ class CausalStore:
         self._trace = trace
         self._trace_assembler: Optional[TraceAssembler] = None
         if backend == "realtime":
-            self._init_realtime(base)
+            self._init_realtime(base, checker)
         else:
             self._init_sim(base)
 
@@ -163,22 +157,15 @@ class CausalStore:
         self._clients = {dc: self._cluster.topology.clients_in_dc(dc)[0]
                          for dc in range(base.num_dcs)}
 
-    def _init_realtime(self, base: ClusterConfig) -> None:
+    def _init_realtime(self, base: ClusterConfig,
+                       checker: Optional[object]) -> None:
         # Build (and thereby validate) the cluster before creating the event
         # loop, so a bad protocol name cannot leak an unclosed loop.
-        streaming = self.checker_kind == "streaming"
-        if self.transport == "tcp":
-            self._rt_cluster = ProcessCluster(
-                self.protocol, base, WorkloadParameters(rot_size=1),
-                enable_checker=True,
-                checker="streaming" if streaming else None,
-                workload_clients=False, trace=self._trace)
-        else:
-            self._rt_cluster = RealtimeCluster(
-                self.protocol, base, WorkloadParameters(rot_size=1),
-                enable_checker=True,
-                checker=StreamingChecker() if streaming else None,
-                workload_clients=False, trace=self._trace)
+        build = ProcessCluster if self.transport == "tcp" else RealtimeCluster
+        self._rt_cluster = build(
+            self.protocol, base, WorkloadParameters(rot_size=1),
+            enable_checker=True, checker=checker,
+            workload_clients=False, trace=self._trace)
         # Interactive clients must exist before start(): on the TCP
         # transport the peer table is distributed exactly once.
         self._clients = {dc: self._rt_cluster.add_client(dc, 0)

@@ -128,8 +128,16 @@ class CausalConsistencyChecker:
         self._rots.append(rot)
 
     def record_history(self, puts: Iterable[RecordedPut],
-                       rots: Iterable[RecordedRot]) -> None:
-        """Record many events at once (convenience for tests)."""
+                       rots: Iterable[RecordedRot], *,
+                       source: str = "history") -> None:
+        """Record many events at once: a recorded history, or one worker's
+        :class:`~repro.runtime.process.ObservationChunk`.
+
+        ``source`` is the streaming checker's keyword (its seal gate tracks
+        progress per ingestion source); this checker holds everything until
+        :meth:`check`, so it is accepted and ignored.
+        """
+        del source
         for put in puts:
             self.record_put(put)
         for rot in rots:
@@ -137,12 +145,7 @@ class CausalConsistencyChecker:
 
     def recorded_history(self) -> tuple[tuple[RecordedPut, ...],
                                         tuple[RecordedRot, ...]]:
-        """Every recorded event, for shipping across process boundaries.
-
-        The inverse of :meth:`record_history`: a worker process records its
-        clients' operations locally, ships the history over the wire, and
-        the parent folds it into the run-wide checker.
-        """
+        """Every recorded event: the inverse of :meth:`record_history`."""
         return tuple(self._puts.values()), tuple(self._rots)
 
     @property

@@ -1,4 +1,4 @@
-"""Streaming GSS-windowed consistency checker: bounded memory, parallel windows.
+"""Streaming GSS-windowed consistency checker: bounded memory, one pass.
 
 :class:`~repro.causal.checker.CausalConsistencyChecker` buffers the entire
 history and re-walks the dependency graph per ROT, which makes million-op
@@ -47,10 +47,11 @@ produce equal :class:`~repro.causal.checker.CheckerReport` objects —
 ``tests/test_streaming_checker.py`` pins this for all three protocols and
 for violations injected inside, across and at window boundaries.
 
-Window verification can run on the :class:`repro.harness.parallel.TaskPool`
-(``max_workers=``): sealed windows are checked in worker processes while
-ingestion continues, and results are folded back in window order at
-:meth:`StreamingChecker.finish`.
+Sealed windows are checked in process, against the warm frontier cache.  A
+mode that checked them on a process pool existed until PR 23 and lost on
+every core count measured — 0.66-0.70x of serial on two cores at 1.45x the
+peak RSS, 0.30x on one — because each sealed window pickled the whole live
+set and the worker rebuilt the frontiers cold: the cache is the algorithm.
 """
 
 from __future__ import annotations
@@ -86,9 +87,8 @@ class _FrontierIndex:
     A frontier is a pure function of the version's (immutable) dependency
     closure, so cached entries stay valid across window seals; retirement
     :meth:`evict`\\ s them so cache memory tracks the live set.  Within the
-    retirement horizon a warm cache, a pool worker's cold rebuild from the
-    shipped live set, and the monolithic checker all compute identical
-    frontiers.
+    retirement horizon a warm cache and the monolithic checker compute
+    identical frontiers.
     """
 
     __slots__ = ("_puts", "_cache")
@@ -193,26 +193,6 @@ def snapshot_violations_for_rot(rot: RecordedRot,
     return violations
 
 
-def check_window_job(rot_entries: tuple[tuple[int, RecordedRot], ...],
-                     puts: tuple[RecordedPut, ...],
-                     ) -> list[tuple[int, list[str]]]:
-    """Check one sealed window's ROTs against a live-set snapshot.
-
-    Module-level so :class:`repro.harness.parallel.TaskPool` workers can
-    import it under the ``spawn`` start method.  Returns ``(rot_rank,
-    violations)`` pairs for offending ROTs only; ranks let the parent
-    reassemble the global ROT record order.
-    """
-    mapping = {put.version_id: put for put in puts}
-    index = _FrontierIndex(mapping)
-    results: list[tuple[int, list[str]]] = []
-    for rank, rot in rot_entries:
-        violations = snapshot_violations_for_rot(rot, mapping, index)
-        if violations:
-            results.append((rank, violations))
-    return results
-
-
 def iter_session_order(puts: Iterable[RecordedPut],
                        rots: Iterable[RecordedRot],
                        ) -> Iterator[tuple[str, object]]:
@@ -235,13 +215,12 @@ def iter_session_order(puts: Iterable[RecordedPut],
 
 
 class ObservationBuffer:
-    """Checker-shaped recorder for worker processes that stream observations.
+    """Checker-shaped recorder of a client worker process.
 
-    Stands in for the worker-local :class:`CausalConsistencyChecker` when
-    the parent runs the streaming checker: clients call
-    :meth:`record_put`/:meth:`record_rot` exactly as before, and the
-    observation flusher periodically :meth:`drain`\\ s the buffer into an
-    :class:`~repro.runtime.process.ObservationChunk` — so worker memory is
+    Clients call :meth:`record_put`/:meth:`record_rot` as on any checker;
+    the worker :meth:`drain`\\ s the buffer into an
+    :class:`~repro.runtime.process.ObservationChunk` every flush period and
+    the parent folds the chunk into the run's checker — so worker memory is
     bounded by the flush period, not the run length.
     """
 
@@ -265,15 +244,9 @@ class ObservationBuffer:
         self._rots.clear()
         return puts, rots
 
-    def recorded_history(self) -> tuple[tuple[RecordedPut, ...],
-                                        tuple[RecordedRot, ...]]:
-        """Facade parity with the monolithic checker (final, post-drain
-        snapshot — empty when the flusher drained everything)."""
-        return tuple(self._puts), tuple(self._rots)
-
 
 class StreamingChecker:
-    """Bounded-memory, window-parallel causal-consistency checker.
+    """Bounded-memory, windowed causal-consistency checker.
 
     Parameters
     ----------
@@ -287,12 +260,6 @@ class StreamingChecker:
         window force-seals once ``window_ops * force_seal_factor``
         operations are pending, so a stalled source cannot grow memory
         without bound.
-    max_workers / pool:
-        Run sealed-window snapshot checks on a
-        :class:`repro.harness.parallel.TaskPool` — an explicit ``pool``
-        (caller-owned) or a private one sized ``max_workers`` (closed by
-        :meth:`finish`).  Serial by default; both modes produce identical
-        reports.
     check_convergence:
         Also verify eventual convergence on *quiesced* histories: two
         clients whose final reads of a key return causally incomparable
@@ -305,7 +272,6 @@ class StreamingChecker:
 
     def __init__(self, *, window_ops: int = DEFAULT_WINDOW_OPS,
                  retire_lag: int = 2, force_seal_factor: int = 4,
-                 max_workers: Optional[int] = None, pool=None,
                  check_convergence: bool = False, tracer=None) -> None:
         if window_ops < 1:
             raise SimulationError(f"window_ops must be >= 1, got {window_ops}")
@@ -319,9 +285,6 @@ class StreamingChecker:
         self.force_seal_factor = force_seal_factor
         self.check_convergence = check_convergence
         self.tracer = tracer
-        self._pool = pool
-        self._pool_workers = max_workers
-        self._owns_pool = pool is None and max_workers is not None
 
         #: Versions whose windows have not retired yet.
         self._live_puts: dict[VersionId, RecordedPut] = {}
@@ -334,9 +297,6 @@ class StreamingChecker:
                                   dict[int, int]]] = deque()
         #: Sealed windows awaiting retirement: ``(index, member versions)``.
         self._sealed_members: deque[tuple[int, list[VersionId]]] = deque()
-        #: Sealed-window snapshot results awaiting :meth:`finish`, in seal
-        #: order; each entry is a pool handle or an inline result list.
-        self._pending: deque[tuple[int, object]] = deque()
         #: Per-source, per-origin running maximum timestamp (puts, their
         #: dependency entries, and read results all advance it).
         self._progress: dict[str, dict[int, int]] = {}
@@ -350,8 +310,8 @@ class StreamingChecker:
         #: key -> client -> version returned by the client's last read.
         self._final_reads: dict[str, dict[str, Optional[VersionId]]] = {}
 
-        #: Snapshot-check results of already-drained windows, accumulated
-        #: across :meth:`finish` calls: ``(rot_rank, violations)`` pairs.
+        #: Snapshot-check results of the sealed windows, accumulated across
+        #: :meth:`finish` calls: ``(rot_rank, violations)`` pairs.
         self._snapshot_entries: list[tuple[int, list[str]]] = []
 
         self._distinct_puts = 0
@@ -374,14 +334,6 @@ class StreamingChecker:
     def live_versions(self) -> int:
         """Versions currently held in memory (the O(window) bound)."""
         return len(self._live_puts)
-
-    def _ensure_pool(self):
-        """Lazily (re)create the private pool: :meth:`finish` closes it, and
-        ingestion may legitimately resume afterwards (mid-run ``check()``)."""
-        if self._owns_pool and self._pool is None:
-            from repro.harness.parallel import TaskPool
-            self._pool = TaskPool(max_workers=self._pool_workers)
-        return self._pool
 
     def record_put(self, put: RecordedPut, *, source: str = "local") -> None:
         """Ingest one PUT (arrival order is the window order)."""
@@ -502,19 +454,10 @@ class StreamingChecker:
             self._session_step(kind, op)
         rot_entries = tuple((rank, op) for kind, op, rank in ops
                             if kind == "rot")
-        if rot_entries:
-            pool = self._ensure_pool()
-            if pool is not None:
-                snapshot = tuple(self._live_puts.values())
-                handle = pool.submit(check_window_job, rot_entries, snapshot)
-                self._pending.append((index, handle))
-            else:
-                results = [
-                    (rank, violations) for rank, rot in rot_entries
-                    if (violations := snapshot_violations_for_rot(
-                        rot, self._live_puts, self._index))]
-                if results:
-                    self._pending.append((index, results))
+        self._snapshot_entries.extend(
+            (rank, violations) for rank, rot in rot_entries
+            if (violations := snapshot_violations_for_rot(
+                rot, self._live_puts, self._index)))
         if self.tracer is not None:
             self.tracer.emit(
                 CHECKER_NODE, WINDOW_SEAL, name=f"window-{index}",
@@ -614,14 +557,13 @@ class StreamingChecker:
 
     # ------------------------------------------------------------------ final
     def finish(self) -> CheckerReport:
-        """Seal the remainder, drain pending windows, assemble the report.
+        """Seal the remainder and assemble the report.
 
         Re-entrant, like the monolithic checker's ``check()``: ingestion may
         continue after a mid-run report and a later ``finish()`` folds the
         new windows into the accumulated results.  At finish everything
         buffered has arrived, so the seal gate is waived for the tail
-        windows; a private pool is closed and lazily recreated if sealing
-        resumes.
+        windows.
         """
         while self._frozen:
             ops, _high = self._frozen.popleft()
@@ -629,11 +571,6 @@ class StreamingChecker:
         if self._open:
             ops, self._open, self._open_high = self._open, [], {}
             self._seal_window(ops)
-        for _window, pending in self._pending:
-            results = pending.result() if hasattr(pending, "result") \
-                else pending
-            self._snapshot_entries.extend(results)
-        self._pending.clear()
         entries = sorted(self._snapshot_entries, key=lambda entry: entry[0])
         snapshot_violations = [message for _rank, messages in entries
                                for message in messages]
@@ -644,9 +581,6 @@ class StreamingChecker:
             for message in self._session_violations[client]]
         convergence_violations = (self._check_convergence()
                                   if self.check_convergence else [])
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-            self._pool = None
         return CheckerReport(
             puts=self._distinct_puts, rots=self._rot_count,
             snapshot_violations=snapshot_violations,
@@ -664,7 +598,6 @@ __all__ = [
     "DEFAULT_WINDOW_OPS",
     "ObservationBuffer",
     "StreamingChecker",
-    "check_window_job",
     "iter_session_order",
     "snapshot_violations_for_rot",
 ]

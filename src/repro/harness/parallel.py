@@ -56,19 +56,6 @@ from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 WORKERS_ENV_VAR = "REPRO_PARALLEL_WORKERS"
 
 
-class PoolTaskError(SimulationError):
-    """A :class:`TaskPool` task failed in its worker process.
-
-    Mirrors :class:`ParallelExecutionError` for free-form tasks: the worker
-    traceback travels back as a string (the original exception object may
-    not survive pickling) and is raised from :meth:`TaskHandle.result`.
-    """
-
-    def __init__(self, worker_traceback: str) -> None:
-        self.worker_traceback = worker_traceback
-        super().__init__(f"pool task failed:\n{worker_traceback}")
-
-
 class ParallelExecutionError(SimulationError):
     """A worker process failed while executing a :class:`RunSpec`.
 
@@ -227,86 +214,6 @@ class ParallelRunner:
         return results
 
 
-def _call_task_guarded(func, args) -> tuple[bool, object]:
-    """Worker wrapper for :class:`TaskPool`: never raises, returns
-    ``(ok, result_or_traceback)`` (same contract as spec execution)."""
-    try:
-        return True, func(*args)
-    except Exception:
-        return False, traceback.format_exc()
-
-
-class TaskHandle:
-    """A pending :class:`TaskPool` task; :meth:`result` blocks and joins it."""
-
-    __slots__ = ("_async_result", "_payload", "_ok")
-
-    def __init__(self, async_result=None, payload: object = None,
-                 ok: bool = True) -> None:
-        self._async_result = async_result
-        self._payload = payload
-        self._ok = ok
-
-    def result(self) -> object:
-        """The task's return value; raises :class:`PoolTaskError` on failure."""
-        if self._async_result is not None:
-            self._ok, self._payload = self._async_result.get()
-            self._async_result = None
-        if not self._ok:
-            raise PoolTaskError(str(self._payload))
-        return self._payload
-
-
-class TaskPool:
-    """A persistent process pool for free-form function tasks.
-
-    The streaming consistency checker submits sealed verification windows
-    here so they check concurrently with ingestion.  Unlike
-    :class:`ParallelRunner` (one pool per spec grid, results in spec order),
-    a :class:`TaskPool` stays alive across submissions and hands back one
-    :class:`TaskHandle` per task; callers join handles in whatever order
-    suits them.  A resolved worker count of one runs tasks inline at submit
-    time — same :class:`TaskHandle`/:class:`PoolTaskError` contract, no
-    processes, no pickling.
-
-    Submitted functions must be importable at module top level (the pool
-    uses the ``spawn``-safe guarded-call pattern of :func:`execute_spec`).
-    """
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 start_method: Optional[str] = None) -> None:
-        self.max_workers = resolve_worker_count(max_workers)
-        if start_method is None:
-            start_method = multiprocessing.get_start_method()
-        self.start_method = start_method
-        self._pool = None
-        if self.max_workers > 1:
-            context = multiprocessing.get_context(self.start_method)
-            self._pool = context.Pool(processes=self.max_workers)
-
-    def submit(self, func, *args) -> TaskHandle:
-        """Schedule ``func(*args)`` and return its handle."""
-        if self._pool is None:
-            ok, payload = _call_task_guarded(func, args)
-            return TaskHandle(payload=payload, ok=ok)
-        return TaskHandle(
-            async_result=self._pool.apply_async(_call_task_guarded,
-                                                (func, args)))
-
-    def close(self) -> None:
-        """Finish outstanding tasks and release the workers; idempotent."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "TaskPool":
-        return self
-
-    def __exit__(self, *_exc_info) -> None:
-        self.close()
-
-
 def sweep_specs(protocol: str, client_counts: Sequence[int],
                 config: Optional[ClusterConfig] = None,
                 workload: Optional[WorkloadParameters] = None, *,
@@ -399,10 +306,7 @@ def run_grid(protocols: Sequence[str], client_counts: Sequence[int],
 __all__ = [
     "ParallelExecutionError",
     "ParallelRunner",
-    "PoolTaskError",
     "RunSpec",
-    "TaskHandle",
-    "TaskPool",
     "WORKERS_ENV_VAR",
     "derive_seed",
     "execute_spec",

@@ -31,7 +31,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.partitioning import HashPartitioner
 from repro.cluster.seeding import node_rng, preload_initial_keyspace
 from repro.core.registry import resolve_spec
-from repro.errors import RuntimeBackendError
+from repro.errors import ConfigurationError, RuntimeBackendError
 from repro.metrics.collectors import MetricsRegistry
 from repro.metrics.overheads import OverheadCounters
 from repro.obs.bus import EventBus
@@ -59,9 +59,12 @@ class RealtimeCluster:
         ``record_rot``) to use instead of a fresh
         :class:`~repro.causal.checker.CausalConsistencyChecker` — a
         :class:`~repro.causal.streaming.StreamingChecker` for windowed
-        validation, or an :class:`~repro.causal.streaming.ObservationBuffer`
-        in worker processes that stream their log to the parent.  Implies
-        ``enable_checker``.
+        validation, or the :class:`~repro.causal.streaming.ObservationBuffer`
+        a worker process streams its log to the parent from.  Implies
+        ``enable_checker``.  This is the one place a checker is validated:
+        :class:`~repro.runtime.process.ProcessCluster`,
+        :func:`~repro.runtime.experiment.run_realtime_experiment` and
+        :class:`~repro.api.CausalStore` hand theirs down untouched.
     workload_clients:
         Create the ``config.clients_per_dc`` closed-loop clients.  The
         :class:`~repro.api.CausalStore` facade passes ``False`` and attaches
@@ -96,10 +99,15 @@ class RealtimeCluster:
                           else InprocTransport())
         self.partitioner = HashPartitioner(config.num_partitions)
         self.metrics = MetricsRegistry(warmup_seconds=config.warmup_seconds)
-        if checker is not None:
-            self.checker: Optional[object] = checker
-        else:
-            self.checker = CausalConsistencyChecker() if enable_checker else None
+        if checker is None and enable_checker:
+            checker = CausalConsistencyChecker()
+        elif checker is not None and not (hasattr(checker, "record_put")
+                                          and hasattr(checker, "record_rot")):
+            raise ConfigurationError(
+                f"checker must be a recorder with record_put/record_rot "
+                f"(a CausalConsistencyChecker, a StreamingChecker), "
+                f"got {checker!r}")
+        self.checker: Optional[object] = checker
         self.trace_bus: Optional[EventBus] = (
             EventBus(self.clock, source=trace_source) if trace else None)
         if self.trace_bus is not None:
@@ -282,32 +290,40 @@ async def drive_closed_loops(cluster: RealtimeCluster,
     (protocol bug, operation timeout) FAILS the call — degraded numbers with
     exit 0 would defeat the CI smoke jobs.  Used by the in-process
     experiment runner and, per worker process, by the TCP process cluster.
-    The caller owns cluster start/stop.
+    The caller owns cluster start/stop; cancelling the call cancels the loops.
     """
     stop = asyncio.Event()
     loops = [asyncio.ensure_future(client.run_closed_loop(stop))
              for client in cluster.clients]
-    if loops:
-        # A closed loop never returns before ``stop`` is set, so one that is
-        # done early has failed: report it now, not when the run is over.
-        await asyncio.wait(loops, timeout=duration_seconds,
-                           return_when=asyncio.FIRST_COMPLETED)
-    else:
-        await asyncio.sleep(duration_seconds)
-    stop.set()
     stuck: list[asyncio.Task] = []
     errors: list[BaseException] = []
-    if loops:
-        done, pending = await asyncio.wait(
-            loops, timeout=CLOSED_LOOP_GRACE_SECONDS)
-        stuck = list(pending)
-        for task in stuck:
+    try:
+        if loops:
+            # A closed loop never returns before ``stop`` is set, so one that
+            # is done early has failed: report it now, not when the run is
+            # over.
+            await asyncio.wait(loops, timeout=duration_seconds,
+                               return_when=asyncio.FIRST_COMPLETED)
+        else:
+            await asyncio.sleep(duration_seconds)
+        stop.set()
+        if loops:
+            done, pending = await asyncio.wait(
+                loops, timeout=CLOSED_LOOP_GRACE_SECONDS)
+            stuck = list(pending)
+            errors = [error for task in done
+                      if not task.cancelled()
+                      and (error := task.exception()) is not None]
+    finally:
+        # Stuck loops, and every loop when this call itself is cancelled
+        # (a worker told to shut down mid-run): none outlives the call.
+        # ``stop`` first: a cancellation that lands in the loop iteration an
+        # operation completes in is swallowed by 3.11's ``wait_for``, and
+        # that loop must then leave at its next ``stop`` test.
+        stop.set()
+        for task in loops:
             task.cancel()
-        if stuck:
-            await asyncio.gather(*stuck, return_exceptions=True)
-        errors = [error for task in done
-                  if not task.cancelled()
-                  and (error := task.exception()) is not None]
+        await asyncio.gather(*loops, return_exceptions=True)
     # Root cause first: a dead server explains both the client-side
     # timeout errors and any stuck loops.
     failure = cluster.first_failure()

@@ -15,8 +15,13 @@ simulated and real-time numbers can sit in the same table
   :class:`~repro.runtime.transport.InprocTransport`);
 * ``"tcp"`` — a :class:`~repro.runtime.process.ProcessCluster`: every
   partition server in its own OS process, per-DC client worker processes,
-  coalesced wire-codec frames over TCP, observation logs shipped back to
-  the parent for run-wide consistency checking.
+  coalesced wire-codec frames over TCP, the clients' observations streamed
+  to the parent during the run and folded into the run's checker.
+
+A checker is passed as an *instance* (``checker=StreamingChecker()``), with
+:class:`~repro.runtime.cluster.RealtimeCluster`'s meaning on either
+transport: ``None`` with checking enabled means a fresh
+:class:`~repro.causal.checker.CausalConsistencyChecker`.
 
 Real seconds are expensive compared to simulated ones, so the default
 duration is deliberately short; pass ``duration_seconds`` explicitly for
@@ -30,7 +35,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.causal.checker import CheckerReport
-from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.core.registry import resolve_spec
 from repro.errors import ConfigurationError
@@ -75,7 +79,7 @@ def run_realtime_experiment(protocol: str,
                             transport: str = "inproc",
                             enable_checker: bool = False,
                             check_consistency: bool = False,
-                            checker: str = "monolithic",
+                            checker: Optional[object] = None,
                             trace: bool = False,
                             label: str = "") -> RealtimeOutcome:
     """Run one wall-clock experiment and return its outcome.
@@ -86,20 +90,15 @@ def run_realtime_experiment(protocol: str,
     simulated duration, because real seconds actually elapse.  With
     ``transport="tcp"`` the warmup window is re-anchored at traffic start in
     every client worker, so the measurement window matches the in-process
-    semantics.  ``checker`` selects the validation strategy when checking is
-    enabled: ``"monolithic"`` buffers the whole history and checks at the end;
-    ``"streaming"`` verifies GSS-bounded windows incrementally with bounded
-    memory — and over TCP additionally makes the workers ship their
-    observation logs as chunks during the run instead of one giant result
-    frame (see :mod:`repro.causal.streaming`).
+    semantics.  ``checker`` is the recorder instance to validate the run
+    with (implies ``enable_checker``): leave it ``None`` for the monolithic
+    checker that holds the whole history, pass a
+    :class:`~repro.causal.streaming.StreamingChecker` to verify GSS-bounded
+    windows during the run with bounded memory.
     """
     config = config or ClusterConfig.test_scale()
     workload = workload or DEFAULT_WORKLOAD
     _validate_transport(protocol, transport)
-    if checker not in ("monolithic", "streaming"):
-        raise ConfigurationError(
-            f"unknown checker {checker!r}; known: "
-            f"['monolithic', 'streaming']")
     duration = (DEFAULT_REALTIME_DURATION if duration_seconds is None
                 else duration_seconds)
     if duration <= config.warmup_seconds:
@@ -110,12 +109,10 @@ def run_realtime_experiment(protocol: str,
             f"config's warmup_seconds ({config.warmup_seconds})")
 
     enable_checker = enable_checker or check_consistency
-    streaming = enable_checker and checker == "streaming"
     if transport == "tcp":
         cluster: Union[RealtimeCluster, ProcessCluster] = ProcessCluster(
             protocol, config, workload, enable_checker=enable_checker,
-            checker="streaming" if streaming else None,
-            workload_clients=True, trace=trace)
+            checker=checker, workload_clients=True, trace=trace)
 
         async def _run() -> None:
             # stop() also covers a start() that failed mid-handshake: the
@@ -131,9 +128,7 @@ def run_realtime_experiment(protocol: str,
     else:
         cluster = RealtimeCluster(protocol, config, workload,
                                   enable_checker=enable_checker,
-                                  checker=(StreamingChecker() if streaming
-                                           else None),
-                                  trace=trace)
+                                  checker=checker, trace=trace)
 
         async def _run() -> None:
             try:

@@ -13,18 +13,32 @@ Control protocol (all frames are :mod:`repro.wire` encodings)::
     worker -> parent   WorkerHello(worker_id, host, port)   after binding
     parent -> worker   PeerTable(entries, wall_epoch)       full address map
     worker -> parent   WorkerReady(worker_id)               cluster started
-    parent -> worker   StartRun(duration_seconds)           begin closed loops
-    worker -> parent   WorkerResult(...)                    measurements +
-                                                            observation log
+    parent -> worker   StartRun(duration_seconds)           client workers:
+                                                            begin closed loops
+    worker -> parent   ObservationChunk(worker_id, puts,    every flush period
+                                        rots)               while loops run
+    worker -> parent   WorkerResult(...)                    measurements: after
+                                                            the run, or at
+                                                            shutdown
     parent -> worker   Shutdown()                           graceful exit
     worker -> parent   WorkerError(worker_id, message)      on any failure
 
-Client workers ship their latency samples *and* the causal-consistency
-observation log (:class:`~repro.causal.checker.RecordedPut` /
-:class:`~repro.causal.checker.RecordedRot`) back over the wire; the parent
-folds every worker's log into one checker and validates the whole multi-
-process history.  Server workers ship their protocol-overhead counters at
-shutdown.
+One road leads from a worker's operation to the verdict: a client worker
+records into an :class:`~repro.causal.streaming.ObservationBuffer`, ships it
+as :class:`ObservationChunk` frames while its loops run, and the parent folds
+each chunk on arrival into whatever checker the run has
+(``record_history(puts, rots, source="worker-N")``).  :class:`WorkerResult`
+carries the rest: latency samples, operation counts, the servers' overhead
+counters, drained trace events.
+
+The parent keeps one record per worker, updated by that worker's connection
+handler, and has one way to wait: *every worker of this set has reached
+state X, or any worker is gone first*.  A worker is **gone** when its control
+connection reaches EOF (TCP orders that after its last frame, so nothing it
+sent is missed), when its process exits before it ever connected
+(``process.sentinel``), or when it sends :class:`WorkerError`.  A worker
+keeps reading its control connection while its closed loops run, so
+:class:`Shutdown` — or a vanished parent — ends a run at once.
 
 Clocks: per-process monotonic origins are arbitrary, so the parent
 distributes one ``time.time()`` epoch in the peer table and every worker
@@ -43,10 +57,10 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from repro.causal.checker import RecordedPut, RecordedRead, RecordedRot
-from repro.causal.streaming import ObservationBuffer, StreamingChecker
+from repro.causal.streaming import ObservationBuffer
 from repro.cluster.config import ClusterConfig
 from repro.core.common.kernel import (
     Addr,
@@ -55,27 +69,22 @@ from repro.core.common.kernel import (
     client_node_id,
 )
 from repro.core.registry import resolve_spec
-from repro.errors import (
-    ConfigurationError,
-    RuntimeBackendError,
-    WireFormatError,
-)
+from repro.errors import ConfigurationError, RuntimeBackendError
 from repro.metrics.overheads import OverheadCounters
 from repro.obs.events import TraceEvent
 from repro.obs.trace import TraceAssembler
 from repro.runtime.cluster import RealtimeCluster, drive_closed_loops
 from repro.runtime.nodes import OPERATION_TIMEOUT_SECONDS
 from repro.runtime.transport import TcpTransport
-from repro.wire.batch import decode_record_batch, encode_record_batch
 from repro.wire.codec import decode, encode, register_wire_type
-from repro.wire.framing import read_frame, write_frame
+from repro.wire.framing import frame, read_frame, write_frame
 from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 
 #: Bound on worker start-up (spawn + import + bind + hello) and handshakes.
 WORKER_STARTUP_TIMEOUT_SECONDS = 60.0
 #: Bound on a worker's shutdown-time result + exit.
 WORKER_SHUTDOWN_TIMEOUT_SECONDS = 30.0
-#: Drain interval of a streaming worker's observation flusher: worker-side
+#: How often a client worker ships its observation buffer: worker-side
 #: buffering (and the parent checker's ingest lag) is bounded by one
 #: interval's worth of operations, not the run length.
 OBSERVATION_FLUSH_SECONDS = 0.1
@@ -110,10 +119,6 @@ class WorkerSpec:
     enable_checker: bool
     #: Enable the repro.obs event bus in the worker.
     trace: bool = False
-    #: Ship the observation log incrementally as ObservationChunk frames
-    #: during the run (the parent feeds them into its streaming checker)
-    #: instead of one giant WorkerResult at the end.
-    stream_observations: bool = False
 
 
 @dataclass(frozen=True)
@@ -171,11 +176,12 @@ class WorkerError:
 
 @dataclass(frozen=True)
 class WorkerResult:
-    """Worker -> parent: measurements and the observation log.
+    """Worker -> parent: a worker's measurements.
 
-    ``puts``/``rots`` is the worker-local causal-consistency observation log
-    (empty for server-only workers); ``overhead`` the merged counters of the
-    worker's partition servers (empty for client-only workers).
+    Latency samples and operation counts of its clients (empty for
+    server-only workers) and the merged ``overhead`` counters of its
+    partition servers (empty for client-only workers).  The observation log
+    is not here: it went ahead as :class:`ObservationChunk` frames.
     """
 
     worker_id: int
@@ -183,8 +189,6 @@ class WorkerResult:
     put_samples: tuple[float, ...]
     rots_issued: int
     puts_issued: int
-    puts: tuple[RecordedPut, ...]
-    rots: tuple[RecordedRot, ...]
     overhead: OverheadCounters
     #: Drained repro.obs trace events (empty when tracing is off) plus the
     #: worker bus's drop counter, so the parent's assembler can tell lost
@@ -197,23 +201,15 @@ class WorkerResult:
 class ObservationChunk:
     """Worker -> parent: one drained slice of the observation log.
 
-    Sent during the run by streaming workers (``stream_observations``), so
-    the parent's :class:`~repro.causal.streaming.StreamingChecker` verifies
-    windows while traffic is still flowing and no process ever holds the
-    whole history.  ``puts_blob``/``rots_blob`` are
-    :func:`repro.wire.batch.encode_record_batch` encodings (a count plus
-    the records row by row through their types' compiled packers, like a
-    batch frame); the redundant counts let the parent detect truncated
-    blobs before feeding the checker.  ``sequence`` is per-worker and
-    monotonically increasing from 1.
+    Sent every :data:`OBSERVATION_FLUSH_SECONDS` while a client worker's
+    loops run, so the parent's checker ingests (and a streaming checker
+    verifies windows) while traffic is still flowing.  The records travel as
+    typed tuple fields through their types' compiled packers.
     """
 
     worker_id: int
-    sequence: int
-    put_count: int
-    rot_count: int
-    puts_blob: bytes
-    rots_blob: bytes
+    puts: tuple[RecordedPut, ...]
+    rots: tuple[RecordedRot, ...]
 
 
 for _index, _cls in enumerate((WorkerHello, PeerEntry, PeerTable, WorkerReady,
@@ -244,99 +240,53 @@ def default_placement(config: ClusterConfig, *,
 
 def _collect_result(cluster: RealtimeCluster, worker_id: int) -> WorkerResult:
     """Snapshot a worker's measurements for shipping to the parent."""
-    puts: tuple[RecordedPut, ...] = ()
-    rots: tuple[RecordedRot, ...] = ()
-    if cluster.checker is not None:
-        puts, rots = cluster.checker.recorded_history()
-    events: tuple[TraceEvent, ...] = ()
-    events_dropped = 0
-    if cluster.trace_bus is not None:
-        events = cluster.trace_bus.drain()
-        events_dropped = cluster.trace_bus.dropped
-    metrics = cluster.metrics
+    metrics, bus = cluster.metrics, cluster.trace_bus
     return WorkerResult(
         worker_id=worker_id,
         rot_samples=metrics.rot_latencies.samples(),
         put_samples=metrics.put_latencies.samples(),
         rots_issued=metrics.rots_issued,
         puts_issued=metrics.puts_issued,
-        puts=puts,
-        rots=rots,
         overhead=cluster.overhead(),
-        events=events,
-        events_dropped=events_dropped)
-
-
-async def _flush_observations(buffer: ObservationBuffer,
-                              writer: asyncio.StreamWriter,
-                              writer_lock: asyncio.Lock,
-                              worker_id: int, sequence: int) -> int:
-    """Drain ``buffer`` into one ObservationChunk frame (if non-empty)."""
-    puts, rots = buffer.drain()
-    if not puts and not rots:
-        return sequence
-    sequence += 1
-    payload = encode(ObservationChunk(
-        worker_id=worker_id, sequence=sequence,
-        put_count=len(puts), rot_count=len(rots),
-        puts_blob=encode_record_batch(puts),
-        rots_blob=encode_record_batch(rots)))
-    async with writer_lock:
-        await write_frame(writer, payload)
-    return sequence
-
-
-async def _observation_flusher(buffer: ObservationBuffer,
-                               writer: asyncio.StreamWriter,
-                               writer_lock: asyncio.Lock,
-                               worker_id: int,
-                               stop: asyncio.Event) -> None:
-    """Periodically ship the observation log while closed loops run.
-
-    Stops via the event rather than cancellation so a flush is never
-    interrupted mid-frame (a half-written chunk would corrupt the control
-    stream); the final iteration after ``stop`` drains whatever the last
-    interval accumulated.
-    """
-    sequence = 0
-    while True:
-        stopping = stop.is_set()
-        sequence = await _flush_observations(buffer, writer, writer_lock,
-                                             worker_id, sequence)
-        if stopping:
-            return
-        try:
-            await asyncio.wait_for(stop.wait(), OBSERVATION_FLUSH_SECONDS)
-        except asyncio.TimeoutError:
-            pass
+        events=bus.drain() if bus is not None else (),
+        events_dropped=bus.dropped if bus is not None else 0)
 
 
 async def _worker_main(spec: WorkerSpec) -> None:
     role = spec.role
     transport = TcpTransport()
-    await transport.start()
-    wants_checker = spec.enable_checker and bool(role.client_ids)
-    observations: Optional[ObservationBuffer] = (
-        ObservationBuffer()
-        if wants_checker and spec.stream_observations else None)
+    observations = (ObservationBuffer()
+                    if spec.enable_checker and role.client_ids else None)
     cluster = RealtimeCluster(
-        spec.protocol, spec.config, spec.workload,
-        enable_checker=wants_checker, checker=observations,
+        spec.protocol, spec.config, spec.workload, checker=observations,
         workload_clients=False, transport=transport,
         server_ids=role.server_ids,
         trace=spec.trace, trace_source=f"worker-{role.worker_id}")
     for dc, index in role.client_ids:
         cluster.add_workload_client(dc, index)
+    await transport.start()  # binds: the hello carries the port
 
     reader, writer = await asyncio.open_connection(
         spec.control_host, spec.control_port)
-    writer_lock = asyncio.Lock()
+
+    # Every frame of this worker is written by this coroutine, one
+    # ``writer.write`` each: frames cannot interleave.
+    async def send(message: object) -> None:
+        await write_frame(writer, encode(message))
+
+    async def ship_observations() -> None:
+        if observations is not None and observations.pending:
+            puts, rots = observations.drain()
+            await send(ObservationChunk(role.worker_id, puts, rots))
+
+    #: The control frame being read while closed loops run (see StartRun).
+    next_frame: Optional[asyncio.Future] = None
     result_sent = False
     try:
-        await write_frame(writer, encode(WorkerHello(
-            role.worker_id, transport.host, transport.port)))
+        await send(WorkerHello(role.worker_id, transport.host, transport.port))
         while True:
-            payload = await read_frame(reader)
+            payload = await (next_frame or read_frame(reader))
+            next_frame = None
             if payload is None:
                 break  # parent vanished; exit quietly
             message = decode(payload)
@@ -344,50 +294,33 @@ async def _worker_main(spec: WorkerSpec) -> None:
                 transport.set_peers({entry.addr: (entry.host, entry.port)
                                      for entry in message.entries})
                 await cluster.start(wall_epoch=message.wall_epoch)
-                async with writer_lock:
-                    await write_frame(writer,
-                                      encode(WorkerReady(role.worker_id)))
-            elif isinstance(message, StartRun):
-                if cluster.clients:
-                    # Re-anchor the warmup window at traffic start: the
-                    # shared epoch began at spawn time, long before the
-                    # first operation.
-                    cluster.metrics.warmup_seconds = (
-                        cluster.clock.now + spec.config.warmup_seconds)
-                    if observations is not None:
-                        stop_flusher = asyncio.Event()
-                        flusher = asyncio.ensure_future(_observation_flusher(
-                            observations, writer, writer_lock,
-                            role.worker_id, stop_flusher))
-                        flusher_error: Optional[BaseException] = None
-                        try:
-                            await drive_closed_loops(
-                                cluster, message.duration_seconds)
-                        finally:
-                            stop_flusher.set()
-                            # Swallowing into a variable keeps a run failure
-                            # (the more fundamental error) from being
-                            # replaced by a flusher failure mid-finally.
-                            try:
-                                await flusher
-                            except Exception as exc:  # noqa: BLE001
-                                flusher_error = exc
-                        if flusher_error is not None:
-                            raise flusher_error
-                    else:
-                        await drive_closed_loops(cluster,
-                                                 message.duration_seconds)
-                    async with writer_lock:
-                        await write_frame(writer, encode(
-                            _collect_result(cluster, role.worker_id)))
-                    result_sent = True
+                await send(WorkerReady(role.worker_id))
+            elif isinstance(message, StartRun) and not result_sent:
+                # Re-anchor the warmup window at traffic start: the shared
+                # epoch began at spawn time, long before the first operation.
+                cluster.metrics.warmup_seconds = (
+                    cluster.clock.now + spec.config.warmup_seconds)
+                loops = asyncio.ensure_future(drive_closed_loops(
+                    cluster, message.duration_seconds))
+                # Keep reading the control connection while the loops run:
+                # any frame (Shutdown) or EOF (no parent) ends the run now.
+                next_frame = asyncio.ensure_future(read_frame(reader))
+                while not (loops.done() or next_frame.done()):
+                    await asyncio.wait({loops, next_frame},
+                                       timeout=OBSERVATION_FLUSH_SECONDS,
+                                       return_when=asyncio.FIRST_COMPLETED)
+                    await ship_observations()
+                if not loops.done():
+                    loops.cancel()
+                    await asyncio.wait({loops})
+                    continue
+                loops.result()  # a failed run is this worker's failure
+                await send(_collect_result(cluster, role.worker_id))
+                result_sent = True
             elif isinstance(message, Shutdown):
                 await cluster.stop()
                 if not result_sent:
-                    async with writer_lock:
-                        await write_frame(writer, encode(
-                            _collect_result(cluster, role.worker_id)))
-                    result_sent = True
+                    await send(_collect_result(cluster, role.worker_id))
                 break
             else:
                 raise RuntimeBackendError(
@@ -395,13 +328,13 @@ async def _worker_main(spec: WorkerSpec) -> None:
                     f"control message {type(message).__name__}")
     except Exception:  # noqa: BLE001 - reported to the parent, then re-raised
         try:
-            async with writer_lock:
-                await write_frame(writer, encode(WorkerError(
-                    role.worker_id, traceback.format_exc())))
+            await send(WorkerError(role.worker_id, traceback.format_exc()))
         except (OSError, RuntimeError):
             pass
         raise
     finally:
+        if next_frame is not None:
+            next_frame.cancel()
         await cluster.stop()
         writer.close()
         try:
@@ -423,13 +356,29 @@ def worker_entry(spec: WorkerSpec) -> None:
 # Parent side
 # --------------------------------------------------------------------------
 
-class _ConnectionClosed:
-    """Queue sentinel: the worker's control connection ended."""
+@dataclass
+class _Worker:
+    """The parent's record of one worker process.
 
-    __slots__ = ("error",)
+    Written by :meth:`ProcessCluster.start` (``process``) and then only by
+    the worker's own connection handler and its exit watcher; read by
+    :meth:`ProcessCluster._until`.
+    """
 
-    def __init__(self, error: Optional[BaseException]) -> None:
-        self.error = error
+    role: WorkerRole
+    process: multiprocessing.process.BaseProcess
+    writer: Optional[asyncio.StreamWriter] = None
+    hello: Optional[WorkerHello] = None
+    ready: bool = False
+    #: Its WorkerResult has arrived and is merged.
+    result: bool = False
+    #: Why nothing more will come from this worker (None while it may).
+    gone: Optional[str] = None
+
+    def __str__(self) -> str:
+        hosts = (f"server {list(self.role.server_ids)}" if self.role.server_ids
+                 else f"clients {list(self.role.client_ids)}")
+        return f"worker {self.role.worker_id} ({hosts})"
 
 
 class ProcessCluster:
@@ -439,15 +388,17 @@ class ProcessCluster:
     (``clock`` / ``checker`` / ``metrics`` / ``add_client`` /
     ``first_failure`` / ``start`` / ``stop``), so
     :class:`repro.api.CausalStore` and the experiment runner drive either
-    interchangeably.  Interactive clients added via :meth:`add_client` live
-    in the parent process and must be added *before* :meth:`start` (the peer
-    table is distributed once).
+    interchangeably; ``enable_checker`` / ``checker`` mean what they mean
+    there and are handed to the parent-local view untouched.  Interactive
+    clients added via :meth:`add_client` live in the parent process and must
+    be added *before* :meth:`start` (the peer table is distributed once).  A
+    cluster serves one :meth:`run_workload`.
     """
 
     def __init__(self, protocol: str, config: Optional[ClusterConfig] = None,
                  workload: Optional[WorkloadParameters] = None, *,
                  enable_checker: bool = False,
-                 checker: object = None,
+                 checker: Optional[object] = None,
                  workload_clients: bool = True,
                  trace: bool = False) -> None:
         self.protocol = protocol
@@ -460,25 +411,8 @@ class ProcessCluster:
                 f"transport; supported: {list(spec.transports)}")
         self.roles = default_placement(config,
                                        workload_clients=workload_clients)
-        # ``checker`` selects the run-wide validation strategy: None or
-        # "monolithic" buffers every worker's history in one
-        # CausalConsistencyChecker at shutdown; "streaming" (or an explicit
-        # StreamingChecker instance) makes workers ship ObservationChunk
-        # frames during the run and the parent verify GSS windows on the
-        # fly — bounded memory on both sides.
-        if isinstance(checker, str):
-            if checker not in ("monolithic", "streaming"):
-                raise ConfigurationError(
-                    f"unknown checker {checker!r}; known: "
-                    f"['monolithic', 'streaming']")
-            checker = StreamingChecker() if checker == "streaming" else None
-        self._checker_instance = checker
-        enable_checker = enable_checker or checker is not None
-        self._enable_checker = enable_checker
-        self.streaming_observations = isinstance(checker, StreamingChecker)
-        #: ObservationChunk frames folded into the streaming checker so far.
+        #: ObservationChunk frames folded into the checker so far.
         self.chunks_ingested = 0
-        self._trace = trace
         #: Run-wide timeline: every worker ships its drained event stream
         #: over the control plane and the parent assembles one global view.
         self.trace_assembler: Optional[TraceAssembler] = (
@@ -488,34 +422,24 @@ class ProcessCluster:
         #: run-wide aggregation target.
         self.view = RealtimeCluster(
             protocol, config, workload, enable_checker=enable_checker,
-            checker=self._checker_instance,
-            workload_clients=False, transport=TcpTransport(),
-            server_ids=(), trace=trace, trace_source="parent")
-        self._processes: dict[int, multiprocessing.process.BaseProcess] = {}
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._queues: dict[int, asyncio.Queue] = {}
-        self._merged: set[int] = set()
+            checker=checker, workload_clients=False,
+            transport=TcpTransport(), server_ids=(), trace=trace,
+            trace_source="parent")
+        self.clock, self.checker, self.metrics = (
+            self.view.clock, self.view.checker, self.view.metrics)
+        self._workers: dict[int, _Worker] = {}
+        #: Set by whoever updates a worker record; :meth:`_until` sleeps on it.
+        self._changed = asyncio.Event()
         self._worker_overhead = OverheadCounters()
         self._failure: Optional[BaseException] = None
         self._control: Optional[asyncio.base_events.Server] = None
-        self._control_tasks: set[asyncio.Task] = set()
-        self._wall_epoch: Optional[float] = None
+        #: Every open control connection: its handler task -> its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._started = False
+        self._ran = False
         self._closed = False
 
     # ------------------------------------------------------------- facade API
-    @property
-    def clock(self):
-        return self.view.clock
-
-    @property
-    def checker(self):
-        return self.view.checker
-
-    @property
-    def metrics(self):
-        return self.view.metrics
-
     @property
     def worker_count(self) -> int:
         """Number of worker OS processes this cluster spawns."""
@@ -561,139 +485,115 @@ class ProcessCluster:
         return assembler
 
     # ---------------------------------------------------------- control plane
-    def _queue_for(self, worker_id: int) -> asyncio.Queue:
-        queue = self._queues.get(worker_id)
-        if queue is None:
-            queue = self._queues[worker_id] = asyncio.Queue()
-        return queue
-
     async def _on_worker_connection(self, reader: asyncio.StreamReader,
                                     writer: asyncio.StreamWriter) -> None:
+        """Serve one control connection: keep its worker's record current."""
         task = asyncio.current_task()
-        if task is not None:
-            self._control_tasks.add(task)
-            task.add_done_callback(self._control_tasks.discard)
-        worker_id: Optional[int] = None
-        error: Optional[BaseException] = None
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
+        worker: Optional[_Worker] = None
+        gone = "closed its control connection"
         try:
-            while True:
-                payload = await read_frame(reader)
-                if payload is None:
-                    break
+            while (payload := await read_frame(reader)) is not None:
                 message = decode(payload)
-                if worker_id is None:
+                if worker is None:
                     if not isinstance(message, WorkerHello):
                         raise RuntimeBackendError(
                             f"control connection opened with "
                             f"{type(message).__name__}, expected WorkerHello")
-                    worker_id = message.worker_id
-                    self._writers[worker_id] = writer
-                if isinstance(message, ObservationChunk):
-                    # Fed straight into the streaming checker instead of the
-                    # queue: ingestion (and window verification) overlaps the
-                    # run, and the per-connection FIFO guarantees every chunk
-                    # lands before the worker's final WorkerResult.
-                    self._ingest_chunk(message)
+                    worker = self._workers[message.worker_id]
+                    worker.writer, worker.hello = writer, message
+                elif isinstance(message, ObservationChunk):
+                    # Folded in on arrival: ingestion (and a streaming
+                    # checker's window verification) overlaps the run, and
+                    # the connection's FIFO puts every chunk ahead of the
+                    # worker's WorkerResult.
+                    self.checker.record_history(
+                        message.puts, message.rots,
+                        source=f"worker-{message.worker_id}")
+                    self.chunks_ingested += 1
                     continue
-                self._queue_for(worker_id).put_nowait(message)
-        except asyncio.CancelledError:
-            return
-        except Exception as exc:  # noqa: BLE001 - surfaced via the queue
-            error = exc
+                elif isinstance(message, WorkerReady):
+                    worker.ready = True
+                elif isinstance(message, WorkerResult):
+                    self._merge_result(message)
+                    worker.result = True
+                elif isinstance(message, WorkerError):
+                    gone = f"failed\n{message.message}"
+                    break
+                else:
+                    raise RuntimeBackendError(
+                        f"unexpected control message "
+                        f"{type(message).__name__}")
+                self._changed.set()
+        except Exception as exc:  # noqa: BLE001 - becomes the worker's fate
+            gone = f"lost its control connection: {exc!r}"
         finally:
-            if worker_id is not None:
-                self._queue_for(worker_id).put_nowait(_ConnectionClosed(error))
+            writer.close()
+            if worker is not None and worker.gone is None:
+                worker.gone = gone
+            self._changed.set()
 
-    def _ingest_chunk(self, chunk: ObservationChunk) -> None:
-        """Fold one streamed observation chunk into the streaming checker."""
-        checker = self.view.checker
-        if not isinstance(checker, StreamingChecker):
-            raise RuntimeBackendError(
-                f"worker {chunk.worker_id} streamed an ObservationChunk but "
-                f"the parent checker is "
-                f"{type(checker).__name__ if checker else 'disabled'}")
-        puts = decode_record_batch(chunk.puts_blob)
-        rots = decode_record_batch(chunk.rots_blob)
-        if len(puts) != chunk.put_count or len(rots) != chunk.rot_count:
-            raise WireFormatError(
-                f"observation chunk {chunk.sequence} from worker "
-                f"{chunk.worker_id} announced {chunk.put_count} puts / "
-                f"{chunk.rot_count} rots but carries {len(puts)} / "
-                f"{len(rots)}")
-        checker.record_history(puts, rots,
-                               source=f"worker-{chunk.worker_id}")
-        self.chunks_ingested += 1
+    def _on_exit(self, worker: _Worker) -> None:
+        """``process.sentinel`` is readable: the worker process has exited.
 
-    async def _expect(self, worker_id: int, expected: type, timeout: float):
-        """The next control message from ``worker_id``, of the given type.
-
-        Fails fast when the worker process died without anything left in its
-        queue (a crash before the hello would otherwise burn the whole
-        timeout).
+        Only news for a worker that never connected; one that did is gone
+        when its connection says so, after its last frame.
         """
-        queue = self._queue_for(worker_id)
+        asyncio.get_running_loop().remove_reader(worker.process.sentinel)
+        if worker.writer is None and worker.gone is None:
+            worker.gone = "exited before it connected"
+            self._changed.set()
+
+    def _gone_error(self, worker: _Worker) -> RuntimeBackendError:
+        process = worker.process
+        if process.exitcode is None:
+            # EOF precedes the exit status by the rest of the teardown.
+            process.join(0.2)
+        state = ("still running" if process.exitcode is None
+                 else f"exit code {process.exitcode}")
+        head, _, detail = worker.gone.partition("\n")
+        return RuntimeBackendError(
+            f"{worker} {head} ({state})" + (f"\n{detail}" if detail else ""))
+
+    async def _until(self, workers: Iterable[_Worker],
+                     reached: Callable[[_Worker], object], what: str,
+                     timeout: float) -> None:
+        """Wait until every worker of ``workers`` has ``reached`` its state.
+
+        Raises :class:`RuntimeBackendError` — recorded as the cluster's
+        first failure — as soon as *any* worker of the cluster is gone
+        without having reached it (it never will), or at ``timeout``.
+        """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        death_observed = False
-        while True:
-            try:
-                message = await asyncio.wait_for(
-                    queue.get(), min(0.2, max(deadline - loop.time(), 0.01)))
-                break
-            except asyncio.TimeoutError:
-                process = self._processes.get(worker_id)
-                dead = process is not None and not process.is_alive()
-                if dead and queue.empty():
-                    # One extra poll after first observing the death: a
-                    # gracefully exiting worker's final frame may still sit
-                    # in the socket buffer, waiting for the connection
-                    # reader task to be scheduled.
-                    if not death_observed:
-                        death_observed = True
-                        continue
-                    raise RuntimeBackendError(
-                        f"worker {worker_id} exited with code "
-                        f"{process.exitcode} before sending "
-                        f"{expected.__name__}") from None
-                if loop.time() >= deadline:
-                    state = (f"exited with code {process.exitcode}"
-                             if dead else "still running")
-                    raise RuntimeBackendError(
-                        f"timed out after {timeout}s waiting for "
-                        f"{expected.__name__} from worker {worker_id} "
-                        f"(process {state})") from None
-        if isinstance(message, WorkerError):
-            failure = RuntimeBackendError(
-                f"worker {worker_id} failed:\n{message.message}")
-            self._failure = self._failure or failure
-            raise failure
-        if isinstance(message, _ConnectionClosed):
-            raise RuntimeBackendError(
-                f"worker {worker_id} closed its control connection while "
-                f"{expected.__name__} was expected"
-                + (f" ({message.error})" if message.error else ""))
-        if not isinstance(message, expected):
-            raise RuntimeBackendError(
-                f"expected {expected.__name__} from worker {worker_id}, "
-                f"got {type(message).__name__}")
-        return message
+        failure: Optional[RuntimeBackendError] = None
+        while failure is None:
+            lost = [worker for worker in self._workers.values()
+                    if worker.gone is not None and not reached(worker)]
+            waiting = [worker for worker in workers if not reached(worker)]
+            if lost:
+                failure = self._gone_error(lost[0])
+            elif not waiting:
+                return
+            else:
+                self._changed.clear()
+                try:
+                    await asyncio.wait_for(self._changed.wait(),
+                                           deadline - loop.time())
+                except asyncio.TimeoutError:
+                    failure = RuntimeBackendError(
+                        f"timed out after {timeout}s waiting for {what} from "
+                        + ", ".join(str(worker) for worker in waiting))
+        self._failure = self._failure or failure
+        raise failure
 
-    async def _broadcast(self, message: object) -> None:
-        """Best-effort send to every worker.
-
-        A single dead control connection must not stop the remaining
-        workers from receiving the message; the per-worker ``_expect`` calls
-        surface the dead one with its exit state.
-        """
-        payload = encode(message)
-        for worker_id, writer in self._writers.items():
-            try:
-                await write_frame(writer, payload)
-            except (OSError, RuntimeError) as exc:
-                if self._failure is None:
-                    self._failure = RuntimeBackendError(
-                        f"control connection to worker {worker_id} "
-                        f"failed: {exc}")
+    def _send(self, workers: Iterable[_Worker], message: object) -> None:
+        """Write ``message`` to every connected, living worker of the set."""
+        data = frame(encode(message))
+        for worker in workers:
+            if worker.writer is not None and worker.gone is None:
+                worker.writer.write(data)
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -703,34 +603,33 @@ class ProcessCluster:
         if self._started:
             return
         self._started = True
-        self._wall_epoch = time.time()
+        wall_epoch = time.time()
         self._control = await asyncio.start_server(
             self._on_worker_connection, "127.0.0.1", 0)
         control_port = self._control.sockets[0].getsockname()[1]
         await self.view.transport.start()
 
+        loop = asyncio.get_running_loop()
         context = multiprocessing.get_context("spawn")
         for role in self.roles:
             spec = WorkerSpec(
                 protocol=self.protocol, config=self.config,
                 workload=self.workload, role=role,
                 control_host="127.0.0.1", control_port=control_port,
-                enable_checker=self._enable_checker,
-                trace=self._trace,
-                stream_observations=self.streaming_observations)
+                enable_checker=self.checker is not None,
+                trace=self.trace_assembler is not None)
             process = context.Process(target=worker_entry, args=(spec,),
                                       daemon=True)
             process.start()
-            self._processes[role.worker_id] = process
-
-        hellos = {role.worker_id: await self._expect(
-                      role.worker_id, WorkerHello,
-                      WORKER_STARTUP_TIMEOUT_SECONDS)
-                  for role in self.roles}
+            worker = self._workers[role.worker_id] = _Worker(role, process)
+            loop.add_reader(process.sentinel, self._on_exit, worker)
+        everyone = list(self._workers.values())
+        await self._until(everyone, lambda worker: worker.hello,
+                          "WorkerHello", WORKER_STARTUP_TIMEOUT_SECONDS)
 
         entries: list[PeerEntry] = []
-        for role in self.roles:
-            hello = hellos[role.worker_id]
+        for worker in everyone:
+            hello, role = worker.hello, worker.role
             for dc, partition in role.server_ids:
                 entries.append(PeerEntry(ServerAddr(dc, partition),
                                          hello.host, hello.port))
@@ -741,41 +640,41 @@ class ProcessCluster:
         for addr in parent_transport.local_addrs():
             entries.append(PeerEntry(addr, parent_transport.host,
                                      parent_transport.port))
-        table = PeerTable(entries=tuple(entries), wall_epoch=self._wall_epoch)
         parent_transport.set_peers({entry.addr: (entry.host, entry.port)
                                     for entry in entries})
-        await self._broadcast(table)
-        for role in self.roles:
-            await self._expect(role.worker_id, WorkerReady,
-                               WORKER_STARTUP_TIMEOUT_SECONDS)
-        await self.view.start(wall_epoch=self._wall_epoch)
+        self._send(everyone, PeerTable(tuple(entries), wall_epoch))
+        await self._until(everyone, lambda worker: worker.ready,
+                          "WorkerReady", WORKER_STARTUP_TIMEOUT_SECONDS)
+        await self.view.start(wall_epoch=wall_epoch)
 
     async def run_workload(self, duration_seconds: float) -> None:
         """Run every client worker's closed loops and merge their results."""
         if not self._started or self._closed:
             raise RuntimeBackendError("cluster is not running")
-        client_workers = [role for role in self.roles if role.client_ids]
+        if self._ran:
+            raise RuntimeBackendError(
+                "this process cluster has already run its workload (workers "
+                "report once; build a new cluster for another run)")
+        client_workers = [worker for worker in self._workers.values()
+                          if worker.role.client_ids]
         if not client_workers:
             raise RuntimeBackendError(
                 "this process cluster has no workload client workers "
                 "(constructed with workload_clients=False)")
-        await self._broadcast(StartRun(duration_seconds))
-        timeout = (duration_seconds + OPERATION_TIMEOUT_SECONDS
-                   + WORKER_SHUTDOWN_TIMEOUT_SECONDS)
-        for role in client_workers:
-            result = await self._expect(role.worker_id, WorkerResult, timeout)
-            self._merge_result(result)
+        self._ran = True
+        self._send(client_workers, StartRun(duration_seconds))
+        # A server worker has no result before shutdown, so one that is gone
+        # fails the wait, by name, the moment its connection says so.
+        await self._until(client_workers, lambda worker: worker.result,
+                          "WorkerResult",
+                          duration_seconds + OPERATION_TIMEOUT_SECONDS
+                          + WORKER_SHUTDOWN_TIMEOUT_SECONDS)
 
     def _merge_result(self, result: WorkerResult) -> None:
-        if result.worker_id in self._merged:
-            return
-        self._merged.add(result.worker_id)
-        self.view.metrics.absorb(
+        self.metrics.absorb(
             rot_samples=result.rot_samples, put_samples=result.put_samples,
             rots_issued=result.rots_issued, puts_issued=result.puts_issued)
         self._worker_overhead.merge(result.overhead)
-        if self.view.checker is not None:
-            self.view.checker.record_history(result.puts, result.rots)
         if self.trace_assembler is not None and (
                 result.events or result.events_dropped):
             self.trace_assembler.add_events(
@@ -787,39 +686,46 @@ class ProcessCluster:
         if self._closed:
             return
         self._closed = True
+        everyone = list(self._workers.values())
         try:
-            if self._writers:
-                await self._broadcast(Shutdown())
-                for role in self.roles:
-                    if role.worker_id in self._merged:
-                        continue
-                    if role.worker_id not in self._writers:
-                        continue
-                    try:
-                        result = await self._expect(
-                            role.worker_id, WorkerResult,
-                            WORKER_SHUTDOWN_TIMEOUT_SECONDS)
-                    except RuntimeBackendError as exc:
-                        self._failure = self._failure or exc
-                        continue
-                    self._merge_result(result)
+            self._send(everyone, Shutdown())
+            for worker in everyone:
+                if worker.writer is None:
+                    # Never connected: cannot be told, has nothing to report.
+                    worker.process.terminate()
+            try:
+                await self._until(
+                    everyone, lambda worker: worker.result or worker.gone,
+                    "WorkerResult", WORKER_SHUTDOWN_TIMEOUT_SECONDS)
+            except RuntimeBackendError:
+                pass  # recorded; the teardown below must still run
+            for worker in everyone:
+                if not worker.result and worker.gone is not None:
+                    self._failure = self._failure or self._gone_error(worker)
         finally:
-            for writer in self._writers.values():
-                writer.close()
+            loop = asyncio.get_running_loop()
+            for worker in everyone:
+                loop.remove_reader(worker.process.sentinel)
             if self._control is not None:
                 self._control.close()
+            # Closing a connection feeds its handler EOF: each returns on its
+            # own, none is cancelled (3.11's stream protocol logs a handler
+            # that ends cancelled as an error).
+            connections = dict(self._connections)
+            for writer in connections.values():
+                writer.close()
+            await asyncio.gather(*connections, return_exceptions=True)
+            if self._control is not None:
                 await self._control.wait_closed()
-            for task in list(self._control_tasks):
-                task.cancel()
             await self.view.stop()
             await self._join_processes()
 
     async def _join_processes(self) -> None:
-        deadline = (asyncio.get_running_loop().time()
-                    + WORKER_SHUTDOWN_TIMEOUT_SECONDS)
-        for process in self._processes.values():
-            while process.is_alive() and \
-                    asyncio.get_running_loop().time() < deadline:
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + WORKER_SHUTDOWN_TIMEOUT_SECONDS
+        for worker in self._workers.values():
+            process = worker.process
+            while process.is_alive() and loop.time() < deadline:
                 await asyncio.sleep(0.02)
             if process.is_alive():
                 process.terminate()

@@ -5,15 +5,14 @@ and one socket write per envelope.  A *batch frame* amortises all of that:
 the transport coalesces the envelopes bound for one peer and flushes them as
 a single frame whose payload is::
 
-    [magic 0xA7] [wire version 4] [format 0x03] [u32 count]
+    [magic 0xA7] [wire version 5] [format 0x03] [u32 count]
     envelope ... envelope            -- count tagged values, row by row
 
 Each row is what :func:`repro.wire.codec.encode` would write for that
 envelope after its header: ``[0xD8] [u16 type id]`` plus the body written by
 the type's compiled packer, which in turn writes the payload message through
 *its* packer.  There is no batch-specific layout: a frame of one envelope
-and a frame of 128 differ only in the count.  Record blobs
-(:func:`encode_record_batch`) are the same run without the frame header.
+and a frame of 128 differ only in the count.
 
 When to flush is a transport policy, see :class:`FlushPolicy` and
 :mod:`repro.runtime.transport`.
@@ -30,7 +29,6 @@ from repro.wire.codec import (
     MAGIC,
     WIRE_VERSION,
     BatchFrame,
-    decode_run,
     encode_run,
 )
 
@@ -80,28 +78,10 @@ def encode_batch(envelopes: Sequence) -> bytes:
     return encode_run(envelopes, _BATCH_HEADER)
 
 
-def encode_record_batch(records: Sequence) -> bytes:
-    """Encode a record sequence as one compact blob.
-
-    The observation-streaming path ships ``RecordedPut``/``RecordedRot``
-    chunks from worker processes through the same per-type packers batch
-    frames use.  An empty sequence encodes as zero bytes (chunks are
-    routinely one-sided: a drain interval may carry only puts or only rots).
-    """
-    return encode_run(records) if records else b""
-
-
-def decode_record_batch(blob: bytes) -> list:
-    """Decode one :func:`encode_record_batch` blob back into records."""
-    return decode_run(blob) if blob else []
-
-
 __all__ = [
     "BatchFrame",
     "DEFAULT_FLUSH_POLICY",
     "FlushPolicy",
     "MAX_BATCH_MESSAGES",
     "encode_batch",
-    "decode_record_batch",
-    "encode_record_batch",
 ]

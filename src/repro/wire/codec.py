@@ -2,7 +2,7 @@
 
 Every value that crosses a process boundary is encoded into a *frame body*::
 
-    [magic 0xA7] [wire version 4] [format tag] [payload ...]
+    [magic 0xA7] [wire version 5] [format tag] [payload ...]
 
 Three payload formats share that header:
 
@@ -84,7 +84,7 @@ from repro.wire.intern import intern_key
 #: First byte of every frame.
 MAGIC = 0xA7
 #: Current wire version; bumped on every payload-layout change.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 #: Every version this codec can decode: every peer of a run is started from
 #: the same tree, so there is exactly one, and anything else is rejected.
 SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION,)
@@ -757,9 +757,9 @@ def encode(value: Any, *, format: str = "binary") -> bytes:
     return bytes(out)
 
 
-def encode_run(values: Sequence, header: bytes = b"") -> bytes:
+def encode_run(values: Sequence, header: bytes) -> bytes:
     """``header`` + ``[u32 count]`` + ``values`` as tagged values, row by row
-    (the payload of batch frames and record blobs)."""
+    (a batch frame)."""
     out = bytearray(header)
     out += _pack_u32(len(values))
     try:
@@ -770,7 +770,7 @@ def encode_run(values: Sequence, header: bytes = b"") -> bytes:
     return bytes(out)
 
 
-def decode_run(data: bytes, start: int = 0) -> list:
+def decode_run(data: bytes, start: int) -> list:
     """Decode the :func:`encode_run` payload that fills ``data[start:]``."""
     values = []
     try:

@@ -183,52 +183,3 @@ class TestErrorPropagation:
         bad = RunSpec(protocol="no-such-protocol", config=tiny_config())
         with pytest.raises(ParallelExecutionError):
             ParallelRunner(max_workers=2).run([good, bad])
-
-
-def _square(value):
-    return value * value
-
-
-def _boom(value):
-    raise ValueError(f"boom {value}")
-
-
-class TestTaskPool:
-    """The generic task pool behind streaming-checker window parallelism."""
-
-    def test_serial_submit_runs_inline(self):
-        from repro.harness.parallel import TaskPool
-        with TaskPool(max_workers=1) as pool:
-            handles = [pool.submit(_square, n) for n in range(5)]
-            assert [handle.result() for handle in handles] == \
-                [0, 1, 4, 9, 16]
-
-    def test_pooled_submit_returns_results_per_handle(self):
-        from repro.harness.parallel import TaskPool
-        with TaskPool(max_workers=2) as pool:
-            handles = [pool.submit(_square, n) for n in range(8)]
-            assert [handle.result() for handle in handles] == \
-                [n * n for n in range(8)]
-
-    def test_worker_exception_carries_the_traceback(self):
-        from repro.harness.parallel import PoolTaskError, TaskPool
-        with TaskPool(max_workers=2) as pool:
-            handle = pool.submit(_boom, 7)
-            with pytest.raises(PoolTaskError) as excinfo:
-                handle.result()
-        assert "boom 7" in str(excinfo.value)
-        assert "Traceback" in excinfo.value.worker_traceback
-
-    def test_serial_exception_uses_same_contract(self):
-        from repro.harness.parallel import PoolTaskError, TaskPool
-        with TaskPool(max_workers=1) as pool:
-            handle = pool.submit(_boom, 3)
-            with pytest.raises(PoolTaskError):
-                handle.result()
-
-    def test_close_is_idempotent(self):
-        from repro.harness.parallel import TaskPool
-        pool = TaskPool(max_workers=2)
-        pool.submit(_square, 2).result()
-        pool.close()
-        pool.close()

@@ -3,10 +3,11 @@
 The core contract is **byte-identical reports**: on any history whose causal
 references stay inside the retirement horizon, the streaming checker must
 produce exactly the monolithic checker's :class:`CheckerReport` — same
-violation strings in the same order — at every window size, serially or on
-the worker pool.  The rest pins the windowing machinery (seal gate, force
-seal, retirement), the observation buffer, the wire round-trip of
-observation chunks, and the end-to-end TCP capture path.
+violation strings in the same order — at every window size, and whether
+the history arrives at once or as per-worker chunks.  The rest pins the
+windowing machinery (seal gate, force seal, retirement), the observation
+buffer, the wire round-trip of observation chunks, and the end-to-end TCP
+capture path, which is the same for both checkers.
 """
 
 import pytest
@@ -204,21 +205,54 @@ class TestWindowMechanics:
             StreamingChecker(force_seal_factor=0)
 
 
-class TestParallelWindows:
-    def test_pool_mode_matches_serial_reports(self):
-        puts, rots = materialize(1500, SynthParameters(seed=21))
-        serial = streaming_report(puts, rots, window_ops=64)
-        pooled = streaming_report(puts, rots, window_ops=64, max_workers=2)
-        assert_reports_identical(serial, pooled)
+class TestOneIngestionPath:
+    """``record_history(puts, rots, source=)`` is how a worker's chunk
+    reaches either checker; what the verdict is must not depend on it."""
 
-    def test_pool_mode_catches_injected_violations(self):
-        base_puts, base_rots = materialize(300, SynthParameters(seed=8))
-        vp, vr = snapshot_violation_history()
-        puts, rots = base_puts + vp, base_rots + vr
-        mono = monolithic_report(puts, rots)
-        assert not mono.ok
-        stream = streaming_report(puts, rots, window_ops=32, max_workers=2)
-        assert_reports_identical(mono, stream)
+    @staticmethod
+    def _worker_chunks(puts, rots, pieces=7):
+        """One worker's log cut into ``pieces`` uneven chunks, in an order a
+        flusher could have produced (every client's sequence ascending)."""
+        ops = list(iter_session_order(puts, rots))
+        cuts = sorted({len(ops) * share // 100
+                       for share in (3, 11, 30, 34, 61, 93)})
+        assert len(cuts) == pieces - 1
+        for start, end in zip([0] + cuts, cuts + [len(ops)]):
+            piece = ops[start:end]
+            yield ([op for kind, op in piece if kind == "put"],
+                   [op for kind, op in piece if kind == "rot"])
+
+    @pytest.mark.parametrize("make_checker", [CausalConsistencyChecker,
+                                              StreamingChecker])
+    def test_chunked_per_worker_ingestion_gives_the_same_report(
+            self, make_checker):
+        config = ClusterConfig.test_scale(num_dcs=2, clients_per_dc=4,
+                                          duration_seconds=0.3,
+                                          warmup_seconds=0.05)
+        outcome = run_experiment("contrarian", config, enable_checker=True)
+        puts, rots = outcome.cluster.checker.recorded_history()
+        at_once = make_checker()
+        at_once.record_history(puts, rots)
+
+        # One client worker per DC, as default_placement deploys them.
+        clients = list(dict.fromkeys(op.client for op in (*puts, *rots)))
+        workers = [clients[:len(clients) // 2], clients[len(clients) // 2:]]
+        streams = [
+            (f"worker-{number}", self._worker_chunks(
+                [put for put in puts if put.client in hosted],
+                [rot for rot in rots if rot.client in hosted]))
+            for number, hosted in enumerate(workers, start=4)]
+        chunked = make_checker()
+        chunks = 0
+        for _ in range(7):
+            for source, stream in streams:
+                chunk_puts, chunk_rots = next(stream)
+                chunked.record_history(chunk_puts, chunk_rots, source=source)
+                chunks += 1
+        assert chunks == 14
+        assert outcome.checker_report.rots > 0
+        assert at_once.check() == outcome.checker_report
+        assert chunked.check() == outcome.checker_report
 
 
 class TestReentrantFinish:
@@ -289,76 +323,68 @@ class TestObservationBuffer:
         assert puts == (p,) and rots == (r,)
         assert buffer.pending == 0
         assert buffer.drain() == ((), ())
-        assert buffer.recorded_history() == ((), ())
 
 
 class TestObservationWire:
     def test_observation_chunk_round_trips(self):
         from repro.runtime.process import ObservationChunk
-        from repro.wire.batch import decode_record_batch, encode_record_batch
         from repro.wire.codec import decode, encode
 
         puts, rots = materialize(200, SynthParameters(seed=7))
-        chunk = ObservationChunk(
-            worker_id=3, sequence=1, put_count=len(puts),
-            rot_count=len(rots), puts_blob=encode_record_batch(puts),
-            rots_blob=encode_record_batch(rots))
-        decoded = decode(encode(chunk))
-        assert decoded.worker_id == 3
-        assert decode_record_batch(decoded.puts_blob) == puts
-        assert decode_record_batch(decoded.rots_blob) == rots
-
-    def test_record_batch_rejects_corrupt_blobs(self):
-        from repro.errors import WireFormatError
-        from repro.wire.batch import decode_record_batch, encode_record_batch
-
-        assert encode_record_batch([]) == b""
-        assert decode_record_batch(b"") == []
-        with pytest.raises(WireFormatError):
-            decode_record_batch(b"\x01")
-        blob = encode_record_batch([put("a", 1)])
-        with pytest.raises(WireFormatError):
-            decode_record_batch(blob + b"junk")
+        chunk = ObservationChunk(worker_id=3, puts=tuple(puts),
+                                 rots=tuple(rots))
+        assert decode(encode(chunk)) == chunk
+        one_sided = ObservationChunk(worker_id=4, puts=(), rots=tuple(rots))
+        assert decode(encode(one_sided)) == one_sided
 
 
 class TestRuntimeSelection:
-    def test_streaming_checker_requires_realtime_backend(self):
+    def test_a_checker_is_an_instance_and_needs_the_realtime_backend(self):
         from repro.api import CausalStore
-        with pytest.raises(ConfigurationError):
-            CausalStore(backend="sim", checker="streaming")
-        with pytest.raises(ConfigurationError):
-            CausalStore(backend="realtime", checker="bogus")
+        with pytest.raises(ConfigurationError, match="realtime"):
+            CausalStore(backend="sim", checker=StreamingChecker())
+        # The name a checker used to be selected by is not a recorder.
+        with pytest.raises(ConfigurationError, match="record_put"):
+            CausalStore(backend="realtime", checker="streaming")
 
-    def test_experiment_rejects_unknown_checker(self):
+    def test_experiment_rejects_what_is_not_a_recorder(self):
         from repro.runtime.experiment import run_realtime_experiment
-        with pytest.raises(ConfigurationError):
-            run_realtime_experiment("cure", checker="bogus")
+        for transport in ("inproc", "tcp"):
+            with pytest.raises(ConfigurationError, match="record_put"):
+                run_realtime_experiment("cure", checker="bogus",
+                                        transport=transport)
 
 
 @pytest.mark.slow
 class TestStreamingOverTcp:
-    def test_workers_stream_chunks_and_the_run_is_clean(self):
+    @pytest.mark.parametrize("make_checker", [lambda: None, StreamingChecker],
+                             ids=["default-monolithic", "streaming"])
+    def test_workers_stream_chunks_and_the_run_is_clean(self, make_checker):
         from repro.runtime.experiment import run_realtime_experiment
         from repro.workload.parameters import WorkloadParameters
         config = ClusterConfig.test_scale(num_partitions=2, num_dcs=2,
                                           clients_per_dc=2,
                                           warmup_seconds=0.05)
+        checker = make_checker()
         outcome = run_realtime_experiment(
             "contrarian", config, WorkloadParameters(rot_size=2),
             duration_seconds=0.5, transport="tcp",
-            check_consistency=True, checker="streaming")
+            check_consistency=True, checker=checker)
         cluster = outcome.cluster
         assert cluster.chunks_ingested > 0
-        assert isinstance(cluster.checker, StreamingChecker)
+        assert isinstance(cluster.checker, CausalConsistencyChecker
+                          if checker is None else StreamingChecker)
+        assert checker is None or cluster.checker is checker
         report = outcome.checker_report
         assert report.ok
         assert report.puts > 0 and report.rots > 0
 
     def test_inproc_realtime_run_with_streaming_checker(self):
         from repro.runtime.experiment import run_realtime_experiment
+        checker = StreamingChecker()
         outcome = run_realtime_experiment(
             "cure", ClusterConfig.test_scale(), duration_seconds=0.4,
-            transport="inproc", check_consistency=True, checker="streaming")
-        assert isinstance(outcome.cluster.checker, StreamingChecker)
+            transport="inproc", check_consistency=True, checker=checker)
+        assert outcome.cluster.checker is checker
         assert outcome.checker_report.ok
         assert outcome.checker_report.rots > 0

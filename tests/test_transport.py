@@ -10,6 +10,7 @@ import inspect
 
 import pytest
 
+from repro.api import CausalStore
 from repro.core.common.kernel import ClientAddr, ServerAddr
 from repro.core.common.messages import CcloPutReply, VectorPutRequest
 from repro.errors import ConfigurationError, TransportError, WireFormatError
@@ -74,8 +75,17 @@ class TestInprocTransport:
         for accepts in (run_realtime_experiment, RealtimeCluster,
                         ProcessCluster, InprocTransport):
             assert "batch" not in inspect.signature(accepts).parameters
-        assert "batch" not in {
+        assert not {"batch", "stream_observations"} & {
             field.name for field in dataclasses.fields(WorkerSpec)}
+        # Nor is there a checker picked by name: it is an instance (or None)
+        # wherever one is accepted, and a str is not a recorder.
+        for accepts in (run_realtime_experiment, RealtimeCluster,
+                        ProcessCluster, CausalStore):
+            checker = inspect.signature(accepts).parameters["checker"]
+            assert checker.default is None
+        for name in ("streaming", "monolithic"):
+            with pytest.raises(ConfigurationError, match="record_put"):
+                ProcessCluster("contrarian", checker=name)
 
 
 class TestTcpTransport:

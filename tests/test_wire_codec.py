@@ -33,11 +33,7 @@ from repro.wire import (
     frame,
     register_wire_type,
 )
-from repro.wire.batch import (
-    decode_record_batch,
-    encode_batch,
-    encode_record_batch,
-)
+from repro.wire.batch import encode_batch
 from repro.wire.codec import (
     MAGIC,
     SUPPORTED_WIRE_VERSIONS,
@@ -104,8 +100,6 @@ class TestRoundTrips:
                 assert same(decoded, original), (format, decoded, original)
             assert same(decode(encode_batch([original] * 3)).envelopes,
                         (original,) * 3)
-            assert same(decode_record_batch(encode_record_batch([original])),
-                        [original])
 
     @EVERY_TYPE
     @WIRE_SETTINGS
@@ -329,14 +323,14 @@ class TestWireVersion:
     """
 
     def test_version_constants(self):
-        assert WIRE_VERSION == 4
+        assert WIRE_VERSION == 5
         assert SUPPORTED_WIRE_VERSIONS == (WIRE_VERSION,)
 
     def test_unsupported_versions_rejected(self):
         frames = [encode(sample(CcloPutReply), format="binary"),
                   encode(sample(CcloPutReply), format="json"),
                   encode_batch([sample(CcloPutReply)] * 3)]
-        for version in (0, 1, 2, 3, 5, 99):
+        for version in (0, 1, 2, 3, 4, 99):
             for payload in map(bytearray, frames):
                 assert payload[1] == WIRE_VERSION
                 payload[1] = version

@@ -1,10 +1,10 @@
 """Robustness contract of the wire layer: malformed bytes raise only
 :class:`~repro.errors.WireFormatError`.
 
-Arbitrary bytes and mutations of valid v4 frames — of every registered type
+Arbitrary bytes and mutations of valid v5 frames — of every registered type
 and of mixed batches: bit flips, truncation at every offset, a length or
 count inflated to its maximum, a wrong type id, trailing bytes — go into
-``decode``, ``decode_record_batch`` and ``FrameDecoder.feed``.  Each call must
+``decode`` and ``FrameDecoder.feed``.  Each call must
 return or raise ``WireFormatError``, nothing else, and must not allocate in
 proportion to a count the frame merely claims.  Deterministic
 (``derandomize=True``), so tier-1 stays reproducible.
@@ -17,11 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import WireFormatError
-from repro.wire.batch import (
-    decode_record_batch,
-    encode_batch,
-    encode_record_batch,
-)
+from repro.wire.batch import encode_batch
 from repro.wire.codec import MAGIC, WIRE_VERSION, decode, encode
 from repro.wire.framing import FrameDecoder, frame
 from wire_support import (
@@ -90,12 +86,10 @@ class TestMutatedFrames:
         with pytest.raises(WireFormatError, match="unknown wire type id"):
             decode(bytes(payload))
 
-    def test_mutated_mixed_batch_and_record_blob(self):
+    def test_mutated_mixed_batch(self):
         rows = _mixed_batch()
         batch = encode_batch(rows)
         assert list(decode(batch).envelopes) == rows
-        blob = encode_record_batch(rows)
-        assert decode_record_batch(blob) == rows
         # Bit flips over the whole frame would be quadratic in its length;
         # the per-type test covers every layout, so sample the positions.
         for offset in range(0, len(batch), 7):
@@ -104,9 +98,8 @@ class TestMutatedFrames:
                             batch[:offset] + bytes((batch[offset] ^ 0x10,))
                             + batch[offset + 1:]):
                 _survives(decode, mutated)
-                _survives(decode_record_batch, mutated[3:])
         with pytest.raises(WireFormatError, match="trailing"):
-            decode_record_batch(blob + b"\x00")
+            decode(batch + b"\x00")
 
     def test_claimed_counts_allocate_nothing(self):
         frames = [payload for cls in WIRE_TYPES for payload in _frames_of(cls)]
@@ -139,7 +132,6 @@ class TestArbitraryBytes:
     @given(data=st.binary(max_size=256))
     def test_binary_garbage(self, data):
         _survives(decode, data)
-        _survives(decode_record_batch, data)
         for header in _HEADERS:
             _survives(decode, header + data)
         decoder = FrameDecoder()
@@ -161,7 +153,6 @@ class TestArbitraryBytes:
         cut = data.draw(st.integers(0, len(payload)))
         _survives(decode, bytes(payload))
         _survives(decode, bytes(payload[:cut]))
-        _survives(decode_record_batch, bytes(payload[3:]))
 
 
 class TestFrameDecoderStreams:

@@ -17,84 +17,84 @@ from repro.wire.codec import WIRE_VERSION, encode
 from wire_support import EVERY_TYPE, WIRE_TYPES, sample
 
 #: The wire version the hashes below were generated for.
-GOLDEN_WIRE_VERSION = 4
+GOLDEN_WIRE_VERSION = 5
 
 GOLDEN_FRAMES = {
     "ReadResult":
-        "e29eec6a3665d606070d1fbb135a2b84ff4c865ba721e945f3994ab416579c9f",
+        "047443a292548cda12ef903bca95d404217ad1611eb4b2adc5f9b07b94a9f4ba",
     "VectorPutRequest":
-        "94701d4e0c48c5a145ab845bcf11c077e1f6e3eb6223a6de202f5e61d9b60948",
+        "84748e57a31ee737c60eeff9f0385f29bfa5826ef9f4863af7ccc090093503ad",
     "VectorPutReply":
-        "07ad79efdd46c428a2bb1cfad1658713c04ecbc0139b7db311b03330ce0bb502",
+        "e52e579830156d227644009d4930c9f06f02ae8b015d18375208009129b85c72",
     "RotCoordinatorRequest":
-        "6d1b8704ea4a357bbae1ab3c9c458c11e57b4e6ddcb6dba02648ce724523f027",
+        "2f6b119c70d70f63ab08ca6b9a827b1fa43e784676b97e5cf6fe4c534cfe3b38",
     "RotSnapshotReply":
-        "761f9f6dd2573769e685fbc480cf78dad7f305b26943d766a139ba91710e25c3",
+        "9dfa48bdf56ff6831b38e5d3f8a4e51a95318dbce515e5a5a026f08dd38768d3",
     "RotProxyRead":
-        "06739a4af51dff02567fc11e4d77d92944bc9cb960be53a1bd7be5f202821b59",
+        "06907b46bb407659fa5ef3383f5fc8645e018a2abde6013ace4bf023e60c95c6",
     "RotReadRequest":
-        "01afa14a0569a28b8f2098c1385d78e98fa1b12bf089f565a34da17b3b1a642c",
+        "6fd0a1fbbb4babb1eef53ba6cd3776844f8db8e2af655926aaedf405abd7959d",
     "RotValueReply":
-        "e133785c7e6793385669816e1d4b0aca9dc5df2e778ec904b3caf969b39cb4ed",
+        "447f9292b4b674fb5e15c0c73faa9e66a7b0c2452459ef10670bd98ba037bd58",
     "RemoteHeartbeat":
-        "d6550929290877d403023bb85cd74232abbaae091f4c3348ab2b1e106709d278",
+        "e6b69e7014440593cba17ab8dde5f71e30c5656eb58a09edfa2882e1702e0287",
     "StabilizationMessage":
-        "18311446f4182fefe4812acb92f11d08e85ff1c5a7f9c1cdf028fea64f2f929e",
+        "2fe50be9e40dee36761e177f99c8f08d49e3da77ff62ee1072b22ba12e437b83",
     "ReplicateUpdate":
-        "511ca75382e42775b0f8175207233c3602ae6a7a9e4c55b68c684e99003a42c9",
+        "3c26283dae4676902e8a6d88a5b2a3a6ba009e41610a4b472f5d09555945a981",
     "OneRoundReadRequest":
-        "de532bbd261a851c8e1e0674169dd85fe137a1011ce278923c0f1ebbd797d7d3",
+        "27d4cd2fa78a5c8fa2204c15d3909ed6b258eb5bf76269c76e2405f5f0249412",
     "OneRoundReadReply":
-        "9b0e36ecbfcfad0b3274941f1ef7a0ec8422e455226efe0f713f9d2097a1bcd4",
+        "30876b57ef0e2c4d37f9d1554ef8b966917244ee5d86628a394cf0d1493dc511",
     "CcloPutRequest":
-        "68006155708c69a494757f6c9fdebf000030eb41ee552eca1688b8d937ec42e1",
+        "32b2c1f0bbd354fb43d73d15e491269fe50647944f2bb6548adfc1720591e5b8",
     "CcloPutReply":
-        "95361918d75ed922528193233033d3aaaa282fdcd276e5f58e306d025d27b663",
+        "bc5bcbf380aad6fef8f02911f72a82f28676476fa8399967a5700d49ee124289",
     "ReadersCheckRequest":
-        "77179d22af7aad579c76fd82e42759ce9445fdaa9189b80a7e68ab7ce29171b5",
+        "dc2bfacf05584c8fd0f7db44c3b924b486bf65a9f2513b9d8d609b50650b48ed",
     "ReadersCheckReply":
-        "a36a321db0b823ac2bf17e749c50fee517b55aa3163a1a39cdc3d73a33f2c574",
+        "ef172409d4420b0fd67838511e9a9d2976085bee0374902ce5c8305457f9a0e1",
     "CcloReplicateUpdate":
-        "0a4e6eb3cc654c01bba5a6a8e55ca22ce650cedfea1a71e5d38a8fc31c6677c2",
+        "0b2a0e546b132ebd91c9ce9c12a1e5c270b583ac572f59ba13150edfad9a5179",
     "ServerAddr":
-        "3137c94fe5bc5906780a0497af98d29cd531e562da1ae006faf2d7a42bb97bb2",
+        "9a5fbdccb34aeb705b6db446ddd14450920829bae7a5e18dae4a0c92eb74ef1b",
     "ClientAddr":
-        "c2eb82c43830014ef0ad2ee30a82c77a65db72600d790448cbd10a6eb2ebac24",
+        "5c5f4d35f5fe7c7ec544ea2fffcca484903ed0c4339cdf38b2b733876000d670",
     "Envelope":
-        "158a289eaef72337df20dc33cee7e1b94b9f832fbcbd45c0260d14db018951af",
+        "96ab4de18dc9a634691a5943be4dd30abe344e60d3c76fbd646b374d074bf1fb",
     "RecordedPut":
-        "859b07deb9857d792a14304e89c93d762792faa59fbce6ed502f402315904967",
+        "d845d626a8a4758e453573a0ae26a5220aa4bac9239480c294898c41467673f2",
     "RecordedRead":
-        "cb3c5dba69553242ec01d005b446acd701dec112be813abef8d039bccb4f7368",
+        "0af2d0554adff6f155ecfb95ead33010fb9790ddaf9ad86d991771fa84b51172",
     "RecordedRot":
-        "64a2fb780178c742ca7d851758ccd58e20382112ce20bddc19bd77869f6eed26",
+        "459c032c6e3da3428e25c660a7ac6c6cbb8124ca67a1550104a6fabaeb557210",
     "OverheadCounters":
-        "fcc8212d6fc2a5bb39f668b1bdf67d73904ca6fb3044b37f2b30522c05de025b",
+        "782316de016239bfbe6f546f31ba90af3195987dcc4b9e5c6ad3b031cdd65c9e",
     "TraceEvent":
-        "bfbf7d0a01ca37d45603df71796a9f8eda722923fc46af0b689111fbe3d43d67",
+        "bcdd53a20fa341fb71bb3780b40cb6c25845437fd3099584ed2b57aac0b781b1",
     "WorkerHello":
-        "bd343bc664aa4bc84073e34a3e11b344cbacb5f175049ba7ee9d2dfa1a2af541",
+        "9b371bb21382bc3e9f5fb85f37b25b0d070360d6afc879c7bec02888593e3edb",
     "PeerEntry":
-        "75c7264c128c28de671d6446ae9ba2fe9994ec97cfd4986972c6d1e71fd01c37",
+        "8d6cc8d655b002430481655b00ddcbb9bc1ab6f44a6bc48acb5cba30bb1efdfa",
     "PeerTable":
-        "3bb4b3d44e93a28bc7ac3f29ee43c590bbeff3a205bde0344b3994cee16fe575",
+        "74f818aa57c74c4c5c54e7a59bdf083d4fe7841f772a0ca674eefb4e1e24d474",
     "WorkerReady":
-        "b0664ae6605ac039da86a0292f863773810c6e655e3f7628b42a59bfb5516ea8",
+        "dc070eccd21b745c5da7af9bf82518111b840f3efd41378c0684325fdd2a7a88",
     "StartRun":
-        "c67b6dda5c516c18f7dcc0ffc6fdb6fde4c5ef493e119d84298b398310aaace4",
+        "37454892677e90f84ecdb1d8708beea530e7810ec9fd78a9b08301bb9bddccd7",
     "Shutdown":
-        "ae9e82aa9afd4f3416f4f7d3de691928cff3fb72a7c58da661e7848303fa8cbf",
+        "52ceaea149c4904dedad806f5e38886aa625ed54cea2176ba8efae79e84eba82",
     "WorkerError":
-        "a38ce37ca66eb96cba32a1555fb4beacf0c4c5097ab1e062be18e967616bfd41",
+        "1050a2017b23d947a01e8fab0068652e8fbf9ccda76a50211f99dec456faa1ef",
     "WorkerResult":
-        "5cf5fa38eedf037b2b6c15644bf151b7870b547617a20bbaab36aa85f0094d64",
+        "90dec952d05f08144baeba0ab789e700b1ac001926ac981eb6a6bae36e6d0820",
     "ObservationChunk":
-        "8939ba76a92ba684735819d188ecb47f5d1ddb98a321010e6c23afaee260ddd4",
+        "cf256bba17da75b0715bef0f2964265d892c87ac5a0002fa82bc7e2bf5352432",
 }
 
 #: One batch frame holding both sample variants of every type, in id order.
 GOLDEN_MIXED_BATCH = (
-    "fed590741cc1dab8ef2d6929047c604588f8ccdb543e78b2c8762cb2ff53fa66")
+    "cee4045be9b1b5fe01ff383324a485b9042cd41ea98304753499f007bb9ab789")
 
 
 def _digest(payload: bytes) -> str:
