@@ -25,6 +25,15 @@ or this host happens to run it.  Per protocol it reports
   :data:`WARM_OPERATIONS` uncounted ones (they repeat exactly; CPython 3.12
   counts a few percent fewer, it inlines comprehensions; what
   ``tests/test_hot_path_budget.py`` pins);
+* ``generated_calls_per_op`` — of those Python-level calls, the ones into
+  code a dataclass generated (``<string>`` code objects), by method name,
+  with a frozen class's ``__init__`` (one ``object.__setattr__`` per field)
+  as ``frozen __init__``.  Counted per code object because ``cProfile``
+  cannot: ``pstats`` keys a function by (file, line, name), every generated
+  method is ``<string>:2``, so one entry per name keeps one class's count
+  and drops the rest (4,000 operations of the loop-free Contrarian drive,
+  while messages were still plain frozen dataclasses, showed 1,336
+  ``<string>:2(__init__)`` calls where there were 107,213);
 * ``msgs_per_op`` — run-queue deliveries per operation.
 
 A second drive puts the same kernels and host under the discrete-event
@@ -51,6 +60,7 @@ percent from one interpreter to the next.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import platform
@@ -149,32 +159,57 @@ def drive(cluster: RealtimeCluster, schedule: list) -> int:
     return messages
 
 
-def profiled(work) -> tuple[dict[str, int], object]:
+def generated_name(code) -> str:
+    """What a ``<string>`` code object is: the method name a dataclass
+    generated (``__init__``, ``__eq__``, ``__hash__``, ...), ``frozen
+    __init__`` for a frozen class's, which stores every field through
+    ``object.__setattr__``."""
+    if (code.co_name == "__init__" and "__dataclass_builtins_object__"
+            in code.co_names + code.co_freevars):
+        return "frozen __init__"
+    return code.co_name
+
+
+def profiled(work) -> tuple[dict[str, int], dict[str, int], object]:
     """Run ``work()`` under ``sys.setprofile``; the Python-level (``call``)
-    and C-level (``c_call``) calls it made, and what it returned."""
+    and C-level (``c_call``) calls it made, its calls into ``<string>`` code
+    by :func:`generated_name`, and what it returned."""
     counts = {"call": 0, "c_call": 0}
+    generated = collections.Counter()
 
     def profiler(frame, event, arg):
         if event in counts:
             counts[event] += 1
+            if event == "call" and frame.f_code.co_filename == "<string>":
+                generated[frame.f_code] += 1
 
     sys.setprofile(profiler)
     try:
         outcome = work()
     finally:
         sys.setprofile(None)
-    return counts, outcome
+    by_name = collections.Counter()
+    for code, calls in generated.items():
+        by_name[generated_name(code)] += calls
+    return counts, dict(sorted(by_name.items())), outcome
+
+
+def _per_op(counts: dict[str, int], operations: int) -> dict[str, float]:
+    return {name: round(calls / operations, 2)
+            for name, calls in counts.items()}
 
 
 def count_calls(protocol: str, operations: int = 500,
-                warm: int = WARM_OPERATIONS) -> dict[str, float]:
-    """Python-level and C-level calls and messages per operation."""
+                warm: int = WARM_OPERATIONS) -> dict:
+    """Python-level, C-level and generated calls and messages per
+    operation."""
     cluster = build_cluster(protocol)
     drive(cluster, plan(cluster, warm))
     schedule = plan(cluster, operations, first=warm)
-    counts, messages = profiled(lambda: drive(cluster, schedule))
+    counts, generated, messages = profiled(lambda: drive(cluster, schedule))
     return {"py_calls_per_op": counts["call"] / operations,
             "c_calls_per_op": counts["c_call"] / operations,
+            "generated_calls_per_op": _per_op(generated, operations),
             "msgs_per_op": messages / operations}
 
 
@@ -205,13 +240,14 @@ def sim_window(cluster: BuiltCluster) -> tuple[int, int, int]:
     return tuple(after - start for after, start in zip(totals(), before))
 
 
-def count_sim_calls(protocol: str) -> dict[str, float]:
+def count_sim_calls(protocol: str) -> dict:
     """Calls, engine events and messages per simulated operation."""
     cluster = build_sim_cluster(protocol)
-    counts, (operations, events, messages) = profiled(
+    counts, generated, (operations, events, messages) = profiled(
         lambda: sim_window(cluster))
     return {"py_calls_per_op": counts["call"] / operations,
             "c_calls_per_op": counts["c_call"] / operations,
+            "generated_calls_per_op": _per_op(generated, operations),
             "events_per_op": events / operations,
             "msgs_per_op": messages / operations,
             "window": [operations, events, messages]}
@@ -306,7 +342,9 @@ def main(argv=None) -> int:
                   f"{cpu['median']:7.1f} us/op "
                   f"(q1 {cpu['q1']}, q3 {cpu['q3']}), "
                   f"{row['py_calls_per_op']} Python + "
-                  f"{row['c_calls_per_op']} C calls/op, "
+                  f"{row['c_calls_per_op']} C calls/op "
+                  f"({sum(row['generated_calls_per_op'].values()):.1f} "
+                  f"generated), "
                   f"{row['msgs_per_op']} msgs/op{events}")
     if args.output:
         report = {}

@@ -27,13 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.core.common.records import record
 from repro.errors import ConsistencyViolation
 
 #: A version is identified by ``(key, timestamp, origin_dc)``.
 VersionId = tuple[str, int, int]
 
 
-@dataclass(frozen=True)
+@record
 class RecordedPut:
     """A PUT as recorded in a history."""
 
@@ -49,7 +50,7 @@ class RecordedPut:
         return (self.key, self.timestamp, self.origin_dc)
 
 
-@dataclass(frozen=True)
+@record
 class RecordedRead:
     """One key's result within a recorded ROT."""
 
@@ -64,7 +65,7 @@ class RecordedRead:
         return (self.key, self.timestamp, self.origin_dc)
 
 
-@dataclass(frozen=True)
+@record
 class RecordedRot:
     """A ROT as recorded in a history."""
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.common.records import record
 
-@dataclass(frozen=True)
+
+@record
 class Dependency:
     """One causal dependency: a specific version of a key."""
 

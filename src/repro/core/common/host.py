@@ -46,8 +46,12 @@ outside (the layered benchmark's timing proxies, the golden simulator runs):
 * **One kernel entry call per delivery**, in delivery order —
   ``on_message`` / ``on_timer`` / ``start_operation`` — returning a
   ``list`` of ``Send`` / ``SetTimer`` / ``Complete`` instances that is run in
-  emission order; every ``Send`` leaves through ``self._send``.  Messages and
-  addresses are frozen dataclasses, compared and routed by value.
+  emission order; every ``Send`` leaves through ``self._send``.  Messages,
+  effects and outcomes are records (:mod:`repro.core.common.records`):
+  frozen dataclasses built through their slots.  Addresses are interned
+  records — one object per value, compared and hashed by value — so a route
+  (a kernel's tables, a host's ``addr``, a transport's or the topology's node
+  table, a decoded envelope) is found by identity, never by ``__eq__``.
 * **May be precomputed**, because nothing outside can observe it and it never
   changes: a kernel's routes (its address tables), its message-type handler
   table, a partitioner's key memo.  Frames that only forward are folded away:

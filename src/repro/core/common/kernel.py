@@ -34,9 +34,9 @@ messages, assert the emitted effects (see ``tests/test_kernels.py``).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
+from repro.core.common.records import interned, record
 from repro.errors import ProtocolError
 from repro.metrics.overheads import OverheadCounters
 
@@ -45,7 +45,7 @@ from repro.metrics.overheads import OverheadCounters
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@interned
 class ServerAddr:
     """Location of a partition server: data center + partition index."""
 
@@ -53,7 +53,7 @@ class ServerAddr:
     partition: int
 
 
-@dataclass(frozen=True)
+@interned
 class ClientAddr:
     """Location of a client, identified by its globally unique id."""
 
@@ -78,7 +78,7 @@ def client_node_id(dc: int, index: int) -> str:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Send:
     """Deliver ``message`` to the node at ``dest``."""
 
@@ -86,7 +86,7 @@ class Send:
     message: object
 
 
-@dataclass(frozen=True)
+@record
 class SetTimer:
     """Invoke ``on_timer(tag, payload)`` after ``delay`` seconds (one-shot)."""
 
@@ -95,7 +95,7 @@ class SetTimer:
     payload: Any = None
 
 
-@dataclass(frozen=True)
+@record
 class PutOutcome:
     """Payload of a completed PUT.
 
@@ -110,7 +110,7 @@ class PutOutcome:
     dependencies: tuple[tuple[str, int, int], ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class RotOutcome:
     """Payload of a completed ROT: one :class:`ReadResult` per key."""
 
@@ -118,12 +118,12 @@ class RotOutcome:
     results: dict  # key -> ReadResult
 
 
-@dataclass(frozen=True)
+@record
 class Complete:
     """The client's in-flight operation finished.
 
     ``op`` is ``"put"`` or ``"rot"``; ``result`` the matching outcome
-    dataclass.  Only client kernels emit this effect.
+    record.  Only client kernels emit this effect.
     """
 
     op: str
@@ -141,7 +141,7 @@ def message_size(message: object, default: int = 64) -> int:
     return size_bytes() if size_bytes is not None else default
 
 
-@dataclass(frozen=True)
+@record
 class TimerSpec:
     """A recurring timer a server kernel asks its driver to run.
 
@@ -188,9 +188,9 @@ class _EffectBuffer:
 
 
 class _ClientAddrs(dict):
-    """``addrs[client_id]`` is that client's one :class:`ClientAddr`, built
-    at the first lookup (bounded by the clients that ever reach the kernel,
-    like the codec's address cache)."""
+    """``addrs[client_id]`` is that client's interned :class:`ClientAddr`,
+    fetched at the first lookup (bounded by the clients that ever reach the
+    kernel): a hit is one ``dict`` probe, not a call into ``__new__``."""
 
     def __missing__(self, client_id: str) -> ClientAddr:
         addr = self[client_id] = ClientAddr(client_id)

@@ -1,10 +1,11 @@
 """Message types exchanged by clients and partition servers.
 
-Messages are plain dataclasses.  Each type reports its wire size through
-``size_bytes`` so the network model can charge serialisation time and the
-overhead counters can attribute bytes to protocols: vectors cost 8 bytes per
-entry, dependency entries 16 bytes, ROT identifiers 8 bytes (the figure the
-paper uses when estimating the 7 KB readers-check payload).
+Messages are records (:mod:`repro.core.common.records`): frozen, slotted
+dataclasses built through their slots.  Each type reports its wire size
+through ``size_bytes`` so the network model can charge serialisation time and
+the overhead counters can attribute bytes to protocols: vectors cost 8 bytes
+per entry, dependency entries 16 bytes, ROT identifiers 8 bytes (the figure
+the paper uses when estimating the 7 KB readers-check payload).
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
+
+from repro.core.common.records import record
 
 #: Fixed per-message header (routing, type tag, request id).
 HEADER_BYTES = 32
@@ -30,7 +33,7 @@ KEY_BYTES = 8
 _VALUE_SIZE = attrgetter("value_size")
 
 
-@dataclass(frozen=True)
+@record
 class Message:
     """Base class for all protocol messages."""
 
@@ -42,7 +45,7 @@ class Message:
 # --------------------------------------------------------------------------
 # Vector-protocol messages (Contrarian and Cure)
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
+@record
 class VectorPutRequest(Message):
     """Client -> partition: create a new version of ``key``."""
 
@@ -58,7 +61,7 @@ class VectorPutRequest(Message):
                 + TIMESTAMP_BYTES * len(self.client_vector))
 
 
-@dataclass(frozen=True)
+@record
 class VectorPutReply(Message):
     """Partition -> client: the new version's timestamp and the fresh GSS."""
 
@@ -70,7 +73,7 @@ class VectorPutReply(Message):
         return HEADER_BYTES + KEY_BYTES + TIMESTAMP_BYTES * (1 + len(self.gss))
 
 
-@dataclass(frozen=True)
+@record
 class RotCoordinatorRequest(Message):
     """Client -> coordinator: start a ROT (both 1½- and 2-round modes)."""
 
@@ -86,7 +89,7 @@ class RotCoordinatorRequest(Message):
                 + TIMESTAMP_BYTES * (1 + len(self.client_gss)))
 
 
-@dataclass(frozen=True)
+@record
 class RotSnapshotReply(Message):
     """Coordinator -> client (2-round mode): the chosen snapshot vector."""
 
@@ -97,7 +100,7 @@ class RotSnapshotReply(Message):
         return HEADER_BYTES + TIMESTAMP_BYTES * len(self.snapshot)
 
 
-@dataclass(frozen=True)
+@record
 class RotProxyRead(Message):
     """Coordinator -> partition (1½-round mode): read on behalf of the client."""
 
@@ -111,7 +114,7 @@ class RotProxyRead(Message):
                 + TIMESTAMP_BYTES * len(self.snapshot))
 
 
-@dataclass(frozen=True)
+@record
 class RotReadRequest(Message):
     """Client -> partition (2-round mode): read with an explicit snapshot."""
 
@@ -125,7 +128,7 @@ class RotReadRequest(Message):
                 + TIMESTAMP_BYTES * len(self.snapshot))
 
 
-@dataclass(frozen=True)
+@record
 class ReadResult:
     """The per-key payload of a read reply."""
 
@@ -135,7 +138,7 @@ class ReadResult:
     value_size: int
 
 
-@dataclass(frozen=True)
+@record
 class RotValueReply(Message):
     """Partition -> client: the values (one version per key) for a ROT."""
 
@@ -151,7 +154,7 @@ class RotValueReply(Message):
                 + TIMESTAMP_BYTES * (len(self.snapshot) + len(self.gss)))
 
 
-@dataclass(frozen=True)
+@record
 class RemoteHeartbeat(Message):
     """Partition -> remote replica: clock advertisement when no PUTs flow.
 
@@ -167,7 +170,7 @@ class RemoteHeartbeat(Message):
         return HEADER_BYTES + TIMESTAMP_BYTES
 
 
-@dataclass(frozen=True)
+@record
 class StabilizationMessage(Message):
     """Partition -> partition (same DC): version-vector exchange for the GSS."""
 
@@ -178,7 +181,7 @@ class StabilizationMessage(Message):
         return HEADER_BYTES + TIMESTAMP_BYTES * len(self.version_vector)
 
 
-@dataclass(frozen=True)
+@record
 class ReplicateUpdate(Message):
     """Partition -> remote replica: asynchronous propagation of one version."""
 
@@ -201,7 +204,7 @@ class ReplicateUpdate(Message):
 # --------------------------------------------------------------------------
 # CC-LO (COPS-SNOW) messages
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
+@record
 class OneRoundReadRequest(Message):
     """Client -> partition: the single round of a latency-optimal ROT."""
 
@@ -213,7 +216,7 @@ class OneRoundReadRequest(Message):
         return HEADER_BYTES + ROT_ID_BYTES + KEY_BYTES * len(self.keys)
 
 
-@dataclass(frozen=True)
+@record
 class OneRoundReadReply(Message):
     """Partition -> client: values for a latency-optimal ROT."""
 
@@ -226,7 +229,7 @@ class OneRoundReadReply(Message):
                 + (KEY_BYTES + TIMESTAMP_BYTES) * len(self.results))
 
 
-@dataclass(frozen=True)
+@record
 class CcloPutRequest(Message):
     """Client -> partition: PUT carrying the client's explicit dependencies."""
 
@@ -242,7 +245,7 @@ class CcloPutRequest(Message):
                 + DEPENDENCY_BYTES * len(self.dependencies))
 
 
-@dataclass(frozen=True)
+@record
 class CcloPutReply(Message):
     """Partition -> client: PUT acknowledgement (sent once the PUT completed)."""
 
@@ -253,7 +256,7 @@ class CcloPutReply(Message):
         return HEADER_BYTES + KEY_BYTES + TIMESTAMP_BYTES
 
 
-@dataclass(frozen=True)
+@record
 class ReadersCheckRequest(Message):
     """Writing partition -> dependency partition: collect old readers.
 
@@ -273,7 +276,7 @@ class ReadersCheckRequest(Message):
                 + DEPENDENCY_BYTES * len(self.dependencies))
 
 
-@dataclass(frozen=True)
+@record
 class ReadersCheckReply(Message):
     """Dependency partition -> writing partition: the old readers it knows of."""
 
@@ -285,7 +288,7 @@ class ReadersCheckReply(Message):
             + TIMESTAMP_BYTES * len(self.old_readers)
 
 
-@dataclass(frozen=True)
+@record
 class CcloReplicateUpdate(Message):
     """Partition -> remote replica: replicated update with its dependency list."""
 
@@ -307,7 +310,7 @@ class CcloReplicateUpdate(Message):
 # --------------------------------------------------------------------------
 # Client-side bookkeeping (not a wire message)
 # --------------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class PendingRot:
     """Client-side state of an in-flight ROT."""
 

@@ -17,21 +17,20 @@ interface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from typing import TYPE_CHECKING
 
 from repro.clocks.hlc import HybridLogicalClock
 from repro.clocks.lamport import LamportClock
 from repro.clocks.physical import PhysicalClock
 from repro.clocks.units import microseconds
+from repro.core.common.records import record
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.clocks.timesource import TimeSource
 
 
-@dataclass(frozen=True)
+@record
 class TimestampDecision:
     """Result of asking the clock for an event timestamp."""
 

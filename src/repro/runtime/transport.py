@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import asyncio
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.common.kernel import Addr, ClientAddr, ServerAddr, message_size
+from repro.core.common.records import record
 from repro.errors import ConfigurationError, TransportError
 from repro.obs.events import BATCH_FLUSH, BATCH_RECV
 from repro.wire.batch import (
@@ -65,7 +65,7 @@ register_wire_type(ServerAddr, type_id=_WIRE_ID_SERVER_ADDR)
 register_wire_type(ClientAddr, type_id=_WIRE_ID_CLIENT_ADDR)
 
 
-@dataclass(frozen=True)
+@record
 class Envelope:
     """One routed message on the wire: sender, destination, payload.
 

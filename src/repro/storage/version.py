@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class Version:
     """One version of one key.
 

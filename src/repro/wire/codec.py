@@ -239,10 +239,6 @@ _ROW_SHAPES = {(str, int): 1, (str, int, int): 2}
 #: spaces; trace ids and ROT ids are unique per operation and must stay out
 #: of the intern cache).
 _INTERNED_FIELDS = frozenset({"key", "put_key", "writer"})
-#: Types with a small closed value space (a cluster's addresses), decoded
-#: through a per-type cache so a frame does not construct them again.
-_CACHED_TYPES = frozenset({"ServerAddr", "ClientAddr"})
-_MAX_CACHED_INSTANCES = 4096
 
 
 def _plan_field(annotation: Any) -> FieldKind:
@@ -473,19 +469,9 @@ def _compile(cls: type) -> tuple[bytes, Callable]:
         pre.append(f"out += S.pack({', '.join(packed)})")
         reads = [f"{', '.join(names)}, = S.unpack_from(data, pos)",
                  f"pos += {fixed.size}", *reads]
-    if cls.__name__ in _CACHED_TYPES:
-        namespace["CACHE"] = {}
-        build = [f"key = ({', '.join(ctor)},)",
-                 "obj = CACHE.get(key)",
-                 "if obj is None:",
-                 "    obj = cls(*key)",
-                 f"    if len(CACHE) < {_MAX_CACHED_INSTANCES}:",
-                 "        CACHE[key] = obj",
-                 "return obj, pos"]
-    else:
-        build = [f"return cls({', '.join(ctor)}), pos"]
     source = "\n".join(["def pack(o, out):", *_indent(pre + tails or ["pass"]),
-                        "def unpack(data, pos):", *_indent(reads + build)])
+                        "def unpack(data, pos):", *_indent(reads),
+                        f"    return cls({', '.join(ctor)}), pos"])
     exec(compile(source, f"<wire codec for {cls.__name__}>", "exec"), namespace)
     prefix = _struct_prefix(type_id)
     _UNPACKERS[prefix] = namespace["unpack"]

@@ -16,15 +16,15 @@ workload model (Section 5.2):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.cluster.partitioning import HashPartitioner
+from repro.core.common.records import record
 from repro.errors import WorkloadError
 from repro.workload.parameters import WorkloadParameters
 from repro.workload.zipfian import ZipfianSampler
 
 
-@dataclass(frozen=True)
+@record
 class Operation:
     """One client operation: either a PUT of one key or a ROT over many."""
 

@@ -13,24 +13,37 @@ every server's periodic timers fired by hand every 19 operations, CC-LO's
 into, answer from and expire a full window.  The count repeats exactly and is
 the same on CPython 3.10 and 3.11; 3.12 inlines comprehensions and counts a
 few percent fewer.  Ceilings sit about 10% above what the tree reached when
-they were set (Python-level: contrarian 270, cure 293, cc-lo 309; before the
-kernels' allocations were cut: 408, 425, 327 on a 100-operation warm-up), so
-the frames and allocations that change removed cannot come back unnoticed.
-CC-LO's C-level calls are pinned as well: a reader record examined is a
-``dict.get``, not a frame, and a readers check that rescans the window again
-(521 C-level calls per operation on the scan implementation, 265 on the
-per-client index) would pass the Python-level ceiling.
+they were set (Python-level: contrarian 255, cure 277, cc-lo 298; 270, 293,
+309 while route lookups still compared equal addresses with ``__eq__``;
+before the kernels' allocations were cut: 408, 425, 327 on a 100-operation
+warm-up), so the frames and allocations that change removed cannot come back
+unnoticed.  CC-LO's C-level calls are pinned as well: a reader record
+examined is a ``dict.get``, not a frame, and a readers check that rescans the
+window again (521 C-level calls per operation on the scan implementation, 265
+on the per-client index) would pass the Python-level ceiling.
+
+Two kinds of call are pinned at exactly zero, because no ceiling can see
+them: a dataclass-generated ``__eq__`` (a route looked up with an address
+that is equal to the table's key but another object — 8.6 per Contrarian
+operation before addresses were interned, inside a ceiling's headroom) and a
+frozen dataclass's generated ``__init__`` (a record built through
+``object.__setattr__`` — 25.5 per Contrarian operation before records were
+built through their slots, one frame each like the ``__init__`` that replaced
+it).  ``cProfile`` files every generated method under one ``<string>:2``
+entry, so only the per-code-object count of ``generated_calls_per_op`` shows
+them.
 
 The same kernels under the discrete-event simulator (the script's second
 drive: the layered benchmark's loaded ``sim-three-protocols`` cluster, seed 7,
 30 virtual ms counted after 30 uncounted) are pinned the same way: what an
 operation costs there beyond the loop-free count is the simulator carrying
 its messages — engine, network, CPU queues, cost model.  Python-level calls
-per simulated operation: contrarian 343, cure 394, cc-lo 498 (478, 565, 695
-before the simulator's per-message path was cut to two heap events and a
-handful of frames).  The operations, engine events and messages of the
-counted window are pinned to the digit: they are functions of the seed, and a
-change that moves them changed the simulation, not its cost.
+per simulated operation: contrarian 336, cure 386, cc-lo 493 (343, 394, 498
+with ``__eq__`` on routes; 478, 565, 695 before the simulator's per-message
+path was cut to two heap events and a handful of frames).  The operations,
+engine events and messages of the counted window are pinned to the digit:
+they are functions of the seed, and a change that moves them changed the
+simulation, not its cost.
 """
 
 import importlib.util
@@ -45,11 +58,17 @@ run_kernel_cost = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(run_kernel_cost)
 
 #: Python-level calls per operation.
-CEILINGS = {"contrarian": 299, "cure": 325, "cc-lo": 339}
+CEILINGS = {"contrarian": 281, "cure": 305, "cc-lo": 328}
 #: C-level calls per operation, where they are what a regression would add.
 C_CEILINGS = {"cc-lo": 291}
 #: Python-level calls per simulated operation.
-SIM_CEILINGS = {"contrarian": 377, "cure": 433, "cc-lo": 548}
+SIM_CEILINGS = {"contrarian": 369, "cure": 425, "cc-lo": 542}
+#: Calls per operation into dataclass-generated code that the per-message
+#: path must not make: an address ``__eq__`` (a route looked up with an
+#: address equal to, but not the same object as, the table's key) and a
+#: frozen dataclass's ``__init__`` (a record built through
+#: ``object.__setattr__`` instead of its slots).
+NO_GENERATED = ("__eq__", "frozen __init__")
 #: Operations completed, engine events executed and messages sent in the
 #: counted window of the simulator drive.
 SIM_WINDOWS = {"contrarian": [1909, 28932, 14381],
@@ -69,6 +88,9 @@ def test_python_calls_per_operation_stay_under_the_ceiling(protocol):
     # The drive did what it says: every operation ran to completion through
     # the run queue (a ROT alone is 1 + 3 + 4 deliveries).
     assert counts["msgs_per_op"] > 5
+    generated = counts["generated_calls_per_op"]
+    assert {name: generated.get(name, 0) for name in NO_GENERATED} == {
+        name: 0 for name in NO_GENERATED}, generated
 
 
 @pytest.mark.parametrize("protocol", run_kernel_cost.PROTOCOLS)
