@@ -36,6 +36,14 @@ or this host happens to run it.  Per protocol it reports
   ``<string>:2(__init__)`` calls where there were 107,213);
 * ``msgs_per_op`` — run-queue deliveries per operation.
 
+These rows exclude the draw: every operation is drawn from its client's
+workload generator before the timed and counted region.  The draw is the
+client's own turn, and the same rows report it apart —
+``generator_us_per_op`` (normalised CPU microseconds per ``next_operation``,
+median over the rounds) and ``generator_py_calls_per_op`` (Python-level
+calls per ``next_operation``, the plan's round-robin included), both at the
+protocol's write ratio.
+
 A second drive puts the same kernels and host under the discrete-event
 simulator (``simulator`` in the result): the layered benchmark's
 ``sim-three-protocols`` cluster (``build_cluster`` at bench scale, 2 DCs,
@@ -213,6 +221,16 @@ def count_calls(protocol: str, operations: int = 500,
             "msgs_per_op": messages / operations}
 
 
+def count_generator_calls(protocol: str,
+                          operations: int = WARM_OPERATIONS) -> float:
+    """Python-level calls per drawn operation, after as many uncounted."""
+    cluster = build_cluster(protocol)
+    plan(cluster, operations)
+    counts, _, _ = profiled(lambda: plan(cluster, operations,
+                                         first=operations))
+    return counts["call"] / operations
+
+
 def build_sim_cluster(protocol: str, seed: int = 7) -> BuiltCluster:
     """The layered benchmark's loaded simulator cluster, started and run
     through its first (uncounted) window."""
@@ -273,16 +291,20 @@ def timed(work) -> tuple[float, object]:
     return elapsed * REFERENCE_SPIN_SECONDS / spin, outcome
 
 
-def time_rounds(protocol: str, rounds: int, operations: int) -> list[float]:
-    """Normalised CPU microseconds per operation of each round."""
+def time_rounds(protocol: str, rounds: int,
+                operations: int) -> tuple[list[float], list[float]]:
+    """Normalised CPU microseconds per operation of each round: driving it,
+    and drawing it."""
     cluster = build_cluster(protocol)
     drive(cluster, plan(cluster, operations))
-    samples = []
+    samples, draws = [], []
     for index in range(rounds):
-        schedule = plan(cluster, operations, first=(index + 1) * operations)
+        seconds, schedule = timed(lambda: plan(
+            cluster, operations, first=(index + 1) * operations))
+        draws.append(seconds / operations * 1e6)
         seconds, _ = timed(lambda: drive(cluster, schedule))
         samples.append(seconds / operations * 1e6)
-    return samples
+    return samples, draws
 
 
 def time_sim_rounds(protocol: str, rounds: int) -> list[float]:
@@ -306,13 +328,20 @@ def _row(samples: list[float], counts: dict[str, float]) -> dict:
                for name, value in counts.items()}}
 
 
+def _loop_free_row(protocol: str, rounds: int, operations: int) -> dict:
+    samples, draws = time_rounds(protocol, rounds, operations)
+    return {**_row(samples, count_calls(protocol)),
+            "generator_us_per_op": round(statistics.median(draws), 2),
+            "generator_py_calls_per_op": round(
+                count_generator_calls(protocol), 1)}
+
+
 def measure(rounds: int, operations: int) -> dict:
     return {"python": platform.python_version(),
             "hash_seed": os.environ.get("PYTHONHASHSEED", "random"),
             "rounds": rounds, "ops_per_round": operations,
             "protocols": {
-                protocol: _row(time_rounds(protocol, rounds, operations),
-                               count_calls(protocol))
+                protocol: _loop_free_row(protocol, rounds, operations)
                 for protocol in PROTOCOLS},
             "simulator": {
                 protocol: _row(time_sim_rounds(protocol, rounds),
@@ -337,7 +366,9 @@ def main(argv=None) -> int:
         for protocol, row in result[drive_name].items():
             cpu = row["cpu_us_per_op"]
             events = (f", {row['events_per_op']} events/op"
-                      if "events_per_op" in row else "")
+                      if "events_per_op" in row else
+                      f"; draw {row['generator_us_per_op']} us, "
+                      f"{row['generator_py_calls_per_op']} Python calls")
             print(f"{label:>9} {protocol:>10}: "
                   f"{cpu['median']:7.1f} us/op "
                   f"(q1 {cpu['q1']}, q3 {cpu['q3']}), "

@@ -26,8 +26,9 @@ except ImportError:  # the figure benchmarks run without it
 else:
     # ``--hypothesis-profile=nightly``: ten times the default examples for
     # the tests that leave ``max_examples`` to the profile (the wire
-    # round-trip and fuzz tests and the CC-LO reader-records state machines;
-    # every other test pins its own count).
+    # round-trip and fuzz tests, the CC-LO reader-records state machines and
+    # the vector client's fold-once test; every other test pins its own
+    # count).
     settings.register_profile(
         "nightly", max_examples=10 * settings.default.max_examples)
 

@@ -15,6 +15,7 @@ optimisation of COPS.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
 from repro.core.common.records import record
 
@@ -58,6 +59,22 @@ class ClientDependencyContext:
         existing = self._deps.get(key)
         if existing is None or existing.timestamp < timestamp:
             self._deps[key] = Dependency(key, timestamp, partition, origin_dc)
+
+    def observe_reads(self, results: Iterable[Any],
+                      partition_of: Callable[[str], int]) -> None:
+        """Record what a completed ROT returned: :meth:`observe_read` for
+        every result that found a version (``timestamp`` not ``None``), in
+        one frame; ``partition_of`` is asked only for a key that is kept."""
+        deps = self._deps
+        for result in results:
+            timestamp = result.timestamp
+            if timestamp is None:
+                continue
+            key = result.key
+            existing = deps.get(key)
+            if existing is None or existing.timestamp < timestamp:
+                deps[key] = Dependency(key, timestamp, partition_of(key),
+                                       result.origin_dc)
 
     def observe_write(self, key: str, timestamp: int, partition: int,
                       origin_dc: int = 0) -> None:

@@ -39,6 +39,13 @@ class _PartitionMemo(dict):
         return partition
 
 
+#: ``_KEY_ROWS[partition][index]`` is the one shared structured key of that
+#: value (see :meth:`HashPartitioner.structured_key`); ``_interned_keys``
+#: counts the keys in all rows together.
+_KEY_ROWS: dict[int, dict[int, str]] = {}
+_interned_keys = 0
+
+
 class HashPartitioner:
     """Maps keys to partition indices with a stable hash.
 
@@ -67,8 +74,34 @@ class HashPartitioner:
         by rejection sampling against a hash would be wasteful, so structured
         keys encode their partition directly (``"<partition>:<index>"``) and
         :meth:`partition_of` honours the encoding.
+
+        A key is one shared string per ``(partition, index)``: the preloaded
+        stores, every generator and the partition memo hold the same object,
+        so drawing a key formats nothing and every dict it meets compares it
+        by identity.  The table is bounded like
+        :func:`repro.wire.intern.intern_key`: once it holds
+        ``MAX_INTERNED_KEYS`` keys it stops admitting and hands out fresh,
+        equal strings.
         """
-        return f"{partition}:{index}"
+        global _interned_keys
+        row = _KEY_ROWS.get(partition)
+        key = row.get(index) if row is not None else None
+        if key is None:
+            key = f"{partition}:{index}"
+            if _interned_keys < MAX_INTERNED_KEYS:
+                HashPartitioner.structured_key_row(partition)[index] = key
+                _interned_keys += 1
+        return key
+
+    @staticmethod
+    def structured_key_row(partition: int) -> dict[int, str]:
+        """The live row of the shared key table for ``partition``:
+        ``row.get(index)`` is :meth:`structured_key` ``(partition, index)``
+        once that key is in the table, ``None`` before."""
+        row = _KEY_ROWS.get(partition)
+        if row is None:
+            row = _KEY_ROWS[partition] = {}
+        return row
 
     def partition_of(self, key: str) -> int:
         """Partition index that stores ``key``."""

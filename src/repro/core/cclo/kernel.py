@@ -525,11 +525,8 @@ class CcloClientKernel(ClientKernel):
         registry = self.rot_registry()
         if registry is not None:
             registry.deregister(self.dc_id, message.rot_id)
-        for result in pending.results.values():
-            if result.timestamp is not None:
-                partition = self.partitioner.partition_of(result.key)
-                self.dep_context.observe_read(result.key, result.timestamp,
-                                              partition, result.origin_dc)
+        self.dep_context.observe_reads(pending.results.values(),
+                                       self.partitioner.partition_of)
         self._complete("rot", RotOutcome(rot_id=message.rot_id,
                                          results=pending.results))
 

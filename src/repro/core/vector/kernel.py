@@ -433,6 +433,8 @@ class VectorClientKernel(ClientKernel):
         self.gss_seen: tuple[int, ...] = zero_vector(num_dcs)
         self.dep_context = ClientDependencyContext()
         self._pending_rot: Optional[PendingRot] = None
+        # The in-flight ROT's value replies, folded in when it completes.
+        self._rot_replies: list[RotValueReply] = []
         self._pending_put_gss: Optional[tuple[int, ...]] = None
         self._handlers = {
             VectorPutReply: self._handle_put_reply,
@@ -518,29 +520,59 @@ class VectorClientKernel(ClientKernel):
     def _handle_value_reply(self, message: RotValueReply) -> None:
         pending = self._expect_pending(message.rot_id)
         pending.record_reply(message.results)
-        # The snapshot vector dominates the dependency vector of every version
-        # returned by this ROT, so folding it into the client's causal context
-        # guarantees that the client's subsequent PUTs causally cover what it
-        # just read (including the remote dependencies of those versions).
-        local = self.dc_id
-        self.local_ts_seen = max(self.local_ts_seen, message.snapshot[local])
-        # The snapshot's local entry is a clock reading, not a stable time.
-        self.gss_seen = entrywise_max(
-            entrywise_max(self.gss_seen, with_entry(message.snapshot, local, 0)),
-            message.gss)
+        self._rot_replies.append(message)
         if not pending.complete:
             return
         self._pending_rot = None
         registry = self.rot_registry()
         if registry is not None:
             registry.deregister(self.dc_id, message.rot_id)
-        for result in pending.results.values():
-            if result.timestamp is not None:
-                partition = self.partitioner.partition_of(result.key)
-                self.dep_context.observe_read(result.key, result.timestamp,
-                                              partition, result.origin_dc)
+        self._observe_snapshots(self._rot_replies)
+        self._rot_replies.clear()
+        self.dep_context.observe_reads(pending.results.values(),
+                                       self.partitioner.partition_of)
         self._complete("rot", RotOutcome(rot_id=message.rot_id,
                                          results=pending.results))
+
+    def _observe_snapshots(self, replies: list[RotValueReply]) -> None:
+        """Fold a completed ROT's snapshots and GSSes into the causal context.
+
+        The snapshot vector dominates the dependency vector of every version
+        a reply returned, so folding it in guarantees that the client's
+        subsequent PUTs causally cover what it just read (including the
+        remote dependencies of those versions).  Its local entry is a clock
+        reading, not a stable time: it raises ``local_ts_seen``, and the
+        GSS's local column is the GSSes' alone.
+
+        This runs once, when the last reply arrives, with one column-wise
+        ``max`` over every vector of the ROT, instead of two
+        ``entrywise_max`` and a ``with_entry`` per reply: ``max`` is
+        associative and commutative, and between the replies of one ROT the
+        client neither reads its context nor sends anything, so nothing can
+        observe it half-folded.
+        """
+        local = self.dc_id
+        stable = self.gss_seen
+        width = len(stable)
+        local_stable = stable[local]
+        local_ts = self.local_ts_seen
+        rows = [stable]
+        for reply in replies:
+            snapshot, gss = reply.snapshot, reply.gss
+            if len(snapshot) != width or len(gss) != width:
+                raise ProtocolError(
+                    f"{self.client_id}: a reply's vectors {snapshot!r} and "
+                    f"{gss!r} do not have {width} entries")
+            if snapshot[local] > local_ts:
+                local_ts = snapshot[local]
+            if gss[local] > local_stable:
+                local_stable = gss[local]
+            rows.append(snapshot)
+            rows.append(gss)
+        merged = list(map(max, *rows))
+        merged[local] = local_stable
+        self.gss_seen = tuple(merged)
+        self.local_ts_seen = local_ts
 
     def _expect_pending(self, rot_id: str) -> PendingRot:
         pending = self._pending_rot

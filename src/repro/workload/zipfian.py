@@ -60,9 +60,12 @@ class ZipfianSampler:
         self._num_items = num_items
         self._skew = skew
         self._rng = rng
-        if skew > 0 and num_items > 1:
+        self._uniform = skew == 0 or num_items == 1
+        self._last = num_items - 1
+        if not self._uniform:
             self._zetan = self._zeta(num_items, skew)
-            self._theta = skew
+            # ``u * zetan`` below this draws item 1 (below 1.0, item 0).
+            self._second = 1.0 + 0.5 ** skew
             self._alpha = 1.0 / (1.0 - skew) if skew != 1.0 else float("inf")
             self._zeta2 = self._zeta(2, skew)
             self._cdf = _harmonic_cdf(num_items) if skew == 1.0 else ()
@@ -88,24 +91,31 @@ class ZipfianSampler:
         return self._skew
 
     def sample(self) -> int:
-        """Draw one item index."""
-        if self._skew == 0 or self._num_items == 1:
+        """Draw one item index.
+
+        Every workload key is one call: the constants are computed once in
+        ``__init__`` and the float operations are the formula's, in its
+        order, so a seed draws the same indices on every tree.
+        """
+        if self._uniform:
             return self._rng.randrange(self._num_items)
         u = self._rng.random()
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self._theta:
+        if uz < self._second:
             return 1
-        if self._theta == 1.0:
+        if self._cdf:
             # Harmonic case: invert the precomputed CDF with a bisect.  The
             # old linear scan gave the first index with H_{i+1} >= target;
             # bisect_left on the same cumulative sums returns it in O(log n).
-            index = bisect_left(self._cdf, u * self._zetan)
-            return min(index, self._num_items - 1)
-        value = int(self._num_items
-                    * (self._eta * u - self._eta + 1.0) ** self._alpha)
-        return min(max(value, 0), self._num_items - 1)
+            index = bisect_left(self._cdf, uz)
+        else:
+            index = int(self._num_items
+                        * (self._eta * u - self._eta + 1.0) ** self._alpha)
+            if index < 0:
+                return 0
+        return index if index < self._last else self._last
 
     def sample_distinct(self, count: int) -> list[int]:
         """Draw ``count`` distinct item indices (used for multi-key ROTs)."""
@@ -121,7 +131,7 @@ class ZipfianSampler:
         """Theoretical probability of drawing ``index`` (for tests)."""
         if not 0 <= index < self._num_items:
             raise WorkloadError(f"index {index} out of range")
-        if self._skew == 0 or self._num_items == 1:
+        if self._uniform:
             return 1.0 / self._num_items
         return (1.0 / ((index + 1) ** self._skew)) / self._zetan
 

@@ -13,12 +13,14 @@ every server's periodic timers fired by hand every 19 operations, CC-LO's
 into, answer from and expire a full window.  The count repeats exactly and is
 the same on CPython 3.10 and 3.11; 3.12 inlines comprehensions and counts a
 few percent fewer.  Ceilings sit about 10% above what the tree reached when
-they were set (Python-level: contrarian 255, cure 277, cc-lo 298; 270, 293,
-309 while route lookups still compared equal addresses with ``__eq__``;
-before the kernels' allocations were cut: 408, 425, 327 on a 100-operation
-warm-up), so the frames and allocations that change removed cannot come back
-unnoticed.  CC-LO's C-level calls are pinned as well: a reader record
-examined is a ``dict.get``, not a frame, and a readers check that rescans the
+they were set (Python-level: contrarian 236.5, cure 258.5, cc-lo 296.0;
+255, 277, 298 while a completed ROT folded every reply into the client's
+causal context separately; 270, 293, 309 while route lookups still compared
+equal addresses with ``__eq__``; before the kernels' allocations were cut:
+408, 425, 327 on a 100-operation warm-up), so the frames and allocations
+that change removed cannot come back unnoticed.  CC-LO's C-level calls are
+pinned as well: a reader record examined is a ``dict.get``, not a frame,
+and a readers check that rescans the
 window again (521 C-level calls per operation on the scan implementation, 265
 on the per-client index) would pass the Python-level ceiling.
 
@@ -38,12 +40,21 @@ drive: the layered benchmark's loaded ``sim-three-protocols`` cluster, seed 7,
 30 virtual ms counted after 30 uncounted) are pinned the same way: what an
 operation costs there beyond the loop-free count is the simulator carrying
 its messages — engine, network, CPU queues, cost model.  Python-level calls
-per simulated operation: contrarian 336, cure 386, cc-lo 493 (343, 394, 498
-with ``__eq__`` on routes; 478, 565, 695 before the simulator's per-message
-path was cut to two heap events and a handful of frames).  The operations,
+per simulated operation: contrarian 300, cure 352, cc-lo 474 (336, 386, 493
+while the generator spelled ``random.sample`` and every key as calls and a
+ROT folded each reply separately; 343, 394, 498 with ``__eq__`` on routes;
+478, 565, 695 before the simulator's per-message path was cut to two heap
+events and a handful of frames).  The operations,
 engine events and messages of the counted window are pinned to the digit:
 they are functions of the seed, and a change that moves them changed the
 simulation, not its cost.
+
+The loop-free drive draws its operations before the counted region, so
+neither count above ever saw the workload generator — the client's own
+turn, one of the hottest functions under load.  Its Python-level calls per
+``next_operation`` are pinned on their own, at the drive's two write ratios
+(0.05: 10.0, 0.1: 9.1; 27.1 and 24.6 while every draw went through
+``random.sample``, a generator expression and a key formatted per call).
 """
 
 import importlib.util
@@ -58,11 +69,14 @@ run_kernel_cost = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(run_kernel_cost)
 
 #: Python-level calls per operation.
-CEILINGS = {"contrarian": 281, "cure": 305, "cc-lo": 328}
+CEILINGS = {"contrarian": 260, "cure": 284, "cc-lo": 326}
 #: C-level calls per operation, where they are what a regression would add.
 C_CEILINGS = {"cc-lo": 291}
 #: Python-level calls per simulated operation.
-SIM_CEILINGS = {"contrarian": 369, "cure": 425, "cc-lo": 542}
+SIM_CEILINGS = {"contrarian": 330, "cure": 387, "cc-lo": 521}
+#: Python-level calls per drawn operation, by the protocol whose write ratio
+#: the generators draw at (contrarian 0.05, cc-lo 0.1).
+GENERATOR_CEILINGS = {"contrarian": 11, "cc-lo": 10}
 #: Calls per operation into dataclass-generated code that the per-message
 #: path must not make: an address ``__eq__`` (a route looked up with an
 #: address equal to, but not the same object as, the table's key) and a
@@ -103,3 +117,12 @@ def test_python_calls_per_simulated_operation_stay_under_the_ceiling(protocol):
           f"(ceiling {SIM_CEILINGS[protocol]})")
     assert counts["window"] == SIM_WINDOWS[protocol]
     assert counts["py_calls_per_op"] < SIM_CEILINGS[protocol]
+
+
+@pytest.mark.parametrize("protocol", sorted(GENERATOR_CEILINGS))
+def test_python_calls_per_drawn_operation_stay_under_the_ceiling(protocol):
+    calls = run_kernel_cost.count_generator_calls(protocol)
+    print(f"write ratio {run_kernel_cost.WRITE_RATIO[protocol]}: "
+          f"{calls:.1f} Python-level calls per drawn operation "
+          f"(ceiling {GENERATOR_CEILINGS[protocol]})")
+    assert calls < GENERATOR_CEILINGS[protocol]
