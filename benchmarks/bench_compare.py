@@ -8,13 +8,13 @@ CI regenerates ``BENCH_checker.json`` on every push and runs::
         --current BENCH_checker.json
 
 ``checker`` is the only report kind; a baseline of any other kind is
-rejected.  The comparison **fails** (exit 1) when streaming or monolithic
-checking throughput regresses more than ``--tolerance`` (default 25%) below
-the committed baseline, when the streaming checker's peak-memory growth
-over the 8x history-length series exceeds ``--max-memory-growth`` (default
-2.0 — the bounded-memory gate: O(window) memory must stay flat while
-history length scales), or when the current run's streaming and monolithic
-reports were not byte-identical.
+rejected.  The comparison **fails** (exit 1) when windowed (``streaming``)
+or offline checking throughput regresses more than ``--tolerance`` (default
+25%) below the committed baseline, when the windowed checker's peak-memory
+growth over the 8x history-length series exceeds ``--max-memory-growth``
+(default 2.0 — the bounded-memory gate: O(window) memory must stay flat
+while history length scales), or when the current run's windowed and
+offline reports were not byte-identical.
 
 Improvements are reported but never fail; after an intentional performance
 change, regenerate the baseline and commit it alongside the code.
@@ -58,9 +58,9 @@ def compare_checker(baseline: dict, current: dict, tolerance: float,
     _compare_rate("streaming ops_s",
                   baseline["streaming"]["ops_s"],
                   current["streaming"]["ops_s"], tolerance, failures)
-    _compare_rate("monolithic ops_s",
-                  baseline["monolithic"]["ops_s"],
-                  current["monolithic"]["ops_s"], tolerance, failures)
+    _compare_rate("offline ops_s",
+                  baseline["offline"]["ops_s"],
+                  current["offline"]["ops_s"], tolerance, failures)
     growth = current["streaming"]["memory_growth"]
     series = current["streaming"]["series"]
     span = (series[-1]["ops"] / series[0]["ops"]) if series else 0
@@ -72,10 +72,10 @@ def compare_checker(baseline: dict, current: dict, tolerance: float,
             f"history-length span (allowed {max_memory_growth:.1f}x) — "
             f"memory is no longer bounded by the window")
     equivalent = current.get("equivalent", False)
-    print(f"  streaming/monolithic reports identical: {equivalent}")
+    print(f"  windowed/offline reports identical: {equivalent}")
     if not equivalent:
         failures.append(
-            "streaming and monolithic checkers no longer produce "
+            "windowed and offline checking no longer produce "
             "byte-identical reports")
     return failures
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI checker benchmark: streaming vs monolithic consistency checking on
+"""CI checker benchmark: windowed vs offline consistency checking on
 million-op histories, as JSON.
 
 Three stages:
@@ -12,13 +12,14 @@ memory is O(window), so peak RSS must stay flat while history length grows
 8x (``bench_compare.py`` gates the growth ratio).  Throughput (ops checked
 per second) comes from the same runs, unperturbed by allocation tracing.
 
-**Monolithic compare** — the monolithic
-:class:`~repro.causal.checker.CausalConsistencyChecker` on the same
-workload at ``--compare-ops`` (it holds the entire history, so it does not
-get the million-op scale), plus a byte-identical report-equivalence check:
-both checkers run in-process on one history and must produce the same
-violations in the same order — ``"equivalent"`` in the JSON, gated by
-``bench_compare.py``.
+**Offline compare** — the same checker as one window that never retires
+(:meth:`StreamingChecker.offline()
+<repro.causal.streaming.StreamingChecker.offline>`) on the same workload at
+``--compare-ops`` (it holds the entire history, so it does not get the
+million-op scale), plus a byte-identical report-equivalence check: the
+windowed and the offline checker are fed one history chunk by chunk and must
+produce the same violations in the same order — ``"equivalent"`` in the
+JSON, gated by ``bench_compare.py``.
 
 **TCP capture** — a short multi-process run
 (:func:`~repro.runtime.experiment.run_realtime_experiment` with
@@ -55,14 +56,13 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from repro.causal.checker import CausalConsistencyChecker
 from repro.causal.streaming import StreamingChecker
-from repro.causal.synth import generate_history, materialize
+from repro.causal.synth import generate_history
 
 #: Longest synthetic history (the headline scale); the series measures
 #: max/8, max/4, max/2 and max operations.
 DEFAULT_OPS = 1_000_000
-#: Scale for the monolithic comparison and the equivalence check.
+#: Scale for the offline comparison and the equivalence check.
 DEFAULT_COMPARE_OPS = 100_000
 #: Streaming ingestion chunk (the observation-shipping analogue).
 CHUNK_OPS = 2_048
@@ -76,10 +76,9 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _stream_check(total_ops: int) -> dict[str, object]:
-    """Feed a synthetic history chunk-wise through a streaming checker."""
-    checker = StreamingChecker(window_ops=WINDOW_OPS)
-    started = time.perf_counter()
+def _feed(checker: StreamingChecker, total_ops: int) -> None:
+    """Feed a synthetic history chunk-wise (the observation-shipping
+    analogue) into ``checker``."""
     puts, rots, pending = [], [], 0
     for kind, op in generate_history(total_ops):
         (puts if kind == "put" else rots).append(op)
@@ -88,37 +87,28 @@ def _stream_check(total_ops: int) -> dict[str, object]:
             checker.record_history(puts, rots)
             puts, rots, pending = [], [], 0
     checker.record_history(puts, rots)
-    report = checker.finish()
-    elapsed = time.perf_counter() - started
-    return {
-        "ops": total_ops,
-        "ops_s": round(total_ops / elapsed, 1),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
-        "peak_live_versions": checker.peak_live_versions,
-        "windows_sealed": checker.windows_sealed,
-        "versions_retired": checker.versions_retired,
-        "violations": (len(report.snapshot_violations)
-                       + len(report.session_violations)),
-    }
 
 
-def _mono_check(total_ops: int) -> dict[str, object]:
-    checker = CausalConsistencyChecker()
+def _check(kind: str, total_ops: int) -> dict[str, object]:
+    """One timed check of a synthetic history, windowed or offline."""
+    checker = (StreamingChecker(window_ops=WINDOW_OPS) if kind == "streaming"
+               else StreamingChecker.offline())
     started = time.perf_counter()
-    for kind, op in generate_history(total_ops):
-        if kind == "put":
-            checker.record_put(op)
-        else:
-            checker.record_rot(op)
+    _feed(checker, total_ops)
     report = checker.check()
     elapsed = time.perf_counter() - started
-    return {
+    row = {
         "ops": total_ops,
         "ops_s": round(total_ops / elapsed, 1),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
         "violations": (len(report.snapshot_violations)
                        + len(report.session_violations)),
     }
+    if kind == "streaming":
+        row.update(peak_live_versions=checker.peak_live_versions,
+                   windows_sealed=checker.windows_sealed,
+                   versions_retired=checker.versions_retired)
+    return row
 
 
 def _run_child(kind: str, total_ops: int) -> dict:
@@ -153,37 +143,20 @@ def run_streaming_series(max_ops: int) -> dict[str, object]:
     }
 
 
-def run_monolithic_compare(compare_ops: int) -> dict[str, object]:
-    row = _run_child("monolithic", compare_ops)
-    print(f"  monolithic {compare_ops:>8,} ops: {row['ops_s']:>9,.0f} ops/s, "
+def run_offline_compare(compare_ops: int) -> dict[str, object]:
+    row = _run_child("offline", compare_ops)
+    print(f"  offline {compare_ops:>11,} ops: {row['ops_s']:>9,.0f} ops/s, "
           f"peak RSS {row['peak_rss_mb']:.0f} MB")
     return row
 
 
 def check_equivalence(compare_ops: int) -> bool:
-    """Byte-identical report equivalence on one shared history."""
-    puts, rots = materialize(compare_ops)
-    mono = CausalConsistencyChecker()
-    for put in puts:
-        mono.record_put(put)
-    for rot in rots:
-        mono.record_rot(rot)
-    mono_report = mono.check()
-    streaming = StreamingChecker(window_ops=WINDOW_OPS)
-    chunk_puts, chunk_rots, pending = [], [], 0
-    for kind, op in generate_history(compare_ops):
-        (chunk_puts if kind == "put" else chunk_rots).append(op)
-        pending += 1
-        if pending == CHUNK_OPS:
-            streaming.record_history(chunk_puts, chunk_rots)
-            chunk_puts, chunk_rots, pending = [], [], 0
-    streaming.record_history(chunk_puts, chunk_rots)
-    stream_report = streaming.finish()
-    equivalent = (
-        mono_report.puts == stream_report.puts
-        and mono_report.rots == stream_report.rots
-        and mono_report.snapshot_violations == stream_report.snapshot_violations
-        and mono_report.session_violations == stream_report.session_violations)
+    """Byte-identical windowed and offline reports on one history."""
+    windowed = StreamingChecker(window_ops=WINDOW_OPS)
+    offline = StreamingChecker.offline()
+    _feed(windowed, compare_ops)
+    _feed(offline, compare_ops)
+    equivalent = repr(windowed.check()) == repr(offline.check())
     print(f"  equivalence @ {compare_ops:,} ops: "
           f"{'identical reports' if equivalent else 'REPORTS DIFFER'}")
     return equivalent
@@ -215,9 +188,7 @@ def run_tcp_capture() -> dict[str, object]:
 
 
 def child_main(kind: str, total_ops: int) -> int:
-    row = (_stream_check(total_ops) if kind == "streaming"
-           else _mono_check(total_ops))
-    json.dump(row, sys.stdout)
+    json.dump(_check(kind, total_ops), sys.stdout)
     return 0
 
 
@@ -230,12 +201,12 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: %(default)s)")
     parser.add_argument("--compare-ops", type=int,
                         default=DEFAULT_COMPARE_OPS,
-                        help="monolithic-comparison scale "
+                        help="offline-comparison scale "
                              "(default: %(default)s)")
     parser.add_argument("--skip-tcp", action="store_true",
                         help="skip the TCP capture stage (no process "
                              "clusters)")
-    parser.add_argument("--child", choices=("streaming", "monolithic"),
+    parser.add_argument("--child", choices=("streaming", "offline"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -249,8 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     print("streaming series:")
     streaming = run_streaming_series(args.ops)
-    print("monolithic compare:")
-    monolithic = run_monolithic_compare(args.compare_ops)
+    print("offline compare:")
+    offline = run_offline_compare(args.compare_ops)
     equivalent = check_equivalence(args.compare_ops)
     tcp_capture: dict | None = None
     if not args.skip_tcp:
@@ -259,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     wall_clock = time.perf_counter() - started
 
     violations = (sum(row["violations"] for row in streaming["series"])
-                  + monolithic["violations"]
+                  + offline["violations"]
                   + (tcp_capture["violations"] if tcp_capture else 0))
     report = {
         "benchmark": "checker",
@@ -269,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "wall_clock_seconds": round(wall_clock, 3),
         "streaming": streaming,
-        "monolithic": monolithic,
+        "offline": offline,
         "equivalent": equivalent,
         "violations": violations,
         "tcp_capture": tcp_capture,
@@ -282,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
           f"memory growth {streaming['memory_growth']:.2f}x over 8x history "
           f"-> {args.output}")
     if not equivalent:
-        print("ERROR: streaming and monolithic reports differ",
+        print("ERROR: windowed and offline reports differ",
               file=sys.stderr)
         return 1
     if violations:

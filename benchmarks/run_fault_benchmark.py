@@ -27,6 +27,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.core.registry import implemented_protocols
 from repro.faults.library import SCENARIOS, get_scenario
@@ -53,7 +54,8 @@ def run_fault_smoke(scenario_name: str = "dc-partition",
     total_violations = 0
     for protocol in implemented_protocols():
         outcome = run_experiment(protocol, config, scenario=scenario,
-                                 enable_checker=True, label="fault-smoke")
+                                 checker=StreamingChecker.offline(),
+                                 label="fault-smoke")
         report = outcome.checker_report
         assert report is not None
         violations = (len(report.snapshot_violations)

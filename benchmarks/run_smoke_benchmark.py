@@ -12,7 +12,6 @@ Usage::
     PYTHONPATH=src python benchmarks/run_smoke_benchmark.py \
         [--output BENCH_smoke.json] [--workers N] [--backend sim|realtime] \
         [--transport inproc|tcp] \
-        [--checker monolithic|streaming] \
         [--emit-trace TRACE_smoke.json] \
         [--protocols cc-lo cure] [--clients 2 4 8] [--scenario dc-partition]
 
@@ -27,8 +26,9 @@ lossy trace pipeline the same way it catches a failing sweep.
 default full-protocol 3-point sweep; ``--scenario`` executes a canned fault
 scenario (see ``repro.faults.library``) inside every run, in which case the
 JSON rows carry per-phase slices.  ``--backend realtime`` serves the same
-sweep from the asyncio backend (real wall-clock runs with the causal checker
-attached — the run *fails* on any consistency violation), so ``BENCH``
+sweep from the asyncio backend (real wall-clock runs, each validated by a
+windowed :class:`~repro.causal.streaming.StreamingChecker` — the run *fails*
+on any consistency violation), so ``BENCH``
 artifacts can compare the two backends point by point.  ``--transport tcp``
 (realtime only) additionally spawns every partition server in its own OS
 process and serves the sweep over wire-encoded TCP frames — the CI
@@ -84,8 +84,7 @@ def run_smoke(workers: int | None = None,
               clients: list[int] | None = None,
               scenario_name: str = "none",
               backend: str = "sim",
-              transport: str = "inproc",
-              checker: str = "monolithic") -> dict[str, object]:
+              transport: str = "inproc") -> dict[str, object]:
     """Run the smoke grid and return the JSON-ready report."""
     protocols = list(protocols or implemented_protocols())
     clients = list(clients or SMOKE_SWEEP)
@@ -96,9 +95,6 @@ def run_smoke(workers: int | None = None,
     if transport != "inproc" and backend != "realtime":
         raise ConfigurationError(
             f"transport {transport!r} requires the realtime backend")
-    if checker != "monolithic" and backend != "realtime":
-        raise ConfigurationError(
-            f"checker {checker!r} requires the realtime backend")
     config = smoke_config(scenario_name)
     started = time.perf_counter()
     if backend == "realtime":
@@ -108,8 +104,7 @@ def run_smoke(workers: int | None = None,
                       duration_seconds=REALTIME_POINT_SECONDS,
                       transport=transport,
                       check_consistency=True,
-                      checker=(StreamingChecker() if checker == "streaming"
-                               else None),
+                      checker=StreamingChecker(),
                       label=f"smoke-realtime[{transport}]").result
                   for count in clients]
                   for protocol in protocols}
@@ -122,7 +117,6 @@ def run_smoke(workers: int | None = None,
         "benchmark": "smoke",
         "backend": backend,
         "transport": transport if backend == "realtime" else "n/a",
-        "checker": checker if backend == "realtime" else "n/a",
         "client_counts": clients,
         "scenario": scenario_name if not scenario.is_empty else "none",
         "workers": 1 if backend == "realtime" else resolve_worker_count(workers),
@@ -234,14 +228,6 @@ def main(argv: list[str] | None = None) -> int:
                              "in-process or from one OS process per "
                              "partition server over TCP "
                              "(default: %(default)s)")
-    parser.add_argument("--checker", default="monolithic",
-                        choices=["monolithic", "streaming"],
-                        help="realtime backend only: validate each run with "
-                             "the buffer-everything monolithic checker or "
-                             "the bounded-memory streaming checker (this "
-                             "flag builds the instance the run is given; "
-                             "over TCP either one is fed by observation "
-                             "chunks during the run; default: %(default)s)")
     parser.add_argument("--emit-trace", default=None, metavar="PATH",
                         help="also run a traced 2-DC point per protocol, "
                              "write the merged Perfetto timeline to PATH "
@@ -255,16 +241,13 @@ def main(argv: list[str] | None = None) -> int:
                      "(the realtime sweep runs points sequentially)")
     if args.transport != "inproc" and args.backend != "realtime":
         parser.error("--transport tcp requires --backend realtime")
-    if args.checker != "monolithic" and args.backend != "realtime":
-        parser.error("--checker streaming requires --backend realtime")
 
     # Fail on an unwritable destination *before* spending minutes simulating.
     output_dir = os.path.dirname(os.path.abspath(args.output))
     os.makedirs(output_dir, exist_ok=True)
 
     report = run_smoke(args.workers, args.protocols, args.clients,
-                       args.scenario, args.backend, args.transport,
-                       args.checker)
+                       args.scenario, args.backend, args.transport)
     if args.emit_trace:
         trace_dir = os.path.dirname(os.path.abspath(args.emit_trace))
         os.makedirs(trace_dir, exist_ok=True)

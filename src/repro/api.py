@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.causal.checker import CheckerReport
+from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigurationError, RuntimeBackendError
 from repro.faults import Scenario, get_scenario
@@ -97,11 +98,10 @@ class CausalStore:
         bus; inspect via :meth:`trace_timeline` or export a Perfetto/Chrome
         timeline with :meth:`dump_trace`.
     checker:
-        Realtime backend only: the recorder instance :meth:`check` asks,
-        e.g. a :class:`~repro.causal.streaming.StreamingChecker` to validate
-        the history incrementally in GSS-bounded windows with bounded
-        memory.  ``None`` (default) buffers the whole history in a
-        :class:`~repro.causal.checker.CausalConsistencyChecker`.
+        The :class:`~repro.causal.streaming.StreamingChecker` :meth:`check`
+        asks, e.g. a windowed one to validate a long history with bounded
+        memory.  ``None`` (default) checks the whole history as one window
+        (:meth:`~repro.causal.streaming.StreamingChecker.offline`).
 
     The store is a context manager; :meth:`close` (idempotent) tears down
     the built cluster — periodic simulator tasks or asyncio tasks, worker
@@ -124,10 +124,6 @@ class CausalStore:
             raise ConfigurationError(
                 f"transport {transport!r} requires backend='realtime' "
                 f"(the sim backend has no wire)")
-        if checker is not None and backend != "realtime":
-            raise ConfigurationError(
-                "checker= requires backend='realtime' (the sim backend "
-                "records its history in the monolithic checker)")
         self.protocol = protocol
         self.backend = backend
         self.transport = transport
@@ -139,33 +135,33 @@ class CausalStore:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._trace = trace
         self._trace_assembler: Optional[TraceAssembler] = None
+        self._checker = checker = (StreamingChecker.offline()
+                                   if checker is None else checker)
         if backend == "realtime":
             self._init_realtime(base, checker)
         else:
-            self._init_sim(base)
+            self._init_sim(base, checker)
 
     # ------------------------------------------------------------------ build
-    def _init_sim(self, base: ClusterConfig) -> None:
+    def _init_sim(self, base: ClusterConfig, checker: object) -> None:
         # The facade issues operations itself, so the built-in workload-driven
         # clients must stay idle: one client per DC is created but never
         # started.
         self._cluster: BuiltCluster = build_cluster(
             self.protocol, base, WorkloadParameters(rot_size=1),
-            enable_checker=True, trace=self._trace)
+            checker=checker, trace=self._trace)
         for server in self._cluster.topology.all_servers():
             server.start()
         self._clients = {dc: self._cluster.topology.clients_in_dc(dc)[0]
                          for dc in range(base.num_dcs)}
 
-    def _init_realtime(self, base: ClusterConfig,
-                       checker: Optional[object]) -> None:
+    def _init_realtime(self, base: ClusterConfig, checker: object) -> None:
         # Build (and thereby validate) the cluster before creating the event
         # loop, so a bad protocol name cannot leak an unclosed loop.
         build = ProcessCluster if self.transport == "tcp" else RealtimeCluster
         self._rt_cluster = build(
             self.protocol, base, WorkloadParameters(rot_size=1),
-            enable_checker=True, checker=checker,
-            workload_clients=False, trace=self._trace)
+            checker=checker, workload_clients=False, trace=self._trace)
         # Interactive clients must exist before start(): on the TCP
         # transport the peer table is distributed exactly once.
         self._clients = {dc: self._rt_cluster.add_client(dc, 0)
@@ -310,10 +306,7 @@ class CausalStore:
 
     def check(self) -> CheckerReport:
         """Validate the recorded history against causal consistency."""
-        checker = (self._rt_cluster.checker if self.backend == "realtime"
-                   else self._cluster.checker)
-        assert checker is not None
-        return checker.check()
+        return self._checker.check()
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -1,6 +1,6 @@
 """Causality metadata: dependency vectors, snapshots, stabilization, checking."""
 
-from repro.causal.checker import CausalConsistencyChecker, CheckerReport
+from repro.causal.checker import CheckerReport
 from repro.causal.dependencies import ClientDependencyContext
 from repro.causal.stabilization import GlobalStableSnapshot
 from repro.causal.streaming import ObservationBuffer, StreamingChecker
@@ -13,7 +13,6 @@ from repro.causal.vectors import (
 )
 
 __all__ = [
-    "CausalConsistencyChecker",
     "CheckerReport",
     "ClientDependencyContext",
     "GlobalStableSnapshot",

@@ -1,13 +1,29 @@
-"""Streaming GSS-windowed consistency checker: bounded memory, one pass.
+"""The causal-consistency checker: one pass, GSS-windowed, bounded memory.
 
-:class:`~repro.causal.checker.CausalConsistencyChecker` buffers the entire
-history and re-walks the dependency graph per ROT, which makes million-op
-:class:`~repro.runtime.process.ProcessCluster` histories infeasible to check.
-This module is the scalable sibling: a :class:`StreamingChecker` that ingests
-the observation log *incrementally*, verifies it in **windows**, and retires
-versions once every ingestion source has moved past them — the same idea the
-paper's vector protocols use for the Global Stable Snapshot, applied to
-offline validation.
+Every protocol run can record its history (PUTs with their causal context
+and ROT results) and hand it to a :class:`StreamingChecker`, which verifies
+the guarantees the paper's system model requires (Section 2.2):
+
+1. **Causally consistent snapshots** — if a ROT returns ``X`` for key ``x``
+   and ``Y`` for key ``y``, there must be no ``X'`` with ``X ; X' ; Y``:
+   for every version ``Y`` a ROT returns and every other key ``x`` it
+   reads, the newest version of ``x`` per origin DC in ``Y``'s causal past
+   must not be preceded by the version of ``x`` the ROT returned.
+2. **Session guarantees** — read-your-writes and monotonic reads per
+   client: no read returns a version that precedes one the client wrote or
+   read before.
+
+Versions are ``(key, timestamp, origin_dc)``.  Timestamps from different
+data centers live in different clock domains (CC-LO uses per-server
+Lamport clocks), so they are never compared directly.  A version ``a`` of a
+key *precedes* a version ``d`` of the same key when ``a`` is the preloaded
+initial version (timestamp 0, written before everything), or when ``d``'s
+recorded causal past holds a version of the key from ``a``'s origin at
+least as new as ``a`` (one partition server stamps a key's versions from
+one origin, in the order replicas converge in).  Versions that are merely
+*concurrent* — two writes from one origin included — are never reported.
+``tests/causal_oracle.py`` is the independent reference these checks are
+tested against.
 
 Windowing model
 ---------------
@@ -23,11 +39,10 @@ lagging source, so it waits.  With a single source (synthetic histories, the
 in-process runtime) the gate is always satisfied and windows seal purely by
 op count.  If a source stalls, the buffered backlog is bounded: once
 ``window_ops * force_seal_factor`` operations are pending, the oldest window
-seals anyway (missing puts then degrade exactly like the monolithic
-checker's never-recorded puts: checks involving them are skipped, never
-misreported).
+seals anyway (missing puts then degrade like never-recorded ones: checks
+that need their causal past are skipped, never misreported).
 
-``retire_lag`` windows after sealing, a window's puts are *retired* —
+``retire_lag`` full windows after sealing, a window's puts are *retired* —
 dropped from the live version index — so memory is O(window), not
 O(history).  The documented horizon assumption is that a causal reference
 (dependency, session predecessor, snapshot witness) points at most
@@ -35,17 +50,9 @@ O(history).  The documented horizon assumption is that a causal reference
 because the seal gate itself lags ingestion by replication delay, and the
 checker benchmark validates a million-op history with a flat live-set curve.
 
-Equivalence with the monolithic checker
----------------------------------------
-The verifiers are literal re-implementations of the monolithic checks over
-the live window (same candidate filter, same confirmation rule, same message
-strings), and report assembly replays the monolithic ordering: snapshot
-violations in ROT record order, session violations grouped per client with
-clients ordered by first appearance (writers before pure readers).  On any
-history whose references stay inside the retirement horizon the two checkers
-produce equal :class:`~repro.causal.checker.CheckerReport` objects —
-``tests/test_streaming_checker.py`` pins this for all three protocols and
-for violations injected inside, across and at window boundaries.
+:meth:`StreamingChecker.offline` is the same checker with one window that
+never fills, so nothing seals before :meth:`~StreamingChecker.check` and
+nothing retires: the whole history is checked at once, with no horizon.
 
 Sealed windows are checked in process, against the warm frontier cache.  A
 mode that checked them on a process pool existed until PR 23 and lost on
@@ -56,6 +63,7 @@ set and the worker rebuilt the frontiers cold: the cache is the algorithm.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
@@ -65,7 +73,7 @@ from repro.causal.checker import (
     RecordedRot,
     VersionId,
 )
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.obs.events import WINDOW_RETIRE, WINDOW_SEAL
 
 #: Default operations per window.  Large enough that frontier memoisation
@@ -81,14 +89,11 @@ class _FrontierIndex:
     """Memoised causal frontiers over a (live) put index.
 
     The frontier of a version is the newest timestamp per ``(key,
-    origin_dc)`` in its causal past — the same summary the monolithic
-    checker memoises, computed by the same bottom-up expansion so the
-    per-slot insertion order (and therefore violation order) is identical.
-    A frontier is a pure function of the version's (immutable) dependency
+    origin_dc)`` in its causal past, built bottom-up so long dependency
+    chains (the norm with closed-loop clients) are expanded only once.  A
+    frontier is a pure function of the version's (immutable) dependency
     closure, so cached entries stay valid across window seals; retirement
-    :meth:`evict`\\ s them so cache memory tracks the live set.  Within the
-    retirement horizon a warm cache and the monolithic checker compute
-    identical frontiers.
+    :meth:`evict`\\ s them so cache memory tracks the live set.
     """
 
     __slots__ = ("_puts", "_cache")
@@ -96,9 +101,6 @@ class _FrontierIndex:
     def __init__(self, puts: dict[VersionId, RecordedPut]) -> None:
         self._puts = puts
         self._cache: dict[VersionId, dict[tuple[str, int], int]] = {}
-
-    def reset(self) -> None:
-        self._cache.clear()
 
     def evict(self, version_id: VersionId) -> None:
         self._cache.pop(version_id, None)
@@ -127,82 +129,42 @@ class _FrontierIndex:
                             and dep_put.version_id not in in_progress:
                         stack.append((dep_put, False))
                 continue
-            newest: dict[tuple[str, int], int] = {}
+            # Start from a copy of the largest dependency frontier: a
+            # context mostly extends one predecessor's, so the merge below
+            # touches only what the others add.
+            pasts = sorted((self._cache.get(dep_put.version_id, {})
+                            for dep_put in dep_puts), key=len)
+            newest = dict(pasts.pop()) if pasts else {}
+            for past in pasts:
+                for slot, ts in past.items():
+                    if newest.get(slot, -1) < ts:
+                        newest[slot] = ts
             for key, ts, origin in current.dependencies:
                 slot = (key, origin)
                 if newest.get(slot, -1) < ts:
                     newest[slot] = ts
-            for dep_put in dep_puts:
-                for slot, ts in self._cache.get(dep_put.version_id, {}).items():
-                    if newest.get(slot, -1) < ts:
-                        newest[slot] = ts
             self._cache[current.version_id] = newest
         return self._cache[version_id]
 
-    def is_ancestor(self, ancestor: VersionId, descendant: VersionId) -> bool:
+    def precedes(self, ancestor: VersionId, descendant: VersionId) -> bool:
+        """Whether ``ancestor`` comes before ``descendant``, a version of
+        the same key (the order defined in the module docstring)."""
         if ancestor == descendant:
             return False
-        past = self.causal_past(descendant)
         key, ts, origin = ancestor
-        return past.get((key, origin), -1) >= ts
-
-
-def snapshot_violations_for_rot(rot: RecordedRot,
-                                puts: dict[VersionId, RecordedPut],
-                                index: _FrontierIndex) -> list[str]:
-    """The monolithic snapshot check for one ROT over the live put index.
-
-    Same candidate filter, same concurrent-version confirmation, same
-    message strings as ``CausalConsistencyChecker._check_snapshot`` — the
-    streaming checker's equivalence guarantee rests on this being a literal
-    re-statement.
-    """
-    violations: list[str] = []
-    returned = {read.key: read for read in rot.reads}
-    for read in rot.reads:
-        version_id = read.version_id
-        if version_id is None or version_id not in puts:
-            # Preloaded versions have no recorded PUT and no dependencies.
-            continue
-        past = index.causal_past(version_id)
-        for (dep_key, dep_origin), dep_ts in past.items():
-            other = returned.get(dep_key)
-            if other is None or dep_key == read.key:
-                continue
-            required_id: VersionId = (dep_key, dep_ts, dep_origin)
-            other_id = other.version_id
-            if other_id == required_id:
-                continue
-            candidate = (other_id is None
-                         or (other.origin_dc == dep_origin
-                             and other.timestamp is not None
-                             and other.timestamp < dep_ts)
-                         or (other.origin_dc != dep_origin))
-            if not candidate:
-                continue
-            returned_is_initial = (other_id is not None
-                                   and other.timestamp == 0
-                                   and other_id not in puts)
-            if other_id is None or returned_is_initial \
-                    or index.is_ancestor(other_id, required_id):
-                violations.append(
-                    f"ROT {rot.rot_id}: returned {dep_key}@"
-                    f"{other.timestamp if other else None} but "
-                    f"{read.key}@{read.timestamp} causally depends on "
-                    f"{dep_key}@{dep_ts} (origin DC {dep_origin})")
-    return violations
+        return ts == 0 \
+            or self.causal_past(descendant).get((key, origin), -1) >= ts
 
 
 def iter_session_order(puts: Iterable[RecordedPut],
                        rots: Iterable[RecordedRot],
                        ) -> Iterator[tuple[str, object]]:
-    """Yield ``("put", op)`` / ``("rot", op)`` in monolithic session order.
+    """Yield ``("put", op)`` / ``("rot", op)`` in session order.
 
-    The monolithic checker stable-sorts each client's operations by sequence
-    with all puts recorded before all rots, so ties break put-first in
-    record order.  Replaying a split ``(puts, rots)`` history through this
-    order restores every client's true execution interleaving (client
-    sequence numbers are shared across both kinds and strictly increase).
+    Client sequence numbers are shared across both kinds and strictly
+    increase, so a stable sort by sequence (puts first, each kind in record
+    order) restores every client's true put/rot interleaving, which the
+    split ``(puts, rots)`` representation lost.
     """
     entries: list[tuple[int, int, int, str, object]] = [
         (put.sequence, 0, position, "put", put)
@@ -214,6 +176,15 @@ def iter_session_order(puts: Iterable[RecordedPut],
         yield kind, op
 
 
+def require_recorder(checker) -> None:
+    """Reject a ``checker=`` argument no client can record into."""
+    if checker is not None and not (hasattr(checker, "record_put")
+                                    and hasattr(checker, "record_rot")):
+        raise ConfigurationError(
+            f"checker must be a recorder with record_put/record_rot "
+            f"(a StreamingChecker, an ObservationBuffer), got {checker!r}")
+
+
 class ObservationBuffer:
     """Checker-shaped recorder of a client worker process.
 
@@ -221,7 +192,8 @@ class ObservationBuffer:
     the worker :meth:`drain`\\ s the buffer into an
     :class:`~repro.runtime.process.ObservationChunk` every flush period and
     the parent folds the chunk into the run's checker — so worker memory is
-    bounded by the flush period, not the run length.
+    bounded by the flush period, not the run length.  A run that only needs
+    the history (not a verdict) passes one as its ``checker``.
     """
 
     def __init__(self) -> None:
@@ -253,7 +225,7 @@ class StreamingChecker:
     window_ops:
         Operations per verification window.
     retire_lag:
-        How many sealed windows a put stays live after its window seals;
+        How many full windows a put stays live after its window seals;
         also the causal-reference horizon (see module docstring).
     force_seal_factor:
         Backstop on buffered-but-unsealed operations: the oldest full
@@ -289,11 +261,13 @@ class StreamingChecker:
         #: Versions whose windows have not retired yet.
         self._live_puts: dict[VersionId, RecordedPut] = {}
         self._index = _FrontierIndex(self._live_puts)
-        #: Open (still filling) window: ``(kind, op, rot_rank)`` triples.
-        self._open: list[tuple[str, object, int]] = []
+        #: Open (still filling) window: ``(kind, op)`` pairs, and how many
+        #: of its operations :meth:`check` already sealed as a tail.
+        self._open: list[tuple[str, object]] = []
         self._open_high: dict[int, int] = {}
+        self._tail_ops = 0
         #: Full windows awaiting their seal gate, oldest first.
-        self._frozen: deque[tuple[list[tuple[str, object, int]],
+        self._frozen: deque[tuple[list[tuple[str, object]],
                                   dict[int, int]]] = deque()
         #: Sealed windows awaiting retirement: ``(index, member versions)``.
         self._sealed_members: deque[tuple[int, list[VersionId]]] = deque()
@@ -301,18 +275,16 @@ class StreamingChecker:
         #: dependency entries, and read results all advance it).
         self._progress: dict[str, dict[int, int]] = {}
 
+        #: Full windows sealed so far: the retirement clock.
         self._next_window = 0
-        self._next_rot_rank = 0
-        self._client_put_rank: dict[str, int] = {}
-        self._client_rot_rank: dict[str, int] = {}
-        self._session_observed: dict[str, dict[str, VersionId]] = {}
-        self._session_violations: dict[str, list[str]] = {}
+        #: client -> key -> the newest versions of the key the client wrote
+        #: or read (pairwise concurrent; a dict keeps their order fixed).
+        self._session_observed: dict[str, dict[str, dict[VersionId, None]]] = {}
         #: key -> client -> version returned by the client's last read.
         self._final_reads: dict[str, dict[str, Optional[VersionId]]] = {}
-
-        #: Snapshot-check results of the sealed windows, accumulated across
-        #: :meth:`finish` calls: ``(rot_rank, violations)`` pairs.
-        self._snapshot_entries: list[tuple[int, list[str]]] = []
+        #: Violations found by the sealed windows, in seal order.
+        self._snapshot_violations: list[str] = []
+        self._session_violations: list[str] = []
 
         self._distinct_puts = 0
         self._rot_count = 0
@@ -320,6 +292,11 @@ class StreamingChecker:
         self.versions_retired = 0
         self.peak_live_versions = 0
         self.force_seals = 0
+
+    @classmethod
+    def offline(cls) -> StreamingChecker:
+        """The whole history as one window that never retires."""
+        return cls(window_ops=sys.maxsize)
 
     # -------------------------------------------------------------- recording
     @property
@@ -337,18 +314,12 @@ class StreamingChecker:
 
     def record_put(self, put: RecordedPut, *, source: str = "local") -> None:
         """Ingest one PUT (arrival order is the window order)."""
-        self._client_put_rank.setdefault(put.client,
-                                         len(self._client_put_rank))
         self._ingest_put(put, source)
         self._maybe_seal()
 
     def record_rot(self, rot: RecordedRot, *, source: str = "local") -> None:
         """Ingest one completed ROT."""
-        self._client_rot_rank.setdefault(rot.client,
-                                         len(self._client_rot_rank))
-        rank = self._next_rot_rank
-        self._next_rot_rank += 1
-        self._ingest_rot(rot, source, rank)
+        self._ingest_rot(rot, source)
         self._maybe_seal()
 
     def record_history(self, puts: Iterable[RecordedPut],
@@ -357,31 +328,15 @@ class StreamingChecker:
         """Ingest one batch (an observation chunk, or a recorded history).
 
         The batch is replayed in :func:`iter_session_order` so each client's
-        put/rot interleaving matches its execution order even though the
-        split ``(puts, rots)`` representation lost it; seal decisions wait
-        for the whole batch so intra-batch references are always resolvable.
+        put/rot interleaving matches its execution order; seal decisions
+        wait for the whole batch so intra-batch references are always
+        resolvable.
         """
-        puts = list(puts)
-        rots = list(rots)
-        for put in puts:
-            self._client_put_rank.setdefault(put.client,
-                                             len(self._client_put_rank))
-        for rot in rots:
-            self._client_rot_rank.setdefault(rot.client,
-                                             len(self._client_rot_rank))
-        base_rank = self._next_rot_rank
-        self._next_rot_rank += len(rots)
-        entries: list[tuple[int, int, int, str, object]] = [
-            (put.sequence, 0, position, "put", put)
-            for position, put in enumerate(puts)]
-        entries.extend((rot.sequence, 1, position, "rot", rot)
-                       for position, rot in enumerate(rots))
-        entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
-        for _seq, kind_rank, position, kind, op in entries:
-            if kind_rank == 0:
+        for kind, op in iter_session_order(puts, rots):
+            if kind == "put":
                 self._ingest_put(op, source)
             else:
-                self._ingest_rot(op, source, base_rank + position)
+                self._ingest_rot(op, source)
         self._maybe_seal()
 
     # -------------------------------------------------------------- ingestion
@@ -400,29 +355,27 @@ class StreamingChecker:
         self._live_puts[put.version_id] = put
         if len(self._live_puts) > self.peak_live_versions:
             self.peak_live_versions = len(self._live_puts)
-        self._open.append(("put", put, -1))
         self._advance(source, put.origin_dc, put.timestamp)
         for _key, ts, origin in put.dependencies:
             self._advance(source, origin, ts)
-        if len(self._open) >= self.window_ops:
-            self._freeze_open()
+        self._append("put", put)
 
-    def _ingest_rot(self, rot: RecordedRot, source: str, rank: int) -> None:
+    def _ingest_rot(self, rot: RecordedRot, source: str) -> None:
         self._rot_count += 1
-        self._open.append(("rot", rot, rank))
         for read in rot.reads:
             if read.timestamp is not None:
                 self._advance(source, read.origin_dc, read.timestamp)
             if self.check_convergence:
                 self._final_reads.setdefault(
                     read.key, {})[rot.client] = read.version_id
-        if len(self._open) >= self.window_ops:
-            self._freeze_open()
+        self._append("rot", rot)
 
-    def _freeze_open(self) -> None:
-        self._frozen.append((self._open, self._open_high))
-        self._open = []
-        self._open_high = {}
+    def _append(self, kind: str, op) -> None:
+        """Add to the open window; freeze it once it is full."""
+        self._open.append((kind, op))
+        if len(self._open) + self._tail_ops >= self.window_ops:
+            self._frozen.append((self._open, self._open_high))
+            self._open, self._open_high, self._tail_ops = [], {}, 0
 
     # ---------------------------------------------------------------- sealing
     def _gate_passes(self, high: dict[int, int]) -> bool:
@@ -444,28 +397,33 @@ class StreamingChecker:
             if forced and not self._gate_passes(high):
                 self.force_seals += 1
             self._frozen.popleft()
-            self._seal_window(ops)
+            self._seal_window(ops, full=True)
 
-    def _seal_window(self, ops: list[tuple[str, object, int]]) -> None:
+    def _seal_window(self, ops: list[tuple[str, object]], *,
+                     full: bool) -> None:
+        """Verify one window, or the tail of the open one :meth:`check`
+        cuts: a tail shares the index of the window it was cut from and
+        retires with it, so mid-run checks move no window boundary."""
         index = self._next_window
-        self._next_window += 1
         self.windows_sealed += 1
-        for kind, op, _rank in ops:
+        origins = sorted({origin for progress in self._progress.values()
+                          for origin in progress})
+        rots = 0
+        for kind, op in ops:
+            if kind == "rot":
+                rots += 1
+                self._check_snapshot(op, origins)
             self._session_step(kind, op)
-        rot_entries = tuple((rank, op) for kind, op, rank in ops
-                            if kind == "rot")
-        self._snapshot_entries.extend(
-            (rank, violations) for rank, rot in rot_entries
-            if (violations := snapshot_violations_for_rot(
-                rot, self._live_puts, self._index)))
         if self.tracer is not None:
             self.tracer.emit(
                 CHECKER_NODE, WINDOW_SEAL, name=f"window-{index}",
-                data=(("ops", len(ops)), ("rots", len(rot_entries)),
+                data=(("ops", len(ops)), ("rots", rots),
                       ("live", len(self._live_puts))))
-        members = [op.version_id for kind, op, _rank in ops if kind == "put"]
+        members = [op.version_id for kind, op in ops if kind == "put"]
         self._sealed_members.append((index, members))
-        self._retire_through(index - self.retire_lag)
+        if full:
+            self._next_window += 1
+            self._retire_through(index - self.retire_lag)
 
     def _retire_through(self, horizon: int) -> None:
         while self._sealed_members and self._sealed_members[0][0] <= horizon:
@@ -482,40 +440,61 @@ class StreamingChecker:
                     data=(("versions", retired),
                           ("live", len(self._live_puts))))
 
+    # -------------------------------------------------------------- snapshots
+    def _check_snapshot(self, rot: RecordedRot, origins: list[int]) -> None:
+        """Every pair of reads, over every origin DC ingestion has named:
+        a frontier holds all keys, a ROT reads a few of them."""
+        for read in rot.reads:
+            if read.version_id not in self._live_puts:
+                # No recorded put (preloaded, missing or retired): no past.
+                continue
+            past = self._index.causal_past(read.version_id)
+            for other in rot.reads:
+                if other.key == read.key:
+                    continue
+                for origin in origins:
+                    dep_ts = past.get((other.key, origin))
+                    if dep_ts is None:
+                        continue
+                    required: VersionId = (other.key, dep_ts, origin)
+                    if other.timestamp is None or self._index.precedes(
+                            other.version_id, required):
+                        self._snapshot_violations.append(
+                            f"ROT {rot.rot_id}: returned {other.key}@"
+                            f"{other.timestamp} but "
+                            f"{read.key}@{read.timestamp} causally depends "
+                            f"on {other.key}@{dep_ts} (origin DC {origin})")
+
     # --------------------------------------------------------------- sessions
     def _session_step(self, kind: str, op) -> None:
-        """One operation of the monolithic per-client session replay."""
+        """One operation of its client's read-your-writes/monotonic replay."""
+        observed = self._session_observed.setdefault(op.client, {})
         if kind == "put":
-            observed = self._session_observed.setdefault(op.client, {})
-            observed[op.key] = op.version_id
+            self._observe(observed, op.version_id)
             return
-        rot = op
-        observed = self._session_observed.setdefault(rot.client, {})
-        for read in rot.reads:
-            previous = observed.get(read.key)
-            if previous is None:
-                if read.version_id is not None:
-                    observed[read.key] = read.version_id
-                continue
+        for read in op.reads:
             current = read.version_id
-            went_backwards = (
-                current is None
-                or (current != previous
-                    and self._index.is_ancestor(current, previous)))
-            if went_backwards:
-                self._session_violations.setdefault(rot.client, []).append(
-                    f"client {rot.client}: ROT {rot.rot_id} read "
+            newer = next((seen for seen in observed.get(read.key, ())
+                          if current is None
+                          or self._index.precedes(current, seen)), None)
+            if newer is not None:
+                self._session_violations.append(
+                    f"client {op.client}: ROT {op.rot_id} read "
                     f"{read.key}@{read.timestamp} after having observed "
-                    f"{previous[1]} (origin DC {previous[2]})")
-            elif current is not None and previous != current \
-                    and self._index.is_ancestor(previous, current):
-                observed[read.key] = current
+                    f"{newer[1]} (origin DC {newer[2]})")
+            elif current is not None:
+                self._observe(observed, current)
 
-    def _client_order_key(self, client: str) -> tuple[int, int]:
-        put_rank = self._client_put_rank.get(client)
-        if put_rank is not None:
-            return (0, put_rank)
-        return (1, self._client_rot_rank.get(client, 0))
+    def _observe(self, observed: dict[str, dict[VersionId, None]],
+                 version_id: VersionId) -> None:
+        """Add a version the client saw; drop the ones it supersedes."""
+        seen = observed.get(version_id[0], {})
+        if version_id in seen:
+            return
+        newest = {other: None for other in seen
+                  if not self._index.precedes(other, version_id)}
+        newest[version_id] = None
+        observed[version_id[0]] = newest
 
     # ------------------------------------------------------------ convergence
     def _check_convergence(self) -> list[str]:
@@ -543,8 +522,8 @@ class StreamingChecker:
                     if left not in self._live_puts \
                             or right not in self._live_puts:
                         continue
-                    if self._index.is_ancestor(left, right) \
-                            or self._index.is_ancestor(right, left):
+                    if self._index.precedes(left, right) \
+                            or self._index.precedes(right, left):
                         continue
                     violations.append(
                         f"key {key}: divergent final reads: client "
@@ -555,42 +534,29 @@ class StreamingChecker:
                         f"other")
         return violations
 
-    # ------------------------------------------------------------------ final
-    def finish(self) -> CheckerReport:
-        """Seal the remainder and assemble the report.
+    # ------------------------------------------------------------------ check
+    def check(self) -> CheckerReport:
+        """Seal everything buffered and report every violation so far.
 
-        Re-entrant, like the monolithic checker's ``check()``: ingestion may
-        continue after a mid-run report and a later ``finish()`` folds the
-        new windows into the accumulated results.  At finish everything
-        buffered has arrived, so the seal gate is waived for the tail
-        windows.
+        Re-entrant: ingestion may continue after a mid-run report and a
+        later ``check()`` folds the new windows into the accumulated
+        results.  Everything buffered has arrived, so the seal gate is
+        waived; the partial open window seals as a tail that stays part of
+        its window, so mid-run checks never retire early.
         """
         while self._frozen:
             ops, _high = self._frozen.popleft()
-            self._seal_window(ops)
+            self._seal_window(ops, full=True)
         if self._open:
             ops, self._open, self._open_high = self._open, [], {}
-            self._seal_window(ops)
-        entries = sorted(self._snapshot_entries, key=lambda entry: entry[0])
-        snapshot_violations = [message for _rank, messages in entries
-                               for message in messages]
-        session_violations = [
-            message
-            for client in sorted(self._session_violations,
-                                 key=self._client_order_key)
-            for message in self._session_violations[client]]
-        convergence_violations = (self._check_convergence()
-                                  if self.check_convergence else [])
+            self._tail_ops += len(ops)
+            self._seal_window(ops, full=False)
         return CheckerReport(
             puts=self._distinct_puts, rots=self._rot_count,
-            snapshot_violations=snapshot_violations,
-            session_violations=session_violations,
-            convergence_violations=convergence_violations)
-
-    def check(self) -> CheckerReport:
-        """Alias for :meth:`finish` (facade parity with the monolithic
-        checker, so experiment runners drive either interchangeably)."""
-        return self.finish()
+            snapshot_violations=list(self._snapshot_violations),
+            session_violations=list(self._session_violations),
+            convergence_violations=(self._check_convergence()
+                                    if self.check_convergence else []))
 
 
 __all__ = [
@@ -599,5 +565,5 @@ __all__ = [
     "ObservationBuffer",
     "StreamingChecker",
     "iter_session_order",
-    "snapshot_violations_for_rot",
+    "require_recorder",
 ]

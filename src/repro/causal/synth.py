@@ -14,7 +14,7 @@ ROT returns, per key, the newest version at or below the client's cut.
 Because every read comes from one prefix cut, every dependency of a
 returned version lies inside that same prefix, and per-origin timestamps
 increase along the log — so snapshots are causally consistent and sessions
-monotone by construction (the properties the checkers verify).  The
+monotone by construction (the properties the checker verifies).  The
 ``own last put`` term keeps read-your-writes; the ``- visibility_lag`` term
 models replication lag while bounding how stale any read can be, which also
 keeps every causal reference inside the streaming checker's retirement
@@ -92,8 +92,8 @@ def generate_history(total_ops: int,
 
     A generator so million-op histories can be streamed straight into a
     :class:`~repro.causal.streaming.StreamingChecker` without ever being
-    materialised; :func:`materialize` collects the same stream into the
-    monolithic checker's ``(puts, rots)`` shape.
+    materialised; :func:`materialize` collects the same stream into a
+    recorded history's ``(puts, rots)`` shape.
     """
     params = params or SynthParameters()
     params.validate()
@@ -172,9 +172,8 @@ def generate_history(total_ops: int,
 def materialize(total_ops: int,
                 params: Optional[SynthParameters] = None,
                 ) -> tuple[list[RecordedPut], list[RecordedRot]]:
-    """Collect :func:`generate_history` into ``(puts, rots)`` lists (the
-    monolithic checker's record order — which is also session order here,
-    because the stream interleaves each client's operations in sequence)."""
+    """Collect :func:`generate_history` into ``(puts, rots)`` lists, each
+    in stream order."""
     puts: list[RecordedPut] = []
     rots: list[RecordedRot] = []
     for kind, op in generate_history(total_ops, params):

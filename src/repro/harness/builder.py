@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.causal.checker import CausalConsistencyChecker
+from repro.causal.streaming import require_recorder
 from repro.cluster.config import ClusterConfig
 from repro.cluster.seeding import node_rng, preload_initial_keyspace
 from repro.cluster.topology import ClusterTopology
@@ -36,7 +36,8 @@ class BuiltCluster:
     sim: Simulator
     topology: ClusterTopology
     metrics: MetricsRegistry
-    checker: Optional[CausalConsistencyChecker]
+    #: The recorder every client hands its completed operations to.
+    checker: Optional[object]
     #: repro.obs event bus stamping virtual time; None unless built with
     #: ``trace=True``.
     trace_bus: Optional[EventBus] = None
@@ -67,7 +68,7 @@ class BuiltCluster:
 
 def build_cluster(protocol: str, config: ClusterConfig,
                   workload: WorkloadParameters, *,
-                  enable_checker: bool = False,
+                  checker: Optional[object] = None,
                   trace: bool = False) -> BuiltCluster:
     """Construct a ready-to-run cluster for ``protocol``.
 
@@ -80,21 +81,24 @@ def build_cluster(protocol: str, config: ClusterConfig,
         Cluster topology, cost model and run durations.
     workload:
         The Table-1 workload point to generate.
-    enable_checker:
-        When True, every PUT and ROT is recorded and can be validated with the
-        causal-consistency checker after the run (slower; meant for tests).
+    checker:
+        A recorder (``record_put`` / ``record_rot``) every client hands its
+        completed PUTs and ROTs to — a
+        :class:`~repro.causal.streaming.StreamingChecker` to validate the run,
+        an :class:`~repro.causal.streaming.ObservationBuffer` to keep the
+        history.  ``None`` (default) records nothing.
     trace:
         When True, attach a :class:`repro.obs.bus.EventBus` (virtual-time
         stamps) to every node and kernel; the run's event stream is exposed
         as :attr:`BuiltCluster.trace_bus`.  Tracing never perturbs the
         simulation — a traced run produces bit-identical results.
     """
+    require_recorder(checker)
     spec = resolve_spec(protocol)
     sim = Simulator(seed=config.seed)
     network = Network(sim, config.latency_model)
     topology = ClusterTopology(sim, network, config)
     metrics = MetricsRegistry(warmup_seconds=config.warmup_seconds)
-    checker = CausalConsistencyChecker() if enable_checker else None
     trace_bus = EventBus(sim, source="sim") if trace else None
 
     def rot_registry():

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.causal.checker import CheckerReport
+from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.faults.controller import FaultController
 from repro.faults.scenario import Scenario
@@ -40,7 +41,7 @@ class ExperimentOutcome:
 def run_experiment(protocol: str,
                    config: Optional[ClusterConfig] = None,
                    workload: Optional[WorkloadParameters] = None, *,
-                   enable_checker: bool = False,
+                   checker: Optional[object] = None,
                    check_consistency: bool = False,
                    scenario: Optional[Scenario] = None,
                    trace: bool = False,
@@ -55,11 +56,14 @@ def run_experiment(protocol: str,
         Cluster configuration; defaults to the bench-scale configuration.
     workload:
         Workload point; defaults to the paper's default workload.
-    enable_checker:
-        Record the full history of PUTs and ROTs.
+    checker:
+        The recorder the clients hand their operations to (see
+        :func:`~repro.harness.builder.build_cluster`); when it is a checker,
+        its report is the outcome's ``checker_report``.
     check_consistency:
-        Also run the causal-consistency checker after the run and raise if a
-        violation is found (implies ``enable_checker``).
+        Raise if the checker reports a violation; without a ``checker``,
+        check with :meth:`StreamingChecker.offline()
+        <repro.causal.streaming.StreamingChecker.offline>`.
     scenario:
         Optional fault scenario to execute during the run; the result then
         carries one :class:`~repro.metrics.collectors.PhaseSlice` per phase.
@@ -72,8 +76,9 @@ def run_experiment(protocol: str,
     """
     config = config or ClusterConfig()
     workload = workload or DEFAULT_WORKLOAD
-    cluster = build_cluster(protocol, config, workload,
-                            enable_checker=enable_checker or check_consistency,
+    if check_consistency and checker is None:
+        checker = StreamingChecker.offline()
+    cluster = build_cluster(protocol, config, workload, checker=checker,
                             trace=trace)
     controller: Optional[FaultController] = None
     if scenario is not None and not scenario.is_empty:
@@ -106,8 +111,8 @@ def run_experiment(protocol: str,
                           if assembler is not None else None))
 
     report: Optional[CheckerReport] = None
-    if cluster.checker is not None:
-        report = cluster.checker.check()
+    if hasattr(checker, "check"):
+        report = checker.check()
         if check_consistency:
             report.raise_if_violations()
     return ExperimentOutcome(result=result, cluster=cluster,

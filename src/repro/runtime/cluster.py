@@ -25,13 +25,13 @@ import asyncio
 from collections import deque
 from typing import Iterable, Optional
 
-from repro.causal.checker import CausalConsistencyChecker
+from repro.causal.streaming import require_recorder
 from repro.clocks.timesource import WallClock
 from repro.cluster.config import ClusterConfig
 from repro.cluster.partitioning import HashPartitioner
 from repro.cluster.seeding import node_rng, preload_initial_keyspace
 from repro.core.registry import resolve_spec
-from repro.errors import ConfigurationError, RuntimeBackendError
+from repro.errors import RuntimeBackendError
 from repro.metrics.collectors import MetricsRegistry
 from repro.metrics.overheads import OverheadCounters
 from repro.obs.bus import EventBus
@@ -52,16 +52,12 @@ class RealtimeCluster:
         :func:`repro.core.registry.register_protocol`).
     config / workload:
         Same objects the simulated builder takes.
-    enable_checker:
-        Record every PUT/ROT for the causal-consistency checker.
     checker:
-        An explicit checker-shaped recorder (``record_put`` /
-        ``record_rot``) to use instead of a fresh
-        :class:`~repro.causal.checker.CausalConsistencyChecker` — a
-        :class:`~repro.causal.streaming.StreamingChecker` for windowed
-        validation, or the :class:`~repro.causal.streaming.ObservationBuffer`
-        a worker process streams its log to the parent from.  Implies
-        ``enable_checker``.  This is the one place a checker is validated:
+        The recorder (``record_put`` / ``record_rot``) every client hands
+        its completed operations to — a
+        :class:`~repro.causal.streaming.StreamingChecker`, or the
+        :class:`~repro.causal.streaming.ObservationBuffer` a worker process
+        streams its log to the parent from; ``None`` records nothing.
         :class:`~repro.runtime.process.ProcessCluster`,
         :func:`~repro.runtime.experiment.run_realtime_experiment` and
         :class:`~repro.api.CausalStore` hand theirs down untouched.
@@ -84,7 +80,6 @@ class RealtimeCluster:
 
     def __init__(self, protocol: str, config: Optional[ClusterConfig] = None,
                  workload: Optional[WorkloadParameters] = None, *,
-                 enable_checker: bool = False,
                  checker: Optional[object] = None,
                  workload_clients: bool = True,
                  transport: Optional[Transport] = None,
@@ -99,14 +94,7 @@ class RealtimeCluster:
                           else InprocTransport())
         self.partitioner = HashPartitioner(config.num_partitions)
         self.metrics = MetricsRegistry(warmup_seconds=config.warmup_seconds)
-        if checker is None and enable_checker:
-            checker = CausalConsistencyChecker()
-        elif checker is not None and not (hasattr(checker, "record_put")
-                                          and hasattr(checker, "record_rot")):
-            raise ConfigurationError(
-                f"checker must be a recorder with record_put/record_rot "
-                f"(a CausalConsistencyChecker, a StreamingChecker), "
-                f"got {checker!r}")
+        require_recorder(checker)
         self.checker: Optional[object] = checker
         self.trace_bus: Optional[EventBus] = (
             EventBus(self.clock, source=trace_source) if trace else None)

@@ -20,8 +20,9 @@ simulated and real-time numbers can sit in the same table
 
 A checker is passed as an *instance* (``checker=StreamingChecker()``), with
 :class:`~repro.runtime.cluster.RealtimeCluster`'s meaning on either
-transport: ``None`` with checking enabled means a fresh
-:class:`~repro.causal.checker.CausalConsistencyChecker`.
+transport; ``check_consistency=True`` without one checks with
+:meth:`StreamingChecker.offline()
+<repro.causal.streaming.StreamingChecker.offline>`.
 
 Real seconds are expensive compared to simulated ones, so the default
 duration is deliberately short; pass ``duration_seconds`` explicitly for
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.causal.checker import CheckerReport
+from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.core.registry import resolve_spec
 from repro.errors import ConfigurationError
@@ -77,7 +79,6 @@ def run_realtime_experiment(protocol: str,
                             workload: Optional[WorkloadParameters] = None, *,
                             duration_seconds: Optional[float] = None,
                             transport: str = "inproc",
-                            enable_checker: bool = False,
                             check_consistency: bool = False,
                             checker: Optional[object] = None,
                             trace: bool = False,
@@ -91,10 +92,8 @@ def run_realtime_experiment(protocol: str,
     ``transport="tcp"`` the warmup window is re-anchored at traffic start in
     every client worker, so the measurement window matches the in-process
     semantics.  ``checker`` is the recorder instance to validate the run
-    with (implies ``enable_checker``): leave it ``None`` for the monolithic
-    checker that holds the whole history, pass a
-    :class:`~repro.causal.streaming.StreamingChecker` to verify GSS-bounded
-    windows during the run with bounded memory.
+    with: a :class:`~repro.causal.streaming.StreamingChecker` verifies
+    GSS-bounded windows during the run with bounded memory.
     """
     config = config or ClusterConfig.test_scale()
     workload = workload or DEFAULT_WORKLOAD
@@ -108,11 +107,12 @@ def run_realtime_experiment(protocol: str,
             f"duration_seconds ({duration}) must be greater than the "
             f"config's warmup_seconds ({config.warmup_seconds})")
 
-    enable_checker = enable_checker or check_consistency
+    if check_consistency and checker is None:
+        checker = StreamingChecker.offline()
     if transport == "tcp":
         cluster: Union[RealtimeCluster, ProcessCluster] = ProcessCluster(
-            protocol, config, workload, enable_checker=enable_checker,
-            checker=checker, workload_clients=True, trace=trace)
+            protocol, config, workload, checker=checker,
+            workload_clients=True, trace=trace)
 
         async def _run() -> None:
             # stop() also covers a start() that failed mid-handshake: the
@@ -127,7 +127,6 @@ def run_realtime_experiment(protocol: str,
                 raise failure
     else:
         cluster = RealtimeCluster(protocol, config, workload,
-                                  enable_checker=enable_checker,
                                   checker=checker, trace=trace)
 
         async def _run() -> None:
@@ -158,8 +157,8 @@ def run_realtime_experiment(protocol: str,
                           if assembler is not None else None))
 
     report: Optional[CheckerReport] = None
-    if cluster.checker is not None:
-        report = cluster.checker.check()
+    if hasattr(checker, "check"):
+        report = checker.check()
         if check_consistency:
             report.raise_if_violations()
     return RealtimeOutcome(result=result, cluster=cluster,

@@ -116,7 +116,8 @@ class WorkerSpec:
     role: WorkerRole
     control_host: str
     control_port: int
-    enable_checker: bool
+    #: Record the client nodes' operations and ship them to the parent.
+    record_history: bool
     #: Enable the repro.obs event bus in the worker.
     trace: bool = False
 
@@ -256,7 +257,7 @@ async def _worker_main(spec: WorkerSpec) -> None:
     role = spec.role
     transport = TcpTransport()
     observations = (ObservationBuffer()
-                    if spec.enable_checker and role.client_ids else None)
+                    if spec.record_history and role.client_ids else None)
     cluster = RealtimeCluster(
         spec.protocol, spec.config, spec.workload, checker=observations,
         workload_clients=False, transport=transport,
@@ -388,16 +389,15 @@ class ProcessCluster:
     (``clock`` / ``checker`` / ``metrics`` / ``add_client`` /
     ``first_failure`` / ``start`` / ``stop``), so
     :class:`repro.api.CausalStore` and the experiment runner drive either
-    interchangeably; ``enable_checker`` / ``checker`` mean what they mean
-    there and are handed to the parent-local view untouched.  Interactive
-    clients added via :meth:`add_client` live in the parent process and must
-    be added *before* :meth:`start` (the peer table is distributed once).  A
-    cluster serves one :meth:`run_workload`.
+    interchangeably; ``checker`` means what it means there and is handed
+    to the parent-local view untouched.  Interactive clients added via
+    :meth:`add_client` live in the parent process and must be added
+    *before* :meth:`start` (the peer table is distributed once).  A cluster
+    serves one :meth:`run_workload`.
     """
 
     def __init__(self, protocol: str, config: Optional[ClusterConfig] = None,
                  workload: Optional[WorkloadParameters] = None, *,
-                 enable_checker: bool = False,
                  checker: Optional[object] = None,
                  workload_clients: bool = True,
                  trace: bool = False) -> None:
@@ -421,9 +421,9 @@ class ProcessCluster:
         #: TcpTransport into the same mesh.  Its metrics/checker are the
         #: run-wide aggregation target.
         self.view = RealtimeCluster(
-            protocol, config, workload, enable_checker=enable_checker,
-            checker=checker, workload_clients=False,
-            transport=TcpTransport(), server_ids=(), trace=trace,
+            protocol, config, workload, checker=checker,
+            workload_clients=False, transport=TcpTransport(), server_ids=(),
+            trace=trace,
             trace_source="parent")
         self.clock, self.checker, self.metrics = (
             self.view.clock, self.view.checker, self.view.metrics)
@@ -616,7 +616,7 @@ class ProcessCluster:
                 protocol=self.protocol, config=self.config,
                 workload=self.workload, role=role,
                 control_host="127.0.0.1", control_port=control_port,
-                enable_checker=self.checker is not None,
+                record_history=self.checker is not None,
                 trace=self.trace_assembler is not None)
             process = context.Process(target=worker_entry, args=(spec,),
                                       daemon=True)

@@ -1,14 +1,28 @@
-"""Tests for the causal-consistency checker on hand-crafted histories."""
+"""The causal-consistency checker against an oracle that shares no code.
+
+Every verdict here is asked of two judges as two inputs of the same test:
+:class:`~repro.causal.streaming.StreamingChecker` and the naive spec-replay
+oracle in ``tests/causal_oracle.py``.  A verdict is the list of ROT ids a
+judge flags.  The histories are hand-crafted cases, recorded two-DC runs of
+all three protocols, and synthetic histories with one injected stale
+snapshot, read-your-writes or monotonic-read violation, placed inside
+windows and on their boundaries.
+"""
+
+import re
+from dataclasses import replace
 
 import pytest
 
-from repro.causal.checker import (
-    CausalConsistencyChecker,
-    RecordedPut,
-    RecordedRead,
-    RecordedRot,
-)
+from causal_oracle import oracle_flagged
+from repro.causal.checker import RecordedPut, RecordedRead, RecordedRot
+from repro.causal.streaming import ObservationBuffer, StreamingChecker
+from repro.causal.synth import SynthParameters, generate_history
+from repro.cluster.config import ClusterConfig
 from repro.errors import ConsistencyViolation
+from repro.harness.runner import run_experiment
+
+PROTOCOLS = ("contrarian", "cure", "cc-lo")
 
 
 def put(key, ts, client="writer", seq=1, deps=(), origin=0):
@@ -22,120 +36,165 @@ def rot(rot_id, reads, client="reader", seq=1):
                                    for k, ts, o in reads))
 
 
+def flagged(report) -> list[str]:
+    """The ROT ids a report names, each once, in report order."""
+    messages = report.snapshot_violations + report.session_violations
+    return list(dict.fromkeys(re.search(r"ROT (\S+?):? ", message).group(1)
+                              for message in messages))
+
+
+def checker_verdict(puts, rots, checker=None) -> list[str]:
+    checker = checker or StreamingChecker.offline()
+    checker.record_history(puts, rots)
+    return flagged(checker.check())
+
+
+JUDGES = {"checker": checker_verdict, "oracle": oracle_flagged}
+
+
+@pytest.fixture(params=sorted(JUDGES))
+def judge(request):
+    return JUDGES[request.param]
+
+
 class TestSnapshotChecking:
-    def test_empty_history_is_ok(self):
-        assert CausalConsistencyChecker().check().ok
+    def test_empty_history_is_ok(self, judge):
+        assert judge([], []) == []
 
-    def test_consistent_snapshot_passes(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("x", 1, seq=1))
-        checker.record_put(put("y", 2, seq=2, deps=[("x", 1, 0)]))
-        checker.record_rot(rot("t1", [("x", 1, 0), ("y", 2, 0)]))
-        assert checker.check().ok
+    def test_consistent_snapshot_passes(self, judge):
+        puts = [put("x", 1, seq=1), put("y", 2, seq=2, deps=[("x", 1, 0)])]
+        assert judge(puts, [rot("t1", [("x", 1, 0), ("y", 2, 0)])]) == []
 
-    def test_photo_album_anomaly_is_detected(self):
+    def test_photo_album_anomaly_is_detected(self, judge):
         """The paper's Alice/Bob anomaly: read old ACL with new photo list."""
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("acl", 1, client="alice", seq=1))
-        checker.record_put(put("acl", 2, client="alice", seq=2,
-                               deps=[("acl", 1, 0)]))
-        checker.record_put(put("photos", 3, client="alice", seq=3,
-                               deps=[("acl", 2, 0)]))
-        checker.record_rot(rot("bob-rot", [("acl", 1, 0), ("photos", 3, 0)],
-                               client="bob"))
-        report = checker.check()
-        assert not report.ok
-        assert len(report.snapshot_violations) == 1
-        with pytest.raises(ConsistencyViolation):
-            report.raise_if_violations()
+        puts = [put("acl", 1, client="alice", seq=1),
+                put("acl", 2, client="alice", seq=2, deps=[("acl", 1, 0)]),
+                put("photos", 3, client="alice", seq=3, deps=[("acl", 2, 0)])]
+        rots = [rot("bob-rot", [("acl", 1, 0), ("photos", 3, 0)],
+                    client="bob")]
+        assert judge(puts, rots) == ["bob-rot"]
 
-    def test_reading_both_old_versions_is_consistent(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("acl", 1, seq=1))
-        checker.record_put(put("acl", 2, seq=2, deps=[("acl", 1, 0)]))
-        checker.record_put(put("photos", 3, seq=3, deps=[("acl", 2, 0)]))
-        checker.record_rot(rot("t", [("acl", 1, 0), ("photos", None, 0)]))
+    def test_reading_both_old_versions_is_consistent(self, judge):
+        puts = [put("acl", 1, seq=1),
+                put("acl", 2, seq=2, deps=[("acl", 1, 0)]),
+                put("photos", 3, seq=3, deps=[("acl", 2, 0)])]
         # photos missing (never read a version that depends on the new acl).
-        assert checker.check().ok
+        assert judge(puts, [rot("t", [("acl", 1, 0), ("photos", None, 0)])]) \
+            == []
 
-    def test_transitive_dependency_violation_detected(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("x", 1, seq=1))
-        checker.record_put(put("x", 2, seq=2, deps=[("x", 1, 0)]))
-        checker.record_put(put("y", 5, seq=3, deps=[("x", 2, 0)]))
-        checker.record_put(put("z", 9, seq=4, deps=[("y", 5, 0)]))
-        checker.record_rot(rot("t", [("x", 1, 0), ("z", 9, 0)]))
-        assert not checker.check().ok
+    def test_transitive_dependency_violation_detected(self, judge):
+        puts = [put("x", 1, seq=1), put("x", 2, seq=2, deps=[("x", 1, 0)]),
+                put("y", 5, seq=3, deps=[("x", 2, 0)]),
+                put("z", 9, seq=4, deps=[("y", 5, 0)])]
+        assert judge(puts, [rot("t", [("x", 1, 0), ("z", 9, 0)])]) == ["t"]
 
-    def test_concurrent_versions_are_not_a_violation(self):
+    def test_concurrent_versions_are_not_a_violation(self, judge):
         """Cross-DC concurrent writes to the same key form a valid snapshot."""
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("x", 10, origin=0, client="c0", seq=1))
-        checker.record_put(put("x", 4, origin=1, client="c1", seq=1))
-        checker.record_put(put("y", 11, origin=0, client="c0", seq=2,
-                               deps=[("x", 10, 0)]))
+        puts = [put("x", 10, origin=0, client="c0", seq=1),
+                put("x", 4, origin=1, client="c1", seq=1),
+                put("y", 11, origin=0, client="c0", seq=2,
+                    deps=[("x", 10, 0)])]
         # Returned x is the DC1 version, concurrent with the DC0 dependency.
-        checker.record_rot(rot("t", [("x", 4, 1), ("y", 11, 0)]))
-        assert checker.check().ok
+        assert judge(puts, [rot("t", [("x", 4, 1), ("y", 11, 0)])]) == []
 
-    def test_stale_initial_version_is_a_violation(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("x", 7, seq=1))
-        checker.record_put(put("y", 8, seq=2, deps=[("x", 7, 0)]))
+    def test_stale_initial_version_is_a_violation(self, judge):
+        puts = [put("x", 7, seq=1), put("y", 8, seq=2, deps=[("x", 7, 0)])]
         # Returned the preloaded version of x (timestamp 0, never recorded).
-        checker.record_rot(rot("t", [("x", 0, 0), ("y", 8, 0)]))
-        assert not checker.check().ok
+        assert judge(puts, [rot("t", [("x", 0, 0), ("y", 8, 0)])]) == ["t"]
 
-    def test_reads_of_unrecorded_versions_are_ignored(self):
-        checker = CausalConsistencyChecker()
-        checker.record_rot(rot("t", [("x", 0, 0), ("y", 0, 0)]))
-        assert checker.check().ok
+    def test_reads_of_unrecorded_versions_are_ignored(self, judge):
+        assert judge([], [rot("t", [("x", 0, 0), ("y", 0, 0)])]) == []
 
-    def test_same_dc_timestamp_order_counts_as_causal(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("x", 1, seq=1, client="w1"))
-        checker.record_put(put("x", 2, seq=1, client="w2", deps=[("x", 1, 0)]))
-        checker.record_put(put("y", 3, seq=2, client="w2", deps=[("x", 2, 0)]))
-        checker.record_rot(rot("t", [("x", 1, 0), ("y", 3, 0)]))
-        assert not checker.check().ok
+    def test_same_dc_timestamp_order_counts_as_causal(self, judge):
+        puts = [put("x", 1, seq=1, client="w1"),
+                put("x", 2, seq=1, client="w2", deps=[("x", 1, 0)]),
+                put("y", 3, seq=2, client="w2", deps=[("x", 2, 0)])]
+        assert judge(puts, [rot("t", [("x", 1, 0), ("y", 3, 0)])]) == ["t"]
+
+    def test_concurrent_versions_from_one_origin_are_not_ordered(self, judge):
+        # y@2 and y@7 are unrelated writes stamped by one partition server;
+        # the snapshot is a cut in which y@2 was installed after y@7.
+        puts = [put("y", 2, client="w1", seq=1),
+                put("y", 7, client="w2", seq=1),
+                put("x", 8, client="w2", seq=2, deps=[("y", 7, 0)])]
+        assert judge(puts, [rot("t", [("x", 8, 0), ("y", 2, 0)])]) == []
+
+    def test_stale_read_below_a_concurrent_newer_dependency(self, judge,
+                                                           request):
+        # y@9 depends on k@2 (which superseded k@1) and on k@3, concurrent
+        # and from the same origin.  The frontier of y@9 keeps only the
+        # newest version per origin, k@3, and k@1 does not precede it.
+        if judge is checker_verdict:
+            request.applymarker(pytest.mark.xfail(
+                strict=True, reason="a frontier keeps one version per origin"))
+        puts = [put("k", 1, client="w1", seq=1),
+                put("k", 2, client="w1", seq=2, deps=[("k", 1, 0)]),
+                put("k", 3, client="w2", seq=1),
+                put("y", 9, client="w3", seq=1,
+                    deps=[("k", 2, 0), ("k", 3, 0)])]
+        assert judge(puts, [rot("t", [("y", 9, 0), ("k", 1, 0)])]) == ["t"]
 
 
 class TestSessionChecking:
-    def test_read_your_writes_violation(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("x", 1, client="c", seq=1))
-        checker.record_put(put("x", 5, client="c", seq=2, deps=[("x", 1, 0)]))
-        checker.record_rot(rot("t", [("x", 1, 0)], client="c", seq=3))
-        report = checker.check()
-        assert report.session_violations
+    def test_read_your_writes_violation(self, judge):
+        puts = [put("x", 1, client="c", seq=1),
+                put("x", 5, client="c", seq=2, deps=[("x", 1, 0)])]
+        assert judge(puts, [rot("t", [("x", 1, 0)], client="c", seq=3)]) \
+            == ["t"]
 
-    def test_monotonic_reads_violation(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("x", 1, client="w", seq=1))
-        checker.record_put(put("x", 2, client="w", seq=2, deps=[("x", 1, 0)]))
-        checker.record_rot(rot("t1", [("x", 2, 0)], client="c", seq=1))
-        checker.record_rot(rot("t2", [("x", 1, 0)], client="c", seq=2))
-        report = checker.check()
-        assert report.session_violations
+    def test_initial_version_after_a_remote_write_is_a_violation(self, judge):
+        puts = [put("x", 5, client="c", seq=1, origin=1)]
+        assert judge(puts, [rot("t", [("x", 0, 0)], client="c", seq=2)]) \
+            == ["t"]
 
-    def test_monotonic_reads_allow_progress(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("x", 1, client="w", seq=1))
-        checker.record_put(put("x", 2, client="w", seq=2, deps=[("x", 1, 0)]))
-        checker.record_rot(rot("t1", [("x", 1, 0)], client="c", seq=1))
-        checker.record_rot(rot("t2", [("x", 2, 0)], client="c", seq=2))
-        assert checker.check().ok
+    def test_monotonic_reads_violation(self, judge):
+        puts = [put("x", 1, client="w", seq=1),
+                put("x", 2, client="w", seq=2, deps=[("x", 1, 0)])]
+        rots = [rot("t1", [("x", 2, 0)], client="c", seq=1),
+                rot("t2", [("x", 1, 0)], client="c", seq=2)]
+        assert judge(puts, rots) == ["t2"]
 
-    def test_missing_value_after_write_is_violation(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("x", 3, client="c", seq=1))
-        checker.record_rot(rot("t", [("x", None, 0)], client="c", seq=2))
-        assert checker.check().session_violations
+    def test_monotonic_reads_allow_progress(self, judge):
+        puts = [put("x", 1, client="w", seq=1),
+                put("x", 2, client="w", seq=2, deps=[("x", 1, 0)])]
+        rots = [rot("t1", [("x", 1, 0)], client="c", seq=1),
+                rot("t2", [("x", 2, 0)], client="c", seq=2)]
+        assert judge(puts, rots) == []
+
+    def test_going_back_behind_a_concurrent_read(self, judge):
+        # x@7 from DC1 is concurrent with x@2 from DC0; reading it does not
+        # make x@1, which precedes x@2, readable again.
+        puts = [put("x", 1, client="w0", seq=1),
+                put("x", 2, client="w0", seq=2, deps=[("x", 1, 0)]),
+                put("x", 7, client="w1", seq=1, origin=1)]
+        rots = [rot("t1", [("x", 2, 0)], client="c", seq=1),
+                rot("t2", [("x", 7, 1)], client="c", seq=2),
+                rot("t3", [("x", 1, 0)], client="c", seq=3)]
+        assert judge(puts, rots) == ["t3"]
+
+    def test_missing_value_after_write_is_violation(self, judge):
+        puts = [put("x", 3, client="c", seq=1)]
+        assert judge(puts, [rot("t", [("x", None, 0)], client="c", seq=2)]) \
+            == ["t"]
+
+    def test_stale_read_below_a_transitive_dependency(self, judge, request):
+        # The client read z@5, which depends on x@4; x@2 is older than x@4
+        # and from the same origin.  The checker follows a session only
+        # through the keys it touched, not their causal pasts.
+        if judge is checker_verdict:
+            request.applymarker(pytest.mark.xfail(
+                strict=True, reason="sessions do not propagate frontiers"))
+        puts = [put("x", 2, client="w", seq=1),
+                put("x", 4, client="w", seq=2, deps=[("x", 2, 0)]),
+                put("z", 5, client="w", seq=3, deps=[("x", 4, 0)])]
+        rots = [rot("t1", [("z", 5, 0)], client="c", seq=1),
+                rot("t2", [("x", 2, 0)], client="c", seq=2)]
+        assert judge(puts, rots) == ["t2"]
 
 
 class TestReportAndBookkeeping:
     def test_counts_recorded_operations(self):
-        checker = CausalConsistencyChecker()
+        checker = StreamingChecker.offline()
         checker.record_history(
             puts=[put("x", 1, seq=1), put("y", 2, seq=2)],
             rots=[rot("t", [("x", 1, 0)])])
@@ -145,50 +204,134 @@ class TestReportAndBookkeeping:
         assert report.puts == 2
         assert report.rots == 1
 
-    def test_report_ok_flag(self):
-        checker = CausalConsistencyChecker()
+    def test_report_ok_flag_and_raise(self):
+        checker = StreamingChecker.offline()
         checker.record_put(put("x", 1))
         checker.record_rot(rot("t", [("x", 1, 0)]))
         report = checker.check()
         assert report.ok
         report.raise_if_violations()  # should not raise
+        checker.record_rot(rot("u", [("x", None, 0)], client="writer", seq=2))
+        with pytest.raises(ConsistencyViolation):
+            checker.check().raise_if_violations()
 
 
-class TestFrontierMemoization:
-    """The per-check frontier caches must not leak across record calls."""
+# ------------------------------------------------------ recorded histories
+def recorded_history(protocol):
+    """A short two-DC run over a tiny keyspace, so keys are contended."""
+    config = ClusterConfig.test_scale(num_dcs=2, clients_per_dc=2,
+                                      keys_per_partition=8,
+                                      duration_seconds=0.08,
+                                      warmup_seconds=0.02)
+    recorder = ObservationBuffer()
+    outcome = run_experiment(protocol, config, checker=recorder)
+    assert outcome.checker_report is None
+    return recorder.drain()
 
-    def test_check_twice_with_recording_in_between(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("y", 1, seq=1))
-        checker.record_put(put("x", 2, seq=2, deps=[("y", 1, 0)]))
-        first = checker.check()
-        assert first.ok
-        # The violating ROT arrives only after the first check has warmed
-        # the caches; a stale cache would miss the violation.
-        checker.record_rot(rot("t", [("x", 2, 0), ("y", 0, 0)]))
-        second = checker.check()
-        assert len(second.snapshot_violations) == 1
 
-    def test_late_put_extends_an_already_cached_frontier(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("x", 3, client="w", seq=1))
-        checker.record_rot(rot("t1", [("x", 3, 0)], client="rd", seq=1))
-        assert checker.check().ok
-        # x@4 depends on x@3; the reader then goes backwards to x@3.  The
-        # ancestor relation only exists once x@4 is recorded, so the caches
-        # warmed by the first check() must be refreshed.
-        checker.record_put(put("x", 4, client="w", seq=2,
-                               deps=[("x", 3, 0)]))
-        checker.record_rot(rot("t2", [("x", 4, 0)], client="rd", seq=2))
-        checker.record_rot(rot("t3", [("x", 3, 0)], client="rd", seq=3))
-        report = checker.check()
-        assert len(report.session_violations) == 1
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_checker_and_oracle_agree_on_recorded_runs(protocol):
+    puts, rots = recorded_history(protocol)
+    assert len(puts) > 50 and len(rots) > 50
+    verdict = oracle_flagged(puts, rots)
+    assert checker_verdict(puts, rots) == verdict
+    assert checker_verdict(puts, rots, StreamingChecker(window_ops=16)) \
+        == verdict
+    assert verdict == []
 
-    def test_repeated_checks_are_stable(self):
-        checker = CausalConsistencyChecker()
-        checker.record_put(put("y", 1, seq=1))
-        checker.record_put(put("x", 2, seq=2, deps=[("y", 1, 0)]))
-        checker.record_rot(rot("t", [("x", 2, 0), ("y", 0, 0)]))
-        first = checker.check()
-        second = checker.check()
-        assert first.snapshot_violations == second.snapshot_violations
+
+# ---------------------------------------------- injected synthetic histories
+WINDOW_OPS = 64
+
+
+def _ancestor(ops, version):
+    """The newest version of the key in ``version``'s recorded causal past,
+    else the preloaded one: a version that ``version`` supersedes."""
+    puts = {op.version_id: op for kind, op in ops if kind == "put"}
+    past, stack = set(), [version]
+    while stack:
+        for dep in getattr(puts.get(stack.pop()), "dependencies", ()):
+            if dep not in past:
+                past.add(dep)
+                stack.append(dep)
+    key, timestamp, origin = max(
+        (dep for dep in past if dep[0] == version[0] and dep[1]),
+        key=lambda dep: dep[1], default=(version[0], 0, 0))
+    return RecordedRead(key=key, timestamp=timestamp, origin_dc=origin)
+
+
+def _inserted(ops, at, rot_id, client, sequence, reads):
+    bad = RecordedRot(rot_id=rot_id, client=client, sequence=sequence,
+                      reads=tuple(reads))
+    return ops[:at] + [("rot", bad)] + ops[at:]
+
+
+def _latest(ops, at, accept):
+    return next(op for kind, op in reversed(ops[:at]) if accept(kind, op))
+
+
+def stale_snapshot(ops, at):
+    """A new client's ROT pairing a put with a version one of the put's
+    dependencies supersedes."""
+    base = _latest(ops, at, lambda kind, op: kind == "put" and any(
+        dep[0] != op.key and dep[1] for dep in op.dependencies))
+    dep = next(dep for dep in base.dependencies
+               if dep[0] != base.key and dep[1])
+    read = RecordedRead(key=base.key, timestamp=base.timestamp,
+                        origin_dc=base.origin_dc)
+    return _inserted(ops, at, "injected", "intruder", 1,
+                     (read, _ancestor(ops, dep)))
+
+
+def read_your_writes(ops, at):
+    """Right after a client's PUT, its ROT returns a version the PUT
+    supersedes."""
+    ops = [(kind, replace(op, sequence=2 * op.sequence)) for kind, op in ops]
+    base = _latest(ops, at, lambda kind, op: kind == "put")
+    return _inserted(ops, at, "injected", base.client, base.sequence + 1,
+                     (_ancestor(ops, base.version_id),))
+
+
+def monotonic_read(ops, at):
+    """Right after a client's ROT, another returns a version one it read
+    supersedes."""
+    ops = [(kind, replace(op, sequence=2 * op.sequence)) for kind, op in ops]
+    base = _latest(ops, at, lambda kind, op: kind == "rot" and any(
+        read.timestamp for read in op.reads))
+    seen = next(read for read in base.reads if read.timestamp)
+    return _inserted(ops, at, "injected", base.client, base.sequence + 1,
+                     (_ancestor(ops, seen.version_id),))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("at", [WINDOW_OPS - 1, WINDOW_OPS, 2 * WINDOW_OPS,
+                                150])
+@pytest.mark.parametrize("inject", [stale_snapshot, read_your_writes,
+                                    monotonic_read])
+def test_checker_and_oracle_agree_on_an_injected_violation(inject, at, seed):
+    """``at`` puts the injected ROT last in a window, first in the next,
+    first after a retirement and mid-window."""
+    assert_agreement(inject, at, seed)
+
+
+@pytest.mark.xfail(strict=True, reason="a frontier keeps one version per "
+                   "origin (test_stale_read_below_a_concurrent_newer_"
+                   "dependency)")
+def test_an_injected_violation_the_checker_misses():
+    # The put's past holds key-004@17 (superseding key-004@15) and the
+    # concurrent key-004@20, both from DC 1.
+    assert_agreement(stale_snapshot, 100, 11)
+
+
+def assert_agreement(inject, at, seed):
+    base = list(generate_history(
+        300, SynthParameters(seed=seed, clients=4, keys=8)))
+    ops = inject(base, at)
+    puts = [op for kind, op in ops if kind == "put"]
+    rots = [op for kind, op in ops if kind == "rot"]
+    windowed = StreamingChecker(window_ops=WINDOW_OPS)
+    for kind, op in ops:
+        (windowed.record_put if kind == "put" else windowed.record_rot)(op)
+    assert oracle_flagged(puts, rots) == ["injected"]
+    assert checker_verdict(puts, rots) == ["injected"]
+    assert flagged(windowed.check()) == ["injected"]

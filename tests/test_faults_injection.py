@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.faults import Scenario
@@ -235,7 +236,7 @@ class TestScenarioRuns:
     def test_partition_zero_violations(self, protocol):
         config = ClusterConfig.test_scale(**self.CONFIG)
         outcome = run_experiment(protocol, config, scenario=self.SCENARIO,
-                                 enable_checker=True)
+                                 checker=StreamingChecker.offline())
         report = outcome.checker_report
         assert report is not None
         assert report.ok, (report.snapshot_violations[:3],

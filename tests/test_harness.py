@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.harness.builder import build_cluster
 from repro.harness.figures import (
@@ -44,8 +45,9 @@ class TestBuilder:
 
     def test_checker_only_created_on_request(self):
         assert build_cluster("cure", tiny_config(), DEFAULT_WORKLOAD).checker is None
+        checker = StreamingChecker()
         assert build_cluster("cure", tiny_config(), DEFAULT_WORKLOAD,
-                             enable_checker=True).checker is not None
+                             checker=checker).checker is checker
 
     def test_stop_cancels_background_tasks(self):
         cluster = build_cluster("contrarian", tiny_config(), DEFAULT_WORKLOAD)

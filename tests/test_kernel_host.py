@@ -18,12 +18,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.api import CausalStore
-from repro.causal.checker import (
-    CausalConsistencyChecker,
-    RecordedPut,
-    RecordedRead,
-    RecordedRot,
-)
+from repro.causal.checker import RecordedPut, RecordedRead, RecordedRot
+from repro.causal.streaming import ObservationBuffer
 from repro.clocks.timesource import FixedClock
 from repro.cluster.config import ClusterConfig
 from repro.core.common.host import ClientHost, ServerHost
@@ -176,7 +172,7 @@ class TestClientHost:
         kernel = ScriptedKernel([Send(PEER, request)],
                                 [Complete("put", outcome)])
         clock = FixedClock(1.0)
-        checker = CausalConsistencyChecker()
+        checker = ObservationBuffer()
         client = FakeClient(kernel, clock, checker)
         operation = Operation("put", "k")
 
@@ -193,7 +189,7 @@ class TestClientHost:
         assert client.log[1] == ("completed", outcome, None, 1)
         assert client.outcome is outcome
         assert client.metrics.put_latencies.samples() == (0.25,)
-        assert checker.recorded_history() == ((RecordedPut(
+        assert checker.drain() == ((RecordedPut(
             key="k", timestamp=17, origin_dc=0, client="client-dc0-0",
             sequence=1, dependencies=(("j", 3, 0),)),), ())
 
@@ -201,12 +197,12 @@ class TestClientHost:
         outcome = RotOutcome("client-dc0-0#1", {
             "a": ReadResult("a", 4, 0, 8), "b": ReadResult("b", 6, 1, 8)})
         kernel = ScriptedKernel([], [Complete("rot", outcome)])
-        checker = CausalConsistencyChecker()
+        checker = ObservationBuffer()
         client = FakeClient(kernel, FixedClock(), checker)
         client.issue(Operation("rot", "a", "b"))
         client.dispatch(PEER, "reply", None)
         assert client.metrics.rots_issued == client.metrics.rots_completed == 1
-        assert checker.recorded_history() == ((), (RecordedRot(
+        assert checker.drain() == ((), (RecordedRot(
             rot_id="client-dc0-0#1", client="client-dc0-0", sequence=1,
             reads=(RecordedRead("a", 4, 0), RecordedRead("b", 6, 1))),))
 
@@ -237,10 +233,10 @@ class TestClientHost:
         client = FakeClient(kernel, FixedClock())
         client.metrics = metrics = MetricsRegistry()
         client.issue(Operation("put", "k"))
-        client.checker = checker = CausalConsistencyChecker()
+        client.checker = checker = ObservationBuffer()
         client.dispatch(PEER, "reply", None)
         assert metrics.puts_issued == metrics.puts_completed == 1
-        assert checker.recorded_puts == 1
+        assert checker.drain()[0] == (RecordedPut("k", 1, 0, "client-dc0-0", 1),)
 
 
 # --------------------------------------------------------------------------
@@ -322,12 +318,12 @@ def _observed(bus, checker, servers):
     counters = {server.node_id: (server.counters.messages_sent,
                                  server.counters.bytes_sent)
                 for server in servers}
-    return per_node, checker.recorded_history(), counters
+    return per_node, checker.drain(), counters
 
 
 def _run_on_sim(protocol, config):
     cluster = build_cluster(protocol, config, DEFAULT_WORKLOAD,
-                            enable_checker=True, trace=True)
+                            checker=ObservationBuffer(), trace=True)
     client = cluster.topology.clients[0]
     for operation in OPERATIONS:
         client.issue(operation)
@@ -340,7 +336,7 @@ def _run_on_sim(protocol, config):
 def _run_on_asyncio(protocol, config):
     async def main():
         cluster = RealtimeCluster(protocol, config, workload_clients=False,
-                                  enable_checker=True, trace=True)
+                                  checker=ObservationBuffer(), trace=True)
         client = cluster.add_client(0, 0)
         await cluster.start()
         try:

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.errors import RuntimeBackendError
 from repro.runtime.process import ProcessCluster, WorkerReady, WorkerRole
@@ -32,7 +33,8 @@ STOP_BOUND = 3.0
 
 
 def make_cluster() -> ProcessCluster:
-    return ProcessCluster("contrarian", CONFIG, WORKLOAD, enable_checker=True)
+    return ProcessCluster("contrarian", CONFIG, WORKLOAD,
+                          checker=StreamingChecker.offline())
 
 
 async def stop_and_check(cluster: ProcessCluster, control_port=None) -> None:

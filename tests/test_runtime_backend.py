@@ -93,7 +93,7 @@ class TestRealtimeWorkloads:
     def test_realtime_result_row_matches_run_result_schema(self):
         outcome = run_realtime_experiment(
             "contrarian", ClusterConfig.test_scale(warmup_seconds=0.05),
-            duration_seconds=0.3, enable_checker=False)
+            duration_seconds=0.3)
         payload = outcome.result.as_json_dict()
         from repro.metrics.collectors import RunResult
         round_tripped = RunResult.from_json_dict(payload)

@@ -33,6 +33,7 @@ import json
 
 import pytest
 
+from repro.causal.streaming import ObservationBuffer
 from repro.cluster.config import ClusterConfig
 from repro.faults.library import dc_partition
 from repro.harness.runner import run_experiment
@@ -77,10 +78,11 @@ GOLDEN = {
 def fingerprint(name: str) -> str:
     """SHA-256 over result row, event count and recorded history of a case."""
     protocol, overrides, scenario = CASES[name]
+    recorder = ObservationBuffer()
     outcome = run_experiment(
-        protocol, ClusterConfig.test_scale(**overrides), enable_checker=True,
+        protocol, ClusterConfig.test_scale(**overrides), checker=recorder,
         scenario=scenario() if scenario is not None else None)
-    puts, rots = outcome.cluster.checker.recorded_history()
+    puts, rots = recorder.drain()
     payload = {"result": outcome.result.as_json_dict(),
                "events_processed": outcome.cluster.sim.events_processed,
                "history": [repr(record) for record in (*puts, *rots)]}

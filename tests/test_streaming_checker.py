@@ -1,19 +1,23 @@
-"""Streaming GSS-windowed checker tests: equivalence, windows, streaming.
+"""Streaming checker mechanics: windows, streaming ingestion, re-entrancy.
 
-The core contract is **byte-identical reports**: on any history whose causal
-references stay inside the retirement horizon, the streaming checker must
-produce exactly the monolithic checker's :class:`CheckerReport` — same
-violation strings in the same order — at every window size, and whether
-the history arrives at once or as per-worker chunks.  The rest pins the
-windowing machinery (seal gate, force seal, retirement), the observation
-buffer, the wire round-trip of observation chunks, and the end-to-end TCP
-capture path, which is the same for both checkers.
+What the checker decides is tested against the spec-replay oracle in
+``tests/test_checker.py``.  The contract pinned here is that *how* a
+history reaches the checker does not change its verdict: on any history
+whose causal references stay inside the retirement horizon, a windowed
+checker produces exactly the report of the offline one
+(:meth:`StreamingChecker.offline`, one window that never retires) — same
+violation strings in the same order — at every window size, whether the
+history arrives at once, op by op or as per-worker chunks, and however
+often it is checked mid-run.  The rest pins the windowing machinery (seal
+gate, force seal, retirement), the observation buffer, the wire round-trip
+of observation chunks, and the end-to-end TCP capture path.
 """
+
+import sys
 
 import pytest
 
-from repro.causal.checker import (CausalConsistencyChecker, RecordedPut,
-                                  RecordedRead, RecordedRot)
+from repro.causal.checker import RecordedPut, RecordedRead, RecordedRot
 from repro.causal.streaming import (ObservationBuffer, StreamingChecker,
                                     iter_session_order)
 from repro.causal.synth import SynthParameters, materialize
@@ -37,26 +41,19 @@ def rot(rot_id, reads, client="reader", seq=1):
                                    for k, t, o in reads))
 
 
-def monolithic_report(puts, rots):
-    checker = CausalConsistencyChecker()
-    for p in puts:
-        checker.record_put(p)
-    for r in rots:
-        checker.record_rot(r)
+def report_of(puts, rots, checker=None):
+    checker = checker or StreamingChecker.offline()
+    checker.record_history(puts, rots)
     return checker.check()
 
 
-def streaming_report(puts, rots, **kwargs):
-    checker = StreamingChecker(**kwargs)
-    checker.record_history(puts, rots)
-    return checker.finish()
-
-
-def assert_reports_identical(mono, stream):
-    assert mono.puts == stream.puts
-    assert mono.rots == stream.rots
-    assert mono.snapshot_violations == stream.snapshot_violations
-    assert mono.session_violations == stream.session_violations
+def recorded_history(protocol):
+    config = ClusterConfig.test_scale(num_dcs=2, clients_per_dc=4,
+                                      duration_seconds=0.3,
+                                      warmup_seconds=0.05)
+    recorder = ObservationBuffer()
+    run_experiment(protocol, config, checker=recorder)
+    return recorder.drain()
 
 
 def snapshot_violation_history():
@@ -76,40 +73,51 @@ def session_violation_history():
     return puts, rots
 
 
-class TestEquivalenceOnProtocolHistories:
-    """Identical reports on real recorded histories from all protocols."""
+class TestWindowedEqualsOffline:
+    """Identical reports whatever the window size and ingestion path."""
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_two_dc_history_reports_are_identical(self, protocol):
-        config = ClusterConfig.test_scale(num_dcs=2, clients_per_dc=4,
-                                          duration_seconds=0.3,
-                                          warmup_seconds=0.05)
-        outcome = run_experiment(protocol, config, enable_checker=True)
-        puts, rots = outcome.cluster.checker.recorded_history()
+        puts, rots = recorded_history(protocol)
         assert puts and rots
-        mono = outcome.checker_report
+        offline = report_of(puts, rots)
+        assert offline.ok
         for window_ops in (16, 512):
-            stream = streaming_report(puts, rots, window_ops=window_ops)
-            assert_reports_identical(mono, stream)
+            assert report_of(puts, rots, StreamingChecker(
+                window_ops=window_ops)) == offline
 
     def test_synthetic_history_reports_are_identical(self):
         puts, rots = materialize(4000, SynthParameters(seed=99))
-        mono = monolithic_report(puts, rots)
-        assert mono.ok
+        offline = report_of(puts, rots)
+        assert offline.ok and offline.puts == len(puts)
         for window_ops in (1, 7, 256, 4096):
-            stream = streaming_report(puts, rots, window_ops=window_ops)
-            assert_reports_identical(mono, stream)
+            assert report_of(puts, rots, StreamingChecker(
+                window_ops=window_ops)) == offline
 
     def test_single_op_ingestion_matches_batch(self):
         puts, rots = materialize(1200, SynthParameters(seed=3))
-        mono = monolithic_report(puts, rots)
         checker = StreamingChecker(window_ops=64)
         for kind, op in iter_session_order(puts, rots):
             if kind == "put":
                 checker.record_put(op)
             else:
                 checker.record_rot(op)
-        assert_reports_identical(mono, checker.finish())
+        assert checker.check() == report_of(puts, rots)
+
+    def test_offline_is_one_window_that_never_fills(self):
+        checker = StreamingChecker.offline()
+        assert checker.window_ops == sys.maxsize
+        puts, rots = materialize(1000, SynthParameters(seed=8))
+        checker.record_history(puts[:300], rots[:300])
+        assert checker.windows_sealed == 0
+        checker.check()
+        assert checker.windows_sealed == 1
+        for start in range(300, 1000, 100):
+            checker.record_history(puts[start:start + 100],
+                                   rots[start:start + 100])
+            checker.check()
+        assert checker.versions_retired == 0
+        assert checker.live_versions == len(puts)
 
 
 class TestInjectedViolations:
@@ -117,38 +125,29 @@ class TestInjectedViolations:
 
     @pytest.mark.parametrize("make_history", [snapshot_violation_history,
                                               session_violation_history])
-    def test_violation_inside_one_window(self, make_history):
-        puts, rots = make_history()
-        mono = monolithic_report(puts, rots)
-        assert not mono.ok
-        stream = streaming_report(puts, rots, window_ops=4096)
-        assert_reports_identical(mono, stream)
-
-    @pytest.mark.parametrize("make_history", [snapshot_violation_history,
-                                              session_violation_history])
-    @pytest.mark.parametrize("window_ops", [1, 2, 3])
-    def test_violation_across_and_at_window_boundaries(self, make_history,
-                                                       window_ops):
+    @pytest.mark.parametrize("window_ops", [1, 2, 3, 4096])
+    def test_violation_inside_across_and_at_window_boundaries(
+            self, make_history, window_ops):
         # Three total ops with window sizes 1..3 put the offending ROT in
         # its own window, across a boundary, and flush at the boundary.
         puts, rots = make_history()
-        mono = monolithic_report(puts, rots)
-        assert not mono.ok
-        stream = streaming_report(puts, rots, window_ops=window_ops)
-        assert_reports_identical(mono, stream)
+        offline = report_of(puts, rots)
+        assert not offline.ok
+        assert report_of(puts, rots, StreamingChecker(
+            window_ops=window_ops)) == offline
 
-    def test_violations_surface_in_monolithic_order_across_windows(self):
+    def test_violations_surface_in_the_same_order_across_windows(self):
         base_puts, base_rots = materialize(600, SynthParameters(seed=41))
         vp, vr = snapshot_violation_history()
         sp, sr = session_violation_history()
         puts = base_puts + vp + sp
         rots = base_rots + vr + sr
-        mono = monolithic_report(puts, rots)
-        assert len(mono.snapshot_violations) == 1
-        assert len(mono.session_violations) == 1
+        offline = report_of(puts, rots)
+        assert len(offline.snapshot_violations) == 1
+        assert len(offline.session_violations) == 1
         for window_ops in (8, 128):
-            stream = streaming_report(puts, rots, window_ops=window_ops)
-            assert_reports_identical(mono, stream)
+            assert report_of(puts, rots, StreamingChecker(
+                window_ops=window_ops)) == offline
 
 
 class TestWindowMechanics:
@@ -192,7 +191,7 @@ class TestWindowMechanics:
         for start in range(0, len(puts), 200):
             checker.record_history(puts[start:start + 200], ())
         checker.record_history((), rots)
-        checker.finish()
+        checker.check()
         assert checker.versions_retired > 0
         assert checker.peak_live_versions < checker.recorded_puts
 
@@ -207,7 +206,7 @@ class TestWindowMechanics:
 
 class TestOneIngestionPath:
     """``record_history(puts, rots, source=)`` is how a worker's chunk
-    reaches either checker; what the verdict is must not depend on it."""
+    reaches the checker; what the verdict is must not depend on it."""
 
     @staticmethod
     def _worker_chunks(puts, rots, pieces=7):
@@ -222,17 +221,11 @@ class TestOneIngestionPath:
             yield ([op for kind, op in piece if kind == "put"],
                    [op for kind, op in piece if kind == "rot"])
 
-    @pytest.mark.parametrize("make_checker", [CausalConsistencyChecker,
-                                              StreamingChecker])
+    @pytest.mark.parametrize("window_ops", [64, sys.maxsize])
     def test_chunked_per_worker_ingestion_gives_the_same_report(
-            self, make_checker):
-        config = ClusterConfig.test_scale(num_dcs=2, clients_per_dc=4,
-                                          duration_seconds=0.3,
-                                          warmup_seconds=0.05)
-        outcome = run_experiment("contrarian", config, enable_checker=True)
-        puts, rots = outcome.cluster.checker.recorded_history()
-        at_once = make_checker()
-        at_once.record_history(puts, rots)
+            self, window_ops):
+        puts, rots = recorded_history("contrarian")
+        at_once = report_of(puts, rots)
 
         # One client worker per DC, as default_placement deploys them.
         clients = list(dict.fromkeys(op.client for op in (*puts, *rots)))
@@ -242,7 +235,7 @@ class TestOneIngestionPath:
                 [put for put in puts if put.client in hosted],
                 [rot for rot in rots if rot.client in hosted]))
             for number, hosted in enumerate(workers, start=4)]
-        chunked = make_checker()
+        chunked = StreamingChecker(window_ops=window_ops)
         chunks = 0
         for _ in range(7):
             for source, stream in streams:
@@ -250,30 +243,54 @@ class TestOneIngestionPath:
                 chunked.record_history(chunk_puts, chunk_rots, source=source)
                 chunks += 1
         assert chunks == 14
-        assert outcome.checker_report.rots > 0
-        assert at_once.check() == outcome.checker_report
-        assert chunked.check() == outcome.checker_report
+        assert at_once.ok and at_once.rots > 0
+        assert chunked.check() == at_once
 
 
-class TestReentrantFinish:
+class TestReentrantCheck:
     def test_midrun_check_then_more_operations(self):
         puts, rots = materialize(2000, SynthParameters(seed=17))
-        mono = monolithic_report(puts, rots)
         checker = StreamingChecker(window_ops=64)
         half_p, half_r = len(puts) // 2, len(rots) // 2
         checker.record_history(puts[:half_p], rots[:half_r])
-        mid = checker.finish()
+        mid = checker.check()
         assert mid.puts == half_p and mid.rots == half_r
         checker.record_history(puts[half_p:], rots[half_r:])
-        assert_reports_identical(mono, checker.finish())
+        assert checker.check() == report_of(puts, rots)
 
-    def test_finish_is_idempotent(self):
+    def test_check_is_idempotent(self):
         puts, rots = materialize(500, SynthParameters(seed=2))
         checker = StreamingChecker(window_ops=32)
         checker.record_history(puts, rots)
-        first = checker.finish()
-        second = checker.finish()
-        assert_reports_identical(first, second)
+        assert checker.check() == checker.check()
+
+    def test_midrun_checks_do_not_retire_what_a_session_still_needs(self):
+        """A partial window a mid-run check seals does not count toward
+        ``retire_lag``: x@2 (DC 0), whose past holds x@1 (DC 1), must stay
+        live however often the history is checked, or the reader going
+        back to x@1 is not seen."""
+        checker = StreamingChecker()
+        checker.record_put(put("x", 1, client="w1", seq=1, origin=1))
+        checker.record_put(put("x", 2, client="w0", seq=1,
+                               deps=[("x", 1, 1)]))
+        for seq in range(1, 5):
+            checker.record_rot(rot(f"r{seq}", [("x", 2, 0)], client="r",
+                                   seq=seq))
+            assert checker.check().ok
+        checker.record_rot(rot("r9", [("x", 1, 1)], client="r", seq=9))
+        assert checker.check().session_violations == [
+            "client r: ROT r9 read x@1 after having observed 2 "
+            "(origin DC 0)"]
+        assert checker.versions_retired == 0
+
+    def test_full_windows_still_retire_after_midrun_checks(self):
+        puts, rots = materialize(3000, SynthParameters(seed=21))
+        checker = StreamingChecker(window_ops=100, retire_lag=1)
+        for start in range(0, len(puts), 50):
+            checker.record_history(puts[start:start + 50], ())
+            checker.check()
+        assert checker.versions_retired > 0
+        assert checker.peak_live_versions <= 300
 
 
 class TestConvergence:
@@ -286,7 +303,7 @@ class TestConvergence:
                 rot("r2", [("k", 6, 1)], client="cb", seq=1)]
         checker = StreamingChecker(check_convergence=True)
         checker.record_history(puts, rots)
-        report = checker.finish()
+        report = checker.check()
         assert len(report.convergence_violations) == 1
         assert "divergent final reads" in report.convergence_violations[0]
         assert not report.ok
@@ -299,14 +316,25 @@ class TestConvergence:
                 rot("r2", [("k", 6, 1)], client="cb", seq=1)]
         checker = StreamingChecker(check_convergence=True)
         checker.record_history(puts, rots)
-        assert checker.finish().convergence_violations == []
+        assert checker.check().convergence_violations == []
+
+    def test_same_origin_finals_are_not_divergence(self):
+        # k@5 and k@6 are unrelated writes stamped by one server in DC 0:
+        # the client that last read k@5 is merely behind.
+        puts = [put("k", 5, client="w0", seq=1),
+                put("k", 6, client="w1", seq=1)]
+        rots = [rot("r1", [("k", 5, 0)], client="ca", seq=1),
+                rot("r2", [("k", 6, 0)], client="cb", seq=1)]
+        checker = StreamingChecker(check_convergence=True)
+        checker.record_history(puts, rots)
+        assert checker.check().convergence_violations == []
 
     def test_convergence_is_off_by_default(self):
         puts = [put("k", 5, client="w0", seq=1, origin=0),
                 put("k", 6, client="w1", seq=1, origin=1)]
         rots = [rot("r1", [("k", 5, 0)], client="ca", seq=1),
                 rot("r2", [("k", 6, 1)], client="cb", seq=1)]
-        report = streaming_report(puts, rots)
+        report = report_of(puts, rots)
         assert report.convergence_violations == []
         assert report.ok
 
@@ -339,13 +367,18 @@ class TestObservationWire:
 
 
 class TestRuntimeSelection:
-    def test_a_checker_is_an_instance_and_needs_the_realtime_backend(self):
+    def test_a_checker_is_an_instance_on_either_backend(self):
         from repro.api import CausalStore
-        with pytest.raises(ConfigurationError, match="realtime"):
-            CausalStore(backend="sim", checker=StreamingChecker())
+        checker = StreamingChecker(window_ops=2)
+        with CausalStore(checker=checker) as store:
+            store.put("x")
+            store.rot(["x"])
+            assert store.check().ok
+        assert checker.recorded_puts == 1 and checker.recorded_rots == 1
         # The name a checker used to be selected by is not a recorder.
-        with pytest.raises(ConfigurationError, match="record_put"):
-            CausalStore(backend="realtime", checker="streaming")
+        for backend in ("sim", "realtime"):
+            with pytest.raises(ConfigurationError, match="record_put"):
+                CausalStore(backend=backend, checker="streaming")
 
     def test_experiment_rejects_what_is_not_a_recorder(self):
         from repro.runtime.experiment import run_realtime_experiment
@@ -358,7 +391,7 @@ class TestRuntimeSelection:
 @pytest.mark.slow
 class TestStreamingOverTcp:
     @pytest.mark.parametrize("make_checker", [lambda: None, StreamingChecker],
-                             ids=["default-monolithic", "streaming"])
+                             ids=["default-offline", "streaming"])
     def test_workers_stream_chunks_and_the_run_is_clean(self, make_checker):
         from repro.runtime.experiment import run_realtime_experiment
         from repro.workload.parameters import WorkloadParameters
@@ -372,9 +405,9 @@ class TestStreamingOverTcp:
             check_consistency=True, checker=checker)
         cluster = outcome.cluster
         assert cluster.chunks_ingested > 0
-        assert isinstance(cluster.checker, CausalConsistencyChecker
-                          if checker is None else StreamingChecker)
-        assert checker is None or cluster.checker is checker
+        assert isinstance(cluster.checker, StreamingChecker)
+        assert (cluster.checker.window_ops == sys.maxsize if checker is None
+                else cluster.checker is checker)
         report = outcome.checker_report
         assert report.ok
         assert report.puts > 0 and report.rots > 0
