@@ -26,13 +26,13 @@ lossy trace pipeline the same way it catches a failing sweep.
 default full-protocol 3-point sweep; ``--scenario`` executes a canned fault
 scenario (see ``repro.faults.library``) inside every run, in which case the
 JSON rows carry per-phase slices.  ``--backend realtime`` serves the same
-sweep from the asyncio backend (real wall-clock runs, each validated by a
-windowed :class:`~repro.causal.streaming.StreamingChecker` — the run *fails*
-on any consistency violation), so ``BENCH``
-artifacts can compare the two backends point by point.  ``--transport tcp``
-(realtime only) additionally spawns every partition server in its own OS
-process and serves the sweep over wire-encoded TCP frames — the CI
-``tcp-smoke`` job records that as ``BENCH_tcp.json``.
+sweep from the asyncio backend (real wall-clock runs, each validated by
+the causal checker — whole-history in process, windowed as observation
+chunks arrive over TCP; the run *fails* on any consistency violation), so
+``BENCH`` artifacts can compare the two backends point by point.
+``--transport tcp`` (realtime only) additionally spawns every partition
+server in its own OS process and serves the sweep over wire-encoded TCP
+frames — the CI ``tcp-smoke`` job records that as ``BENCH_tcp.json``.
 
 The default configuration is deliberately small (test-scale cluster, short
 runs): the goal is a stable, minutes-not-hours signal, not a full
@@ -104,7 +104,8 @@ def run_smoke(workers: int | None = None,
                       duration_seconds=REALTIME_POINT_SECONDS,
                       transport=transport,
                       check_consistency=True,
-                      checker=StreamingChecker(),
+                      checker=(StreamingChecker() if transport == "tcp"
+                               else None),
                       label=f"smoke-realtime[{transport}]").result
                   for count in clients]
                   for protocol in protocols}

@@ -91,19 +91,35 @@ class _FrontierIndex:
     The frontier of a version is the newest timestamp per ``(key,
     origin_dc)`` in its causal past, built bottom-up so long dependency
     chains (the norm with closed-loop clients) are expanded only once.  A
-    frontier is a pure function of the version's (immutable) dependency
-    closure, so cached entries stay valid across window seals; retirement
-    :meth:`evict`\\ s them so cache memory tracks the live set.
+    frontier is built from the puts ingested so far, so it is cached only
+    for a version whose put has arrived, and a walk notes every dependency
+    whose put it did not find.  When a noted put arrives after all, the
+    frontiers built without it lack its past: :meth:`arrived` drops the
+    cache.  Retirement :meth:`retire`\\ s frontiers with their versions, so
+    cache memory tracks the live set.  A retired version is missing for
+    good, so a note is forgotten at the second retirement after it was
+    made: a put that arrives later than that is treated like a
+    never-recorded one (the horizon assumption of the module docstring).
     """
 
-    __slots__ = ("_puts", "_cache")
+    __slots__ = ("_puts", "_cache", "_missing", "_missing_before")
 
     def __init__(self, puts: dict[VersionId, RecordedPut]) -> None:
         self._puts = puts
         self._cache: dict[VersionId, dict[tuple[str, int], int]] = {}
+        self._missing: set[VersionId] = set()
+        self._missing_before: set[VersionId] = set()
 
-    def evict(self, version_id: VersionId) -> None:
-        self._cache.pop(version_id, None)
+    def arrived(self, version_id: VersionId) -> None:
+        if version_id in self._missing or version_id in self._missing_before:
+            self._cache.clear()
+            self._missing.clear()
+            self._missing_before.clear()
+
+    def retire(self, version_ids: list[VersionId]) -> None:
+        for version_id in version_ids:
+            self._cache.pop(version_id, None)
+        self._missing_before, self._missing = self._missing, set()
 
     def causal_past(self, version_id: VersionId) -> dict[tuple[str, int], int]:
         cached = self._cache.get(version_id)
@@ -111,7 +127,6 @@ class _FrontierIndex:
             return cached
         start = self._puts.get(version_id)
         if start is None:
-            self._cache[version_id] = {}
             return {}
         stack: list[tuple[RecordedPut, bool]] = [(start, False)]
         in_progress: set[VersionId] = set()
@@ -119,8 +134,13 @@ class _FrontierIndex:
             current, expanded = stack.pop()
             if current.version_id in self._cache:
                 continue
-            dep_puts = [self._puts[dep] for dep in current.dependencies
-                        if dep in self._puts]
+            dep_puts = []
+            for dep in current.dependencies:
+                dep_put = self._puts.get(dep)
+                if dep_put is None:
+                    self._missing.add(dep)
+                else:
+                    dep_puts.append(dep_put)
             if not expanded:
                 in_progress.add(current.version_id)
                 stack.append((current, True))
@@ -352,6 +372,7 @@ class StreamingChecker:
     def _ingest_put(self, put: RecordedPut, source: str) -> None:
         if put.version_id not in self._live_puts:
             self._distinct_puts += 1
+            self._index.arrived(put.version_id)
         self._live_puts[put.version_id] = put
         if len(self._live_puts) > self.peak_live_versions:
             self.peak_live_versions = len(self._live_puts)
@@ -406,13 +427,11 @@ class StreamingChecker:
         retires with it, so mid-run checks move no window boundary."""
         index = self._next_window
         self.windows_sealed += 1
-        origins = sorted({origin for progress in self._progress.values()
-                          for origin in progress})
         rots = 0
         for kind, op in ops:
             if kind == "rot":
                 rots += 1
-                self._check_snapshot(op, origins)
+                self._check_snapshot(op)
             self._session_step(kind, op)
         if self.tracer is not None:
             self.tracer.emit(
@@ -426,44 +445,45 @@ class StreamingChecker:
             self._retire_through(index - self.retire_lag)
 
     def _retire_through(self, horizon: int) -> None:
+        retiring: list[VersionId] = []
         while self._sealed_members and self._sealed_members[0][0] <= horizon:
             index, members = self._sealed_members.popleft()
             retired = 0
             for version_id in members:
                 if self._live_puts.pop(version_id, None) is not None:
                     retired += 1
-                self._index.evict(version_id)
+            retiring.extend(members)
             self.versions_retired += retired
             if self.tracer is not None:
                 self.tracer.emit(
                     CHECKER_NODE, WINDOW_RETIRE, name=f"window-{index}",
                     data=(("versions", retired),
                           ("live", len(self._live_puts))))
+        if retiring:
+            self._index.retire(retiring)
 
     # -------------------------------------------------------------- snapshots
-    def _check_snapshot(self, rot: RecordedRot, origins: list[int]) -> None:
-        """Every pair of reads, over every origin DC ingestion has named:
-        a frontier holds all keys, a ROT reads a few of them."""
+    def _check_snapshot(self, rot: RecordedRot) -> None:
+        """No version a ROT returns may precede the newest version of its
+        key, per origin, in the past of another version it returns."""
+        returned = {read.key: read for read in rot.reads}
         for read in rot.reads:
             if read.version_id not in self._live_puts:
                 # No recorded put (preloaded, missing or retired): no past.
                 continue
             past = self._index.causal_past(read.version_id)
-            for other in rot.reads:
-                if other.key == read.key:
+            for (dep_key, dep_origin), dep_ts in past.items():
+                other = returned.get(dep_key)
+                if other is None or dep_key == read.key:
                     continue
-                for origin in origins:
-                    dep_ts = past.get((other.key, origin))
-                    if dep_ts is None:
-                        continue
-                    required: VersionId = (other.key, dep_ts, origin)
-                    if other.timestamp is None or self._index.precedes(
-                            other.version_id, required):
-                        self._snapshot_violations.append(
-                            f"ROT {rot.rot_id}: returned {other.key}@"
-                            f"{other.timestamp} but "
-                            f"{read.key}@{read.timestamp} causally depends "
-                            f"on {other.key}@{dep_ts} (origin DC {origin})")
+                required: VersionId = (dep_key, dep_ts, dep_origin)
+                if other.timestamp is None or self._index.precedes(
+                        other.version_id, required):
+                    self._snapshot_violations.append(
+                        f"ROT {rot.rot_id}: returned {dep_key}@"
+                        f"{other.timestamp} but "
+                        f"{read.key}@{read.timestamp} causally depends "
+                        f"on {dep_key}@{dep_ts} (origin DC {dep_origin})")
 
     # --------------------------------------------------------------- sessions
     def _session_step(self, kind: str, op) -> None:

@@ -66,13 +66,7 @@ class TestSnapshotChecking:
         assert judge(puts, [rot("t1", [("x", 1, 0), ("y", 2, 0)])]) == []
 
     def test_photo_album_anomaly_is_detected(self, judge):
-        """The paper's Alice/Bob anomaly: read old ACL with new photo list."""
-        puts = [put("acl", 1, client="alice", seq=1),
-                put("acl", 2, client="alice", seq=2, deps=[("acl", 1, 0)]),
-                put("photos", 3, client="alice", seq=3, deps=[("acl", 2, 0)])]
-        rots = [rot("bob-rot", [("acl", 1, 0), ("photos", 3, 0)],
-                    client="bob")]
-        assert judge(puts, rots) == ["bob-rot"]
+        assert judge(*photo_album_history()) == ["bob-rot"]
 
     def test_reading_both_old_versions_is_consistent(self, judge):
         puts = [put("acl", 1, seq=1),
@@ -192,9 +186,18 @@ class TestSessionChecking:
         assert judge(puts, rots) == ["t2"]
 
 
+CHECKERS = {"offline": StreamingChecker.offline,
+            "windowed": lambda: StreamingChecker(window_ops=2)}
+
+
+@pytest.fixture(params=sorted(CHECKERS))
+def make_checker(request):
+    return CHECKERS[request.param]
+
+
 class TestReportAndBookkeeping:
-    def test_counts_recorded_operations(self):
-        checker = StreamingChecker.offline()
+    def test_counts_recorded_operations(self, make_checker):
+        checker = make_checker()
         checker.record_history(
             puts=[put("x", 1, seq=1), put("y", 2, seq=2)],
             rots=[rot("t", [("x", 1, 0)])])
@@ -204,8 +207,8 @@ class TestReportAndBookkeeping:
         assert report.puts == 2
         assert report.rots == 1
 
-    def test_report_ok_flag_and_raise(self):
-        checker = StreamingChecker.offline()
+    def test_report_ok_flag_and_raise(self, make_checker):
+        checker = make_checker()
         checker.record_put(put("x", 1))
         checker.record_rot(rot("t", [("x", 1, 0)]))
         report = checker.check()
@@ -214,6 +217,108 @@ class TestReportAndBookkeeping:
         checker.record_rot(rot("u", [("x", None, 0)], client="writer", seq=2))
         with pytest.raises(ConsistencyViolation):
             checker.check().raise_if_violations()
+
+    def test_photo_album_anomaly_is_one_snapshot_violation(self,
+                                                           make_checker):
+        checker = make_checker()
+        checker.record_history(*photo_album_history())
+        report = checker.check()
+        assert len(report.snapshot_violations) == 1
+        assert report.session_violations == []
+        with pytest.raises(ConsistencyViolation):
+            report.raise_if_violations()
+
+
+class TestFrontierMemoization:
+    """What a check() caches must not hide what is recorded after it."""
+
+    def test_check_twice_with_recording_in_between(self, make_checker):
+        checker = make_checker()
+        checker.record_put(put("y", 1, seq=1))
+        checker.record_put(put("x", 2, seq=2, deps=[("y", 1, 0)]))
+        assert checker.check().ok
+        # The violating ROT arrives only after the first check has warmed
+        # the caches; a stale cache would miss the violation.
+        checker.record_rot(rot("t", [("x", 2, 0), ("y", 0, 0)]))
+        assert len(checker.check().snapshot_violations) == 1
+
+    def test_late_put_extends_an_already_cached_frontier(self, make_checker):
+        checker = make_checker()
+        checker.record_put(put("x", 3, client="w", seq=1))
+        checker.record_rot(rot("t1", [("x", 3, 0)], client="rd", seq=1))
+        assert checker.check().ok
+        # x@4 depends on x@3; the reader then goes backwards to x@3.  The
+        # ancestor relation only exists once x@4 is recorded.
+        checker.record_put(put("x", 4, client="w", seq=2,
+                               deps=[("x", 3, 0)]))
+        checker.record_rot(rot("t2", [("x", 4, 0)], client="rd", seq=2))
+        checker.record_rot(rot("t3", [("x", 3, 0)], client="rd", seq=3))
+        assert len(checker.check().session_violations) == 1
+
+    def test_repeated_checks_are_stable(self, make_checker):
+        checker = make_checker()
+        checker.record_put(put("y", 1, seq=1))
+        checker.record_put(put("x", 2, seq=2, deps=[("y", 1, 0)]))
+        checker.record_rot(rot("t", [("x", 2, 0), ("y", 0, 0)]))
+        first = checker.check()
+        assert first.snapshot_violations
+        assert checker.check().snapshot_violations \
+            == first.snapshot_violations
+
+    @pytest.mark.parametrize("history", ["read_before_put", "deep"])
+    def test_a_put_recorded_after_a_check_that_needed_it(self, make_checker,
+                                                          history):
+        """A check() asks for the past of a version whose put has not been
+        recorded yet; the put arrives after it and gives a later ROT the
+        ancestry it is judged by."""
+        before, after = LATE_PUT_HISTORIES[history]
+        checker = make_checker()
+        for op in before:
+            (checker.record_put if isinstance(op, RecordedPut)
+             else checker.record_rot)(op)
+        assert checker.check().ok
+        for op in after:
+            (checker.record_put if isinstance(op, RecordedPut)
+             else checker.record_rot)(op)
+        ops = before + after
+        assert oracle_flagged(
+            [op for op in ops if isinstance(op, RecordedPut)],
+            [op for op in ops if isinstance(op, RecordedRot)]) == ["d1"]
+        assert flagged(checker.check()) == ["d1"]
+
+
+def photo_album_history():
+    """The paper's Alice/Bob anomaly: Bob reads the old ACL with the new
+    photo list."""
+    puts = [put("acl", 1, client="alice", seq=1),
+            put("acl", 2, client="alice", seq=2, deps=[("acl", 1, 0)]),
+            put("photos", 3, client="alice", seq=3, deps=[("acl", 2, 0)])]
+    rots = [rot("bob-rot", [("acl", 1, 0), ("photos", 3, 0)], client="bob")]
+    return puts, rots
+
+
+#: ``(recorded before a check(), recorded after it)``; in both, ROT d1
+#: pairs y@6 with a version y@6's past supersedes.
+LATE_PUT_HISTORIES = {
+    # Client c reads x@5 before its put is recorded, so the check asks for
+    # the past of a version it has no put for.
+    "read_before_put": (
+        [put("x", 3, client="w", seq=1),
+         rot("c1", [("x", 3, 0)], client="c", seq=1),
+         rot("c2", [("x", 5, 0)], client="c", seq=2)],
+        [put("x", 5, client="w", seq=2, deps=[("x", 3, 0)]),
+         put("y", 6, client="w", seq=3, deps=[("x", 5, 0)]),
+         rot("d1", [("y", 6, 0), ("x", 3, 0)], client="d", seq=1)]),
+    # y@6 is recorded before x@5, one of its dependencies, so the check
+    # builds y@6's frontier without x@5's past (z@2).
+    "deep": (
+        [put("z", 1, client="w1", seq=1),
+         put("z", 2, client="w1", seq=2, deps=[("z", 1, 0)]),
+         put("y", 4, client="w2", seq=1),
+         put("y", 6, client="w2", seq=2, deps=[("y", 4, 0), ("x", 5, 0)])],
+        [put("x", 5, client="w3", seq=1, deps=[("z", 2, 0)]),
+         rot("d1", [("y", 6, 0), ("z", 1, 0)], client="d", seq=1)]),
+}
 
 
 # ------------------------------------------------------ recorded histories
