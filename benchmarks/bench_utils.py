@@ -29,8 +29,9 @@ def dump_results(name, text):
     Benchmarks print their series, but pytest captures stdout unless ``-s`` is
     given; writing the same text under ``benchmarks/results/`` keeps a copy of
     the regenerated evaluation for EXPERIMENTS.md regardless of capture mode.
-    The ``results/`` directory is not checked in, so it is (re)created before
-    every write.
+    The ``results/*.txt`` files are checked in: a run whose figures differ
+    from the committed ones shows up as a diff.  The directory is created
+    before the write in case a checkout lacks it.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w", encoding="utf-8") as handle:

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """CI smoke benchmark: one short load sweep per protocol, as JSON.
 
-Runs a client sweep for the selected protocols through the process-pool
-experiment runner and writes ``BENCH_smoke.json`` containing the measured
-series plus the wall-clock the whole grid took.  CI uploads the file as an
+Runs a client sweep for the selected protocols through the one experiment
+executor (``repro.harness.parallel.run_series``) and writes
+``BENCH_smoke.json`` containing the measured series plus the wall-clock the
+whole grid took.  CI uploads the file as an
 artifact on every run, so the performance trajectory of the simulator (and of
-the parallel runner itself) is tracked from PR to PR.
+the executor itself) is tracked from PR to PR.
 
 Usage::
 
@@ -55,7 +56,7 @@ from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.core.registry import implemented_protocols
 from repro.faults.library import SCENARIOS, get_scenario
-from repro.harness.parallel import resolve_worker_count, run_grid
+from repro.harness.parallel import resolve_worker_count, run_series, sweep_specs
 from repro.harness.runner import run_experiment
 from repro.obs.export import write_chrome_trace
 from repro.runtime.experiment import run_realtime_experiment
@@ -110,9 +111,12 @@ def run_smoke(workers: int | None = None,
                   for count in clients]
                   for protocol in protocols}
     else:
-        series = run_grid(protocols, clients, config=config,
-                          scenario=None if scenario.is_empty else scenario,
-                          label="smoke", max_workers=workers)
+        series = run_series({
+            protocol: sweep_specs(
+                protocol, clients, config,
+                scenario=None if scenario.is_empty else scenario,
+                label="smoke")
+            for protocol in protocols}, max_workers=workers)
     wall_clock = time.perf_counter() - started
     return {
         "benchmark": "smoke",

@@ -10,23 +10,20 @@
   cost of the stabilization protocol is marginal.
 """
 
-from repro.harness.figures import single_point
+from repro.harness.ablations import (
+    cclo_gc_ablation,
+    stabilization_interval_ablation,
+)
 
 from bench_utils import run_once
 
 
 def test_ablation_cclo_gc_window_and_compression(benchmark, bench_config):
     def measure():
-        return {
-            "gc=500ms, 1-id/client": single_point(
-                "cc-lo", clients=32, config=bench_config),
-            "gc=5000ms, 1-id/client": single_point(
-                "cc-lo", clients=32, config=bench_config,
-                cclo_gc_window_ms=5000.0),
-            "gc=500ms, no compression": single_point(
-                "cc-lo", clients=32, config=bench_config,
-                cclo_one_id_per_client=False),
-        }
+        results = cclo_gc_ablation(32, bench_config)
+        return {"gc=500ms, 1-id/client": results["optimized"],
+                "gc=5000ms, 1-id/client": results["long-gc"],
+                "gc=500ms, no compression": results["no-compression"]}
 
     results = run_once(benchmark, measure)
     for label, result in results.items():
@@ -51,12 +48,8 @@ def test_ablation_cclo_gc_window_and_compression(benchmark, bench_config):
 
 def test_ablation_stabilization_interval(benchmark, bench_config):
     def measure():
-        return {
-            "5ms": single_point("contrarian", clients=16, config=bench_config,
-                                stabilization_interval_ms=5.0),
-            "50ms": single_point("contrarian", clients=16, config=bench_config,
-                                 stabilization_interval_ms=50.0),
-        }
+        results = stabilization_interval_ablation(16, (5.0, 50.0), bench_config)
+        return {f"{interval:g}ms": result for interval, result in results.items()}
 
     results = run_once(benchmark, measure)
     for label, result in results.items():

@@ -8,44 +8,30 @@
   physical clocks make reads block on clock skew, which is Cure's handicap.
 """
 
-from repro.harness.figures import single_point
-from repro.harness.runner import load_sweep
+from repro.harness.ablations import clock_mode_ablation, rot_rounds_ablation
 from repro.harness.report import latency_at_lowest_load, peak_throughput
 
 from bench_utils import BENCH_SWEEP, run_once
 
 
 def test_ablation_rot_rounds(benchmark, bench_config):
-    def sweep():
-        return {
-            "1.5 rounds": load_sweep("contrarian", BENCH_SWEEP,
-                                     bench_config.with_changes(rot_rounds=1.5)),
-            "2 rounds": load_sweep("contrarian", BENCH_SWEEP,
-                                   bench_config.with_changes(rot_rounds=2.0)),
-        }
-
-    series = run_once(benchmark, sweep)
-    low_15 = latency_at_lowest_load(series["1.5 rounds"])
-    low_2 = latency_at_lowest_load(series["2 rounds"])
+    series = run_once(benchmark, rot_rounds_ablation, BENCH_SWEEP, bench_config)
+    low_15 = latency_at_lowest_load(series["1.5-rounds"])
+    low_2 = latency_at_lowest_load(series["2-rounds"])
     print(f"\nlow-load ROT latency: 1.5 rounds={low_15:.3f} ms, 2 rounds={low_2:.3f} ms")
-    print(f"peak throughput: 1.5 rounds={peak_throughput(series['1.5 rounds']):.1f} "
-          f"Kops/s, 2 rounds={peak_throughput(series['2 rounds']):.1f} Kops/s")
+    print(f"peak throughput: 1.5 rounds={peak_throughput(series['1.5-rounds']):.1f} "
+          f"Kops/s, 2 rounds={peak_throughput(series['2-rounds']):.1f} Kops/s")
     # The extra half round costs one network hop at low load.
     assert low_15 < low_2
     # Peak throughputs stay within a modest factor of each other (the paper
     # reports ~8% in favour of 2 rounds; the direction can fluctuate at bench
     # scale, so only closeness is asserted).
-    ratio = peak_throughput(series["2 rounds"]) / peak_throughput(series["1.5 rounds"])
+    ratio = peak_throughput(series["2-rounds"]) / peak_throughput(series["1.5-rounds"])
     assert 0.75 < ratio < 1.35
 
 
 def test_ablation_clock_modes(benchmark, bench_config):
-    def measure():
-        return {mode: single_point("contrarian", clients=16, config=bench_config,
-                                   clock_mode=mode)
-                for mode in ("hlc", "logical", "physical")}
-
-    results = run_once(benchmark, measure)
+    results = run_once(benchmark, clock_mode_ablation, 16, bench_config)
     for mode, result in results.items():
         print(f"\nclock={mode}: rot={result.rot_mean_ms:.3f} ms, "
               f"blocked_reads={result.overhead.blocked_reads}")

@@ -5,18 +5,14 @@ registry and appends measured columns (throughput, latencies, messages, ROT
 ids per readers check) from one bench-scale run per implemented system.
 """
 
-from repro.harness.figures import single_point
-from repro.harness.tables import table2_characterization
+from repro.harness.tables import measure_characterization, table2_characterization
 
 from bench_utils import dump_results, run_once
 
 
 def test_table2_characterization(benchmark, bench_config):
     def regenerate():
-        measured = {
-            protocol: single_point(protocol, clients=16, config=bench_config)
-            for protocol in ("contrarian", "cure", "cc-lo")
-        }
+        measured = measure_characterization(clients=16, config=bench_config)
         return table2_characterization(measured), measured
 
     text, measured = run_once(benchmark, regenerate)

@@ -12,7 +12,7 @@ Two parts:
    clients.
 """
 
-from repro.harness.figures import single_point
+from repro.harness.runner import load_sweep
 from repro.theory.executions import (
     LamportOnlyProtocol,
     ReaderTrackingProtocol,
@@ -55,8 +55,7 @@ def test_lemma1_and_estar_construction(benchmark):
 
 def test_measured_readers_check_meets_the_bound(benchmark, bench_config):
     def measure():
-        return [single_point("cc-lo", clients=clients, config=bench_config)
-                for clients in (8, 32)]
+        return load_sweep("cc-lo", (8, 32), bench_config)
 
     results = run_once(benchmark, measure)
     rows = []

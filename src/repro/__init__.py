@@ -31,11 +31,14 @@ Quickstart::
     outcome = run_experiment("contrarian")
     print(outcome.result.as_row())
 
-Load sweeps (one full simulation per load point) can be fanned out over
-worker processes; the results are bit-identical to the serial sweep::
+A load sweep is one full simulation per load point; every multi-run study
+is a list of ``RunSpec``s executed by ``run_specs`` (or, grouped by series,
+``run_series``), over worker processes with rows identical for every worker
+count::
 
-    from repro import parallel_load_sweep
-    rows = parallel_load_sweep("contrarian", (4, 16, 48), max_workers=4)
+    from repro import load_sweep, run_specs, sweep_specs
+    rows = load_sweep("contrarian", (4, 16, 48), max_workers=4)
+    rows = run_specs(sweep_specs("cure", (4, 16)), max_workers=2)
 
 Runs can execute deterministic fault scenarios (partitions, degraded links,
 slow nodes, load spikes) with per-phase metrics and consistency checking::
@@ -65,7 +68,6 @@ _EXPORTS = {
     "FaultEvent": "repro.faults",
     "OperationResult": "repro.api",
     "ParallelExecutionError": "repro.harness.parallel",
-    "ParallelRunner": "repro.harness.parallel",
     "ProcessCluster": "repro.runtime.process",
     "ProtocolError": "repro.errors",
     "ReproError": "repro.errors",
@@ -79,13 +81,14 @@ _EXPORTS = {
     "WireFormatError": "repro.errors",
     "WorkloadError": "repro.errors",
     "WorkloadParameters": "repro.workload.parameters",
-    "derive_seed": "repro.harness.parallel",
     "get_scenario": "repro.faults",
     "load_sweep": "repro.harness.runner",
-    "parallel_load_sweep": "repro.harness.parallel",
     "register_protocol": "repro.core.registry",
     "run_experiment": "repro.harness.runner",
     "run_realtime_experiment": "repro.runtime.experiment",
+    "run_series": "repro.harness.parallel",
+    "run_specs": "repro.harness.parallel",
+    "sweep_specs": "repro.harness.parallel",
 }
 
 __all__ = sorted([*_EXPORTS, "__version__"])

@@ -12,10 +12,12 @@ Most users interact with the library through three entry points:
   support deterministic teardown (:meth:`CausalStore.close` or use the
   store as a context manager).
 * :func:`repro.harness.run_experiment` / :func:`repro.harness.load_sweep` —
-  workload-driven performance runs (what the figures use) — their
-  process-pool counterparts :func:`repro.harness.parallel_load_sweep` /
-  :class:`repro.harness.ParallelRunner`, and the wall-clock sibling
-  :func:`repro.runtime.run_realtime_experiment`, re-exported here.
+  workload-driven performance runs (what the figures use) — the executor
+  every multi-run study goes through, :func:`repro.harness.run_specs` (with
+  :class:`repro.harness.RunSpec` / :func:`repro.harness.sweep_specs` to
+  describe the runs and :func:`repro.harness.run_series` to group them),
+  and the wall-clock sibling :func:`repro.runtime.run_realtime_experiment`,
+  re-exported here.
 * :mod:`repro.harness.figures` / :mod:`repro.harness.tables` — regenerate the
   paper's evaluation (both fan their run grids over worker processes).
 
@@ -35,11 +37,7 @@ from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigurationError, RuntimeBackendError
 from repro.faults import Scenario, get_scenario
 from repro.harness.builder import BuiltCluster, build_cluster
-from repro.harness.parallel import (
-    ParallelRunner,
-    RunSpec,
-    parallel_load_sweep,
-)
+from repro.harness.parallel import RunSpec, run_series, run_specs, sweep_specs
 from repro.harness.runner import load_sweep, run_experiment
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import TraceAssembler
@@ -356,12 +354,13 @@ __all__ = [
     "TRANSPORTS",
     "CausalStore",
     "OperationResult",
-    "ParallelRunner",
     "RunSpec",
     "Scenario",
     "get_scenario",
     "load_sweep",
-    "parallel_load_sweep",
     "run_experiment",
     "run_realtime_experiment",
+    "run_series",
+    "run_specs",
+    "sweep_specs",
 ]

@@ -176,10 +176,6 @@ class ClusterTopology:
         return [client for client in self._clients if client.dc_id == dc]
 
     # ------------------------------------------------------------------ stats
-    def total_server_busy_time(self) -> float:
-        """Sum of CPU busy time across all partition servers."""
-        return sum(server.stats.busy_time for server in self._servers.values())
-
     def average_cpu_utilization(self, elapsed: float) -> float:
         """Mean CPU utilisation across partition servers."""
         servers = list(self._servers.values())

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from repro.clocks.hlc import HybridLogicalClock
 from repro.clocks.lamport import LamportClock
 from repro.clocks.physical import PhysicalClock
-from repro.clocks.units import microseconds
 from repro.core.common.records import record
 from repro.errors import ConfigurationError
 
@@ -95,16 +94,6 @@ class ClockBox:
             self._lamport.advance_to(target)
             return 0.0
         return self._physical.time_until_us(target)
-
-    @staticmethod
-    def snapshot_wait_to_seconds(wait: float) -> float:
-        """Clamp tiny negative rounding artefacts of physical-clock waits."""
-        return max(0.0, wait)
-
-    @staticmethod
-    def microseconds_to_seconds(value: float) -> float:
-        """Expose the engine's unit conversion for callers of this module."""
-        return microseconds(value)
 
 
 __all__ = ["ClockBox", "TimestampDecision"]

@@ -1,40 +1,22 @@
 """Experiment harness: cluster building, runs, load sweeps, figures, tables.
 
-Serial entry points
--------------------
-:func:`run_experiment` performs one simulated run; :func:`load_sweep` traces
-one throughput-versus-latency curve by rerunning the simulation once per
-client count.  Both are unchanged and remain the reference implementations.
+One road from a run description to result rows
+----------------------------------------------
+:func:`run_experiment` performs one simulated run.  Every multi-run study —
+a load sweep, a figure, a table, an ablation — is a list of picklable
+:class:`RunSpec` objects (:func:`sweep_specs` describes one load sweep)
+executed by :func:`run_specs`, or by :func:`run_series` when the study is
+grouped into series; :func:`load_sweep` is ``run_specs(sweep_specs(...))``.
+:mod:`repro.harness.parallel` documents the worker count (``max_workers`` >
+``REPRO_PARALLEL_WORKERS`` > CPU count), the bit-identical rows for every
+worker count and the :class:`ParallelExecutionError` contract.
 
-Parallel experiment runner
---------------------------
-Sweep points are independent simulations, so :mod:`repro.harness.parallel`
-fans them out over a process pool.  The short version:
+>>> from repro.harness import run_specs, sweep_specs
+>>> results = run_specs(sweep_specs("contrarian", (4, 16, 48)), max_workers=4)
 
->>> from repro.harness import parallel_load_sweep
->>> results = parallel_load_sweep("contrarian", (4, 16, 48), max_workers=4)
-
-* ``parallel_load_sweep(...)`` is a drop-in replacement for
-  ``load_sweep(...)``: same arguments, same ordering, and — because every
-  run's randomness comes from the explicit per-spec configuration seed —
-  bit-identical ``RunResult`` rows for identical seeds, at a fraction of the
-  wall-clock on a multi-core machine.
-* ``ParallelRunner(max_workers=...).run(specs)`` executes an arbitrary grid
-  of picklable :class:`~repro.harness.parallel.RunSpec` objects and collects
-  results in spec order; worker failures surface as
-  :class:`~repro.harness.parallel.ParallelExecutionError` with the worker's
-  traceback attached.
-* ``run_grid([...protocols...], client_counts, seeds=...)`` fans a whole
-  (protocol x load x seed) grid into one pool;
-  :func:`~repro.harness.parallel.derive_seed` derives stable per-cell seeds.
-* Worker count: explicit argument > ``REPRO_PARALLEL_WORKERS`` environment
-  variable > ``os.cpu_count()``.  One worker means serial in-process
-  execution, so the parallel entry points are safe on any machine.
-
-The figure generators (:mod:`repro.harness.figures`) and the measured rows of
-Table 2 (:func:`repro.harness.tables.measure_characterization`) route their
-grids through this runner; CI's smoke benchmark
-(``benchmarks/run_smoke_benchmark.py``) tracks its wall-clock from PR to PR.
+The figure generators, the measured rows of Table 2 and the ablations all
+run through these functions; CI's smoke benchmark
+(``benchmarks/run_smoke_benchmark.py``) tracks their wall-clock per PR.
 
 Fault scenarios
 ---------------
@@ -52,11 +34,9 @@ partition with the causal checker asserting zero violations.
 from repro.harness.builder import BuiltCluster, build_cluster
 from repro.harness.parallel import (
     ParallelExecutionError,
-    ParallelRunner,
     RunSpec,
-    derive_seed,
-    parallel_load_sweep,
-    run_grid,
+    run_series,
+    run_specs,
     sweep_specs,
 )
 from repro.runtime.experiment import RealtimeOutcome, run_realtime_experiment
@@ -64,7 +44,6 @@ from repro.harness.runner import ExperimentOutcome, load_sweep, run_experiment
 from repro.harness.figures import (
     FigureResult,
     fig_faults,
-    figure_faults,
     figure4_contrarian_vs_cure,
     figure5_default_workload,
     figure6_readers_check_overhead,
@@ -84,12 +63,9 @@ __all__ = [
     "ExperimentOutcome",
     "FigureResult",
     "ParallelExecutionError",
-    "ParallelRunner",
     "RunSpec",
     "build_cluster",
-    "derive_seed",
     "fig_faults",
-    "figure_faults",
     "figure4_contrarian_vs_cure",
     "figure5_default_workload",
     "figure6_readers_check_overhead",
@@ -98,9 +74,9 @@ __all__ = [
     "figure9_rot_size",
     "load_sweep",
     "measure_characterization",
-    "parallel_load_sweep",
     "run_experiment",
-    "run_grid",
+    "run_series",
+    "run_specs",
     "RealtimeOutcome",
     "run_realtime_experiment",
     "section58_value_size",

@@ -11,13 +11,13 @@ larger scale.  Figure 9 defaults to ROT sizes ``(2, 4, 8)`` because the
 bench-scale cluster has 8 partitions; pass a 24+-partition configuration and
 ``rot_sizes=(4, 8, 24)`` to match the paper exactly.
 
-Every figure runs its complete (series x load point) grid through the
-process-pool runner of :mod:`repro.harness.parallel`: the grid is flattened
-into one spec list, executed over however many workers
-:func:`~repro.harness.parallel.resolve_worker_count` grants (pass
-``max_workers`` to pin it; one worker reproduces the old serial behaviour),
-and regrouped per series.  Results are bit-identical to the serial sweeps
-because the specs carry exactly the same configurations and seeds.
+Every figure describes its complete (series x load point) grid as named
+lists of :class:`~repro.harness.parallel.RunSpec` and hands it to
+:func:`~repro.harness.parallel.run_series`, which runs it over however many
+workers :func:`~repro.harness.parallel.resolve_worker_count` grants (pass
+``max_workers`` to pin it; one worker runs in-process) and regroups the rows
+per series.  The rows are the same for every worker count because each spec
+carries its configuration and seed.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from typing import Optional, Sequence
 from repro.cluster.config import ClusterConfig
 from repro.faults.library import dc_partition
 from repro.faults.scenario import Scenario
-from repro.harness.parallel import ParallelRunner, RunSpec, sweep_specs
+from repro.harness.parallel import run_series, run_specs, sweep_specs
 from repro.harness.report import format_series, format_table
-from repro.harness.runner import run_experiment
 from repro.metrics.collectors import RunResult
 from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 
@@ -39,26 +38,6 @@ DEFAULT_CLIENT_SWEEP: tuple[int, ...] = (4, 12, 32, 64)
 
 #: Protocols traced by the fault figure.
 FAULT_FIGURE_PROTOCOLS: tuple[str, ...] = ("contrarian", "cure", "cc-lo")
-
-
-def _run_series(series_specs: dict[str, list[RunSpec]],
-                max_workers: Optional[int] = None) -> dict[str, list[RunResult]]:
-    """Execute every series of a figure in one process-pool invocation.
-
-    Flattening the whole figure into a single pool keeps workers busy across
-    series boundaries (protocols differ a lot in cost), then the ordered
-    results are sliced back into their series.
-    """
-    flat: list[RunSpec] = []
-    for specs in series_specs.values():
-        flat.extend(specs)
-    results = ParallelRunner(max_workers=max_workers).run(flat)
-    grouped: dict[str, list[RunResult]] = {}
-    offset = 0
-    for name, specs in series_specs.items():
-        grouped[name] = results[offset:offset + len(specs)]
-        offset += len(specs)
-    return grouped
 
 
 @dataclass
@@ -92,6 +71,18 @@ def _base_config(config: Optional[ClusterConfig], num_dcs: int) -> ClusterConfig
     return base
 
 
+def _contrarian_vs_cclo(
+        client_counts: Sequence[int],
+        points: dict[str, tuple[ClusterConfig, WorkloadParameters]],
+        label: str, max_workers: Optional[int]) -> dict[str, list[RunResult]]:
+    """Sweep Contrarian and CC-LO at every point; series ``<protocol>-<point>``."""
+    return run_series({
+        f"{protocol}-{point}": sweep_specs(protocol, client_counts, config,
+                                           workload, label=label)
+        for point, (config, workload) in points.items()
+        for protocol in ("contrarian", "cc-lo")}, max_workers=max_workers)
+
+
 # ---------------------------------------------------------------------------
 # Figure 4 — Contrarian (1 1/2 vs 2 rounds) vs Cure, 2 DCs, default workload
 # ---------------------------------------------------------------------------
@@ -102,7 +93,7 @@ def figure4_contrarian_vs_cure(
         max_workers: Optional[int] = None) -> FigureResult:
     """Throughput vs average ROT latency for Contrarian variants and Cure."""
     base = _base_config(config, num_dcs=2)
-    series = _run_series({
+    series = run_series({
         "contrarian-1.5-rounds": sweep_specs(
             "contrarian", client_counts, base.with_changes(rot_rounds=1.5),
             workload, label="fig4"),
@@ -110,7 +101,7 @@ def figure4_contrarian_vs_cure(
             "contrarian", client_counts, base.with_changes(rot_rounds=2.0),
             workload, label="fig4"),
         "cure": sweep_specs("cure", client_counts, base, workload, label="fig4"),
-    }, max_workers)
+    }, max_workers=max_workers)
     return FigureResult(
         name="Figure 4",
         caption=("Contrarian vs Cure, default workload, 2 DCs: nonblocking "
@@ -128,14 +119,9 @@ def figure5_default_workload(
         workload: WorkloadParameters = DEFAULT_WORKLOAD,
         max_workers: Optional[int] = None) -> FigureResult:
     """Average and tail ROT latency vs throughput for Contrarian and CC-LO."""
-    specs: dict[str, list[RunSpec]] = {}
-    for num_dcs in (1, 2):
-        base = _base_config(config, num_dcs=num_dcs)
-        specs[f"contrarian-{num_dcs}dc"] = sweep_specs(
-            "contrarian", client_counts, base, workload, label="fig5")
-        specs[f"cc-lo-{num_dcs}dc"] = sweep_specs(
-            "cc-lo", client_counts, base, workload, label="fig5")
-    series = _run_series(specs, max_workers)
+    series = _contrarian_vs_cclo(client_counts, {
+        f"{num_dcs}dc": (_base_config(config, num_dcs=num_dcs), workload)
+        for num_dcs in (1, 2)}, "fig5", max_workers)
     return FigureResult(
         name="Figure 5",
         caption=("Contrarian vs CC-LO, default workload: CC-LO is ahead only "
@@ -154,9 +140,8 @@ def figure6_readers_check_overhead(
         max_workers: Optional[int] = None) -> FigureResult:
     """ROT ids collected per readers check as a function of client count."""
     base = _base_config(config, num_dcs=1)
-    results = _run_series({"cc-lo": sweep_specs(
-        "cc-lo", client_counts, base, workload, label="fig6")},
-        max_workers)["cc-lo"]
+    results = run_specs(sweep_specs("cc-lo", client_counts, base, workload,
+                                    label="fig6"), max_workers=max_workers)
     extra_rows = []
     for result in results:
         extra_rows.append({
@@ -188,14 +173,10 @@ def figure7_write_intensity(
         max_workers: Optional[int] = None) -> FigureResult:
     """Contrarian vs CC-LO while varying the write intensity."""
     base = _base_config(config, num_dcs=num_dcs)
-    specs: dict[str, list[RunSpec]] = {}
-    for write_ratio in write_ratios:
-        workload = DEFAULT_WORKLOAD.with_changes(write_ratio=write_ratio)
-        specs[f"contrarian-w{write_ratio}"] = sweep_specs(
-            "contrarian", client_counts, base, workload, label="fig7")
-        specs[f"cc-lo-w{write_ratio}"] = sweep_specs(
-            "cc-lo", client_counts, base, workload, label="fig7")
-    series = _run_series(specs, max_workers)
+    series = _contrarian_vs_cclo(client_counts, {
+        f"w{write_ratio}": (
+            base, DEFAULT_WORKLOAD.with_changes(write_ratio=write_ratio))
+        for write_ratio in write_ratios}, "fig7", max_workers)
     return FigureResult(
         name="Figure 7",
         caption=(f"Effect of write intensity ({num_dcs} DC): higher w hurts "
@@ -214,14 +195,10 @@ def figure8_skew(
         max_workers: Optional[int] = None) -> FigureResult:
     """Contrarian vs CC-LO while varying the zipfian skew (single DC)."""
     base = _base_config(config, num_dcs=1)
-    specs: dict[str, list[RunSpec]] = {}
-    for skew in skews:
-        workload = DEFAULT_WORKLOAD.with_changes(skew=skew)
-        specs[f"contrarian-z{skew}"] = sweep_specs(
-            "contrarian", client_counts, base, workload, label="fig8")
-        specs[f"cc-lo-z{skew}"] = sweep_specs(
-            "cc-lo", client_counts, base, workload, label="fig8")
-    series = _run_series(specs, max_workers)
+    series = _contrarian_vs_cclo(client_counts, {
+        f"z{skew}": (
+            base, DEFAULT_WORKLOAD.with_changes(skew=skew))
+        for skew in skews}, "fig8", max_workers)
     return FigureResult(
         name="Figure 8",
         caption=("Effect of data-popularity skew (1 DC): skew barely affects "
@@ -240,14 +217,10 @@ def figure9_rot_size(
         max_workers: Optional[int] = None) -> FigureResult:
     """Contrarian vs CC-LO while varying the ROT size p (single DC)."""
     base = _base_config(config, num_dcs=1)
-    specs: dict[str, list[RunSpec]] = {}
-    for rot_size in rot_sizes:
-        workload = DEFAULT_WORKLOAD.with_changes(rot_size=rot_size)
-        specs[f"contrarian-p{rot_size}"] = sweep_specs(
-            "contrarian", client_counts, base, workload, label="fig9")
-        specs[f"cc-lo-p{rot_size}"] = sweep_specs(
-            "cc-lo", client_counts, base, workload, label="fig9")
-    series = _run_series(specs, max_workers)
+    series = _contrarian_vs_cclo(client_counts, {
+        f"p{rot_size}": (
+            base, DEFAULT_WORKLOAD.with_changes(rot_size=rot_size))
+        for rot_size in rot_sizes}, "fig9", max_workers)
     return FigureResult(
         name="Figure 9",
         caption=("Effect of ROT size (1 DC): CC-LO's low-load latency edge "
@@ -266,14 +239,10 @@ def section58_value_size(
         max_workers: Optional[int] = None) -> FigureResult:
     """Contrarian vs CC-LO while varying the value size (single DC)."""
     base = _base_config(config, num_dcs=1)
-    specs: dict[str, list[RunSpec]] = {}
-    for value_size in value_sizes:
-        workload = DEFAULT_WORKLOAD.with_changes(value_size=value_size)
-        specs[f"contrarian-b{value_size}"] = sweep_specs(
-            "contrarian", client_counts, base, workload, label="sec5.8")
-        specs[f"cc-lo-b{value_size}"] = sweep_specs(
-            "cc-lo", client_counts, base, workload, label="sec5.8")
-    series = _run_series(specs, max_workers)
+    series = _contrarian_vs_cclo(client_counts, {
+        f"b{value_size}": (
+            base, DEFAULT_WORKLOAD.with_changes(value_size=value_size))
+        for value_size in value_sizes}, "sec5.8", max_workers)
     return FigureResult(
         name="Section 5.8",
         caption=("Effect of value size (1 DC): larger values add CPU and "
@@ -308,14 +277,12 @@ def fig_faults(protocols: Sequence[str] = FAULT_FIGURE_PROTOCOLS,
     if base.num_dcs < 2:
         base = base.with_changes(num_dcs=2)
     scenario = scenario or dc_partition(start=0.8, heal=1.6, dc=1)
-    specs: dict[str, list[RunSpec]] = {
-        protocol: [RunSpec(protocol=protocol,
-                           config=base.with_changes(clients_per_dc=clients),
-                           workload=workload, label="fig-faults",
-                           scenario=scenario,
-                           check_consistency=check_consistency)]
-        for protocol in protocols}
-    series = _run_series(specs, max_workers)
+    series = run_series({
+        protocol: sweep_specs(protocol, (clients,), base, workload,
+                              scenario=scenario,
+                              check_consistency=check_consistency,
+                              label="fig-faults")
+        for protocol in protocols}, max_workers=max_workers)
     extra_rows: list[dict[str, object]] = []
     for protocol, results in series.items():
         for result in results:
@@ -331,31 +298,11 @@ def fig_faults(protocols: Sequence[str] = FAULT_FIGURE_PROTOCOLS,
         series=series, extra_rows=extra_rows, include_p99=True)
 
 
-#: Naming-consistent alias (other figures are ``figureN_*``).
-figure_faults = fig_faults
-
-
-# ---------------------------------------------------------------------------
-# Single-point helper used by examples and ablation benches
-# ---------------------------------------------------------------------------
-def single_point(protocol: str, clients: int,
-                 config: Optional[ClusterConfig] = None,
-                 workload: WorkloadParameters = DEFAULT_WORKLOAD,
-                 **config_overrides: object) -> RunResult:
-    """Run one protocol at one load point and return the result row."""
-    base = config or ClusterConfig()
-    if config_overrides:
-        base = base.with_changes(**config_overrides)
-    base = base.with_changes(clients_per_dc=clients)
-    return run_experiment(protocol, base, workload).result
-
-
 __all__ = [
     "DEFAULT_CLIENT_SWEEP",
     "FAULT_FIGURE_PROTOCOLS",
     "FigureResult",
     "fig_faults",
-    "figure_faults",
     "figure4_contrarian_vs_cure",
     "figure5_default_workload",
     "figure6_readers_check_overhead",
@@ -363,5 +310,4 @@ __all__ = [
     "figure8_skew",
     "figure9_rot_size",
     "section58_value_size",
-    "single_point",
 ]

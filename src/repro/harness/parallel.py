@@ -1,50 +1,46 @@
-"""Process-pool experiment runner.
+"""The one way a multi-run study executes.
 
 Every figure of the paper is a throughput-versus-latency curve produced by
 rerunning the full simulation once per (protocol, workload point, client
-count, seed) combination.  The runs are completely independent — each one
-builds its own simulator, cluster and RNGs from an explicit seed — which
-makes a sweep embarrassingly parallel.  This module fans a grid of runs out
-over ``multiprocessing`` workers:
+count) combination.  The runs are completely independent — each one builds
+its own simulator, cluster and RNGs from the seed in its configuration — so
+every sweep, figure, table and ablation is a list of run descriptions handed
+to one executor:
 
 * :class:`RunSpec` — a picklable description of one run (protocol, cluster
   configuration, workload point, label).  Specs carry everything a worker
   needs; nothing is inherited from parent-process state, so a spec executes
   identically in-process, in a forked worker and in a spawned worker.
-* :class:`ParallelRunner` — executes a sequence of specs over a process pool
-  and collects the resulting :class:`~repro.metrics.collectors.RunResult`
-  rows *in spec order*, regardless of which worker finished first.  Worker
-  failures are re-raised in the parent as :class:`ParallelExecutionError`
-  with the original traceback attached.
-* :func:`parallel_load_sweep` — a drop-in replacement for
-  :func:`repro.harness.runner.load_sweep`.  It builds exactly the same
-  per-point configurations as the serial sweep, so for the same seeds it
-  returns bit-identical result rows — only the wall-clock changes.
-* :func:`derive_seed` — deterministic per-spec seed derivation for grids
-  that want independent randomness per cell (e.g. repeating a sweep over
-  several seeds).  The derivation hashes the components with SHA-256, so it
-  is stable across processes, platforms and ``PYTHONHASHSEED`` values.
+* :func:`sweep_specs` — the specs of one load sweep, one per client count.
+* :func:`run_specs` — executes specs and returns their
+  :class:`~repro.metrics.collectors.RunResult` rows *in spec order*,
+  regardless of which worker finished first.
+* :func:`run_series` — executes a whole figure or grid (named lists of
+  specs) in one pool and regroups the rows by series.
 
 Usage::
 
-    from repro.harness.parallel import parallel_load_sweep
+    from repro.harness.parallel import run_specs, sweep_specs
 
-    results = parallel_load_sweep("contrarian", (4, 16, 48), max_workers=4)
+    results = run_specs(sweep_specs("contrarian", (4, 16, 48)), max_workers=4)
 
 Worker-count resolution: an explicit ``max_workers`` wins; otherwise the
 ``REPRO_PARALLEL_WORKERS`` environment variable; otherwise ``os.cpu_count()``.
-A resolved count of one (or a single spec) runs serially in-process, so the
-parallel entry points are safe defaults on any machine.
+A resolved count of one (or a single spec) runs in-process, so every entry
+point is a safe default on any machine.  Because a run's randomness comes
+only from its spec, the rows are bit-identical whatever the worker count.
+A run that raises and a worker process that dies (an OOM kill, a segfault,
+``os._exit``) both surface as :class:`ParallelExecutionError`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import multiprocessing
 import os
 import traceback
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.cluster.config import ClusterConfig
 from repro.errors import SimulationError
@@ -57,18 +53,23 @@ WORKERS_ENV_VAR = "REPRO_PARALLEL_WORKERS"
 
 
 class ParallelExecutionError(SimulationError):
-    """A worker process failed while executing a :class:`RunSpec`.
+    """A run failed, or the worker process running it died.
 
-    The stringified worker traceback is preserved on ``worker_traceback``
-    (and included in the message) because the original exception object may
-    not survive pickling back to the parent.
+    ``specs`` holds the failed spec or, when a worker process died, every
+    spec that was in flight in the pool (one of them was running in the dead
+    worker); ``spec`` is the first of them.  The stringified traceback is
+    preserved on ``worker_traceback`` (and included in the message) because
+    the original exception object may not survive pickling back to the
+    parent.
     """
 
-    def __init__(self, spec: "RunSpec", worker_traceback: str) -> None:
-        self.spec = spec
+    def __init__(self, specs: Sequence["RunSpec"], worker_traceback: str) -> None:
+        self.specs = tuple(specs)
+        self.spec = self.specs[0]
         self.worker_traceback = worker_traceback
+        described = "\n  ".join(spec.describe() for spec in self.specs)
         super().__init__(
-            f"worker failed while running {spec.describe()}:\n{worker_traceback}")
+            f"worker failed while running {described}:\n{worker_traceback}")
 
 
 @dataclass(frozen=True)
@@ -98,50 +99,36 @@ class RunSpec:
                 f"label={self.label!r}{scenario})")
 
 
-def derive_seed(base_seed: int, *components: object) -> int:
-    """Derive a deterministic 63-bit seed from a base seed and components.
+def _run_guarded(spec: RunSpec) -> tuple[bool, object]:
+    """Run one spec; return ``(True, result)`` or ``(False, traceback)``.
 
-    Independent grid cells (e.g. repetitions of a sweep) need independent
-    randomness that does not depend on execution order or process identity.
-    Hashing with SHA-256 keeps the derivation reproducible everywhere,
-    unlike the built-in ``hash`` which is salted per process.
+    The one function both execution paths of :func:`run_specs` call, so a
+    failing run raises the same error in-process and in a pool.  It never
+    raises: exceptions are flattened to a traceback string in the worker
+    because not every exception (or exception argument) survives the
+    pickling round-trip back to the parent.  It lives at module top level so
+    specs survive the ``spawn`` start method as well as ``fork``.
     """
-    text = ":".join([str(base_seed)] + [str(component) for component in components])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
-
-
-def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one spec to completion and return its result row.
-
-    This is the function worker processes execute; it is importable at module
-    top level so specs survive the ``spawn`` start method as well as ``fork``.
-    """
-    # Imported lazily so that pickling a RunSpec never drags the whole
-    # protocol stack into the parent's pickle payloads.
+    # Imported here because repro.harness.runner imports this module.
     from repro.harness.runner import run_experiment
 
-    outcome = run_experiment(spec.protocol, spec.config, spec.workload,
-                             scenario=spec.scenario,
-                             check_consistency=spec.check_consistency,
-                             label=spec.label)
-    return outcome.result
-
-
-def _execute_spec_guarded(spec: RunSpec) -> tuple[bool, object]:
-    """Worker wrapper: never raises, returns ``(ok, result_or_traceback)``.
-
-    Exceptions are flattened to a traceback string in the worker because not
-    every exception (or exception argument) survives the pickling round-trip
-    back to the parent.
-    """
     try:
-        return True, execute_spec(spec)
+        outcome = run_experiment(spec.protocol, spec.config, spec.workload,
+                                 scenario=spec.scenario,
+                                 check_consistency=spec.check_consistency,
+                                 label=spec.label)
     except Exception:
         # Exception only: KeyboardInterrupt/SystemExit must keep behaving as
-        # interrupts (the pool tears down) rather than being mislabeled as a
-        # failed simulation.
+        # interrupts rather than being mislabeled as a failed simulation.
         return False, traceback.format_exc()
+    return True, outcome.result
+
+
+def _unwrap(spec: RunSpec, outcome: tuple[bool, object]) -> RunResult:
+    ok, payload = outcome
+    if not ok:
+        raise ParallelExecutionError([spec], str(payload))
+    return payload  # type: ignore[return-value]
 
 
 def resolve_worker_count(max_workers: Optional[int] = None) -> int:
@@ -158,60 +145,57 @@ def resolve_worker_count(max_workers: Optional[int] = None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-class ParallelRunner:
-    """Fans :class:`RunSpec` grids out over a pool of worker processes.
+def run_specs(specs: Sequence[RunSpec], *,
+              max_workers: Optional[int] = None) -> list[RunResult]:
+    """Execute ``specs`` and return their results in spec order.
 
-    Parameters
-    ----------
-    max_workers:
-        Upper bound on concurrent worker processes; resolved via
-        :func:`resolve_worker_count` when omitted.  A bound of one executes
-        specs serially in-process (no pool, no pickling).
-    start_method:
-        ``multiprocessing`` start method.  Defaults to the platform default
-        (``fork`` on Linux, ``spawn`` on macOS/Windows — ``fork`` is not
-        fork-safe there); results are identical either way because specs are
-        self-contained.
+    One resolved worker (or one spec) runs them in-process; otherwise one
+    :class:`~concurrent.futures.ProcessPoolExecutor` does, with at most one
+    spec per worker in flight, so the specs a dead worker's error names are
+    exactly the ones that were running.  The first failure raises
+    :class:`ParallelExecutionError` and starts no further spec.
     """
+    specs = list(specs)
+    workers = min(resolve_worker_count(max_workers), len(specs))
+    if workers <= 1:
+        return [_unwrap(spec, _run_guarded(spec)) for spec in specs]
+    results: list[Optional[RunResult]] = [None] * len(specs)
+    in_flight: dict[Future, int] = {}
+    next_index = 0
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            while next_index < len(specs) or in_flight:
+                while next_index < len(specs) and len(in_flight) < workers:
+                    future = pool.submit(_run_guarded, specs[next_index])
+                    in_flight[future] = next_index
+                    next_index += 1
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = in_flight[future]
+                    results[index] = _unwrap(specs[index], future.result())
+                    del in_flight[future]
+        except BrokenProcessPool as error:
+            # A submit that finds the pool already broken has no future yet:
+            # then the spec it was submitting is the one to name.
+            lost = sorted(in_flight.values()) or [next_index]
+            raise ParallelExecutionError(
+                [specs[index] for index in lost],
+                f"a worker process died: {error}") from error
+    return results  # type: ignore[return-value]
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 start_method: Optional[str] = None) -> None:
-        self.max_workers = resolve_worker_count(max_workers)
-        if start_method is None:
-            start_method = multiprocessing.get_start_method()
-        self.start_method = start_method
 
-    def run(self, specs: Sequence[RunSpec]) -> list[RunResult]:
-        """Execute ``specs`` and return their results in spec order.
+def run_series(series: Mapping[str, Sequence[RunSpec]], *,
+               max_workers: Optional[int] = None) -> dict[str, list[RunResult]]:
+    """Execute every series of a figure or grid in one :func:`run_specs` call.
 
-        Ordering is guaranteed by collection, not by scheduling: workers may
-        finish in any order, but result ``i`` always belongs to ``specs[i]``.
-        The first failing spec (in spec order) raises
-        :class:`ParallelExecutionError`.
-        """
-        specs = list(specs)
-        workers = min(self.max_workers, len(specs))
-        if workers <= 1:
-            # Same error contract as the pool path: callers catch one
-            # exception type regardless of the resolved worker count.
-            results = []
-            for spec in specs:
-                try:
-                    results.append(execute_spec(spec))
-                except Exception as exc:
-                    raise ParallelExecutionError(spec, traceback.format_exc()) from exc
-            return results
-        context = multiprocessing.get_context(self.start_method)
-        # chunksize=1 keeps long and short runs balanced across workers;
-        # Pool.map preserves input order in its result list.
-        with context.Pool(processes=workers) as pool:
-            payloads = pool.map(_execute_spec_guarded, specs, chunksize=1)
-        results: list[RunResult] = []
-        for spec, (ok, payload) in zip(specs, payloads):
-            if not ok:
-                raise ParallelExecutionError(spec, str(payload))
-            results.append(payload)  # type: ignore[arg-type]
-        return results
+    Flattening the whole study into one pool keeps workers busy across
+    series boundaries (protocols differ a lot in cost); the ordered results
+    are then sliced back into their series, each in its own spec order.
+    """
+    series = {name: list(specs) for name, specs in series.items()}
+    results = iter(run_specs([spec for specs in series.values() for spec in specs],
+                             max_workers=max_workers))
+    return {name: [next(results) for _ in specs] for name, specs in series.items()}
 
 
 def sweep_specs(protocol: str, client_counts: Sequence[int],
@@ -220,7 +204,7 @@ def sweep_specs(protocol: str, client_counts: Sequence[int],
                 scenario: Optional[Scenario] = None,
                 check_consistency: bool = False,
                 label: str = "") -> list[RunSpec]:
-    """The specs of one load sweep — identical points to the serial sweep."""
+    """The specs of one load sweep: one per client count, nothing else varied."""
     config = config or ClusterConfig()
     workload = workload or DEFAULT_WORKLOAD
     return [RunSpec(protocol=protocol,
@@ -230,89 +214,12 @@ def sweep_specs(protocol: str, client_counts: Sequence[int],
             for clients in client_counts]
 
 
-def parallel_load_sweep(protocol: str, client_counts: Sequence[int],
-                        config: Optional[ClusterConfig] = None,
-                        workload: Optional[WorkloadParameters] = None, *,
-                        scenario: Optional[Scenario] = None,
-                        label: str = "",
-                        max_workers: Optional[int] = None,
-                        runner: Optional[ParallelRunner] = None) -> list[RunResult]:
-    """Drop-in parallel replacement for :func:`repro.harness.runner.load_sweep`.
-
-    Builds the exact per-point configurations the serial sweep builds (same
-    seeds, same workload, same fault scenario), so the returned rows are
-    bit-identical to the serial ones; only wall-clock time differs.
-    """
-    runner = runner or ParallelRunner(max_workers=max_workers)
-    return runner.run(sweep_specs(protocol, client_counts, config, workload,
-                                  scenario=scenario, label=label))
-
-
-def grid_specs(protocols: Sequence[str], client_counts: Sequence[int],
-               seeds: Sequence[int] = (None,),  # type: ignore[assignment]
-               config: Optional[ClusterConfig] = None,
-               workload: Optional[WorkloadParameters] = None, *,
-               scenario: Optional[Scenario] = None,
-               check_consistency: bool = False,
-               label: str = "") -> list[RunSpec]:
-    """Specs for a full (protocol x client count x seed) grid.
-
-    A seed of ``None`` keeps the configuration's own seed (matching the
-    serial sweep); integer seeds are mixed into a per-cell seed with
-    :func:`derive_seed` so that repetitions are independent but reproducible.
-    An optional fault ``scenario`` is attached to every cell.
-    """
-    config = config or ClusterConfig()
-    workload = workload or DEFAULT_WORKLOAD
-    specs = []
-    for protocol in protocols:
-        for seed in seeds:
-            for clients in client_counts:
-                point = config.with_changes(clients_per_dc=clients)
-                if seed is not None:
-                    point = point.with_changes(
-                        seed=derive_seed(config.seed, protocol, clients, seed))
-                specs.append(RunSpec(protocol=protocol, config=point,
-                                     workload=workload, label=label,
-                                     scenario=scenario,
-                                     check_consistency=check_consistency))
-    return specs
-
-
-def run_grid(protocols: Sequence[str], client_counts: Sequence[int],
-             seeds: Sequence[int] = (None,),  # type: ignore[assignment]
-             config: Optional[ClusterConfig] = None,
-             workload: Optional[WorkloadParameters] = None, *,
-             scenario: Optional[Scenario] = None,
-             check_consistency: bool = False,
-             label: str = "",
-             max_workers: Optional[int] = None) -> dict[str, list[RunResult]]:
-    """Run a full grid in one pool; results grouped by protocol, spec order.
-
-    Fanning the whole grid into a single :meth:`ParallelRunner.run` call (as
-    opposed to one pool per sweep) keeps every worker busy until the last
-    run finishes, which matters when protocols have very different costs.
-    """
-    specs = grid_specs(protocols, client_counts, seeds, config, workload,
-                       scenario=scenario, check_consistency=check_consistency,
-                       label=label)
-    results = ParallelRunner(max_workers=max_workers).run(specs)
-    grouped: dict[str, list[RunResult]] = {protocol: [] for protocol in protocols}
-    for spec, result in zip(specs, results):
-        grouped[spec.protocol].append(result)
-    return grouped
-
-
 __all__ = [
     "ParallelExecutionError",
-    "ParallelRunner",
     "RunSpec",
     "WORKERS_ENV_VAR",
-    "derive_seed",
-    "execute_spec",
-    "grid_specs",
-    "parallel_load_sweep",
     "resolve_worker_count",
-    "run_grid",
+    "run_series",
+    "run_specs",
     "sweep_specs",
 ]

@@ -19,6 +19,7 @@ from repro.cluster.config import ClusterConfig
 from repro.faults.controller import FaultController
 from repro.faults.scenario import Scenario
 from repro.harness.builder import BuiltCluster, build_cluster
+from repro.harness.parallel import run_specs, sweep_specs
 from repro.metrics.collectors import RunResult
 from repro.metrics.overheads import OverheadCounters
 from repro.obs.trace import TraceAssembler
@@ -124,22 +125,20 @@ def load_sweep(protocol: str, client_counts: Sequence[int],
                config: Optional[ClusterConfig] = None,
                workload: Optional[WorkloadParameters] = None, *,
                scenario: Optional[Scenario] = None,
-               label: str = "") -> list[RunResult]:
+               label: str = "",
+               max_workers: Optional[int] = None) -> list[RunResult]:
     """Trace one throughput-versus-latency curve.
 
     Each point reruns the full simulation with a different number of
     closed-loop clients per DC, exactly like the paper's methodology of
     spawning more client threads to increase the load.  An optional
-    ``scenario`` is executed identically at every load point.
+    ``scenario`` is executed identically at every load point.  The points
+    run through :func:`~repro.harness.parallel.run_specs` (``max_workers``
+    as there); the rows are the same for every worker count.
     """
-    config = config or ClusterConfig()
-    results: list[RunResult] = []
-    for clients in client_counts:
-        point_config = config.with_changes(clients_per_dc=clients)
-        outcome = run_experiment(protocol, point_config, workload,
-                                 scenario=scenario, label=label)
-        results.append(outcome.result)
-    return results
+    return run_specs(sweep_specs(protocol, client_counts, config, workload,
+                                 scenario=scenario, label=label),
+                     max_workers=max_workers)
 
 
 __all__ = ["ExperimentOutcome", "load_sweep", "run_experiment"]

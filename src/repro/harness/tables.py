@@ -10,9 +10,9 @@
   ``O(K)`` entries of the paper's table.
 
 :func:`measure_characterization` produces those measured rows by running one
-load point per implemented protocol through the process-pool runner of
-:mod:`repro.harness.parallel`, so regenerating the full measured table costs
-one (parallel) round of simulations.
+load point per implemented protocol through
+:func:`repro.harness.parallel.run_specs`, so regenerating the full measured
+table costs one (parallel) round of simulations.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.core.registry import (
     protocol_properties,
     surveyed_properties,
 )
-from repro.harness.parallel import ParallelRunner, RunSpec
+from repro.harness.parallel import RunSpec, run_specs
 from repro.harness.report import format_table
 from repro.metrics.collectors import RunResult
 from repro.workload.parameters import (
@@ -65,9 +65,10 @@ def measure_characterization(
         max_workers: Optional[int] = None) -> dict[str, RunResult]:
     """Measure one load point per protocol for Table 2's measured columns.
 
-    The runs are independent, so they are fanned out over the process-pool
-    runner; the mapping is keyed by protocol name in registry order and can
-    be passed straight to :func:`table2_characterization`.
+    The runs are independent, so :func:`~repro.harness.parallel.run_specs`
+    fans them out over worker processes; the mapping is keyed by protocol
+    name in registry order and can be passed straight to
+    :func:`table2_characterization`.
     """
     protocols = list(protocols) if protocols is not None else implemented_protocols()
     base = (config or ClusterConfig.bench_scale()).with_changes(
@@ -75,7 +76,7 @@ def measure_characterization(
     specs = [RunSpec(protocol=name, config=base,
                      workload=workload or DEFAULT_WORKLOAD, label="table2")
              for name in protocols]
-    results = ParallelRunner(max_workers=max_workers).run(specs)
+    results = run_specs(specs, max_workers=max_workers)
     return dict(zip(protocols, results))
 
 

@@ -345,27 +345,19 @@ class MetricsRegistry:
         if self._phases:
             self._phases[-1].gauge_samples.setdefault(name, []).append(value)
 
-    @property
-    def phase_tracking_active(self) -> bool:
-        """Whether a fault scenario opened at least one phase."""
-        return bool(self._phases)
-
     # ------------------------------------------------------------------ final
     def finalize(self, *, protocol: str, num_dcs: int, clients: int,
                  measurement_seconds: float, overhead: OverheadCounters,
                  cpu_utilization: float, label: str = "",
-                 rot_size: Optional[int] = None,
                  visibility_trace: Optional[LatencySummary] = None
                  ) -> RunResult:
         """Produce the immutable result row for this run.
 
-        ``rot_size`` is accepted for interface completeness (the paper counts
-        throughput in operations, not individual reads, so it is not used in
-        the computation).  ``visibility_trace`` is the assembled per-write
+        Throughput counts operations, not individual reads, as the paper
+        does.  ``visibility_trace`` is the assembled per-write
         remote-visibility lag distribution of a traced run (see
         :mod:`repro.obs`).
         """
-        del rot_size
         operations = self.rots_completed + self.puts_completed
         throughput = operations / measurement_seconds if measurement_seconds > 0 else 0.0
         end_of_run = self.warmup_seconds + measurement_seconds

@@ -7,7 +7,7 @@ from repro.cluster.config import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.faults import Scenario
 from repro.faults.library import dc_partition
-from repro.harness.parallel import ParallelRunner, RunSpec, execute_spec
+from repro.harness.parallel import RunSpec, run_specs
 from repro.harness.runner import run_experiment
 from repro.sim.engine import Simulator
 from repro.sim.network import LatencyModel, LinkFault, Network
@@ -227,9 +227,9 @@ class TestScenarioRuns:
         config = ClusterConfig.test_scale(**self.CONFIG)
         spec = RunSpec(protocol="contrarian", config=config,
                        scenario=self.SCENARIO)
-        serial = execute_spec(spec)
-        pooled = ParallelRunner(max_workers=2).run([spec, spec])
-        assert serial == pooled[0] == pooled[1]
+        serial = run_specs([spec], max_workers=1)
+        pooled = run_specs([spec, spec], max_workers=2)
+        assert serial[0] == pooled[0] == pooled[1]
 
     @pytest.mark.slow
     @pytest.mark.parametrize("protocol", ["contrarian", "cure", "cc-lo"])

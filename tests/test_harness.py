@@ -5,11 +5,7 @@ import pytest
 from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.harness.builder import build_cluster
-from repro.harness.figures import (
-    FigureResult,
-    figure6_readers_check_overhead,
-    single_point,
-)
+from repro.harness.figures import FigureResult, figure6_readers_check_overhead
 from repro.harness.report import (
     crossover_load,
     format_series,
@@ -69,11 +65,6 @@ class TestRunnerAndSweep:
     def test_load_sweep_returns_one_result_per_point(self):
         results = load_sweep("contrarian", (2, 4), tiny_config())
         assert [result.clients for result in results] == [2, 4]
-
-    def test_single_point_helper_applies_overrides(self):
-        result = single_point("contrarian", clients=2, config=tiny_config(),
-                              rot_rounds=2.0)
-        assert result.clients == 2
 
 
 class TestReportHelpers:
