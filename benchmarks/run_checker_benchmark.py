@@ -22,8 +22,8 @@ produce the same violations in the same order — ``"equivalent"`` in the
 JSON, gated by ``bench_compare.py``.
 
 **TCP capture** — a short multi-process run
-(:func:`~repro.runtime.experiment.run_realtime_experiment` with
-``transport="tcp", checker=StreamingChecker()``): workers stream
+(:func:`~repro.harness.runner.run_experiment` with
+``backend="tcp", checker=StreamingChecker()``): workers stream
 observation-log chunks over the wire codec during the run and the parent
 checks them incrementally.  Validates the capture path end-to-end; fails the
 benchmark on any violation or if no chunks were streamed.
@@ -164,12 +164,12 @@ def check_equivalence(compare_ops: int) -> bool:
 
 def run_tcp_capture() -> dict[str, object]:
     from repro.cluster.config import ClusterConfig
-    from repro.runtime.experiment import run_realtime_experiment
+    from repro.harness.runner import run_experiment
 
-    outcome = run_realtime_experiment(
-        "contrarian", ClusterConfig.test_scale(num_dcs=2),
-        duration_seconds=TCP_CAPTURE_SECONDS, transport="tcp",
-        checker=StreamingChecker(), label="checker-capture")
+    outcome = run_experiment(
+        "contrarian", ClusterConfig.test_scale(
+            num_dcs=2, duration_seconds=TCP_CAPTURE_SECONDS),
+        backend="tcp", checker=StreamingChecker(), label="checker-capture")
     report = outcome.checker_report
     cluster = outcome.cluster
     row = {

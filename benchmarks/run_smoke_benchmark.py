@@ -11,8 +11,7 @@ the executor itself) is tracked from PR to PR.
 Usage::
 
     PYTHONPATH=src python benchmarks/run_smoke_benchmark.py \
-        [--output BENCH_smoke.json] [--workers N] [--backend sim|realtime] \
-        [--transport inproc|tcp] \
+        [--output BENCH_smoke.json] [--workers N] [--backend sim|inproc|tcp] \
         [--emit-trace TRACE_smoke.json] \
         [--protocols cc-lo cure] [--clients 2 4 8] [--scenario dc-partition]
 
@@ -26,14 +25,14 @@ lossy trace pipeline the same way it catches a failing sweep.
 ``--protocols`` / ``--clients`` point the run at any grid cell instead of the
 default full-protocol 3-point sweep; ``--scenario`` executes a canned fault
 scenario (see ``repro.faults.library``) inside every run, in which case the
-JSON rows carry per-phase slices.  ``--backend realtime`` serves the same
-sweep from the asyncio backend (real wall-clock runs, each validated by
-the causal checker — whole-history in process, windowed as observation
-chunks arrive over TCP; the run *fails* on any consistency violation), so
-``BENCH`` artifacts can compare the two backends point by point.
-``--transport tcp`` (realtime only) additionally spawns every partition
-server in its own OS process and serves the sweep over wire-encoded TCP
-frames — the CI ``tcp-smoke`` job records that as ``BENCH_tcp.json``.
+JSON rows carry per-phase slices.  ``--backend inproc`` serves the same
+sweep from one asyncio loop on wall-clock time and ``--backend tcp`` from
+one OS process per partition server over wire-encoded TCP frames; every
+such point is validated by the causal checker (whole-history in process,
+windowed as observation chunks arrive over TCP) and the run *fails* on any
+consistency violation, so ``BENCH`` artifacts can compare the backends
+point by point.  The CI ``tcp-smoke`` job records the TCP sweep as
+``BENCH_tcp.json``.
 
 The default configuration is deliberately small (test-scale cluster, short
 runs): the goal is a stable, minutes-not-hours signal, not a full
@@ -53,15 +52,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
-from repro.errors import ConfigurationError
 from repro.core.registry import implemented_protocols
 from repro.faults.library import SCENARIOS, get_scenario
 from repro.harness.parallel import resolve_worker_count, run_series, sweep_specs
-from repro.harness.runner import run_experiment
+from repro.harness.runner import BACKENDS, run_experiment
 from repro.obs.export import write_chrome_trace
-from repro.runtime.experiment import run_realtime_experiment
 
-#: Wall-clock duration of one realtime sweep point (seconds, incl. warmup).
+#: Wall-clock duration of one inproc/tcp sweep point (seconds, incl. warmup).
 REALTIME_POINT_SECONDS = 0.8
 
 #: Client counts of the smoke sweep (3 points, well below saturation).
@@ -84,30 +81,25 @@ def run_smoke(workers: int | None = None,
               protocols: list[str] | None = None,
               clients: list[int] | None = None,
               scenario_name: str = "none",
-              backend: str = "sim",
-              transport: str = "inproc") -> dict[str, object]:
+              backend: str = "sim") -> dict[str, object]:
     """Run the smoke grid and return the JSON-ready report."""
     protocols = list(protocols or implemented_protocols())
     clients = list(clients or SMOKE_SWEEP)
     scenario = get_scenario(scenario_name)
-    if backend == "realtime" and not scenario.is_empty:
-        raise ConfigurationError(
-            "fault scenarios require the sim backend")
-    if transport != "inproc" and backend != "realtime":
-        raise ConfigurationError(
-            f"transport {transport!r} requires the realtime backend")
     config = smoke_config(scenario_name)
     started = time.perf_counter()
-    if backend == "realtime":
-        series = {protocol: [run_realtime_experiment(
+    if backend != "sim":
+        series = {protocol: [run_experiment(
                       protocol,
-                      config.with_changes(clients_per_dc=count),
-                      duration_seconds=REALTIME_POINT_SECONDS,
-                      transport=transport,
+                      config.with_changes(
+                          clients_per_dc=count,
+                          duration_seconds=REALTIME_POINT_SECONDS),
+                      backend=backend,
                       check_consistency=True,
-                      checker=(StreamingChecker() if transport == "tcp"
+                      checker=(StreamingChecker() if backend == "tcp"
                                else None),
-                      label=f"smoke-realtime[{transport}]").result
+                      scenario=scenario,
+                      label=f"smoke-{backend}").result
                   for count in clients]
                   for protocol in protocols}
     else:
@@ -121,10 +113,9 @@ def run_smoke(workers: int | None = None,
     return {
         "benchmark": "smoke",
         "backend": backend,
-        "transport": transport if backend == "realtime" else "n/a",
         "client_counts": clients,
         "scenario": scenario_name if not scenario.is_empty else "none",
-        "workers": 1 if backend == "realtime" else resolve_worker_count(workers),
+        "workers": resolve_worker_count(workers) if backend == "sim" else 1,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "wall_clock_seconds": round(wall_clock, 3),
@@ -136,8 +127,7 @@ def run_smoke(workers: int | None = None,
 def run_traced_pass(trace_path: str,
                     protocols: list[str],
                     clients: list[int],
-                    backend: str = "sim",
-                    transport: str = "inproc") -> dict[str, object]:
+                    backend: str = "sim") -> dict[str, object]:
     """Measure tracing overhead and write the merged timeline artifact.
 
     One 2-DC point per protocol (at the sweep's lowest client count and a
@@ -154,19 +144,14 @@ def run_traced_pass(trace_path: str,
     total_gaps = 0
     for protocol in protocols:
         point = config.with_changes(clients_per_dc=count)
+        if backend != "sim":
+            point = point.with_changes(duration_seconds=REALTIME_POINT_SECONDS)
 
         def run_point(traced: bool):
             started = time.perf_counter()
-            if backend == "realtime":
-                outcome = run_realtime_experiment(
-                    protocol, point,
-                    duration_seconds=REALTIME_POINT_SECONDS,
-                    transport=transport, trace=traced,
-                    label=f"smoke-trace-{'on' if traced else 'off'}")
-            else:
-                outcome = run_experiment(
-                    protocol, point, trace=traced,
-                    label=f"smoke-trace-{'on' if traced else 'off'}")
+            outcome = run_experiment(
+                protocol, point, backend=backend, trace=traced,
+                label=f"smoke-trace-{'on' if traced else 'off'}")
             return outcome, time.perf_counter() - started
 
         baseline, baseline_seconds = run_point(traced=False)
@@ -194,8 +179,7 @@ def run_traced_pass(trace_path: str,
         }
     info = write_chrome_trace(trace_path, groups,
                               metadata={"benchmark": "smoke",
-                                        "backend": backend,
-                                        "transport": transport})
+                                        "backend": backend})
     return {
         "path": info["path"],
         "records": info["records"],
@@ -222,16 +206,10 @@ def main(argv: list[str] | None = None) -> int:
                         choices=["none", *sorted(SCENARIOS)],
                         help="canned fault scenario to run inside every "
                              "simulation (default: none)")
-    parser.add_argument("--backend", default="sim",
-                        choices=["sim", "realtime"],
-                        help="run the sweep on the discrete-event simulator "
-                             "or the asyncio realtime backend "
-                             "(default: %(default)s)")
-    parser.add_argument("--transport", default="inproc",
-                        choices=["inproc", "tcp"],
-                        help="realtime backend only: serve each point "
-                             "in-process or from one OS process per "
-                             "partition server over TCP "
+    parser.add_argument("--backend", default="sim", choices=BACKENDS,
+                        help="run the sweep on the discrete-event simulator, "
+                             "one asyncio loop (inproc) or one OS process "
+                             "per partition server over TCP "
                              "(default: %(default)s)")
     parser.add_argument("--emit-trace", default=None, metavar="PATH",
                         help="also run a traced 2-DC point per protocol, "
@@ -239,20 +217,16 @@ def main(argv: list[str] | None = None) -> int:
                              "and record the tracing overhead; fails on "
                              "dropped trace events")
     args = parser.parse_args(argv)
-    if args.backend == "realtime" and args.scenario not in ("", "none"):
-        parser.error("fault scenarios require the sim backend")
-    if args.backend == "realtime" and args.workers is not None:
+    if args.backend != "sim" and args.workers is not None:
         parser.error("--workers only applies to the sim backend "
-                     "(the realtime sweep runs points sequentially)")
-    if args.transport != "inproc" and args.backend != "realtime":
-        parser.error("--transport tcp requires --backend realtime")
+                     "(a wall-clock sweep runs points sequentially)")
 
     # Fail on an unwritable destination *before* spending minutes simulating.
     output_dir = os.path.dirname(os.path.abspath(args.output))
     os.makedirs(output_dir, exist_ok=True)
 
     report = run_smoke(args.workers, args.protocols, args.clients,
-                       args.scenario, args.backend, args.transport)
+                       args.scenario, args.backend)
     if args.emit_trace:
         trace_dir = os.path.dirname(os.path.abspath(args.emit_trace))
         os.makedirs(trace_dir, exist_ok=True)
@@ -260,13 +234,12 @@ def main(argv: list[str] | None = None) -> int:
             args.emit_trace,
             list(args.protocols or implemented_protocols()),
             list(args.clients or SMOKE_SWEEP),
-            args.backend, args.transport)
+            args.backend)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    print(f"smoke benchmark[{report['backend']}"
-          f"{'/' + args.transport if report['backend'] == 'realtime' else ''}]: "
+    print(f"smoke benchmark[{report['backend']}]: "
           f"{len(report['series'])} protocols x "
           f"{len(report['client_counts'])} points "
           f"(scenario: {report['scenario']}) in "

@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
 """A 2-DC multi-process TCP cluster serving concurrent PUT/ROT traffic.
 
-The realtime backend can run a cluster the way the paper's testbed did:
+The ``tcp`` backend runs a cluster the way the paper's testbed did:
 every partition server in its own OS process (true multi-core execution, no
 shared GIL), messages as wire-codec frames over real TCP sockets, clients
 hammering the cluster concurrently.  This example does it twice per
 protocol's worth of traffic:
 
-1. **Workload mode** — :func:`repro.runtime.run_realtime_experiment` with
-   ``transport="tcp"`` spawns one worker process per (DC, partition) server
+1. **Workload mode** — :func:`repro.harness.runner.run_experiment` with
+   ``backend="tcp"`` spawns one worker process per (DC, partition) server
    plus one client worker per DC, drives closed-loop PUT/ROT traffic from
    concurrent clients, ships every worker's latency samples and
    causal-consistency observation log back to the parent over the wire, and
    validates the merged cross-process history (the run *raises* on any
    violation).
-2. **Interactive mode** — ``CausalStore(backend="realtime",
-   transport="tcp")`` runs the same server processes but drives them
+2. **Interactive mode** — ``CausalStore(backend="tcp")`` runs the same
+   server processes but drives them
    step-by-step from the parent: a PUT in DC 0 becomes visible in DC 1 via
    real cross-process replication.
 
@@ -42,12 +42,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.api import CausalStore
 from repro.cluster.config import ClusterConfig
-from repro.runtime import run_realtime_experiment
+from repro.harness.runner import run_experiment
 from repro.workload.parameters import WorkloadParameters
 
-#: Two DCs x two partitions; three concurrent clients per DC.
+#: Two DCs x two partitions; three concurrent clients per DC; one
+#: wall-clock second per run.
 CONFIG = ClusterConfig.test_scale(num_partitions=2, num_dcs=2,
-                                  clients_per_dc=3, warmup_seconds=0.1)
+                                  clients_per_dc=3, duration_seconds=1.0,
+                                  warmup_seconds=0.1)
 
 #: ROTs span both partitions; moderate write share.
 WORKLOAD = WorkloadParameters(rot_size=2)
@@ -56,9 +58,8 @@ WORKLOAD = WorkloadParameters(rot_size=2)
 def workload_mode() -> None:
     print("== workload mode: closed-loop traffic over TCP ==")
     for protocol in ("contrarian", "cure", "cc-lo"):
-        outcome = run_realtime_experiment(
-            protocol, CONFIG, WORKLOAD, duration_seconds=1.0,
-            transport="tcp", check_consistency=True)
+        outcome = run_experiment(protocol, CONFIG, WORKLOAD, backend="tcp",
+                                 check_consistency=True)
         result = outcome.result
         report = outcome.checker_report
         print(f"  {protocol:<12} {outcome.cluster.worker_count} worker "
@@ -73,8 +74,8 @@ def workload_mode() -> None:
 
 def interactive_mode() -> None:
     print("== interactive mode: cross-DC replication over TCP ==")
-    with CausalStore(protocol="contrarian", backend="realtime",
-                     transport="tcp", num_partitions=2, num_dcs=2) as store:
+    with CausalStore(protocol="contrarian", backend="tcp",
+                     num_partitions=2, num_dcs=2) as store:
         written = store.put("album:acl", dc=0).values["album:acl"]
         print(f"  DC 0 wrote album:acl @ {written}")
         seen = None

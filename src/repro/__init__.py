@@ -5,10 +5,12 @@ The package contains:
 
 * the **Contrarian** protocol (the paper's contribution) plus the **Cure**
   and **CC-LO / COPS-SNOW** baselines, implemented as sans-I/O protocol
-  kernels (:mod:`repro.core`) that run on two interchangeable backends: a
-  discrete-event simulation of a partitioned, optionally geo-replicated
-  key-value store (:mod:`repro.sim`) and a real-time in-process asyncio
-  runtime (:mod:`repro.runtime`);
+  kernels (:mod:`repro.core`) that run on three interchangeable backends:
+  a discrete-event simulation of a partitioned, optionally geo-replicated
+  key-value store (``"sim"``, :mod:`repro.sim`), and a wall-clock asyncio
+  runtime (:mod:`repro.runtime`) serving every node from one loop
+  (``"inproc"``) or every partition server from its own OS process over
+  TCP (``"tcp"``);
 * a workload generator and experiment harness that regenerate every table
   and figure of the paper's evaluation section; and
 * an executable rendition of the paper's theoretical result (Theorem 1: the
@@ -23,13 +25,17 @@ Quickstart::
     store.put("album:photos")
     print(store.rot(["album:acl", "album:photos"]).values)
 
-    # The same API served by real asyncio tasks on wall-clock time:
-    with CausalStore(protocol="contrarian", backend="realtime") as store:
+    # The same API served on wall-clock time ("inproc" or "tcp"):
+    with CausalStore(protocol="contrarian", backend="inproc") as store:
         store.put("album:acl")
 
-    from repro.harness import run_experiment
+    from repro import ClusterConfig, run_experiment
     outcome = run_experiment("contrarian")
     print(outcome.result.as_row())
+    # One wall-clock second, the same row:
+    outcome = run_experiment("contrarian",
+                             ClusterConfig.test_scale(duration_seconds=1.0),
+                             backend="tcp")
 
 A load sweep is one full simulation per load point; every multi-run study
 is a list of ``RunSpec``s executed by ``run_specs`` (or, grouped by series,
@@ -85,7 +91,6 @@ _EXPORTS = {
     "load_sweep": "repro.harness.runner",
     "register_protocol": "repro.core.registry",
     "run_experiment": "repro.harness.runner",
-    "run_realtime_experiment": "repro.runtime.experiment",
     "run_series": "repro.harness.parallel",
     "run_specs": "repro.harness.parallel",
     "sweep_specs": "repro.harness.parallel",

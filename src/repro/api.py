@@ -3,21 +3,21 @@
 Most users interact with the library through three entry points:
 
 * :class:`CausalStore` — an in-process facade exposing the paper's API
-  (``put``, ``get``, ``rot``) for a chosen protocol, on a chosen *backend*:
-  ``backend="sim"`` (default) drives the discrete-event simulator and
-  returns the values the protocol would produce together with the simulated
-  latency; ``backend="realtime"`` serves the same protocol kernels from real
-  asyncio tasks on wall-clock time.  Both record the operation history for
-  the causal-consistency checker (:meth:`CausalStore.check`), and both
-  support deterministic teardown (:meth:`CausalStore.close` or use the
-  store as a context manager).
+  (``put``, ``get``, ``rot``) for a chosen protocol, on one of the
+  :data:`BACKENDS`: ``backend="sim"`` (default) drives the discrete-event
+  simulator and returns the values the protocol would produce together with
+  the simulated latency; ``"inproc"`` serves the same protocol kernels from
+  one asyncio loop on wall-clock time, and ``"tcp"`` from one OS process per
+  partition server.  Every backend records the operation history for the
+  causal-consistency checker (:meth:`CausalStore.check`) and supports
+  deterministic teardown (:meth:`CausalStore.close` or use the store as a
+  context manager).
 * :func:`repro.harness.run_experiment` / :func:`repro.harness.load_sweep` —
-  workload-driven performance runs (what the figures use) — the executor
-  every multi-run study goes through, :func:`repro.harness.run_specs` (with
-  :class:`repro.harness.RunSpec` / :func:`repro.harness.sweep_specs` to
-  describe the runs and :func:`repro.harness.run_series` to group them),
-  and the wall-clock sibling :func:`repro.runtime.run_realtime_experiment`,
-  re-exported here.
+  workload-driven performance runs (what the figures use) on the same
+  backends — and the executor every multi-run study goes through,
+  :func:`repro.harness.run_specs` (with :class:`repro.harness.RunSpec` /
+  :func:`repro.harness.sweep_specs` to describe the runs and
+  :func:`repro.harness.run_series` to group them), re-exported here.
 * :mod:`repro.harness.figures` / :mod:`repro.harness.tables` — regenerate the
   paper's evaluation (both fan their run grids over worker processes).
 
@@ -38,17 +38,17 @@ from repro.errors import ConfigurationError, RuntimeBackendError
 from repro.faults import Scenario, get_scenario
 from repro.harness.builder import BuiltCluster, build_cluster
 from repro.harness.parallel import RunSpec, run_series, run_specs, sweep_specs
-from repro.harness.runner import load_sweep, run_experiment
+from repro.harness.runner import (
+    BACKENDS,
+    load_sweep,
+    require_backend,
+    run_experiment,
+)
 from repro.obs.export import write_chrome_trace
 from repro.obs.trace import TraceAssembler
 from repro.runtime.cluster import RealtimeCluster
-from repro.runtime.experiment import run_realtime_experiment
 from repro.runtime.process import ProcessCluster
-from repro.runtime.transport import TRANSPORTS
 from repro.workload.parameters import WorkloadParameters
-
-#: Backends :class:`CausalStore` can run on.
-BACKENDS = ("sim", "realtime")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class OperationResult:
     """Outcome of one facade operation.
 
     ``latency_ms`` is simulated milliseconds on the ``sim`` backend and
-    wall-clock milliseconds on the ``realtime`` backend.
+    wall-clock milliseconds on the others.
     """
 
     kind: str
@@ -79,14 +79,11 @@ class CausalStore:
         added through :func:`repro.core.registry.register_protocol`.
     backend:
         ``"sim"`` (default) — operations run on the deterministic
-        discrete-event simulator; ``"realtime"`` — operations are served by
-        asyncio tasks on wall-clock time (the store owns a private event
-        loop and steps it while an operation is in flight).
-    transport:
-        Realtime backend only.  ``"inproc"`` (default) keeps every node on
-        the store's private event loop; ``"tcp"`` spawns each partition
-        server in its own OS process and the store's interactive clients
-        talk to them over wire-encoded TCP frames.
+        discrete-event simulator; ``"inproc"`` — every node is served on
+        wall-clock time from the store's private event loop, which the store
+        steps while an operation is in flight; ``"tcp"`` — each partition
+        server runs in its own OS process and the store's interactive
+        clients talk to them over wire-encoded TCP frames.
     num_partitions / num_dcs:
         Topology of the cluster.
     config:
@@ -103,28 +100,18 @@ class CausalStore:
 
     The store is a context manager; :meth:`close` (idempotent) tears down
     the built cluster — periodic simulator tasks or asyncio tasks, worker
-    processes on the TCP transport, and the private event loop.
+    processes on ``tcp``, and the private event loop.
     """
 
     def __init__(self, protocol: str = "contrarian", *,
-                 backend: str = "sim", transport: str = "inproc",
+                 backend: str = "sim",
                  num_partitions: int = 4, num_dcs: int = 1,
                  config: Optional[ClusterConfig] = None,
                  trace: bool = False,
                  checker: Optional[object] = None) -> None:
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; known: {list(BACKENDS)}")
-        if transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown transport {transport!r}; known: {list(TRANSPORTS)}")
-        if transport != "inproc" and backend != "realtime":
-            raise ConfigurationError(
-                f"transport {transport!r} requires backend='realtime' "
-                f"(the sim backend has no wire)")
+        require_backend(backend)
         self.protocol = protocol
         self.backend = backend
-        self.transport = transport
         base = config or ClusterConfig.test_scale(num_partitions=num_partitions,
                                                   num_dcs=num_dcs,
                                                   clients_per_dc=1)
@@ -135,10 +122,10 @@ class CausalStore:
         self._trace_assembler: Optional[TraceAssembler] = None
         self._checker = checker = (StreamingChecker.offline()
                                    if checker is None else checker)
-        if backend == "realtime":
-            self._init_realtime(base, checker)
-        else:
+        if backend == "sim":
             self._init_sim(base, checker)
+        else:
+            self._init_realtime(base, checker)
 
     # ------------------------------------------------------------------ build
     def _init_sim(self, base: ClusterConfig, checker: object) -> None:
@@ -156,20 +143,20 @@ class CausalStore:
     def _init_realtime(self, base: ClusterConfig, checker: object) -> None:
         # Build (and thereby validate) the cluster before creating the event
         # loop, so a bad protocol name cannot leak an unclosed loop.
-        build = ProcessCluster if self.transport == "tcp" else RealtimeCluster
+        build = ProcessCluster if self.backend == "tcp" else RealtimeCluster
         self._rt_cluster = build(
             self.protocol, base, WorkloadParameters(rot_size=1),
             checker=checker, workload_clients=False, trace=self._trace)
-        # Interactive clients must exist before start(): on the TCP
-        # transport the peer table is distributed exactly once.
+        # Interactive clients must exist before start(): on ``tcp`` the peer
+        # table is distributed exactly once.
         self._clients = {dc: self._rt_cluster.add_client(dc, 0)
                          for dc in range(base.num_dcs)}
         self._loop = asyncio.new_event_loop()
         try:
             self._loop.run_until_complete(self._rt_cluster.start())
         except BaseException:
-            # A failed start must not leak worker processes (TCP transport)
-            # or the private loop.
+            # A failed start must not leak worker processes (``tcp``) or the
+            # private loop.
             try:
                 self._loop.run_until_complete(self._rt_cluster.stop())
             except Exception:  # noqa: BLE001 - the start failure wins
@@ -182,8 +169,9 @@ class CausalStore:
     def cluster(self):
         """The underlying cluster (for inspection): a
         :class:`~repro.harness.builder.BuiltCluster` on the ``sim`` backend,
-        a :class:`~repro.runtime.cluster.RealtimeCluster` on ``realtime``."""
-        return self._rt_cluster if self.backend == "realtime" else self._cluster
+        a :class:`~repro.runtime.cluster.RealtimeCluster` on ``inproc`` and a
+        :class:`~repro.runtime.process.ProcessCluster` on ``tcp``."""
+        return self._cluster if self.backend == "sim" else self._rt_cluster
 
     @property
     def history(self) -> list[OperationResult]:
@@ -219,8 +207,8 @@ class CausalStore:
 
     def _drive(self, client, operation) -> OperationResult:
         self._ensure_open()
-        drive = (self._drive_realtime if self.backend == "realtime"
-                 else self._drive_sim)
+        drive = (self._drive_sim if self.backend == "sim"
+                 else self._drive_realtime)
         outcome, seconds = drive(client, operation)
         if operation.is_put:
             values: dict[str, Optional[int]] = {outcome.key: outcome.timestamp}
@@ -269,29 +257,29 @@ class CausalStore:
         """Advance time (lets replication and stabilization run).
 
         Simulated seconds on the ``sim`` backend; *wall-clock* seconds on
-        ``realtime`` (the call genuinely sleeps while the cluster serves).
+        the others (the call genuinely sleeps while the cluster serves).
         """
         self._ensure_open()
-        if self.backend == "realtime":
-            self._loop.run_until_complete(asyncio.sleep(seconds))
-        else:
+        if self.backend == "sim":
             self._cluster.sim.run(until=self._cluster.sim.now + seconds)
+        else:
+            self._loop.run_until_complete(asyncio.sleep(seconds))
 
     def trace_timeline(self) -> TraceAssembler:
         """The assembled repro.obs timeline of everything traced so far.
 
-        Requires ``trace=True``.  On the ``tcp`` transport the worker-side
-        server events only arrive when the store is closed (they ship over
-        the control plane at shutdown), so close first for a complete
-        timeline; ``sim`` and ``inproc`` timelines are complete at any time.
+        Requires ``trace=True``.  On ``tcp`` the worker-side server events
+        only arrive when the store is closed (they ship over the control
+        plane at shutdown), so close first for a complete timeline; ``sim``
+        and ``inproc`` timelines are complete at any time.
         """
         if not self._trace:
             raise ConfigurationError(
                 "this CausalStore was created without trace=True")
-        if self.backend == "realtime" and self.transport == "tcp":
+        if self.backend == "tcp":
             return self._rt_cluster.collect_trace()
-        bus = (self._rt_cluster.trace_bus if self.backend == "realtime"
-               else self._cluster.trace_bus)
+        bus = (self._cluster.trace_bus if self.backend == "sim"
+               else self._rt_cluster.trace_bus)
         if self._trace_assembler is None:
             self._trace_assembler = TraceAssembler()
         self._trace_assembler.ingest_bus(bus)
@@ -311,18 +299,18 @@ class CausalStore:
         """Tear down the built cluster; safe to call more than once.
 
         On the ``sim`` backend this stops the idle clients and cancels the
-        servers' periodic tasks so the event queue can drain; on
-        ``realtime`` it cancels every asyncio task and closes the private
-        event loop.
+        servers' periodic tasks so the event queue can drain; on the others
+        it cancels every asyncio task, stops the worker processes (``tcp``)
+        and closes the private event loop.
         """
         if self._closed:
             return
         self._closed = True
-        if self.backend == "realtime":
+        if self.backend == "sim":
+            self._cluster.stop()
+        else:
             self._loop.run_until_complete(self._rt_cluster.stop())
             self._loop.close()
-        else:
-            self._cluster.stop()
 
     def __enter__(self) -> "CausalStore":
         return self
@@ -351,7 +339,6 @@ class _SyntheticOperation:
 
 __all__ = [
     "BACKENDS",
-    "TRANSPORTS",
     "CausalStore",
     "OperationResult",
     "RunSpec",
@@ -359,7 +346,6 @@ __all__ = [
     "get_scenario",
     "load_sweep",
     "run_experiment",
-    "run_realtime_experiment",
     "run_series",
     "run_specs",
     "sweep_specs",

@@ -38,13 +38,9 @@ class SkewModel:
         Offsets are drawn uniformly in ``[-max_offset_us, +max_offset_us]``.
         The default (1000 us = 1 ms) corresponds to well-behaved NTP over a
         LAN and reproduces Cure's ~1 ms ROT latency penalty at low load.
-    drift_ppm:
-        Constant drift rate in parts-per-million applied on top of the offset;
-        zero by default (NTP continuously corrects drift).
     """
 
     max_offset_us: float = 1000.0
-    drift_ppm: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_offset_us < 0:
@@ -68,11 +64,10 @@ class PhysicalClock:
     offset would make consecutive readings equal.
     """
 
-    def __init__(self, time_source: "TimeSource", offset_us: float = 0.0,
-                 drift_ppm: float = 0.0) -> None:
+    def __init__(self, time_source: "TimeSource",
+                 offset_us: float = 0.0) -> None:
         self._time_source = time_source
         self._offset_us = offset_us
-        self._drift = drift_ppm * 1e-6
         self._last_reading = 0
 
     @property
@@ -82,8 +77,7 @@ class PhysicalClock:
 
     def now_us(self) -> int:
         """Current reading in integer microseconds (monotonic)."""
-        elapsed_us = self._time_source.now * _US_PER_SECOND
-        reading = elapsed_us * (1.0 + self._drift) + self._offset_us
+        reading = self._time_source.now * _US_PER_SECOND + self._offset_us
         value = max(int(reading), 0)
         if value < self._last_reading:
             value = self._last_reading
@@ -101,7 +95,7 @@ class PhysicalClock:
         if current >= target_us:
             return 0.0
         remaining_us = target_us - current
-        return remaining_us / (_US_PER_SECOND * (1.0 + self._drift))
+        return remaining_us / _US_PER_SECOND
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PhysicalClock(offset_us={self._offset_us:+.1f})"

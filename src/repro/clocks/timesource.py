@@ -29,6 +29,10 @@ class TimeSource(Protocol):
         ...
 
 
+#: Monotonic/wall read brackets :meth:`WallClock.sync_to_wall_epoch` takes.
+_SYNC_BRACKETS = 5
+
+
 class WallClock:
     """Monotonic wall-clock time source (seconds since construction).
 
@@ -64,8 +68,21 @@ class WallClock:
         skew to system-clock read jitter (microseconds on one host) instead
         of process start-up stagger (hundreds of milliseconds).  Same safety
         caveat as :meth:`reset`.
+
+        The ``time.time()`` read is bracketed by two monotonic reads and
+        placed at the bracket's midpoint; the tightest of
+        :data:`_SYNC_BRACKETS` brackets wins.  A process descheduled between
+        a single pair of reads would otherwise run its whole clock ahead by
+        the preemption.
         """
-        self._origin = time.monotonic() - (time.time() - epoch)
+        tightest = float("inf")
+        for _ in range(_SYNC_BRACKETS):
+            before = time.monotonic()
+            wall = time.time()
+            after = time.monotonic()
+            if after - before < tightest:
+                tightest = after - before
+                self._origin = (before + after) / 2 - (wall - epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"WallClock(now={self.now:.6f})"

@@ -57,11 +57,12 @@ class ProtocolSpec:
     :meth:`build_client_kernel`, so a node draws the same random streams
     wherever it is instantiated.
 
-    ``transports`` lists the real-time transports the protocol supports
-    (subset of :data:`repro.runtime.transport.TRANSPORTS`).  The built-ins
-    support both; an external design whose messages are not wire-registered
-    can declare ``("inproc",)`` and the TCP backends refuse it with a typed
-    error instead of failing mid-run.
+    ``transports`` lists the wall-clock backends the protocol supports
+    (a subset of ``("inproc", "tcp")``, see
+    :data:`repro.harness.runner.BACKENDS`).  The built-ins support both; an
+    external design whose messages are not wire-registered can declare
+    ``("inproc",)`` and :class:`~repro.runtime.process.ProcessCluster`
+    refuses it with a typed error instead of failing mid-run.
     """
 
     name: str

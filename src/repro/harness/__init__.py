@@ -2,7 +2,9 @@
 
 One road from a run description to result rows
 ----------------------------------------------
-:func:`run_experiment` performs one simulated run.  Every multi-run study —
+:func:`run_experiment` performs one run, on the simulator or — with
+``backend="inproc"`` or ``"tcp"`` — on wall-clock time (see
+:data:`BACKENDS`).  Every multi-run study —
 a load sweep, a figure, a table, an ablation — is a list of picklable
 :class:`RunSpec` objects (:func:`sweep_specs` describes one load sweep)
 executed by :func:`run_specs`, or by :func:`run_series` when the study is
@@ -39,8 +41,12 @@ from repro.harness.parallel import (
     run_specs,
     sweep_specs,
 )
-from repro.runtime.experiment import RealtimeOutcome, run_realtime_experiment
-from repro.harness.runner import ExperimentOutcome, load_sweep, run_experiment
+from repro.harness.runner import (
+    BACKENDS,
+    ExperimentOutcome,
+    load_sweep,
+    run_experiment,
+)
 from repro.harness.figures import (
     FigureResult,
     fig_faults,
@@ -59,6 +65,7 @@ from repro.harness.tables import (
 )
 
 __all__ = [
+    "BACKENDS",
     "BuiltCluster",
     "ExperimentOutcome",
     "FigureResult",
@@ -77,8 +84,6 @@ __all__ = [
     "run_experiment",
     "run_series",
     "run_specs",
-    "RealtimeOutcome",
-    "run_realtime_experiment",
     "section58_value_size",
     "sweep_specs",
     "table1_workloads",

@@ -1,21 +1,24 @@
 """Running experiments and load sweeps.
 
-``run_experiment`` performs one simulated run of one protocol under one
-workload and returns the measured :class:`~repro.metrics.collectors.RunResult`
-plus the raw pieces (the built cluster and, when enabled, the consistency
-checker report).  ``load_sweep`` varies the number of closed-loop clients to
-trace one throughput-versus-latency curve, which is how every figure in the
-paper's evaluation is produced.
+``run_experiment`` performs one run of one protocol under one workload on one
+of the :data:`BACKENDS` and returns the measured
+:class:`~repro.metrics.collectors.RunResult` plus the raw pieces (the
+cluster and, when enabled, the consistency checker report).  Every backend
+writes the same row, so simulated and wall-clock numbers sit in one table.
+``load_sweep`` varies the number of closed-loop clients to trace one
+throughput-versus-latency curve, which is how every figure in the paper's
+evaluation is produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.causal.checker import CheckerReport
 from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
+from repro.errors import ConfigurationError
 from repro.faults.controller import FaultController
 from repro.faults.scenario import Scenario
 from repro.harness.builder import BuiltCluster, build_cluster
@@ -25,16 +28,37 @@ from repro.metrics.overheads import OverheadCounters
 from repro.obs.trace import TraceAssembler
 from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.cluster import RealtimeCluster
+    from repro.runtime.process import ProcessCluster
+
+#: Where a run is served: the discrete-event simulator (``sim``), one asyncio
+#: loop in this process (``inproc``), or one OS process per partition server
+#: exchanging wire-encoded frames over TCP (``tcp``).
+BACKENDS = ("sim", "inproc", "tcp")
+
+
+def require_backend(backend: str) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless ``backend`` is
+    one of :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {backend!r}; known: {list(BACKENDS)}")
+
 
 @dataclass
 class ExperimentOutcome:
     """The full outcome of one run (result row plus inspectable state)."""
 
     result: RunResult
-    cluster: BuiltCluster
+    #: A :class:`~repro.harness.builder.BuiltCluster` on ``sim``, a
+    #: :class:`~repro.runtime.cluster.RealtimeCluster` on ``inproc`` and a
+    #: :class:`~repro.runtime.process.ProcessCluster` on ``tcp``.
+    cluster: Union[BuiltCluster, "RealtimeCluster", "ProcessCluster"]
     checker_report: Optional[CheckerReport] = None
+    #: The scenario's controller (``sim`` only; None without a scenario).
     faults: Optional[FaultController] = None
-    #: Assembled virtual-time timeline (None unless ``trace=True``); feed to
+    #: Assembled run-wide timeline (None unless ``trace=True``); feed to
     #: :func:`repro.obs.export.write_chrome_trace` for a Perfetto dump.
     trace: Optional[TraceAssembler] = None
 
@@ -42,6 +66,7 @@ class ExperimentOutcome:
 def run_experiment(protocol: str,
                    config: Optional[ClusterConfig] = None,
                    workload: Optional[WorkloadParameters] = None, *,
+                   backend: str = "sim",
                    checker: Optional[object] = None,
                    check_consistency: bool = False,
                    scenario: Optional[Scenario] = None,
@@ -55,8 +80,15 @@ def run_experiment(protocol: str,
         Registered protocol name.
     config:
         Cluster configuration; defaults to the bench-scale configuration.
+        ``duration_seconds`` (including ``warmup_seconds``) is the run length
+        on every backend: simulated seconds on ``sim``, wall-clock seconds
+        on ``inproc`` and ``tcp``.
     workload:
         Workload point; defaults to the paper's default workload.
+    backend:
+        One of :data:`BACKENDS`.  On ``tcp`` every client worker re-anchors
+        the warmup window at traffic start, so the measurement window means
+        what it means in process.
     checker:
         The recorder the clients hand their operations to (see
         :func:`~repro.harness.builder.build_cluster`); when it is a checker,
@@ -66,47 +98,62 @@ def run_experiment(protocol: str,
         check with :meth:`StreamingChecker.offline()
         <repro.causal.streaming.StreamingChecker.offline>`.
     scenario:
-        Optional fault scenario to execute during the run; the result then
-        carries one :class:`~repro.metrics.collectors.PhaseSlice` per phase.
-        ``None`` (or an empty scenario) takes the unmodified healthy path.
+        Optional fault scenario to execute during the run (``sim`` only);
+        the result then carries one
+        :class:`~repro.metrics.collectors.PhaseSlice` per phase.  ``None``
+        (or an empty scenario) takes the unmodified healthy path.
     trace:
-        Record the run's repro.obs event stream (virtual-time stamps) and
-        attach the assembled timeline to the outcome; the result row then
-        carries the per-write remote-visibility lag distribution.  Never
-        perturbs the simulation.
+        Record the run's repro.obs event stream and attach the assembled
+        timeline to the outcome; the result row then carries the per-write
+        remote-visibility lag distribution.  Never perturbs the simulation.
     """
+    require_backend(backend)
+    faulted = scenario is not None and not scenario.is_empty
+    if faulted and backend != "sim":
+        raise ConfigurationError(
+            f"fault scenarios require the sim backend, not {backend!r}")
     config = config or ClusterConfig()
     workload = workload or DEFAULT_WORKLOAD
     if check_consistency and checker is None:
         checker = StreamingChecker.offline()
-    cluster = build_cluster(protocol, config, workload, checker=checker,
-                            trace=trace)
     controller: Optional[FaultController] = None
-    if scenario is not None and not scenario.is_empty:
-        controller = FaultController(cluster.topology, cluster.metrics, scenario)
-        controller.install()
-    cluster.start()
-    cluster.sim.run(until=config.duration_seconds)
-    cluster.stop()
-    if controller is not None:
-        controller.shutdown()
-
     assembler: Optional[TraceAssembler] = None
-    if cluster.trace_bus is not None:
-        assembler = TraceAssembler()
-        assembler.ingest_bus(cluster.trace_bus)
+    if backend == "sim":
+        cluster = build_cluster(protocol, config, workload, checker=checker,
+                                trace=trace)
+        if faulted:
+            controller = FaultController(cluster.topology, cluster.metrics,
+                                         scenario)
+            controller.install()
+        cluster.start()
+        cluster.sim.run(until=config.duration_seconds)
+        cluster.stop()
+        if controller is not None:
+            controller.shutdown()
+        if cluster.trace_bus is not None:
+            assembler = TraceAssembler()
+            assembler.ingest_bus(cluster.trace_bus)
+        overhead = OverheadCounters()
+        for server in cluster.topology.all_servers():
+            overhead.merge(server.counters)
+        cpu_utilization = cluster.topology.average_cpu_utilization(
+            config.duration_seconds)
+    else:
+        cluster = _serve_wall_clock(protocol, config, workload, backend,
+                                    checker, trace)
+        if trace:
+            assembler = cluster.collect_trace()
+        overhead = cluster.overhead()
+        cpu_utilization = 0.0
+        label = label or f"{backend} {workload.describe()}"
 
-    overhead = OverheadCounters()
-    for server in cluster.topology.all_servers():
-        overhead.merge(server.counters)
     result = cluster.metrics.finalize(
         protocol=protocol,
         num_dcs=config.num_dcs,
         clients=config.total_clients,
         measurement_seconds=config.measurement_seconds,
         overhead=overhead,
-        cpu_utilization=cluster.topology.average_cpu_utilization(
-            config.duration_seconds),
+        cpu_utilization=cpu_utilization,
         label=label or workload.describe(),
         visibility_trace=(assembler.visibility_summary()
                           if assembler is not None else None))
@@ -119,6 +166,50 @@ def run_experiment(protocol: str,
     return ExperimentOutcome(result=result, cluster=cluster,
                              checker_report=report, faults=controller,
                              trace=assembler)
+
+
+def _serve_wall_clock(protocol: str, config: ClusterConfig,
+                      workload: WorkloadParameters, backend: str,
+                      checker: Optional[object], trace: bool):
+    """Start a wall-clock cluster, serve its closed loops for
+    ``config.duration_seconds`` and stop it; return the stopped cluster.
+
+    The runtime is imported here, so a simulated run (and every pool worker
+    of :func:`~repro.harness.parallel.run_specs`) never loads asyncio.
+    """
+    import asyncio
+
+    if backend == "tcp":
+        from repro.runtime.process import ProcessCluster
+
+        cluster = ProcessCluster(protocol, config, workload, checker=checker,
+                                 trace=trace)
+        serve = cluster.run_workload
+    else:
+        from repro.runtime.cluster import RealtimeCluster, drive_closed_loops
+
+        cluster = RealtimeCluster(protocol, config, workload, checker=checker,
+                                  trace=trace)
+
+        async def serve(seconds: float) -> None:
+            await drive_closed_loops(cluster, seconds)
+
+    async def run() -> None:
+        # stop() also covers a start() that failed mid-handshake: the
+        # already-spawned worker processes must not be leaked.
+        try:
+            await cluster.start()
+            await serve(config.duration_seconds)
+        finally:
+            await cluster.stop()
+        # Failures recorded during teardown (e.g. a link that broke while
+        # flushing) must fail the run too, not just mid-run ones.
+        failure = cluster.first_failure()
+        if failure is not None:
+            raise failure
+
+    asyncio.run(run())
+    return cluster
 
 
 def load_sweep(protocol: str, client_counts: Sequence[int],
@@ -141,4 +232,5 @@ def load_sweep(protocol: str, client_counts: Sequence[int],
                      max_workers=max_workers)
 
 
-__all__ = ["ExperimentOutcome", "load_sweep", "run_experiment"]
+__all__ = ["BACKENDS", "ExperimentOutcome", "load_sweep", "require_backend",
+           "run_experiment"]

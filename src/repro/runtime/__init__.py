@@ -17,11 +17,12 @@ This package is the second driver of the protocol kernels in
 
 Entry points:
 
-* :func:`~repro.runtime.experiment.run_realtime_experiment` — a
-  workload-driven wall-clock run (``transport="inproc"`` or ``"tcp"``)
-  returning a :class:`~repro.metrics.collectors.RunResult`;
-* ``CausalStore(backend="realtime", transport=...)`` (:mod:`repro.api`) —
-  the interactive facade served by this backend;
+* ``run_experiment(..., backend="inproc" | "tcp")``
+  (:mod:`repro.harness.runner`) — a workload-driven wall-clock run
+  returning the same :class:`~repro.metrics.collectors.RunResult` row as a
+  simulated one;
+* ``CausalStore(backend="inproc" | "tcp")`` (:mod:`repro.api`) — the
+  interactive facade served by this backend;
 * :class:`~repro.runtime.cluster.RealtimeCluster` /
   :class:`~repro.runtime.process.ProcessCluster` — the building blocks.
 """
@@ -29,18 +30,14 @@ Entry points:
 from repro._lazy import make_lazy
 
 _EXPORTS = {
-    "DEFAULT_REALTIME_DURATION": "repro.runtime.experiment",
     "Envelope": "repro.runtime.transport",
     "InprocTransport": "repro.runtime.transport",
     "ProcessCluster": "repro.runtime.process",
     "RealtimeClient": "repro.runtime.nodes",
     "RealtimeCluster": "repro.runtime.cluster",
-    "RealtimeOutcome": "repro.runtime.experiment",
     "RealtimeServer": "repro.runtime.nodes",
-    "TRANSPORTS": "repro.runtime.transport",
     "TcpTransport": "repro.runtime.transport",
     "Transport": "repro.runtime.transport",
-    "run_realtime_experiment": "repro.runtime.experiment",
 }
 
 __all__ = sorted(_EXPORTS)

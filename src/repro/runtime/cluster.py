@@ -59,7 +59,7 @@ class RealtimeCluster:
         :class:`~repro.causal.streaming.ObservationBuffer` a worker process
         streams its log to the parent from; ``None`` records nothing.
         :class:`~repro.runtime.process.ProcessCluster`,
-        :func:`~repro.runtime.experiment.run_realtime_experiment` and
+        :func:`~repro.harness.runner.run_experiment` and
         :class:`~repro.api.CausalStore` hand theirs down untouched.
     workload_clients:
         Create the ``config.clients_per_dc`` closed-loop clients.  The

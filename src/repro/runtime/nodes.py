@@ -121,9 +121,9 @@ class RealtimeClient(_LoopNode, ClientHost):
     """A client driving one operation at a time through its kernel.
 
     Used in two modes: *closed loop* (:meth:`run_closed_loop`, the load
-    generator of :func:`repro.runtime.experiment.run_realtime_experiment`)
-    and *interactive* (:meth:`perform`, the realtime backend of
-    :class:`repro.api.CausalStore`).
+    generator of :func:`repro.harness.runner.run_experiment` off the
+    simulator) and *interactive* (:meth:`perform`, the ``inproc`` and
+    ``tcp`` backends of :class:`repro.api.CausalStore`).
     """
 
     def __init__(self, cluster: "RealtimeCluster", kernel: ClientKernel,

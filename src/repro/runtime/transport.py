@@ -51,10 +51,6 @@ from repro.wire.batch import (
 from repro.wire.codec import decode, register_wire_type
 from repro.wire.framing import frame, read_frame
 
-#: Names a registered protocol can support (``ProtocolSpec.transports``).
-TRANSPORTS = ("inproc", "tcp")
-
-
 #: Reserved wire type ids of the runtime layer (kept out of the message and
 #: dynamic ranges so every process agrees on them without import-order luck).
 _WIRE_ID_SERVER_ADDR = 512
@@ -419,7 +415,6 @@ class TcpTransport(Transport):
 __all__ = [
     "Envelope",
     "InprocTransport",
-    "TRANSPORTS",
     "TcpTransport",
     "Transport",
 ]

@@ -102,6 +102,43 @@ class TestPhysicalClock:
             SkewModel(max_offset_us=-1.0)
 
 
+class _PreemptedTime:
+    """Stand-in for the ``time`` module: a true clock that advances 1 us per
+    read, seen through two origins, and a 5 ms preemption between the first
+    and the second read after ``reads`` is zeroed."""
+
+    def __init__(self) -> None:
+        self.true = 100.0
+        self.reads = 0
+
+    def _tick(self) -> float:
+        self.true += 1e-6
+        self.reads += 1
+        if self.reads == 2:
+            self.true += 0.005  # descheduled inside the first bracket
+        return self.true
+
+    def monotonic(self) -> float:
+        return self._tick() - 90.0
+
+    def time(self) -> float:
+        return self._tick() + 1_600_000_000.0
+
+
+class TestWallClock:
+    def test_epoch_alignment_survives_a_preemption_between_reads(
+            self, monkeypatch):
+        import repro.clocks.timesource as timesource
+        fake = _PreemptedTime()
+        monkeypatch.setattr(timesource, "time", fake)
+        clock = timesource.WallClock()
+        epoch = fake.time() - 2.0
+        fake.reads = 0
+        clock.sync_to_wall_epoch(epoch)
+        expected = fake.true + 1_600_000_000.0 - epoch
+        assert clock.now == pytest.approx(expected, abs=1e-4)
+
+
 class TestHLCTimestamp:
     def test_pack_unpack_round_trip(self):
         ts = HLCTimestamp(physical=12345, logical=7)

@@ -371,7 +371,7 @@ def test_both_drivers_produce_the_same_events_records_and_counters(
 
 
 def test_the_facade_drives_a_kernel_only_protocol(echo_protocol):
-    for backend in ("sim", "realtime"):
+    for backend in ("sim", "inproc"):
         with CausalStore(protocol=echo_protocol, backend=backend) as store:
             assert store.put("0:1").values == {"0:1": 1}
             assert store.get("0:1") == 0

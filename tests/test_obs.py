@@ -29,7 +29,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.trace import TraceAssembler, WriteChain, render_span_tree
-from repro.runtime.experiment import run_realtime_experiment
 from repro.workload.parameters import WorkloadParameters
 
 PROTOCOLS = ("contrarian", "cure", "cc-lo")
@@ -362,9 +361,9 @@ class TestSimTracing:
 
 class TestRealtimeTracing:
     def test_traced_inproc_run_is_gap_free(self):
-        outcome = run_realtime_experiment(
-            "contrarian", _tiny_config(), TINY_WORKLOAD,
-            duration_seconds=0.6, trace=True)
+        outcome = run_experiment(
+            "contrarian", _tiny_config(duration_seconds=0.6), TINY_WORKLOAD,
+            backend="inproc", trace=True)
         assembler = outcome.trace
         assert assembler is not None
         assert sum(assembler.sequence_gaps().values()) == 0
@@ -372,8 +371,9 @@ class TestRealtimeTracing:
         assert outcome.result.visibility_trace.count > 0
 
     def test_untraced_run_carries_no_trace(self):
-        outcome = run_realtime_experiment(
-            "cure", _tiny_config(), TINY_WORKLOAD, duration_seconds=0.3)
+        outcome = run_experiment(
+            "cure", _tiny_config(duration_seconds=0.3), TINY_WORKLOAD,
+            backend="inproc")
         assert outcome.trace is None
         assert outcome.result.visibility_trace is None
 
@@ -381,9 +381,9 @@ class TestRealtimeTracing:
 @pytest.mark.slow
 class TestTcpTracing:
     def test_tcp_cluster_assembles_one_gap_free_timeline(self):
-        outcome = run_realtime_experiment(
-            "contrarian", _tiny_config(), TINY_WORKLOAD,
-            duration_seconds=1.0, transport="tcp", trace=True)
+        outcome = run_experiment(
+            "contrarian", _tiny_config(duration_seconds=1.0), TINY_WORKLOAD,
+            backend="tcp", trace=True)
         assembler = outcome.trace
         assert assembler is not None
         # One stream per worker process plus the parent's view.

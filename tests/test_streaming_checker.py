@@ -376,16 +376,15 @@ class TestRuntimeSelection:
             assert store.check().ok
         assert checker.recorded_puts == 1 and checker.recorded_rots == 1
         # The name a checker used to be selected by is not a recorder.
-        for backend in ("sim", "realtime"):
+        for backend in ("sim", "inproc"):
             with pytest.raises(ConfigurationError, match="record_put"):
                 CausalStore(backend=backend, checker="streaming")
 
     def test_experiment_rejects_what_is_not_a_recorder(self):
-        from repro.runtime.experiment import run_realtime_experiment
-        for transport in ("inproc", "tcp"):
+        from repro.harness.runner import run_experiment
+        for backend in ("inproc", "tcp"):
             with pytest.raises(ConfigurationError, match="record_put"):
-                run_realtime_experiment("cure", checker="bogus",
-                                        transport=transport)
+                run_experiment("cure", checker="bogus", backend=backend)
 
 
 @pytest.mark.slow
@@ -393,16 +392,16 @@ class TestStreamingOverTcp:
     @pytest.mark.parametrize("make_checker", [lambda: None, StreamingChecker],
                              ids=["default-offline", "streaming"])
     def test_workers_stream_chunks_and_the_run_is_clean(self, make_checker):
-        from repro.runtime.experiment import run_realtime_experiment
+        from repro.harness.runner import run_experiment
         from repro.workload.parameters import WorkloadParameters
         config = ClusterConfig.test_scale(num_partitions=2, num_dcs=2,
                                           clients_per_dc=2,
+                                          duration_seconds=0.5,
                                           warmup_seconds=0.05)
         checker = make_checker()
-        outcome = run_realtime_experiment(
+        outcome = run_experiment(
             "contrarian", config, WorkloadParameters(rot_size=2),
-            duration_seconds=0.5, transport="tcp",
-            check_consistency=True, checker=checker)
+            backend="tcp", check_consistency=True, checker=checker)
         cluster = outcome.cluster
         assert cluster.chunks_ingested > 0
         assert isinstance(cluster.checker, StreamingChecker)
@@ -413,11 +412,11 @@ class TestStreamingOverTcp:
         assert report.puts > 0 and report.rots > 0
 
     def test_inproc_realtime_run_with_streaming_checker(self):
-        from repro.runtime.experiment import run_realtime_experiment
+        from repro.harness.runner import run_experiment
         checker = StreamingChecker()
-        outcome = run_realtime_experiment(
-            "cure", ClusterConfig.test_scale(), duration_seconds=0.4,
-            transport="inproc", check_consistency=True, checker=checker)
+        outcome = run_experiment(
+            "cure", ClusterConfig.test_scale(duration_seconds=0.4),
+            backend="inproc", check_consistency=True, checker=checker)
         assert outcome.cluster.checker is checker
         assert outcome.checker_report.ok
         assert outcome.checker_report.rots > 0

@@ -1,6 +1,6 @@
 """Multi-process TCP cluster tests (the issue's acceptance criteria).
 
-All three protocols must complete a realtime run with ``transport="tcp"``
+All three protocols must complete a run with ``backend="tcp"``
 across >= 2 worker OS processes with zero causal-checker violations; the
 interactive facade must drive the same worker mesh.  These spawn real
 processes, so they carry the ``slow`` marker (tier-1 still runs them).
@@ -12,7 +12,7 @@ from repro.api import CausalStore
 from repro.cluster.config import ClusterConfig
 from repro.core.registry import resolve_spec, transport_protocols
 from repro.errors import ConfigurationError
-from repro.runtime import run_realtime_experiment
+from repro.harness.runner import run_experiment
 from repro.runtime.process import default_placement
 from repro.workload.parameters import WorkloadParameters
 
@@ -21,7 +21,8 @@ PROTOCOLS = ("contrarian", "cure", "cc-lo")
 #: Small but genuinely multi-process: 2 DCs x 2 partitions -> 4 server
 #: processes plus one client worker per DC.
 CONFIG = ClusterConfig.test_scale(num_partitions=2, num_dcs=2,
-                                  clients_per_dc=2, warmup_seconds=0.05)
+                                  clients_per_dc=2, duration_seconds=0.5,
+                                  warmup_seconds=0.05)
 WORKLOAD = WorkloadParameters(rot_size=2)
 
 
@@ -29,9 +30,8 @@ WORKLOAD = WorkloadParameters(rot_size=2)
 class TestTcpWorkloadRuns:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_protocol_completes_over_tcp_with_zero_violations(self, protocol):
-        outcome = run_realtime_experiment(
-            protocol, CONFIG, WORKLOAD, duration_seconds=0.5,
-            transport="tcp", check_consistency=True)
+        outcome = run_experiment(protocol, CONFIG, WORKLOAD, backend="tcp",
+                                 check_consistency=True)
         result = outcome.result
         assert outcome.cluster.worker_count >= 2
         assert result.rots_completed > 0
@@ -44,18 +44,16 @@ class TestTcpWorkloadRuns:
         assert result.overhead.bytes_sent > 0
 
     def test_cclo_readers_check_counters_cross_the_wire(self):
-        outcome = run_realtime_experiment(
-            "cc-lo", CONFIG, WORKLOAD, duration_seconds=0.5,
-            transport="tcp", check_consistency=True)
+        outcome = run_experiment("cc-lo", CONFIG, WORKLOAD, backend="tcp",
+                                 check_consistency=True)
         assert outcome.result.overhead.readers_checks > 0
 
 
 @pytest.mark.slow
 class TestTcpInteractiveFacade:
     def test_put_rot_check_and_cross_dc_replication(self):
-        with CausalStore(protocol="contrarian", backend="realtime",
-                         transport="tcp", num_partitions=2,
-                         num_dcs=2) as store:
+        with CausalStore(protocol="contrarian", backend="tcp",
+                         num_partitions=2, num_dcs=2) as store:
             written = store.put("shared", dc=0).values["shared"]
             assert store.rot(["shared"], dc=0).values["shared"] == written
             seen = None
@@ -88,19 +86,6 @@ class TestTransportSelection:
         for protocol in PROTOCOLS:
             assert resolve_spec(protocol).transports == ("inproc", "tcp")
 
-    def test_unknown_transport_rejected_everywhere(self):
-        with pytest.raises(ConfigurationError, match="unknown transport"):
-            run_realtime_experiment("contrarian", CONFIG,
-                                    transport="carrier-pigeon")
-        with pytest.raises(ConfigurationError, match="unknown transport"):
-            CausalStore(protocol="contrarian", backend="realtime",
-                        transport="carrier-pigeon")
-
-    def test_tcp_requires_realtime_backend(self):
-        with pytest.raises(ConfigurationError, match="realtime"):
-            CausalStore(protocol="contrarian", backend="sim",
-                        transport="tcp")
-
     def test_inproc_only_protocol_is_refused_by_tcp(self):
         from repro.core.registry import register_protocol, unregister_protocol
         from repro.core.vector.kernel import (
@@ -113,7 +98,6 @@ class TestTransportSelection:
         try:
             assert "inproc-only" not in transport_protocols("tcp")
             with pytest.raises(ConfigurationError, match="tcp"):
-                run_realtime_experiment("inproc-only", CONFIG,
-                                        transport="tcp")
+                run_experiment("inproc-only", CONFIG, backend="tcp")
         finally:
             unregister_protocol("inproc-only")

@@ -14,15 +14,10 @@ from repro.api import CausalStore
 from repro.core.common.kernel import ClientAddr, ServerAddr
 from repro.core.common.messages import CcloPutReply, VectorPutRequest
 from repro.errors import ConfigurationError, TransportError, WireFormatError
+from repro.harness.runner import run_experiment
 from repro.runtime.cluster import RealtimeCluster
-from repro.runtime.experiment import run_realtime_experiment
 from repro.runtime.process import ProcessCluster, WorkerSpec
-from repro.runtime.transport import (
-    Envelope,
-    InprocTransport,
-    TRANSPORTS,
-    TcpTransport,
-)
+from repro.runtime.transport import Envelope, InprocTransport, TcpTransport
 from repro.wire import decode, encode
 
 
@@ -68,18 +63,15 @@ class TestInprocTransport:
         with pytest.raises(ConfigurationError, match="cannot route"):
             transport.send(None, "not-an-addr", PUT)
 
-    def test_transport_names(self):
-        assert TRANSPORTS == ("inproc", "tcp")
-
     def test_no_batch_option_above_the_tcp_transport(self):
-        for accepts in (run_realtime_experiment, RealtimeCluster,
+        for accepts in (run_experiment, RealtimeCluster,
                         ProcessCluster, InprocTransport):
             assert "batch" not in inspect.signature(accepts).parameters
         assert not {"batch", "stream_observations"} & {
             field.name for field in dataclasses.fields(WorkerSpec)}
         # Nor is there a checker picked by name: it is an instance (or None)
         # wherever one is accepted, and a str is not a recorder.
-        for accepts in (run_realtime_experiment, RealtimeCluster,
+        for accepts in (run_experiment, RealtimeCluster,
                         ProcessCluster, CausalStore):
             checker = inspect.signature(accepts).parameters["checker"]
             assert checker.default is None
