@@ -34,7 +34,13 @@ or this host happens to run it.  Per protocol it reports
   and drops the rest (4,000 operations of the loop-free Contrarian drive,
   while messages were still plain frozen dataclasses, showed 1,336
   ``<string>:2(__init__)`` calls where there were 107,213);
-* ``msgs_per_op`` — run-queue deliveries per operation.
+* ``msgs_per_op`` — run-queue deliveries per operation;
+* ``gc_collections_per_1k_ops`` — the garbage collector's generation 0, 1
+  and 2 collections per 1,000 operations of the timed rounds (deltas of
+  ``gc.get_stats()`` around each drive), and ``gc_tracked_objects`` — the
+  objects it tracks after the last round and a full collection
+  (``len(gc.get_objects())``, the whole process): what the cluster keeps
+  alive for every collection to walk.
 
 These rows exclude the draw: every operation is drawn from its client's
 workload generator before the timed and counted region.  The draw is the
@@ -69,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import gc
 import json
 import os
 import platform
@@ -291,20 +298,40 @@ def timed(work) -> tuple[float, object]:
     return elapsed * REFERENCE_SPIN_SECONDS / spin, outcome
 
 
+def gc_collections() -> list[int]:
+    """Collections the garbage collector has run so far, per generation."""
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+def gc_tracked_objects() -> int:
+    """Objects the garbage collector tracks once it has run in full (a
+    collection stops tracking tuples that hold no container)."""
+    gc.collect()
+    return len(gc.get_objects())
+
+
 def time_rounds(protocol: str, rounds: int,
-                operations: int) -> tuple[list[float], list[float]]:
+                operations: int) -> tuple[list[float], list[float], dict]:
     """Normalised CPU microseconds per operation of each round: driving it,
-    and drawing it."""
+    and drawing it; and what the drives cost the garbage collector."""
     cluster = build_cluster(protocol)
     drive(cluster, plan(cluster, operations))
     samples, draws = [], []
+    passes = [0] * len(gc_collections())
     for index in range(rounds):
         seconds, schedule = timed(lambda: plan(
             cluster, operations, first=(index + 1) * operations))
         draws.append(seconds / operations * 1e6)
+        before = gc_collections()
         seconds, _ = timed(lambda: drive(cluster, schedule))
+        passes = [total + after - start for total, after, start
+                  in zip(passes, gc_collections(), before)]
         samples.append(seconds / operations * 1e6)
-    return samples, draws
+    return samples, draws, {
+        "gc_collections_per_1k_ops": [
+            round(count * 1000 / (rounds * operations), 2)
+            for count in passes],
+        "gc_tracked_objects": gc_tracked_objects()}
 
 
 def time_sim_rounds(protocol: str, rounds: int) -> list[float]:
@@ -329,11 +356,12 @@ def _row(samples: list[float], counts: dict[str, float]) -> dict:
 
 
 def _loop_free_row(protocol: str, rounds: int, operations: int) -> dict:
-    samples, draws = time_rounds(protocol, rounds, operations)
+    samples, draws, garbage = time_rounds(protocol, rounds, operations)
     return {**_row(samples, count_calls(protocol)),
             "generator_us_per_op": round(statistics.median(draws), 2),
             "generator_py_calls_per_op": round(
-                count_generator_calls(protocol), 1)}
+                count_generator_calls(protocol), 1),
+            **garbage}
 
 
 def measure(rounds: int, operations: int) -> dict:
@@ -368,7 +396,9 @@ def main(argv=None) -> int:
             events = (f", {row['events_per_op']} events/op"
                       if "events_per_op" in row else
                       f"; draw {row['generator_us_per_op']} us, "
-                      f"{row['generator_py_calls_per_op']} Python calls")
+                      f"{row['generator_py_calls_per_op']} Python calls; "
+                      f"gc {row['gc_collections_per_1k_ops']} per 1k ops, "
+                      f"{row['gc_tracked_objects']} tracked")
             print(f"{label:>9} {protocol:>10}: "
                   f"{cpu['median']:7.1f} us/op "
                   f"(q1 {cpu['q1']}, q3 {cpu['q3']}), "

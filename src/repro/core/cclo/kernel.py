@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.causal.dependencies import ClientDependencyContext
 from repro.clocks.lamport import LamportClock
@@ -49,7 +49,7 @@ from repro.wire.intern import intern_key
 PROTOCOL_NAME = "cc-lo"
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingCheck:
     """State of an in-progress readers check at the writing partition."""
 
@@ -61,7 +61,7 @@ class PendingCheck:
     partitions_contacted: int = 0
     replicate_after: bool = True
 
-    def merge(self, old_readers: tuple[tuple[str, int], ...]) -> None:
+    def merge(self, old_readers: Sequence[tuple[str, int]]) -> None:
         self.cumulative_ids += len(old_readers)
         for rot_id, logical_time in old_readers:
             previous = self.collected.get(rot_id)
@@ -213,10 +213,10 @@ class CcloKernel(ServerKernel):
         version = Version(key=intern_key(message.key), value=None,
                           timestamp=timestamp,
                           origin_dc=self.dc_id, size_bytes=message.value_size,
-                          dependencies=tuple((key, ts) for key, ts, _ in
-                                             message.dependencies),
-                          dependency_origins=tuple(origin for _, _, origin in
-                                                   message.dependencies),
+                          dependencies=tuple([(key, ts) for key, ts, _ in
+                                              message.dependencies]),
+                          dependency_origins=tuple([origin for _, _, origin in
+                                                    message.dependencies]),
                           visible=False, created_at=self.now,
                           writer=message.client_id, sequence=message.sequence)
         self.store.install(version)
@@ -232,9 +232,9 @@ class CcloKernel(ServerKernel):
                                expected_replies=0,
                                replicate_after=replicate_after)
         groups: dict[int, list[tuple[str, int, int]]] = {}
-        for key, ts, origin in dependencies:
-            groups.setdefault(self.partitioner.partition_of(key), []).append(
-                (key, ts, origin))
+        partition_of = self.partitioner.partition_of
+        for dep in dependencies:
+            groups.setdefault(partition_of(dep[0]), []).append(dep)
         local_deps = groups.pop(self.partition_index, [])
         pending.expected_replies = len(groups)
         pending.partitions_contacted = len(groups)
@@ -255,8 +255,8 @@ class CcloKernel(ServerKernel):
                     keys=tuple(key for key, _, _ in local_deps),
                     missing=missing))
             else:
-                pending.merge(tuple(self.readers.collect_for_response(
-                    [key for key, _, _ in local_deps], self.now)))
+                pending.merge(self.readers.collect_for_response(
+                    [key for key, _, _ in local_deps], self.now))
         if pending.expected_replies <= 0:
             self._finalize_check(check_id)
             return
@@ -287,9 +287,9 @@ class CcloKernel(ServerKernel):
         if origin == self.dc_id:
             # Dependencies created in this DC are trivially present.
             return True
-        return any(version.origin_dc == origin and version.timestamp >= timestamp
-                   and version.is_visible()
-                   for version in self.store.versions(key))
+        return self.store.latest(
+            key, lambda version: version.origin_dc == origin
+            and version.timestamp >= timestamp and version.visible) is not None
 
     def _reply_readers_check(self, sender: Addr,
                              message: ReadersCheckRequest) -> None:
@@ -389,8 +389,8 @@ class CcloKernel(ServerKernel):
     # ------------------------------------------------------------ replication
     def _replicate(self, version: Version) -> None:
         origins = version.dependency_origins or (self.dc_id,) * len(version.dependencies)
-        dependencies = tuple((key, ts, origin)
-                             for (key, ts), origin in zip(version.dependencies, origins))
+        dependencies = tuple([(key, ts, origin) for (key, ts), origin
+                              in zip(version.dependencies, origins)])
         for replica in self._replicas:
             self.counters.replication_messages += 1
             self.counters.dependency_entries_sent += len(dependencies)
@@ -407,10 +407,10 @@ class CcloKernel(ServerKernel):
         version = Version(key=intern_key(message.key), value=None,
                           timestamp=message.timestamp,
                           origin_dc=message.origin_dc, size_bytes=message.value_size,
-                          dependencies=tuple((key, ts) for key, ts, _ in
-                                             message.dependencies),
-                          dependency_origins=tuple(origin for _, _, origin in
-                                                   message.dependencies),
+                          dependencies=tuple([(key, ts) for key, ts, _ in
+                                              message.dependencies]),
+                          dependency_origins=tuple([origin for _, _, origin in
+                                                    message.dependencies]),
                           old_readers=dict(message.old_readers),
                           visible=False, created_at=self.now,
                           writer=message.writer, sequence=message.sequence)
@@ -458,8 +458,8 @@ class CcloKernel(ServerKernel):
                 pending = self._pending_checks.get(waiting.check_id)
                 if pending is None:
                     continue
-                pending.merge(tuple(self.readers.collect_for_response(
-                    list(waiting.keys), self.now)))
+                pending.merge(self.readers.collect_for_response(
+                    waiting.keys, self.now))
                 pending.expected_replies -= 1
                 if pending.expected_replies <= 0:
                     self._finalize_check(waiting.check_id)
@@ -484,6 +484,8 @@ class CcloClientKernel(ClientKernel):
                          partitioner=partitioner, rot_registry=rot_registry)
         self.dep_context = ClientDependencyContext()
         self._pending_rot: Optional[PendingRot] = None
+        #: The dependency triples the PUT in flight was issued with.
+        self._put_dependencies: tuple[tuple[str, int, int], ...] = ()
         self._handlers = {OneRoundReadReply: self._handle_read_reply,
                           CcloPutReply: self._handle_put_reply}
 
@@ -533,8 +535,7 @@ class CcloClientKernel(ClientKernel):
     # ------------------------------------------------------------------- PUT
     def _issue_put(self, operation) -> None:
         key = operation.keys[0]
-        dependencies = tuple(dep.as_triple()
-                             for dep in self.dep_context.dependencies())
+        self._put_dependencies = dependencies = self.checker_dependencies()
         request = CcloPutRequest(
             key=key, value_size=operation.value_size,
             dependencies=dependencies,
@@ -543,9 +544,10 @@ class CcloClientKernel(ClientKernel):
         self._send(self._servers[self.partitioner.partition_of(key)], request)
 
     def _handle_put_reply(self, message: CcloPutReply) -> None:
-        # Snapshot the causal context *before* the PUT subsumes it — the
-        # checker records the PUT against the context it was issued under.
-        dependencies = self.checker_dependencies()
+        # The checker records the PUT against the context it was issued
+        # under, which is still the current one: a client has one operation
+        # in flight, so nothing was observed since the PUT was sent.
+        dependencies = self._put_dependencies
         partition = self.partitioner.partition_of(message.key)
         self.dep_context.observe_write(message.key, message.timestamp,
                                        partition, self.dc_id)
@@ -556,7 +558,7 @@ class CcloClientKernel(ClientKernel):
 
     # ------------------------------------------------------------------ misc
     def checker_dependencies(self) -> tuple[tuple[str, int, int], ...]:
-        return tuple(dep.as_triple() for dep in self.dep_context.dependencies())
+        return tuple([dep.as_triple() for dep in self.dep_context.dependencies()])
 
 
 __all__ = [

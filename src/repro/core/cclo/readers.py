@@ -19,12 +19,22 @@ and dependency key — not what the window holds, because a key's old readers
 * by ROT id: an id recorded again replaces its record;
 * in recording order (the same dict, a re-recorded id moving to its end),
   which is the order records expire in because ``now`` — simulator time,
-  ``time.monotonic`` — never decreases: expiry pops from the front;
+  ``time.monotonic`` — never decreases: a key is expired only when its first
+  record is past the window, and expiry pops from the front;
 * per client (``named``, only when replies are compressed): the one record a
   reply names — the client's highest logical time, on a tie the id that
   entered the key first.  Recording updates it in place; it is rebuilt by a
   scan of the key only when the named record expires before a later one of
   its client (``outlived``) or is recorded again with a lower logical time.
+
+An old reader is an immutable tuple ``(rot_id, client_id, logical_time,
+recorded_at, rank)`` (``rank`` orders the ids of a key by when they entered
+it).  Recording an id again builds a new tuple and puts it in both views that
+held the old one, so "is this the named record" stays an ``is`` test.  Such
+tuples hold only strings and numbers, so the garbage collector stops tracking
+them; recording, demoting, inheriting and expiring a reader builds no other
+object it tracks and calls no Python function per id: a whole mapping is
+recorded in one loop (:meth:`_KeyRecords.record_all`).
 
 The order of ids *inside* a reply is unspecified: ``PendingCheck.merge``,
 ``Version.old_readers`` and the read path use them as a set.
@@ -32,93 +42,103 @@ The order of ids *inside* a reply is unspecified: ``PendingCheck.merge``,
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Optional, Sequence
-
-from repro.core.common.kernel import ClientKernel
-
-
-@dataclass(slots=True, eq=False)
-class ReaderEntry:
-    """One old reader of a key: who read, when (logical time), for which
-    client; ``rank`` orders the ids of a key by when they entered it."""
-
-    rot_id: str
-    client_id: str
-    logical_time: int
-    recorded_at: float
-    rank: int
-    #: Read on a named record only: its client has a record in this key that
-    #: was recorded, and so expires, later.
-    outlived: bool = False
+from typing import Mapping, Sequence
 
 
 class _KeyRecords(dict):
-    """The old readers of one key: ``rot_id -> ReaderEntry``, oldest
-    recording first; ``named`` is ``client_id -> the record a reply names``,
-    or ``None`` when replies are not compressed (they name every record)."""
+    """The old readers of one key: ``rot_id -> (rot_id, client_id,
+    logical_time, recorded_at, rank)`` (indexed by position below), oldest
+    recording first; ``named`` is ``client_id -> the record a reply names``, or
+    ``None`` when replies are not compressed (they name every record);
+    ``outlived`` holds the clients whose named record has a later record of
+    theirs in this key (which expires later), ``None`` until the first."""
 
-    __slots__ = ("named", "entered")
+    __slots__ = ("named", "outlived", "entered")
 
     def __init__(self, one_id_per_client: bool) -> None:
         self.named = {} if one_id_per_client else None
+        self.outlived = None
         self.entered = 0
 
-    def record(self, rot_id: str, client_id: Optional[str], logical_time: int,
-               now: float) -> None:
-        """(Re-)record ``rot_id`` last; no ``client_id`` means the id's."""
-        entry = self.pop(rot_id, None)
-        if entry is None:
-            entry = ReaderEntry(
-                rot_id, client_id or ClientKernel.rot_client_id(rot_id),
-                logical_time, now, self.entered)
-            self.entered += 1
-        lowered = logical_time < entry.logical_time
-        entry.logical_time = logical_time
-        entry.recorded_at = now
-        self[rot_id] = entry
+    def record_all(self, readers: Mapping[str, int], now: float) -> None:
+        """(Re-)record each ``rot_id -> logical_time`` last, in order.  The
+        client of an id is the id up to its last ``#``, interned
+        (:meth:`ClientKernel.rot_client_id`'s rule): the window holds tens of
+        thousands of records, a few dozen clients."""
         named = self.named
-        if named is None:
-            return
-        best = named.get(entry.client_id)
-        if best is entry and lowered:
-            self._rename(entry.client_id)
-        elif best is None or best is entry or logical_time > best.logical_time \
-                or (logical_time == best.logical_time
-                    and entry.rank < best.rank):
-            named[entry.client_id] = entry
-            entry.outlived = False
-        else:
-            best.outlived = True
+        outlived = self.outlived
+        entered = self.entered
+        pop = self.pop
+        intern = sys.intern
+        for rot_id, logical_time in readers.items():
+            old = pop(rot_id, None)
+            if old is None:
+                client_id = intern(rot_id[:rot_id.rindex("#")])
+                rank = entered
+                entered += 1
+            else:
+                client_id = old[1]
+                rank = old[4]
+            record = self[rot_id] = (rot_id, client_id, logical_time, now, rank)
+            if named is None:
+                continue
+            best = named.get(client_id)
+            if best is None:
+                named[client_id] = record
+            elif best is old and logical_time < old[2]:
+                self._rename(client_id)
+                outlived = self.outlived
+            elif best is old or logical_time > best[2] \
+                    or (logical_time == best[2] and rank < best[4]):
+                # The record is its client's last, so it outlives no other.
+                named[client_id] = record
+                if outlived and client_id in outlived:
+                    outlived.remove(client_id)
+            elif outlived is None:
+                outlived = self.outlived = {client_id}
+            elif client_id not in outlived:
+                outlived.add(client_id)
+        self.entered = entered
 
     def expire(self, now: float, gc_window: float) -> int:
         """Drop the records older than the window; returns how many."""
         expired = []
-        for entry in self.values():
-            if now - entry.recorded_at <= gc_window:
+        for record in self.values():
+            if now - record[3] <= gc_window:
                 break
-            expired.append(entry)
-        for entry in expired:
-            del self[entry.rot_id]
+            expired.append(record)
+        for record in expired:
+            del self[record[0]]
         named = self.named
         if named is not None:
-            for entry in expired:
-                if named.get(entry.client_id) is entry:
-                    del named[entry.client_id]
-                    if entry.outlived and self:
-                        self._rename(entry.client_id)
+            outlived = self.outlived
+            for record in expired:
+                client_id = record[1]
+                if named.get(client_id) is record:
+                    del named[client_id]
+                    if outlived and client_id in outlived:
+                        outlived.remove(client_id)
+                        if self:
+                            self._rename(client_id)
         return len(expired)
 
     def _rename(self, client_id: str) -> None:
         """Name the record of ``client_id`` anew, by a scan of the key."""
-        theirs = [entry for entry in self.values()
-                  if entry.client_id == client_id]
-        if theirs:
-            best = self.named[client_id] = max(
-                theirs, key=lambda entry: (entry.logical_time, -entry.rank))
-            best.outlived = best is not theirs[-1]
+        theirs = [record for record in self.values()
+                  if record[1] == client_id]
+        if not theirs:
+            return
+        best = self.named[client_id] = max(
+            theirs, key=lambda record: (record[2], -record[4]))
+        if best is not theirs[-1]:
+            if self.outlived is None:
+                self.outlived = set()
+            self.outlived.add(client_id)
+        elif self.outlived:
+            self.outlived.discard(client_id)
 
 
 class ReaderRecords:
@@ -143,24 +163,25 @@ class ReaderRecords:
                           logical_time: int, now: float) -> None:
         """Record that ``rot_id`` was served an *older* version of ``key``:
         an old-reader record barred it from the latest one, so it must also
-        be barred from any future version that depends on what it missed."""
-        self._old[key].record(rot_id, client_id, logical_time, now)
+        be barred from any future version that depends on what it missed
+        (the client is the id's)."""
+        self._old[key].record_all({rot_id: logical_time}, now)
 
     def record_old_readers(self, key: str, readers: Mapping[str, int],
                            now: float) -> None:
         """Record each ``rot_id -> logical_time`` as an old reader of ``key``
         (demoted readers; the ids a version inherits from its readers check)."""
         if readers:
-            record = self._old[key].record
-            for rot_id, logical_time in readers.items():
-                record(rot_id, None, logical_time, now)
+            self._old[key].record_all(readers, now)
 
     def on_version_visible(self, key: str, now: float) -> int:
         """A new version of ``key`` became visible: every ROT that read the
         previously-latest one becomes an old reader of ``key``.  Returns the
         number of demoted entries."""
-        readers = self._current.pop(key, {})
-        self.record_old_readers(key, readers, now)
+        readers = self._current.pop(key, None)
+        if not readers:
+            return 0
+        self._old[key].record_all(readers, now)
         return len(readers)
 
     # --------------------------------------------------------------- queries
@@ -178,27 +199,42 @@ class ReaderRecords:
         keys it covers; uncompressed, a ROT id found in the records of
         several keys is still named once.
         """
-        combined: dict[str, ReaderEntry] = {}
-        combined_get = combined.get
+        combined = None
+        gc_window = self._gc_window
+        old_get = self._old.get
         for key in keys:
-            bucket = self._old.get(key)
+            bucket = old_get(key)
             if not bucket:
                 continue
-            self.entries_expired += bucket.expire(now, self._gc_window)
-            for group, entry in (bucket if bucket.named is None
-                                 else bucket.named).items():
+            for first in bucket.values():  # the oldest record
+                if now - first[3] > gc_window:
+                    self.entries_expired += bucket.expire(now, gc_window)
+                break
+            view = bucket if bucket.named is None else bucket.named
+            if combined is None:
+                combined = dict(view)
+                combined_get = combined.get
+                continue
+            for group, record in view.items():
                 best = combined_get(group)
-                if best is None or entry.logical_time > best.logical_time:
-                    combined[group] = entry
-        return [(entry.rot_id, entry.logical_time) for entry in combined.values()]
+                if best is None or record[2] > best[2]:
+                    combined[group] = record
+        if not combined:
+            return []
+        return [(record[0], record[2]) for record in combined.values()]
 
     def collect_garbage(self, now: float) -> int:
         """Eagerly drop expired old-reader entries; returns how many."""
         removed = 0
-        for key, bucket in list(self._old.items()):
-            removed += bucket.expire(now, self._gc_window)
+        gc_window = self._gc_window
+        old = self._old
+        for key, bucket in list(old.items()):
+            for first in bucket.values():  # the oldest record
+                if now - first[3] > gc_window:
+                    removed += bucket.expire(now, gc_window)
+                break
             if not bucket:
-                del self._old[key]
+                del old[key]
         self.entries_expired += removed
         return removed
 
@@ -217,4 +253,4 @@ class ReaderRecords:
                 + sum(len(bucket) for bucket in self._old.values()))
 
 
-__all__ = ["ReaderEntry", "ReaderRecords"]
+__all__ = ["ReaderRecords"]

@@ -151,14 +151,8 @@ class RunResult:
 
         Used by the CI benchmarks (``BENCH_smoke.json``, ``BENCH_faults.json``)
         and any other consumer that persists result rows across processes or
-        runs.  The bulky per-check sample lists of the overhead counters are
-        summarised rather than dumped; :meth:`from_json_dict` is the inverse
-        (modulo those dropped sample lists).
+        runs; :meth:`from_json_dict` is the inverse.
         """
-        overhead = asdict(self.overhead)
-        for samples in ("per_check_distinct", "per_check_cumulative",
-                        "per_check_partitions"):
-            overhead.pop(samples, None)
         return {
             "schema_version": SCHEMA_VERSION,
             "protocol": self.protocol,
@@ -169,7 +163,7 @@ class RunResult:
             "put_latency": asdict(self.put_latency),
             "rots_completed": self.rots_completed,
             "puts_completed": self.puts_completed,
-            "overhead": overhead,
+            "overhead": asdict(self.overhead),
             "cpu_utilization": self.cpu_utilization,
             "label": self.label,
             "phases": [phase.as_json_dict() for phase in self.phases],
@@ -183,10 +177,9 @@ class RunResult:
         """Reconstruct a result row from :meth:`as_json_dict` output.
 
         Accepts every schema version in :data:`SUPPORTED_SCHEMA_VERSIONS`
-        (version 1 payloads carry no ``phases``).  The per-check sample lists
-        of the overhead counters are not serialised, so they come back empty;
-        every scalar field round-trips exactly, which is what lets persisted
-        ``BENCH_*.json`` artifacts be reloaded and diffed.
+        (version 1 payloads carry no ``phases``).  Every field round-trips
+        exactly, which is what lets persisted ``BENCH_*.json`` artifacts be
+        reloaded and diffed.
         """
         version = payload.get("schema_version", 1)
         if version not in SUPPORTED_SCHEMA_VERSIONS:

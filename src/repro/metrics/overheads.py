@@ -9,7 +9,7 @@ real-time backends account overheads through the same object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -28,9 +28,6 @@ class OverheadCounters:
     replication_messages: int = 0
     blocked_reads: int = 0
     total_block_time: float = 0.0
-    per_check_distinct: list[int] = field(default_factory=list)
-    per_check_cumulative: list[int] = field(default_factory=list)
-    per_check_partitions: list[int] = field(default_factory=list)
 
     def record_readers_check(self, distinct_ids: int, cumulative_ids: int,
                              partitions_contacted: int) -> None:
@@ -39,9 +36,6 @@ class OverheadCounters:
         self.rot_ids_distinct += distinct_ids
         self.rot_ids_cumulative += cumulative_ids
         self.readers_check_partitions += partitions_contacted
-        self.per_check_distinct.append(distinct_ids)
-        self.per_check_cumulative.append(cumulative_ids)
-        self.per_check_partitions.append(partitions_contacted)
 
     def merge(self, other: "OverheadCounters") -> None:
         """Accumulate another counter set into this one."""
@@ -57,9 +51,6 @@ class OverheadCounters:
         self.replication_messages += other.replication_messages
         self.blocked_reads += other.blocked_reads
         self.total_block_time += other.total_block_time
-        self.per_check_distinct.extend(other.per_check_distinct)
-        self.per_check_cumulative.extend(other.per_check_cumulative)
-        self.per_check_partitions.extend(other.per_check_partitions)
 
     # Derived statistics -----------------------------------------------------
     def average_distinct_ids_per_check(self) -> float:

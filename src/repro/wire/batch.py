@@ -5,7 +5,7 @@ and one socket write per envelope.  A *batch frame* amortises all of that:
 the transport coalesces the envelopes bound for one peer and flushes them as
 a single frame whose payload is::
 
-    [magic 0xA7] [wire version 5] [format 0x03] [u32 count]
+    [magic 0xA7] [wire version 6] [format 0x03] [u32 count]
     envelope ... envelope            -- count tagged values, row by row
 
 Each row is what :func:`repro.wire.codec.encode` would write for that

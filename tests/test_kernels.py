@@ -537,6 +537,49 @@ class TestClientKernels:
         assert ack.result.dependencies == ((key_on(1), 7, 0),)
         assert kernel.checker_dependencies() == ((key_on(0), 11, 0),)
 
+    def test_cclo_put_completes_with_the_context_it_was_sent_with(self):
+        """The client builds a PUT's dependencies once, when it sends it, and
+        completes the PUT with them: one operation is in flight, so the
+        context cannot move in between."""
+        kernel = CcloClientKernel(client_id="client-dc0-0", dc_id=0,
+                                  partitioner=HashPartitioner(4))
+        sequence = iter(range(1, 100))
+        timestamps = iter(range(20, 100))
+        puts = []
+
+        def rot(*keys):
+            effects = []
+            for send in kernel.start_operation(
+                    _Op("rot", keys), sequence=next(sequence), now=0.0):
+                effects = kernel.on_message(OneRoundReadReply(
+                    rot_id=send.message.rot_id,
+                    results=tuple(ReadResult(key, next(timestamps), 1, 8)
+                                  for key in send.message.keys)), now=0.0)
+            (done,) = effects
+            assert done.op == "rot"
+
+        def put(key):
+            (send,) = kernel.start_operation(_Op("put", (key,)),
+                                             sequence=next(sequence), now=0.0)
+            assert isinstance(send.message, CcloPutRequest)
+            (done,) = kernel.on_message(CcloPutReply(
+                key=key, timestamp=next(timestamps)), now=0.0)
+            assert done.op == "put"
+            assert done.result.dependencies == send.message.dependencies
+            puts.append(done.result)
+            return send.message
+
+        rot(key_on(1), key_on(2))
+        first = put(key_on(0))
+        assert len(first.dependencies) == 2
+        rot(key_on(3))
+        second = put(key_on(1))
+        assert len(second.dependencies) == 2
+        # A PUT right after a PUT depends on exactly that PUT.
+        third = put(key_on(2))
+        assert third.dependencies == (
+            (puts[1].key, puts[1].timestamp, puts[1].origin_dc),)
+
 
 class _Op:
     """Minimal operation stand-in (duck-typed like workload operations)."""

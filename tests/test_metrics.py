@@ -148,4 +148,4 @@ class TestOverheadCounters:
         assert a.messages_sent == 17
         assert a.blocked_reads == 3
         assert a.readers_checks == 2
-        assert a.per_check_distinct == [5, 1]
+        assert a.rot_ids_distinct == 5 + 1

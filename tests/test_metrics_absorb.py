@@ -109,7 +109,7 @@ class TestGaugeSamples:
 
 
 class TestOverheadCounterMerge:
-    def test_scalars_add_and_sample_lists_concatenate(self):
+    def test_scalars_and_check_sums_add(self):
         a = OverheadCounters()
         a.messages_sent = 10
         a.bytes_sent = 1000
@@ -123,8 +123,8 @@ class TestOverheadCounterMerge:
         assert a.messages_sent == 15
         assert a.bytes_sent == 1500
         assert a.readers_checks == 3
-        assert a.per_check_distinct == [3, 1, 2]
-        assert a.per_check_cumulative == [5, 1, 4]
+        assert a.rot_ids_distinct == 3 + 1 + 2
+        assert a.rot_ids_cumulative == 5 + 1 + 4
         assert a.average_distinct_ids_per_check() == (3 + 1 + 2) / 3
         assert a.average_cumulative_ids_per_check() == (5 + 1 + 4) / 3
         assert a.average_partitions_per_check() == (2 + 1 + 2) / 3

@@ -323,14 +323,14 @@ class TestWireVersion:
     """
 
     def test_version_constants(self):
-        assert WIRE_VERSION == 5
+        assert WIRE_VERSION == 6
         assert SUPPORTED_WIRE_VERSIONS == (WIRE_VERSION,)
 
     def test_unsupported_versions_rejected(self):
         frames = [encode(sample(CcloPutReply), format="binary"),
                   encode(sample(CcloPutReply), format="json"),
                   encode_batch([sample(CcloPutReply)] * 3)]
-        for version in (0, 1, 2, 3, 4, 99):
+        for version in (0, 1, 2, 3, 4, 5, 99):
             for payload in map(bytearray, frames):
                 assert payload[1] == WIRE_VERSION
                 payload[1] = version

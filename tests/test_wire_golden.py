@@ -17,84 +17,84 @@ from repro.wire.codec import WIRE_VERSION, encode
 from wire_support import EVERY_TYPE, WIRE_TYPES, sample
 
 #: The wire version the hashes below were generated for.
-GOLDEN_WIRE_VERSION = 5
+GOLDEN_WIRE_VERSION = 6
 
 GOLDEN_FRAMES = {
     "ReadResult":
-        "047443a292548cda12ef903bca95d404217ad1611eb4b2adc5f9b07b94a9f4ba",
+        "67016b94304c8dbdd9a469c3bdf1f2ff648c480ffd117441e2d62969b59cd2ed",
     "VectorPutRequest":
-        "84748e57a31ee737c60eeff9f0385f29bfa5826ef9f4863af7ccc090093503ad",
+        "0f70a1dbe1accbbd0de86e50a2477eb5911dcc99c435c8aeafb21def2972c13e",
     "VectorPutReply":
-        "e52e579830156d227644009d4930c9f06f02ae8b015d18375208009129b85c72",
+        "322386d7f4813bf32de3bb2cf7ae65741b2197826d5ebe516eec7b35f496e564",
     "RotCoordinatorRequest":
-        "2f6b119c70d70f63ab08ca6b9a827b1fa43e784676b97e5cf6fe4c534cfe3b38",
+        "232bc6812f92ad0f22a00f71856350d931ac8229b7f30bc6b402edc53b2dc3d9",
     "RotSnapshotReply":
-        "9dfa48bdf56ff6831b38e5d3f8a4e51a95318dbce515e5a5a026f08dd38768d3",
+        "d980e0a184d438c4b4a0a213e54d7efccbfb9af8e215a7fbe4a60e57852b74ee",
     "RotProxyRead":
-        "06907b46bb407659fa5ef3383f5fc8645e018a2abde6013ace4bf023e60c95c6",
+        "2af6b779c20c51d4e66c293c3b53a9d28dacdc525b344eb78f0b62590b0129a9",
     "RotReadRequest":
-        "6fd0a1fbbb4babb1eef53ba6cd3776844f8db8e2af655926aaedf405abd7959d",
+        "51b66ccfb86c6be3247ab9e846f76b52b3197efaf4be5c7c901faadb26ed77a4",
     "RotValueReply":
-        "447f9292b4b674fb5e15c0c73faa9e66a7b0c2452459ef10670bd98ba037bd58",
+        "196e0537bab347ed83cfc5e2deb0248600d0fe94a82e3f0aabb83bb636cb443b",
     "RemoteHeartbeat":
-        "e6b69e7014440593cba17ab8dde5f71e30c5656eb58a09edfa2882e1702e0287",
+        "cffa9ef9a8b8b67d28ae05e2eda6cfa7bb0e1681d2dc9e4c05ffe4e9a8bd0eb4",
     "StabilizationMessage":
-        "2fe50be9e40dee36761e177f99c8f08d49e3da77ff62ee1072b22ba12e437b83",
+        "06613ab5954745c0faf917ed3d8f848953bbb5addd79a5d172c0e23a1050496a",
     "ReplicateUpdate":
-        "3c26283dae4676902e8a6d88a5b2a3a6ba009e41610a4b472f5d09555945a981",
+        "4b3ee73067f3496413c1f4f13158257ac88cd3cdef2a3c5e43140d0255342993",
     "OneRoundReadRequest":
-        "27d4cd2fa78a5c8fa2204c15d3909ed6b258eb5bf76269c76e2405f5f0249412",
+        "2ea0aba479d7a9f2bde822e31aaa84db9c3a22e6e75c249bc6d8effc250c8246",
     "OneRoundReadReply":
-        "30876b57ef0e2c4d37f9d1554ef8b966917244ee5d86628a394cf0d1493dc511",
+        "f70cf4510cf4eb9c586dceef1932e3013e9e109a837054797fbcfea62f318d22",
     "CcloPutRequest":
-        "32b2c1f0bbd354fb43d73d15e491269fe50647944f2bb6548adfc1720591e5b8",
+        "3be1366665aefed074aea0d66e4f069800456778974b845006bb97141995a218",
     "CcloPutReply":
-        "bc5bcbf380aad6fef8f02911f72a82f28676476fa8399967a5700d49ee124289",
+        "486d74feb4538dbf16e7cdf29901736ab67c5a2d25d37d49ce6877cb4cbcfcae",
     "ReadersCheckRequest":
-        "dc2bfacf05584c8fd0f7db44c3b924b486bf65a9f2513b9d8d609b50650b48ed",
+        "60a55e7652c4326e0c3d667d50cf0aa4f9042682061c53c9fef49f8a1fa9c5ab",
     "ReadersCheckReply":
-        "ef172409d4420b0fd67838511e9a9d2976085bee0374902ce5c8305457f9a0e1",
+        "dce1ba00e2c6626a75c43184f30fbca78b7487c7c098643ed0383acff2093ac5",
     "CcloReplicateUpdate":
-        "0b2a0e546b132ebd91c9ce9c12a1e5c270b583ac572f59ba13150edfad9a5179",
+        "a649380aa951a0b3b311703f135a10c2bbe4e98dbaf0e6bab94f7e9db8e2546e",
     "ServerAddr":
-        "9a5fbdccb34aeb705b6db446ddd14450920829bae7a5e18dae4a0c92eb74ef1b",
+        "ac6f15e7d31d52994bcc57feffcb1fa9acdb9e605670ca8eb3ce403cb846289b",
     "ClientAddr":
-        "5c5f4d35f5fe7c7ec544ea2fffcca484903ed0c4339cdf38b2b733876000d670",
+        "ee2d9549b82b4520e50d993f752735272a53b6e7d40cabe165b609cdb51ed425",
     "Envelope":
-        "96ab4de18dc9a634691a5943be4dd30abe344e60d3c76fbd646b374d074bf1fb",
+        "29663eae37480fe57b8f0fcfe3d1954d6b37cb6c8b34123cd019c099e5b0804b",
     "RecordedPut":
-        "d845d626a8a4758e453573a0ae26a5220aa4bac9239480c294898c41467673f2",
+        "d1fa8bd39c6ed181e672c518ea13b0d58511db3ee5abd44b6ce3ee0f5666cbb1",
     "RecordedRead":
-        "0af2d0554adff6f155ecfb95ead33010fb9790ddaf9ad86d991771fa84b51172",
+        "586431f5f08bd1ce290c2a1ade6a2dfa823314bcfee1f8f0004b5d1cfb140fe8",
     "RecordedRot":
-        "459c032c6e3da3428e25c660a7ac6c6cbb8124ca67a1550104a6fabaeb557210",
+        "541a9b292f268f448a1a4c37342423a3c779c125434ff7d91549083eb1a64410",
     "OverheadCounters":
-        "782316de016239bfbe6f546f31ba90af3195987dcc4b9e5c6ad3b031cdd65c9e",
+        "ab2cb25c8a7b697333ab238c12e643a789cdaeb923556d024e98d6cfa7be3eeb",
     "TraceEvent":
-        "bcdd53a20fa341fb71bb3780b40cb6c25845437fd3099584ed2b57aac0b781b1",
+        "fed64f952197010bba43e1564f3aceb0daf6a0faf570e11f95cf4e7d20499d97",
     "WorkerHello":
-        "9b371bb21382bc3e9f5fb85f37b25b0d070360d6afc879c7bec02888593e3edb",
+        "55300607676188a6e77bc3c5e78a72a49855c815fb1129fab7ebae94824b730a",
     "PeerEntry":
-        "8d6cc8d655b002430481655b00ddcbb9bc1ab6f44a6bc48acb5cba30bb1efdfa",
+        "902c6dcb81a2d896a190900c46c9423db0bb9f981bd18d4dcdb1f940068354d3",
     "PeerTable":
-        "74f818aa57c74c4c5c54e7a59bdf083d4fe7841f772a0ca674eefb4e1e24d474",
+        "b45832616aab4bd949d2ad814b8dc38b73a0e4413a86085b8227b7e9cb9670d4",
     "WorkerReady":
-        "dc070eccd21b745c5da7af9bf82518111b840f3efd41378c0684325fdd2a7a88",
+        "87e8d464244334abaaf20de6a0d4c4523152fc827d7e42661f8e7bfe08ea90cc",
     "StartRun":
-        "37454892677e90f84ecdb1d8708beea530e7810ec9fd78a9b08301bb9bddccd7",
+        "81cc55702d840e90d4953f718a7f8d0cadc4a92ccd7722f506afde3409183379",
     "Shutdown":
-        "52ceaea149c4904dedad806f5e38886aa625ed54cea2176ba8efae79e84eba82",
+        "7d01b5934c5e438641309a7ff78f21f010052f1c1a1d7908dbcb87b9d0b3fba6",
     "WorkerError":
-        "1050a2017b23d947a01e8fab0068652e8fbf9ccda76a50211f99dec456faa1ef",
+        "57df93d4af35894b0c53c3ee5f02f598596347532e422188d96b49335c71302e",
     "WorkerResult":
-        "90dec952d05f08144baeba0ab789e700b1ac001926ac981eb6a6bae36e6d0820",
+        "13d4d44b4bfd25b1d1b0b1d3c2e2646398ee25ae6758c3849256f710e3fcea3c",
     "ObservationChunk":
-        "cf256bba17da75b0715bef0f2964265d892c87ac5a0002fa82bc7e2bf5352432",
+        "770809d736285830c2cde06f80b88781fbeb5ff1a2cd27620486bdaf08d8a1b8",
 }
 
 #: One batch frame holding both sample variants of every type, in id order.
 GOLDEN_MIXED_BATCH = (
-    "cee4045be9b1b5fe01ff383324a485b9042cd41ea98304753499f007bb9ab789")
+    "edcdf31597e1652e2e4412cb861f523ee2881646ee9f1c60d5bd6fd2344afb3f")
 
 
 def _digest(payload: bytes) -> str:
