@@ -54,8 +54,6 @@ class ClusterConfig:
     clock_mode:
         Contrarian only: "hlc" (default), "logical" or "physical"; used by the
         clock ablation.  Cure always uses physical clocks, CC-LO logical ones.
-    server_threads:
-        Hardware-thread multiplier of each partition server's CPU.
     max_versions_per_key:
         Version-chain retention limit of the multi-version store.
     seed:
@@ -77,7 +75,6 @@ class ClusterConfig:
     duration_seconds: float = 1.5
     rot_rounds: float = 1.5
     clock_mode: str = "hlc"
-    server_threads: int = 1
     max_versions_per_key: int = 16
     seed: int = 1
 

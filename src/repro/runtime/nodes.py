@@ -132,7 +132,7 @@ class RealtimeClient(_LoopNode, ClientHost):
         ClientHost.__init__(self, kernel, cluster.clock, generator,
                             cluster.metrics, cluster.checker)
         self._op_future: Optional[asyncio.Future] = None
-        # Set when an operation timed out or a reply made the kernel raise:
+        # Set when an operation timed out or was failed (see :meth:`fail`):
         # the kernel still considers that operation in flight, so a later
         # completion could otherwise resolve (and mis-record) the *next*
         # operation.  A broken client refuses further operations instead.
@@ -144,10 +144,11 @@ class RealtimeClient(_LoopNode, ClientHost):
             future.set_result(result)
 
     def fail(self, error: BaseException) -> None:
-        """The operation in flight cannot complete any more: fail it with
-        the cause now, not with a timeout 30 s later."""
+        """The operation in flight cannot complete any more (a reply made
+        the kernel raise, or a node it waits on is gone): fail it with the
+        cause now, not with a timeout 30 s later."""
         super().fail(error)
-        self._broken = f"a reply raised {error!r}"
+        self._broken = f"its operation failed with {error!r}"
         future, self._op_future = self._op_future, None
         if future is not None and not future.done():
             future.set_exception(error)

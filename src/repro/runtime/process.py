@@ -5,23 +5,27 @@ partition server of a run in its own OS process (``multiprocessing`` spawn
 context, one asyncio loop per worker), wires all of them — plus optional
 per-DC client worker processes and any parent-local interactive clients —
 into one mesh of :class:`~repro.runtime.transport.TcpTransport` peers, and
-coordinates the run over a TCP *control plane* that speaks the same wire
-codec as the data path.
+coordinates the run over one *control channel* per worker that speaks the
+same wire codec as the data path.
+
+The parent knows every endpoint before it spawns anything: it binds each
+worker's data listener and makes each worker's channel (a socket pair)
+itself, and hands both sockets, the full address map and the clock epoch to
+the worker in its :class:`WorkerSpec`.  So start-up is one handshake, and the
+channel names its worker: no message carries a worker id.
 
 Control protocol (all frames are :mod:`repro.wire` encodings)::
 
-    worker -> parent   WorkerHello(worker_id, host, port)   after binding
-    parent -> worker   PeerTable(entries, wall_epoch)       full address map
-    worker -> parent   WorkerReady(worker_id)               cluster started
-    parent -> worker   StartRun(duration_seconds)           client workers:
-                                                            begin closed loops
-    worker -> parent   ObservationChunk(worker_id, puts,    every flush period
-                                        rots)               while loops run
-    worker -> parent   WorkerResult(...)                    measurements: after
-                                                            the run, or at
-                                                            shutdown
-    parent -> worker   Shutdown()                           graceful exit
-    worker -> parent   WorkerError(worker_id, message)      on any failure
+    worker -> parent   WorkerReady()                  peers installed,
+                                                      cluster started
+    parent -> worker   StartRun(duration_seconds)     client workers:
+                                                      begin closed loops
+    worker -> parent   ObservationChunk(puts, rots)   every flush period
+                                                      while loops run
+    worker -> parent   WorkerResult(...)              measurements: after
+                                                      the run, or at shutdown
+    parent -> worker   Shutdown()                     graceful exit
+    worker -> parent   WorkerError(message)           on any failure
 
 One road leads from a worker's operation to the verdict: a client worker
 records into an :class:`~repro.causal.streaming.ObservationBuffer`, ships it
@@ -31,17 +35,18 @@ each chunk on arrival into whatever checker the run has
 carries the rest: latency samples, operation counts, the servers' overhead
 counters, drained trace events.
 
-The parent keeps one record per worker, updated by that worker's connection
-handler, and has one way to wait: *every worker of this set has reached
-state X, or any worker is gone first*.  A worker is **gone** when its control
-connection reaches EOF (TCP orders that after its last frame, so nothing it
-sent is missed), when its process exits before it ever connected
-(``process.sentinel``), or when it sends :class:`WorkerError`.  A worker
-keeps reading its control connection while its closed loops run, so
+The parent keeps one record per worker, updated by the task that reads that
+worker's channel from its spawn on, and has one way to wait: *every worker
+of this set has reached state X, or any worker is gone first*.  A worker is
+**gone** when its channel reaches EOF (the stream orders that after its last
+frame, so nothing it sent is missed) or when it sends :class:`WorkerError`,
+at any point in its life.  A worker gone outside :meth:`ProcessCluster.stop`
+before its result fails the cluster at once, parent-local clients included.
+A worker keeps reading its channel while its closed loops run, so
 :class:`Shutdown` — or a vanished parent — ends a run at once.
 
 Clocks: per-process monotonic origins are arbitrary, so the parent
-distributes one ``time.time()`` epoch in the peer table and every worker
+hands one ``time.time()`` epoch to every worker, and every worker
 aligns its :class:`~repro.clocks.timesource.WallClock` to it — cross-process
 skew collapses from process start-up stagger to system-clock read jitter.
 Randomness: every node seed derives from
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import socket
 import sys
 import time
 import traceback
@@ -80,7 +86,7 @@ from repro.wire.codec import decode, encode, register_wire_type
 from repro.wire.framing import frame, read_frame, write_frame
 from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 
-#: Bound on worker start-up (spawn + import + bind + hello) and handshakes.
+#: Bound on worker start-up (spawn + import + build + ready).
 WORKER_STARTUP_TIMEOUT_SECONDS = 60.0
 #: Bound on a worker's shutdown-time result + exit.
 WORKER_SHUTDOWN_TIMEOUT_SECONDS = 30.0
@@ -108,14 +114,24 @@ class WorkerRole:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker needs to build its cluster slice (picklable)."""
+    """Everything a worker needs to build its cluster slice.
+
+    Picklable while a spawn context starts the worker: ``multiprocessing``
+    hands the two sockets over to the child as duplicated descriptors.
+    """
 
     protocol: str
     config: ClusterConfig
     workload: WorkloadParameters
     role: WorkerRole
-    control_host: str
-    control_port: int
+    #: The bound, listening socket this worker serves its nodes on.
+    listener: socket.socket
+    #: The worker's end of its control channel to the parent.
+    channel: socket.socket
+    #: Every node address of the run -> its ``(host, port)`` endpoint.
+    peers: dict[Addr, tuple[str, int]]
+    #: The run's shared clock epoch (a ``time.time()`` instant).
+    wall_epoch: float
     #: Record the client nodes' operations and ship them to the parent.
     record_history: bool
     #: Enable the repro.obs event bus in the worker.
@@ -123,36 +139,8 @@ class WorkerSpec:
 
 
 @dataclass(frozen=True)
-class WorkerHello:
-    """Worker -> parent: the worker's data listener is bound."""
-
-    worker_id: int
-    host: str
-    port: int
-
-
-@dataclass(frozen=True)
-class PeerEntry:
-    """One address -> endpoint binding of the cluster-wide peer table."""
-
-    addr: Addr
-    host: str
-    port: int
-
-
-@dataclass(frozen=True)
-class PeerTable:
-    """Parent -> worker: the full mesh plus the shared clock epoch."""
-
-    entries: tuple[PeerEntry, ...]
-    wall_epoch: float
-
-
-@dataclass(frozen=True)
 class WorkerReady:
     """Worker -> parent: peers installed, cluster started."""
-
-    worker_id: int
 
 
 @dataclass(frozen=True)
@@ -171,7 +159,6 @@ class Shutdown:
 class WorkerError:
     """Worker -> parent: the worker failed; ``message`` carries the trace."""
 
-    worker_id: int
     message: str
 
 
@@ -185,7 +172,6 @@ class WorkerResult:
     is not here: it went ahead as :class:`ObservationChunk` frames.
     """
 
-    worker_id: int
     rot_samples: tuple[float, ...]
     put_samples: tuple[float, ...]
     rots_issued: int
@@ -208,14 +194,12 @@ class ObservationChunk:
     typed tuple fields through their types' compiled packers.
     """
 
-    worker_id: int
     puts: tuple[RecordedPut, ...]
     rots: tuple[RecordedRot, ...]
 
 
-for _index, _cls in enumerate((WorkerHello, PeerEntry, PeerTable, WorkerReady,
-                               StartRun, Shutdown, WorkerError, WorkerResult,
-                               ObservationChunk)):
+for _index, _cls in enumerate((WorkerReady, StartRun, Shutdown, WorkerError,
+                               WorkerResult, ObservationChunk)):
     register_wire_type(_cls, type_id=540 + _index)
 
 
@@ -239,11 +223,10 @@ def default_placement(config: ClusterConfig, *,
 # Worker side
 # --------------------------------------------------------------------------
 
-def _collect_result(cluster: RealtimeCluster, worker_id: int) -> WorkerResult:
+def _collect_result(cluster: RealtimeCluster) -> WorkerResult:
     """Snapshot a worker's measurements for shipping to the parent."""
     metrics, bus = cluster.metrics, cluster.trace_bus
     return WorkerResult(
-        worker_id=worker_id,
         rot_samples=metrics.rot_latencies.samples(),
         put_samples=metrics.put_latencies.samples(),
         rots_issued=metrics.rots_issued,
@@ -255,56 +238,50 @@ def _collect_result(cluster: RealtimeCluster, worker_id: int) -> WorkerResult:
 
 async def _worker_main(spec: WorkerSpec) -> None:
     role = spec.role
-    transport = TcpTransport()
-    observations = (ObservationBuffer()
-                    if spec.record_history and role.client_ids else None)
-    cluster = RealtimeCluster(
-        spec.protocol, spec.config, spec.workload, checker=observations,
-        workload_clients=False, transport=transport,
-        server_ids=role.server_ids,
-        trace=spec.trace, trace_source=f"worker-{role.worker_id}")
-    for dc, index in role.client_ids:
-        cluster.add_workload_client(dc, index)
-    await transport.start()  # binds: the hello carries the port
-
-    reader, writer = await asyncio.open_connection(
-        spec.control_host, spec.control_port)
+    reader, writer = await asyncio.open_connection(sock=spec.channel)
 
     # Every frame of this worker is written by this coroutine, one
     # ``writer.write`` each: frames cannot interleave.
     async def send(message: object) -> None:
         await write_frame(writer, encode(message))
 
+    observations = (ObservationBuffer()
+                    if spec.record_history and role.client_ids else None)
+
     async def ship_observations() -> None:
         if observations is not None and observations.pending:
-            puts, rots = observations.drain()
-            await send(ObservationChunk(role.worker_id, puts, rots))
+            await send(ObservationChunk(*observations.drain()))
 
+    transport = TcpTransport(spec.listener)
+    cluster: Optional[RealtimeCluster] = None
     #: The control frame being read while closed loops run (see StartRun).
     next_frame: Optional[asyncio.Future] = None
     result_sent = False
     try:
-        await send(WorkerHello(role.worker_id, transport.host, transport.port))
-        while True:
-            payload = await (next_frame or read_frame(reader))
+        # Built inside the try: a slice that cannot be built is reported.
+        cluster = RealtimeCluster(
+            spec.protocol, spec.config, spec.workload, checker=observations,
+            workload_clients=False, transport=transport,
+            server_ids=role.server_ids,
+            trace=spec.trace, trace_source=f"worker-{role.worker_id}")
+        for dc, index in role.client_ids:
+            cluster.add_workload_client(dc, index)
+        transport.set_peers(spec.peers)
+        await cluster.start(wall_epoch=spec.wall_epoch)
+        await send(WorkerReady())
+        # EOF: the parent vanished; exit quietly.
+        while (payload := await (next_frame or read_frame(reader))) is not None:
             next_frame = None
-            if payload is None:
-                break  # parent vanished; exit quietly
             message = decode(payload)
-            if isinstance(message, PeerTable):
-                transport.set_peers({entry.addr: (entry.host, entry.port)
-                                     for entry in message.entries})
-                await cluster.start(wall_epoch=message.wall_epoch)
-                await send(WorkerReady(role.worker_id))
-            elif isinstance(message, StartRun) and not result_sent:
+            if isinstance(message, StartRun) and not result_sent:
                 # Re-anchor the warmup window at traffic start: the shared
                 # epoch began at spawn time, long before the first operation.
                 cluster.metrics.warmup_seconds = (
                     cluster.clock.now + spec.config.warmup_seconds)
                 loops = asyncio.ensure_future(drive_closed_loops(
                     cluster, message.duration_seconds))
-                # Keep reading the control connection while the loops run:
-                # any frame (Shutdown) or EOF (no parent) ends the run now.
+                # Keep reading the channel while the loops run: any frame
+                # (Shutdown) or EOF (no parent) ends the run now.
                 next_frame = asyncio.ensure_future(read_frame(reader))
                 while not (loops.done() or next_frame.done()):
                     await asyncio.wait({loops, next_frame},
@@ -316,12 +293,12 @@ async def _worker_main(spec: WorkerSpec) -> None:
                     await asyncio.wait({loops})
                     continue
                 loops.result()  # a failed run is this worker's failure
-                await send(_collect_result(cluster, role.worker_id))
+                await send(_collect_result(cluster))
                 result_sent = True
             elif isinstance(message, Shutdown):
                 await cluster.stop()
                 if not result_sent:
-                    await send(_collect_result(cluster, role.worker_id))
+                    await send(_collect_result(cluster))
                 break
             else:
                 raise RuntimeBackendError(
@@ -329,14 +306,17 @@ async def _worker_main(spec: WorkerSpec) -> None:
                     f"control message {type(message).__name__}")
     except Exception:  # noqa: BLE001 - reported to the parent, then re-raised
         try:
-            await send(WorkerError(role.worker_id, traceback.format_exc()))
+            await send(WorkerError(traceback.format_exc()))
         except (OSError, RuntimeError):
             pass
         raise
     finally:
         if next_frame is not None:
             next_frame.cancel()
-        await cluster.stop()
+        if cluster is not None:
+            await cluster.stop()
+        else:
+            await transport.stop()  # closes the listener nobody served
         writer.close()
         try:
             await writer.wait_closed()
@@ -361,20 +341,23 @@ def worker_entry(spec: WorkerSpec) -> None:
 class _Worker:
     """The parent's record of one worker process.
 
-    Written by :meth:`ProcessCluster.start` (``process``) and then only by
-    the worker's own connection handler and its exit watcher; read by
-    :meth:`ProcessCluster._until`.
+    Written by :meth:`ProcessCluster.start` and then only by the task reading
+    the worker's channel (``reading``); read by :meth:`ProcessCluster._until`.
     """
 
     role: WorkerRole
     process: multiprocessing.process.BaseProcess
-    writer: Optional[asyncio.StreamWriter] = None
-    hello: Optional[WorkerHello] = None
+    #: The parent's end of the worker's control channel.
+    writer: asyncio.StreamWriter
+    #: The port of the worker's data listener.
+    port: int
+    reading: Optional[asyncio.Task] = None
     ready: bool = False
     #: Its WorkerResult has arrived and is merged.
     result: bool = False
-    #: Why nothing more will come from this worker (None while it may).
-    gone: Optional[str] = None
+    #: Why nothing more will come from this worker, built once when its
+    #: channel ends (None while it may).
+    gone: Optional[RuntimeBackendError] = None
 
     def __str__(self) -> str:
         hosts = (f"server {list(self.role.server_ids)}" if self.role.server_ids
@@ -392,8 +375,8 @@ class ProcessCluster:
     interchangeably; ``checker`` means what it means there and is handed
     to the parent-local view untouched.  Interactive clients added via
     :meth:`add_client` live in the parent process and must be added
-    *before* :meth:`start` (the peer table is distributed once).  A cluster
-    serves one :meth:`run_workload`.
+    *before* :meth:`start` (the address map is handed to the workers at
+    spawn).  A cluster serves one :meth:`run_workload`.
     """
 
     def __init__(self, protocol: str, config: Optional[ClusterConfig] = None,
@@ -432,9 +415,6 @@ class ProcessCluster:
         self._changed = asyncio.Event()
         self._worker_overhead = OverheadCounters()
         self._failure: Optional[BaseException] = None
-        self._control: Optional[asyncio.base_events.Server] = None
-        #: Every open control connection: its handler task -> its writer.
-        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._started = False
         self._ran = False
         self._closed = False
@@ -450,7 +430,7 @@ class ProcessCluster:
         if self._started:
             raise RuntimeBackendError(
                 "interactive clients must be added before the process "
-                "cluster starts (the peer table is distributed once)")
+                "cluster starts (the address map is handed out at spawn)")
         placement = (dc, index)
         if any(placement in role.client_ids for role in self.roles):
             # A duplicate address would make servers route the worker
@@ -485,41 +465,31 @@ class ProcessCluster:
         return assembler
 
     # ---------------------------------------------------------- control plane
-    async def _on_worker_connection(self, reader: asyncio.StreamReader,
-                                    writer: asyncio.StreamWriter) -> None:
-        """Serve one control connection: keep its worker's record current."""
-        task = asyncio.current_task()
-        self._connections[task] = writer
-        task.add_done_callback(self._connections.pop)
-        worker: Optional[_Worker] = None
-        gone = "closed its control connection"
+    async def _read_channel(self, worker: _Worker,
+                            reader: asyncio.StreamReader) -> None:
+        """Serve one worker's channel from spawn to EOF: keep its record
+        current, and make it gone when the channel ends before its result."""
+        why = "closed its control connection"
         try:
             while (payload := await read_frame(reader)) is not None:
                 message = decode(payload)
-                if worker is None:
-                    if not isinstance(message, WorkerHello):
-                        raise RuntimeBackendError(
-                            f"control connection opened with "
-                            f"{type(message).__name__}, expected WorkerHello")
-                    worker = self._workers[message.worker_id]
-                    worker.writer, worker.hello = writer, message
-                elif isinstance(message, ObservationChunk):
+                if isinstance(message, ObservationChunk):
                     # Folded in on arrival: ingestion (and a streaming
                     # checker's window verification) overlaps the run, and
-                    # the connection's FIFO puts every chunk ahead of the
+                    # the channel's FIFO puts every chunk ahead of the
                     # worker's WorkerResult.
                     self.checker.record_history(
                         message.puts, message.rots,
-                        source=f"worker-{message.worker_id}")
+                        source=f"worker-{worker.role.worker_id}")
                     self.chunks_ingested += 1
                     continue
                 elif isinstance(message, WorkerReady):
                     worker.ready = True
                 elif isinstance(message, WorkerResult):
-                    self._merge_result(message)
+                    self._merge_result(worker, message)
                     worker.result = True
                 elif isinstance(message, WorkerError):
-                    gone = f"failed\n{message.message}"
+                    why = f"failed\n{message.message}"
                     break
                 else:
                     raise RuntimeBackendError(
@@ -527,32 +497,29 @@ class ProcessCluster:
                         f"{type(message).__name__}")
                 self._changed.set()
         except Exception as exc:  # noqa: BLE001 - becomes the worker's fate
-            gone = f"lost its control connection: {exc!r}"
+            why = f"lost its control connection: {exc!r}"
         finally:
-            writer.close()
-            if worker is not None and worker.gone is None:
-                worker.gone = gone
+            worker.writer.close()
+            if not worker.result:
+                worker.gone = await self._gone_error(worker, why)
+                self._failure = self._failure or worker.gone
+                if not self._closed:
+                    # An interactive operation waiting on this worker would
+                    # otherwise wait out its timeout.
+                    for client in self.view.clients:
+                        client.fail(worker.gone)
             self._changed.set()
 
-    def _on_exit(self, worker: _Worker) -> None:
-        """``process.sentinel`` is readable: the worker process has exited.
-
-        Only news for a worker that never connected; one that did is gone
-        when its connection says so, after its last frame.
-        """
-        asyncio.get_running_loop().remove_reader(worker.process.sentinel)
-        if worker.writer is None and worker.gone is None:
-            worker.gone = "exited before it connected"
-            self._changed.set()
-
-    def _gone_error(self, worker: _Worker) -> RuntimeBackendError:
+    async def _gone_error(self, worker: _Worker,
+                          why: str) -> RuntimeBackendError:
         process = worker.process
-        if process.exitcode is None:
-            # EOF precedes the exit status by the rest of the teardown.
-            process.join(0.2)
+        # The channel ends a moment before the exit status is known.
+        deadline = time.monotonic() + 0.5
+        while process.exitcode is None and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
         state = ("still running" if process.exitcode is None
                  else f"exit code {process.exitcode}")
-        head, _, detail = worker.gone.partition("\n")
+        head, _, detail = why.partition("\n")
         return RuntimeBackendError(
             f"{worker} {head} ({state})" + (f"\n{detail}" if detail else ""))
 
@@ -561,89 +528,90 @@ class ProcessCluster:
                      timeout: float) -> None:
         """Wait until every worker of ``workers`` has ``reached`` its state.
 
-        Raises :class:`RuntimeBackendError` — recorded as the cluster's
-        first failure — as soon as *any* worker of the cluster is gone
-        without having reached it (it never will), or at ``timeout``.
+        Raises :class:`RuntimeBackendError` — the cluster's first failure —
+        as soon as *any* worker of the cluster is gone without having
+        reached it (it never will), or at ``timeout``.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        failure: Optional[RuntimeBackendError] = None
-        while failure is None:
-            lost = [worker for worker in self._workers.values()
-                    if worker.gone is not None and not reached(worker)]
+        while not any(worker.gone is not None and not reached(worker)
+                      for worker in self._workers.values()):
             waiting = [worker for worker in workers if not reached(worker)]
-            if lost:
-                failure = self._gone_error(lost[0])
-            elif not waiting:
+            if not waiting:
                 return
-            else:
-                self._changed.clear()
-                try:
-                    await asyncio.wait_for(self._changed.wait(),
-                                           deadline - loop.time())
-                except asyncio.TimeoutError:
-                    failure = RuntimeBackendError(
-                        f"timed out after {timeout}s waiting for {what} from "
-                        + ", ".join(str(worker) for worker in waiting))
-        self._failure = self._failure or failure
-        raise failure
+            self._changed.clear()
+            try:
+                await asyncio.wait_for(self._changed.wait(),
+                                       deadline - loop.time())
+            except asyncio.TimeoutError:
+                self._failure = self._failure or RuntimeBackendError(
+                    f"timed out after {timeout}s waiting for {what} from "
+                    + ", ".join(str(worker) for worker in waiting))
+                break
+        # A gone worker recorded itself as the failure when its channel
+        # ended.
+        raise self._failure
 
     def _send(self, workers: Iterable[_Worker], message: object) -> None:
-        """Write ``message`` to every connected, living worker of the set."""
+        """Write ``message`` to every worker of the set whose channel is
+        open."""
         data = frame(encode(message))
         for worker in workers:
-            if worker.writer is not None and worker.gone is None:
+            if not worker.writer.is_closing():
                 worker.writer.write(data)
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        """Spawn the workers, distribute the peer table, start everything."""
+        """Bind every listener, spawn the workers, wait for them to start."""
         if self._closed:
             raise RuntimeBackendError("cluster is closed")
         if self._started:
             return
         self._started = True
         wall_epoch = time.time()
-        self._control = await asyncio.start_server(
-            self._on_worker_connection, "127.0.0.1", 0)
-        control_port = self._control.sockets[0].getsockname()[1]
-        await self.view.transport.start()
-
-        loop = asyncio.get_running_loop()
-        context = multiprocessing.get_context("spawn")
-        for role in self.roles:
-            spec = WorkerSpec(
-                protocol=self.protocol, config=self.config,
-                workload=self.workload, role=role,
-                control_host="127.0.0.1", control_port=control_port,
-                record_history=self.checker is not None,
-                trace=self.trace_assembler is not None)
-            process = context.Process(target=worker_entry, args=(spec,),
-                                      daemon=True)
-            process.start()
-            worker = self._workers[role.worker_id] = _Worker(role, process)
-            loop.add_reader(process.sentinel, self._on_exit, worker)
-        everyone = list(self._workers.values())
-        await self._until(everyone, lambda worker: worker.hello,
-                          "WorkerHello", WORKER_STARTUP_TIMEOUT_SECONDS)
-
-        entries: list[PeerEntry] = []
-        for worker in everyone:
-            hello, role = worker.hello, worker.role
-            for dc, partition in role.server_ids:
-                entries.append(PeerEntry(ServerAddr(dc, partition),
-                                         hello.host, hello.port))
-            for dc, index in role.client_ids:
-                entries.append(PeerEntry(ClientAddr(client_node_id(dc, index)),
-                                         hello.host, hello.port))
-        parent_transport = self.view.transport
-        for addr in parent_transport.local_addrs():
-            entries.append(PeerEntry(addr, parent_transport.host,
-                                     parent_transport.port))
-        parent_transport.set_peers({entry.addr: (entry.host, entry.port)
-                                    for entry in entries})
-        self._send(everyone, PeerTable(tuple(entries), wall_epoch))
-        await self._until(everyone, lambda worker: worker.ready,
+        parent = self.view.transport
+        await parent.start()
+        peers = {addr: (parent.host, parent.port)
+                 for addr in parent.local_addrs()}
+        listeners = [socket.create_server(("127.0.0.1", 0))
+                     for _ in self.roles]
+        try:
+            endpoints = [listener.getsockname()[:2] for listener in listeners]
+            for role, endpoint in zip(self.roles, endpoints):
+                peers.update((ServerAddr(dc, partition), endpoint)
+                             for dc, partition in role.server_ids)
+                peers.update((ClientAddr(client_node_id(dc, index)), endpoint)
+                             for dc, index in role.client_ids)
+            parent.set_peers(peers)
+            context = multiprocessing.get_context("spawn")
+            for role, listener, (_host, port) in zip(self.roles, listeners,
+                                                     endpoints):
+                ours, theirs = socket.socketpair()
+                with theirs:
+                    spec = WorkerSpec(
+                        protocol=self.protocol, config=self.config,
+                        workload=self.workload, role=role, listener=listener,
+                        channel=theirs, peers=peers, wall_epoch=wall_epoch,
+                        record_history=self.checker is not None,
+                        trace=self.trace_assembler is not None)
+                    process = context.Process(target=worker_entry,
+                                              args=(spec,), daemon=True)
+                    try:
+                        process.start()
+                    except BaseException:
+                        ours.close()
+                        raise
+                reader, writer = await asyncio.open_connection(sock=ours)
+                worker = self._workers[role.worker_id] = _Worker(
+                    role, process, writer, port)
+                worker.reading = asyncio.ensure_future(
+                    self._read_channel(worker, reader))
+        finally:
+            # The workers hold their own copies: a listener or channel end
+            # left open here would outlive its worker.
+            for listener in listeners:
+                listener.close()
+        await self._until(self._workers.values(), lambda worker: worker.ready,
                           "WorkerReady", WORKER_STARTUP_TIMEOUT_SECONDS)
         await self.view.start(wall_epoch=wall_epoch)
 
@@ -664,13 +632,13 @@ class ProcessCluster:
         self._ran = True
         self._send(client_workers, StartRun(duration_seconds))
         # A server worker has no result before shutdown, so one that is gone
-        # fails the wait, by name, the moment its connection says so.
+        # fails the wait, by name, the moment its channel says so.
         await self._until(client_workers, lambda worker: worker.result,
                           "WorkerResult",
                           duration_seconds + OPERATION_TIMEOUT_SECONDS
                           + WORKER_SHUTDOWN_TIMEOUT_SECONDS)
 
-    def _merge_result(self, result: WorkerResult) -> None:
+    def _merge_result(self, worker: _Worker, result: WorkerResult) -> None:
         self.metrics.absorb(
             rot_samples=result.rot_samples, put_samples=result.put_samples,
             rots_issued=result.rots_issued, puts_issued=result.puts_issued)
@@ -678,7 +646,7 @@ class ProcessCluster:
         if self.trace_assembler is not None and (
                 result.events or result.events_dropped):
             self.trace_assembler.add_events(
-                result.events, source=f"worker-{result.worker_id}",
+                result.events, source=f"worker-{worker.role.worker_id}",
                 dropped=result.events_dropped)
 
     async def stop(self) -> None:
@@ -689,34 +657,19 @@ class ProcessCluster:
         everyone = list(self._workers.values())
         try:
             self._send(everyone, Shutdown())
-            for worker in everyone:
-                if worker.writer is None:
-                    # Never connected: cannot be told, has nothing to report.
-                    worker.process.terminate()
             try:
                 await self._until(
                     everyone, lambda worker: worker.result or worker.gone,
                     "WorkerResult", WORKER_SHUTDOWN_TIMEOUT_SECONDS)
             except RuntimeBackendError:
                 pass  # recorded; the teardown below must still run
-            for worker in everyone:
-                if not worker.result and worker.gone is not None:
-                    self._failure = self._failure or self._gone_error(worker)
         finally:
-            loop = asyncio.get_running_loop()
+            # Closing a channel feeds its reader EOF: each returns on its
+            # own, none is cancelled.
             for worker in everyone:
-                loop.remove_reader(worker.process.sentinel)
-            if self._control is not None:
-                self._control.close()
-            # Closing a connection feeds its handler EOF: each returns on its
-            # own, none is cancelled (3.11's stream protocol logs a handler
-            # that ends cancelled as an error).
-            connections = dict(self._connections)
-            for writer in connections.values():
-                writer.close()
-            await asyncio.gather(*connections, return_exceptions=True)
-            if self._control is not None:
-                await self._control.wait_closed()
+                worker.writer.close()
+            await asyncio.gather(*(worker.reading for worker in everyone),
+                                 return_exceptions=True)
             await self.view.stop()
             await self._join_processes()
 
@@ -738,13 +691,10 @@ class ProcessCluster:
 __all__ = [
     "OBSERVATION_FLUSH_SECONDS",
     "ObservationChunk",
-    "PeerEntry",
-    "PeerTable",
     "ProcessCluster",
     "Shutdown",
     "StartRun",
     "WorkerError",
-    "WorkerHello",
     "WorkerReady",
     "WorkerResult",
     "WorkerRole",

@@ -21,9 +21,13 @@ Two implementations:
   queue hop, one socket write for the whole burst, however many envelopes
   it holds.  Frames go to a per-peer connection that is
   opened lazily and written by a dedicated drain task, so the synchronous
-  ``send`` path never blocks a kernel.  Inbound connections are served by
-  one handler per peer; graceful shutdown flushes every pending list and
-  outbound queue (bounded) before closing, after which ``send`` raises.
+  ``send`` path never blocks a kernel.  Every listener of a deployment is
+  bound before any peer learns its endpoint, so a connection is attempted
+  once: a refused connect means the peer is gone, and the link fails with
+  a :class:`~repro.errors.TransportError` naming the endpoint.  Inbound
+  connections are served by one handler per peer; graceful shutdown
+  flushes every pending list and outbound queue (bounded) before closing,
+  after which ``send`` raises.
   Every flush is a ``batch_flush`` trace event and every batch frame read
   a ``batch_recv``; per-message ``msg_send``/``msg_recv`` events stay with
   the nodes.
@@ -35,6 +39,7 @@ called from the event loop that runs the cluster.
 from __future__ import annotations
 
 import asyncio
+import socket
 from abc import ABC, abstractmethod
 from typing import Optional, Union
 
@@ -77,11 +82,6 @@ class Envelope:
 
 register_wire_type(Envelope, type_id=_WIRE_ID_ENVELOPE)
 
-#: Connection attempts before an outbound link gives up (the peer table is
-#: only distributed after every listener is bound, so retries cover transient
-#: accept-queue pressure, not absent peers).
-CONNECT_ATTEMPTS = 10
-CONNECT_BACKOFF_SECONDS = 0.05
 #: Bound on flushing one peer's outbound queue during graceful shutdown.
 FLUSH_TIMEOUT_SECONDS = 5.0
 
@@ -159,22 +159,13 @@ class _PeerLink:
     def enqueue(self, data: bytes) -> None:
         self.queue.put_nowait(data)
 
-    async def _connect(self) -> tuple[asyncio.StreamReader,
-                                      asyncio.StreamWriter]:
-        host, port = self.endpoint
-        last_error: Optional[OSError] = None
-        for attempt in range(CONNECT_ATTEMPTS):
-            try:
-                return await asyncio.open_connection(host, port)
-            except OSError as exc:
-                last_error = exc
-                await asyncio.sleep(CONNECT_BACKOFF_SECONDS * (attempt + 1))
-        raise TransportError(
-            f"cannot connect to peer {host}:{port} after "
-            f"{CONNECT_ATTEMPTS} attempts: {last_error}")
-
     async def _run(self) -> None:
-        _reader, writer = await self._connect()
+        host, port = self.endpoint
+        try:
+            _reader, writer = await asyncio.open_connection(host, port)
+        except OSError as exc:
+            raise TransportError(
+                f"cannot connect to peer {host}:{port}: {exc}") from exc
         try:
             while True:
                 data = await self.queue.get()
@@ -226,17 +217,19 @@ class _Pending:
 class TcpTransport(Transport):
     """Length-prefixed wire frames over asyncio TCP streams.
 
-    Lifecycle: construct, :meth:`start` (binds the listener; ``port`` is the
-    bound port), :meth:`set_peers` with the cluster-wide address table, then
-    ``send`` freely; :meth:`stop` flushes and closes everything and is
-    terminal: a remote ``send`` after it raises.
+    Lifecycle: construct, :meth:`start` (serves ``listener``, a bound and
+    listening socket, or binds a free loopback port without one; ``host``
+    and ``port`` are then the served endpoint), :meth:`set_peers` with the
+    cluster-wide address table, then ``send`` freely; :meth:`stop` flushes
+    and closes everything, a listener that was never served included, and
+    is terminal: a remote ``send`` after it raises.
 
     ``batch`` sets the coalescing thresholds, nothing else: ``True`` is
     :data:`~repro.wire.batch.DEFAULT_FLUSH_POLICY`, a
     :class:`~repro.wire.batch.FlushPolicy` is used as given.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+    def __init__(self, listener: Optional[socket.socket] = None,
                  batch: Union[bool, FlushPolicy] = True) -> None:
         super().__init__()
         if batch is True:
@@ -246,9 +239,9 @@ class TcpTransport(Transport):
                 f"batch must be True or a FlushPolicy, got {batch!r}: every "
                 f"remote send coalesces, the unbatched path is gone")
         self.flush_policy: FlushPolicy = batch
-        self.host = host
+        self._listener = listener
+        self.host: Optional[str] = None
         self.port: Optional[int] = None
-        self._requested_port = port
         self._endpoints: dict[Addr, tuple[str, int]] = {}
         self._links: dict[tuple[str, int], _PeerLink] = {}
         self._server: Optional[asyncio.base_events.Server] = None
@@ -261,9 +254,12 @@ class TcpTransport(Transport):
     async def start(self) -> None:
         if self._server is not None:
             return
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self._requested_port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        listener, self._listener = self._listener, None
+        if listener is None:
+            listener = socket.create_server(("127.0.0.1", 0))
+        self._server = await asyncio.start_server(self._on_connection,
+                                                  sock=listener)
+        self.host, self.port = listener.getsockname()[:2]
 
     async def stop(self) -> None:
         self._stopped = True
@@ -272,10 +268,12 @@ class TcpTransport(Transport):
         links, self._links = list(self._links.values()), {}
         for link in links:
             await link.close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         inbound, self._inbound = list(self._inbound), set()
         for task in inbound:
             task.cancel()
@@ -284,6 +282,10 @@ class TcpTransport(Transport):
                 await task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
+        if server is not None:
+            # From Python 3.12.1 on this waits for every accepted connection
+            # to close, so it follows the handlers that close them.
+            await server.wait_closed()
 
     # ---------------------------------------------------------------- routing
     def set_peers(self, table: dict[Addr, tuple[str, int]]) -> None:

@@ -43,9 +43,8 @@ class SimDriver(Node):
     the node).
     """
 
-    def __init__(self, topology: "ClusterTopology", *, threads: int = 1) -> None:
-        super().__init__(topology.sim, self.node_id, self.dc_id,
-                         threads=threads)
+    def __init__(self, topology: "ClusterTopology") -> None:
+        super().__init__(topology.sim, self.node_id, self.dc_id)
         self.topology = topology
         self.cost_model = topology.config.cost_model
 
@@ -81,8 +80,7 @@ class PartitionServer(SimDriver, ServerHost):
     def __init__(self, topology: "ClusterTopology",
                  kernel: ServerKernel) -> None:
         ServerHost.__init__(self, kernel, topology.sim)
-        SimDriver.__init__(self, topology,
-                           threads=topology.config.server_threads)
+        SimDriver.__init__(self, topology)
         self._periodic_tasks: list[PeriodicTask] = []
         self._base_cost = self.cost_model.message_cost()
 

@@ -1,8 +1,7 @@
 """Simulated processes with a FIFO CPU queue.
 
-Each server in the cluster is a :class:`Node` with a single logical CPU (a
-configurable number of hardware threads is modelled as a processing-rate
-multiplier).  Messages delivered by the network are queued; the CPU serves
+Each server in the cluster is a :class:`Node` with a single logical CPU.
+Messages delivered by the network are queued; the CPU serves
 them in FIFO order, charging each message the service time returned by the
 node's :meth:`Node.service_time` hook.  Queueing at the CPU — not the network —
 is what produces the latency inflation under load that the paper reports, and
@@ -57,14 +56,10 @@ class Node:
     ``dc_id``.
     """
 
-    def __init__(self, sim: Simulator, node_id: str, dc_id: int, *,
-                 threads: int = 1) -> None:
-        if threads < 1:
-            raise ConfigurationError("a node needs at least one thread")
+    def __init__(self, sim: Simulator, node_id: str, dc_id: int) -> None:
         self.sim = sim
         self.node_id = node_id
         self.dc_id = dc_id
-        self.threads = threads
         self.stats = ProcessingStats()
         self._queue: Deque[Tuple[object, object, Optional[str], float]] = deque()
         self._busy = False
@@ -100,7 +95,7 @@ class Node:
     def _serve(self, sender: "Node", message: object,
                trace: Optional[str]) -> None:
         self._busy = True
-        service = self.service_time(message) / self.threads
+        service = self.service_time(message)
         if self._service_factor != 1.0:
             service *= self._service_factor
         self.stats.busy_time += service

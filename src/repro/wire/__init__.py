@@ -20,9 +20,7 @@ _EXPORTS = {
     "DEFAULT_FLUSH_POLICY": "repro.wire.batch",
     "FORMAT_BATCH": "repro.wire.codec",
     "FORMAT_BINARY": "repro.wire.codec",
-    "FORMAT_JSON": "repro.wire.codec",
     "FlushPolicy": "repro.wire.batch",
-    "FrameDecoder": "repro.wire.framing",
     "LENGTH_BYTES": "repro.wire.framing",
     "MAX_BATCH_MESSAGES": "repro.wire.batch",
     "MAX_FRAME_BYTES": "repro.wire.framing",

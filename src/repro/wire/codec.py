@@ -2,17 +2,13 @@
 
 Every value that crosses a process boundary is encoded into a *frame body*::
 
-    [magic 0xA7] [wire version 6] [format tag] [payload ...]
+    [magic 0xA7] [wire version 7] [format tag] [payload ...]
 
-Three payload formats share that header:
+Two payload formats share that header:
 
 * **binary** (:data:`FORMAT_BINARY`, the default) — one *tagged value*.
 * **batch** (:data:`FORMAT_BATCH`) — ``[u32 count]`` followed by ``count``
   tagged values, written row by row (see :mod:`repro.wire.batch`).
-* **JSON debug** (:data:`FORMAT_JSON`) — the same object graph rendered as
-  human-readable JSON (``{"__wire__": "VectorPutRequest", "fields": {...}}``)
-  for protocol debugging; byte-for-byte bigger, value-for-value identical
-  after decoding.
 
 A tagged value is a msgpack-style tag byte plus payload.  Plain values
 (``None``, bools, ints, floats, strings, bytes, sequences, dicts) are written
@@ -63,7 +59,6 @@ which is what makes ``decode(encode(msg)) == msg`` hold exactly.
 from __future__ import annotations
 
 import dataclasses
-import json
 import struct
 from typing import (
     Any,
@@ -84,16 +79,13 @@ from repro.wire.intern import intern_key
 #: First byte of every frame.
 MAGIC = 0xA7
 #: Current wire version; bumped on every payload-layout change.
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 #: Every version this codec can decode: every peer of a run is started from
 #: the same tree, so there is exactly one, and anything else is rejected.
 SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION,)
 #: Format tags (third header byte).
 FORMAT_BINARY = 0x01
-FORMAT_JSON = 0x02
 FORMAT_BATCH = 0x03
-
-_FORMATS = {"binary": FORMAT_BINARY, "json": FORMAT_JSON}
 
 # Tags of the generic value walker (msgpack-inspired; fix-ranges inline
 # small values).
@@ -157,7 +149,6 @@ DYNAMIC_TYPE_ID_BASE = 1024
 
 _CLASS_TO_ID: dict[type, int] = {}
 _ID_TO_CLASS: dict[int, type] = {}
-_NAME_TO_CLASS: dict[str, type] = {}
 _FIELDS: dict[type, tuple[str, ...]] = {}
 _next_dynamic_id = DYNAMIC_TYPE_ID_BASE
 
@@ -178,7 +169,7 @@ def register_wire_type(cls: type, *, type_id: Optional[int] = None) -> type:
     since registration runs at import time in deterministic module order,
     every process derives the same id space.  Returns ``cls`` so the function
     doubles as a decorator.  Re-registering the same class is a no-op;
-    claiming an id or name another class holds raises
+    claiming an id another class holds raises
     :class:`~repro.errors.WireFormatError`.
     """
     global _next_dynamic_id
@@ -193,12 +184,8 @@ def register_wire_type(cls: type, *, type_id: Optional[int] = None) -> type:
         raise WireFormatError(
             f"wire type id {type_id} already taken by "
             f"{_ID_TO_CLASS[type_id].__name__}")
-    name = cls.__name__
-    if name in _NAME_TO_CLASS:
-        raise WireFormatError(f"wire type name {name!r} already registered")
     _CLASS_TO_ID[cls] = type_id
     _ID_TO_CLASS[type_id] = cls
-    _NAME_TO_CLASS[name] = cls
     _FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls))
     return cls
 
@@ -643,58 +630,6 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
 
 
 # --------------------------------------------------------------------------
-# JSON debug encoding
-# --------------------------------------------------------------------------
-
-def _jsonify(value: Any) -> Any:
-    if value is None or type(value) in (bool, int, float, str):
-        return value
-    if type(value) is bytes:
-        return {"__bytes__": value.hex()}
-    if type(value) in (tuple, list):
-        return [_jsonify(item) for item in value]
-    if type(value) is dict:
-        return {"__map__": [[_jsonify(k), _jsonify(v)]
-                            for k, v in value.items()]}
-    cls = type(value)
-    if cls not in _CLASS_TO_ID:
-        raise WireFormatError(
-            f"cannot encode {cls.__name__!r}: not a registered wire type "
-            f"(see repro.wire.register_wire_type)")
-    return {"__wire__": cls.__name__,
-            "fields": {name: _jsonify(getattr(value, name))
-                       for name in _FIELDS[cls]}}
-
-
-def _dejsonify(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return tuple(_dejsonify(item) for item in value)
-    if isinstance(value, dict):
-        if "__bytes__" in value:
-            return bytes.fromhex(value["__bytes__"])
-        if "__map__" in value:
-            return {_dejsonify(k): _dejsonify(v)
-                    for k, v in value["__map__"]}
-        if "__wire__" in value:
-            cls = _NAME_TO_CLASS.get(value["__wire__"])
-            if cls is None:
-                raise WireFormatError(
-                    f"unknown wire type name {value['__wire__']!r}")
-            fields = value.get("fields", {})
-            names = _FIELDS[cls]
-            if set(fields) != set(names):
-                raise WireFormatError(
-                    f"struct {cls.__name__} field mismatch: "
-                    f"{sorted(fields)} != {sorted(names)}")
-            return cls(**{name: _dejsonify(fields[name]) for name in names})
-        raise WireFormatError(
-            f"malformed JSON wire object with keys {sorted(value)}")
-    raise WireFormatError(f"unencodable JSON value {value!r}")
-
-
-# --------------------------------------------------------------------------
 # Frame API
 # --------------------------------------------------------------------------
 
@@ -720,22 +655,9 @@ def _check_consumed(pos: int, length: int) -> None:
             f"{length - pos} trailing bytes after the frame payload")
 
 
-def encode(value: Any, *, format: str = "binary") -> bytes:
-    """Encode ``value`` into a self-contained frame body.
-
-    ``format`` is ``"binary"`` (compact, default) or ``"json"`` (debug).
-    """
-    try:
-        format_tag = _FORMATS[format]
-    except KeyError:
-        raise WireFormatError(
-            f"unknown wire format {format!r}; known: "
-            f"{sorted(_FORMATS)}") from None
-    out = bytearray((MAGIC, WIRE_VERSION, format_tag))
-    if format_tag == FORMAT_JSON:
-        out += json.dumps(_jsonify(value), separators=(",", ":"),
-                          sort_keys=True).encode("utf-8")
-        return bytes(out)
+def encode(value: Any) -> bytes:
+    """Encode ``value`` into a self-contained binary frame body."""
+    out = bytearray((MAGIC, WIRE_VERSION, FORMAT_BINARY))
     try:
         _encode_value(value, out)
     except _ENCODE_ERRORS as exc:
@@ -775,7 +697,7 @@ def decode_run(data: bytes, start: int) -> list:
 
 
 def decode(data: bytes) -> Any:
-    """Decode one frame body produced by :func:`encode` (either format) or
+    """Decode one frame body produced by :func:`encode` or
     :func:`repro.wire.batch.encode_batch` (to a :class:`BatchFrame`)."""
     if len(data) < 3:
         raise WireFormatError(
@@ -791,11 +713,9 @@ def decode(data: bytes) -> Any:
     format_tag = data[2]
     if format_tag == FORMAT_BATCH:
         return BatchFrame(envelopes=tuple(decode_run(data, 3)))
-    if format_tag not in (FORMAT_BINARY, FORMAT_JSON):
+    if format_tag != FORMAT_BINARY:
         raise WireFormatError(f"unknown wire format tag 0x{format_tag:02X}")
     try:
-        if format_tag == FORMAT_JSON:
-            return _dejsonify(json.loads(str(data[3:], "utf-8")))
         value, pos = _decode_value(bytes(data), 3)
     except _DECODE_ERRORS as exc:
         raise _malformed(exc) from exc
@@ -808,7 +728,6 @@ __all__ = [
     "DYNAMIC_TYPE_ID_BASE",
     "FORMAT_BATCH",
     "FORMAT_BINARY",
-    "FORMAT_JSON",
     "FieldKind",
     "MAGIC",
     "SUPPORTED_WIRE_VERSIONS",

@@ -1,11 +1,11 @@
 """The multi-process control plane under failure.
 
-A worker that is killed, that crashes before it says hello, or that reports
-an error must fail the call that is waiting on it — by name, with what it
-hosts and how it ended — within a bounded time, and ``stop()`` must then
-leave no child process and no listening control socket behind.  These spawn
-real processes, so they carry the ``slow`` marker like their sibling
-``test_tcp_cluster.py`` (tier-1 still runs them).
+A worker that is killed, that crashes while it builds its slice, or that
+reports an error must fail the call that is waiting on it — by name, with
+what it hosts and how it ended — within a bounded time, and ``stop()`` must
+then leave no child process, no accepting worker listener and no open
+channel behind.  These spawn real processes, so they carry the ``slow``
+marker like their sibling ``test_tcp_cluster.py`` (tier-1 still runs them).
 """
 
 import asyncio
@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.api import CausalStore
 from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
 from repro.errors import RuntimeBackendError
@@ -37,27 +38,29 @@ def make_cluster() -> ProcessCluster:
                           checker=StreamingChecker.offline())
 
 
-async def stop_and_check(cluster: ProcessCluster, control_port=None) -> None:
+def assert_nothing_left(cluster: ProcessCluster) -> None:
+    """No child process, no worker listener that accepts, no open channel."""
+    assert multiprocessing.active_children() == []
+    for worker in cluster._workers.values():
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", worker.port), 0.5).close()
+        assert worker.reading.done()
+        assert worker.writer.get_extra_info("socket").fileno() == -1
+
+
+async def stop_and_check(cluster: ProcessCluster) -> None:
     """``stop()`` is bounded and leaves nothing behind."""
     started = time.perf_counter()
     await cluster.stop()
     assert time.perf_counter() - started < STOP_BOUND
-    assert multiprocessing.active_children() == []
-    if control_port is not None:
-        with pytest.raises(OSError):
-            socket.create_connection(("127.0.0.1", control_port), 0.5).close()
-
-
-def control_port_of(cluster: ProcessCluster) -> int:
-    return cluster._control.sockets[0].getsockname()[1]
+    assert_nothing_left(cluster)
 
 
 async def run_with_kill(victim: int) -> tuple[ProcessCluster, Exception, float]:
     """Kill ``victim`` 0.3 s into a 1 s run; how and when the run failed."""
-    cluster, port = make_cluster(), None
+    cluster = make_cluster()
     try:
         await cluster.start()
-        port = control_port_of(cluster)
         loop = asyncio.get_running_loop()
         killed_at = []
 
@@ -70,7 +73,7 @@ async def run_with_kill(victim: int) -> tuple[ProcessCluster, Exception, float]:
             await cluster.run_workload(1.0)
         failed_after = time.perf_counter() - killed_at[0]
     finally:
-        await stop_and_check(cluster, port)
+        await stop_and_check(cluster)
     return cluster, raised.value, failed_after
 
 
@@ -96,51 +99,77 @@ class TestKilledWorkers:
         assert failed_after < FAIL_BOUND
         assert cluster.first_failure() is error
 
+    def test_killed_server_worker_fails_an_interactive_store_at_once(self):
+        store = CausalStore(protocol="contrarian", backend="tcp",
+                            num_partitions=2)
+        cluster = store.cluster
+        try:
+            # One key on each partition: the ROT needs both servers.
+            keys = [cluster.view.partitioner.keys_for_partition(partition, 1)[0]
+                    for partition in range(2)]
+            store.rot(keys)
+            cluster._workers[SERVER_WORKER].process.kill()
+            cluster._workers[SERVER_WORKER].process.join(5.0)
+            started = time.perf_counter()
+            with pytest.raises(RuntimeBackendError) as raised:
+                store.rot(keys)
+            failed_after = time.perf_counter() - started
+        finally:
+            started = time.perf_counter()
+            store.close()
+            closed_after = time.perf_counter() - started
+        message = str(raised.value)
+        assert "worker 0 (server [(0, 0)])" in message
+        assert "closed its control connection" in message
+        assert "exit code -9" in message
+        assert failed_after < FAIL_BOUND
+        assert closed_after < STOP_BOUND
+        assert cluster.first_failure() is raised.value
+        assert_nothing_left(cluster)
+
 
 @pytest.mark.slow
 class TestWorkersThatFailOnTheirOwn:
-    def test_crash_before_hello_fails_start(self):
+    def test_crash_while_building_fails_start_with_its_traceback(self):
         async def scenario():
             cluster = make_cluster()
             # Partition 7 does not exist: building the worker's slice raises
-            # before it ever connects.
+            # before the worker is ready.
             lying = WorkerRole(0, ((0, 7),), ())
             cluster.roles = (lying,) + cluster.roles[1:]
-            port = None
             try:
                 started = time.perf_counter()
                 with pytest.raises(RuntimeBackendError) as raised:
                     await cluster.start()
                 failed_after = time.perf_counter() - started
-                port = control_port_of(cluster)
             finally:
-                await stop_and_check(cluster, port)
+                await stop_and_check(cluster)
             return cluster, raised.value, failed_after
 
         cluster, error, failed_after = asyncio.run(scenario())
         # Spawn + import + the crash itself; no start-up timeout involved.
         assert failed_after < STOP_BOUND
         message = str(error)
-        assert "worker 0 (server [(0, 7)])" in message
-        assert "exited before it connected" in message
-        assert "exit code 1" in message
+        assert "worker 0 (server [(0, 7)]) failed (exit code 1)" in message
+        # The worker's own traceback, down to what raised.
+        assert "Traceback (most recent call last)" in message
+        assert "partition_index 7 out of range" in message
         assert cluster.first_failure() is error
 
     def test_worker_error_frame_fails_the_run_with_its_traceback(self):
         async def scenario():
-            cluster, port = make_cluster(), None
+            cluster = make_cluster()
             try:
                 await cluster.start()
-                port = control_port_of(cluster)
                 # A message no worker expects from its parent.
                 cluster._send([cluster._workers[SERVER_WORKER]],
-                              WorkerReady(SERVER_WORKER))
+                              WorkerReady())
                 started = time.perf_counter()
                 with pytest.raises(RuntimeBackendError) as raised:
                     await cluster.run_workload(1.0)
                 failed_after = time.perf_counter() - started
             finally:
-                await stop_and_check(cluster, port)
+                await stop_and_check(cluster)
             return cluster, raised.value, failed_after
 
         cluster, error, failed_after = asyncio.run(scenario())
@@ -155,10 +184,9 @@ class TestWorkersThatFailOnTheirOwn:
 class TestLifecycleEdges:
     def test_second_run_is_refused_before_anything_is_sent(self):
         async def scenario():
-            cluster, port = make_cluster(), None
+            cluster = make_cluster()
             try:
                 await cluster.start()
-                port = control_port_of(cluster)
                 await cluster.run_workload(0.3)
                 measured = (cluster.metrics.rots_issued,
                             cluster.checker.recorded_rots)
@@ -170,7 +198,7 @@ class TestLifecycleEdges:
                 assert (cluster.metrics.rots_issued,
                         cluster.checker.recorded_rots) == measured
             finally:
-                await stop_and_check(cluster, port)
+                await stop_and_check(cluster)
             # Refusing a call is not a failure of the run that did happen.
             assert cluster.first_failure() is None
 
@@ -185,9 +213,8 @@ class TestLifecycleEdges:
 
             cluster = make_cluster()
             await cluster.start()
-            port = control_port_of(cluster)
-            await stop_and_check(cluster, port)
-            await stop_and_check(cluster, port)
+            await stop_and_check(cluster)
+            await stop_and_check(cluster)
             assert cluster.first_failure() is None
 
         asyncio.run(scenario())

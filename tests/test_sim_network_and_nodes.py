@@ -13,8 +13,8 @@ from repro.sim.node import Node
 class RecordingNode(Node):
     """A node that records every message it processes."""
 
-    def __init__(self, sim, node_id, dc_id=0, service=0.0, threads=1):
-        super().__init__(sim, node_id, dc_id, threads=threads)
+    def __init__(self, sim, node_id, dc_id=0, service=0.0):
+        super().__init__(sim, node_id, dc_id)
         self.received = []
         self._service = service
 
@@ -159,17 +159,6 @@ class TestNodeCpuQueue:
         assert node.stats.busy_time == pytest.approx(1.0)
         assert node.stats.utilization(2.0) == pytest.approx(0.5)
         assert node.stats.messages_processed == 4
-
-    def test_threads_divide_service_time(self):
-        sim = Simulator()
-        node = RecordingNode(sim, "srv", service=1.0, threads=4)
-        node.enqueue_message(RecordingNode(sim, "cli"), "x")
-        sim.run()
-        assert node.received[0][0] == pytest.approx(0.25)
-
-    def test_zero_threads_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RecordingNode(Simulator(), "srv", threads=0)
 
     def test_average_queue_wait_without_messages(self):
         node = RecordingNode(Simulator(), "srv")

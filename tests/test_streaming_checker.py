@@ -359,10 +359,9 @@ class TestObservationWire:
         from repro.wire.codec import decode, encode
 
         puts, rots = materialize(200, SynthParameters(seed=7))
-        chunk = ObservationChunk(worker_id=3, puts=tuple(puts),
-                                 rots=tuple(rots))
+        chunk = ObservationChunk(puts=tuple(puts), rots=tuple(rots))
         assert decode(encode(chunk)) == chunk
-        one_sided = ObservationChunk(worker_id=4, puts=(), rots=tuple(rots))
+        one_sided = ObservationChunk(puts=(), rots=tuple(rots))
         assert decode(encode(one_sided)) == one_sided
 
 

@@ -7,6 +7,7 @@ event loop — fast enough for the default tier (no cluster, no processes).
 import asyncio
 import dataclasses
 import inspect
+import socket
 
 import pytest
 
@@ -43,10 +44,9 @@ class TestEnvelope:
     def test_envelope_round_trips_with_addresses(self):
         envelope = Envelope(sender=ClientAddr("c-0"),
                             dest=ServerAddr(0, 1), payload=PUT)
-        for format in ("binary", "json"):
-            decoded = decode(encode(envelope, format=format))
-            assert decoded == envelope
-            assert isinstance(decoded.dest, ServerAddr)
+        decoded = decode(encode(envelope))
+        assert decoded == envelope
+        assert isinstance(decoded.dest, ServerAddr)
 
 
 class TestInprocTransport:
@@ -160,6 +160,41 @@ class TestTcpTransport:
                     transport.send(None, ServerAddr(3, 3), PUT)
             finally:
                 await transport.stop()
+
+        asyncio.run(scenario())
+
+    def test_serves_a_handed_over_listener_and_closes_an_unserved_one(self):
+        async def scenario():
+            listener = socket.create_server(("127.0.0.1", 0))
+            transport = TcpTransport(listener)
+            await transport.start()
+            assert (transport.host, transport.port) == \
+                listener.getsockname()[:2]
+            await transport.stop()
+            assert listener.fileno() == -1
+            unserved = socket.create_server(("127.0.0.1", 0))
+            await TcpTransport(unserved).stop()
+            assert unserved.fileno() == -1
+
+        asyncio.run(scenario())
+
+    def test_a_closed_listener_fails_the_link_at_once(self):
+        async def scenario():
+            listener = socket.create_server(("127.0.0.1", 0))
+            host, port = listener.getsockname()[:2]
+            listener.close()
+            transport = TcpTransport()
+            await transport.start()
+            transport.set_peers({ServerAddr(0, 0): (host, port)})
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 0.5
+            transport.send(None, ServerAddr(0, 0), PUT)
+            while transport.failure is None and loop.time() < deadline:
+                await asyncio.sleep(0.01)
+            assert isinstance(transport.failure, TransportError)
+            assert f"cannot connect to peer {host}:{port}" in str(
+                transport.failure)
+            await transport.stop()
 
         asyncio.run(scenario())
 

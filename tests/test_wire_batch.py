@@ -2,7 +2,7 @@
 
 Covers the wire side (encode_batch/decode round trips, empty and single
 batches, oversize rejection, count mismatches, torn-frame reassembly through
-FrameDecoder) and the transport side (threshold and idle flushes, graceful
+read_frame) and the transport side (threshold and idle flushes, graceful
 stop, batch trace events) without spawning any processes.
 """
 
@@ -26,8 +26,9 @@ from repro.wire.batch import (
     encode_batch,
 )
 from repro.wire.codec import FORMAT_BATCH, MAGIC, WIRE_VERSION, decode, encode
-from repro.wire.framing import FrameDecoder, frame
+from repro.wire.framing import frame
 from repro.wire.intern import clear_interned, intern_key
+from wire_support import read_frames
 
 DEST = ServerAddr(1, 0)
 
@@ -139,13 +140,11 @@ class TestBatchCodec:
                     for envelope in decoded.envelopes}) == 1
         assert decoded.envelopes[0].dest == DEST
 
-    def test_torn_frame_reassembles_through_frame_decoder(self):
+    def test_torn_frame_reassembles_through_read_frame(self):
         envelopes = [_replicate(i) for i in range(12)]
         stream = frame(encode_batch(envelopes))
-        decoder = FrameDecoder()
-        payloads = []
-        for start in range(0, len(stream), 7):
-            payloads.extend(decoder.feed(stream[start:start + 7]))
+        payloads = read_frames([stream[start:start + 7]
+                                for start in range(0, len(stream), 7)])
         assert len(payloads) == 1
         assert list(decode(payloads[0]).envelopes) == envelopes
 

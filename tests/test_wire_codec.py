@@ -2,14 +2,12 @@
 
 Every registered wire type is exercised through samples and strategies built
 from the codec's own field plan (``wire_support``): ``decode(encode(x)) == x``
-with identical types in the binary, batch and JSON formats, binary and JSON
-decode to equal objects, a value contradicting its annotation fails at
-encode, and malformed or unknown-version frames raise the typed
-:class:`~repro.errors.WireFormatError`.
+with identical types in the binary and batch formats, a value contradicting
+its annotation fails at encode, and malformed or unknown-version frames raise
+the typed :class:`~repro.errors.WireFormatError`.
 """
 
 import dataclasses
-import json
 import struct
 from typing import Optional
 
@@ -27,7 +25,6 @@ from repro.core.common.messages import (
 from repro.errors import WireFormatError
 from repro.wire import (
     MAX_FRAME_BYTES,
-    FrameDecoder,
     decode,
     encode,
     frame,
@@ -47,6 +44,7 @@ from wire_support import (
     WIRE_SETTINGS,
     WIRE_TYPES,
     instances,
+    read_frames,
     same,
     sample,
 )
@@ -95,9 +93,8 @@ class TestRoundTrips:
     def test_samples_round_trip_in_every_format(self, cls):
         for variant in (0, 1):
             original = sample(cls, variant)
-            for format in ("binary", "json"):
-                decoded = decode(encode(original, format=format))
-                assert same(decoded, original), (format, decoded, original)
+            decoded = decode(encode(original))
+            assert same(decoded, original), (decoded, original)
             assert same(decode(encode_batch([original] * 3)).envelopes,
                         (original,) * 3)
 
@@ -108,7 +105,6 @@ class TestRoundTrips:
         original = data.draw(instances(cls))
         binary = decode(encode(original))
         assert same(binary, original)
-        assert same(decode(encode(original, format="json")), binary)
         assert same(decode(encode_batch([original, original])).envelopes,
                     (original, original))
 
@@ -120,15 +116,12 @@ class TestRoundTrips:
             FieldKind("bool", True), FieldKind("float", True),
             FieldKind("bytes", True), FieldKind("strs", True),
             FieldKind("floats", True), FieldKind("value"), FieldKind("value")]
-        for format in ("binary", "json"):
-            assert same(decode(encode(original, format=format)), original)
+        assert same(decode(encode(original)), original)
 
     @WIRE_SETTINGS
     @given(value=PLAIN)
     def test_plain_values_round_trip(self, value):
-        binary = decode(encode(value))
-        assert same(binary, value)
-        assert same(decode(encode(value, format="json")), binary)
+        assert same(decode(encode(value)), value)
 
     def test_int64_boundaries_and_lengths_around_the_escape(self):
         for timestamp in (-(2 ** 63), -1, 0, 2 ** 63 - 1):
@@ -142,16 +135,11 @@ class TestRoundTrips:
                 dependencies=tuple(("d" * length, row)
                                    for row in range(min(length, 300))))
             assert same(decode(encode(message)), message)
-            assert same(decode(encode(message, format="json")), message)
 
     def test_sequences_decode_as_tuples(self):
         decoded = decode(encode([1, [2, 3]]))
         assert decoded == (1, (2, 3))
         assert type(decoded) is tuple
-
-    def test_binary_is_compact(self):
-        message = sample(RotValueReply)
-        assert len(encode(message)) < len(encode(message, format="json"))
 
     def test_codecs_are_compiled_on_first_use_not_at_import(self):
         import os
@@ -196,17 +184,12 @@ class TestEncodeRejectsContradictions:
         class NotOnTheWire:
             x: int
 
-        for format in ("binary", "json"):
-            with pytest.raises(WireFormatError, match="not a registered"):
-                encode(NotOnTheWire(x=1), format=format)
+        with pytest.raises(WireFormatError, match="not a registered"):
+            encode(NotOnTheWire(x=1))
 
     def test_registering_non_dataclass_rejected(self):
         with pytest.raises(WireFormatError, match="dataclass"):
             register_wire_type(int)
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(WireFormatError, match="unknown wire format"):
-            encode(1, format="xml")
 
 
 class TestDecodeErrorPaths:
@@ -220,8 +203,11 @@ class TestDecodeErrorPaths:
             decode(bytes((0x00, WIRE_VERSION, 0x01)) + b"\x01")
 
     def test_unknown_format_tag(self):
-        with pytest.raises(WireFormatError, match="format"):
-            decode(bytes((MAGIC, WIRE_VERSION, 0x7F)) + b"\x01")
+        # No format owns 0x02 (nor any tag but 0x01 and 0x03).
+        for tag in (0x00, 0x02, 0x7F):
+            with pytest.raises(WireFormatError,
+                               match=f"unknown wire format tag 0x{tag:02X}"):
+                decode(bytes((MAGIC, WIRE_VERSION, tag)) + b"{}")
 
     def test_truncated_binary_frame(self):
         payload = encode(sample(VectorPutRequest))
@@ -261,58 +247,29 @@ class TestDecodeErrorPaths:
         with pytest.raises(WireFormatError, match="RecursionError"):
             decode(body)
 
-    def test_malformed_json_frame(self):
-        body = bytes((MAGIC, WIRE_VERSION, 0x02)) + b"{not json"
-        with pytest.raises(WireFormatError, match="JSON"):
-            decode(body)
-
-    def test_unknown_json_type_name(self):
-        body = bytes((MAGIC, WIRE_VERSION, 0x02)) \
-            + b'{"__wire__": "NoSuchType", "fields": {}}'
-        with pytest.raises(WireFormatError, match="NoSuchType"):
-            decode(body)
-
-    def test_json_struct_with_absent_fields_rejected(self):
-        document = {"__wire__": "TraceEvent",
-                    "fields": {"seq": 4, "ts": 1.25, "node": "client-0",
-                               "kind": "op_start"}}
-        body = bytes((MAGIC, WIRE_VERSION, 0x02)) \
-            + json.dumps(document).encode()
-        with pytest.raises(WireFormatError, match="field mismatch"):
-            decode(body)
-
 
 class TestFraming:
-    def test_incremental_feed_reassembles_frames(self):
-        payloads = [encode(sample(CcloPutReply)),
-                    encode(sample(RotValueReply), format="json")]
+    def test_frames_reassemble_across_chunk_boundaries(self):
+        payloads = [encode(sample(CcloPutReply)), encode(sample(RotValueReply))]
         stream = b"".join(frame(p) for p in payloads)
-        decoder = FrameDecoder()
-        out = []
-        for i in range(0, len(stream), 3):  # drip-feed 3 bytes at a time
-            out.extend(decoder.feed(stream[i:i + 3]))
-        assert [decode(p) for p in out] == [decode(p) for p in payloads]
-        assert decoder.pending_bytes == 0
+        # Drip-fed 3 bytes at a time.
+        chunks = [stream[i:i + 3] for i in range(0, len(stream), 3)]
+        assert read_frames(chunks) == payloads
 
     def test_oversized_length_prefix_rejected(self):
-        decoder = FrameDecoder()
         with pytest.raises(WireFormatError, match="limit"):
-            decoder.feed(struct.pack(">I", MAX_FRAME_BYTES + 1))
+            read_frames([struct.pack(">I", MAX_FRAME_BYTES + 1)])
 
-    def test_ten_thousand_small_frames_in_one_chunk_and_byte_by_byte(self):
+    def test_many_small_frames_in_one_chunk_and_byte_by_byte(self):
         payload = encode_batch([sample(CcloPutReply)])
-        count = 10_000
-        stream = frame(payload) * count
-        decoder = FrameDecoder()
-        frames = decoder.feed(stream + stream[:5])
-        assert frames == [payload] * count
-        assert decoder.pending_bytes == 5
-        decoder = FrameDecoder()
-        frames = []
-        for offset in range(len(stream)):
-            frames.extend(decoder.feed(stream[offset:offset + 1]))
-        assert frames == [payload] * count
-        assert decoder.pending_bytes == 0
+        stream = frame(payload) * 10_000
+        assert read_frames([stream]) == [payload] * 10_000
+        # A stream that ends 5 bytes into the next frame is torn, not done.
+        with pytest.raises(WireFormatError, match="stream ended inside"):
+            read_frames([stream, stream[:2], stream[2:5]])
+        short = frame(payload) * 200
+        assert read_frames([short[offset:offset + 1]
+                            for offset in range(len(short))]) == [payload] * 200
 
 
 class TestWireVersion:
@@ -323,14 +280,13 @@ class TestWireVersion:
     """
 
     def test_version_constants(self):
-        assert WIRE_VERSION == 6
+        assert WIRE_VERSION == 7
         assert SUPPORTED_WIRE_VERSIONS == (WIRE_VERSION,)
 
     def test_unsupported_versions_rejected(self):
-        frames = [encode(sample(CcloPutReply), format="binary"),
-                  encode(sample(CcloPutReply), format="json"),
+        frames = [encode(sample(CcloPutReply)),
                   encode_batch([sample(CcloPutReply)] * 3)]
-        for version in (0, 1, 2, 3, 4, 5, 99):
+        for version in (0, 1, 2, 3, 4, 5, 6, 99):
             for payload in map(bytearray, frames):
                 assert payload[1] == WIRE_VERSION
                 payload[1] = version

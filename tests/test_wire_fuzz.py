@@ -1,10 +1,10 @@
 """Robustness contract of the wire layer: malformed bytes raise only
 :class:`~repro.errors.WireFormatError`.
 
-Arbitrary bytes and mutations of valid v5 frames — of every registered type
+Arbitrary bytes and mutations of valid frames — of every registered type
 and of mixed batches: bit flips, truncation at every offset, a length or
 count inflated to its maximum, a wrong type id, trailing bytes — go into
-``decode`` and ``FrameDecoder.feed``.  Each call must
+``decode`` and ``read_frame``.  Each call must
 return or raise ``WireFormatError``, nothing else, and must not allocate in
 proportion to a count the frame merely claims.  Deterministic
 (``derandomize=True``), so tier-1 stays reproducible.
@@ -19,12 +19,13 @@ from hypothesis import given, strategies as st
 from repro.errors import WireFormatError
 from repro.wire.batch import encode_batch
 from repro.wire.codec import MAGIC, WIRE_VERSION, decode, encode
-from repro.wire.framing import FrameDecoder, frame
+from repro.wire.framing import frame
 from wire_support import (
     EVERY_TYPE,
     WIRE_SETTINGS,
     WIRE_TYPES,
     instances,
+    read_frames,
     sample,
 )
 
@@ -134,9 +135,7 @@ class TestArbitraryBytes:
         _survives(decode, data)
         for header in _HEADERS:
             _survives(decode, header + data)
-        decoder = FrameDecoder()
-        _survives(decoder.feed, data)
-        _survives(decoder.feed, data)
+        _survives(read_frames, [data, data])
 
     @WIRE_SETTINGS
     @given(data=st.data())
@@ -155,7 +154,7 @@ class TestArbitraryBytes:
         _survives(decode, bytes(payload[:cut]))
 
 
-class TestFrameDecoderStreams:
+class TestFrameStreams:
     def test_corrupt_prefixes_raise_before_buffering_a_frame(self):
         payload = encode_batch([sample(WIRE_TYPES[0])])
         stream = frame(payload) * 3
@@ -163,21 +162,18 @@ class TestFrameDecoderStreams:
             for byte in (0x00, 0x7F, 0xFF):
                 corrupt = bytearray(stream)
                 corrupt[offset] = byte
-                decoder = FrameDecoder()
                 try:
-                    payloads = decoder.feed(bytes(corrupt))
+                    payloads = read_frames([bytes(corrupt)])
                 except WireFormatError:
                     continue
-                assert decoder.pending_bytes <= len(stream)
                 for body in payloads:
                     _survives(decode, body)
 
     def test_oversize_prefix_never_allocates_the_claimed_length(self):
-        decoder = FrameDecoder()
         tracemalloc.start()
         try:
             with pytest.raises(WireFormatError, match="limit"):
-                decoder.feed(struct.pack(">I", 2 ** 32 - 1) + b"x" * 64)
+                read_frames([struct.pack(">I", 2 ** 32 - 1) + b"x" * 64])
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
         finally:
             tracemalloc.stop()

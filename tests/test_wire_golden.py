@@ -17,84 +17,78 @@ from repro.wire.codec import WIRE_VERSION, encode
 from wire_support import EVERY_TYPE, WIRE_TYPES, sample
 
 #: The wire version the hashes below were generated for.
-GOLDEN_WIRE_VERSION = 6
+GOLDEN_WIRE_VERSION = 7
 
 GOLDEN_FRAMES = {
     "ReadResult":
-        "67016b94304c8dbdd9a469c3bdf1f2ff648c480ffd117441e2d62969b59cd2ed",
+        "45964eeab687fa9728fdb7f657d30738007f5abae689ca1285277675996a1256",
     "VectorPutRequest":
-        "0f70a1dbe1accbbd0de86e50a2477eb5911dcc99c435c8aeafb21def2972c13e",
+        "5d1bc3df0e8aa02d87f7755ebcc2e3de5bd4acbb5478dc6e1e81a6dc9e840a1d",
     "VectorPutReply":
-        "322386d7f4813bf32de3bb2cf7ae65741b2197826d5ebe516eec7b35f496e564",
+        "f61a17ec7f66960a660a968d00a35bf61535cb357d97d0a650e58cc59454fc69",
     "RotCoordinatorRequest":
-        "232bc6812f92ad0f22a00f71856350d931ac8229b7f30bc6b402edc53b2dc3d9",
+        "57136249974604b2ae7014581ca0865aee4743ccd1a6bf8b8598aae116a550ed",
     "RotSnapshotReply":
-        "d980e0a184d438c4b4a0a213e54d7efccbfb9af8e215a7fbe4a60e57852b74ee",
+        "9e38026b148bdc595781884effe457169ac8c9ee41e5f7e15e2ec70a273f33f3",
     "RotProxyRead":
-        "2af6b779c20c51d4e66c293c3b53a9d28dacdc525b344eb78f0b62590b0129a9",
+        "ac83ccad9c76216abbca6a2c5e9ba189cba7ec2ebc618bc46c1be16f5dfb7763",
     "RotReadRequest":
-        "51b66ccfb86c6be3247ab9e846f76b52b3197efaf4be5c7c901faadb26ed77a4",
+        "249670cf5cc60d9fbceca1e0b638d54268e6457020d948d9c48ea40dcc6c3711",
     "RotValueReply":
-        "196e0537bab347ed83cfc5e2deb0248600d0fe94a82e3f0aabb83bb636cb443b",
+        "842200e68f30ef29ab3a427fbef56efc70ccd88c0fe79fbd9b6d5bd31fd4ec70",
     "RemoteHeartbeat":
-        "cffa9ef9a8b8b67d28ae05e2eda6cfa7bb0e1681d2dc9e4c05ffe4e9a8bd0eb4",
+        "63b07e64a2bb710f833772769ae1aa20e435966947ce73a5c70ca268632c6cd9",
     "StabilizationMessage":
-        "06613ab5954745c0faf917ed3d8f848953bbb5addd79a5d172c0e23a1050496a",
+        "296c090c7c1f57a349323fefb775b76f6eefb7f9f09735d21ce2b5f0f2377f87",
     "ReplicateUpdate":
-        "4b3ee73067f3496413c1f4f13158257ac88cd3cdef2a3c5e43140d0255342993",
+        "d94d769612cb3fb301ec623a3c48dfa13677775da762236d44020b7ca6e32b6f",
     "OneRoundReadRequest":
-        "2ea0aba479d7a9f2bde822e31aaa84db9c3a22e6e75c249bc6d8effc250c8246",
+        "93bcd53ec6a6142c5f48d7517aad0bb71238a66ffe1bb29d787a571c89a51ba6",
     "OneRoundReadReply":
-        "f70cf4510cf4eb9c586dceef1932e3013e9e109a837054797fbcfea62f318d22",
+        "a6f76dd0ca6b873fcdfff240ded4980b3046da87e3337dc935749432937d5b2d",
     "CcloPutRequest":
-        "3be1366665aefed074aea0d66e4f069800456778974b845006bb97141995a218",
+        "b97ecebb5c13be4bb538ca2fd9b7cfeb39bfec63f1c6bcd84ccd3759031acea8",
     "CcloPutReply":
-        "486d74feb4538dbf16e7cdf29901736ab67c5a2d25d37d49ce6877cb4cbcfcae",
+        "ae108a162f754bead563019185aa130580edefe98cc27a856188597c44e3d968",
     "ReadersCheckRequest":
-        "60a55e7652c4326e0c3d667d50cf0aa4f9042682061c53c9fef49f8a1fa9c5ab",
+        "728e844f44c7fdf41d8676383b97beadc4b739eec0e5bc268cf102a2d599532b",
     "ReadersCheckReply":
-        "dce1ba00e2c6626a75c43184f30fbca78b7487c7c098643ed0383acff2093ac5",
+        "93653bd5b8ddf1a996df0ab2814a9d17d5060d4e932c460d157a1acda2ba922a",
     "CcloReplicateUpdate":
-        "a649380aa951a0b3b311703f135a10c2bbe4e98dbaf0e6bab94f7e9db8e2546e",
+        "9b65fbfebf64926bce91fcd3620fcab06641af67061da9c4a5635d9647e26077",
     "ServerAddr":
-        "ac6f15e7d31d52994bcc57feffcb1fa9acdb9e605670ca8eb3ce403cb846289b",
+        "af331c5136f2591953d5d9694c0ef9742bac567576cb57c550b0d604c142c2b4",
     "ClientAddr":
-        "ee2d9549b82b4520e50d993f752735272a53b6e7d40cabe165b609cdb51ed425",
+        "58408ba6a315a89492a77e8d6f0659d4c81a2ab092a5b1f636d5e2afd6ca3df8",
     "Envelope":
-        "29663eae37480fe57b8f0fcfe3d1954d6b37cb6c8b34123cd019c099e5b0804b",
+        "a7e40b46d307e245828ee9b72b931138497e4c1914fe3ffcf5c95540b8946061",
     "RecordedPut":
-        "d1fa8bd39c6ed181e672c518ea13b0d58511db3ee5abd44b6ce3ee0f5666cbb1",
+        "96e775ccde5e0829d0edb0b3f7908f227e6138d90189958d0eb7e3589d48ea53",
     "RecordedRead":
-        "586431f5f08bd1ce290c2a1ade6a2dfa823314bcfee1f8f0004b5d1cfb140fe8",
+        "244cee391bf7c54400d21f1643c11651885dc329e76b51c8b0447317476f249b",
     "RecordedRot":
-        "541a9b292f268f448a1a4c37342423a3c779c125434ff7d91549083eb1a64410",
+        "b3f39a2dc5d0148ed525150038daefb23d7f09fb2911e2ddb01e241853271b70",
     "OverheadCounters":
-        "ab2cb25c8a7b697333ab238c12e643a789cdaeb923556d024e98d6cfa7be3eeb",
+        "fe260cc2f9fef749ff87bd0ccb9e62fccc5677a8d2307ad88913f64feca2b62f",
     "TraceEvent":
-        "fed64f952197010bba43e1564f3aceb0daf6a0faf570e11f95cf4e7d20499d97",
-    "WorkerHello":
-        "55300607676188a6e77bc3c5e78a72a49855c815fb1129fab7ebae94824b730a",
-    "PeerEntry":
-        "902c6dcb81a2d896a190900c46c9423db0bb9f981bd18d4dcdb1f940068354d3",
-    "PeerTable":
-        "b45832616aab4bd949d2ad814b8dc38b73a0e4413a86085b8227b7e9cb9670d4",
+        "a13b8e44c29082162b591fcfe400c5feca164e39d50341579dfdaf4d3f80667b",
     "WorkerReady":
-        "87e8d464244334abaaf20de6a0d4c4523152fc827d7e42661f8e7bfe08ea90cc",
+        "2b7294a8f1981bf66a0fe0210a2f72d042067cc83ab7547da4f5578d6a48200d",
     "StartRun":
-        "81cc55702d840e90d4953f718a7f8d0cadc4a92ccd7722f506afde3409183379",
+        "7984bb35928b3e3caba8a5fafb1e6cbaa38a02b84b01a5a99c74f097614a1bc7",
     "Shutdown":
-        "7d01b5934c5e438641309a7ff78f21f010052f1c1a1d7908dbcb87b9d0b3fba6",
+        "a349de0058678104ab6a78624387891652eea3ed76210c78b3ca4a841fe10964",
     "WorkerError":
-        "57df93d4af35894b0c53c3ee5f02f598596347532e422188d96b49335c71302e",
+        "ca39871cc16752e6cfe40974247d6c1f08bd253c612eebfe43b95d8539db4ce8",
     "WorkerResult":
-        "13d4d44b4bfd25b1d1b0b1d3c2e2646398ee25ae6758c3849256f710e3fcea3c",
+        "8b663b939f21ca63152860f51db280824805ab87413628d47bed51074e1c0bd3",
     "ObservationChunk":
-        "770809d736285830c2cde06f80b88781fbeb5ff1a2cd27620486bdaf08d8a1b8",
+        "9723f4c5598053afd3ec0eeece035ee9c26afc5a7a59ef7a402c6696fff30b69",
 }
 
 #: One batch frame holding both sample variants of every type, in id order.
 GOLDEN_MIXED_BATCH = (
-    "edcdf31597e1652e2e4412cb861f523ee2881646ee9f1c60d5bd6fd2344afb3f")
+    "4ac83cbafea39fb25f0fc8233f422f123831dafc1cbbfeeaf6735c9d272e5a2c")
 
 
 def _digest(payload: bytes) -> str:

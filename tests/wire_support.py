@@ -8,6 +8,7 @@ later is covered by the round-trip, golden and fuzz tests without touching
 them.
 """
 
+import asyncio
 import dataclasses
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import settings, strategies as st
 import repro.obs.events  # noqa: F401
 import repro.runtime.process  # noqa: F401
 from repro.wire.codec import field_plan, registered_wire_types
+from repro.wire.framing import read_frame
 
 #: Reproducible in tier-1; ``max_examples`` comes from the loaded hypothesis
 #: profile (the nightly job loads one with ten times the default).
@@ -126,3 +128,27 @@ def same(left, right) -> bool:
         return all(same(getattr(left, field.name), getattr(right, field.name))
                    for field in dataclasses.fields(left))
     return left == right
+
+
+def read_frames(chunks) -> list[bytes]:
+    """Every payload :func:`read_frame` reads from a stream that arrives as
+    ``chunks``, one chunk per event-loop turn, and then ends."""
+    async def scenario() -> list[bytes]:
+        reader = asyncio.StreamReader()
+
+        async def feed() -> None:
+            for chunk in chunks:
+                reader.feed_data(chunk)
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeding = asyncio.ensure_future(feed())
+        payloads = []
+        try:
+            while (payload := await read_frame(reader)) is not None:
+                payloads.append(payload)
+        finally:
+            feeding.cancel()
+        return payloads
+
+    return asyncio.run(scenario())
