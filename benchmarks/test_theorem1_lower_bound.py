@@ -2,23 +2,20 @@
 
 Two parts:
 
-1. The executable proof construction: a protocol that communicates reader
-   identities satisfies Lemma 1 (different readers, different messages) and
-   never produces an inconsistent snapshot, while the straw-man protocol that
-   only ships a Lamport timestamp collides on communication and yields the
-   forbidden snapshot (X0, Y1) in the E* schedule.
+1. The proof's construction on the real kernels: with |D| = 8 readers,
+   CC-LO's PUTs communicate differently for each of the 2^|D| subsets of
+   readers (Lemma 1) and no E* schedule makes the checker flag it; its
+   Lamport-only straw man collides and every E* run is flagged; Contrarian
+   and Cure collide on every subset (their PUTs send nothing between
+   partitions) yet are never flagged, because their ROTs are not one-round.
 2. The measured counterpart: a CC-LO run exchanges at least |D| bits of reader
    identity per readers check, and the amount grows with the number of
    clients.
 """
 
+from repro.harness.report import format_table
 from repro.harness.runner import load_sweep
-from repro.theory.executions import (
-    LamportOnlyProtocol,
-    ReaderTrackingProtocol,
-    find_causal_violation,
-    lemma1_holds,
-)
+from repro.theory.executions import LAMPORT_ONLY, construction_summary
 from repro.theory.lower_bound import (
     executions_count,
     lower_bound_bits,
@@ -27,30 +24,29 @@ from repro.theory.lower_bound import (
 
 from bench_utils import run_once
 
-CLIENTS = tuple(f"c{i}" for i in range(8))
+READERS = 8
+PROTOCOLS = ("cc-lo", LAMPORT_ONLY, "contrarian", "cure")
 
 
 def test_lemma1_and_estar_construction(benchmark):
     def construct():
-        return (lemma1_holds(ReaderTrackingProtocol(), CLIENTS),
-                lemma1_holds(LamportOnlyProtocol(), CLIENTS),
-                find_causal_violation(LamportOnlyProtocol(), CLIENTS),
-                find_causal_violation(ReaderTrackingProtocol(), CLIENTS))
+        return {getattr(protocol, "name", protocol):
+                construction_summary(protocol, READERS)
+                for protocol in PROTOCOLS}
 
-    tracking_ok, strawman_ok, strawman_violation, tracking_violation = \
-        run_once(benchmark, construct)
-
-    print(f"\nLemma 1 holds for reader-tracking protocol: {tracking_ok}")
-    print(f"Lemma 1 holds for Lamport-only straw man:   {strawman_ok}")
-    print(f"Straw-man E* violation: {strawman_violation.late_read_results}")
-    assert tracking_ok
-    assert not strawman_ok
-    assert strawman_violation is not None
-    assert strawman_violation.violates_causal_consistency()
-    assert tracking_violation is None
-    # Lemma 2 numbers for this client population.
-    assert executions_count(len(CLIENTS)) == 2 ** len(CLIENTS)
-    assert lower_bound_bits(len(CLIENTS)) == len(CLIENTS)
+    table = run_once(benchmark, construct)
+    executions = executions_count(READERS)
+    estar_runs = READERS * executions // 2
+    print(f"\n|D| = {READERS}: {executions} executions E(R), "
+          f"{estar_runs} E*(R, {{c}})")
+    print(format_table(["protocol", "distinct signatures", "E* flagged",
+                        "max signature bits"],
+                       [[name, *row] for name, row in table.items()]))
+    assert table["cc-lo"][:2] == (executions, 0)
+    assert table["cc-lo"][2] >= lower_bound_bits(READERS)
+    assert table["lamport-only"][0] < executions
+    assert table["lamport-only"][1] == estar_runs
+    assert table["contrarian"] == table["cure"] == (1, 0, 0)
 
 
 def test_measured_readers_check_meets_the_bound(benchmark, bench_config):

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""The Theorem 1 construction, executed (Section 6 of the paper).
+"""The Theorem 1 construction, executed on the real kernels (Section 6).
 
-Walks through the proof's ingredients on an abstract two-partition system:
+For every subset R of |D| potential readers, execution E(R) runs the proof's
+schedule on two partitions of one data center: a writer's PUT(x); PUT(y),
+the readers' ROT({x, y}), then PUT(x, X1); PUT(y, Y1).  The table reports,
+per protocol:
 
-1. For a protocol that communicates reader identities (what COPS-SNOW does),
-   every distinct subset of readers produces distinct inter-partition
-   communication (Lemma 1), and no schedule yields an inconsistent snapshot.
-2. For the straw-man protocol that only ships a Lamport timestamp, many
-   subsets collide on the same communication, and the E* schedule makes an
-   old reader observe the forbidden snapshot (X0, Y1).
-3. The counting argument of Lemma 2: 2^|D| executions that must all differ
-   imply at least |D| bits of communication in the worst case — linear in the
-   number of clients.
+* how many distinct inter-partition communications (wire bytes exchanged
+  between PUT(x, X1) and the completion of PUT(y, Y1)) the 2^|D| executions
+  produce — Lemma 1 demands 2^|D| from a latency-optimal protocol;
+* how many E*(R, {c}) runs, where reader c's read of y is held back until
+  PUT(y, Y1) completed, the consistency checker flags;
+* the most bits one execution communicates, against Lemma 2's |D|.
+
+CC-LO pays per reader on every PUT; the Lamport-only straw man saves that and
+returns (X0, Y1); Contrarian and Cure communicate nothing, because their ROTs
+are not one-round.
 
 Run with::
 
@@ -20,63 +24,28 @@ Run with::
 
 from repro.harness.report import format_table
 from repro.theory import (
-    LamportOnlyProtocol,
-    ReaderTrackingProtocol,
+    LAMPORT_ONLY,
     build_execution,
-    executions_count,
-    find_causal_violation,
-    lemma1_holds,
+    construction_summary,
     lower_bound_bits,
 )
 
-CLIENTS = ("c1", "c2", "c3", "c4", "c5", "c6")
-
-
-def demonstrate_lemma1() -> None:
-    print("=== Lemma 1: different readers must induce different communication ===")
-    tracking = ReaderTrackingProtocol()
-    strawman = LamportOnlyProtocol()
-    print(f"reader-tracking protocol satisfies Lemma 1: "
-          f"{lemma1_holds(tracking, CLIENTS)}")
-    print(f"Lamport-only straw man satisfies Lemma 1:   "
-          f"{lemma1_holds(strawman, CLIENTS)}")
-    example = build_execution(tracking, CLIENTS[:3])
-    print(f"example communication for readers {sorted(example.readers)}: "
-          f"{example.signature}")
-
-
-def demonstrate_estar() -> None:
-    print("\n=== The E* schedule: what goes wrong without reader communication ===")
-    violation = find_causal_violation(LamportOnlyProtocol(), CLIENTS)
-    assert violation is not None
-    client, snapshot = next(iter(violation.late_read_results.items()))
-    print(f"straw-man protocol: client {client} reads x and y and observes "
-          f"{snapshot} — X0 together with Y1 even though X0 -> X1 -> Y1, "
-          f"a causally inconsistent snapshot.")
-    safe = find_causal_violation(ReaderTrackingProtocol(), CLIENTS)
-    print(f"reader-tracking protocol: violating execution found? {safe is not None}")
-
-
-def demonstrate_lemma2() -> None:
-    print("\n=== Lemma 2: the communication grows linearly with the clients ===")
-    def pretty_count(clients: int) -> str:
-        # 2^560 has 169 decimal digits; keep the table readable.
-        value = executions_count(clients)
-        return str(value) if clients <= 20 else f"2^{clients} (~1e{len(str(value)) - 1})"
-
-    rows = [[clients, pretty_count(clients), lower_bound_bits(clients)]
-            for clients in (4, 16, 64, 256, 560)]
-    print(format_table(["clients |D|", "executions 2^|D|", "worst-case bits"],
-                       rows))
-    print("560 clients per DC is the largest population in the paper's "
-          "Figure 6; the measured readers checks there carried hundreds of "
-          "ROT ids (thousands of bits), comfortably above the bound.")
+READERS = 4
+PROTOCOLS = ("cc-lo", LAMPORT_ONLY, "contrarian", "cure")
 
 
 def main() -> None:
-    demonstrate_lemma1()
-    demonstrate_estar()
-    demonstrate_lemma2()
+    print(f"=== Theorem 1 construction, |D| = {READERS} readers "
+          f"(Lemma 2 bound: {lower_bound_bits(READERS)} bits) ===")
+    rows = [[getattr(protocol, "name", protocol),
+             *construction_summary(protocol, READERS)]
+            for protocol in PROTOCOLS]
+    print(format_table(["protocol", "distinct signatures (of 16)",
+                        "E* flagged (of 32)", "max signature bits"], rows))
+    violation = build_execution(LAMPORT_ONLY, (1, 2), delayed_readers=(1,))
+    print(f"\nstraw man, E*({{1, 2}}, {{1}}): reader 1 observes "
+          f"{violation.snapshots[1]}; the checker reports "
+          f"{violation.report.snapshot_violations[0]}")
 
 
 if __name__ == "__main__":

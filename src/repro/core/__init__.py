@@ -16,12 +16,11 @@ to its kernel classes and builds them.
 
 The families:
 
-* :mod:`repro.core.contrarian` — the paper's contribution: nonblocking,
-  one-version ROTs in 1½ (or 2) rounds using HLCs and the GSS stabilization
-  protocol, with cheap PUTs.
-* :mod:`repro.core.cure` — the Cure baseline: the same coordinator-based
-  design but with physical clocks and two rounds, which makes ROTs blocking
-  under clock skew.
+* :mod:`repro.core.vector` — Contrarian, the paper's contribution
+  (nonblocking, one-version ROTs in 1½ (or 2) rounds using HLCs and the GSS
+  stabilization protocol, with cheap PUTs), and the Cure baseline (the same
+  coordinator-based design with physical clocks and two rounds, which makes
+  ROTs blocking under clock skew), as two configurations of one kernel pair.
 * :mod:`repro.core.cclo` — the latency-optimal baseline (the COPS-SNOW
   design): one-round, one-version, nonblocking ROTs paid for by the readers
   check performed on every PUT.

@@ -31,9 +31,11 @@ one of them and supplies what is genuinely its own:
     what follows a finished operation — the simulated closed loop issues the
     next one, the asyncio client resolves a future.
 
-The drivers are :mod:`repro.sim.drivers` and :mod:`repro.runtime.nodes`.
-Because both run this code, a protocol cannot behave differently on one
-backend by accident of its driver.
+The drivers are :mod:`repro.sim.drivers`, :mod:`repro.runtime.nodes` and
+the scripted one of :mod:`repro.theory.executions`, which holds every send
+and timer and delivers them in the order a proof's schedule dictates.
+Because all of them run this code, a protocol cannot behave differently on
+one backend by accident of its driver.
 
 The per-message path is a contract with everything that attaches to it from
 outside (the layered benchmark's timing proxies, the golden simulator runs):

@@ -328,14 +328,5 @@ class Network:
         """Messages currently held by blocked links (a fault gauge)."""
         return sum(len(held) for held in self._held.values())
 
-    def send_local(self, node: "Node", message: object) -> None:
-        """Deliver a message from a node to itself without network delay.
-
-        Used when a coordinator partition also stores one of the keys of the
-        ROT it is coordinating: the "message" never hits the wire but still
-        costs CPU time to process.
-        """
-        node.enqueue_message(node, message, node.current_trace)
-
 
 __all__ = ["LatencyModel", "LinkFault", "Network", "NetworkStats"]

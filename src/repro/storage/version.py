@@ -84,10 +84,6 @@ class Version:
         """Whether the version may currently be returned to clients."""
         return self.visible
 
-    def excludes_reader(self, rot_id: str) -> bool:
-        """CC-LO: whether ``rot_id`` is an old reader barred from this version."""
-        return rot_id in self.old_readers
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"Version(key={self.key!r}, ts={self.timestamp}, "
                 f"dc={self.origin_dc}, visible={self.visible})")

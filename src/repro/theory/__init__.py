@@ -5,12 +5,13 @@ ROTs must, before every *dangerous* PUT completes, exchange information whose
 worst-case size grows linearly with the number of clients.  This package
 provides:
 
-* :mod:`repro.theory.executions` — an executable rendition of the proof's
-  construction: the set of executions ``E`` indexed by the subset of clients
-  that issue the ROT, the indistinguishability argument of Lemma 1, and the
-  execution ``E*`` in which a protocol that does not communicate readers
-  returns a causally inconsistent snapshot (the straw-man Lamport-clock
-  implementation of the paper's final remark).
+* :mod:`repro.theory.executions` — the proof's construction run on the real
+  kernels: the executions ``E(R)`` indexed by the subset ``R`` of readers,
+  each one's inter-partition communication as wire bytes (Lemma 1), and the
+  execution ``E*`` judged by the consistency checker.  CC-LO communicates
+  differently for every ``R``; its Lamport-only straw man
+  (:data:`~repro.theory.executions.LAMPORT_ONLY`) collides and ``E*`` makes
+  it return a causally inconsistent snapshot.
 * :mod:`repro.theory.lower_bound` — the counting argument of Lemma 2: with
   ``|D|`` potential readers there are ``2^|D|`` executions that must all
   induce different communication, so at least ``|D|`` bits must flow in the
@@ -19,11 +20,11 @@ provides:
 """
 
 from repro.theory.executions import (
+    LAMPORT_ONLY,
     ExecutionOutcome,
-    LamportOnlyProtocol,
-    ReaderTrackingProtocol,
     build_execution,
     communication_signature,
+    construction_summary,
     find_causal_violation,
     lemma1_holds,
 )
@@ -36,10 +37,10 @@ from repro.theory.lower_bound import (
 
 __all__ = [
     "ExecutionOutcome",
-    "LamportOnlyProtocol",
-    "ReaderTrackingProtocol",
+    "LAMPORT_ONLY",
     "build_execution",
     "communication_signature",
+    "construction_summary",
     "executions_count",
     "find_causal_violation",
     "lemma1_holds",

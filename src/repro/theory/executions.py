@@ -1,239 +1,271 @@
-"""Executable rendition of the Theorem 1 proof construction (Section 6.3).
+"""The Theorem 1 proof construction (Section 6.3), run on the real kernels.
 
-The proof considers two keys ``x`` and ``y`` on different partitions ``px``
-and ``py``, a writer client ``cw`` that issues
-``PUT(x, X0); PUT(y, Y0); PUT(x, X1); PUT(y, Y1)`` (each after the previous
-one completed, so ``X0 ; X1 ; Y1``), and a set ``D`` of potential reader
-clients.  For every subset ``R`` of ``D`` an execution ``E(R)`` is built in
-which exactly the clients in ``R`` issue ``ROT({x, y})`` at the same time
-``t1``, with both reads arriving at ``t2``, *before* ``PUT(x, X1)`` is
-issued.
+The proof takes two keys ``x`` and ``y`` on different partitions ``px`` and
+``py`` of one data center, a writer client that issues ``PUT(x, X0);
+PUT(y, Y0)`` and, later, ``PUT(x, X1); PUT(y, Y1)``, and a set ``D`` of
+potential readers.  Execution ``E(R)`` lets exactly the readers in ``R``
+issue ``ROT({x, y})`` between the two pairs of PUTs.  Lemma 1: a correct
+latency-optimal protocol must make ``px`` and ``py`` communicate differently
+for every ``R`` before ``PUT(y, Y1)`` completes; otherwise the execution
+``E*``, in which a reader's read of ``y`` is held back until ``PUT(y, Y1)``
+completed, returns the snapshot ``(X0, Y1)``.
 
-Lemma 1 says that for a correct latency-optimal protocol, different subsets
-``R`` must lead to different inter-partition communication before
-``PUT(y, Y1)`` completes — otherwise one can build an execution ``E*`` in
-which an old reader's delayed read of ``y`` returns ``Y1`` while its read of
-``x`` returned ``X0``, a causally inconsistent snapshot.
+Here the construction drives the registered kernels — CC-LO, Contrarian,
+Cure, or any :class:`~repro.core.registry.ProtocolSpec` — through the shared
+kernel hosts (:mod:`repro.core.common.host`) on a scripted driver: every
+send and timer joins one held list, served in FIFO order on a
+:class:`~repro.clocks.timesource.FixedClock`, except what the schedule holds
+back.  A signature is the :func:`repro.wire.encode` bytes of the
+server-to-server messages of ``PUT(x, X1); PUT(y, Y1)``, and the verdict on
+a snapshot is the :class:`~repro.causal.streaming.StreamingChecker`'s report,
+exactly as on every backend.
 
-This module makes that argument executable with two toy protocols on an
-abstract two-partition system:
-
-* :class:`ReaderTrackingProtocol` — communicates the identities of (old)
-  readers from ``px`` to ``py`` (the COPS-SNOW behaviour).  Lemma 1 holds:
-  the communication signature differs for every subset of readers, and no
-  execution produces an inconsistent snapshot.
-* :class:`LamportOnlyProtocol` — the straw-man of the paper's final remark:
-  only a Lamport timestamp is communicated.  Different subsets of readers can
-  produce identical communication, and the ``E*`` construction yields the
-  snapshot ``(X0, Y1)``, violating causal consistency.
+:data:`LAMPORT_ONLY` is the paper's straw man: CC-LO whose readers check
+answers with no reader ids, so only Lamport timestamps cross partitions.
+It collides on signatures and ``E*`` makes the checker flag it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from itertools import combinations
+from typing import Iterable, Optional, Union
 
+from repro.causal.checker import CheckerReport
+from repro.causal.streaming import StreamingChecker
+from repro.clocks.timesource import FixedClock
+from repro.cluster.config import ClusterConfig
+from repro.cluster.partitioning import HashPartitioner
+from repro.core.cclo.kernel import CcloClientKernel, CcloKernel
+from repro.core.common.host import ClientHost, ServerHost
+from repro.core.common.kernel import ServerAddr, SetTimer
+from repro.core.common.messages import ReadersCheckReply
+from repro.core.registry import ProtocolSpec, resolve_spec
 from repro.errors import TheoryError
+from repro.metrics.collectors import MetricsRegistry
+from repro.wire import encode
+from repro.workload.generator import Operation
 
-#: Version labels used throughout the construction.
+#: Version labels of the construction; ``None`` is "nothing read".
 X0, X1, Y0, Y1 = "X0", "X1", "Y0", "Y1"
+
+#: Subsets of more readers than this are not enumerated (2^16 executions).
+MAX_READERS = 16
+
+
+class LamportOnlyKernel(CcloKernel):
+    """CC-LO whose readers check names no readers: the paper's straw man."""
+
+    def _reply_readers_check(self, sender, message) -> None:
+        self._send(sender, ReadersCheckReply(message.check_id, old_readers=()))
+
+
+#: The straw man as a protocol; deliberately not registered.
+LAMPORT_ONLY = ProtocolSpec("lamport-only", kernel=LamportOnlyKernel,
+                            client_kernel=CcloClientKernel)
 
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
-    """The observable outcome of one constructed execution.
+    """One constructed execution.
 
-    Attributes
-    ----------
-    readers:
-        The subset ``R`` of clients that issued ``ROT({x, y})`` at ``t1``.
-    signature:
-        Concatenation of the messages ``px``/``py`` exchange before
-        ``PUT(y, Y1)`` completes (Lemma 1's ``str_i``).
-    late_read_results:
-        For each client whose read of ``y`` is delayed past the completion of
-        ``PUT(y, Y1)`` (the ``E*`` schedule), the snapshot ``(x-version,
-        y-version)`` it ends up observing.
+    ``signature`` is Lemma 1's string, one encoded message per entry;
+    ``snapshots`` maps each reader to the labels its ROT returned for
+    ``(x, y)``; ``report`` is the checker's verdict on the whole history.
     """
 
-    readers: frozenset[str]
-    signature: tuple[str, ...]
-    late_read_results: dict[str, tuple[str, str]]
+    readers: frozenset[int]
+    signature: tuple[bytes, ...]
+    snapshots: dict[int, tuple[Optional[str], Optional[str]]]
+    report: CheckerReport
 
-    def violates_causal_consistency(self) -> bool:
-        """Whether any client observed the forbidden snapshot ``(X0, Y1)``."""
-        return any(result == (X0, Y1)
-                   for result in self.late_read_results.values())
-
-
-class RotProtocolModel(Protocol):
-    """Interface of the toy protocols used by the construction."""
-
-    name: str
-
-    def readers_check_payload(self, old_readers: Sequence[str]) -> tuple[str, ...]:
-        """Messages sent from ``px`` to ``py`` when ``y`` is overwritten."""
-        ...
-
-    def y_read_result(self, client: str, payload: tuple[str, ...]) -> str:
-        """Version of ``y`` returned to a delayed read by ``client``."""
-        ...
+    @property
+    def signature_bits(self) -> int:
+        return 8 * sum(len(message) for message in self.signature)
 
 
-class ReaderTrackingProtocol:
-    """COPS-SNOW-like protocol: the readers check ships reader identities."""
+class _ScriptedServer(ServerHost):
+    """A server whose sends and one-shot timers wait in the held list."""
 
-    name = "reader-tracking"
+    def __init__(self, kernel, script: "_Script") -> None:
+        super().__init__(kernel, script.clock)
+        self.held = script.held
 
-    def readers_check_payload(self, old_readers: Sequence[str]) -> tuple[str, ...]:
-        """One message listing every old reader of ``x`` (sorted, explicit)."""
-        return tuple(f"old-reader:{client}" for client in sorted(old_readers))
+    def _send(self, dest, message) -> None:
+        self.held.append((self.addr, dest, message))
 
-    def y_read_result(self, client: str, payload: tuple[str, ...]) -> str:
-        """Return the old version to clients named in the payload."""
-        if f"old-reader:{client}" in payload:
-            return Y0
-        return Y1
+    def _arm_timer(self, timer: SetTimer, trace) -> None:
+        self.held.append((self.addr, self.addr, timer))
 
 
-class LamportOnlyProtocol:
-    """Straw-man protocol: only a Lamport timestamp crosses partitions."""
+class _ScriptedClient(ClientHost):
+    """A client whose sends wait in the held list; the construction issues
+    its operations, so a completion starts nothing."""
 
-    name = "lamport-only"
+    def __init__(self, kernel, script: "_Script") -> None:
+        super().__init__(kernel, script.clock, None, MetricsRegistry(),
+                         script.checker)
+        self.held = script.held
 
-    def readers_check_payload(self, old_readers: Sequence[str]) -> tuple[str, ...]:
-        """A single timestamp whose value is the number of reads seen so far.
+    def _send(self, dest, message) -> None:
+        self.held.append((self.addr, dest, message))
 
-        The number of increments is bounded by the number of ROTs, so many
-        different subsets of readers map to the same payload — exactly the
-        pigeonhole collision the proof of Lemma 1 exploits.
-        """
-        return (f"timestamp:{len(old_readers)}",)
-
-    def y_read_result(self, client: str, payload: tuple[str, ...]) -> str:
-        """Without reader identities ``py`` cannot tell old readers apart."""
-        del client, payload
-        return Y1
+    def _completed(self, result) -> None:
+        pass
 
 
-def build_execution(protocol: RotProtocolModel, readers: Iterable[str],
-                    delayed_readers: Iterable[str] = ()) -> ExecutionOutcome:
-    """Construct one execution of the Section 6.3 scenario.
+class _Script:
+    """One data center of two partitions and ``clients`` clients whose
+    deliveries are served in FIFO order when :meth:`deliver` says so."""
 
-    Parameters
-    ----------
-    protocol:
-        The toy protocol deciding what crosses the ``px`` -> ``py`` link.
-    readers:
-        The subset ``R`` of clients issuing ``ROT({x, y})`` at ``t1``; their
-        read of ``x`` returns ``X0`` and is recorded by ``px`` before
-        ``PUT(x, X1)`` is issued.
-    delayed_readers:
-        Clients whose read of ``y`` is postponed until after ``PUT(y, Y1)``
-        completes (the ``E*`` schedule).  They must be a subset of
-        ``readers``.
+    def __init__(self, spec: ProtocolSpec, clients: int) -> None:
+        config = ClusterConfig(num_partitions=2, clients_per_dc=clients)
+        partitioner = HashPartitioner(2)
+        self.clock = FixedClock()
+        self.checker = StreamingChecker.offline()
+        self.held: deque[tuple] = deque()
+        #: Encoded server-to-server messages while recording, else ``None``.
+        self.signature: Optional[list[bytes]] = None
+        servers = [_ScriptedServer(spec.build_server_kernel(
+            config, 0, partition, partitioner=partitioner,
+            time_source=self.clock), self) for partition in range(2)]
+        self.clients = [_ScriptedClient(spec.build_client_kernel(
+            config, 0, index, partitioner=partitioner)[0], self)
+            for index in range(clients)]
+        self.hosts = {host.addr: host for host in servers + self.clients}
+
+    def deliver(self, admit=lambda item: True) -> None:
+        """Serve held items oldest first until only refused ones remain."""
+        held, refused = self.held, []
+        while held:
+            item = held.popleft()
+            source, dest, message = item
+            if not admit(item):
+                refused.append(item)
+            elif type(message) is SetTimer:
+                self.clock.advance(message.delay)
+                self.hosts[dest].fire_timer(message.tag, message.payload)
+            else:
+                if self.signature is not None and type(source) is ServerAddr \
+                        and type(dest) is ServerAddr:
+                    self.signature.append(encode(message))
+                self.hosts[dest].dispatch(source, message, None)
+        held.extend(refused)
+
+
+def build_execution(protocol: Union[str, ProtocolSpec], readers: Iterable[int],
+                    delayed_readers: Iterable[int] = ()) -> ExecutionOutcome:
+    """Run ``E(readers)``, or ``E*`` when some readers are delayed.
+
+    Client 0 is the writer and reader ``i`` is client ``i`` (``i >= 1``), so
+    a reader's ROT id is the same in every execution.  Every message that
+    carries a delayed reader's ROT id to ``py`` is held until ``PUT(y, Y1)``
+    completed.
     """
-    reader_set = frozenset(readers)
-    delayed = frozenset(delayed_readers)
-    if not delayed.issubset(reader_set):
+    spec = resolve_spec(protocol) if isinstance(protocol, str) else protocol
+    reader_set, delayed = frozenset(readers), frozenset(delayed_readers)
+    if not delayed <= reader_set:
         raise TheoryError("delayed readers must be a subset of the readers")
-    # t1/t2: every reader's read of x reaches px and returns X0; px records
-    # them.  PUT(x, X1) then makes every one of them an old reader of x.
-    old_readers_of_x = sorted(reader_set)
-    # PUT(y, Y1) declares its dependency on X1; before it completes, px and
-    # py exchange whatever the protocol prescribes.
-    signature = protocol.readers_check_payload(old_readers_of_x)
-    # E* schedule: the delayed readers' reads of y arrive after Y1 is visible.
-    late_results = {client: (X0, protocol.y_read_result(client, signature))
-                    for client in sorted(delayed)}
-    return ExecutionOutcome(readers=reader_set, signature=signature,
-                            late_read_results=late_results)
+    if not reader_set <= frozenset(range(1, MAX_READERS + 1)):
+        raise TheoryError(f"readers are the clients 1 .. {MAX_READERS}")
+    script = _Script(spec, 1 + max(reader_set, default=0))
+    x, y = HashPartitioner.structured_key(0, 0), HashPartitioner.structured_key(1, 0)
+    py = ServerAddr(0, 1)
+    held_ids = {f"{script.clients[i].node_id}#1" for i in delayed}
+
+    def admit(item) -> bool:
+        return item[1] is not py \
+            or getattr(item[2], "rot_id", None) not in held_ids
+
+    writer = script.clients[0]
+    labels = {}
+
+    def put(key: str, label: str) -> None:
+        writer.issue(Operation("put", (key,)))
+        script.deliver(admit)
+        labels[(key, writer.outcome.timestamp)] = label
+
+    put(x, X0)
+    put(y, Y0)
+    for reader in sorted(reader_set):
+        script.clients[reader].issue(Operation("rot", (x, y)))
+    script.deliver(admit)
+    script.signature = []
+    put(x, X1)
+    put(y, Y1)
+    signature, script.signature = tuple(script.signature), None
+    script.deliver()
+    snapshots = {}
+    for reader in sorted(reader_set):
+        results = script.clients[reader].outcome.results
+        snapshots[reader] = tuple(labels.get((key, results[key].timestamp))
+                                  for key in (x, y))
+    return ExecutionOutcome(reader_set, signature, snapshots,
+                            script.checker.check())
 
 
-def communication_signature(protocol: RotProtocolModel,
-                            readers: Iterable[str]) -> tuple[str, ...]:
-    """The Lemma 1 communication string of execution ``E(readers)``."""
+def communication_signature(protocol: Union[str, ProtocolSpec],
+                            readers: Iterable[int]) -> tuple[bytes, ...]:
+    """Lemma 1's communication string of ``E(readers)``."""
     return build_execution(protocol, readers).signature
 
 
-def lemma1_holds(protocol: RotProtocolModel, clients: Sequence[str]) -> bool:
-    """Check Lemma 1 over every pair of subsets of ``clients``.
-
-    Returns True iff any two *different* subsets of readers produce different
-    communication signatures.  The check is exponential in ``len(clients)``
-    and intended for the small sizes used in tests and benchmarks.
-    """
-    subsets = _all_subsets(clients)
-    seen: dict[tuple[str, ...], frozenset[str]] = {}
-    for subset in subsets:
-        signature = communication_signature(protocol, subset)
-        other = seen.get(signature)
-        if other is not None and other != frozenset(subset):
-            return False
-        seen[signature] = frozenset(subset)
-    return True
+def reader_subsets(num_readers: int) -> list[tuple[int, ...]]:
+    """Every subset of the readers ``1 .. num_readers``."""
+    if num_readers > MAX_READERS:
+        raise TheoryError(
+            f"subset enumeration is limited to {MAX_READERS} readers")
+    readers = range(1, num_readers + 1)
+    return [subset for size in range(num_readers + 1)
+            for subset in combinations(readers, size)]
 
 
-def find_causal_violation(protocol: RotProtocolModel,
-                          clients: Sequence[str]) -> ExecutionOutcome | None:
-    """Search for an ``E*``-style execution with an inconsistent snapshot.
+def lemma1_holds(protocol: Union[str, ProtocolSpec], num_readers: int) -> bool:
+    """Whether every subset of ``num_readers`` readers has its own signature."""
+    subsets = reader_subsets(num_readers)
+    return len({communication_signature(protocol, subset)
+                for subset in subsets}) == len(subsets)
 
-    Mirrors the proof: take two subsets ``R1`` and ``R2`` with the same
-    communication signature and ``R1 \\ R2`` non-empty; build ``E*`` from
-    ``E(R2)`` by letting the clients in ``R1 \\ R2`` read ``y`` after
-    ``PUT(y, Y1)`` completed.  ``py`` cannot distinguish ``E*`` from
-    ``E(R2)``, so it serves them ``Y1`` and the snapshot ``(X0, Y1)`` appears.
-    Returns the violating outcome, or ``None`` for protocols (like the
-    reader-tracking one) where no such pair of executions exists.
-    """
-    subsets = _all_subsets(clients)
-    by_signature: dict[tuple[str, ...], list[frozenset[str]]] = {}
-    for subset in subsets:
-        signature = communication_signature(protocol, subset)
-        by_signature.setdefault(signature, []).append(frozenset(subset))
-    for signature, groups in by_signature.items():
-        if len(groups) < 2:
-            continue
-        for r1 in groups:
-            for r2 in groups:
-                difference = r1 - r2
-                if not difference:
-                    continue
-                # E* is built on E(R2): the readers are those of R2, plus the
-                # clients of R1 \ R2 whose read of y is delayed.  py observes
-                # the same communication (signature) as in E(R2), so it
-                # answers the delayed reads as it would there.
-                outcome = ExecutionOutcome(
-                    readers=r1 | r2, signature=signature,
-                    late_read_results={
-                        client: (X0, protocol.y_read_result(client, signature))
-                        for client in sorted(difference)})
-                if outcome.violates_causal_consistency():
-                    return outcome
+
+def find_causal_violation(protocol: Union[str, ProtocolSpec],
+                          num_readers: int) -> Optional[ExecutionOutcome]:
+    """The first ``E*(R, {c})`` the checker flags, over every ``R`` and
+    ``c`` in ``R``; ``None`` when the protocol passes them all."""
+    for subset in reader_subsets(num_readers):
+        for reader in subset:
+            outcome = build_execution(protocol, subset, (reader,))
+            if not outcome.report.ok:
+                return outcome
     return None
 
 
-def _all_subsets(clients: Sequence[str]) -> list[tuple[str, ...]]:
-    if len(clients) > 16:
-        raise TheoryError("subset enumeration is limited to 16 clients")
-    subsets: list[tuple[str, ...]] = []
-    for mask in range(1 << len(clients)):
-        subsets.append(tuple(client for index, client in enumerate(clients)
-                             if mask & (1 << index)))
-    return subsets
+def construction_summary(protocol: Union[str, ProtocolSpec],
+                         num_readers: int) -> tuple[int, int, int]:
+    """One row of the Theorem 1 table over ``num_readers`` readers: distinct
+    signatures of the ``E(R)``, ``E*(R, {c})`` runs the checker flags, and
+    the most bits one ``E(R)`` communicates."""
+    subsets = reader_subsets(num_readers)
+    outcomes = [build_execution(protocol, subset) for subset in subsets]
+    flagged = sum(not build_execution(protocol, subset, (reader,)).report.ok
+                  for subset in subsets for reader in subset)
+    return (len({outcome.signature for outcome in outcomes}), flagged,
+            max(outcome.signature_bits for outcome in outcomes))
 
 
 __all__ = [
     "ExecutionOutcome",
-    "LamportOnlyProtocol",
-    "ReaderTrackingProtocol",
-    "RotProtocolModel",
+    "LAMPORT_ONLY",
+    "LamportOnlyKernel",
+    "MAX_READERS",
     "X0",
     "X1",
     "Y0",
     "Y1",
     "build_execution",
     "communication_signature",
+    "construction_summary",
     "find_causal_violation",
     "lemma1_holds",
+    "reader_subsets",
 ]

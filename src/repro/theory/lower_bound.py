@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from repro.errors import TheoryError
 from repro.metrics.collectors import RunResult
 
-#: Wire size of one ROT identifier in the CC-LO implementation (8 bytes).
+#: Bits counted per ROT identifier of a readers check: 8 bytes, a stated
+#: conservative floor.  On the wire an id costs more: a ``ReadersCheckReply``
+#: row is a length byte, an 8-byte logical time and the id string, 26 bytes
+#: for ``client-dc0-12#345``; the Theorem 1 construction
+#: (:mod:`repro.theory.executions`) measures CC-LO's PUTs sending 23 bytes
+#: more per reader with ids like ``client-dc0-1#1``.
 ROT_ID_BITS = 64
 
 

@@ -36,15 +36,9 @@ def intern_key(key: str) -> str:
     return key
 
 
-def interned_count() -> int:
-    """Number of keys currently cached (for tests and diagnostics)."""
-    return len(_CACHE)
-
-
 def clear_interned() -> None:
     """Drop the cache (tests only; never needed on the hot path)."""
     _CACHE.clear()
 
 
-__all__ = ["MAX_INTERNED_KEYS", "clear_interned", "intern_key",
-           "interned_count"]
+__all__ = ["MAX_INTERNED_KEYS", "clear_interned", "intern_key"]

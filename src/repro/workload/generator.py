@@ -182,19 +182,5 @@ class WorkloadGenerator:
             keys.append(key)
         return Operation(kind, tuple(keys), self._value_size)
 
-    def preload_versions(self, partition: int, count: int) -> list[str]:
-        """Keys to preload on ``partition`` before the run starts."""
-        limit = min(count, self._keys_per_partition)
-        return [HashPartitioner.structured_key(partition, index)
-                for index in range(limit)]
-
-    @property
-    def put_fraction_generated(self) -> float:
-        """Observed fraction of PUTs among generated operations (diagnostics)."""
-        total = self.generated_puts + self.generated_rots
-        if total == 0:
-            return 0.0
-        return self.generated_puts / total
-
 
 __all__ = ["Operation", "WorkloadGenerator"]

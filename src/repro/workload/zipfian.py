@@ -117,16 +117,6 @@ class ZipfianSampler:
                 return 0
         return index if index < self._last else self._last
 
-    def sample_distinct(self, count: int) -> list[int]:
-        """Draw ``count`` distinct item indices (used for multi-key ROTs)."""
-        if count > self._num_items:
-            raise WorkloadError(
-                f"cannot draw {count} distinct items from {self._num_items}")
-        seen: set[int] = set()
-        while len(seen) < count:
-            seen.add(self.sample())
-        return sorted(seen)
-
     def probability_of(self, index: int) -> float:
         """Theoretical probability of drawing ``index`` (for tests)."""
         if not 0 <= index < self._num_items:

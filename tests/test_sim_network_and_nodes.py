@@ -101,15 +101,6 @@ class TestNetwork:
         assert network.stats.bytes == 300
         assert network.stats.inter_dc_messages == 2
 
-    def test_send_local_skips_the_wire(self):
-        sim = Simulator()
-        network = Network(sim)
-        a = RecordingNode(sim, "a")
-        network.send_local(a, "self-message")
-        sim.run()
-        assert len(a.received) == 1
-        assert network.stats.messages == 0
-
     def test_unknown_message_size_defaults(self):
         """One sizing rule (the network's, the traffic counters' and the TCP
         flush threshold's): ``size_bytes()`` if the message has it."""

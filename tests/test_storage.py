@@ -18,12 +18,6 @@ class TestVersion:
         assert make_version(visible=True).is_visible()
         assert not make_version(visible=False).is_visible()
 
-    def test_old_reader_exclusion(self):
-        version = make_version()
-        version.old_readers["rot-1"] = 10
-        assert version.excludes_reader("rot-1")
-        assert not version.excludes_reader("rot-2")
-
     def test_defaults(self):
         version = make_version()
         assert version.dependency_vector is None

@@ -117,15 +117,6 @@ class TestZipfianSampler:
         with pytest.raises(WorkloadError):
             ZipfianSampler(10, 0.5, random.Random(1)).probability_of(99)
 
-    def test_sample_distinct(self):
-        sampler = ZipfianSampler(20, 0.8, random.Random(3))
-        drawn = sampler.sample_distinct(5)
-        assert len(set(drawn)) == 5
-
-    def test_sample_distinct_too_many(self):
-        with pytest.raises(WorkloadError):
-            ZipfianSampler(3, 0.8, random.Random(3)).sample_distinct(5)
-
     def test_expected_head_mass_monotone_in_skew(self):
         assert expected_head_mass(1000, 0.99, 10) > expected_head_mass(1000, 0.0, 10)
 
@@ -198,13 +189,9 @@ class TestWorkloadGenerator:
         b = [self._generator(seed=42).next_operation() for _ in range(50)]
         assert a == b
 
-    def test_preload_versions_lists_structured_keys(self):
-        generator = self._generator(keys=10)
-        keys = generator.preload_versions(partition=3, count=5)
-        assert keys == [HashPartitioner.structured_key(3, i) for i in range(5)]
-
     def test_put_fraction_diagnostic(self):
         generator = self._generator(write_ratio=0.0)
         for _ in range(10):
             generator.next_operation()
-        assert generator.put_fraction_generated == 0.0
+        assert generator.generated_puts == 0
+        assert generator.generated_rots == 10
