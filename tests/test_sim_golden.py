@@ -10,13 +10,14 @@ of simulator events and the history the clients recorded for the checker
 committed here.
 
 The cases are the classes PR 4 verified by hand: the three protocols, the
-2-round and logical-clock ablations of Contrarian, and one fault scenario;
-and two CC-LO runs whose reader records actually expire.  Under the default
-500 ms window none of the other cases drops a single record
-(``entries_expired == 0`` on every server), so the paper's GC optimisation
-and the uncompressed readers check were unpinned; with a 20 ms window every
-server expires 6-7 thousand records (67-78 thousand uncompressed), lazily in
-readers checks and eagerly in the 50 ms GC timer.
+2-round and logical-clock ablations of Contrarian, one DC partition per
+protocol (the fault controller's version-retention rules differ between the
+vector protocols and CC-LO); and two CC-LO runs whose reader records actually
+expire.  Under the default 500 ms window none of the other cases drops a
+single record (``entries_expired == 0`` on every server), so the paper's GC
+optimisation and the uncompressed readers check were unpinned; with a 20 ms
+window every server expires 6-7 thousand records (67-78 thousand
+uncompressed), lazily in readers checks and eagerly in the 50 ms GC timer.
 
 A digest that changes means simulated behaviour changed.  If that is
 intended (a protocol fix, a cost-model change), regenerate with::
@@ -51,6 +52,12 @@ CASES = {
     "contrarian-2-rounds": ("contrarian", dict(_SMALL, rot_rounds=2.0), None),
     "contrarian-logical-clock": (
         "contrarian", dict(_SMALL, clock_mode="logical"), None),
+    "contrarian-dc-partition": (
+        "contrarian", dict(_SMALL, duration_seconds=0.3),
+        lambda: dc_partition(start=0.1, heal=0.2)),
+    "cure-dc-partition": (
+        "cure", dict(_SMALL, duration_seconds=0.3),
+        lambda: dc_partition(start=0.1, heal=0.2)),
     "cc-lo-dc-partition": (
         "cc-lo", dict(_SMALL, duration_seconds=0.3),
         lambda: dc_partition(start=0.1, heal=0.2)),
@@ -62,13 +69,16 @@ CASES = {
 #: Generated at the parent of the kernel-host refactor (commit 18a964f); the
 #: two short-window cases at the parent of the indexed reader records (commit
 #: 261fd26), on the scan implementation that ``tests/cclo_readers_oracle.py``
-#: keeps.
+#: keeps; the two vector DC-partition cases at commit dcd3a4c, while
+#: in-flight ROTs were still tracked by a registry the kernels called.
 GOLDEN = {
     "contrarian": "f2515aa9dc194bdaa4c70916bfb83a4d76c0506fc6f3286e2fdb2d7c1fce2654",
     "cure": "b35bb96e8ddfab576ff54a146d4ccded447ea89a2a6d05dda8867e81ae88dde1",
     "cc-lo": "c52e082e662007748292ff74cd0c49c5784fc6415992a89f8793547a1727fccd",
     "contrarian-2-rounds": "e6d33551d4d833aad1ac365438c80e5afde946ab5dc6ecd834f414cc4faa541c",
     "contrarian-logical-clock": "b9b0fe07c52ac12c3613a18e1fbdf346f70f20ad15ed29e5421d17e9457982fe",
+    "contrarian-dc-partition": "28fa3c285c1e190b31d2128325eaab53cc06e8add463ffb470c92b733ab6cca8",
+    "cure-dc-partition": "e9cbbead54b30f8263c590e814d749aa87efddf872ec752f62cfc37b4ad1dc17",
     "cc-lo-dc-partition": "9455b672d650bcff00eda8747a4e1249f03bfe568b2149fbeb2edff3764ccbf1",
     "cc-lo-short-gc-window": "318371c92ad638df2cf9eaaa2e9c674a2603d0a5238291f0ab1b67ae6abbd264",
     "cc-lo-uncompressed": "1a735f6d737f18b7eb00b9cf85e7e90cfb0f578c5b81185e1714adcbe3a55dcf",
