@@ -10,7 +10,7 @@ construction details.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.partitioning import HashPartitioner
@@ -21,63 +21,6 @@ from repro.sim.network import Network
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.common.kernel import Addr
     from repro.sim.drivers import BaseClient, PartitionServer, SimDriver
-
-
-class ActiveRotRegistry:
-    """Tracks in-flight ROTs per data center (min-active-snapshot GC input).
-
-    When fault scenarios run, version collection must not evict versions an
-    in-flight ROT can still legally read: under a partition (or while the
-    post-heal replication backlog drains) the stable snapshot freezes while
-    writes keep truncating hot-key version chains, so unconstrained eviction
-    fabricates unreadable snapshots that the real protocols do not have.
-    Protocol clients register a ROT when it is issued (vector coordinators
-    attach the chosen snapshot vector once it is computed) and deregister it
-    on completion; retention policies query the registry for the active
-    floor.  The registry is only created by the fault controller — on the
-    healthy path ``ClusterTopology.rot_registry`` stays ``None`` and the
-    protocols take none of these code paths.
-    """
-
-    def __init__(self, num_dcs: int) -> None:
-        self._active: list[dict[str, Optional[tuple[int, ...]]]] = \
-            [{} for _ in range(num_dcs)]
-
-    def register(self, dc: int, rot_id: str,
-                 snapshot: Optional[tuple[int, ...]] = None) -> None:
-        """Record an in-flight ROT (optionally with its snapshot vector)."""
-        self._active[dc][rot_id] = snapshot
-
-    def attach_snapshot(self, dc: int, rot_id: str,
-                        snapshot: tuple[int, ...]) -> None:
-        """Attach the coordinator-chosen snapshot to a registered ROT."""
-        if rot_id in self._active[dc]:
-            self._active[dc][rot_id] = snapshot
-
-    def deregister(self, dc: int, rot_id: str) -> None:
-        """Drop a completed ROT."""
-        self._active[dc].pop(rot_id, None)
-
-    def active_count(self, dc: int) -> int:
-        """Number of in-flight ROTs in ``dc`` (diagnostics)."""
-        return len(self._active[dc])
-
-    def snapshot_floor(self, dc: int,
-                       base: tuple[int, ...]) -> tuple[int, ...]:
-        """Entrywise min of ``base`` and every active snapshot in ``dc``."""
-        floor = list(base)
-        for snapshot in self._active[dc].values():
-            if snapshot is None:
-                continue
-            for index, entry in enumerate(snapshot):
-                if entry < floor[index]:
-                    floor[index] = entry
-        return tuple(floor)
-
-    def any_active(self, dc: int, rot_ids: Iterable[str]) -> bool:
-        """Whether any of ``rot_ids`` belongs to an in-flight ROT in ``dc``."""
-        active = self._active[dc]
-        return any(rot_id in active for rot_id in rot_ids)
 
 
 class ClusterTopology:
@@ -94,15 +37,6 @@ class ClusterTopology:
         #: Every node by its abstract kernel address (how sends are routed;
         #: :meth:`node_at` is the lookup that names a missing address).
         self.nodes: dict["Addr", "SimDriver"] = {}
-        #: In-flight ROT tracking; ``None`` on the healthy path, created via
-        #: :meth:`enable_rot_tracking` when a fault scenario is installed.
-        self.rot_registry: Optional[ActiveRotRegistry] = None
-
-    def enable_rot_tracking(self) -> ActiveRotRegistry:
-        """Create (or return) the in-flight ROT registry."""
-        if self.rot_registry is None:
-            self.rot_registry = ActiveRotRegistry(self.config.num_dcs)
-        return self.rot_registry
 
     # ---------------------------------------------------------------- servers
     def add_server(self, server: "PartitionServer") -> None:
@@ -184,4 +118,4 @@ class ClusterTopology:
         return sum(server.stats.utilization(elapsed) for server in servers) / len(servers)
 
 
-__all__ = ["ActiveRotRegistry", "ClusterTopology"]
+__all__ = ["ClusterTopology"]

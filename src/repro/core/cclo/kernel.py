@@ -103,12 +103,11 @@ class CcloKernel(ServerKernel):
                  num_dcs: int, num_partitions: int, partitioner,
                  gc_window_seconds: float, one_id_per_client: bool,
                  max_versions_per_key: int = 32,
-                 counters=None, rot_registry=None) -> None:
+                 counters=None) -> None:
         super().__init__(node_id=node_id, dc_id=dc_id,
                          partition_index=partition_index, num_dcs=num_dcs,
                          num_partitions=num_partitions,
-                         partitioner=partitioner, counters=counters,
-                         rot_registry=rot_registry)
+                         partitioner=partitioner, counters=counters)
         self.clock = LamportClock()
         self.store = MultiVersionStore(max_versions_per_key=max_versions_per_key)
         self.readers = ReaderRecords(gc_window_seconds=gc_window_seconds,
@@ -136,7 +135,7 @@ class CcloKernel(ServerKernel):
     @classmethod
     def from_config(cls, config, dc_id: int, partition_index: int, *,
                     partitioner, time_source=None, skew_offset_us: float = 0.0,
-                    counters=None, rot_registry=None) -> "CcloKernel":
+                    counters=None) -> "CcloKernel":
         """Build a kernel from a cluster configuration (duck-typed).
 
         ``time_source`` / ``skew_offset_us`` are accepted for interface
@@ -151,7 +150,7 @@ class CcloKernel(ServerKernel):
                    gc_window_seconds=milliseconds(config.cclo_gc_window_ms),
                    one_id_per_client=config.cclo_one_id_per_client,
                    max_versions_per_key=config.max_versions_per_key,
-                   counters=counters, rot_registry=rot_registry)
+                   counters=counters)
 
     # ---------------------------------------------------------------- timers
     def periodic_timers(self) -> tuple[TimerSpec, ...]:
@@ -478,10 +477,9 @@ class CcloClientKernel(ClientKernel):
     writing partition needs to run the readers check.
     """
 
-    def __init__(self, *, client_id: str, dc_id: int, partitioner,
-                 rot_registry=None) -> None:
+    def __init__(self, *, client_id: str, dc_id: int, partitioner) -> None:
         super().__init__(client_id=client_id, dc_id=dc_id,
-                         partitioner=partitioner, rot_registry=rot_registry)
+                         partitioner=partitioner)
         self.dep_context = ClientDependencyContext()
         self._pending_rot: Optional[PendingRot] = None
         #: The dependency triples the PUT in flight was issued with.
@@ -491,11 +489,10 @@ class CcloClientKernel(ClientKernel):
 
     @classmethod
     def from_config(cls, config, client_id: str, dc_id: int, *,
-                    partitioner, rng=None, rot_registry=None) -> "CcloClientKernel":
+                    partitioner, rng=None) -> "CcloClientKernel":
         """Factory with the same signature as the vector client kernels."""
         del config, rng
-        return cls(client_id=client_id, dc_id=dc_id, partitioner=partitioner,
-                   rot_registry=rot_registry)
+        return cls(client_id=client_id, dc_id=dc_id, partitioner=partitioner)
 
     # ------------------------------------------------------------------- ROT
     def _issue_rot(self, operation) -> None:
@@ -504,11 +501,6 @@ class CcloClientKernel(ClientKernel):
         self._pending_rot = PendingRot(rot_id=rot_id, keys=operation.keys,
                                        started_at=self.now,
                                        expected_replies=len(groups))
-        registry = self.rot_registry()
-        if registry is not None:
-            # Fault runs track in-flight ROTs so version GC never evicts the
-            # versions an old-reader-barred ROT must fall back to.
-            registry.register(self.dc_id, rot_id)
         for partition_index, keys in groups.items():
             self._send(self._servers[partition_index],
                        OneRoundReadRequest(rot_id=rot_id, keys=tuple(keys),
@@ -524,9 +516,6 @@ class CcloClientKernel(ClientKernel):
         if not pending.complete:
             return
         self._pending_rot = None
-        registry = self.rot_registry()
-        if registry is not None:
-            registry.deregister(self.dc_id, message.rot_id)
         self.dep_context.observe_reads(pending.results.values(),
                                        self.partitioner.partition_of)
         self._complete("rot", RotOutcome(rot_id=message.rot_id,

@@ -28,7 +28,10 @@ is what keeps simulated runs bit-identical to the pre-kernel implementation.
 Time enters a kernel only through the ``now`` arguments and through the
 clock object it was constructed with; randomness only through an injected
 ``random.Random``.  That makes kernels trivially testable: feed hand-crafted
-messages, assert the emitted effects (see ``tests/test_kernels.py``).
+messages, assert the emitted effects (see ``tests/test_kernels.py``).  A
+kernel calls nothing outside itself: whoever needs its state between inputs
+(the fault controller's version GC reads a vector client's ``gss_seen``)
+reads it.
 """
 
 from __future__ import annotations
@@ -208,8 +211,7 @@ class ServerKernel(_EffectBuffer):
 
     def __init__(self, *, node_id: str, dc_id: int, partition_index: int,
                  num_dcs: int, num_partitions: int, partitioner,
-                 counters: Optional[OverheadCounters] = None,
-                 rot_registry: Optional[Callable[[], object]] = None) -> None:
+                 counters: Optional[OverheadCounters] = None) -> None:
         super().__init__()
         self.node_id = node_id
         self.dc_id = dc_id
@@ -218,10 +220,6 @@ class ServerKernel(_EffectBuffer):
         self.num_partitions = num_partitions
         self.partitioner = partitioner
         self.counters = counters if counters is not None else OverheadCounters()
-        #: Zero-argument callable returning the in-flight ROT registry (or
-        #: ``None``).  A callable — not a reference — because fault scenarios
-        #: install the registry after construction.
-        self._rot_registry = rot_registry
         self.now = 0.0
         self._handlers: dict[type, Callable[[Addr, Any], None]] = {}
         # Routes, built once: a kernel's neighbours never change.
@@ -241,11 +239,6 @@ class ServerKernel(_EffectBuffer):
     def peers_in_dc(self) -> tuple[ServerAddr, ...]:
         """The other partition servers in this server's DC, by partition."""
         return self._peers
-
-    def rot_registry(self):
-        """The active-ROT registry, or ``None`` outside fault scenarios."""
-        provider = self._rot_registry
-        return provider() if provider is not None else None
 
     # ------------------------------------------------------------ entry API
     def on_message(self, sender: Addr, message: object,
@@ -286,24 +279,17 @@ class ClientKernel(_EffectBuffer):
     needs to record the finished operation.
     """
 
-    def __init__(self, *, client_id: str, dc_id: int, partitioner,
-                 rot_registry: Optional[Callable[[], object]] = None) -> None:
+    def __init__(self, *, client_id: str, dc_id: int, partitioner) -> None:
         super().__init__()
         self.client_id = client_id
         self.dc_id = dc_id
         self.partitioner = partitioner
-        self._rot_registry = rot_registry
         self.sequence = 0
         self.now = 0.0
         self._handlers: dict[type, Callable[[Any], None]] = {}
         #: Every destination a client has: the local DC's server addresses.
         self._servers = tuple(ServerAddr(dc_id, partition) for partition
                               in range(partitioner.num_partitions))
-
-    def rot_registry(self):
-        """The active-ROT registry, or ``None`` outside fault scenarios."""
-        provider = self._rot_registry
-        return provider() if provider is not None else None
 
     def next_rot_id(self) -> str:
         """A globally unique ROT identifier (client id + sequence number)."""

@@ -72,7 +72,7 @@ class ProtocolSpec:
     transports: tuple[str, ...] = ("inproc", "tcp")
 
     def build_server_kernel(self, config, dc: int, partition: int, *,
-                            partitioner, time_source, rot_registry=None):
+                            partitioner, time_source):
         """The kernel of partition ``partition`` in data center ``dc``.
 
         Its clock-skew offset is drawn from the node's own derived stream
@@ -82,11 +82,10 @@ class ProtocolSpec:
             node_rng(config.seed, "clock-skew", dc, partition))
         return self.kernel.from_config(
             config, dc, partition, partitioner=partitioner,
-            time_source=time_source, skew_offset_us=offset,
-            rot_registry=rot_registry)
+            time_source=time_source, skew_offset_us=offset)
 
-    def build_client_kernel(self, config, dc: int, index: int, *, partitioner,
-                            rot_registry=None) -> tuple[object, random.Random]:
+    def build_client_kernel(self, config, dc: int, index: int, *,
+                            partitioner) -> tuple[object, random.Random]:
         """The kernel of client ``index`` in ``dc``, and the client's RNG.
 
         The kernel draws from that RNG (coordinator choices); a driver with
@@ -96,7 +95,7 @@ class ProtocolSpec:
         rng = node_rng(config.seed, "client", dc, index)
         kernel = self.client_kernel.from_config(
             config, client_node_id(dc, index), dc, partitioner=partitioner,
-            rng=rng, rot_registry=rot_registry)
+            rng=rng)
         return kernel, rng
 
 

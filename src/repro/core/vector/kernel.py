@@ -66,12 +66,11 @@ class VectorServerKernel(ServerKernel):
                  stabilization_interval: float,
                  heartbeat_interval: float,
                  max_versions_per_key: int = 32,
-                 counters=None, rot_registry=None) -> None:
+                 counters=None) -> None:
         super().__init__(node_id=node_id, dc_id=dc_id,
                          partition_index=partition_index, num_dcs=num_dcs,
                          num_partitions=num_partitions,
-                         partitioner=partitioner, counters=counters,
-                         rot_registry=rot_registry)
+                         partitioner=partitioner, counters=counters)
         self.clock = clock
         self.store = MultiVersionStore(max_versions_per_key=max_versions_per_key)
         self.version_vector: list[int] = list(zero_vector(num_dcs))
@@ -101,7 +100,7 @@ class VectorServerKernel(ServerKernel):
     @classmethod
     def from_config(cls, config, dc_id: int, partition_index: int, *,
                     partitioner, time_source, skew_offset_us: float = 0.0,
-                    counters=None, rot_registry=None) -> "VectorServerKernel":
+                    counters=None) -> "VectorServerKernel":
         """Build a kernel from a :class:`~repro.cluster.config.ClusterConfig`.
 
         ``config`` is duck-typed so this module never imports the (simulator
@@ -121,7 +120,7 @@ class VectorServerKernel(ServerKernel):
                    heartbeat_interval=milliseconds(
                        config.heartbeat_interval_ms),
                    max_versions_per_key=config.max_versions_per_key,
-                   counters=counters, rot_registry=rot_registry)
+                   counters=counters)
 
     # ------------------------------------------------------------------- GSS
     @property
@@ -312,7 +311,11 @@ class VectorServerKernel(ServerKernel):
     # -------------------------------------------------------------------- ROT
     def _handle_coordinator_request(self, sender: Addr,
                                     message: RotCoordinatorRequest) -> None:
-        snapshot = self._choose_snapshot(message)
+        # The freshest stable snapshot either side has seen, its local entry
+        # raised to the client's own writes and the coordinator's clock.
+        snapshot = with_entry(
+            entrywise_max(self.gss_state.gss, message.client_gss), self.dc_id,
+            max(self.clock.read(), message.client_local_ts))
         if message.two_round:
             self._send(sender, RotSnapshotReply(rot_id=message.rot_id,
                                                 snapshot=snapshot))
@@ -331,18 +334,6 @@ class VectorServerKernel(ServerKernel):
         if own_keys:
             self._serve_read(self._client_addrs[message.client_id],
                              message.rot_id, own_keys, snapshot)
-
-    def _choose_snapshot(self, message: RotCoordinatorRequest) -> tuple[int, ...]:
-        local = self.dc_id
-        snapshot = with_entry(
-            entrywise_max(self.gss_state.gss, message.client_gss), local,
-            max(self.clock.read(), message.client_local_ts))
-        registry = self.rot_registry()
-        if registry is not None:
-            # Fault runs track in-flight snapshots so version GC never evicts
-            # what this ROT may still need (min-active-snapshot retention).
-            registry.attach_snapshot(local, message.rot_id, snapshot)
-        return snapshot
 
     def _handle_read(self, sender: Addr,
                      message: "RotProxyRead | RotReadRequest") -> None:
@@ -422,10 +413,9 @@ class VectorClientKernel(ClientKernel):
     """
 
     def __init__(self, *, client_id: str, dc_id: int, num_dcs: int,
-                 partitioner, rng: random.Random, two_round: bool,
-                 rot_registry=None) -> None:
+                 partitioner, rng: random.Random, two_round: bool) -> None:
         super().__init__(client_id=client_id, dc_id=dc_id,
-                         partitioner=partitioner, rot_registry=rot_registry)
+                         partitioner=partitioner)
         self.rng = rng
         self.two_round = two_round
         self.num_dcs = num_dcs
@@ -449,12 +439,10 @@ class VectorClientKernel(ClientKernel):
 
     @classmethod
     def from_config(cls, config, client_id: str, dc_id: int, *,
-                    partitioner, rng: random.Random,
-                    rot_registry=None) -> "VectorClientKernel":
+                    partitioner, rng: random.Random) -> "VectorClientKernel":
         return cls(client_id=client_id, dc_id=dc_id, num_dcs=config.num_dcs,
                    partitioner=partitioner, rng=rng,
-                   two_round=cls.resolved_two_round(config),
-                   rot_registry=rot_registry)
+                   two_round=cls.resolved_two_round(config))
 
     # ------------------------------------------------------------------- PUT
     def _issue_put(self, operation) -> None:
@@ -496,9 +484,6 @@ class VectorClientKernel(ClientKernel):
         self._pending_rot = PendingRot(rot_id=rot_id, keys=operation.keys,
                                        started_at=self.now,
                                        expected_replies=len(involved))
-        registry = self.rot_registry()
-        if registry is not None:
-            registry.register(self.dc_id, rot_id)
         self._send(self._servers[coordinator_index],
                    RotCoordinatorRequest(
                        rot_id=rot_id, keys=operation.keys,
@@ -524,9 +509,6 @@ class VectorClientKernel(ClientKernel):
         if not pending.complete:
             return
         self._pending_rot = None
-        registry = self.rot_registry()
-        if registry is not None:
-            registry.deregister(self.dc_id, message.rot_id)
         self._observe_snapshots(self._rot_replies)
         self._rot_replies.clear()
         self.dep_context.observe_reads(pending.results.values(),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.causal.vectors import with_entry
 from repro.clocks.hlc import LOGICAL_BITS
 from repro.clocks.units import milliseconds
 from repro.errors import ConfigurationError
@@ -39,6 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Phase name the controller opens at t=0 before any event fires.
 BASELINE_PHASE = "baseline"
+
+
+def _reading(client) -> bool:
+    """Whether ``client`` has a ROT in flight (issued, not yet completed)."""
+    operation = client.operation
+    return operation is not None and not operation.is_put
 
 
 def _timestamp_to_us(clock_mode: str, value: int) -> Optional[float]:
@@ -121,28 +128,35 @@ class FaultController:
         snapshot (or an old-reader-barred CC-LO ROT) can read, fabricating
         consistency violations the real protocols do not have.  Real causal
         stores gate GC on the stable snapshot and the oldest active read; we
-        install exactly that per protocol family:
+        install exactly that per protocol family, reading the in-flight ROTs
+        off the DC's simulated clients:
 
         * vector servers (Contrarian/Cure): a version may become the oldest
           retained one only if its dependency vector is at or below the
-          entrywise min of every GSS view in the DC *and* of every in-flight
-          snapshot vector (min-active-snapshot GC);
+          entrywise min of every GSS view in the DC *and* of the causal
+          context of every in-flight ROT (min-active-snapshot GC).  The
+          coordinator's snapshot dominates the context its request carried
+          (the client's ``gss_seen`` with ``local_ts_seen`` as the local
+          entry), which the client holds unchanged until the ROT completes,
+          so the floor covers a ROT from the moment it is issued;
         * CC-LO servers: only if it is visible and bars no in-flight ROT
-          (the version every barred ROT falls back to stays available).
+          (the version every barred ROT falls back to stays available); a
+          ROT is in flight while its client has it pending.
 
         Chains may temporarily exceed the retention cap while a fault is
         active — that growth is itself a measured cost of the fault.
         """
-        registry = self.topology.enable_rot_tracking()
         topology = self.topology
         for server in topology.all_servers():
             kernel = server.kernel
+            clients = topology.clients_in_dc(server.dc_id)
             if hasattr(kernel, "gss"):
                 server.store.set_retention_policy(
-                    self._vector_retention_policy(server, registry, topology))
+                    self._vector_retention_policy(
+                        topology.servers_in_dc(server.dc_id), clients))
             elif hasattr(kernel, "readers"):
                 server.store.set_retention_policy(
-                    self._cclo_retention_policy(server, registry))
+                    self._cclo_retention_policy(clients))
                 # Same-key replicated versions must become visible in order,
                 # or dependency checks satisfied by a newer visible version
                 # expose updates whose exact dependency is still invisible
@@ -151,19 +165,20 @@ class FaultController:
                 kernel.enable_ordered_replication()
 
     @staticmethod
-    def _vector_retention_policy(server, registry, topology):
+    def _vector_retention_policy(servers, clients):
         def policy(chain, excess: int) -> int:
-            floor = None
-            for peer in topology.servers_in_dc(server.dc_id):
-                gss = peer.kernel.gss
-                floor = gss if floor is None else tuple(
-                    min(ours, theirs) for ours, theirs in zip(floor, gss))
-            floor = registry.snapshot_floor(server.dc_id, floor)
+            floors = [peer.kernel.gss for peer in servers]
+            for client in clients:
+                if _reading(client):
+                    kernel = client.kernel
+                    floors.append(with_entry(kernel.gss_seen, kernel.dc_id,
+                                             kernel.local_ts_seen))
+            floor = tuple(map(min, zip(*floors)))
             cut = excess
             while cut > 0:
                 boundary = chain[cut]
                 dependency = boundary.dependency_vector
-                if dependency is not None and boundary.is_visible() and all(
+                if dependency is not None and boundary.visible and all(
                         entry <= floor_entry for entry, floor_entry
                         in zip(dependency, floor)):
                     break
@@ -172,20 +187,23 @@ class FaultController:
         return policy
 
     @staticmethod
-    def _cclo_retention_policy(server, registry):
+    def _cclo_retention_policy(clients):
+        def bars_a_reader(old_readers) -> bool:
+            return any(client.kernel.next_rot_id() in old_readers
+                       for client in clients if _reading(client))
+
         def policy(chain, excess: int) -> int:
             cut = excess
             # Never collect a version whose readers check is still pending.
             for index in range(excess):
-                if not chain[index].is_visible():
+                if not chain[index].visible:
                     cut = index
                     break
             while cut > 0:
                 boundary = chain[cut]
-                if boundary.is_visible() and not (
+                if boundary.visible and not (
                         boundary.old_readers
-                        and registry.any_active(server.dc_id,
-                                                boundary.old_readers)):
+                        and bars_a_reader(boundary.old_readers)):
                     break
                 cut -= 1
             return cut

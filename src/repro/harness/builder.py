@@ -101,15 +101,11 @@ def build_cluster(protocol: str, config: ClusterConfig,
     metrics = MetricsRegistry(warmup_seconds=config.warmup_seconds)
     trace_bus = EventBus(sim, source="sim") if trace else None
 
-    def rot_registry():
-        # Looked up per use: fault scenarios install it after construction.
-        return topology.rot_registry
-
     for dc in range(config.num_dcs):
         for partition in range(config.num_partitions):
             kernel = spec.build_server_kernel(
                 config, dc, partition, partitioner=topology.partitioner,
-                time_source=sim, rot_registry=rot_registry)
+                time_source=sim)
             server = PartitionServer(topology, kernel)
             server.tracer = kernel.tracer = trace_bus
             topology.add_server(server)
@@ -128,8 +124,7 @@ def build_cluster(protocol: str, config: ClusterConfig,
                 workload, topology.partitioner, config.keys_per_partition,
                 rng=node_rng(config.seed, "workload", dc, index))
             kernel, rng = spec.build_client_kernel(
-                config, dc, index, partitioner=topology.partitioner,
-                rot_registry=rot_registry)
+                config, dc, index, partitioner=topology.partitioner)
             client = BaseClient(topology, kernel, rng, generator, metrics,
                                 checker)
             client.tracer = kernel.tracer = trace_bus

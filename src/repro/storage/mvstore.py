@@ -7,7 +7,9 @@ membership, visibility, old-reader exclusion).
 
 The store also implements the simple version garbage collection every real CC
 store needs: keep at most ``max_versions_per_key`` versions per key (the
-newest ones), never collecting the most recent visible version.
+newest ones), never collecting the most recent visible version (so a chain
+whose newest versions are all invisible may exceed the cap until one turns
+visible).
 """
 
 from __future__ import annotations
@@ -65,8 +67,14 @@ class MultiVersionStore:
         self._retention_policy = policy
 
     def _collect(self, chain: list[Version]) -> None:
-        """Trim the oldest versions beyond the retention limit."""
+        """Trim the oldest versions beyond the retention limit, stopping
+        short of the newest visible one."""
         excess = len(chain) - self._max_versions
+        newest_visible = len(chain) - 1
+        while newest_visible >= 0 and not chain[newest_visible].visible:
+            newest_visible -= 1
+        if 0 <= newest_visible < excess:
+            excess = newest_visible
         if excess <= 0:
             return
         if self._retention_policy is not None:
@@ -97,7 +105,7 @@ class MultiVersionStore:
 
     def latest_visible(self, key: str) -> Optional[Version]:
         """Return the newest visible version of ``key``."""
-        return self.latest(key, lambda v: v.is_visible())
+        return self.latest(key, lambda v: v.visible)
 
     def versions(self, key: str) -> tuple[Version, ...]:
         """All retained versions of ``key``, oldest first."""

@@ -80,10 +80,6 @@ class Version:
     writer: str = ""
     sequence: int = 0
 
-    def is_visible(self) -> bool:
-        """Whether the version may currently be returned to clients."""
-        return self.visible
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"Version(key={self.key!r}, ts={self.timestamp}, "
                 f"dc={self.origin_dc}, visible={self.visible})")

@@ -5,12 +5,13 @@ import pickle
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.topology import ActiveRotRegistry
 from repro.errors import ConfigurationError
 from repro.faults import SCENARIOS, FaultEvent, Scenario, get_scenario
 from repro.faults.controller import FaultController
 from repro.faults.library import dc_partition, load_spike
 from repro.harness.builder import build_cluster
+from repro.storage.version import Version
+from repro.workload.generator import Operation
 from repro.workload.parameters import DEFAULT_WORKLOAD
 
 
@@ -154,40 +155,72 @@ class TestFaultController:
             ["slow_dc", "heal"]
         controller.shutdown()
 
-    def test_install_enables_rot_tracking(self):
-        cluster = self._cluster()
-        scenario = Scenario.at(0.1).partition_dc(1)
-        controller = FaultController(cluster.topology, cluster.metrics, scenario)
-        assert cluster.topology.rot_registry is None
-        controller.install()
-        assert cluster.topology.rot_registry is not None
-        controller.shutdown()
 
+class TestRetentionFloors:
+    """The fault controller's version GC keeps what in-flight ROTs need,
+    reading those ROTs off the simulated clients."""
 
-class TestActiveRotRegistry:
-    def test_snapshot_floor_takes_entrywise_min(self):
-        registry = ActiveRotRegistry(num_dcs=1)
-        registry.register(0, "r1", (5, 9))
-        registry.register(0, "r2", (7, 3))
-        registry.register(0, "r3")  # no snapshot yet
-        assert registry.snapshot_floor(0, (10, 10)) == (5, 3)
-        registry.deregister(0, "r1")
-        assert registry.snapshot_floor(0, (10, 10)) == (7, 3)
+    def _controlled(self, protocol, **overrides):
+        config = ClusterConfig.test_scale(clients_per_dc=1,
+                                          max_versions_per_key=1, **overrides)
+        cluster = build_cluster(protocol, config, DEFAULT_WORKLOAD)
+        FaultController(cluster.topology, cluster.metrics,
+                        Scenario.at(10.0).heal()).install()
+        return cluster
 
-    def test_attach_snapshot_only_for_registered(self):
-        registry = ActiveRotRegistry(num_dcs=1)
-        registry.attach_snapshot(0, "ghost", (1, 1))
-        assert registry.snapshot_floor(0, (9, 9)) == (9, 9)
-        registry.register(0, "r1")
-        registry.attach_snapshot(0, "r1", (2, 2))
-        assert registry.snapshot_floor(0, (9, 9)) == (2, 2)
+    @staticmethod
+    def _complete_rot(cluster, client):
+        while client.operation is not None:
+            cluster.sim.step()
 
-    def test_any_active(self):
-        registry = ActiveRotRegistry(num_dcs=2)
-        registry.register(1, "r1")
-        assert registry.any_active(1, ["r0", "r1"])
-        assert not registry.any_active(0, ["r1"])
-        assert registry.active_count(1) == 1
+    def test_vector_rot_holds_the_floor_before_its_coordinator_serves_it(self):
+        cluster = self._controlled("contrarian", num_dcs=2)
+        topology = cluster.topology
+        for server in topology.all_servers():
+            server.start()
+        cluster.sim.run(until=0.05)
+        server = topology.server(0, 0)
+        stable = tuple(map(min, zip(*(peer.kernel.gss for peer
+                                      in topology.servers_in_dc(0)))))
+        assert min(stable) > 0
+        key = topology.partitioner.structured_key(0, 0)
+        initial = server.store.versions(key)[0]
+        client = topology.clients_in_dc(0)[0]
+        assert client.kernel.gss_seen == (0, 0)
+        # Issued, its coordinator request still on the network: the ROT's
+        # snapshot is not chosen yet, but it can be no lower than the
+        # context the request carries, which is below every stable version.
+        client.issue(Operation("rot", (key,)))
+        fresh = Version(key, None, timestamp=stable[0], origin_dc=0,
+                        dependency_vector=stable)
+        server.store.install(fresh)
+        assert server.store.versions(key) == (initial, fresh)
+        self._complete_rot(cluster, client)
+        newer = Version(key, None, timestamp=stable[0] + 1, origin_dc=0,
+                        dependency_vector=stable)
+        server.store.install(newer)
+        assert server.store.versions(key) == (newer,)
+
+    def test_cclo_version_barring_an_in_flight_rot_survives_until_it_completes(self):
+        cluster = self._controlled("cc-lo", num_dcs=1)
+        topology = cluster.topology
+        server = topology.server(0, 0)
+        key = topology.partitioner.structured_key(0, 0)
+        initial = server.store.versions(key)[0]
+        client = topology.clients_in_dc(0)[0]
+        client.issue(Operation("rot", (key,)))
+        rot_id = client.kernel.next_rot_id()
+        barring = [Version(key, None, timestamp=stamp,
+                           old_readers={rot_id: 0}) for stamp in (1, 2)]
+        for version in barring:
+            server.store.install(version)
+        # The cap asks for two versions to go; each would leave a version
+        # the in-flight ROT may not read as the oldest one kept.
+        assert server.store.versions(key) == (initial, *barring)
+        self._complete_rot(cluster, client)
+        newest = Version(key, None, timestamp=3, old_readers={rot_id: 0})
+        server.store.install(newest)
+        assert server.store.versions(key) == (newest,)
 
 
 class TestTopologyHelpers:

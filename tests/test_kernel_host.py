@@ -258,12 +258,12 @@ class EchoServerKernel(ServerKernel):
 
     @classmethod
     def from_config(cls, config, dc_id, partition_index, *, partitioner,
-                    time_source, skew_offset_us=0.0, rot_registry=None):
+                    time_source, skew_offset_us=0.0):
         kernel = cls(node_id=f"server-dc{dc_id}-p{partition_index}",
                      dc_id=dc_id, partition_index=partition_index,
                      num_dcs=config.num_dcs,
                      num_partitions=config.num_partitions,
-                     partitioner=partitioner, rot_registry=rot_registry)
+                     partitioner=partitioner)
         kernel.store = MultiVersionStore()
         return kernel
 
@@ -279,8 +279,7 @@ class EchoServerKernel(ServerKernel):
 
 class EchoClientKernel(ClientKernel):
     @classmethod
-    def from_config(cls, config, client_id, dc_id, *, partitioner, rng,
-                    rot_registry=None):
+    def from_config(cls, config, client_id, dc_id, *, partitioner, rng):
         return cls(client_id=client_id, dc_id=dc_id, partitioner=partitioner)
 
     def _issue_put(self, operation):

@@ -15,8 +15,8 @@ def make_version(key="k", ts=1, visible=True, **kwargs):
 
 class TestVersion:
     def test_visibility_flag(self):
-        assert make_version(visible=True).is_visible()
-        assert not make_version(visible=False).is_visible()
+        assert make_version(visible=True).visible
+        assert not make_version(visible=False).visible
 
     def test_defaults(self):
         version = make_version()
@@ -65,6 +65,16 @@ class TestMultiVersionStore:
             store.install(make_version(ts=ts))
         assert [v.timestamp for v in store.versions("k")] == [5, 6, 7]
         assert store.versions_collected == 4
+
+    def test_garbage_collection_keeps_the_newest_visible_version(self):
+        store = MultiVersionStore(max_versions_per_key=2)
+        for ts, visible in ((1, True), (2, False), (3, False)):
+            store.install(make_version(ts=ts, visible=visible))
+        assert [v.timestamp for v in store.versions("k")] == [1, 2, 3]
+        assert store.latest_visible("k").timestamp == 1
+        store.install(make_version(ts=4))
+        assert [v.timestamp for v in store.versions("k")] == [3, 4]
+        assert store.versions_collected == 2
 
     def test_retention_limit_must_be_positive(self):
         with pytest.raises(StorageError):
@@ -116,3 +126,15 @@ class TestMultiVersionStore:
             store.install(make_version(ts=ts))
         assert store.version_count("k") <= limit
         assert store.latest("k").timestamp == installs - 1
+
+    @given(st.integers(min_value=1, max_value=5),
+           st.lists(st.booleans(), min_size=1, max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_newest_visible_version_survives_collection(self, limit, flags):
+        store = MultiVersionStore(max_versions_per_key=limit)
+        for ts, visible in enumerate(flags):
+            store.install(make_version(ts=ts, visible=visible))
+        visible_stamps = [ts for ts, visible in enumerate(flags) if visible]
+        newest = store.latest_visible("k")
+        assert (newest.timestamp if newest else None) == \
+            (visible_stamps[-1] if visible_stamps else None)

@@ -37,9 +37,6 @@ class PerReplyVectorClientKernel(VectorClientKernel):
         if not pending.complete:
             return
         self._pending_rot = None
-        registry = self.rot_registry()
-        if registry is not None:
-            registry.deregister(self.dc_id, message.rot_id)
         for result in pending.results.values():
             if result.timestamp is not None:
                 partition = self.partitioner.partition_of(result.key)
