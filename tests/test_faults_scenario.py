@@ -189,7 +189,8 @@ class TestRetentionFloors:
         assert client.kernel.gss_seen == (0, 0)
         # Issued, its coordinator request still on the network: the ROT's
         # snapshot is not chosen yet, but it can be no lower than the
-        # context the request carries, which is below every stable version.
+        # context the request carries (all zeros), which does not cover the
+        # fresh version, so the initial one must stay readable.
         client.issue(Operation("rot", (key,)))
         fresh = Version(key, None, timestamp=stable[0], origin_dc=0,
                         dependency_vector=stable)
