@@ -115,8 +115,11 @@ class CcloKernel(ServerKernel):
         self._gc_window = gc_window_seconds
         self._check_ids = itertools.count()
         self._pending_checks: dict[str, PendingCheck] = {}
-        self._waiting_remote_checks: list[WaitingRemoteCheck] = []
-        self._waiting_local_checks: list[WaitingLocalCheck] = []
+        # Readers-check legs waiting for dependencies, indexed by the key of
+        # each dependency they miss (a leg missing two keys is in two lists);
+        # each list is in the order its legs began to wait.
+        self._waiting_remote_checks: dict[str, list[WaitingRemoteCheck]] = {}
+        self._waiting_local_checks: dict[str, list[WaitingLocalCheck]] = {}
         self._ordered_replication = False
         self._parked_finalizes: dict[tuple[str, int], list[str]] = {}
         # Trace ids of replicated versions whose readers check has not
@@ -212,19 +215,12 @@ class CcloKernel(ServerKernel):
         version = Version(key=intern_key(message.key), value=None,
                           timestamp=timestamp,
                           origin_dc=self.dc_id, size_bytes=message.value_size,
-                          dependencies=tuple([(key, ts) for key, ts, _ in
-                                              message.dependencies]),
-                          dependency_origins=tuple([origin for _, _, origin in
-                                                    message.dependencies]),
-                          visible=False, created_at=self.now,
+                          dependencies=message.dependencies, visible=False,
                           writer=message.client_id, sequence=message.sequence)
         self.store.install(version)
-        self._start_readers_check(version, message.dependencies, client=sender,
-                                  replicate_after=True)
+        self._start_readers_check(version, client=sender, replicate_after=True)
 
-    def _start_readers_check(self, version: Version,
-                             dependencies: tuple[tuple[str, int, int], ...],
-                             client: Optional[Addr],
+    def _start_readers_check(self, version: Version, client: Optional[Addr],
                              replicate_after: bool) -> None:
         check_id = f"{self.node_id}:chk{next(self._check_ids)}"
         pending = PendingCheck(version=version, client=client,
@@ -232,7 +228,7 @@ class CcloKernel(ServerKernel):
                                replicate_after=replicate_after)
         groups: dict[int, list[tuple[str, int, int]]] = {}
         partition_of = self.partitioner.partition_of
-        for dep in dependencies:
+        for dep in version.dependencies:
             groups.setdefault(partition_of(dep[0]), []).append(dep)
         local_deps = groups.pop(self.partition_index, [])
         pending.expected_replies = len(groups)
@@ -249,7 +245,7 @@ class CcloKernel(ServerKernel):
                 # — without it a replicated update whose dependency lives on
                 # its own partition becomes visible before that dependency.
                 pending.expected_replies += 1
-                self._waiting_local_checks.append(WaitingLocalCheck(
+                self._wait(self._waiting_local_checks, WaitingLocalCheck(
                     check_id=check_id,
                     keys=tuple(key for key, _, _ in local_deps),
                     missing=missing))
@@ -275,9 +271,9 @@ class CcloKernel(ServerKernel):
             missing = {dep for dep in message.dependencies
                        if not self._dependency_present(dep)}
             if missing:
-                self._waiting_remote_checks.append(
-                    WaitingRemoteCheck(sender=sender, request=message,
-                                       missing=missing))
+                self._wait(self._waiting_remote_checks,
+                           WaitingRemoteCheck(sender=sender, request=message,
+                                              missing=missing))
                 return
         self._reply_readers_check(sender, message)
 
@@ -338,8 +334,15 @@ class CcloKernel(ServerKernel):
                 return
         pending = self._pending_checks.pop(check_id)
         version = pending.version
-        version.old_readers.update(pending.collected)
+        if version.old_readers:
+            # A replicated version's own dict, built from its origin's ids.
+            version.old_readers.update(pending.collected)  # type: ignore[attr-defined]
+        elif pending.collected:
+            version.old_readers = pending.collected
+        now = self.now
         version.visible = True
+        version.visible_at = now
+        self.store.collect_superseded(version.key, now - self._gc_window)
         tracer = self.tracer
         if tracer is not None and version.origin_dc != self.dc_id:
             # The readers check completing is the remote-visibility point of
@@ -387,9 +390,7 @@ class CcloKernel(ServerKernel):
 
     # ------------------------------------------------------------ replication
     def _replicate(self, version: Version) -> None:
-        origins = version.dependency_origins or (self.dc_id,) * len(version.dependencies)
-        dependencies = tuple([(key, ts, origin) for (key, ts), origin
-                              in zip(version.dependencies, origins)])
+        dependencies = version.dependencies
         for replica in self._replicas:
             self.counters.replication_messages += 1
             self.counters.dependency_entries_sent += len(dependencies)
@@ -406,13 +407,10 @@ class CcloKernel(ServerKernel):
         version = Version(key=intern_key(message.key), value=None,
                           timestamp=message.timestamp,
                           origin_dc=message.origin_dc, size_bytes=message.value_size,
-                          dependencies=tuple([(key, ts) for key, ts, _ in
-                                              message.dependencies]),
-                          dependency_origins=tuple([origin for _, _, origin in
-                                                    message.dependencies]),
-                          old_readers=dict(message.old_readers),
-                          visible=False, created_at=self.now,
+                          dependencies=message.dependencies, visible=False,
                           writer=message.writer, sequence=message.sequence)
+        if message.old_readers:
+            version.old_readers = dict(message.old_readers)
         self.store.install(version)
         tracer = self.tracer
         if tracer is not None:
@@ -426,34 +424,46 @@ class CcloKernel(ServerKernel):
                                         version.timestamp)] = trace
         # The readers check is repeated in this DC, combined with the
         # dependency check (require_present=True on the outgoing requests).
-        self._start_readers_check(version, message.dependencies, client=None,
-                                  replicate_after=False)
+        self._start_readers_check(version, client=None, replicate_after=False)
+
+    @staticmethod
+    def _wait(waits: dict[str, list], leg) -> None:
+        """Index a waiting leg under the key of every dependency it misses."""
+        for key in dict.fromkeys([dep[0] for dep in leg.missing]):
+            waits.setdefault(key, []).append(leg)
+
+    def _released_by(self, waits: dict[str, list], key: str) -> list:
+        """Re-test the legs of ``waits`` that miss a version of ``key``; return
+        (unindexed, in the order they began to wait) those that miss nothing
+        now.  A dependency turns present only when a version of its key turns
+        visible, so no other leg can have been released."""
+        legs = waits.pop(key, None)
+        if not legs:
+            return []
+        present = self._dependency_present
+        still: list = []
+        released: list = []
+        for leg in legs:
+            leg.missing = missing = {dep for dep in leg.missing
+                                     if dep[0] != key or not present(dep)}
+            if not missing:
+                released.append(leg)
+            elif any(dep[0] == key for dep in missing):
+                still.append(leg)
+        if still:
+            waits[key] = still
+        return released
 
     def _notify_version_visible(self, version: Version) -> None:
-        """Wake readers-check legs waiting on this version."""
-        del version
+        """Wake the readers-check legs waiting on a version of this key:
+        answer the released remote legs, then count in the released local
+        ones, each in the order they began to wait."""
+        key = version.key
         if self._waiting_remote_checks:
-            still_waiting: list[WaitingRemoteCheck] = []
-            for waiting in self._waiting_remote_checks:
-                waiting.missing = {dep for dep in waiting.missing
-                                   if not self._dependency_present(dep)}
-                if waiting.missing:
-                    still_waiting.append(waiting)
-                else:
-                    self._reply_readers_check(waiting.sender, waiting.request)
-            self._waiting_remote_checks = still_waiting
+            for waiting in self._released_by(self._waiting_remote_checks, key):
+                self._reply_readers_check(waiting.sender, waiting.request)
         if self._waiting_local_checks:
-            still_local: list[WaitingLocalCheck] = []
-            released: list[WaitingLocalCheck] = []
-            for waiting in self._waiting_local_checks:
-                waiting.missing = {dep for dep in waiting.missing
-                                   if not self._dependency_present(dep)}
-                if waiting.missing:
-                    still_local.append(waiting)
-                else:
-                    released.append(waiting)
-            self._waiting_local_checks = still_local
-            for waiting in released:
+            for waiting in self._released_by(self._waiting_local_checks, key):
                 pending = self._pending_checks.get(waiting.check_id)
                 if pending is None:
                     continue

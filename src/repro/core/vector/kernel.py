@@ -225,8 +225,7 @@ class VectorServerKernel(ServerKernel):
                           origin_dc=local, size_bytes=message.value_size,
                           dependency_vector=dependency_vector,
                           dependencies=message.dependencies,
-                          created_at=self.now, writer=message.client_id,
-                          sequence=message.sequence)
+                          writer=message.client_id, sequence=message.sequence)
         self.store.install(version)
         self.version_vector[local] = max(self.version_vector[local], timestamp)
         self._send(sender, VectorPutReply(key=message.key, timestamp=timestamp,
@@ -253,8 +252,7 @@ class VectorServerKernel(ServerKernel):
                           origin_dc=message.origin_dc, size_bytes=message.value_size,
                           dependency_vector=message.dependency_vector,
                           dependencies=message.dependencies,
-                          created_at=self.now, writer=message.writer,
-                          sequence=message.sequence)
+                          writer=message.writer, sequence=message.sequence)
         self.store.install(version)
         tracer = self.tracer
         if tracer is not None:

@@ -328,8 +328,10 @@ class FaultController:
             if readers is not None:
                 readers_entries += readers.total_tracked_entries()
             waiting = getattr(kernel, "_waiting_remote_checks", None)
-            if waiting is not None:
-                waiting_checks += len(waiting)
+            if waiting:
+                # Indexed by missing key: a leg missing two keys is listed twice.
+                waiting_checks += len({id(leg) for legs in waiting.values()
+                                       for leg in legs})
         if self._num_dcs > 1:
             metrics.record_gauge("visibility_lag_ms", visibility_lag_us / 1000.0)
         if readers_entries or waiting_checks:

@@ -5,11 +5,21 @@ same key are kept in a list ordered by insertion; reads walk the list from the
 newest version backwards applying a protocol-supplied predicate (snapshot
 membership, visibility, old-reader exclusion).
 
-The store also implements the simple version garbage collection every real CC
-store needs: keep at most ``max_versions_per_key`` versions per key (the
-newest ones), never collecting the most recent visible version (so a chain
-whose newest versions are all invisible may exceed the cap until one turns
-visible).
+Versions are retained until one of two collections drops them:
+
+* the cap every real CC store needs, on every install: keep at most
+  ``max_versions_per_key`` versions per key (the newest ones), never
+  collecting the most recent visible version (so a chain whose newest
+  versions are all invisible may exceed the cap until one turns visible);
+* CC-LO's window trim (:meth:`MultiVersionStore.collect_superseded`), each
+  time a version of the key turns visible: a version superseded by one that
+  has been visible for a full reader window can no longer be read, because
+  every ROT barred from that newer version was named by its readers check
+  before it turned visible, and the protocol already assumes such a ROT
+  reads within one window of being named (its reader records expire then).
+
+A retention policy (:meth:`MultiVersionStore.set_retention_policy`) may veto
+either collection.
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ from repro.storage.version import Version
 VersionPredicate = Callable[[Version], bool]
 
 #: Retention policy: given a key's version chain (oldest first) and the
-#: number of versions the cap would trim, return how many may actually go.
+#: number of versions the cap or the window trim would collect from its
+#: front, return how many may actually go.
 RetentionPolicy = Callable[[list[Version], int], int]
 
 
@@ -53,16 +64,17 @@ class MultiVersionStore:
         """Constrain version collection (stable-snapshot / active-reader GC).
 
         The policy receives the chain (oldest first) and the trim the cap
-        asks for, and returns how many of the oldest versions may really be
-        collected — real causal stores gate version GC on the stable snapshot
-        and the oldest active read.  This matters under faults: a partition
-        freezes the stable snapshot (and a draining post-heal backlog keeps
-        it stale) while writes keep truncating hot-key chains, so
-        unconstrained eviction would leave in-flight snapshots with nothing
-        to read.  Chains may then temporarily exceed the cap, exactly like a
-        real store's version GC stalling during a partition.  The fault
-        controller installs protocol-appropriate policies; scenario-free
-        runs never set one, so their eviction behaviour is unchanged.
+        or the window (:meth:`collect_superseded`) asks for, and returns how
+        many of the oldest versions may really be collected — real causal
+        stores gate version GC on the stable snapshot and the oldest active
+        read.  This matters under faults: a partition freezes the stable
+        snapshot (and a draining post-heal backlog keeps it stale) while
+        writes keep truncating hot-key chains, so unconstrained eviction
+        would leave in-flight snapshots with nothing to read.  Chains may
+        then temporarily exceed the cap, exactly like a real store's version
+        GC stalling during a partition.  The fault controller installs
+        protocol-appropriate policies; scenario-free runs never set one, so
+        their eviction behaviour is unchanged.
         """
         self._retention_policy = policy
 
@@ -83,6 +95,42 @@ class MultiVersionStore:
                 return
         del chain[:excess]
         self.versions_collected += excess
+
+    def collect_superseded(self, key: str, horizon: float) -> None:
+        """Collect the front of ``key``'s chain that versions visible since
+        ``horizon`` supersede (CC-LO's window trim).
+
+        A version goes when it is visible, the next one has been visible
+        since ``horizon`` (``visible_at <= horizon``), and the next version of
+        its origin DC is visible with at least its timestamp, so the newest
+        visible version of every origin survives and with it every answer to
+        "is a version of origin ``o`` at or after ``t`` visible?".  The first
+        version that fails stops the trim, which therefore costs one step per
+        collected version plus the look-ahead for the one that stops it.  The
+        retention policy, if any, may keep part of the trimmed prefix.
+        """
+        chain = self._chains[key]
+        size = len(chain)
+        cut = 0
+        while cut + 1 < size:
+            version = chain[cut]
+            successor = chain[cut + 1]
+            if not (version.visible and successor.visible
+                    and successor.visible_at <= horizon):
+                break
+            origin = version.origin_dc
+            later = cut + 1
+            while later < size and chain[later].origin_dc != origin:
+                later += 1
+            if later == size or not chain[later].visible \
+                    or chain[later].timestamp < version.timestamp:
+                break
+            cut += 1
+        if cut and self._retention_policy is not None:
+            cut = self._retention_policy(chain, cut)
+        if cut > 0:
+            del chain[:cut]
+            self.versions_collected += cut
 
     # ------------------------------------------------------------------ reads
     def latest(self, key: str,

@@ -9,16 +9,24 @@ A single :class:`Version` class serves all three protocols; protocol-specific
 metadata is carried in optional fields:
 
 * ``dependency_vector`` — used by Contrarian and Cure (one entry per DC);
-* ``dependencies`` — explicit dependency list (key, timestamp) pairs used by
-  CC-LO / COPS-SNOW;
+* ``dependencies`` — the explicit dependency list the PUT carried;
 * ``old_readers`` — the CC-LO old-reader record attached to the version
-  during the readers check: ROT ids that must **not** observe this version.
+  during the readers check: ROT ids that must **not** observe this version;
+* ``visible_at`` — when CC-LO's readers check made the version visible, which
+  starts its key's garbage-collection window
+  (:meth:`~repro.storage.mvstore.MultiVersionStore.collect_superseded`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
+
+#: The ``old_readers`` of every version that bars no ROT: one shared,
+#: read-only empty mapping instead of an empty dict per version.
+NO_OLD_READERS: Mapping[str, int] = MappingProxyType({})
 
 
 @dataclass(slots=True)
@@ -42,23 +50,27 @@ class Version:
     dependency_vector:
         Per-DC dependency vector (Contrarian / Cure).  ``None`` for CC-LO.
     dependencies:
-        Explicit dependency list for CC-LO: a tuple of ``(key, timestamp)``
-        pairs the writing client had observed.
-    dependency_origins:
-        Origin DC of each dependency, aligned with ``dependencies`` (CC-LO
-        only; needed by the remote dependency check).
+        The dependency list the PUT's message carried, stored as that
+        message's tuple: ``(key, timestamp)`` pairs for Contrarian and Cure,
+        ``(key, timestamp, origin_dc)`` triples for CC-LO (the origin is what
+        the remote dependency check looks for, and replication forwards the
+        triples unchanged).
     old_readers:
         CC-LO old-reader record: maps ROT id -> logical read time for the
         transactions that read an older version of some causal dependency and
-        therefore must not be served this version.
+        therefore must not be served this version.  A version that bars no
+        ROT shares the read-only :data:`NO_OLD_READERS`; CC-LO gives a
+        version its own dict (the readers check's) only when it has ids.
     visible:
         Whether the version may be returned to clients.  CC-LO keeps a version
         invisible until its readers check (and, remotely, dependency check)
         completes; Contrarian/Cure decide visibility of remote versions via
         the GSS instead and keep local versions always visible.
-    created_at:
-        Simulated time at which the version was installed (used for
-        garbage-collection policies and freshness statistics).
+    visible_at:
+        Time at which CC-LO's readers check made the version visible (``0.0``
+        for preloaded versions, and for Contrarian and Cure, which never set
+        it).  A version superseded by one visible for a full reader window
+        can be collected.
     writer:
         Identifier of the client that issued the PUT (used by the causal
         consistency checker to reconstruct session order).
@@ -72,11 +84,13 @@ class Version:
     origin_dc: int = 0
     size_bytes: int = 8
     dependency_vector: Optional[tuple[int, ...]] = None
-    dependencies: tuple[tuple[str, int], ...] = ()
-    dependency_origins: tuple[int, ...] = ()
-    old_readers: dict[str, int] = field(default_factory=dict)
+    dependencies: tuple[tuple, ...] = ()
+    # A C-level constant factory: 3.11's dataclasses refuse an unhashable
+    # default, and a mappingproxy is hashable only from 3.12 on.
+    old_readers: Mapping[str, int] = field(
+        default_factory=itertools.repeat(NO_OLD_READERS).__next__)
     visible: bool = True
-    created_at: float = 0.0
+    visible_at: float = 0.0
     writer: str = ""
     sequence: int = 0
 
@@ -85,4 +99,4 @@ class Version:
                 f"dc={self.origin_dc}, visible={self.visible})")
 
 
-__all__ = ["Version"]
+__all__ = ["NO_OLD_READERS", "Version"]

@@ -20,7 +20,10 @@ per id and each remote dependency check copied a version chain; 255, 277,
 causal context separately; 270, 293, 309 while route lookups still compared
 equal addresses with ``__eq__``; before the kernels' allocations were cut:
 408, 425, 327 on a 100-operation warm-up), so the frames and allocations
-that change removed cannot come back unnoticed.  CC-LO's C-level calls are
+that change removed cannot come back unnoticed.  The tree now counts
+contrarian 233.2, cure 255.2 and cc-lo 220.4 (cc-lo 221.4 while every
+install rebuilt a PUT's dependency triples into pairs and origins, and every
+replication rebuilt the triples).  CC-LO's C-level calls are
 pinned as well: a reader record examined is a ``dict.get``, not a frame,
 and a readers check that rescans the
 window again (521 C-level calls per operation on the scan implementation, 265
@@ -46,7 +49,8 @@ drive: the layered benchmark's loaded ``sim-three-protocols`` cluster, seed 7,
 30 virtual ms counted after 30 uncounted) are pinned the same way: what an
 operation costs there beyond the loop-free count is the simulator carrying
 its messages — engine, network, CPU queues, cost model.  Python-level calls
-per simulated operation: contrarian 300, cure 352, cc-lo 378 (cc-lo 474
+per simulated operation: contrarian 300, cure 352, cc-lo 378 when the
+ceilings were set, now 291.1, 342.6, 371.0 (cc-lo 474
 before its old readers were tuples recorded in bulk; 336, 386, 493
 while the generator spelled ``random.sample`` and every key as calls and a
 ROT folded each reply separately; 343, 394, 498 with ``__eq__`` on routes;

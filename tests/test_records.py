@@ -196,7 +196,10 @@ def test_a_record_refuses_fields_it_cannot_build():
 def test_versions_and_pending_rots_are_slotted():
     version = Version("k", None, 3)
     assert not hasattr(version, "__dict__")
-    assert version.old_readers is not Version("k", None, 3).old_readers
+    # Every version that bars no ROT shares one read-only empty mapping.
+    assert version.old_readers is Version("k", None, 3).old_readers
+    with pytest.raises(TypeError):
+        version.old_readers["r"] = 1  # type: ignore[index]
     version.visible = False
     pending = PendingRot("r", ("k",), 0.0, 1)
     pending.record_reply((_READ,))
