@@ -21,9 +21,11 @@ one of them and supplies what is genuinely its own:
 
 ``time_source``
     any object with a ``.now`` (the simulator, a wall clock);
-``_send(dest, message)``
+``_send(dest, message, size)``
     hand ``message`` to the node at the abstract address ``dest``, tagged
-    with ``self.current_trace``;
+    with ``self.current_trace``; ``size`` is the message's
+    :func:`~repro.core.common.kernel.message_size` where a server's counters
+    already took it, ``None`` from a client, which sends uncounted;
 ``_arm_timer(timer, trace)`` (servers)
     call ``fire_timer(timer.tag, timer.payload, trace)`` once, ``timer.delay``
     seconds from now;
@@ -118,14 +120,16 @@ class KernelHost:
             # completion per operation, a timer only when Cure blocks.
             if isinstance(effect, Send):
                 message = effect.message
+                size = None
                 if counters is not None:
+                    size = message_size(message)
                     counters.messages_sent += 1
-                    counters.bytes_sent += message_size(message, 0)
+                    counters.bytes_sent += size
                 if tracer is not None:
                     tracer.emit(self.node_id, MSG_SEND,
                                 trace=self.current_trace,
                                 name=type(message).__name__, dc=self.dc_id)
-                self._send(effect.dest, message)
+                self._send(effect.dest, message, size)
             elif isinstance(effect, Complete):
                 self._finish(effect)
             elif isinstance(effect, SetTimer):
@@ -151,7 +155,8 @@ class KernelHost:
     def _finish(self, effect: Complete) -> None:
         self._reject(effect)
 
-    def _send(self, dest: Addr, message: object) -> None:
+    def _send(self, dest: Addr, message: object,
+              size: Optional[int]) -> None:
         raise NotImplementedError
 
     # ---------------------------------------------------------------- inbound

@@ -7,7 +7,8 @@ This package is the second driver of the protocol kernels in
 * :mod:`repro.wire` encodes messages into self-describing frames;
 * :mod:`repro.runtime.transport` delivers them — straight into the
   destination's run queue (:class:`InprocTransport`) or as length-prefixed
-  frames over asyncio TCP streams (:class:`TcpTransport`);
+  batch frames over TCP connections served by ``asyncio.Protocol``
+  callbacks (:class:`TcpTransport`);
 * the runtime drives the kernels from one run queue and loop timers per
   cluster, on wall-clock time — real concurrency, real HLC/physical clocks,
   the same protocol logic, the same metrics and the same consistency checker.
@@ -30,7 +31,7 @@ Entry points:
 from repro._lazy import make_lazy
 
 _EXPORTS = {
-    "Envelope": "repro.runtime.transport",
+    "Envelope": "repro.wire.batch",
     "InprocTransport": "repro.runtime.transport",
     "ProcessCluster": "repro.runtime.process",
     "RealtimeClient": "repro.runtime.nodes",

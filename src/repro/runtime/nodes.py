@@ -70,7 +70,8 @@ class _LoopNode:
         if self.failure is None:
             self.failure = error
 
-    def _send(self, dest: Addr, message: object) -> None:
+    def _send(self, dest: Addr, message: object,
+              size: Optional[int]) -> None:
         self.cluster.transport.send(self.addr, dest, message,
                                     self.current_trace)
 

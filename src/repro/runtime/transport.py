@@ -14,20 +14,27 @@ Two implementations:
   lookup plus an append to the cluster's run queue.
 * :class:`TcpTransport` — local nodes plus a peer table mapping remote
   addresses to ``(host, port)`` endpoints.  Remote sends *coalesce*: each
-  one joins the destination endpoint's pending list, which is flushed at
-  the :class:`~repro.wire.batch.FlushPolicy`'s count/byte thresholds or
-  when the event loop next goes idle (one ``call_soon`` hop).  Every flush
-  is one :mod:`batch frame <repro.wire.batch>` — one length prefix, one
-  queue hop, one socket write for the whole burst, however many envelopes
-  it holds.  Frames go to a per-peer connection that is
-  opened lazily and written by a dedicated drain task, so the synchronous
-  ``send`` path never blocks a kernel.  Every listener of a deployment is
-  bound before any peer learns its endpoint, so a connection is attempted
-  once: a refused connect means the peer is gone, and the link fails with
-  a :class:`~repro.errors.TransportError` naming the endpoint.  Inbound
-  connections are served by one handler per peer; graceful shutdown
-  flushes every pending list and outbound queue (bounded) before closing,
-  after which ``send`` raises.
+  one is encoded on the spot as a row of the destination endpoint's
+  pending :mod:`batch frame <repro.wire.batch>`, which is flushed at the
+  :class:`~repro.wire.batch.FlushPolicy`'s count/byte thresholds (the byte
+  count is the rows' encoded size) or when the event loop next goes idle
+  (one ``call_soon`` hop): one length prefix and one socket write for the
+  whole burst, however many messages it holds.  Socket I/O runs on
+  ``asyncio.Protocol`` callbacks, with no task per connection: a frame is
+  written straight to its peer's connection, which is opened lazily and
+  holds frames back only until it is up, so the synchronous ``send`` path
+  never blocks a kernel; an inbound connection parses frames out of the
+  bytes as they arrive and hands every row to its destination node as it
+  is decoded, each address of a frame resolved to its node once.  Every
+  listener of a deployment is bound before any peer learns its endpoint,
+  so a connection is attempted once: a refused connect means the peer is
+  gone, and the link fails with a :class:`~repro.errors.TransportError`
+  naming the endpoint, as it does when the peer goes away; the next
+  ``send`` to it raises.  Bytes that are no frame, or a stream that ends
+  inside one, set :attr:`Transport.failure` to a
+  :class:`~repro.errors.WireFormatError`.  Graceful shutdown flushes every
+  pending frame and waits for every connection to drain (bounded) before
+  closing, after which ``send`` raises.
   Every flush is a ``batch_flush`` trace event and every batch frame read
   a ``batch_recv``; per-message ``msg_send``/``msg_recv`` events stay with
   the nodes.
@@ -39,51 +46,28 @@ called from the event loop that runs the cluster.
 from __future__ import annotations
 
 import asyncio
+import functools
 import socket
+import struct
 from abc import ABC, abstractmethod
 from typing import Optional, Union
 
-from repro.core.common.kernel import Addr, ClientAddr, ServerAddr, message_size
-from repro.core.common.records import record
-from repro.errors import ConfigurationError, TransportError
+from repro.core.common.kernel import Addr, ClientAddr, ServerAddr
+from repro.errors import ConfigurationError, TransportError, WireFormatError
 from repro.obs.events import BATCH_FLUSH, BATCH_RECV
 from repro.wire.batch import (
     DEFAULT_FLUSH_POLICY,
-    BatchFrame,
+    BatchWriter,
+    Envelope,
     FlushPolicy,
-    encode_batch,
+    read_batch,
 )
-from repro.wire.codec import decode, register_wire_type
-from repro.wire.framing import frame, read_frame
+from repro.wire.framing import LENGTH_BYTES, MAX_FRAME_BYTES
 
-#: Reserved wire type ids of the runtime layer (kept out of the message and
-#: dynamic ranges so every process agrees on them without import-order luck).
-_WIRE_ID_SERVER_ADDR = 512
-_WIRE_ID_CLIENT_ADDR = 513
-_WIRE_ID_ENVELOPE = 514
-
-register_wire_type(ServerAddr, type_id=_WIRE_ID_SERVER_ADDR)
-register_wire_type(ClientAddr, type_id=_WIRE_ID_CLIENT_ADDR)
-
-
-@record
-class Envelope:
-    """One routed message on the wire: sender, destination, payload.
-
-    ``trace`` carries the causal trace id of the operation the payload
-    belongs to (see :mod:`repro.obs`); ``None`` when tracing is disabled.
-    """
-
-    sender: Optional[Addr]
-    dest: Addr
-    payload: object
-    trace: Optional[str] = None
-
-
-register_wire_type(Envelope, type_id=_WIRE_ID_ENVELOPE)
-
-#: Bound on flushing one peer's outbound queue during graceful shutdown.
+#: Bound on flushing one peer's connection during graceful shutdown.
 FLUSH_TIMEOUT_SECONDS = 5.0
+
+_unpack_length = struct.Struct(">I").unpack_from
 
 
 def _unroutable(dest: Addr) -> ConfigurationError:
@@ -143,79 +127,170 @@ class InprocTransport(Transport):
         node.deliver(sender, message, trace)
 
 
-class _PeerLink:
-    """One lazily connected outbound TCP connection with a drain task."""
+class _PeerLink(asyncio.Protocol):
+    """One lazily connected outbound TCP connection.
 
-    _CLOSE = object()
+    Frames go straight to the socket's ``asyncio.Transport``; only frames
+    sent before the connection is up wait in :attr:`backlog`.  The link is
+    *down* once :attr:`error` is set: the connection was refused, or the
+    peer went away.
+    """
 
-    def __init__(self, transport: "TcpTransport",
+    def __init__(self, owner: "TcpTransport",
                  endpoint: tuple[str, int]) -> None:
-        self.transport = transport
+        self.owner = owner
         self.endpoint = endpoint
-        self.queue: asyncio.Queue = asyncio.Queue()
-        self.task = asyncio.ensure_future(self._run())
-        self.task.add_done_callback(self._done)
+        #: The rows sent since the last flush, and whether an idle flush of
+        #: them is scheduled.
+        self.pending = BatchWriter()
+        self.flush_scheduled = False
+        self.socket: Optional[asyncio.Transport] = None
+        self.backlog: list[bytes] = []
+        self.error: Optional[BaseException] = None
+        loop = asyncio.get_running_loop()
+        #: Resolved by ``connection_lost``.
+        self.lost = loop.create_future()
+        self.connecting = loop.create_task(self._connect())
 
-    def enqueue(self, data: bytes) -> None:
-        self.queue.put_nowait(data)
-
-    async def _run(self) -> None:
+    async def _connect(self) -> None:
         host, port = self.endpoint
         try:
-            _reader, writer = await asyncio.open_connection(host, port)
+            await asyncio.get_running_loop().create_connection(
+                lambda: self, host, port)
         except OSError as exc:
-            raise TransportError(
-                f"cannot connect to peer {host}:{port}: {exc}") from exc
-        try:
-            while True:
-                data = await self.queue.get()
-                if data is self._CLOSE:
-                    break
-                writer.write(data)
-                await writer.drain()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
+            self._down(TransportError(
+                f"cannot connect to peer {host}:{port}: {exc}"), exc)
 
-    def _done(self, task: asyncio.Task) -> None:
-        if task.cancelled():
-            return
-        error = task.exception()
-        if error is not None and self.transport.failure is None:
-            self.transport.failure = error
+    def _down(self, error: TransportError, cause: Optional[BaseException]
+              ) -> None:
+        """Mark the link down; an I/O error is the transport's failure."""
+        self.backlog = []
+        if self.error is None:
+            self.error = error
+        if cause is not None and self.owner.failure is None:
+            self.owner.failure = error
+
+    def down(self) -> TransportError:
+        """What a send on this link raises once it is down."""
+        host, port = self.endpoint
+        return TransportError(
+            f"connection to peer {host}:{port} is down ({self.error})")
+
+    def write(self, data: bytes) -> None:
+        if self.socket is not None:
+            self.socket.write(data)
+        else:
+            self.backlog.append(data)
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.socket = transport
+        backlog, self.backlog = self.backlog, []
+        if backlog:
+            transport.write(b"".join(backlog))
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        host, port = self.endpoint
+        self._down(TransportError(
+            f"connection to peer {host}:{port} lost"
+            + (f": {exc}" if exc is not None else "")), exc)
+        if not self.lost.done():
+            self.lost.set_result(None)
 
     async def close(self) -> None:
-        """Flush queued frames (bounded), then close the connection."""
-        self.queue.put_nowait(self._CLOSE)
+        """Flush written frames, then close the connection; both within
+        :data:`FLUSH_TIMEOUT_SECONDS`."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + FLUSH_TIMEOUT_SECONDS
+        if not self.connecting.done():
+            await asyncio.wait((self.connecting,),
+                               timeout=FLUSH_TIMEOUT_SECONDS)
+            if not self.connecting.done():
+                self.connecting.cancel()
+                await asyncio.gather(self.connecting, return_exceptions=True)
+        if self.socket is None:
+            return
+        self.socket.close()
+        await asyncio.wait((self.lost,),
+                           timeout=max(0.0, deadline - loop.time()))
+        if not self.lost.done():
+            self.socket.abort()
+            await self.lost
+
+
+class _InboundStream(asyncio.Protocol):
+    """One accepted connection: length-prefixed batch frames, parsed out of
+    the bytes as they arrive and delivered row by row."""
+
+    def __init__(self, owner: "TcpTransport") -> None:
+        self.owner = owner
+        self.socket: Optional[asyncio.Transport] = None
+        #: The unparsed tail of the stream: part of one frame.
+        self.buffer = bytearray()
+        #: Bytes :attr:`buffer` must hold before a frame can be parsed.
+        self.wanted = LENGTH_BYTES
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.socket = transport
+        self.owner._inbound.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        if buffer:
+            buffer += data
+            if len(buffer) < self.wanted:
+                return
+            data = bytes(buffer)
+            buffer.clear()
+        pos, size = 0, len(data)
         try:
-            await asyncio.wait_for(asyncio.shield(self.task),
-                                   FLUSH_TIMEOUT_SECONDS)
-        except asyncio.TimeoutError:
-            self.task.cancel()
-            try:
-                await self.task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        except Exception:  # noqa: BLE001 - already captured via _done
-            pass
+            while size - pos >= LENGTH_BYTES:
+                (length,) = _unpack_length(data, pos)
+                if length > MAX_FRAME_BYTES:
+                    raise WireFormatError(
+                        f"frame length prefix {length} exceeds the "
+                        f"{MAX_FRAME_BYTES}-byte limit (corrupt stream?)")
+                start = pos + LENGTH_BYTES
+                if start + length > size:
+                    self.wanted = LENGTH_BYTES + length
+                    break
+                pos = start + length
+                self.owner._receive(data[start:pos])
+            else:
+                self.wanted = LENGTH_BYTES
+        except Exception as exc:  # noqa: BLE001 - surfaced via failure
+            self._fail(exc)
+            return
+        if pos < size:
+            buffer += memoryview(data)[pos:]
 
+    def eof_received(self) -> None:
+        buffer = self.buffer
+        if buffer:
+            if len(buffer) < LENGTH_BYTES:
+                where = (f"a frame length prefix "
+                         f"({len(buffer)}/{LENGTH_BYTES} bytes)")
+            else:
+                where = (f"a frame payload ({len(buffer) - LENGTH_BYTES}/"
+                         f"{self.wanted - LENGTH_BYTES} bytes)")
+            self._fail(WireFormatError(f"stream ended inside {where}"))
 
-class _Pending:
-    """What one peer endpoint has buffered since its last flush."""
+    def _fail(self, error: BaseException) -> None:
+        self.buffer.clear()
+        if self.owner.failure is None:
+            self.owner.failure = error
+        self.socket.close()
 
-    __slots__ = ("envelopes", "bytes", "flush_scheduled")
-
-    def __init__(self) -> None:
-        self.envelopes: list[Envelope] = []
-        self.bytes = 0
-        self.flush_scheduled = False
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.owner._inbound.discard(self)
+        if exc is not None and self.owner.failure is None:
+            self.owner.failure = exc
+        if not self.lost.done():
+            self.lost.set_result(None)
 
 
 class TcpTransport(Transport):
-    """Length-prefixed wire frames over asyncio TCP streams.
+    """Length-prefixed batch frames over asyncio TCP connections.
 
     Lifecycle: construct, :meth:`start` (serves ``listener``, a bound and
     listening socket, or binds a free loopback port without one; ``host``
@@ -245,10 +320,8 @@ class TcpTransport(Transport):
         self._endpoints: dict[Addr, tuple[str, int]] = {}
         self._links: dict[tuple[str, int], _PeerLink] = {}
         self._server: Optional[asyncio.base_events.Server] = None
-        self._inbound: set[asyncio.Task] = set()
+        self._inbound: set[_InboundStream] = set()
         self._stopped = False
-        # Coalescing state per peer endpoint.
-        self._pending: dict[tuple[str, int], _Pending] = {}
 
     # -------------------------------------------------------------- lifecycle
     async def start(self) -> None:
@@ -257,15 +330,18 @@ class TcpTransport(Transport):
         listener, self._listener = self._listener, None
         if listener is None:
             listener = socket.create_server(("127.0.0.1", 0))
-        self._server = await asyncio.start_server(self._on_connection,
-                                                  sock=listener)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _InboundStream(self), sock=listener)
         self.host, self.port = listener.getsockname()[:2]
 
     async def stop(self) -> None:
         self._stopped = True
-        for endpoint, pending in self._pending.items():
-            self._flush_endpoint(endpoint, pending, raise_errors=False)
         links, self._links = list(self._links.values()), {}
+        for link in links:
+            # A link that went down on an error has parked it already; one
+            # whose peer closed first has nobody left to flush to.
+            if link.error is None:
+                self._flush(link, raise_errors=False)
         for link in links:
             await link.close()
         if self._listener is not None:
@@ -274,17 +350,14 @@ class TcpTransport(Transport):
         server, self._server = self._server, None
         if server is not None:
             server.close()
-        inbound, self._inbound = list(self._inbound), set()
-        for task in inbound:
-            task.cancel()
-        for task in inbound:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
+        inbound = list(self._inbound)
+        for stream in inbound:
+            stream.socket.close()
+        for stream in inbound:
+            await stream.lost
         if server is not None:
             # From Python 3.12.1 on this waits for every accepted connection
-            # to close, so it follows the handlers that close them.
+            # to close, so it follows the closes above.
             await server.wait_closed()
 
     # ---------------------------------------------------------------- routing
@@ -303,115 +376,81 @@ class TcpTransport(Transport):
         endpoint = self._endpoints.get(dest)
         if endpoint is None:
             raise _unroutable(dest)
-        if self._stopped:
-            raise TransportError("transport is stopped")
-        pending = self._pending.get(endpoint)
-        if pending is None:
-            pending = self._pending[endpoint] = _Pending()
-        pending.envelopes.append(Envelope(sender, dest, message, trace))
-        pending.bytes += message_size(message)
-        if (len(pending.envelopes) >= self.flush_policy.max_messages
-                or pending.bytes >= self.flush_policy.max_bytes):
-            self._flush_endpoint(endpoint, pending)
-        elif not pending.flush_scheduled:
-            asyncio.get_running_loop().call_soon(
-                self._idle_flush, endpoint, pending)
-            pending.flush_scheduled = True
+        link = self._links.get(endpoint)
+        if link is None or link.error is not None:
+            link = self._link_for(endpoint)
+        pending = link.pending
+        pending.add(sender, dest, message, trace)
+        if (pending.count >= self.flush_policy.max_messages
+                or len(pending.rows) >= self.flush_policy.max_bytes):
+            self._flush(link)
+        elif not link.flush_scheduled:
+            asyncio.get_running_loop().call_soon(self._idle_flush, link)
+            link.flush_scheduled = True
 
     def _link_for(self, endpoint: tuple[str, int]) -> _PeerLink:
+        """A new link to ``endpoint``; raises if the current one is down."""
+        if self._stopped:
+            raise TransportError("transport is stopped")
         link = self._links.get(endpoint)
-        if link is not None and link.task.done():
-            # The drain task died (peer unreachable/crashed): enqueueing
-            # more frames would buffer unboundedly and never send.  Failing
-            # the sender here surfaces the root cause within one operation
-            # instead of after a 30s timeout.
-            raise TransportError(
-                f"connection to peer {endpoint[0]}:{endpoint[1]} is down "
-                f"({self.failure or 'drain task exited'})")
-        if link is None:
-            link = self._links[endpoint] = _PeerLink(self, endpoint)
+        if link is not None:
+            # The peer is unreachable or gone: buffering more frames would
+            # never send them.  Failing the sender here surfaces the root
+            # cause within one operation instead of after a 30s timeout.
+            raise link.down()
+        link = self._links[endpoint] = _PeerLink(self, endpoint)
         return link
 
-    def _idle_flush(self, endpoint: tuple[str, int],
-                    pending: _Pending) -> None:
-        pending.flush_scheduled = False
-        self._flush_endpoint(endpoint, pending, raise_errors=False)
+    def _idle_flush(self, link: _PeerLink) -> None:
+        link.flush_scheduled = False
+        self._flush(link, raise_errors=False)
 
-    def _flush_endpoint(self, endpoint: tuple[str, int], pending: _Pending,
-                        *, raise_errors: bool = True) -> None:
-        """Write the endpoint's pending envelopes as one batch frame.
+    def _flush(self, link: _PeerLink, *, raise_errors: bool = True) -> None:
+        """Write the link's pending rows as one batch frame.
 
         With ``raise_errors`` off (idle and shutdown flushes, which have no
-        caller to fail) link errors are parked in :attr:`failure` instead of
+        caller to fail) errors are parked in :attr:`failure` instead of
         raised.
         """
-        envelopes = pending.envelopes
-        if not envelopes:
+        pending = link.pending
+        if not pending.count:
             return
-        pending.envelopes = []
-        pending.bytes = 0
+        link.pending = BatchWriter()
         try:
-            link = self._link_for(endpoint)
-        except TransportError as exc:
+            if link.error is not None:
+                raise link.down()
+            link.write(pending.framed())
+        except (TransportError, WireFormatError) as exc:
             if raise_errors:
                 raise
             if self.failure is None:
                 self.failure = exc
             return
-        link.enqueue(frame(encode_batch(envelopes)))
         if self.tracer is not None:
             self.tracer.emit("transport", BATCH_FLUSH, data=(
-                ("count", len(envelopes)),
-                ("peer", f"{endpoint[0]}:{endpoint[1]}")))
+                ("count", pending.count),
+                ("peer", f"{link.endpoint[0]}:{link.endpoint[1]}")))
 
     # ---------------------------------------------------------------- inbound
-    def _deliver_envelope(self, envelope: Envelope) -> None:
-        if not isinstance(envelope, Envelope):
-            raise TransportError(
-                f"batch frame carries a {type(envelope).__name__}, "
-                f"expected an Envelope")
-        node = self._local.get(envelope.dest)
-        if node is None:
-            raise TransportError(
-                f"received a message for {envelope.dest!r}, which "
-                f"is not attached to this transport")
-        node.deliver(envelope.sender, envelope.payload, envelope.trace)
+    def _receive(self, payload: bytes) -> None:
+        """Deliver one inbound batch frame, row by row."""
+        count = read_batch(payload, self._route)
+        if self.tracer is not None and count:
+            self.tracer.emit("transport", BATCH_RECV, data=(
+                ("count", count),))
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._inbound.add(task)
-            task.add_done_callback(self._inbound.discard)
-        try:
-            while True:
-                payload = await read_frame(reader)
-                if payload is None:
-                    break
-                decoded = decode(payload)
-                if not isinstance(decoded, BatchFrame):
-                    raise TransportError(
-                        f"expected a batch frame, got "
-                        f"{type(decoded).__name__}")
-                if self.tracer is not None and decoded.envelopes:
-                    self.tracer.emit("transport", BATCH_RECV, data=(
-                        ("count", len(decoded)),))
-                for envelope in decoded.envelopes:
-                    self._deliver_envelope(envelope)
-        except asyncio.CancelledError:
-            # Cancelled only by stop(); swallowing (rather than re-raising)
-            # keeps asyncio.streams' internal done-callback from logging a
-            # spurious "Exception in callback" during teardown.
-            return
-        except Exception as exc:  # noqa: BLE001 - surfaced via failure
-            if self.failure is None:
-                self.failure = exc
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
+    def _route(self, dest: object):
+        """The ``deliver`` of the local node at ``dest``."""
+        node = self._local.get(dest)
+        if node is None:
+            return functools.partial(_misrouted, dest)
+        return node.deliver
+
+
+def _misrouted(dest: object, *_row: object) -> None:
+    raise TransportError(
+        f"received a message for {dest!r}, which is not attached to this "
+        f"transport")
 
 
 __all__ = [

@@ -48,13 +48,14 @@ class SimDriver(Node):
         self.topology = topology
         self.cost_model = topology.config.cost_model
 
-    def _send(self, dest: Addr, message: object) -> None:
+    def _send(self, dest: Addr, message: object,
+              size: Optional[int]) -> None:
         # The network reads ``self.current_trace`` to tag the message.
         topology = self.topology
         node = topology.nodes.get(dest)
         if node is None:
             node = topology.node_at(dest)  # raises: no node at ``dest``
-        topology.network.send(self, node, message)
+        topology.network.send(self, node, message, size)
 
     def handle_message(self, sender: Node, message: object) -> None:
         """Feed a served ``message`` to the kernel host."""

@@ -183,15 +183,19 @@ class Network:
         # Fault-injection state: empty (and RNG-free) on the healthy path.
         self._link_faults: dict[tuple[int, int], LinkFault] = {}
         self._held: dict[tuple[int, int],
-                         list[tuple["Node", "Node", object, Optional[str]]]] = {}
+                         list[tuple["Node", "Node", object, int,
+                                    Optional[str]]]] = {}
         self._fault_rng: Optional["random.Random"] = None
         self.messages_dropped = 0
 
-    def send(self, sender: "Node", destination: "Node", message: object) -> None:
-        """Send ``message`` from ``sender`` to ``destination``.
+    def send(self, sender: "Node", destination: "Node", message: object,
+             size: Optional[int] = None) -> None:
+        """Send ``message`` of ``size`` bytes from ``sender`` to
+        ``destination``.
 
-        The message size is obtained from the message's ``size_bytes()``
-        method when available, otherwise a small fixed header size is used.
+        A server's host passes the size its counters already took; without
+        one (a client's send) it is the message's ``size_bytes()``, else a
+        small fixed header size (:func:`~repro.core.common.kernel.message_size`).
 
         Delivery is FIFO per (sender, destination) pair, like the TCP
         connections the paper's implementation uses.  FIFO channels are what
@@ -199,7 +203,8 @@ class Network:
         replicated update or heartbeat: everything earlier from that replica
         has already arrived.
         """
-        size = message_size(message)
+        if size is None:
+            size = message_size(message)
         stats = self.stats
         stats.messages += 1
         stats.bytes += size
@@ -259,7 +264,7 @@ class Network:
         """Degraded send path: hold, delay, or "drop" (delay by redelivery)."""
         if fault.blocked:
             self._held.setdefault((sender.dc_id, destination.dc_id), []).append(
-                (sender, destination, message, trace))
+                (sender, destination, message, size, trace))
             return
         same_dc = sender.dc_id == destination.dc_id
         base = (self._intra_us if same_dc else self._inter_us) \
@@ -309,12 +314,12 @@ class Network:
         fault = self._link_faults.pop((src_dc, dst_dc), None)
         if fault is None:
             return
-        for sender, destination, message, trace in self._held.pop(
+        for sender, destination, message, size, trace in self._held.pop(
                 (src_dc, dst_dc), []):
             # Re-entering ``send`` would double-count stats; schedule with the
             # healthy delay directly (FIFO order is preserved by the clamp).
             delay = self.latency.one_way_delay(
-                sender.dc_id == destination.dc_id, message_size(message),
+                sender.dc_id == destination.dc_id, size,
                 self._rng.random())
             self._schedule_arrival(sender, destination, message, delay, trace)
 

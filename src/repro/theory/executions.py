@@ -92,7 +92,7 @@ class _ScriptedServer(ServerHost):
         super().__init__(kernel, script.clock)
         self.held = script.held
 
-    def _send(self, dest, message) -> None:
+    def _send(self, dest, message, size) -> None:
         self.held.append((self.addr, dest, message))
 
     def _arm_timer(self, timer: SetTimer, trace) -> None:
@@ -108,7 +108,7 @@ class _ScriptedClient(ClientHost):
                          script.checker)
         self.held = script.held
 
-    def _send(self, dest, message) -> None:
+    def _send(self, dest, message, size) -> None:
         self.held.append((self.addr, dest, message))
 
     def _completed(self, result) -> None:

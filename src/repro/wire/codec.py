@@ -2,13 +2,15 @@
 
 Every value that crosses a process boundary is encoded into a *frame body*::
 
-    [magic 0xA7] [wire version 7] [format tag] [payload ...]
+    [magic 0xA7] [wire version 8] [format tag] [payload ...]
 
 Two payload formats share that header:
 
 * **binary** (:data:`FORMAT_BINARY`, the default) — one *tagged value*.
-* **batch** (:data:`FORMAT_BATCH`) — ``[u32 count]`` followed by ``count``
-  tagged values, written row by row (see :mod:`repro.wire.batch`).
+* **batch** (:data:`FORMAT_BATCH`) — the envelopes of one flush: a table
+  of the distinct addresses, then one row per message holding two table
+  indexes, the trace and the payload as tagged values (see
+  :mod:`repro.wire.batch`, which writes and reads it).
 
 A tagged value is a msgpack-style tag byte plus payload.  Plain values
 (``None``, bools, ints, floats, strings, bytes, sequences, dicts) are written
@@ -33,7 +35,11 @@ everything big-endian:
 The layout of a type is *planned* once from its type hints
 (:func:`field_plan`) and compiled into two closures — ``pack(obj, out)`` and
 ``unpack(data, pos) -> (obj, pos)`` — the first time the type is encoded or
-decoded; importing this module generates nothing.
+decoded; importing this module generates nothing.  The code of a ``tuple[T,
+...]`` element is generated inline in its container's closures, a loop with
+no call per element but ``T``'s constructor; a ``key``/``put_key``/``writer``
+string decodes to its canonical object with one probe of the bytes -> ``str``
+table of :mod:`repro.wire.intern`.
 
 Decoding does no per-read bounds checks: a count is compared with the bytes
 that remain before anything is sized by it, and everything else a malformed
@@ -65,7 +71,6 @@ from typing import (
     Callable,
     NamedTuple,
     Optional,
-    Sequence,
     Union,
     get_args,
     get_origin,
@@ -74,12 +79,12 @@ from typing import (
 
 from repro.core.common import messages as _messages
 from repro.errors import WireFormatError
-from repro.wire.intern import intern_key
+from repro.wire.intern import UTF8, intern_utf8
 
 #: First byte of every frame.
 MAGIC = 0xA7
 #: Current wire version; bumped on every payload-layout change.
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 #: Every version this codec can decode: every peer of a run is started from
 #: the same tree, so there is exactly one, and anything else is rejected.
 SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION,)
@@ -126,17 +131,6 @@ _DECODE_ERRORS = (struct.error, IndexError, ValueError, TypeError,
                   RecursionError)
 _ENCODE_ERRORS = (struct.error, AttributeError, ValueError, TypeError,
                   OverflowError, RecursionError)
-
-
-@dataclasses.dataclass(frozen=True)
-class BatchFrame:
-    """The decoded form of one batch frame: the coalesced envelopes, in
-    send order.  Transports fan these back out to per-node delivery."""
-
-    envelopes: tuple
-
-    def __len__(self) -> int:
-        return len(self.envelopes)
 
 
 # --------------------------------------------------------------------------
@@ -322,13 +316,35 @@ def _compile(cls: type) -> tuple[bytes, Callable]:
             f"cannot encode {cls.__name__!r}: not a registered wire type "
             f"(see repro.wire.register_wire_type)")
     namespace: dict[str, Any] = {
-        "cls": cls, "short": _short, "intern": intern_key,
+        "short": _short, "UTF8": UTF8, "intern_utf8": intern_utf8,
         "PACKERS": _PACKERS, "UNPACKERS": _UNPACKERS,
         "packer": _packer, "unpacker": _unpacker,
         "encode_value": _encode_value, "decode_value": _decode_value,
         "U32": _unpack_u32, "P32": _pack_u32,
         "VQ": _INT_VECTORS, "VD": _FLOAT_VECTORS,
     }
+    pack, unpack, ctor = _generate(cls, "o", "", namespace, frozenset())
+    source = "\n".join(["def pack(o, out):", *_indent(pack or ["pass"]),
+                        "def unpack(data, pos):", *_indent(unpack),
+                        f"    return {ctor}, pos"])
+    exec(compile(source, f"<wire codec for {cls.__name__}>", "exec"), namespace)
+    prefix = _struct_prefix(type_id)
+    _UNPACKERS[prefix] = namespace["unpack"]
+    _PACKERS[cls] = entry = (prefix, namespace["pack"])
+    return entry
+
+
+def _generate(cls: type, o: str, p: str, namespace: dict[str, Any],
+              outer: frozenset) -> tuple[list[str], list[str], str]:
+    """The pack statements of the object named ``o``, the unpack statements
+    and the constructor expression of one registered class.
+
+    ``p`` prefixes every name the statements bind, so the code of a
+    ``tuple[T, ...]`` element nests inline in its container's, a loop in the
+    container's body.  Only a type that contains itself (``outer``) calls
+    its own closures per element instead.
+    """
+    namespace[f"{p}cls"] = cls
     fmt = ">"           # the fixed block's struct format
     pre: list[str] = []     # encode: statements before the fixed block
     packed: list[str] = []  # encode: the fixed block's arguments
@@ -338,12 +354,12 @@ def _compile(cls: type) -> tuple[bytes, Callable]:
     ctor: list[str] = []    # decode: constructor arguments
 
     for i, (name, kind) in enumerate(field_plan(cls)):
-        v, n, r = f"v{i}", f"n{i}", f"r{i}"
+        v, n, r = f"{p}v{i}", f"{p}n{i}", f"{p}r{i}"
         base, optional = kind.base, kind.optional
         label = repr(f"{cls.__name__}.{name}")
         ctor.append(v)
         if base == "value":
-            tails += [f"{v} = o.{name}",
+            tails += [f"{v} = {o}.{name}",
                       f"e = PACKERS.get(type({v}))",
                       "if e is None:",
                       f"    encode_value({v}, out)",
@@ -358,7 +374,7 @@ def _compile(cls: type) -> tuple[bytes, Callable]:
             continue
         if base in _SCALAR_CODES:
             if optional or base == "bool":
-                pre.append(f"{v} = o.{name}")
+                pre.append(f"{v} = {o}.{name}")
             if base == "bool":  # struct's "?" would coerce any truthy value
                 unset = f" and {v} is not None" if optional else ""
                 pre += [f"if {v} is not True and {v} is not False{unset}:",
@@ -370,14 +386,14 @@ def _compile(cls: type) -> tuple[bytes, Callable]:
                 ctor[-1] = f"{v} if {n} else None"
             else:
                 fmt += _SCALAR_CODES[base]
-                packed.append(v if base == "bool" else f"o.{name}")
+                packed.append(v if base == "bool" else f"{o}.{name}")
                 names.append(v)
             continue
         # Variable width: one length byte in the fixed block — the length
         # below 254, 254 for None, 255 announcing a u32 ahead of the tail.
         fmt += "B"
         names.append(n)
-        pre.append(f"{v} = o.{name}")
+        pre.append(f"{v} = {o}.{name}")
         sized = r if base in ("str", "bytes") else v
         if base == "str":
             pre.append(f'{r} = b"" if {v} is None else {v}.encode()'
@@ -395,12 +411,17 @@ def _compile(cls: type) -> tuple[bytes, Callable]:
             packed.append(f"{n} if {n} < 254 else 255")
         tails += [f"if {n} >= 254:", f"    out += P32({n})"]
         if base in ("str", "bytes"):
-            value = "data[pos:end]" + (".decode()" if base == "str" else "")
-            if name in _INTERNED_FIELDS and base == "str" and not optional:
-                value = f"intern({value})"
             tails.append(f"out += {r}")
-            reads += _read_sized(optional, n, v, [
-                f"end = pos + {n}", f"{v} = {value}", "pos = end"], None)
+            if name in _INTERNED_FIELDS and base == "str" and not optional:
+                # One probe of the bytes -> canonical str table.
+                body = [f"end = pos + {n}", f"{r} = data[pos:end]",
+                        f"{v} = UTF8.get({r})", f"if {v} is None:",
+                        f"    {v} = intern_utf8({r})", "pos = end"]
+            else:
+                value = "data[pos:end]" + (".decode()" if base == "str"
+                                           else "")
+                body = [f"end = pos + {n}", f"{v} = {value}", "pos = end"]
+            reads += _read_sized(optional, n, v, body, None)
             continue
         if base in ("ints", "floats"):
             table = "VQ" if base == "ints" else "VD"
@@ -411,59 +432,68 @@ def _compile(cls: type) -> tuple[bytes, Callable]:
                     f"pos += {n} << 3"]
         elif base in ("strs", "rows"):  # strings with ``kind.arg`` ints each
             row = struct.Struct(">B" + "q" * (kind.arg or 0))
-            namespace[f"ROW{i}"] = row
+            namespace[f"{p}ROW{i}"] = row
             ints = "".join(f", {c}" for c in "ab"[:kind.arg or 0])
             byte = "m if m < 254 else 255"
             tails += [f"for s{ints} in {v} or ():",
                       "    r = s.encode()",
                       "    m = len(r)",
-                      f"    out += ROW{i}.pack({byte}{ints})" if ints
+                      f"    out += {p}ROW{i}.pack({byte}{ints})" if ints
                       else f"    out.append({byte})",
                       "    if m >= 254:",
                       "        out += P32(m)",
                       "    out += r"]
             body = [f"if {n} > (len(data) - pos) // {row.size}:",
                     f"    raise short({label}, {n})",
-                    "items = []",
+                    f"{p}items = []",
                     f"for _ in range({n}):",
-                    f"    m{ints} = ROW{i}.unpack_from(data, pos)" if ints
+                    f"    m{ints} = {p}ROW{i}.unpack_from(data, pos)" if ints
                     else "    m = data[pos]",
                     f"    pos += {row.size}",
                     *_indent(_read_length("m")),
                     "    end = pos + m",
-                    f"    items.append((data[pos:end].decode(){ints}))",
+                    f"    {p}items.append((data[pos:end].decode(){ints}))",
                     "    pos = end",
-                    f"{v} = tuple(items)"]
-        else:  # structs: looked up per call, so element types compile lazily
-            namespace[f"T{i}"] = kind.arg
+                    f"{v} = tuple({p}items)"]
+        elif kind.arg in outer or kind.arg is cls:
+            # A type inside itself: its own closures, looked up per call so
+            # they compile lazily.
+            namespace[f"{p}T{i}"] = kind.arg
+            prefix = _struct_prefix(_CLASS_TO_ID[kind.arg])
             tails += [f"if {n}:",
-                      f"    p = packer(T{i})[1]",
+                      f"    e = packer({p}T{i})[1]",
                       f"    for x in {v}:",
-                      "        p(x, out)"]
+                      "        e(x, out)"]
             body = [f"if {n} > len(data) - pos:",
                     f"    raise short({label}, {n})",
-                    f"d = unpacker({_struct_prefix(_CLASS_TO_ID[kind.arg])})",
-                    "items = []",
+                    f"d = unpacker({prefix})",
+                    f"{p}items = []",
                     f"for _ in range({n}):",
                     "    x, pos = d(data, pos)",
-                    "    items.append(x)",
-                    f"{v} = tuple(items)"]
+                    f"    {p}items.append(x)",
+                    f"{v} = tuple({p}items)"]
+        else:  # structs: every element's code inline
+            q = f"{p}s{i}_"
+            epack, eunpack, ector = _generate(kind.arg, f"{q}x", q, namespace,
+                                              outer | {cls})
+            tails += [f"if {n}:", f"    for {q}x in {v}:",
+                      *_indent(_indent(epack or ["pass"]))]
+            body = [f"if {n} > len(data) - pos:",
+                    f"    raise short({label}, {n})",
+                    f"{p}items = []",
+                    f"for _ in range({n}):",
+                    *_indent(eunpack),
+                    f"    {p}items.append({ector})",
+                    f"{v} = tuple({p}items)"]
         reads += _read_sized(optional, n, v, body, "()")
 
     fixed = struct.Struct(fmt)
-    namespace["S"] = fixed
     if names:
-        pre.append(f"out += S.pack({', '.join(packed)})")
-        reads = [f"{', '.join(names)}, = S.unpack_from(data, pos)",
+        namespace[f"{p}P"], namespace[f"{p}U"] = fixed.pack, fixed.unpack_from
+        pre.append(f"out += {p}P({', '.join(packed)})")
+        reads = [f"{', '.join(names)}, = {p}U(data, pos)",
                  f"pos += {fixed.size}", *reads]
-    source = "\n".join(["def pack(o, out):", *_indent(pre + tails or ["pass"]),
-                        "def unpack(data, pos):", *_indent(reads),
-                        f"    return cls({', '.join(ctor)}), pos"])
-    exec(compile(source, f"<wire codec for {cls.__name__}>", "exec"), namespace)
-    prefix = _struct_prefix(type_id)
-    _UNPACKERS[prefix] = namespace["unpack"]
-    _PACKERS[cls] = entry = (prefix, namespace["pack"])
-    return entry
+    return pre + tails, reads, f"{p}cls({', '.join(ctor)})"
 
 
 _INT_VECTORS = _VectorStructs("q")
@@ -665,40 +695,8 @@ def encode(value: Any) -> bytes:
     return bytes(out)
 
 
-def encode_run(values: Sequence, header: bytes) -> bytes:
-    """``header`` + ``[u32 count]`` + ``values`` as tagged values, row by row
-    (a batch frame)."""
-    out = bytearray(header)
-    out += _pack_u32(len(values))
-    try:
-        for value in values:
-            _encode_value(value, out)
-    except _ENCODE_ERRORS as exc:
-        raise _unencodable(value, exc) from exc
-    return bytes(out)
-
-
-def decode_run(data: bytes, start: int) -> list:
-    """Decode the :func:`encode_run` payload that fills ``data[start:]``."""
-    values = []
-    try:
-        data = bytes(data)  # a no-op for bytes; slices must be hashable
-        count = _unpack_u32(data, start)[0]
-        pos = start + 4
-        if count > len(data) - pos:
-            raise _short("run", count)
-        for _ in range(count):
-            value, pos = _decode_value(data, pos)
-            values.append(value)
-    except _DECODE_ERRORS as exc:
-        raise _malformed(exc) from exc
-    _check_consumed(pos, len(data))
-    return values
-
-
-def decode(data: bytes) -> Any:
-    """Decode one frame body produced by :func:`encode` or
-    :func:`repro.wire.batch.encode_batch` (to a :class:`BatchFrame`)."""
+def frame_format(data: bytes) -> int:
+    """The format tag of frame body ``data``, after checking its header."""
     if len(data) < 3:
         raise WireFormatError(
             f"frame too short ({len(data)} bytes); need at least the "
@@ -711,10 +709,19 @@ def decode(data: bytes) -> Any:
             f"unsupported wire version {data[1]} (this codec speaks "
             f"versions {SUPPORTED_WIRE_VERSIONS})")
     format_tag = data[2]
-    if format_tag == FORMAT_BATCH:
-        return BatchFrame(envelopes=tuple(decode_run(data, 3)))
-    if format_tag != FORMAT_BINARY:
+    if format_tag not in (FORMAT_BINARY, FORMAT_BATCH):
         raise WireFormatError(f"unknown wire format tag 0x{format_tag:02X}")
+    return format_tag
+
+
+def decode(data: bytes) -> Any:
+    """Decode one frame body produced by :func:`encode`, or by
+    :func:`repro.wire.batch.encode_batch` (to a
+    :class:`~repro.wire.batch.BatchFrame`)."""
+    if frame_format(data) == FORMAT_BATCH:
+        # The batch layer builds on this module, so it is imported here.
+        from repro.wire.batch import decode_batch
+        return decode_batch(data)
     try:
         value, pos = _decode_value(bytes(data), 3)
     except _DECODE_ERRORS as exc:
@@ -724,7 +731,6 @@ def decode(data: bytes) -> Any:
 
 
 __all__ = [
-    "BatchFrame",
     "DYNAMIC_TYPE_ID_BASE",
     "FORMAT_BATCH",
     "FORMAT_BINARY",
@@ -733,10 +739,9 @@ __all__ = [
     "SUPPORTED_WIRE_VERSIONS",
     "WIRE_VERSION",
     "decode",
-    "decode_run",
     "encode",
-    "encode_run",
     "field_plan",
+    "frame_format",
     "register_wire_type",
     "registered_wire_types",
 ]

@@ -1,9 +1,12 @@
 """Length-prefixed framing for byte streams.
 
 A *frame* on a stream is a 4-byte big-endian payload length followed by the
-payload (a codec frame body, see :mod:`repro.wire.codec`).  The TCP
-transport and the process-cluster control plane write frames with
-:func:`frame` / :func:`write_frame` and read them with :func:`read_frame`.
+payload (a codec frame body, see :mod:`repro.wire.codec`).  The
+process-cluster control plane writes frames with :func:`frame` /
+:func:`write_frame` and reads them with :func:`read_frame`; the TCP
+transport's data plane writes batch frames whole
+(:meth:`repro.wire.batch.BatchWriter.framed`) and parses them out of its
+connections' bytes under the same :data:`MAX_FRAME_BYTES` rule.
 
 Oversized length prefixes are rejected before any allocation: a corrupted or
 hostile peer must not be able to make the receiver reserve gigabytes.

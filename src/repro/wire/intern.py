@@ -16,6 +16,12 @@ evicting, because the workload key space is fixed per run — eviction churn
 would only help adversarial streams, which simply degrade to no interning.
 ``sys.intern`` is deliberately not used: it pins strings for the process
 lifetime and is reserved for identifier-shaped strings.
+
+The decoder starts from the key's UTF-8 bytes: :func:`intern_utf8` maps
+them straight to the canonical ``str`` through a second table under the same
+bound and overflow rule, so a key seen before costs one dictionary lookup,
+not a ``decode`` plus a lookup.  The compiled decoders probe :data:`UTF8`
+inline and call :func:`intern_utf8` only on a miss.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from __future__ import annotations
 MAX_INTERNED_KEYS = 1 << 16
 
 _CACHE: dict[str, str] = {}
+#: UTF-8 bytes -> the canonical ``str`` they decode to.
+UTF8: dict[bytes, str] = {}
 
 
 def intern_key(key: str) -> str:
@@ -36,9 +44,22 @@ def intern_key(key: str) -> str:
     return key
 
 
+def intern_utf8(raw: bytes) -> str:
+    """The canonical object for the key ``raw`` encodes (a fresh ``str`` on
+    cache overflow); raises ``UnicodeDecodeError`` for invalid UTF-8."""
+    key = UTF8.get(raw)
+    if key is None:
+        key = intern_key(raw.decode())
+        if len(UTF8) < MAX_INTERNED_KEYS:
+            UTF8[raw] = key
+    return key
+
+
 def clear_interned() -> None:
-    """Drop the cache (tests only; never needed on the hot path)."""
+    """Drop the caches (tests only; never needed on the hot path)."""
     _CACHE.clear()
+    UTF8.clear()
 
 
-__all__ = ["MAX_INTERNED_KEYS", "clear_interned", "intern_key"]
+__all__ = ["MAX_INTERNED_KEYS", "UTF8", "clear_interned", "intern_key",
+           "intern_utf8"]

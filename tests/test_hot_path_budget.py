@@ -49,8 +49,10 @@ drive: the layered benchmark's loaded ``sim-three-protocols`` cluster, seed 7,
 30 virtual ms counted after 30 uncounted) are pinned the same way: what an
 operation costs there beyond the loop-free count is the simulator carrying
 its messages — engine, network, CPU queues, cost model.  Python-level calls
-per simulated operation: contrarian 300, cure 352, cc-lo 378 when the
-ceilings were set, now 291.1, 342.6, 371.0 (cc-lo 474
+per simulated operation: contrarian 278.0, cure 332.4, cc-lo 356.5 when the
+ceilings were last set (300, 352, 378 when they were first set; 291.1,
+342.6, 371.0 while the host sized every
+server send for its counters and the network sized it again; cc-lo 474
 before its old readers were tuples recorded in bulk; 336, 386, 493
 while the generator spelled ``random.sample`` and every key as calls and a
 ROT folded each reply separately; 343, 394, 498 with ``__eq__`` on routes;
@@ -59,6 +61,16 @@ events and a handful of frames).  The operations,
 engine events and messages of the counted window are pinned to the digit:
 they are functions of the seed, and a change that moves them changed the
 simulation, not its cost.
+
+The wire is pinned the same way, per envelope: a fixed batch of 28
+envelopes in the mix ``tcp-contrarian-read`` sends between its client and
+server transports (21 ``RotValueReply`` with one or two results, 6
+``RotCoordinatorRequest``, 1 ``VectorPutRequest``; 24 distinct addresses),
+encoded by ``encode_batch`` and delivered by the transport's row decoder to
+nodes whose ``deliver`` does nothing — that call is one of the counted.
+Python-level calls per envelope: 13.3 (23.2 while a frame was a run of
+tagged ``Envelope`` records, each decoded with both its addresses and then
+delivered through the transport's per-envelope check).
 
 The loop-free drive draws its operations before the counted region, so
 neither count above ever saw the workload generator — the client's own
@@ -72,6 +84,16 @@ import importlib.util
 import os
 
 import pytest
+
+from repro.core.common.kernel import ClientAddr, ServerAddr, client_node_id
+from repro.core.common.messages import (
+    ReadResult,
+    RotCoordinatorRequest,
+    RotValueReply,
+    VectorPutRequest,
+)
+from repro.runtime.transport import TcpTransport
+from repro.wire.batch import Envelope, encode_batch
 
 _SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
                        "run_kernel_cost.py")
@@ -87,7 +109,7 @@ C_CEILINGS = {"cc-lo": 270}
 #: where a mutable record per reader or message would add them.
 INIT_CEILINGS = {"cc-lo": 2.5}
 #: Python-level calls per simulated operation.
-SIM_CEILINGS = {"contrarian": 330, "cure": 387, "cc-lo": 416}
+SIM_CEILINGS = {"contrarian": 306, "cure": 366, "cc-lo": 392}
 #: Python-level calls per drawn operation, by the protocol whose write ratio
 #: the generators draw at (contrarian 0.05, cc-lo 0.1).
 GENERATOR_CEILINGS = {"contrarian": 11, "cc-lo": 10}
@@ -97,6 +119,9 @@ GENERATOR_CEILINGS = {"contrarian": 11, "cc-lo": 10}
 #: frozen dataclass's ``__init__`` (a record built through
 #: ``object.__setattr__`` instead of its slots).
 NO_GENERATED = ("__eq__", "frozen __init__")
+#: Python-level calls per envelope through ``encode_batch`` and the TCP
+#: transport's row decoder, deliveries included.
+WIRE_CEILING = 14.6
 #: Operations completed, engine events executed and messages sent in the
 #: counted window of the simulator drive.
 SIM_WINDOWS = {"contrarian": [1909, 28932, 14381],
@@ -142,3 +167,49 @@ def test_python_calls_per_drawn_operation_stay_under_the_ceiling(protocol):
           f"{calls:.1f} Python-level calls per drawn operation "
           f"(ceiling {GENERATOR_CEILINGS[protocol]})")
     assert calls < GENERATOR_CEILINGS[protocol]
+
+
+def wire_batch() -> list[Envelope]:
+    """28 envelopes in ``tcp-contrarian-read``'s client-server mix."""
+    servers = [ServerAddr(dc, p) for dc in range(2) for p in range(4)]
+    clients = [ClientAddr(client_node_id(dc, i))
+               for dc in range(2) for i in range(8)]
+    rows = []
+    for k in range(28):
+        server, client = servers[k % 8], clients[k % 16]
+        rot_id = f"{client.client_id}#{1000 + k}"
+        if k < 21:
+            results = tuple(ReadResult(f"key-{k}-{j}", 1_700_000_000 + k,
+                                       k % 2, 8) for j in range(1 + k % 2))
+            rows.append(Envelope(server, client, RotValueReply(
+                rot_id, results, (k, k + 1), (k, k))))
+        elif k < 27:
+            rows.append(Envelope(client, server, RotCoordinatorRequest(
+                rot_id, (f"key-{k}-0", f"key-{k}-1"), 1_700_000_000 + k,
+                (k, k), client.client_id)))
+        else:
+            rows.append(Envelope(client, server, VectorPutRequest(
+                f"key-{k}", 8, (k, k), client.client_id, k)))
+    return rows
+
+
+class _Idle:
+    def deliver(self, sender, message, trace=None) -> None:
+        pass
+
+
+def test_python_calls_per_envelope_stay_under_the_ceiling():
+    rows = wire_batch()
+    transport = TcpTransport()
+    for envelope in rows:
+        transport.register_local(envelope.dest, _Idle())
+
+    def hop() -> None:
+        transport._receive(encode_batch(rows))
+
+    hop()  # compile the codecs outside the counted region
+    counts, _, _ = run_kernel_cost.profiled(hop)
+    calls = counts["call"] / len(rows)
+    print(f"{calls:.1f} Python-level calls per envelope "
+          f"(ceiling {WIRE_CEILING})")
+    assert calls < WIRE_CEILING

@@ -83,7 +83,7 @@ class _RecordingBackend:
     """The backend primitives (with a manual clock for ``now``), recorded in
     one ordered log."""
 
-    def _send(self, dest, message):
+    def _send(self, dest, message, size):
         self.log.append(("send", dest, message, self.current_trace))
 
 

@@ -65,16 +65,21 @@ class TestBatchCodec:
         decoded = decode(encode_batch(envelopes))
         assert list(decoded.envelopes) == envelopes
 
-    def test_a_batch_is_its_envelopes_row_by_row(self):
-        # One layout: a row of a batch frame is byte for byte what encode()
-        # writes for that envelope after the 3-byte frame header.
+    def test_a_batch_is_an_address_table_then_rows(self):
+        # Each distinct address once, then per envelope two u16 indexes into
+        # that table, the trace, and the payload byte for byte as encode()
+        # writes it after the 3-byte frame header.
         envelopes = ([_replicate(i) for i in range(4)] + [_heartbeat(0)]
                      + [_replicate(i, key=f"k{i}") for i in range(9)])
         payload = encode_batch(envelopes)
         assert payload[:3] == bytes((MAGIC, WIRE_VERSION, FORMAT_BATCH))
         assert payload[3:7] == len(envelopes).to_bytes(4, "big")
-        assert payload[7:] == b"".join(encode(envelope)[3:]
-                                       for envelope in envelopes)
+        assert payload[7:11] == (2).to_bytes(4, "big")
+        table = encode(ServerAddr(0, 0))[3:] + encode(DEST)[3:]
+        rows = b"".join(b"\x00\x00\x00\x01" + encode(envelope.trace)[3:]
+                        + encode(envelope.payload)[3:]
+                        for envelope in envelopes)
+        assert payload[11:] == table + rows
         assert list(decode(payload).envelopes) == envelopes
 
     def test_empty_batch_round_trips(self):
@@ -114,11 +119,12 @@ class TestBatchCodec:
             with pytest.raises(WireFormatError):
                 decode(payload[:len(payload) - cut])
 
-    def test_a_row_that_is_not_an_envelope_still_decodes_as_a_value(self):
-        # The frame is a run of tagged values; that they are envelopes is
-        # the transport's contract, checked there (_deliver_envelope).
-        rows = [_replicate(0), CcloPutReply(key="k", timestamp=1), 7, None]
-        assert list(decode(encode_batch(rows)).envelopes) == rows
+    def test_a_row_must_be_an_envelope(self):
+        # A row is routed: a value without a sender and destination has no
+        # place in a batch frame, and nothing of the batch is written.
+        for row in (CcloPutReply(key="k", timestamp=1), 7, None):
+            with pytest.raises(WireFormatError, match="rows are Envelopes"):
+                encode_batch([_replicate(0), row])
 
     def test_decoded_keys_are_interned(self):
         clear_interned()

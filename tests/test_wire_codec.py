@@ -30,7 +30,6 @@ from repro.wire import (
     frame,
     register_wire_type,
 )
-from repro.wire.batch import encode_batch
 from repro.wire.codec import (
     MAGIC,
     SUPPORTED_WIRE_VERSIONS,
@@ -43,7 +42,9 @@ from wire_support import (
     PLAIN,
     WIRE_SETTINGS,
     WIRE_TYPES,
+    batch_of,
     instances,
+    payloads,
     read_frames,
     same,
     sample,
@@ -95,7 +96,7 @@ class TestRoundTrips:
             original = sample(cls, variant)
             decoded = decode(encode(original))
             assert same(decoded, original), (decoded, original)
-            assert same(decode(encode_batch([original] * 3)).envelopes,
+            assert same(payloads(batch_of([original] * 3)),
                         (original,) * 3)
 
     @EVERY_TYPE
@@ -105,7 +106,7 @@ class TestRoundTrips:
         original = data.draw(instances(cls))
         binary = decode(encode(original))
         assert same(binary, original)
-        assert same(decode(encode_batch([original, original])).envelopes,
+        assert same(payloads(batch_of([original, original])),
                     (original, original))
 
     @WIRE_SETTINGS
@@ -169,7 +170,7 @@ class TestEncodeRejectsContradictions:
                 with pytest.raises(WireFormatError, match="cannot encode"):
                     encode(broken)
                 with pytest.raises(WireFormatError, match="cannot encode"):
-                    encode_batch([valid, broken])
+                    batch_of([valid, broken])
 
     def test_none_needs_an_optional_annotation(self):
         for cls in WIRE_TYPES:
@@ -261,7 +262,7 @@ class TestFraming:
             read_frames([struct.pack(">I", MAX_FRAME_BYTES + 1)])
 
     def test_many_small_frames_in_one_chunk_and_byte_by_byte(self):
-        payload = encode_batch([sample(CcloPutReply)])
+        payload = batch_of([sample(CcloPutReply)])
         stream = frame(payload) * 10_000
         assert read_frames([stream]) == [payload] * 10_000
         # A stream that ends 5 bytes into the next frame is torn, not done.
@@ -280,13 +281,13 @@ class TestWireVersion:
     """
 
     def test_version_constants(self):
-        assert WIRE_VERSION == 7
+        assert WIRE_VERSION == 8
         assert SUPPORTED_WIRE_VERSIONS == (WIRE_VERSION,)
 
     def test_unsupported_versions_rejected(self):
         frames = [encode(sample(CcloPutReply)),
-                  encode_batch([sample(CcloPutReply)] * 3)]
-        for version in (0, 1, 2, 3, 4, 5, 6, 99):
+                  batch_of([sample(CcloPutReply)] * 3)]
+        for version in (0, 1, 2, 3, 4, 5, 6, 7, 99):
             for payload in map(bytearray, frames):
                 assert payload[1] == WIRE_VERSION
                 payload[1] = version

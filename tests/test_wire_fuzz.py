@@ -17,14 +17,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import WireFormatError
-from repro.wire.batch import encode_batch
 from repro.wire.codec import MAGIC, WIRE_VERSION, decode, encode
 from repro.wire.framing import frame
 from wire_support import (
     EVERY_TYPE,
     WIRE_SETTINGS,
     WIRE_TYPES,
+    batch_of,
     instances,
+    payloads,
     read_frames,
     sample,
 )
@@ -46,7 +47,7 @@ def _survives(decoder, data: bytes) -> None:
 
 def _frames_of(cls) -> list[bytes]:
     return [encode(sample(cls)), encode(sample(cls, 1)),
-            encode_batch([sample(cls), sample(cls, 1), sample(cls)])]
+            batch_of([sample(cls), sample(cls, 1), sample(cls)])]
 
 
 def _mutations(payload: bytes):
@@ -89,8 +90,8 @@ class TestMutatedFrames:
 
     def test_mutated_mixed_batch(self):
         rows = _mixed_batch()
-        batch = encode_batch(rows)
-        assert list(decode(batch).envelopes) == rows
+        batch = batch_of(rows)
+        assert list(payloads(batch)) == rows
         # Bit flips over the whole frame would be quadratic in its length;
         # the per-type test covers every layout, so sample the positions.
         for offset in range(0, len(batch), 7):
@@ -104,7 +105,7 @@ class TestMutatedFrames:
 
     def test_claimed_counts_allocate_nothing(self):
         frames = [payload for cls in WIRE_TYPES for payload in _frames_of(cls)]
-        frames.append(encode_batch(_mixed_batch()))
+        frames.append(batch_of(_mixed_batch()))
         # Warm up: compile every codec and fill the caches outside the
         # measured region.
         for payload in frames:
@@ -143,7 +144,7 @@ class TestArbitraryBytes:
         cls = data.draw(st.sampled_from(WIRE_TYPES))
         rows = data.draw(st.lists(instances(cls), min_size=1, max_size=3))
         payload = bytearray(data.draw(st.sampled_from(
-            (encode(rows[0]), encode_batch(rows)))))
+            (encode(rows[0]), batch_of(rows)))))
         edits = data.draw(st.lists(
             st.tuples(st.integers(0, len(payload) - 1), st.integers(0, 255)),
             min_size=1, max_size=4))
@@ -156,7 +157,7 @@ class TestArbitraryBytes:
 
 class TestFrameStreams:
     def test_corrupt_prefixes_raise_before_buffering_a_frame(self):
-        payload = encode_batch([sample(WIRE_TYPES[0])])
+        payload = batch_of([sample(WIRE_TYPES[0])])
         stream = frame(payload) * 3
         for offset in range(len(stream)):
             for byte in (0x00, 0x7F, 0xFF):

@@ -12,83 +12,83 @@ hash is added.
 
 import hashlib
 
-from repro.wire.batch import encode_batch
 from repro.wire.codec import WIRE_VERSION, encode
-from wire_support import EVERY_TYPE, WIRE_TYPES, sample
+from wire_support import EVERY_TYPE, WIRE_TYPES, batch_of, sample
 
 #: The wire version the hashes below were generated for.
-GOLDEN_WIRE_VERSION = 7
+GOLDEN_WIRE_VERSION = 8
 
 GOLDEN_FRAMES = {
     "ReadResult":
-        "45964eeab687fa9728fdb7f657d30738007f5abae689ca1285277675996a1256",
+        "eae5f1c53c230c47aa390af73d2690dfc6ddd8a44882ad18da4e27b631e261d3",
     "VectorPutRequest":
-        "5d1bc3df0e8aa02d87f7755ebcc2e3de5bd4acbb5478dc6e1e81a6dc9e840a1d",
+        "d78ea8c20d2aa23e4b71450154ef09ec4accb4797af1180738469aa659b485d8",
     "VectorPutReply":
-        "f61a17ec7f66960a660a968d00a35bf61535cb357d97d0a650e58cc59454fc69",
+        "a1b50ab06e5092b3eb634d26db903f1be7af044510b29add881815acb5c4f04e",
     "RotCoordinatorRequest":
-        "57136249974604b2ae7014581ca0865aee4743ccd1a6bf8b8598aae116a550ed",
+        "baba6e8b56815aa94a419ea4ec72ca3190defcd7a3fbcb5b31a0582dfac30ca9",
     "RotSnapshotReply":
-        "9e38026b148bdc595781884effe457169ac8c9ee41e5f7e15e2ec70a273f33f3",
+        "1121c8fec3f9cbcd8498bfbe39dc58add1b8fcc83e30889f13470506166859bb",
     "RotProxyRead":
-        "ac83ccad9c76216abbca6a2c5e9ba189cba7ec2ebc618bc46c1be16f5dfb7763",
+        "a896ca9efd885fc9890741440ee3b0793558e6d432decf38cfd76a365e58de7c",
     "RotReadRequest":
-        "249670cf5cc60d9fbceca1e0b638d54268e6457020d948d9c48ea40dcc6c3711",
+        "5eaf5580da6939ba9c5d34a2efa4412a704b3fa35b581a2d29507f91652392fd",
     "RotValueReply":
-        "842200e68f30ef29ab3a427fbef56efc70ccd88c0fe79fbd9b6d5bd31fd4ec70",
+        "c8c0a91ef7cb05870af234b6185398f368154c7a37e1b64ba8f010436a76a0d2",
     "RemoteHeartbeat":
-        "63b07e64a2bb710f833772769ae1aa20e435966947ce73a5c70ca268632c6cd9",
+        "181ed30680336b4529c1e8c594e31865a0880dffc16eb30d7801c02c55c5e907",
     "StabilizationMessage":
-        "296c090c7c1f57a349323fefb775b76f6eefb7f9f09735d21ce2b5f0f2377f87",
+        "d04b69b4b5da855a3639c345ef0a8424a6303689ac74a1618fe359edd12215f6",
     "ReplicateUpdate":
-        "d94d769612cb3fb301ec623a3c48dfa13677775da762236d44020b7ca6e32b6f",
+        "b163c5a3c2d7b07fd6d63e2e0df26005c7a9529e7629c7d159dc4349057fd6f3",
     "OneRoundReadRequest":
-        "93bcd53ec6a6142c5f48d7517aad0bb71238a66ffe1bb29d787a571c89a51ba6",
+        "4a1bf3023b3a82bb68ca098dc14a3f2fb60e920e0b45d48f1ca8d7b59075acef",
     "OneRoundReadReply":
-        "a6f76dd0ca6b873fcdfff240ded4980b3046da87e3337dc935749432937d5b2d",
+        "7f8d636005a371907d72b2242f4b9cf03a7f03e5689d9d4cb6c6b64af0345d4b",
     "CcloPutRequest":
-        "b97ecebb5c13be4bb538ca2fd9b7cfeb39bfec63f1c6bcd84ccd3759031acea8",
+        "c0adc5a5703de4113edfb15275d7e287ec279e5efd5db6d5672b51526a0da933",
     "CcloPutReply":
-        "ae108a162f754bead563019185aa130580edefe98cc27a856188597c44e3d968",
+        "3f26593b8d2c4de39cbd71c21d251c519e1f95e99e90bf759f9ddacbc122e226",
     "ReadersCheckRequest":
-        "728e844f44c7fdf41d8676383b97beadc4b739eec0e5bc268cf102a2d599532b",
+        "6242b3d67a0bfc77593600e4a992e828d21b7aae2da6b7b8870ec430b8211c06",
     "ReadersCheckReply":
-        "93653bd5b8ddf1a996df0ab2814a9d17d5060d4e932c460d157a1acda2ba922a",
+        "ffd604414bc7597211f3ea85b82180a70d3aa342e45c2789176545bd52aee19f",
     "CcloReplicateUpdate":
-        "9b65fbfebf64926bce91fcd3620fcab06641af67061da9c4a5635d9647e26077",
+        "f4beb945053209f9419b2dc0c6eb45610d92240bc14439071491ff22ef19290b",
     "ServerAddr":
-        "af331c5136f2591953d5d9694c0ef9742bac567576cb57c550b0d604c142c2b4",
+        "932ccb3acbb36c7da4fc626af91639cfb5ca6f0ab18940f8070afa75b42fa537",
     "ClientAddr":
-        "58408ba6a315a89492a77e8d6f0659d4c81a2ab092a5b1f636d5e2afd6ca3df8",
+        "6d1d04a40dd93c35229710e352352349cc9660d81a1bebc9aa35b653df72bbf8",
     "Envelope":
-        "a7e40b46d307e245828ee9b72b931138497e4c1914fe3ffcf5c95540b8946061",
+        "c54f96fd293e8195231dbc2184e89035642ea546d40cef2d73de2897fa1c54cd",
     "RecordedPut":
-        "96e775ccde5e0829d0edb0b3f7908f227e6138d90189958d0eb7e3589d48ea53",
+        "a2736a264fb069f1d503170344bf0e4d6c284d3c11b27c3027b9e227a8461d82",
     "RecordedRead":
-        "244cee391bf7c54400d21f1643c11651885dc329e76b51c8b0447317476f249b",
+        "fb7ce8122d6ed697fd72331c94f0bcf9e641f446bc9842f2003945cb316b5e85",
     "RecordedRot":
-        "b3f39a2dc5d0148ed525150038daefb23d7f09fb2911e2ddb01e241853271b70",
+        "6a3277518075ab723a4b35045d8bda7764bee559f6fc24557a620beaccd52cc6",
     "OverheadCounters":
-        "fe260cc2f9fef749ff87bd0ccb9e62fccc5677a8d2307ad88913f64feca2b62f",
+        "a65c755e7c6c607d1344472719e55abde56168c0b9a436a182212644f26de78a",
     "TraceEvent":
-        "a13b8e44c29082162b591fcfe400c5feca164e39d50341579dfdaf4d3f80667b",
+        "d02710fd8d4879c7dbfa4ad017d1284fe14186bd8925b610e60f7680b405c389",
     "WorkerReady":
-        "2b7294a8f1981bf66a0fe0210a2f72d042067cc83ab7547da4f5578d6a48200d",
+        "c0810909036a51448d9b22ce2b969529283b42d2dc2a3b5160ffaa0d5a1335b1",
     "StartRun":
-        "7984bb35928b3e3caba8a5fafb1e6cbaa38a02b84b01a5a99c74f097614a1bc7",
+        "f544bf9acbf301bf26a66323bd90b423e8e8865a1e148ec9178b4dff96ca9311",
     "Shutdown":
-        "a349de0058678104ab6a78624387891652eea3ed76210c78b3ca4a841fe10964",
+        "883593942d17fbe3842d5ab454ccccc2416b70b31cb4fd6f0486b6606984924a",
     "WorkerError":
-        "ca39871cc16752e6cfe40974247d6c1f08bd253c612eebfe43b95d8539db4ce8",
+        "2ec7aaa6cf06c305565a2ae0aaa2f5c54e21a2ed759600339f328e2903826cfb",
     "WorkerResult":
-        "8b663b939f21ca63152860f51db280824805ab87413628d47bed51074e1c0bd3",
+        "1b6c6fc6559afda2adeb7ef9a9dbb36a7eac32049d9fd929d50ffbe3149e11a6",
     "ObservationChunk":
-        "9723f4c5598053afd3ec0eeece035ee9c26afc5a7a59ef7a402c6696fff30b69",
+        "9578d6ab0ea8131e50d5124cd7efd0b85eb666de1a2e5604fb2593fdfcbe39ee",
 }
 
-#: One batch frame holding both sample variants of every type, in id order.
+#: One batch frame whose rows carry both sample variants of every type, in
+#: id order.
 GOLDEN_MIXED_BATCH = (
-    "4ac83cbafea39fb25f0fc8233f422f123831dafc1cbbfeeaf6735c9d272e5a2c")
+    "049b265146c691f0da33133468bee6d48fc8fb0c3fa36a9320195330060d5931")
 
 
 def _digest(payload: bytes) -> str:
@@ -96,8 +96,8 @@ def _digest(payload: bytes) -> str:
 
 
 def _mixed_batch() -> bytes:
-    return encode_batch([sample(cls, variant) for cls in WIRE_TYPES
-                         for variant in (0, 1)])
+    return batch_of([sample(cls, variant) for cls in WIRE_TYPES
+                     for variant in (0, 1)])
 
 
 def test_golden_hashes_belong_to_this_wire_version():

@@ -18,7 +18,9 @@ from hypothesis import settings, strategies as st
 # envelopes, control plane, checker records, trace events).
 import repro.obs.events  # noqa: F401
 import repro.runtime.process  # noqa: F401
-from repro.wire.codec import field_plan, registered_wire_types
+from repro.core.common.kernel import ClientAddr, ServerAddr
+from repro.wire.batch import Envelope, encode_batch
+from repro.wire.codec import decode, field_plan, registered_wire_types
 from repro.wire.framing import read_frame
 
 #: Reproducible in tier-1; ``max_examples`` comes from the loaded hypothesis
@@ -128,6 +130,17 @@ def same(left, right) -> bool:
         return all(same(getattr(left, field.name), getattr(right, field.name))
                    for field in dataclasses.fields(left))
     return left == right
+
+
+def batch_of(values) -> bytes:
+    """A batch frame carrying ``values`` as the payloads of its rows."""
+    return encode_batch([Envelope(ServerAddr(0, 1), ClientAddr("c-0"), value)
+                         for value in values])
+
+
+def payloads(payload: bytes) -> tuple:
+    """The row payloads of the batch frame body ``payload``."""
+    return tuple(envelope.payload for envelope in decode(payload).envelopes)
 
 
 def read_frames(chunks) -> list[bytes]:
