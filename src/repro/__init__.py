@@ -81,7 +81,6 @@ _EXPORTS = {
     "RunSpec": "repro.harness.parallel",
     "Scenario": "repro.faults",
     "SimulationError": "repro.errors",
-    "StorageError": "repro.errors",
     "TheoryError": "repro.errors",
     "TransportError": "repro.errors",
     "WireFormatError": "repro.errors",

@@ -8,14 +8,18 @@ entry-wise minimum, the GSS.  An item replicated from DC ``i`` with timestamp
 dependencies from DC ``i`` (which have smaller timestamps) must already have
 arrived.
 
-This module holds the *state* of the computation for one partition; the
+The same exchange carries the version-GC floor: a broadcast also holds the
+GSS its sender had at its *previous* broadcast, and the vector kernel's
+docstring argues why every snapshot still to be read dominates the minimum.
+
+This module holds the *state* of both computations for one partition; the
 periodic broadcast itself is driven by the protocol servers so the messages go
 through the simulated network and are charged CPU time.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.causal.vectors import entrywise_max, entrywise_min_all, zero_vector
 from repro.errors import ProtocolError
@@ -38,49 +42,50 @@ class GlobalStableSnapshot:
         if not 0 <= partition_index < num_partitions:
             raise ProtocolError(
                 f"partition_index {partition_index} out of range [0, {num_partitions})")
-        self._num_dcs = num_dcs
         self._known_vv: list[tuple[int, ...]] = [zero_vector(num_dcs)
                                                  for _ in range(num_partitions)]
         self._partition_index = partition_index
-        #: Entry-wise minimum of the known VVs, recomputed only when a
-        #: recorded VV advanced.
-        self._stable = zero_vector(num_dcs)
-        #: The current Global Stable Snapshot: ``_stable`` as of the last
-        #: record, moved forward by :meth:`merge_observed_gss` since.  A plain
-        #: attribute (read several times per message); only this class
-        #: assigns it.
-        self.gss = self._stable
+        #: Each partition's GSS as of its previous broadcast (this
+        #: partition's own included): the terms of the GC floor.
+        self._known_floor: list[tuple[int, ...]] = [
+            zero_vector(num_dcs) for _ in range(num_partitions)]
+        #: The current Global Stable Snapshot: the entry-wise minimum of the
+        #: known VVs, recomputed only when a recorded VV advanced, so it
+        #: never moves backwards.  A plain attribute (read several times per
+        #: message); only this class assigns it.
+        self.gss = zero_vector(num_dcs)
+        self._broadcast_gss = self.gss
 
-    def update_local_vv(self, vv: Sequence[int]) -> None:
-        """Record this partition's own version vector."""
+    def update_local_vv(self, vv: Sequence[int]) -> tuple[int, ...]:
+        """Record this partition's own VV at a broadcast; return the GSS
+        of the previous one, which it carries and keeps as its floor term."""
+        previous = self._broadcast_gss
+        self._known_floor[self._partition_index] = previous
         self._record(self._partition_index, vv)
+        self._broadcast_gss = self.gss
+        return previous
 
-    def observe_remote_vv(self, partition_index: int, vv: Sequence[int]) -> tuple[int, ...]:
-        """Record a VV received from another partition and recompute the GSS."""
+    def observe_remote_vv(self, partition_index: int, vv: Sequence[int],
+                          previous_gss: tuple[int, ...]) -> None:
+        """Record a peer's broadcast: its VV, which may move the GSS, and
+        the GSS it had at its previous broadcast, its floor term."""
+        self._known_floor[partition_index] = previous_gss
         self._record(partition_index, vv)
-        return self.gss
+
+    def gc_floor(self, snapshots: Iterable[Sequence[int]] = ()
+                 ) -> tuple[int, ...]:
+        """The entry-wise minimum of every partition's floor term and of
+        ``snapshots`` (those of the reads the partition holds)."""
+        return entrywise_min_all((*self._known_floor, *snapshots))
 
     def _record(self, partition_index: int, vv: Sequence[int]) -> None:
-        if len(vv) != self._num_dcs:
-            raise ProtocolError(
-                f"version vector has {len(vv)} entries, expected {self._num_dcs}")
-        # VV entries never move backwards; guard against reordered messages.
+        # VV entries never move backwards; guard against reordered messages
+        # (``entrywise_max`` rejects a VV of the wrong width).
         current = self._known_vv[partition_index]
         merged = entrywise_max(current, vv)
         if merged != current:
             self._known_vv[partition_index] = merged
-            self._stable = entrywise_min_all(self._known_vv)
-        self.gss = self._stable
-
-    def merge_observed_gss(self, other: Sequence[int]) -> tuple[int, ...]:
-        """Merge a GSS observed from a client or coordinator (entry-wise max).
-
-        Clients piggyback the freshest GSS they have seen on their requests so
-        that they observe monotonically increasing snapshots; a partition
-        merging that value may only move its own view forward.
-        """
-        self.gss = entrywise_max(self.gss, other)
-        return self.gss
+            self.gss = entrywise_min_all(self._known_vv)
 
 
 __all__ = ["GlobalStableSnapshot"]

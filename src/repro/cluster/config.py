@@ -36,13 +36,14 @@ class ClusterConfig:
         Size of the keyspace on each partition (paper: 1M; scaled down so the
         zipfian sampler and store stay small).
     stabilization_interval_ms:
-        Period of the GSS stabilization protocol (paper: 5 ms).
+        Period of the GSS stabilization protocol (paper: 5 ms), which also
+        moves the vector servers' version-GC floor; no setting caps chains.
     heartbeat_interval_ms:
         Idle partitions advertise their clock at this period so the GSS keeps
         progressing (folded into the stabilization broadcast).
     cclo_gc_window_ms:
-        CC-LO old-reader garbage-collection window (paper's optimised value:
-        500 ms; the original COPS-SNOW used 5000 ms).
+        CC-LO's reader-record and version garbage-collection window (paper's
+        optimised value: 500 ms; the original COPS-SNOW used 5000 ms).
     cclo_one_id_per_client:
         Whether readers-check responses are compressed to at most one ROT id
         per client (the paper's second optimisation).
@@ -54,8 +55,6 @@ class ClusterConfig:
     clock_mode:
         Contrarian only: "hlc" (default), "logical" or "physical"; used by the
         clock ablation.  Cure always uses physical clocks, CC-LO logical ones.
-    max_versions_per_key:
-        Version-chain retention limit of the multi-version store.
     seed:
         Master seed for all randomness in the run.
     """
@@ -75,7 +74,6 @@ class ClusterConfig:
     duration_seconds: float = 1.5
     rot_rounds: float = 1.5
     clock_mode: str = "hlc"
-    max_versions_per_key: int = 16
     seed: int = 1
 
     def __post_init__(self) -> None:

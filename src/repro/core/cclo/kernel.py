@@ -102,14 +102,13 @@ class CcloKernel(ServerKernel):
     def __init__(self, *, node_id: str, dc_id: int, partition_index: int,
                  num_dcs: int, num_partitions: int, partitioner,
                  gc_window_seconds: float, one_id_per_client: bool,
-                 max_versions_per_key: int = 32,
                  counters=None) -> None:
         super().__init__(node_id=node_id, dc_id=dc_id,
                          partition_index=partition_index, num_dcs=num_dcs,
                          num_partitions=num_partitions,
                          partitioner=partitioner, counters=counters)
         self.clock = LamportClock()
-        self.store = MultiVersionStore(max_versions_per_key=max_versions_per_key)
+        self.store = MultiVersionStore()
         self.readers = ReaderRecords(gc_window_seconds=gc_window_seconds,
                                      one_id_per_client=one_id_per_client)
         self._gc_window = gc_window_seconds
@@ -152,7 +151,6 @@ class CcloKernel(ServerKernel):
                    partitioner=partitioner,
                    gc_window_seconds=milliseconds(config.cclo_gc_window_ms),
                    one_id_per_client=config.cclo_one_id_per_client,
-                   max_versions_per_key=config.max_versions_per_key,
                    counters=counters)
 
     # ---------------------------------------------------------------- timers

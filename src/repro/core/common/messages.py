@@ -172,13 +172,17 @@ class RemoteHeartbeat(Message):
 
 @record
 class StabilizationMessage(Message):
-    """Partition -> partition (same DC): version-vector exchange for the GSS."""
+    """Partition -> partition (same DC): version-vector exchange for the GSS;
+    ``previous_gss`` (the sender's GSS at its previous broadcast) is its
+    term of the receiver's version-GC floor."""
 
     partition_index: int
     version_vector: tuple[int, ...]
+    previous_gss: tuple[int, ...]
 
     def size_bytes(self) -> int:
-        return HEADER_BYTES + TIMESTAMP_BYTES * len(self.version_vector)
+        return HEADER_BYTES + TIMESTAMP_BYTES * (len(self.version_vector)
+                                                 + len(self.previous_gss))
 
 
 @record

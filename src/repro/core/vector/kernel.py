@@ -54,7 +54,42 @@ from repro.wire.intern import intern_key
 
 
 class VectorServerKernel(ServerKernel):
-    """The partition-server state machine of the Contrarian/Cure design."""
+    """The partition-server state machine of the Contrarian/Cure design.
+
+    **Version GC.**  A ROT returns, per key, the newest version its snapshot
+    admits, so that version must still be stored.  A partition's *floor* is
+    the entry-wise minimum of the latest ``previous_gss`` of every DC peer
+    (the peer's GSS at the broadcast before the one carrying it), its own GSS
+    at its previous broadcast, and the snapshot of every read it holds in a
+    ``rot-block`` timer; it is recomputed at each own stabilization
+    broadcast.  After installing a version of a key, local or replicated,
+    the partition drops the front of the key's chain while the next
+    version's dependency vector is at or below the floor
+    (:meth:`~repro.storage.mvstore.MultiVersionStore.collect_below_floor`),
+    which changes no read whose snapshot dominates the floor; every one does:
+
+    * *1 1/2 rounds.*  A coordinator sends its proxy reads before its next
+      stabilization message on the same channel, and channels are FIFO per
+      (sender, destination) in the simulated network, the run queue and a
+      TCP link.  A proxy read still to arrive was thus sent after every
+      broadcast of its coordinator the target has received, with a snapshot
+      above the coordinator's GSS then, hence above the values those
+      broadcasts carried: the GSS only moves forward.  A read the
+      coordinator serves itself is above its own GSS.
+    * *Two rounds* (Cure always; Contrarian with ``rot_rounds=2``).  The
+      client carries the snapshot, so no FIFO order applies.  The
+      one-broadcast lag of ``previous_gss`` covers a read that reaches its
+      partition within one stabilization interval (5 ms) of its snapshot
+      being chosen, about two intra-DC hops.  That is an assumption, as
+      CC-LO's 500 ms reader window is one; a read that breaks it finds no
+      version of a stored key, which :meth:`_serve_read` counts in
+      ``snapshot_misses``, never a silent bottom value.
+    * *``rot-block``.*  A held read arrived above the floor and keeps its
+      snapshot in every floor computed until it is served.
+
+    A staler floor is lower, hence still safe; chains grow while the floor
+    stalls (a partitioned DC freezes the GSS), as in a real store.
+    """
 
     #: Default clock mode; subclasses pin the published configurations.
     clock_mode = "hlc"
@@ -65,17 +100,20 @@ class VectorServerKernel(ServerKernel):
                  clock: ClockBox,
                  stabilization_interval: float,
                  heartbeat_interval: float,
-                 max_versions_per_key: int = 32,
                  counters=None) -> None:
         super().__init__(node_id=node_id, dc_id=dc_id,
                          partition_index=partition_index, num_dcs=num_dcs,
                          num_partitions=num_partitions,
                          partitioner=partitioner, counters=counters)
         self.clock = clock
-        self.store = MultiVersionStore(max_versions_per_key=max_versions_per_key)
+        self.store = MultiVersionStore()
         self.version_vector: list[int] = list(zero_vector(num_dcs))
         self.gss_state = GlobalStableSnapshot(num_dcs, num_partitions,
                                               partition_index)
+        # Version GC (class docstring): the floor as of the last own
+        # broadcast; the snapshots of reads held in ``rot-block``, by ROT id.
+        self._gc_floor = zero_vector(num_dcs)
+        self._held_snapshots: dict[str, tuple[int, ...]] = {}
         self._stabilization_interval = stabilization_interval
         self._heartbeat_interval = heartbeat_interval
         # Traced replicated versions not yet covered by the GSS; entries are
@@ -119,14 +157,7 @@ class VectorServerKernel(ServerKernel):
                        config.stabilization_interval_ms),
                    heartbeat_interval=milliseconds(
                        config.heartbeat_interval_ms),
-                   max_versions_per_key=config.max_versions_per_key,
                    counters=counters)
-
-    # ------------------------------------------------------------------- GSS
-    @property
-    def gss(self) -> tuple[int, ...]:
-        """The partition's current view of the Global Stable Snapshot."""
-        return self.gss_state.gss
 
     # ---------------------------------------------------------------- timers
     def periodic_timers(self) -> tuple[TimerSpec, ...]:
@@ -150,23 +181,27 @@ class VectorServerKernel(ServerKernel):
             self._finish_put(sender, message)
         elif tag == "rot-block":
             client, rot_id, keys, snapshot = payload
+            del self._held_snapshots[rot_id]
             self._serve_read(client, rot_id, keys, snapshot)
         else:
             super()._handle_timer(tag, payload)
 
     def _broadcast_version_vector(self) -> None:
-        """Advertise the local version vector to the other local partitions."""
+        """Advertise the local version vector, and the GSS as of the previous
+        broadcast, to the other local partitions; recompute the GC floor."""
         local = self.dc_id
         self.version_vector[local] = max(self.version_vector[local],
                                          self.clock.read())
         vv = tuple(self.version_vector)
         tracer = self.tracer
         before = self.gss_state.gss if tracer is not None else None
-        self.gss_state.update_local_vv(vv)
+        previous_gss = self.gss_state.update_local_vv(vv)
         if tracer is not None and self.gss_state.gss != before:
             self._trace_gss_advance(tracer)
+        self._gc_floor = self.gss_state.gc_floor(self._held_snapshots.values())
         message = StabilizationMessage(partition_index=self.partition_index,
-                                       version_vector=vv)
+                                       version_vector=vv,
+                                       previous_gss=previous_gss)
         for peer in self._peers:
             self.counters.stabilization_messages += 1
             self._send(peer, message)
@@ -185,7 +220,8 @@ class VectorServerKernel(ServerKernel):
         tracer = self.tracer
         before = self.gss_state.gss if tracer is not None else None
         self.gss_state.observe_remote_vv(message.partition_index,
-                                         message.version_vector)
+                                         message.version_vector,
+                                         message.previous_gss)
         if tracer is not None and self.gss_state.gss != before:
             self._trace_gss_advance(tracer)
 
@@ -227,6 +263,7 @@ class VectorServerKernel(ServerKernel):
                           dependencies=message.dependencies,
                           writer=message.client_id, sequence=message.sequence)
         self.store.install(version)
+        self.store.collect_below_floor(version.key, self._gc_floor)
         self.version_vector[local] = max(self.version_vector[local], timestamp)
         self._send(sender, VectorPutReply(key=message.key, timestamp=timestamp,
                                           gss=self.gss_state.gss))
@@ -254,6 +291,7 @@ class VectorServerKernel(ServerKernel):
                           dependencies=message.dependencies,
                           writer=message.writer, sequence=message.sequence)
         self.store.install(version)
+        self.store.collect_below_floor(version.key, self._gc_floor)
         tracer = self.tracer
         if tracer is not None:
             self._trace_replicate_apply(tracer, version)
@@ -343,6 +381,7 @@ class VectorServerKernel(ServerKernel):
             # attributes to clock skew.
             self.counters.blocked_reads += 1
             self.counters.total_block_time += wait
+            self._held_snapshots[message.rot_id] = message.snapshot
             self._set_timer(wait, "rot-block",
                             payload=(client, message.rot_id, message.keys,
                                      message.snapshot))
@@ -370,10 +409,15 @@ class VectorServerKernel(ServerKernel):
         results = []
         for key in keys:
             version = self.store.latest(key, in_snapshot)
-            results.append(
-                ReadResult(key, None, self.dc_id, 0) if version is None
-                else ReadResult(key, version.timestamp, version.origin_dc,
-                                version.size_bytes))
+            if version is None:
+                # A stored key: version GC took what the snapshot needed.
+                if self.store.contains(key):
+                    self.counters.snapshot_misses += 1
+                results.append(ReadResult(key, None, self.dc_id, 0))
+            else:
+                results.append(ReadResult(key, version.timestamp,
+                                          version.origin_dc,
+                                          version.size_bytes))
         self._send(client, RotValueReply(rot_id=rot_id, results=tuple(results),
                                          snapshot=snapshot,
                                          gss=self.gss_state.gss))

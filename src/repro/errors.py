@@ -24,10 +24,6 @@ class ClockError(ReproError):
     """Raised when a clock is used incorrectly (e.g. non-monotonic update)."""
 
 
-class StorageError(ReproError):
-    """Raised on invalid multi-version storage operations."""
-
-
 class ProtocolError(ReproError):
     """Raised when a protocol implementation observes an impossible message."""
 

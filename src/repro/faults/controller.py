@@ -19,6 +19,10 @@ every event that names a phase calls
 sampler records fault gauges (stalled ROTs, remote-visibility lag, held
 messages, CC-LO reader-record size) into the current phase.
 
+On CC-LO servers, and only there, the controller also gates version
+collection on the ROTs in flight and orders same-key replicated versions;
+Contrarian and Cure servers collect under their own snapshot floor.
+
 A cluster run without a controller takes none of these code paths, so
 scenario-free runs remain bit-identical to a build without this module.
 """
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.causal.vectors import with_entry
 from repro.clocks.hlc import LOGICAL_BITS
 from repro.clocks.units import milliseconds
 from repro.errors import ConfigurationError
@@ -119,44 +122,21 @@ class FaultController:
 
     # ------------------------------------------------------------ version GC
     def _install_retention_policies(self) -> None:
-        """Gate version collection on what in-flight reads can still need.
+        """Gate CC-LO's window trim on the ROTs in flight.
 
-        Under faults the stable snapshot freezes (a partition) or lags for a
-        long time (the replication backlog draining after a heal) while
-        writes keep truncating hot-key version chains; the stores' plain
-        keep-newest-N eviction would then evict the last version a stale
-        snapshot (or an old-reader-barred CC-LO ROT) can read, fabricating
-        consistency violations the real protocols do not have.  Real causal
-        stores gate GC on the stable snapshot and the oldest active read; we
-        install exactly that per protocol family, reading the in-flight ROTs
-        off the DC's simulated clients:
-
-        * vector servers (Contrarian/Cure): a version may become the oldest
-          retained one only if its dependency vector is at or below the
-          entrywise min of every GSS view in the DC *and* of the causal
-          context of every in-flight ROT (min-active-snapshot GC).  The
-          coordinator's snapshot dominates the context its request carried
-          (the client's ``gss_seen`` with ``local_ts_seen`` as the local
-          entry), which the client holds unchanged until the ROT completes,
-          so the floor covers a ROT from the moment it is issued;
-        * CC-LO servers: only if it is visible and bars no in-flight ROT
-          (the version every barred ROT falls back to stays available); a
-          ROT is in flight while its client has it pending.
-
-        Chains may temporarily exceed the retention cap while a fault is
-        active — that growth is itself a measured cost of the fault.
+        A replication backlog can hold a CC-LO ROT longer than the reader
+        window its version GC assumes.  The trim is vetoed where it would
+        leave, as the oldest version kept, one barring a ROT still pending
+        at its client: client state no server could see, standing in until
+        the window is measured.
         """
         topology = self.topology
         for server in topology.all_servers():
             kernel = server.kernel
-            clients = topology.clients_in_dc(server.dc_id)
-            if hasattr(kernel, "gss"):
+            if hasattr(kernel, "readers"):
                 server.store.set_retention_policy(
-                    self._vector_retention_policy(
-                        topology.servers_in_dc(server.dc_id), clients))
-            elif hasattr(kernel, "readers"):
-                server.store.set_retention_policy(
-                    self._cclo_retention_policy(clients))
+                    self._cclo_retention_policy(
+                        topology.clients_in_dc(server.dc_id)))
                 # Same-key replicated versions must become visible in order,
                 # or dependency checks satisfied by a newer visible version
                 # expose updates whose exact dependency is still invisible
@@ -165,46 +145,18 @@ class FaultController:
                 kernel.enable_ordered_replication()
 
     @staticmethod
-    def _vector_retention_policy(servers, clients):
-        def policy(chain, excess: int) -> int:
-            floors = [peer.kernel.gss for peer in servers]
-            for client in clients:
-                if _reading(client):
-                    kernel = client.kernel
-                    floors.append(with_entry(kernel.gss_seen, kernel.dc_id,
-                                             kernel.local_ts_seen))
-            floor = tuple(map(min, zip(*floors)))
-            cut = excess
-            while cut > 0:
-                boundary = chain[cut]
-                dependency = boundary.dependency_vector
-                if dependency is not None and boundary.visible and all(
-                        entry <= floor_entry for entry, floor_entry
-                        in zip(dependency, floor)):
-                    break
-                cut -= 1
-            return cut
-        return policy
-
-    @staticmethod
     def _cclo_retention_policy(clients):
         def bars_a_reader(old_readers) -> bool:
             return any(client.kernel.next_rot_id() in old_readers
                        for client in clients if _reading(client))
 
         def policy(chain, excess: int) -> int:
+            # The window trim asks only for visible versions followed by a
+            # visible one; keep those whose going would leave a version
+            # barring an in-flight ROT as the oldest one kept.
             cut = excess
-            # Never collect a version whose readers check is still pending.
-            for index in range(excess):
-                if not chain[index].visible:
-                    cut = index
-                    break
-            while cut > 0:
-                boundary = chain[cut]
-                if boundary.visible and not (
-                        boundary.old_readers
-                        and bars_a_reader(boundary.old_readers)):
-                    break
+            while cut > 0 and chain[cut].old_readers \
+                    and bars_a_reader(chain[cut].old_readers):
                 cut -= 1
             return cut
         return policy

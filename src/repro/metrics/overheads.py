@@ -28,6 +28,9 @@ class OverheadCounters:
     replication_messages: int = 0
     blocked_reads: int = 0
     total_block_time: float = 0.0
+    #: Reads of a stored key that found no version in their snapshot: the
+    #: vector protocols' version GC collected one a read still needed.
+    snapshot_misses: int = 0
 
     def record_readers_check(self, distinct_ids: int, cumulative_ids: int,
                              partitions_contacted: int) -> None:
@@ -51,6 +54,7 @@ class OverheadCounters:
         self.replication_messages += other.replication_messages
         self.blocked_reads += other.blocked_reads
         self.total_block_time += other.total_block_time
+        self.snapshot_misses += other.snapshot_misses
 
     # Derived statistics -----------------------------------------------------
     def average_distinct_ids_per_check(self) -> float:

@@ -5,47 +5,44 @@ same key are kept in a list ordered by insertion; reads walk the list from the
 newest version backwards applying a protocol-supplied predicate (snapshot
 membership, visibility, old-reader exclusion).
 
-Versions are retained until one of two collections drops them:
+:meth:`MultiVersionStore.install` collects nothing; each protocol family
+asks for its own collection under its own rule:
 
-* the cap every real CC store needs, on every install: keep at most
-  ``max_versions_per_key`` versions per key (the newest ones), never
-  collecting the most recent visible version (so a chain whose newest
-  versions are all invisible may exceed the cap until one turns visible);
-* CC-LO's window trim (:meth:`MultiVersionStore.collect_superseded`), each
-  time a version of the key turns visible: a version superseded by one that
-  has been visible for a full reader window can no longer be read, because
-  every ROT barred from that newer version was named by its readers check
-  before it turned visible, and the protocol already assumes such a ROT
-  reads within one window of being named (its reader records expire then).
+* Contrarian and Cure: :meth:`MultiVersionStore.collect_below_floor`, after
+  every install, under a snapshot floor that every snapshot still to be read
+  dominates (the vector kernel computes it and argues why);
+* CC-LO: :meth:`MultiVersionStore.collect_superseded`, each time a version
+  of the key turns visible: a version superseded by one that has been
+  visible for a full reader window can no longer be read, because every ROT
+  barred from that newer version was named by its readers check before it
+  turned visible, and the protocol already assumes such a ROT reads within
+  one window of being named (its reader records expire then).
 
-A retention policy (:meth:`MultiVersionStore.set_retention_policy`) may veto
-either collection.
+No cap bounds a chain: it grows while its protocol's rule holds versions
+back (a stalled stable snapshot, a long reader window).  A retention policy
+(:meth:`MultiVersionStore.set_retention_policy`) may veto the window trim.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Optional
 
-from repro.errors import StorageError
 from repro.storage.version import Version
 
 #: Predicate deciding whether a version may be returned for a given read.
 VersionPredicate = Callable[[Version], bool]
 
 #: Retention policy: given a key's version chain (oldest first) and the
-#: number of versions the cap or the window trim would collect from its
-#: front, return how many may actually go.
+#: number of versions the window trim would collect from its front, return
+#: how many may actually go.
 RetentionPolicy = Callable[[list[Version], int], int]
 
 
 class MultiVersionStore:
     """A multi-version key-value store for one partition."""
 
-    def __init__(self, max_versions_per_key: int = 32) -> None:
-        if max_versions_per_key < 1:
-            raise StorageError("max_versions_per_key must be at least 1")
+    def __init__(self) -> None:
         self._chains: dict[str, list[Version]] = {}
-        self._max_versions = max_versions_per_key
         self._retention_policy: Optional[RetentionPolicy] = None
         self.puts_applied = 0
         self.versions_collected = 0
@@ -56,55 +53,54 @@ class MultiVersionStore:
         chain = self._chains.setdefault(version.key, [])
         chain.append(version)
         self.puts_applied += 1
-        if len(chain) > self._max_versions:
-            self._collect(chain)
         return version
 
     def set_retention_policy(self, policy: Optional[RetentionPolicy]) -> None:
-        """Constrain version collection (stable-snapshot / active-reader GC).
+        """Constrain CC-LO's window trim (:meth:`collect_superseded`).
 
-        The policy receives the chain (oldest first) and the trim the cap
-        or the window (:meth:`collect_superseded`) asks for, and returns how
-        many of the oldest versions may really be collected — real causal
-        stores gate version GC on the stable snapshot and the oldest active
-        read.  This matters under faults: a partition freezes the stable
-        snapshot (and a draining post-heal backlog keeps it stale) while
-        writes keep truncating hot-key chains, so unconstrained eviction
-        would leave in-flight snapshots with nothing to read.  Chains may
-        then temporarily exceed the cap, exactly like a real store's version
-        GC stalling during a partition.  The fault controller installs
-        protocol-appropriate policies; scenario-free runs never set one, so
-        their eviction behaviour is unchanged.
+        The policy receives the chain (oldest first) and the trim the window
+        asks for, and returns how many of the oldest versions may really be
+        collected.  Only the fault controller installs one.
         """
         self._retention_policy = policy
 
-    def _collect(self, chain: list[Version]) -> None:
-        """Trim the oldest versions beyond the retention limit, stopping
-        short of the newest visible one."""
-        excess = len(chain) - self._max_versions
-        newest_visible = len(chain) - 1
-        while newest_visible >= 0 and not chain[newest_visible].visible:
-            newest_visible -= 1
-        if 0 <= newest_visible < excess:
-            excess = newest_visible
-        if excess <= 0:
-            return
-        if self._retention_policy is not None:
-            excess = self._retention_policy(chain, excess)
-            if excess <= 0:
-                return
-        del chain[:excess]
-        self.versions_collected += excess
+    def collect_below_floor(self, key: str, floor: tuple[int, ...]) -> None:
+        """Drop the front of ``key``'s chain while the *next* version's
+        dependency vector is at or below ``floor``.
+
+        A snapshot that dominates ``floor`` admits that next version, so a
+        read under it answers the same before and after.  The first version
+        that fails stops the trim: one comparison per collected version
+        plus one.
+        """
+        chain = self._chains[key]
+        last = len(chain) - 1
+        cut = 0
+        while cut < last:
+            for entry, bound in zip(chain[cut + 1].dependency_vector, floor):
+                if entry > bound:
+                    break
+            else:
+                cut += 1
+                continue
+            break
+        if cut:
+            del chain[:cut]
+            self.versions_collected += cut
 
     def collect_superseded(self, key: str, horizon: float) -> None:
         """Collect the front of ``key``'s chain that versions visible since
         ``horizon`` supersede (CC-LO's window trim).
 
         A version goes when it is visible, the next one has been visible
-        since ``horizon`` (``visible_at <= horizon``), and the next version of
+        since ``horizon`` (``visible_at <= horizon``), and a later version of
         its origin DC is visible with at least its timestamp, so the newest
         visible version of every origin survives and with it every answer to
-        "is a version of origin ``o`` at or after ``t`` visible?".  The first
+        "is a version of origin ``o`` at or after ``t`` visible?".  The
+        look-ahead passes over versions of the origin with a smaller
+        timestamp: replication installs an origin's versions in the order
+        their readers checks finish, not in timestamp order, and a trim that
+        stopped at the first such version would never pass it.  The first
         version that fails stops the trim, which therefore costs one step per
         collected version plus the look-ahead for the one that stops it.  The
         retention policy, if any, may keep part of the trimmed prefix.
@@ -119,11 +115,15 @@ class MultiVersionStore:
                     and successor.visible_at <= horizon):
                 break
             origin = version.origin_dc
+            stamp = version.timestamp
             later = cut + 1
-            while later < size and chain[later].origin_dc != origin:
+            while later < size:
+                other = chain[later]
+                if other.origin_dc == origin and other.visible \
+                        and other.timestamp >= stamp:
+                    break
                 later += 1
-            if later == size or not chain[later].visible \
-                    or chain[later].timestamp < version.timestamp:
+            if later == size:
                 break
             cut += 1
         if cut and self._retention_policy is not None:

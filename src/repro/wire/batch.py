@@ -5,7 +5,7 @@ write per envelope.  A *batch frame* amortises all of that: the transport
 coalesces the envelopes bound for one peer and flushes them as a single
 frame whose payload is::
 
-    [magic 0xA7] [wire version 8] [format 0x03]
+    [magic 0xA7] [wire version 9] [format 0x03]
     [u32 row count] [u32 address count]
     address ... address      -- each distinct sender/destination, once
     row ... row              -- one per envelope, in send order

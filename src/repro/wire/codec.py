@@ -2,7 +2,7 @@
 
 Every value that crosses a process boundary is encoded into a *frame body*::
 
-    [magic 0xA7] [wire version 8] [format tag] [payload ...]
+    [magic 0xA7] [wire version 9] [format tag] [payload ...]
 
 Two payload formats share that header:
 
@@ -84,7 +84,7 @@ from repro.wire.intern import UTF8, intern_utf8
 #: First byte of every frame.
 MAGIC = 0xA7
 #: Current wire version; bumped on every payload-layout change.
-WIRE_VERSION = 8
+WIRE_VERSION = 9
 #: Every version this codec can decode: every peer of a run is started from
 #: the same tree, so there is exactly one, and anything else is rejected.
 SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION,)

@@ -149,20 +149,27 @@ class TestGlobalStableSnapshot:
     def test_gss_is_minimum_of_known_vvs(self):
         gss = GlobalStableSnapshot(num_dcs=2, num_partitions=2, partition_index=0)
         gss.update_local_vv((10, 20))
-        gss.observe_remote_vv(1, (5, 30))
+        gss.observe_remote_vv(1, (5, 30), (0, 0))
         assert gss.gss == (5, 20)
 
     def test_vv_entries_never_move_backwards(self):
         gss = GlobalStableSnapshot(num_dcs=1, num_partitions=2, partition_index=0)
         gss.update_local_vv((10,))
-        gss.observe_remote_vv(1, (8,))
-        gss.observe_remote_vv(1, (4,))  # reordered, older message
+        gss.observe_remote_vv(1, (8,), (0,))
+        gss.observe_remote_vv(1, (4,), (0,))  # reordered, older message
         assert gss.gss == (8,)
 
-    def test_merge_observed_gss_moves_forward_only(self):
-        gss = GlobalStableSnapshot(num_dcs=2, num_partitions=1, partition_index=0)
-        gss.update_local_vv((5, 5))
-        assert gss.merge_observed_gss((3, 9)) == (5, 9)
+    def test_a_broadcast_carries_the_gss_of_the_previous_one(self):
+        gss = GlobalStableSnapshot(num_dcs=1, num_partitions=2, partition_index=0)
+        gss.observe_remote_vv(1, (7,), (0,))
+        assert gss.update_local_vv((10,)) == (0,)
+        assert gss.gss == (7,)
+        gss.observe_remote_vv(1, (9,), (4,))
+        assert gss.update_local_vv((12,)) == (7,)
+        assert gss.gss == (9,)
+        # The floor: the peer's previous-broadcast GSS (4) and this
+        # partition's own (7), never the current GSS.
+        assert gss.gc_floor() == (4,)
 
     def test_wrong_vector_length_rejected(self):
         gss = GlobalStableSnapshot(num_dcs=2, num_partitions=1, partition_index=0)
@@ -176,8 +183,8 @@ class TestGlobalStableSnapshot:
     def test_gss_never_exceeds_any_known_vv(self):
         gss = GlobalStableSnapshot(num_dcs=2, num_partitions=3, partition_index=0)
         gss.update_local_vv((100, 50))
-        gss.observe_remote_vv(1, (60, 80))
-        gss.observe_remote_vv(2, (90, 10))
+        gss.observe_remote_vv(1, (60, 80), (0, 0))
+        gss.observe_remote_vv(2, (90, 10), (0, 0))
         assert gss.gss == (60, 10)
 
 
@@ -185,33 +192,40 @@ class TestGlobalStableSnapshot:
     @settings(max_examples=200, deadline=None)
     def test_gss_equals_a_from_scratch_recomputation(self, data):
         """Whatever is recorded in whatever order (older, reordered VVs
-        included), the incrementally kept GSS is what replaying the whole
-        history through the definitions gives."""
+        included), the incrementally kept GSS, which never moves backwards,
+        and the GC floor are what replaying the whole history through the
+        definitions gives."""
         num_dcs = data.draw(st.integers(1, 4))
         num_partitions = data.draw(st.integers(1, 4))
         own = data.draw(st.integers(0, num_partitions - 1))
         vv = vectors_of(num_dcs)
         calls = data.draw(st.lists(st.one_of(
             st.tuples(st.just("local"), vv),
-            st.tuples(st.just("remote"), st.integers(0, num_partitions - 1), vv),
-            st.tuples(st.just("merge"), vv)), max_size=30))
+            st.tuples(st.just("remote"), st.integers(0, num_partitions - 1),
+                      vv, vv)), max_size=30))
         state = GlobalStableSnapshot(num_dcs, num_partitions, own)
-        known = [(0,) * num_dcs] * num_partitions
-        expected = (0,) * num_dcs
+        zero = (0,) * num_dcs
+        known = [zero] * num_partitions
+        floors = [zero] * num_partitions
+        expected = broadcast_gss = zero
         for call in calls:
-            if call[0] == "merge":
-                assert state.merge_observed_gss(call[1]) \
-                    == (expected := reference_max(expected, call[1]))
-                continue
             if call[0] == "local":
                 index, vector = own, call[1]
-                state.update_local_vv(vector)
+                assert state.update_local_vv(vector) == broadcast_gss
+                floors[own] = broadcast_gss
             else:
-                _, index, vector = call
-                assert state.observe_remote_vv(index, vector) == state.gss
+                _, index, vector, previous = call
+                state.observe_remote_vv(index, vector, previous)
+                floors[index] = previous
             known[index] = reference_max(known[index], vector)
-            expected = tuple(min(column) for column in zip(*known))
+            before, expected = expected, tuple(min(column)
+                                               for column in zip(*known))
             assert state.gss == expected
+            assert reference_max(before, expected) == expected
+            if call[0] == "local":
+                broadcast_gss = expected
+            assert state.gc_floor() == tuple(min(column)
+                                             for column in zip(*floors))
 
 
 class TestClientDependencyContext:

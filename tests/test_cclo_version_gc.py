@@ -36,7 +36,7 @@ def version(ts, *, visible=True, visible_at=0.0, origin=0, key="k"):
 
 
 def store_of(*versions):
-    store = MultiVersionStore(max_versions_per_key=100)
+    store = MultiVersionStore()
     for each in versions:
         store.install(each)
     return store
@@ -84,6 +84,17 @@ class TestWindowTrim:
         store.collect_superseded("k", horizon=10.0)
         # Now DC 0's newest stops the trim.
         assert store.versions("k") == (local[-1], newer_remote)
+
+    def test_an_older_stamp_of_the_origin_does_not_stall_the_trim(self):
+        # Replication installs an origin's versions in the order their
+        # readers checks finish: the front's next version of its origin may
+        # carry a smaller timestamp, and a newer one behind it still covers
+        # the front.
+        front, behind = version(5), version(4, visible_at=1.0)
+        newer = version(6, visible_at=1.0)
+        store = store_of(front, behind, newer)
+        store.collect_superseded("k", horizon=10.0)
+        assert store.versions("k") == (newer,)
 
     def test_a_retention_policy_can_veto_the_trim(self):
         old, new = version(1), version(2, visible_at=1.0)
@@ -248,8 +259,7 @@ def test_a_short_window_bounds_every_servers_versions_as_puts_grow():
         assert full[1] > 1.8 * half[1] > 1000
         # Per key: each origin DC's newest visible version, the version
         # visible a window ago and the few that turned visible since (about
-        # 0.7 PUTs per key per 20 ms here), far below the cap of 16 that
-        # the chains fill when nothing else collects them.
+        # 0.7 PUTs per key per 20 ms here); nothing else collects them.
         assert full[0] <= (config.num_dcs + 3) * len(server.store)
         assert full[0] <= 1.2 * half[0]
 

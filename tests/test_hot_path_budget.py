@@ -21,7 +21,9 @@ causal context separately; 270, 293, 309 while route lookups still compared
 equal addresses with ``__eq__``; before the kernels' allocations were cut:
 408, 425, 327 on a 100-operation warm-up), so the frames and allocations
 that change removed cannot come back unnoticed.  The tree now counts
-contrarian 233.2, cure 255.2 and cc-lo 220.4 (cc-lo 221.4 while every
+contrarian 234.8, cure 256.8 and cc-lo 220.3 (233.2, 255.2 and 220.4
+before the vector servers trimmed each key's chain under a snapshot floor
+after every install; cc-lo 221.4 while every
 install rebuilt a PUT's dependency triples into pairs and origins, and every
 replication rebuilt the triples).  CC-LO's C-level calls are
 pinned as well: a reader record examined is a ``dict.get``, not a frame,
@@ -60,7 +62,9 @@ ROT folded each reply separately; 343, 394, 498 with ``__eq__`` on routes;
 events and a handful of frames).  The operations,
 engine events and messages of the counted window are pinned to the digit:
 they are functions of the seed, and a change that moves them changed the
-simulation, not its cost.
+simulation, not its cost (Cure's moved from 1176 / 23328 / 10962 when the
+vector servers began to collect versions under a snapshot floor and the
+stabilization message gained the sender's previous GSS).
 
 The wire is pinned the same way, per envelope: a fixed batch of 28
 envelopes in the mix ``tcp-contrarian-read`` sends between its client and
@@ -125,7 +129,7 @@ WIRE_CEILING = 14.6
 #: Operations completed, engine events executed and messages sent in the
 #: counted window of the simulator drive.
 SIM_WINDOWS = {"contrarian": [1909, 28932, 14381],
-               "cure": [1176, 23328, 10962],
+               "cure": [1175, 23351, 10949],
                "cc-lo": [1077, 23060, 11533]}
 
 

@@ -378,7 +378,8 @@ class TestScriptedEffects:
         now = 1000 << 16
         assert kernel.on_timer("stabilization", None, now=0.001) == [
             Send(ServerAddr(0, partition), StabilizationMessage(
-                partition_index=0, version_vector=(now, 0)))
+                partition_index=0, version_vector=(now, 0),
+                previous_gss=(0, 0)))
             for partition in (1, 2, 3)]
         assert kernel.on_timer("remote-heartbeat", None, now=0.001) == [
             Send(ServerAddr(1, 0), RemoteHeartbeat(origin_dc=0, timestamp=now))]
@@ -390,13 +391,14 @@ class TestScriptedEffects:
         for partition in (1, 2, 3):
             assert kernel.on_message(
                 ServerAddr(0, partition), StabilizationMessage(
-                    partition_index=partition, version_vector=(5, 6)),
+                    partition_index=partition, version_vector=(5, 6),
+                    previous_gss=(0, 0)),
                 now=0.001) == []
         assert kernel.on_message(
             ServerAddr(1, 0), RemoteHeartbeat(origin_dc=1, timestamp=7),
             now=0.001) == []
         kernel.on_timer("stabilization", None, now=0.001)
-        assert kernel.gss == (5, 6)
+        assert kernel.gss_state.gss == (5, 6)
 
     def test_cclo_put_then_rot(self):
         kernel = server_kernel("cc-lo")

@@ -84,7 +84,8 @@ class TestMessageSizes:
 
     def test_misc_message_sizes_positive(self):
         for message in (
-                StabilizationMessage(partition_index=0, version_vector=(1, 2)),
+                StabilizationMessage(partition_index=0, version_vector=(1, 2),
+                                     previous_gss=(0, 1)),
                 RemoteHeartbeat(origin_dc=0, timestamp=5),
                 OneRoundReadRequest(rot_id="r", keys=("a",), client_id="c"),
                 OneRoundReadReply(rot_id="r", results=()),

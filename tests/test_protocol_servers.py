@@ -68,7 +68,7 @@ class TestVectorServerMechanics:
         outcome = run_experiment("contrarian", tiny_config(num_dcs=2,
                                                            clients_per_dc=3))
         for server in outcome.cluster.topology.all_servers():
-            assert all(entry > 0 for entry in server.kernel.gss)
+            assert all(entry > 0 for entry in server.kernel.gss_state.gss)
 
     def test_unknown_message_rejected(self):
         cluster = build_cluster("contrarian", tiny_config(), DEFAULT_WORKLOAD)

@@ -11,13 +11,15 @@ committed here.
 
 The cases are the classes PR 4 verified by hand: the three protocols, the
 2-round and logical-clock ablations of Contrarian, one DC partition per
-protocol (the fault controller's version-retention rules differ between the
-vector protocols and CC-LO); and two CC-LO runs whose reader records actually
-expire.  Under the default 500 ms window none of the other cases drops a
-single record (``entries_expired == 0`` on every server), so the paper's GC
-optimisation and the uncompressed readers check were unpinned; with a 20 ms
-window every server expires 6-7 thousand records (67-78 thousand
-uncompressed), lazily in readers checks and eagerly in the 50 ms GC timer.
+protocol (a partition freezes the GSS, so the vector servers' snapshot floor
+stalls and their chains grow until the heal; on CC-LO servers the fault
+controller vetoes the window trim for in-flight ROTs); and two CC-LO runs
+whose reader records actually expire.  Under the default 500 ms window none
+of the other cases drops a single record (``entries_expired == 0`` on every
+server), so the paper's GC optimisation and the uncompressed readers check
+were unpinned; with a 20 ms window every server expires 6-7 thousand
+records (67-78 thousand uncompressed), lazily in readers checks and eagerly
+in the 50 ms GC timer.
 
 A digest that changes means simulated behaviour changed.  If that is
 intended (a protocol fix, a cost-model change), regenerate with::
@@ -66,22 +68,22 @@ CASES = {
         "cc-lo", dict(_SHORT_WINDOW, cclo_one_id_per_client=False), None),
 }
 
-#: Generated at the parent of the kernel-host refactor (commit 18a964f); the
-#: two short-window cases at the parent of the indexed reader records (commit
-#: 261fd26), on the scan implementation that ``tests/cclo_readers_oracle.py``
-#: keeps; the two vector DC-partition cases at commit dcd3a4c, while
-#: in-flight ROTs were still tracked by a registry the kernels called.
+#: Regenerated when the vector servers' snapshot-floor version GC replaced
+#: the store's keep-newest-16 cap: the floor and the stabilization message's
+#: new field moved the six vector digests, the cap's removal moved
+#: ``cc-lo-dc-partition``, and the other three CC-LO digests moved only by
+#: the ``snapshot_misses`` key the overhead counters gained.
 GOLDEN = {
-    "contrarian": "f2515aa9dc194bdaa4c70916bfb83a4d76c0506fc6f3286e2fdb2d7c1fce2654",
-    "cure": "b35bb96e8ddfab576ff54a146d4ccded447ea89a2a6d05dda8867e81ae88dde1",
-    "cc-lo": "c52e082e662007748292ff74cd0c49c5784fc6415992a89f8793547a1727fccd",
-    "contrarian-2-rounds": "e6d33551d4d833aad1ac365438c80e5afde946ab5dc6ecd834f414cc4faa541c",
-    "contrarian-logical-clock": "b9b0fe07c52ac12c3613a18e1fbdf346f70f20ad15ed29e5421d17e9457982fe",
-    "contrarian-dc-partition": "28fa3c285c1e190b31d2128325eaab53cc06e8add463ffb470c92b733ab6cca8",
-    "cure-dc-partition": "e9cbbead54b30f8263c590e814d749aa87efddf872ec752f62cfc37b4ad1dc17",
-    "cc-lo-dc-partition": "9455b672d650bcff00eda8747a4e1249f03bfe568b2149fbeb2edff3764ccbf1",
-    "cc-lo-short-gc-window": "318371c92ad638df2cf9eaaa2e9c674a2603d0a5238291f0ab1b67ae6abbd264",
-    "cc-lo-uncompressed": "1a735f6d737f18b7eb00b9cf85e7e90cfb0f578c5b81185e1714adcbe3a55dcf",
+    "contrarian": "4ac47d367239c816612e23509272b13d5a27a6e17dd6bf727c23c922497c10c6",
+    "cure": "6570c7ce3332b5a7c667fd2f8d4dae93a14bfec7898e27ba75fa29415aa73db2",
+    "cc-lo": "6fc2791788c6364d8a19f7648548371d49dbf5e9f6992207513e2f8c85be0e5a",
+    "contrarian-2-rounds": "3fd90e7f09d476570f45c0aa7b40aa7d0965d83bfde012809e537d2261ef304a",
+    "contrarian-logical-clock": "f51a2533eeab77718fe9d9bcbc5ea89364826d55640f55056ad3af5d9f1303f0",
+    "contrarian-dc-partition": "b6a3d740a8c2ce78993f549f0d8cf45b9b2e78192d10679ca25d7ab645dd3c8a",
+    "cure-dc-partition": "70178f99384f4abb21fae39a44fa78cffd6a2b5b1dcc1848495f76097103c5e0",
+    "cc-lo-dc-partition": "125fb841c15fdcc15c53b9fd9d08ca492535e14515360817ed74ebfa6517082a",
+    "cc-lo-short-gc-window": "8fbdf269385ab3981b2f862c787486dd547dd30df2bfaca58a832125cd5f0036",
+    "cc-lo-uncompressed": "678a3c3eea95135f32cc6b922baaa325136fcb18eca9d30c883e5eae5b1ca080",
 }
 
 

@@ -1,10 +1,8 @@
 """Tests for the multi-version store and version objects."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StorageError
 from repro.storage.mvstore import MultiVersionStore
 from repro.storage.version import Version
 
@@ -59,27 +57,6 @@ class TestMultiVersionStore:
             store.install(make_version(ts=ts))
         assert [v.timestamp for v in store.versions("k")] == [1, 2, 3]
 
-    def test_garbage_collection_keeps_newest(self):
-        store = MultiVersionStore(max_versions_per_key=3)
-        for ts in range(1, 8):
-            store.install(make_version(ts=ts))
-        assert [v.timestamp for v in store.versions("k")] == [5, 6, 7]
-        assert store.versions_collected == 4
-
-    def test_garbage_collection_keeps_the_newest_visible_version(self):
-        store = MultiVersionStore(max_versions_per_key=2)
-        for ts, visible in ((1, True), (2, False), (3, False)):
-            store.install(make_version(ts=ts, visible=visible))
-        assert [v.timestamp for v in store.versions("k")] == [1, 2, 3]
-        assert store.latest_visible("k").timestamp == 1
-        store.install(make_version(ts=4))
-        assert [v.timestamp for v in store.versions("k")] == [3, 4]
-        assert store.versions_collected == 2
-
-    def test_retention_limit_must_be_positive(self):
-        with pytest.raises(StorageError):
-            MultiVersionStore(max_versions_per_key=0)
-
     def test_contains_and_len(self):
         store = MultiVersionStore()
         store.install(make_version(key="a"))
@@ -112,29 +89,7 @@ class TestMultiVersionStore:
     @given(st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
     def test_latest_is_last_installed(self, timestamps):
-        store = MultiVersionStore(max_versions_per_key=100)
+        store = MultiVersionStore()
         for ts in timestamps:
             store.install(make_version(ts=ts))
         assert store.latest("k").timestamp == timestamps[-1]
-
-    @given(st.integers(min_value=1, max_value=20),
-           st.integers(min_value=1, max_value=100))
-    @settings(max_examples=50, deadline=None)
-    def test_retention_invariant(self, limit, installs):
-        store = MultiVersionStore(max_versions_per_key=limit)
-        for ts in range(installs):
-            store.install(make_version(ts=ts))
-        assert store.version_count("k") <= limit
-        assert store.latest("k").timestamp == installs - 1
-
-    @given(st.integers(min_value=1, max_value=5),
-           st.lists(st.booleans(), min_size=1, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_newest_visible_version_survives_collection(self, limit, flags):
-        store = MultiVersionStore(max_versions_per_key=limit)
-        for ts, visible in enumerate(flags):
-            store.install(make_version(ts=ts, visible=visible))
-        visible_stamps = [ts for ts, visible in enumerate(flags) if visible]
-        newest = store.latest_visible("k")
-        assert (newest.timestamp if newest else None) == \
-            (visible_stamps[-1] if visible_stamps else None)

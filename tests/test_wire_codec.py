@@ -281,13 +281,13 @@ class TestWireVersion:
     """
 
     def test_version_constants(self):
-        assert WIRE_VERSION == 8
+        assert WIRE_VERSION == 9
         assert SUPPORTED_WIRE_VERSIONS == (WIRE_VERSION,)
 
     def test_unsupported_versions_rejected(self):
         frames = [encode(sample(CcloPutReply)),
                   batch_of([sample(CcloPutReply)] * 3)]
-        for version in (0, 1, 2, 3, 4, 5, 6, 7, 99):
+        for version in (0, 1, 2, 3, 4, 5, 6, 7, 8, 99):
             for payload in map(bytearray, frames):
                 assert payload[1] == WIRE_VERSION
                 payload[1] = version

@@ -16,79 +16,79 @@ from repro.wire.codec import WIRE_VERSION, encode
 from wire_support import EVERY_TYPE, WIRE_TYPES, batch_of, sample
 
 #: The wire version the hashes below were generated for.
-GOLDEN_WIRE_VERSION = 8
+GOLDEN_WIRE_VERSION = 9
 
 GOLDEN_FRAMES = {
     "ReadResult":
-        "eae5f1c53c230c47aa390af73d2690dfc6ddd8a44882ad18da4e27b631e261d3",
+        "c1469f42fcc0edebaac24625944028290b640063272ea288878448ee17d7e660",
     "VectorPutRequest":
-        "d78ea8c20d2aa23e4b71450154ef09ec4accb4797af1180738469aa659b485d8",
+        "e8566d5bc358846525766dbeb9ddca3b681150fdd321604866e564828b3b8732",
     "VectorPutReply":
-        "a1b50ab06e5092b3eb634d26db903f1be7af044510b29add881815acb5c4f04e",
+        "5e7d5b8f4f3914ef2cd58dc66f33f1bc5c0f94c02cc730f576fee538003644e4",
     "RotCoordinatorRequest":
-        "baba6e8b56815aa94a419ea4ec72ca3190defcd7a3fbcb5b31a0582dfac30ca9",
+        "992c3d42eb2401ace3c5f3f83d2296c199c733ccd1b92452e1846de3c32bc246",
     "RotSnapshotReply":
-        "1121c8fec3f9cbcd8498bfbe39dc58add1b8fcc83e30889f13470506166859bb",
+        "add31b561d749f146068a925c5f4910dc8bad6f6361425a935996b6f3c79236b",
     "RotProxyRead":
-        "a896ca9efd885fc9890741440ee3b0793558e6d432decf38cfd76a365e58de7c",
+        "2f8c0240cdedd9ef4fda2e9470ebc490955815af0f95b516ff272a6b83e05b14",
     "RotReadRequest":
-        "5eaf5580da6939ba9c5d34a2efa4412a704b3fa35b581a2d29507f91652392fd",
+        "2ae968ce438de0b9afdbc6c6787642c909b3bcae6ebbeb6d5e1a65daea163c6c",
     "RotValueReply":
-        "c8c0a91ef7cb05870af234b6185398f368154c7a37e1b64ba8f010436a76a0d2",
+        "1ee447fbdfc5c58ac67c1a96a4edd87979322eef11ef7450f222ef7e3b40dbb9",
     "RemoteHeartbeat":
-        "181ed30680336b4529c1e8c594e31865a0880dffc16eb30d7801c02c55c5e907",
+        "0aa25f94d71b287ffdc43a6c7451e922bf95e30b4399b2b77e0121efbac61642",
     "StabilizationMessage":
-        "d04b69b4b5da855a3639c345ef0a8424a6303689ac74a1618fe359edd12215f6",
+        "cbb289fa43099645fd385d20f02c16b0e0b13a45452eaa6e7f8b8cf74e25289e",
     "ReplicateUpdate":
-        "b163c5a3c2d7b07fd6d63e2e0df26005c7a9529e7629c7d159dc4349057fd6f3",
+        "f685d35713660f7709282765e913f69925f333146a963a2776dad1f157a0c108",
     "OneRoundReadRequest":
-        "4a1bf3023b3a82bb68ca098dc14a3f2fb60e920e0b45d48f1ca8d7b59075acef",
+        "42cc357d0d0dcbefedbeef99b4ab5e8e434b1a1b69fa27f6b5ce7f6a10c69d7b",
     "OneRoundReadReply":
-        "7f8d636005a371907d72b2242f4b9cf03a7f03e5689d9d4cb6c6b64af0345d4b",
+        "31bbac69a9014eeb42d4f3a139b3f230e78bf57ce6631987429e3f8d9255189b",
     "CcloPutRequest":
-        "c0adc5a5703de4113edfb15275d7e287ec279e5efd5db6d5672b51526a0da933",
+        "6bd74ab3df10bd9ead1466f4d5efc8adf6f2f549dcbbe704c90f307c50444a6b",
     "CcloPutReply":
-        "3f26593b8d2c4de39cbd71c21d251c519e1f95e99e90bf759f9ddacbc122e226",
+        "925d39ab1421dfdc62c5694f3cc4cbb0138842056ddaae160f7046f39789ad0f",
     "ReadersCheckRequest":
-        "6242b3d67a0bfc77593600e4a992e828d21b7aae2da6b7b8870ec430b8211c06",
+        "30e076a1309e19de9d39acb5c2ffe686e2bdc8a059612e488fe8c853e0d37e00",
     "ReadersCheckReply":
-        "ffd604414bc7597211f3ea85b82180a70d3aa342e45c2789176545bd52aee19f",
+        "4cf136e4280323b5a8c654bbc043a5b60acfa07e67412164113ab0fe8efb3977",
     "CcloReplicateUpdate":
-        "f4beb945053209f9419b2dc0c6eb45610d92240bc14439071491ff22ef19290b",
+        "335da4f6a5a7e320115bb1fb9d2274833d57fb30bf2d00e9c2fa394719add9a0",
     "ServerAddr":
-        "932ccb3acbb36c7da4fc626af91639cfb5ca6f0ab18940f8070afa75b42fa537",
+        "26477689e15557d018c9e7d1316dc37f4709a5862704cacb97d05b8172b91c63",
     "ClientAddr":
-        "6d1d04a40dd93c35229710e352352349cc9660d81a1bebc9aa35b653df72bbf8",
+        "c053ef04d31ce5f557fac6d706909bfb842641310c67496ee6174496f34b3679",
     "Envelope":
-        "c54f96fd293e8195231dbc2184e89035642ea546d40cef2d73de2897fa1c54cd",
+        "79dc256d510ffa5304f529724b7ca60fbf28d71a394bc1665868b3f2169d5482",
     "RecordedPut":
-        "a2736a264fb069f1d503170344bf0e4d6c284d3c11b27c3027b9e227a8461d82",
+        "0f4005375429803d302cac5062a31c58af00c2dc313989f8651cee61fc4d1a01",
     "RecordedRead":
-        "fb7ce8122d6ed697fd72331c94f0bcf9e641f446bc9842f2003945cb316b5e85",
+        "78be659a49ce1e2fa1c8e6cf5a3a444cea5f9985deb049d406a03a81c95bd42b",
     "RecordedRot":
-        "6a3277518075ab723a4b35045d8bda7764bee559f6fc24557a620beaccd52cc6",
+        "8c1490304fb4945ef1f7dcc88e9e5f8e0b0105411e59a15c53f16a8ecf3c911e",
     "OverheadCounters":
-        "a65c755e7c6c607d1344472719e55abde56168c0b9a436a182212644f26de78a",
+        "fd8e0cfaffc2cf5b5295bff8e28a93b4fa690c4e7cd4677304b82e2606896968",
     "TraceEvent":
-        "d02710fd8d4879c7dbfa4ad017d1284fe14186bd8925b610e60f7680b405c389",
+        "213ddd985627eb0bb71a5bd6fdff8a3097b9cc6d4b3c5903cf7dd0d5c97c139f",
     "WorkerReady":
-        "c0810909036a51448d9b22ce2b969529283b42d2dc2a3b5160ffaa0d5a1335b1",
+        "eda5295017a4e3501ad48f01c47a1c56761bb942af63bf4076e9e0e0f9d13f0b",
     "StartRun":
-        "f544bf9acbf301bf26a66323bd90b423e8e8865a1e148ec9178b4dff96ca9311",
+        "bcad05ef1722db58e344bb3c55cba82461dd9124cb42d563e19bb8c1b761bfbf",
     "Shutdown":
-        "883593942d17fbe3842d5ab454ccccc2416b70b31cb4fd6f0486b6606984924a",
+        "1e34f148b3af5b9d2e96b2cd2fe8f27f7410dda3bd1d4adc8209d115534fc234",
     "WorkerError":
-        "2ec7aaa6cf06c305565a2ae0aaa2f5c54e21a2ed759600339f328e2903826cfb",
+        "048a2564b83eaa7a9746e4df44806e4cc2b2f6ee8e787cfe8fd3f7982488a733",
     "WorkerResult":
-        "1b6c6fc6559afda2adeb7ef9a9dbb36a7eac32049d9fd929d50ffbe3149e11a6",
+        "67b7383578da568d670b42977bb4efdff1f2b4faa38bf9776b173e761afa5b47",
     "ObservationChunk":
-        "9578d6ab0ea8131e50d5124cd7efd0b85eb666de1a2e5604fb2593fdfcbe39ee",
+        "cc9d42ff3448e42e1a2bdc7a796a07762990df4fd1aafe9a3215118c9d713529",
 }
 
 #: One batch frame whose rows carry both sample variants of every type, in
 #: id order.
 GOLDEN_MIXED_BATCH = (
-    "049b265146c691f0da33133468bee6d48fc8fb0c3fa36a9320195330060d5931")
+    "5ba8e2d7ea166d9fc0c8bdf79154e814fd0ff5ebffff6f22958b5cd97632d5d6")
 
 
 def _digest(payload: bytes) -> str:
