@@ -14,6 +14,7 @@ simulator (:mod:`repro.sim.drivers`) or an asyncio loop
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -43,7 +44,7 @@ from repro.core.common.messages import (
 from repro.errors import ProtocolError
 from repro.obs.events import REPLICATE_APPLY, VISIBLE
 from repro.storage.mvstore import MultiVersionStore
-from repro.storage.version import Version
+from repro.storage.version import NO_OLD_READERS, Version
 from repro.wire.intern import intern_key
 
 PROTOCOL_NAME = "cc-lo"
@@ -51,9 +52,17 @@ PROTOCOL_NAME = "cc-lo"
 
 @dataclass(slots=True)
 class PendingCheck:
-    """State of an in-progress readers check at the writing partition."""
+    """State of an in-progress readers check at the writing partition.
+
+    ``dependencies`` is the PUT's dependency list (``(key, timestamp,
+    origin_dc)`` triples, the message's tuple): the check groups it by
+    partition when it starts, and :meth:`CcloKernel._replicate` forwards it
+    when the check finalizes.  It lives here, not on the version, so it is
+    dropped with the check.
+    """
 
     version: Version
+    dependencies: tuple[tuple[str, int, int], ...]
     client: Optional[Addr]
     expected_replies: int
     collected: dict[str, int] = field(default_factory=dict)
@@ -95,7 +104,17 @@ class WaitingLocalCheck:
 
 
 class CcloKernel(ServerKernel):
-    """The partition-server state machine of the latency-optimal design."""
+    """The partition-server state machine of the latency-optimal design.
+
+    **Version metadata.**  A version's ``old_readers`` are read only by ROTs
+    that its readers check named, and under the reader-window assumption
+    argued in :mod:`repro.storage.mvstore` none of them reads later than one
+    window after the version turned visible.  Each finalize therefore queues
+    a version that holds ids, in ``visible_at`` order (``now`` never
+    decreases), and puts the shared empty record back on every queued
+    version visible for a full window.  The work rides on the write path,
+    not on the ``cclo-gc`` timer, so it comes in steps of a few versions.
+    """
 
     protocol_name = PROTOCOL_NAME
 
@@ -114,6 +133,8 @@ class CcloKernel(ServerKernel):
         self._gc_window = gc_window_seconds
         self._check_ids = itertools.count()
         self._pending_checks: dict[str, PendingCheck] = {}
+        # Visible versions holding their own old readers, oldest first.
+        self._barring: deque[Version] = deque()
         # Readers-check legs waiting for dependencies, indexed by the key of
         # each dependency they miss (a leg missing two keys is in two lists);
         # each list is in the order its legs began to wait.
@@ -213,20 +234,23 @@ class CcloKernel(ServerKernel):
         version = Version(key=intern_key(message.key), value=None,
                           timestamp=timestamp,
                           origin_dc=self.dc_id, size_bytes=message.value_size,
-                          dependencies=message.dependencies, visible=False,
-                          writer=message.client_id, sequence=message.sequence)
+                          visible=False, writer=message.client_id,
+                          sequence=message.sequence)
         self.store.install(version)
-        self._start_readers_check(version, client=sender, replicate_after=True)
+        self._start_readers_check(version, message.dependencies, client=sender,
+                                  replicate_after=True)
 
-    def _start_readers_check(self, version: Version, client: Optional[Addr],
+    def _start_readers_check(self, version: Version,
+                             dependencies: tuple[tuple[str, int, int], ...],
+                             client: Optional[Addr],
                              replicate_after: bool) -> None:
         check_id = f"{self.node_id}:chk{next(self._check_ids)}"
-        pending = PendingCheck(version=version, client=client,
-                               expected_replies=0,
+        pending = PendingCheck(version=version, dependencies=dependencies,
+                               client=client, expected_replies=0,
                                replicate_after=replicate_after)
         groups: dict[int, list[tuple[str, int, int]]] = {}
         partition_of = self.partitioner.partition_of
-        for dep in version.dependencies:
+        for dep in dependencies:
             groups.setdefault(partition_of(dep[0]), []).append(dep)
         local_deps = groups.pop(self.partition_index, [])
         pending.expected_replies = len(groups)
@@ -340,7 +364,13 @@ class CcloKernel(ServerKernel):
         now = self.now
         version.visible = True
         version.visible_at = now
-        self.store.collect_superseded(version.key, now - self._gc_window)
+        horizon = now - self._gc_window
+        self.store.collect_superseded(version.key, horizon)
+        barring = self._barring
+        if version.old_readers:
+            barring.append(version)
+        while barring and barring[0].visible_at <= horizon:
+            barring.popleft().old_readers = NO_OLD_READERS
         tracer = self.tracer
         if tracer is not None and version.origin_dc != self.dc_id:
             # The readers check completing is the remote-visibility point of
@@ -364,7 +394,7 @@ class CcloKernel(ServerKernel):
             self._send(pending.client, CcloPutReply(key=version.key,
                                                     timestamp=version.timestamp))
         if pending.replicate_after:
-            self._replicate(version)
+            self._replicate(version, pending.dependencies)
         if self._ordered_replication:
             self._release_parked_finalizes(version.key, version.origin_dc)
 
@@ -387,8 +417,8 @@ class CcloKernel(ServerKernel):
             self._finalize_check(check_id)
 
     # ------------------------------------------------------------ replication
-    def _replicate(self, version: Version) -> None:
-        dependencies = version.dependencies
+    def _replicate(self, version: Version,
+                   dependencies: tuple[tuple[str, int, int], ...]) -> None:
         for replica in self._replicas:
             self.counters.replication_messages += 1
             self.counters.dependency_entries_sent += len(dependencies)
@@ -405,8 +435,8 @@ class CcloKernel(ServerKernel):
         version = Version(key=intern_key(message.key), value=None,
                           timestamp=message.timestamp,
                           origin_dc=message.origin_dc, size_bytes=message.value_size,
-                          dependencies=message.dependencies, visible=False,
-                          writer=message.writer, sequence=message.sequence)
+                          visible=False, writer=message.writer,
+                          sequence=message.sequence)
         if message.old_readers:
             version.old_readers = dict(message.old_readers)
         self.store.install(version)
@@ -422,7 +452,8 @@ class CcloKernel(ServerKernel):
                                         version.timestamp)] = trace
         # The readers check is repeated in this DC, combined with the
         # dependency check (require_present=True on the outgoing requests).
-        self._start_readers_check(version, client=None, replicate_after=False)
+        self._start_readers_check(version, message.dependencies, client=None,
+                                  replicate_after=False)
 
     @staticmethod
     def _wait(waits: dict[str, list], leg) -> None:

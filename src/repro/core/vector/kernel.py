@@ -260,24 +260,27 @@ class VectorServerKernel(ServerKernel):
                           timestamp=timestamp,
                           origin_dc=local, size_bytes=message.value_size,
                           dependency_vector=dependency_vector,
-                          dependencies=message.dependencies,
                           writer=message.client_id, sequence=message.sequence)
         self.store.install(version)
         self.store.collect_below_floor(version.key, self._gc_floor)
         self.version_vector[local] = max(self.version_vector[local], timestamp)
         self._send(sender, VectorPutReply(key=message.key, timestamp=timestamp,
                                           gss=self.gss_state.gss))
-        self._replicate(version)
+        self._replicate(version, message.dependencies)
 
-    def _replicate(self, version: Version) -> None:
+    def _replicate(self, version: Version,
+                   dependencies: tuple[tuple[str, int], ...]) -> None:
+        """Send a local version to every replica with the dependency list
+        its PUT carried: the list is the request's, not the version's, which
+        keeps only its dependency vector."""
         for replica in self._replicas:
             self.counters.replication_messages += 1
-            self.counters.dependency_entries_sent += len(version.dependencies)
+            self.counters.dependency_entries_sent += len(dependencies)
             self._send(replica, ReplicateUpdate(
                 key=version.key, timestamp=version.timestamp,
                 origin_dc=version.origin_dc, value_size=version.size_bytes,
                 dependency_vector=version.dependency_vector,
-                dependencies=version.dependencies,
+                dependencies=dependencies,
                 writer=version.writer, sequence=version.sequence))
 
     def _handle_replicated_update(self, sender: Addr,
@@ -288,7 +291,6 @@ class VectorServerKernel(ServerKernel):
                           timestamp=message.timestamp,
                           origin_dc=message.origin_dc, size_bytes=message.value_size,
                           dependency_vector=message.dependency_vector,
-                          dependencies=message.dependencies,
                           writer=message.writer, sequence=message.sequence)
         self.store.install(version)
         self.store.collect_below_floor(version.key, self._gc_floor)

@@ -18,6 +18,11 @@ asks for its own collection under its own rule:
   turned visible, and the protocol already assumes such a ROT reads within
   one window of being named (its reader records expire then).
 
+The same assumption releases a CC-LO version's ``old_readers``: one window
+after the version turned visible, no ROT it bars can still read, so the
+kernel puts the shared empty record back
+(:class:`~repro.core.cclo.kernel.CcloKernel`).
+
 No cap bounds a chain: it grows while its protocol's rule holds versions
 back (a stalled stable snapshot, a long reader window).  A retention policy
 (:meth:`MultiVersionStore.set_retention_policy`) may veto the window trim.

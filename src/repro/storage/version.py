@@ -9,12 +9,17 @@ A single :class:`Version` class serves all three protocols; protocol-specific
 metadata is carried in optional fields:
 
 * ``dependency_vector`` — used by Contrarian and Cure (one entry per DC);
-* ``dependencies`` — the explicit dependency list the PUT carried;
 * ``old_readers`` — the CC-LO old-reader record attached to the version
   during the readers check: ROT ids that must **not** observe this version;
 * ``visible_at`` — when CC-LO's readers check made the version visible, which
   starts its key's garbage-collection window
-  (:meth:`~repro.storage.mvstore.MultiVersionStore.collect_superseded`).
+  (:meth:`~repro.storage.mvstore.MultiVersionStore.collect_superseded`) and
+  the window after which its ``old_readers`` are released.
+
+A version keeps only what a later read needs.  The dependency list a PUT
+carried is not stored: replication, its only reader, takes it from the
+message (or, on CC-LO, from the pending readers check), and a replicated
+install keeps nothing.
 """
 
 from __future__ import annotations
@@ -49,18 +54,15 @@ class Version:
         Size of the value, charged by the network and CPU cost models.
     dependency_vector:
         Per-DC dependency vector (Contrarian / Cure).  ``None`` for CC-LO.
-    dependencies:
-        The dependency list the PUT's message carried, stored as that
-        message's tuple: ``(key, timestamp)`` pairs for Contrarian and Cure,
-        ``(key, timestamp, origin_dc)`` triples for CC-LO (the origin is what
-        the remote dependency check looks for, and replication forwards the
-        triples unchanged).
     old_readers:
         CC-LO old-reader record: maps ROT id -> logical read time for the
         transactions that read an older version of some causal dependency and
         therefore must not be served this version.  A version that bars no
         ROT shares the read-only :data:`NO_OLD_READERS`; CC-LO gives a
-        version its own dict (the readers check's) only when it has ids.
+        version its own dict (the readers check's) only when it has ids, and
+        puts the shared one back a reader window after ``visible_at``, when
+        no ROT it bars can still read (the argument is in
+        :mod:`repro.storage.mvstore`).
     visible:
         Whether the version may be returned to clients.  CC-LO keeps a version
         invisible until its readers check (and, remotely, dependency check)
@@ -84,7 +86,6 @@ class Version:
     origin_dc: int = 0
     size_bytes: int = 8
     dependency_vector: Optional[tuple[int, ...]] = None
-    dependencies: tuple[tuple, ...] = ()
     # A C-level constant factory: 3.11's dataclasses refuse an unhashable
     # default, and a mappingproxy is hashable only from 3.12 on.
     old_readers: Mapping[str, int] = field(

@@ -4,7 +4,9 @@ A CC-LO version is collected once a newer version of its key has been
 visible for a full reader window (``MultiVersionStore.collect_superseded``,
 run by ``CcloKernel`` each time a version turns visible).  The trim never
 drops an invisible version or the newest visible version of an origin DC,
-and a retention policy may veto it.
+and a retention policy may veto it.  A version's own old readers go back to
+the shared empty record at the first finalize a full window after it turned
+visible, whether or not the version itself is collected.
 """
 
 from hypothesis import given, settings
@@ -151,19 +153,21 @@ def key_on(partition, index=0):
     return HashPartitioner.structured_key(partition, index)
 
 
+def put(kernel, key, now, dependencies=()):
+    kernel.on_message(ClientAddr("writer"), CcloPutRequest(
+        key=key, value_size=8, dependencies=dependencies,
+        dependency_partitions=(0,) * len(dependencies),
+        client_id="writer", sequence=0), now=now)
+    return kernel.store.latest(key)
+
+
+def read(kernel, key, rot_id, now):
+    (reply,) = kernel.on_message(ClientAddr("c1"), OneRoundReadRequest(
+        rot_id=rot_id, keys=(key,), client_id="c1"), now=now)
+    return reply.message.results[0].timestamp
+
+
 class TestKernelTrim:
-    def _put(self, kernel, key, now, dependencies=()):
-        kernel.on_message(ClientAddr("writer"), CcloPutRequest(
-            key=key, value_size=8, dependencies=dependencies,
-            dependency_partitions=(0,) * len(dependencies),
-            client_id="writer", sequence=0), now=now)
-        return kernel.store.latest(key)
-
-    def _read(self, kernel, key, rot_id, now):
-        (reply,) = kernel.on_message(ClientAddr("c1"), OneRoundReadRequest(
-            rot_id=rot_id, keys=(key,), client_id="c1"), now=now)
-        return reply.message.results[0].timestamp
-
     def test_a_barred_rot_reads_the_older_version_within_the_window(self):
         kernel = cclo_kernel()
         key, dependency = key_on(0, 0), key_on(0, 1)
@@ -172,17 +176,17 @@ class TestKernelTrim:
         # c1#1 missed the latest version of the dependency, so a version
         # written after it must bar c1#1.
         kernel.readers.record_old_reader(dependency, "c1#1", "c1", 5, now=0.9)
-        barring = self._put(kernel, key, 1.0, ((dependency, 0, 0),))
+        barring = put(kernel, key, 1.0, ((dependency, 0, 0),))
         assert "c1#1" in barring.old_readers and barring.visible_at == 1.0
-        again = self._put(kernel, key, 1.2, ((dependency, 0, 0),))
+        again = put(kernel, key, 1.2, ((dependency, 0, 0),))
         assert "c1#1" in again.old_readers
         # Inside the window of the first barring version the preloaded one
         # stays readable for the barred ROT.
         assert kernel.store.versions(key)[0] is preloaded
-        assert self._read(kernel, key, "c1#1", now=1.3) == 0
-        assert self._read(kernel, key, "c2#1", now=1.3) == again.timestamp
+        assert read(kernel, key, "c1#1", now=1.3) == 0
+        assert read(kernel, key, "c2#1", now=1.3) == again.timestamp
         # A window after it turned visible, the preloaded version goes.
-        newest = self._put(kernel, key, 1.6)
+        newest = put(kernel, key, 1.6)
         assert kernel.store.versions(key) == (barring, again, newest)
 
     def test_a_remote_dependency_check_still_finds_each_origins_newest(self):
@@ -191,7 +195,7 @@ class TestKernelTrim:
         remote = version(3, key=key, origin=1)
         kernel.store.preload([remote])
         for now in (1.0, 2.0, 3.0):
-            self._put(kernel, key, now)
+            put(kernel, key, now)
         assert kernel.store.versions(key)[0] is remote
         request = ReadersCheckRequest(check_id="server-dc0-p1:chk0",
                                       dependencies=((key, 3, 1),),
@@ -199,6 +203,80 @@ class TestKernelTrim:
                                       require_present=True)
         (reply,) = kernel.on_message(ServerAddr(0, 1), request, now=3.5)
         assert isinstance(reply.message, ReadersCheckReply)
+
+
+class TestOldReaderRelease:
+    """A version's old readers bar the ROTs its readers check named for one
+    reader window after it turned visible, then go back to the shared empty
+    record (``CcloKernel``'s docstring)."""
+
+    @staticmethod
+    def _barring_put(kernel, key, dependency, rot_id, now):
+        """A PUT whose readers check names ``rot_id``: the ROT missed the
+        latest version of ``dependency`` just before."""
+        client = rot_id.partition("#")[0]
+        kernel.readers.record_old_reader(dependency, rot_id, client, 5,
+                                         now=now)
+        return put(kernel, key, now, ((dependency, 0, 0),))
+
+    def _kernel(self):
+        kernel = cclo_kernel()
+        keys = key_on(0, 0), key_on(0, 1), key_on(0, 2)
+        kernel.store.preload([version(0, key=each) for each in keys])
+        return kernel, keys
+
+    def test_a_version_visible_for_a_window_shares_the_empty_record(self):
+        kernel, (key, dependency, other) = self._kernel()
+        barring = self._barring_put(kernel, key, dependency, "c1#1", now=1.0)
+        assert barring.old_readers == {"c1#1": 5}
+        put(kernel, other, now=1.0 + 0.9 * WINDOW)
+        assert barring.old_readers == {"c1#1": 5}
+        # The next finalize on the kernel, on any key, a window later.
+        put(kernel, other, now=1.0 + 1.1 * WINDOW)
+        assert barring.old_readers is NO_OLD_READERS
+        assert kernel.store.versions(key)[-1] is barring
+        assert list(kernel._barring) == []
+
+    def test_a_rot_named_within_the_window_is_still_barred(self):
+        kernel, (key, dependency, other) = self._kernel()
+        first = self._barring_put(kernel, key, dependency, "c1#1", now=1.0)
+        second = self._barring_put(kernel, other, dependency, "c2#1",
+                                   now=1.0 + 0.8 * WINDOW)
+        put(kernel, key, now=1.0 + 1.2 * WINDOW)
+        assert first.old_readers is NO_OLD_READERS
+        assert "c2#1" in second.old_readers
+        assert read(kernel, other, "c2#1", now=1.0 + 1.3 * WINDOW) == 0
+        assert read(kernel, other, "c3#1", now=1.0 + 1.3 * WINDOW) \
+            == second.timestamp
+
+    @given(st.lists(st.tuples(st.floats(0.0, 2 * WINDOW), st.booleans(),
+                              st.integers(0, 2)),
+                    min_size=1, max_size=40))
+    @settings(deadline=None)
+    def test_old_readers_live_exactly_one_window_past_visibility(self, steps):
+        kernel, keys = self._kernel()
+        dependency = key_on(0, 3)
+        kernel.store.preload([version(0, key=dependency)])
+        now = 1.0
+        written = []
+        for step, (gap, bars, index) in enumerate(steps):
+            now += gap
+            if bars:
+                written.append(self._barring_put(kernel, keys[index],
+                                                 dependency, f"c1#{step}",
+                                                 now))
+            else:
+                written.append(put(kernel, keys[index], now))
+            horizon = now - WINDOW
+            for each in written:
+                if each.visible_at <= horizon:
+                    assert each.old_readers is NO_OLD_READERS
+                else:
+                    assert bool(each.old_readers) == (
+                        each.old_readers is not NO_OLD_READERS)
+            assert all(each.old_readers for each in kernel._barring)
+            assert len([each for each in written if each.old_readers]) \
+                == len(kernel._barring)
 
 
 class TestDependencyWaits:
@@ -262,6 +340,33 @@ def test_a_short_window_bounds_every_servers_versions_as_puts_grow():
         # 0.7 PUTs per key per 20 ms here); nothing else collects them.
         assert full[0] <= (config.num_dcs + 3) * len(server.store)
         assert full[0] <= 1.2 * half[0]
+
+
+def test_a_short_window_bounds_the_versions_holding_old_readers():
+    """Versions that bar a ROT are those made visible within the last
+    window: at most about a window's PUTs per server, however many PUTs the
+    run has applied (with the old readers kept for a version's lifetime,
+    every server held 200-230 here, against 35-65)."""
+    config = ClusterConfig.test_scale(seed=7, num_dcs=2, clients_per_dc=4,
+                                      duration_seconds=1.0,
+                                      cclo_gc_window_ms=20.0)
+    window = config.cclo_gc_window_ms / 1000.0
+    cluster = build_cluster("cc-lo", config, DEFAULT_WORKLOAD)
+    cluster.start()
+    servers = list(cluster.topology.all_servers())
+    samples = []
+    for until in (0.5, 1.0):
+        cluster.sim.run(until=until)
+        samples.append([
+            (sum(1 for key in server.store.keys()
+                 for each in server.store.versions(key) if each.old_readers),
+             server.store.puts_applied) for server in servers])
+    cluster.stop()
+    for (half, full) in zip(*samples):
+        assert full[1] > 1.8 * half[1] > 1000
+        for (barring, applied), elapsed in ((half, 0.5), (full, 1.0)):
+            puts_per_window = applied * window / elapsed
+            assert 0 < barring <= 2 * puts_per_window
 
 
 def test_the_shared_empty_old_readers_stay_empty_through_a_cclo_run():

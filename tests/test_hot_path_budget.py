@@ -25,11 +25,14 @@ contrarian 234.8, cure 256.8 and cc-lo 220.3 (233.2, 255.2 and 220.4
 before the vector servers trimmed each key's chain under a snapshot floor
 after every install; cc-lo 221.4 while every
 install rebuilt a PUT's dependency triples into pairs and origins, and every
-replication rebuilt the triples).  CC-LO's C-level calls are
+replication rebuilt the triples; the same counts after versions stopped
+storing their PUT's dependency list).  CC-LO's C-level calls are
 pinned as well: a reader record examined is a ``dict.get``, not a frame,
 and a readers check that rescans the
 window again (521 C-level calls per operation on the scan implementation, 265
-on the per-client index, 246 with its records as tuples recorded in bulk)
+on the per-client index, 246 with its records as tuples recorded in bulk;
+246.8 since each finalize queues a version that bars a ROT and releases the
+old readers of those visible for a window, 245.5 before)
 would pass the Python-level ceiling.  So are CC-LO's calls into a
 non-frozen dataclass's generated ``__init__`` (2.0 per operation: a
 ``Version``, a ``PendingCheck`` and a ``PendingRot`` where needed; 13.1
@@ -52,8 +55,8 @@ drive: the layered benchmark's loaded ``sim-three-protocols`` cluster, seed 7,
 operation costs there beyond the loop-free count is the simulator carrying
 its messages — engine, network, CPU queues, cost model.  Python-level calls
 per simulated operation: contrarian 278.0, cure 332.4, cc-lo 356.5 when the
-ceilings were last set (300, 352, 378 when they were first set; 291.1,
-342.6, 371.0 while the host sized every
+ceilings were last set (278.5, 333.3, 356.6 now; 300, 352, 378 when they
+were first set; 291.1, 342.6, 371.0 while the host sized every
 server send for its counters and the network sized it again; cc-lo 474
 before its old readers were tuples recorded in bulk; 336, 386, 493
 while the generator spelled ``random.sample`` and every key as calls and a

@@ -461,6 +461,34 @@ class TestScriptedEffects:
         assert calls == [key]
 
     @pytest.mark.parametrize("protocol", ["contrarian", "cure", "cc-lo"])
+    def test_replication_carries_the_dependency_list_the_version_drops(
+            self, protocol):
+        """A stored version keeps no dependency list; replication takes the
+        PUT's own tuple from the request (on CC-LO, through the readers
+        check) and counts its entries once per replica."""
+        kernel = server_kernel(protocol)
+        key = key_on(0, 7)
+        if protocol == "cc-lo":
+            dependencies = ((key_on(0, 3), 2, 0), (key_on(0, 4), 1, 0))
+            put = CcloPutRequest(key=key, value_size=8,
+                                 dependencies=dependencies,
+                                 dependency_partitions=(0,),
+                                 client_id="client-dc0-3", sequence=1)
+        else:
+            dependencies = (("1:1", 4), ("2:5", 3))
+            put = VectorPutRequest(key=key, value_size=8,
+                                   client_vector=(5, 9),
+                                   client_id="client-dc0-3", sequence=1,
+                                   dependencies=dependencies)
+        effects = kernel.on_message(self.CLIENT, put, now=0.001)
+        (replicate,) = [effect.message for effect in effects
+                        if effect.dest == ServerAddr(1, 0)]
+        assert replicate.dependencies is dependencies
+        assert kernel.counters.dependency_entries_sent == len(dependencies)
+        assert "dependencies" not in Version.__slots__
+        assert not hasattr(kernel.store.latest(key), "dependencies")
+
+    @pytest.mark.parametrize("protocol", ["contrarian", "cure", "cc-lo"])
     def test_unknown_message_type_rejected(self, protocol):
         kernel = server_kernel(protocol)
         # A reply is a registered message, but no server handles it.

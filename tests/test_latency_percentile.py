@@ -11,6 +11,7 @@ with ``asdict``.
 import math
 import random
 import statistics
+import tracemalloc
 from dataclasses import asdict
 
 from repro.metrics.latency import LatencyRecorder, LatencySummary, percentile
@@ -144,3 +145,33 @@ class TestLatencySummaryRoundTrip:
         assert sorted(b.samples()) == sorted(c.samples())
         assert b.summary() == c.summary()
         assert b.samples_ms() == [3.0, 1.0, 2.0]
+
+    def test_an_array_summary_equals_a_list_summary_bit_for_bit(self):
+        rng = random.Random(11)
+        samples = [rng.lognormvariate(-7.0, 2.0) for _ in range(20_000)]
+        samples += [0.0, 1e-9, 3.0, 0.1 + 0.2]
+        recorder = LatencyRecorder()
+        for sample in samples:
+            recorder.record(sample)
+        listed = LatencyRecorder()
+        listed._samples = list(samples)  # the storage before the array
+        fields = asdict(recorder.summary())
+        assert {name: float(value).hex() for name, value in fields.items()} \
+            == {name: float(value).hex()
+                for name, value in asdict(listed.summary()).items()}
+        assert recorder.samples() == tuple(samples)
+
+    def test_samples_are_stored_in_about_eight_bytes_each(self):
+        # Everything the recorder allocates, boxed floats included (a list
+        # of them costs about 32 B per sample).
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            recorder = LatencyRecorder()
+            for index in range(100_000):
+                recorder.record(index * 1e-6)
+            stored = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert recorder.count == 100_000
+        assert stored <= 8.5 * 100_000

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.mvstore import MultiVersionStore
-from repro.storage.version import Version
+from repro.storage.version import NO_OLD_READERS, Version
 
 
 def make_version(key="k", ts=1, visible=True, **kwargs):
@@ -19,7 +19,7 @@ class TestVersion:
     def test_defaults(self):
         version = make_version()
         assert version.dependency_vector is None
-        assert version.dependencies == ()
+        assert version.old_readers is NO_OLD_READERS
         assert version.origin_dc == 0
 
 
