@@ -1,13 +1,13 @@
 """Sans-I/O kernels of CC-LO (the COPS-SNOW design).
 
 :class:`CcloKernel` holds the full server-side protocol — one-round reads
-with old-reader recording, the readers check on every PUT, the remote
-dependency check and the fault-hardened ordered-replication mode — as a pure
-state machine; :class:`CcloClientKernel` holds the client side (explicit
-nearest dependencies, one read request per involved partition).  Both emit
-:mod:`repro.core.common.kernel` effects and never import the simulator;
-:mod:`repro.core.common.host` interprets the effects, on the discrete-event
-simulator (:mod:`repro.sim.drivers`) or an asyncio loop
+with old-reader recording, the readers check on every PUT, the dependency
+check of every replicated version and version chains in timestamp order —
+as a pure state machine; :class:`CcloClientKernel` holds the client side
+(explicit nearest dependencies, one read request per involved partition).
+Both emit :mod:`repro.core.common.kernel` effects and never import the
+simulator; :mod:`repro.core.common.host` interprets the effects, on the
+discrete-event simulator (:mod:`repro.sim.drivers`) or an asyncio loop
 (:mod:`repro.runtime.nodes`).
 """
 
@@ -93,9 +93,8 @@ class WaitingLocalCheck:
 
     Replicated updates must not become visible before their dependencies;
     the remote legs of the readers check enforce that with
-    ``require_present``, and in fault-hardened mode the local leg (the
-    dependencies stored on the written key's own partition) waits here under
-    the same rule.
+    ``require_present``, and the local leg (the dependencies stored on the
+    written key's own partition) waits here under the same rule.
     """
 
     check_id: str
@@ -140,8 +139,6 @@ class CcloKernel(ServerKernel):
         # each list is in the order its legs began to wait.
         self._waiting_remote_checks: dict[str, list[WaitingRemoteCheck]] = {}
         self._waiting_local_checks: dict[str, list[WaitingLocalCheck]] = {}
-        self._ordered_replication = False
-        self._parked_finalizes: dict[tuple[str, int], list[str]] = {}
         # Trace ids of replicated versions whose readers check has not
         # finalised yet, keyed by (key, origin_dc, timestamp); only populated
         # while tracing (the finalize runs under a different message's trace).
@@ -236,7 +233,7 @@ class CcloKernel(ServerKernel):
                           origin_dc=self.dc_id, size_bytes=message.value_size,
                           visible=False, writer=message.client_id,
                           sequence=message.sequence)
-        self.store.install(version)
+        self.store.install_ordered(version)
         self._start_readers_check(version, message.dependencies, client=sender,
                                   replicate_after=True)
 
@@ -257,15 +254,14 @@ class CcloKernel(ServerKernel):
         pending.partitions_contacted = len(groups)
         self._pending_checks[check_id] = pending
         if local_deps:
-            require_present = version.origin_dc != self.dc_id
             missing = {dep for dep in local_deps
                        if not self._dependency_present(dep)} \
-                if require_present and self._ordered_replication else set()
+                if version.origin_dc != self.dc_id else None
             if missing:
-                # Fault-hardened mode: the local-partition leg obeys the same
-                # dependency wait the remote legs get via ``require_present``
-                # — without it a replicated update whose dependency lives on
-                # its own partition becomes visible before that dependency.
+                # The local-partition leg obeys the same dependency wait the
+                # remote legs get via ``require_present``: without it a
+                # replicated update whose dependency lives on its own
+                # partition becomes visible before that dependency.
                 pending.expected_replies += 1
                 self._wait(self._waiting_local_checks, WaitingLocalCheck(
                     check_id=check_id,
@@ -326,34 +322,26 @@ class CcloKernel(ServerKernel):
         if pending.expected_replies <= 0:
             self._finalize_check(message.check_id)
 
-    def enable_ordered_replication(self) -> None:
-        """Make replicated versions of a key become visible in order.
-
-        Independent readers checks can complete out of order, letting a
-        *newer* replicated version of a key become visible while an older one
-        is still checking.  A remote dependency check satisfied by the newer
-        version then exposes versions that causally depend on the
-        still-invisible older one — a window that is sub-millisecond on a
-        healthy cluster but grows to the whole backlog-drain period after a
-        partition heals.  With ordering enabled, a replicated version whose
-        same-key same-origin predecessor is still invisible parks its
-        finalize until the predecessor completes.  The fault controller
-        enables this (like the retention policies); the healthy path keeps
-        the seed behaviour bit-for-bit.
-        """
-        self._ordered_replication = True
-
     def _finalize_check(self, check_id: str) -> None:
-        if self._ordered_replication:
-            pending = self._pending_checks[check_id]
-            version = pending.version
-            if version.origin_dc != self.dc_id \
-                    and self._has_invisible_predecessor(version):
-                slot = (version.key, version.origin_dc)
-                parked = self._parked_finalizes.setdefault(slot, [])
-                if check_id not in parked:
-                    parked.append(check_id)
-                return
+        """Make the checked version visible, in whatever order the checks of
+        one key's versions finish.
+
+        Every leg of a replicated version's check, local and remote, first
+        waits until the version's dependencies are visible
+        (``require_present``, :class:`WaitingLocalCheck`).  A replicated
+        version may still finish before an older version of its key and
+        origin, and its visibility satisfies a dependency on that older one
+        (``_dependency_present`` asks for *at least* a timestamp).  That
+        exposes no causal gap, so no finalize waits for an older version:
+
+        * the chain is in timestamp order, so a ROT not barred from the
+          newer version reads it, not the older one;
+        * a ROT barred from the newer version is recorded as an old reader
+          of its key below, before ``_notify_version_visible`` releases the
+          checks waiting on the key.  Each check this version releases
+          collects the key's readers after that, so it names the ROT and
+          bars it from the version that depends on the older one.
+        """
         pending = self._pending_checks.pop(check_id)
         version = pending.version
         if version.old_readers:
@@ -395,26 +383,6 @@ class CcloKernel(ServerKernel):
                                                     timestamp=version.timestamp))
         if pending.replicate_after:
             self._replicate(version, pending.dependencies)
-        if self._ordered_replication:
-            self._release_parked_finalizes(version.key, version.origin_dc)
-
-    def _has_invisible_predecessor(self, version: Version) -> bool:
-        """An older same-key same-origin version still awaiting its check."""
-        return any(other.origin_dc == version.origin_dc
-                   and other.timestamp < version.timestamp
-                   and not other.visible
-                   for other in self.store.versions(version.key))
-
-    def _release_parked_finalizes(self, key: str, origin_dc: int) -> None:
-        """Retry parked finalizes of ``key`` now a predecessor is visible."""
-        parked = self._parked_finalizes.pop((key, origin_dc), None)
-        if not parked:
-            return
-        # Oldest first, so a released version immediately unblocks the next.
-        parked.sort(key=lambda check_id:
-                    self._pending_checks[check_id].version.timestamp)
-        for check_id in parked:
-            self._finalize_check(check_id)
 
     # ------------------------------------------------------------ replication
     def _replicate(self, version: Version,
@@ -439,7 +407,7 @@ class CcloKernel(ServerKernel):
                           sequence=message.sequence)
         if message.old_readers:
             version.old_readers = dict(message.old_readers)
-        self.store.install(version)
+        self.store.install_ordered(version)
         tracer = self.tracer
         if tracer is not None:
             trace = self.current_trace

@@ -19,9 +19,9 @@ every event that names a phase calls
 sampler records fault gauges (stalled ROTs, remote-visibility lag, held
 messages, CC-LO reader-record size) into the current phase.
 
-On CC-LO servers, and only there, the controller also gates version
-collection on the ROTs in flight and orders same-key replicated versions;
-Contrarian and Cure servers collect under their own snapshot floor.
+Beyond reading those gauges, the controller touches no kernel or store:
+every protocol replicates and collects versions under a fault by the same
+rules as without one.
 
 A cluster run without a controller takes none of these code paths, so
 scenario-free runs remain bit-identical to a build without this module.
@@ -43,12 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Phase name the controller opens at t=0 before any event fires.
 BASELINE_PHASE = "baseline"
-
-
-def _reading(client) -> bool:
-    """Whether ``client`` has a ROT in flight (issued, not yet completed)."""
-    operation = client.operation
-    return operation is not None and not operation.is_put
 
 
 def _timestamp_to_us(clock_mode: str, value: int) -> Optional[float]:
@@ -107,7 +101,6 @@ class FaultController:
         if self._installed:
             raise ConfigurationError("fault controller installed twice")
         self._installed = True
-        self._install_retention_policies()
         self.metrics.begin_phase(BASELINE_PHASE, self.sim.now)
         for event in self.scenario.events:
             self.sim.call_at(event.at, self._make_apply(event))
@@ -119,47 +112,6 @@ class FaultController:
         """Cancel the gauge sampler (called once the run is over)."""
         if self._sampler is not None:
             self._sampler.cancel()
-
-    # ------------------------------------------------------------ version GC
-    def _install_retention_policies(self) -> None:
-        """Gate CC-LO's window trim on the ROTs in flight.
-
-        A replication backlog can hold a CC-LO ROT longer than the reader
-        window its version GC assumes.  The trim is vetoed where it would
-        leave, as the oldest version kept, one barring a ROT still pending
-        at its client: client state no server could see, standing in until
-        the window is measured.
-        """
-        topology = self.topology
-        for server in topology.all_servers():
-            kernel = server.kernel
-            if hasattr(kernel, "readers"):
-                server.store.set_retention_policy(
-                    self._cclo_retention_policy(
-                        topology.clients_in_dc(server.dc_id)))
-                # Same-key replicated versions must become visible in order,
-                # or dependency checks satisfied by a newer visible version
-                # expose updates whose exact dependency is still invisible
-                # (a window the post-heal backlog stretches to hundreds of
-                # milliseconds).
-                kernel.enable_ordered_replication()
-
-    @staticmethod
-    def _cclo_retention_policy(clients):
-        def bars_a_reader(old_readers) -> bool:
-            return any(client.kernel.next_rot_id() in old_readers
-                       for client in clients if _reading(client))
-
-        def policy(chain, excess: int) -> int:
-            # The window trim asks only for visible versions followed by a
-            # visible one; keep those whose going would leave a version
-            # barring an in-flight ROT as the oldest one kept.
-            cut = excess
-            while cut > 0 and chain[cut].old_readers \
-                    and bars_a_reader(chain[cut].old_readers):
-                cut -= 1
-            return cut
-        return policy
 
     # -------------------------------------------------------------- validation
     def _validate(self, event: FaultEvent) -> None:

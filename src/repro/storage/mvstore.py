@@ -1,12 +1,18 @@
 """Per-partition multi-version store.
 
 Every partition server owns one :class:`MultiVersionStore`.  Versions of the
-same key are kept in a list ordered by insertion; reads walk the list from the
+same key are kept in a list, oldest first; reads walk the list from the
 newest version backwards applying a protocol-supplied predicate (snapshot
-membership, visibility, old-reader exclusion).
+membership, visibility, old-reader exclusion), so "newest" is the list's
+order.  The vector kernels append (:meth:`MultiVersionStore.install`), and
+their predicate picks by snapshot; CC-LO places each version at its
+``(timestamp, origin_dc)`` position (:meth:`MultiVersionStore.install_ordered`),
+because a ROT reads the most recent visible version in timestamp order and a
+replica receives an origin's versions in the order their readers checks
+finish there, not in timestamp order.
 
-:meth:`MultiVersionStore.install` collects nothing; each protocol family
-asks for its own collection under its own rule:
+Neither install collects anything; each protocol family asks for its own
+collection under its own rule:
 
 * Contrarian and Cure: :meth:`MultiVersionStore.collect_below_floor`, after
   every install, under a snapshot floor that every snapshot still to be read
@@ -24,12 +30,13 @@ kernel puts the shared empty record back
 (:class:`~repro.core.cclo.kernel.CcloKernel`).
 
 No cap bounds a chain: it grows while its protocol's rule holds versions
-back (a stalled stable snapshot, a long reader window).  A retention policy
-(:meth:`MultiVersionStore.set_retention_policy`) may veto the window trim.
+back (a stalled stable snapshot, a long reader window).
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.storage.version import Version
@@ -37,10 +44,8 @@ from repro.storage.version import Version
 #: Predicate deciding whether a version may be returned for a given read.
 VersionPredicate = Callable[[Version], bool]
 
-#: Retention policy: given a key's version chain (oldest first) and the
-#: number of versions the window trim would collect from its front, return
-#: how many may actually go.
-RetentionPolicy = Callable[[list[Version], int], int]
+#: CC-LO's version order: Lamport timestamp, ties broken by origin DC.
+_TIMESTAMP_ORDER = attrgetter("timestamp", "origin_dc")
 
 
 class MultiVersionStore:
@@ -48,7 +53,6 @@ class MultiVersionStore:
 
     def __init__(self) -> None:
         self._chains: dict[str, list[Version]] = {}
-        self._retention_policy: Optional[RetentionPolicy] = None
         self.puts_applied = 0
         self.versions_collected = 0
 
@@ -60,14 +64,19 @@ class MultiVersionStore:
         self.puts_applied += 1
         return version
 
-    def set_retention_policy(self, policy: Optional[RetentionPolicy]) -> None:
-        """Constrain CC-LO's window trim (:meth:`collect_superseded`).
+    def install_ordered(self, version: Version) -> Version:
+        """Install ``version`` at its ``(timestamp, origin_dc)`` position in
+        its key's chain and return it (CC-LO's install).
 
-        The policy receives the chain (oldest first) and the trim the window
-        asks for, and returns how many of the oldest versions may really be
-        collected.  Only the fault controller installs one.
+        A chain built only by this method stays sorted in that order.  A
+        local PUT carries the largest Lamport timestamp its server has seen,
+        so it lands at the end; a replicated version may overtake an older
+        one of its origin that arrived before it.
         """
-        self._retention_policy = policy
+        insort(self._chains.setdefault(version.key, []), version,
+               key=_TIMESTAMP_ORDER)
+        self.puts_applied += 1
+        return version
 
     def collect_below_floor(self, key: str, floor: tuple[int, ...]) -> None:
         """Drop the front of ``key``'s chain while the *next* version's
@@ -99,16 +108,13 @@ class MultiVersionStore:
 
         A version goes when it is visible, the next one has been visible
         since ``horizon`` (``visible_at <= horizon``), and a later version of
-        its origin DC is visible with at least its timestamp, so the newest
-        visible version of every origin survives and with it every answer to
-        "is a version of origin ``o`` at or after ``t`` visible?".  The
-        look-ahead passes over versions of the origin with a smaller
-        timestamp: replication installs an origin's versions in the order
-        their readers checks finish, not in timestamp order, and a trim that
-        stopped at the first such version would never pass it.  The first
-        version that fails stops the trim, which therefore costs one step per
-        collected version plus the look-ahead for the one that stops it.  The
-        retention policy, if any, may keep part of the trimmed prefix.
+        its origin DC is visible, so the newest visible version of every
+        origin survives and with it every answer to "is a version of origin
+        ``o`` at or after ``t`` visible?".  The chain is in timestamp order
+        (:meth:`install_ordered`), so a later version of the origin has a
+        larger timestamp.  The first version that fails stops the trim,
+        which therefore costs one step per collected version plus the
+        look-ahead for the one that stops it.
         """
         chain = self._chains[key]
         size = len(chain)
@@ -120,20 +126,16 @@ class MultiVersionStore:
                     and successor.visible_at <= horizon):
                 break
             origin = version.origin_dc
-            stamp = version.timestamp
             later = cut + 1
             while later < size:
                 other = chain[later]
-                if other.origin_dc == origin and other.visible \
-                        and other.timestamp >= stamp:
+                if other.origin_dc == origin and other.visible:
                     break
                 later += 1
             if later == size:
                 break
             cut += 1
-        if cut and self._retention_policy is not None:
-            cut = self._retention_policy(chain, cut)
-        if cut > 0:
+        if cut:
             del chain[:cut]
             self.versions_collected += cut
 
@@ -197,4 +199,4 @@ class MultiVersionStore:
                 f"versions={self.version_count()})")
 
 
-__all__ = ["MultiVersionStore", "RetentionPolicy", "VersionPredicate"]
+__all__ = ["MultiVersionStore", "VersionPredicate"]

@@ -1,12 +1,17 @@
-"""CC-LO's version garbage collection: the window trim and shared old readers.
+"""CC-LO's version chains: timestamp order, the window trim and shared old
+readers.
 
-A CC-LO version is collected once a newer version of its key has been
-visible for a full reader window (``MultiVersionStore.collect_superseded``,
-run by ``CcloKernel`` each time a version turns visible).  The trim never
-drops an invisible version or the newest visible version of an origin DC,
-and a retention policy may veto it.  A version's own old readers go back to
-the shared empty record at the first finalize a full window after it turned
-visible, whether or not the version itself is collected.
+``CcloKernel`` keeps each key's chain in ``(timestamp, origin_dc)`` order
+(``MultiVersionStore.install_ordered``), whatever order replicated versions
+arrive and finish their readers checks in, so a read returns the newest
+visible version it is not barred from in timestamp order.  A CC-LO version
+is collected once a newer version of its key has been visible for a full
+reader window (``MultiVersionStore.collect_superseded``, run by
+``CcloKernel`` each time a version turns visible).  The trim never drops an
+invisible version or the newest visible version of an origin DC.  A
+version's own old readers go back to the shared empty record at the first
+finalize a full window after it turned visible, whether or not the version
+itself is collected.
 """
 
 from hypothesis import given, settings
@@ -40,7 +45,7 @@ def version(ts, *, visible=True, visible_at=0.0, origin=0, key="k"):
 def store_of(*versions):
     store = MultiVersionStore()
     for each in versions:
-        store.install(each)
+        store.install_ordered(each)
     return store
 
 
@@ -82,36 +87,10 @@ class TestWindowTrim:
         # everything behind it (the trim only cuts the chain's front).
         assert store.versions("k") == (remote, *local)
         newer_remote = version(9, origin=1, visible_at=9.0)
-        store.install(newer_remote)
+        store.install_ordered(newer_remote)
         store.collect_superseded("k", horizon=10.0)
         # Now DC 0's newest stops the trim.
         assert store.versions("k") == (local[-1], newer_remote)
-
-    def test_an_older_stamp_of_the_origin_does_not_stall_the_trim(self):
-        # Replication installs an origin's versions in the order their
-        # readers checks finish: the front's next version of its origin may
-        # carry a smaller timestamp, and a newer one behind it still covers
-        # the front.
-        front, behind = version(5), version(4, visible_at=1.0)
-        newer = version(6, visible_at=1.0)
-        store = store_of(front, behind, newer)
-        store.collect_superseded("k", horizon=10.0)
-        assert store.versions("k") == (newer,)
-
-    def test_a_retention_policy_can_veto_the_trim(self):
-        old, new = version(1), version(2, visible_at=1.0)
-        store = store_of(old, new)
-        asked = []
-
-        def keep_everything(chain, excess):
-            asked.append(excess)
-            return 0
-
-        store.set_retention_policy(keep_everything)
-        store.collect_superseded("k", horizon=10.0)
-        assert asked == [1]
-        assert store.versions("k") == (old, new)
-        assert store.versions_collected == 0
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 1),
                               st.floats(0.0, 2.0)),
@@ -194,6 +173,8 @@ class TestKernelTrim:
         key = key_on(0, 0)
         remote = version(3, key=key, origin=1)
         kernel.store.preload([remote])
+        # As installing it would have: local PUTs stamp after it.
+        kernel.clock.update(remote.timestamp)
         for now in (1.0, 2.0, 3.0):
             put(kernel, key, now)
         assert kernel.store.versions(key)[0] is remote
@@ -279,19 +260,44 @@ class TestOldReaderRelease:
                 == len(kernel._barring)
 
 
+def replicate(kernel, key, timestamp, dependencies=(), now=1.0):
+    """Deliver DC 1's version ``key@timestamp``; return the ids of the
+    readers checks the kernel answers in response."""
+    effects = kernel.on_message(ServerAddr(1, 0), CcloReplicateUpdate(
+        key=key, timestamp=timestamp, origin_dc=1, value_size=8,
+        dependencies=dependencies, writer="remote", sequence=timestamp),
+        now=now)
+    return [effect.message.check_id for effect in effects
+            if isinstance(effect.message, ReadersCheckReply)]
+
+
+class TestTimestampOrder:
+    def test_a_read_returns_the_newest_stamp_not_the_last_arrival(self):
+        # A replica receives an origin's versions in the order their
+        # readers checks finished at the origin, not in timestamp order.
+        kernel = cclo_kernel(num_dcs=2)
+        key = key_on(0, 0)
+        replicate(kernel, key, 6)
+        replicate(kernel, key, 5)
+        assert all(each.visible for each in kernel.store.versions(key))
+        assert read(kernel, key, "c1#1", now=1.1) == 6
+        assert [each.timestamp for each in kernel.store.versions(key)] \
+            == [5, 6]
+
+    def test_a_local_put_lands_after_every_replicated_version(self):
+        kernel = cclo_kernel(num_dcs=2)
+        key = key_on(0, 0)
+        replicate(kernel, key, 9)
+        replicate(kernel, key, 7)
+        written = put(kernel, key, now=1.2)
+        assert kernel.store.versions(key)[-1] is written
+        assert written.timestamp > 9
+
+
 class TestDependencyWaits:
     """Readers-check legs waiting for dependencies are indexed by the key
     they miss: a version turning visible re-tests only the legs missing its
     key, and the legs it releases go in the order they began to wait."""
-
-    @staticmethod
-    def _replicate(kernel, key, timestamp, dependencies=(), now=1.0):
-        effects = kernel.on_message(ServerAddr(1, 0), CcloReplicateUpdate(
-            key=key, timestamp=timestamp, origin_dc=1, value_size=8,
-            dependencies=dependencies, writer="remote", sequence=timestamp),
-            now=now)
-        return [effect.message.check_id for effect in effects
-                if isinstance(effect.message, ReadersCheckReply)]
 
     def test_a_visible_version_answers_only_the_legs_it_completes(self):
         kernel = cclo_kernel(num_dcs=2)
@@ -303,19 +309,18 @@ class TestDependencyWaits:
             assert kernel.on_message(ServerAddr(0, 1), ReadersCheckRequest(
                 check_id=check_id, dependencies=dependencies, put_key=a,
                 put_timestamp=9, require_present=True), now=0.5) == []
-        assert self._replicate(kernel, a, 5) == ["x:1"]
-        assert self._replicate(kernel, b, 6) == ["x:2", "x:3"]
-        assert self._replicate(kernel, a, 6) == []
-        assert self._replicate(kernel, a, 7) == ["x:4"]
+        assert replicate(kernel, a, 5) == ["x:1"]
+        assert replicate(kernel, b, 6) == ["x:2", "x:3"]
+        assert replicate(kernel, a, 6) == []
+        assert replicate(kernel, a, 7) == ["x:4"]
         assert kernel._waiting_remote_checks == {}
 
-    def test_a_local_leg_waits_for_its_dependency_in_ordered_mode(self):
+    def test_a_local_leg_waits_for_its_dependency(self):
         kernel = cclo_kernel(num_dcs=2)
-        kernel.enable_ordered_replication()
         a, b = key_on(0, 0), key_on(0, 1)
-        self._replicate(kernel, a, 4, dependencies=((b, 3, 1),))
+        replicate(kernel, a, 4, dependencies=((b, 3, 1),))
         assert not kernel.store.latest(a).visible
-        self._replicate(kernel, b, 3)
+        replicate(kernel, b, 3)
         assert kernel.store.latest(a).visible
         assert kernel._waiting_local_checks == {}
 

@@ -12,8 +12,6 @@ from repro.faults.controller import FaultController
 from repro.faults.library import dc_partition, load_spike, write_surge
 from repro.harness.builder import build_cluster
 from repro.harness.runner import run_experiment
-from repro.storage.version import Version
-from repro.workload.generator import Operation
 from repro.workload.parameters import DEFAULT_WORKLOAD
 
 
@@ -158,56 +156,16 @@ class TestFaultController:
         controller.shutdown()
 
 
-class TestRetentionFloors:
-    """On CC-LO servers the fault controller vetoes the window trim for what
-    in-flight ROTs need, reading those ROTs off the simulated clients."""
-
-    def _controlled(self, protocol, **overrides):
-        config = ClusterConfig.test_scale(clients_per_dc=1, **overrides)
-        cluster = build_cluster(protocol, config, DEFAULT_WORKLOAD)
-        FaultController(cluster.topology, cluster.metrics,
-                        Scenario.at(10.0).heal()).install()
-        return cluster
-
-    @staticmethod
-    def _complete_rot(cluster, client):
-        while client.operation is not None:
-            cluster.sim.step()
-
-    def test_cclo_version_barring_an_in_flight_rot_survives_until_it_completes(self):
-        cluster = self._controlled("cc-lo", num_dcs=1)
-        topology = cluster.topology
-        server = topology.server(0, 0)
-        key = topology.partitioner.structured_key(0, 0)
-        initial = server.store.versions(key)[0]
-        client = topology.clients_in_dc(0)[0]
-        client.issue(Operation("rot", (key,)))
-        rot_id = client.kernel.next_rot_id()
-        barring = [Version(key, None, timestamp=stamp,
-                           old_readers={rot_id: 0}) for stamp in (1, 2)]
-        for version in barring:
-            server.store.install(version)
-        # The window trim asks for two versions to go; each would leave a
-        # version the in-flight ROT may not read as the oldest one kept.
-        server.store.collect_superseded(key, horizon=10.0)
-        assert server.store.versions(key) == (initial, *barring)
-        self._complete_rot(cluster, client)
-        newest = Version(key, None, timestamp=3, old_readers={rot_id: 0})
-        server.store.install(newest)
-        server.store.collect_superseded(key, horizon=10.0)
-        assert server.store.versions(key) == (newest,)
-
-
 @pytest.mark.slow
-@pytest.mark.xfail(strict=True, reason=(
-    "CC-LO returns a version older than a causal dependency of another "
-    "version the same ROT returns; see ROADMAP, CC-LO's reader window"))
 def test_cclo_stays_causal_through_a_write_surge():
     """``run_fault_benchmark.py --scenario write-surge``'s CC-LO run (about
-    30 s): ROT client-dc0-0#4457 returns 2:0@14937 while it also returns a
-    version of 1:0 that causally depends on 2:0@14941.  Contrarian and Cure
-    pass the same run, and CC-LO fails it with or without a version cap;
-    shorter runs (1.2-1.5 s, seeds 1-3) do not reproduce it."""
+    30 s).  While CC-LO kept each key's versions in arrival order, ROT
+    client-dc0-0#4457 returned 2:0@14937 beside a version of 1:0 that
+    causally depends on 2:0@14941: a replica receives an origin's versions
+    in the order their readers checks finished there, so 2:0@14937 arrived
+    after 2:0@14941, sat behind it in the chain, and once visible was read
+    as the newest version.  Chains in timestamp order fix it; shorter runs
+    (1.2-1.5 s, seeds 1-3) never reproduced it."""
     config = ClusterConfig.test_scale(num_dcs=2, clients_per_dc=4,
                                       duration_seconds=2.1,
                                       warmup_seconds=0.2)

@@ -12,8 +12,9 @@ committed here.
 The cases are the classes PR 4 verified by hand: the three protocols, the
 2-round and logical-clock ablations of Contrarian, one DC partition per
 protocol (a partition freezes the GSS, so the vector servers' snapshot floor
-stalls and their chains grow until the heal; on CC-LO servers the fault
-controller vetoes the window trim for in-flight ROTs); and two CC-LO runs
+stalls and their chains grow until the heal; CC-LO runs the same rules as
+without a fault, its backlog of replicated versions draining after the
+heal); and two CC-LO runs
 whose reader records actually expire.  Under the default 500 ms window none
 of the other cases drops a single record (``entries_expired == 0`` on every
 server), so the paper's GC optimisation and the uncompressed readers check
@@ -68,22 +69,30 @@ CASES = {
         "cc-lo", dict(_SHORT_WINDOW, cclo_one_id_per_client=False), None),
 }
 
-#: Regenerated when the vector servers' snapshot-floor version GC replaced
-#: the store's keep-newest-16 cap: the floor and the stabilization message's
-#: new field moved the six vector digests, the cap's removal moved
-#: ``cc-lo-dc-partition``, and the other three CC-LO digests moved only by
-#: the ``snapshot_misses`` key the overhead counters gained.
+#: The six vector digests were regenerated when the vector servers'
+#: snapshot-floor version GC replaced the store's keep-newest-16 cap.  The
+#: four CC-LO digests were regenerated when CC-LO servers began to keep each
+#: key's chain in ``(timestamp, origin_dc)`` order and to hold every
+#: replicated version's local readers-check leg until its dependencies are
+#: visible: a read now returns a replicated version that arrived before an
+#: older one of its origin, and a replicated version whose dependency on its
+#: own partition is not visible yet waits for it.
 GOLDEN = {
     "contrarian": "4ac47d367239c816612e23509272b13d5a27a6e17dd6bf727c23c922497c10c6",
     "cure": "6570c7ce3332b5a7c667fd2f8d4dae93a14bfec7898e27ba75fa29415aa73db2",
-    "cc-lo": "6fc2791788c6364d8a19f7648548371d49dbf5e9f6992207513e2f8c85be0e5a",
+    # Chains in timestamp order and the local leg's dependency wait.
+    "cc-lo": "75187d686a9491ae9f76fce299d70445f06e73abaa7ea6ad3e0adc14f72d99f9",
     "contrarian-2-rounds": "3fd90e7f09d476570f45c0aa7b40aa7d0965d83bfde012809e537d2261ef304a",
     "contrarian-logical-clock": "f51a2533eeab77718fe9d9bcbc5ea89364826d55640f55056ad3af5d9f1303f0",
     "contrarian-dc-partition": "b6a3d740a8c2ce78993f549f0d8cf45b9b2e78192d10679ca25d7ab645dd3c8a",
     "cure-dc-partition": "70178f99384f4abb21fae39a44fa78cffd6a2b5b1dcc1848495f76097103c5e0",
-    "cc-lo-dc-partition": "125fb841c15fdcc15c53b9fd9d08ca492535e14515360817ed74ebfa6517082a",
-    "cc-lo-short-gc-window": "8fbdf269385ab3981b2f862c787486dd547dd30df2bfaca58a832125cd5f0036",
-    "cc-lo-uncompressed": "678a3c3eea95135f32cc6b922baaa325136fcb18eca9d30c883e5eae5b1ca080",
+    # As "cc-lo", and the fault controller no longer parks a replicated
+    # version's finalize behind an older one of its origin or vetoes trims.
+    "cc-lo-dc-partition": "2c7ec8c633ceed14636ecdb80874b19f12299817ccd64776af6a02d1beb6c0cf",
+    # As "cc-lo".
+    "cc-lo-short-gc-window": "86a763c22ea64f347091320e9e54823f289ca6b2c45198fe34a4af7acf9647d1",
+    # As "cc-lo".
+    "cc-lo-uncompressed": "7ae9144aaef1c0d771214ac62d1b4a25017674800eae7d64b1f9624596ca23de",
 }
 
 
