@@ -4,9 +4,10 @@
 Runs the scripted DC-partition scenario (partition one data center mid-run,
 heal it, keep measuring) once for every implemented protocol with the causal
 consistency checker recording the full history.  The run *fails* (non-zero
-exit) if the checker reports any snapshot or session violation — causal
-consistency must hold through partitions; only liveness (remote-update
-visibility) may degrade.  The per-phase metric slices are written to
+exit) if the checker reports any snapshot, session or convergence violation
+— causal consistency must hold through partitions, and the replicas must
+converge once the run has quiesced after the heal; only liveness
+(remote-update visibility) may degrade.  The per-phase metric slices are written to
 ``BENCH_faults.json`` so CI tracks the protocols' before/during/after
 behaviour from PR to PR.
 
@@ -59,12 +60,14 @@ def run_fault_smoke(scenario_name: str = "dc-partition",
         report = outcome.checker_report
         assert report is not None
         violations = (len(report.snapshot_violations)
-                      + len(report.session_violations))
+                      + len(report.session_violations)
+                      + len(report.convergence_violations))
         total_violations += violations
         protocols[protocol] = {
             "violations": violations,
             "snapshot_violations": report.snapshot_violations[:10],
             "session_violations": report.session_violations[:10],
+            "convergence_violations": report.convergence_violations[:10],
             "checked_puts": report.puts,
             "checked_rots": report.rots,
             "result": outcome.result.as_json_dict(),

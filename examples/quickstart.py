@@ -35,8 +35,11 @@ def drive_the_store() -> None:
 
     # The recorded history can be validated against the causal model.
     report = store.check()
+    violations = (len(report.snapshot_violations)
+                  + len(report.session_violations)
+                  + len(report.convergence_violations))
     print(f"history check: {report.puts} PUTs, {report.rots} ROTs, "
-          f"violations={len(report.snapshot_violations) + len(report.session_violations)}")
+          f"violations={violations}")
 
 
 def run_a_workload() -> None:

@@ -62,14 +62,16 @@ def workload_mode() -> None:
                                  check_consistency=True)
         result = outcome.result
         report = outcome.checker_report
+        violations = (len(report.snapshot_violations)
+                      + len(report.session_violations)
+                      + len(report.convergence_violations))
         print(f"  {protocol:<12} {outcome.cluster.worker_count} worker "
               f"processes | {result.rots_completed} ROTs + "
               f"{result.puts_completed} PUTs | "
               f"{result.throughput_kops * 1000:.0f} ops/s | "
               f"ROT avg {result.rot_latency.mean_ms:.2f} ms "
               f"p99 {result.rot_latency.p99_ms:.2f} ms | "
-              f"violations: "
-              f"{len(report.snapshot_violations) + len(report.session_violations)}")
+              f"violations: {violations}")
 
 
 def interactive_mode() -> None:

@@ -48,6 +48,7 @@ from repro.obs.export import write_chrome_trace
 from repro.obs.trace import TraceAssembler
 from repro.runtime.cluster import RealtimeCluster
 from repro.runtime.process import ProcessCluster
+from repro.workload.generator import Operation
 from repro.workload.parameters import WorkloadParameters
 
 
@@ -191,14 +192,12 @@ class CausalStore:
     # ------------------------------------------------------------- operations
     def put(self, key: str, value_size: int = 8, *, dc: int = 0) -> OperationResult:
         """Create a new version of ``key`` and wait for the PUT to complete."""
-        operation = _SyntheticOperation(kind="put", keys=(key,),
-                                        value_size=value_size)
+        operation = Operation(kind="put", keys=(key,), value_size=value_size)
         return self._drive(self._client(dc), operation)
 
     def rot(self, keys: Sequence[str], *, dc: int = 0) -> OperationResult:
         """Read ``keys`` from a causally consistent snapshot."""
-        operation = _SyntheticOperation(kind="rot", keys=tuple(keys),
-                                        value_size=8)
+        operation = Operation(kind="rot", keys=tuple(keys), value_size=8)
         return self._drive(self._client(dc), operation)
 
     def get(self, key: str, *, dc: int = 0) -> Optional[int]:
@@ -207,7 +206,9 @@ class CausalStore:
 
     def _drive(self, client, operation) -> OperationResult:
         self._ensure_open()
-        drive = (self._drive_sim if self.backend == "sim"
+        # The facade's sim clients are never started, so completing an
+        # operation does not re-enter the closed loop.
+        drive = (self._cluster.perform if self.backend == "sim"
                  else self._drive_realtime)
         outcome, seconds = drive(client, operation)
         if operation.is_put:
@@ -233,24 +234,6 @@ class CausalStore:
                 raise failure
             raise
         return outcome, clock.now - started
-
-    def _drive_sim(self, client, operation) -> tuple[object, float]:
-        # The facade's clients are never started, so completing an operation
-        # does not re-enter the closed loop: the facade issues each one
-        # itself and steps the simulator until the host reports it done.
-        sim = self._cluster.sim
-        started = sim.now
-        client.issue(operation)
-        guard = 0
-        while client.operation is not None:
-            if not sim.step():
-                raise ConfigurationError(
-                    "the simulation ran out of events before the operation "
-                    "completed; this indicates a protocol bug")
-            guard += 1
-            if guard > 5_000_000:
-                raise ConfigurationError("operation did not complete")
-        return client.outcome, sim.now - started
 
     # ------------------------------------------------------------------ audit
     def advance(self, seconds: float) -> None:
@@ -318,23 +301,6 @@ class CausalStore:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         del exc_type, exc_value, traceback
         self.close()
-
-
-@dataclass(frozen=True)
-class _SyntheticOperation:
-    """Minimal stand-in for a workload operation used by the facade."""
-
-    kind: str
-    keys: tuple[str, ...]
-    value_size: int
-
-    @property
-    def is_put(self) -> bool:
-        return self.kind == "put"
-
-    @property
-    def is_rot(self) -> bool:
-        return self.kind == "rot"
 
 
 __all__ = [

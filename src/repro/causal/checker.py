@@ -70,8 +70,10 @@ class CheckerReport:
     rots: int = 0
     snapshot_violations: list[str] = field(default_factory=list)
     session_violations: list[str] = field(default_factory=list)
-    #: Divergent final reads on quiesced histories; empty unless the
-    #: checker was built with ``check_convergence=True``.
+    #: Divergent reads among those recorded after the run quiesced
+    #: (:meth:`StreamingChecker.mark_quiesced
+    #: <repro.causal.streaming.StreamingChecker.mark_quiesced>`); empty when
+    #: nothing marked the history quiesced.
     convergence_violations: list[str] = field(default_factory=list)
 
     @property

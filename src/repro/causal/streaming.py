@@ -12,6 +12,10 @@ the guarantees the paper's system model requires (Section 2.2):
 2. **Session guarantees** — read-your-writes and monotonic reads per
    client: no read returns a version that precedes one the client wrote or
    read before.
+3. **Convergence** — once the run has quiesced
+   (:meth:`StreamingChecker.mark_quiesced`), no two clients' last reads of
+   a key return versions of different origins neither of which precedes
+   the other.
 
 Versions are ``(key, timestamp, origin_dc)``.  Timestamps from different
 data centers live in different clock domains (CC-LO uses per-server
@@ -252,11 +256,6 @@ class StreamingChecker:
         window force-seals once ``window_ops * force_seal_factor``
         operations are pending, so a stalled source cannot grow memory
         without bound.
-    check_convergence:
-        Also verify eventual convergence on *quiesced* histories: two
-        clients whose final reads of a key return causally incomparable
-        cross-DC versions indicate the replicas had not converged.  Off by
-        default because abruptly-stopped realtime runs are not quiesced.
     tracer:
         Optional :class:`repro.obs.bus.EventBus`; seals and retirements are
         emitted as ``window_seal`` / ``window_retire`` events.
@@ -264,7 +263,7 @@ class StreamingChecker:
 
     def __init__(self, *, window_ops: int = DEFAULT_WINDOW_OPS,
                  retire_lag: int = 2, force_seal_factor: int = 4,
-                 check_convergence: bool = False, tracer=None) -> None:
+                 tracer=None) -> None:
         if window_ops < 1:
             raise SimulationError(f"window_ops must be >= 1, got {window_ops}")
         if retire_lag < 1:
@@ -275,7 +274,6 @@ class StreamingChecker:
         self.window_ops = window_ops
         self.retire_lag = retire_lag
         self.force_seal_factor = force_seal_factor
-        self.check_convergence = check_convergence
         self.tracer = tracer
 
         #: Versions whose windows have not retired yet.
@@ -300,7 +298,9 @@ class StreamingChecker:
         #: client -> key -> the newest versions of the key the client wrote
         #: or read (pairwise concurrent; a dict keeps their order fixed).
         self._session_observed: dict[str, dict[str, dict[VersionId, None]]] = {}
-        #: key -> client -> version returned by the client's last read.
+        #: Whether :meth:`mark_quiesced` was called, and key -> client ->
+        #: version returned by the client's last read since then.
+        self._quiesced = False
         self._final_reads: dict[str, dict[str, Optional[VersionId]]] = {}
         #: Violations found by the sealed windows, in seal order.
         self._snapshot_violations: list[str] = []
@@ -386,7 +386,7 @@ class StreamingChecker:
         for read in rot.reads:
             if read.timestamp is not None:
                 self._advance(source, read.origin_dc, read.timestamp)
-            if self.check_convergence:
+            if self._quiesced:
                 self._final_reads.setdefault(
                     read.key, {})[rot.client] = read.version_id
         self._append("rot", rot)
@@ -517,8 +517,18 @@ class StreamingChecker:
         observed[version_id[0]] = newest
 
     # ------------------------------------------------------------ convergence
-    def _check_convergence(self) -> list[str]:
-        """Divergent final reads on a quiesced history (see class docstring).
+    def mark_quiesced(self) -> None:
+        """Declare the run quiesced: no write is in flight or still
+        replicating, so every DC holds every version.  :meth:`check` judges
+        convergence on the reads of the ROTs recorded after this call: two
+        clients whose last such reads of a key return causally incomparable
+        cross-DC versions name replicas that did not converge.  Without the
+        call no read is judged for convergence (a run stopped mid-load is
+        not quiesced)."""
+        self._quiesced = True
+
+    def _divergent_reads(self) -> list[str]:
+        """Divergent final reads since :meth:`mark_quiesced`.
 
         Same-origin differing finals are timestamp-ordered (one client is
         merely behind in the per-key last-writer-wins order) and are not
@@ -575,8 +585,7 @@ class StreamingChecker:
             puts=self._distinct_puts, rots=self._rot_count,
             snapshot_violations=list(self._snapshot_violations),
             session_violations=list(self._session_violations),
-            convergence_violations=(self._check_convergence()
-                                    if self.check_convergence else []))
+            convergence_violations=self._divergent_reads())
 
 
 __all__ = [

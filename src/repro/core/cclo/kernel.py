@@ -233,7 +233,7 @@ class CcloKernel(ServerKernel):
                           origin_dc=self.dc_id, size_bytes=message.value_size,
                           visible=False, writer=message.client_id,
                           sequence=message.sequence)
-        self.store.install_ordered(version)
+        self.store.install(version)
         self._start_readers_check(version, message.dependencies, client=sender,
                                   replicate_after=True)
 
@@ -407,7 +407,7 @@ class CcloKernel(ServerKernel):
                           sequence=message.sequence)
         if message.old_readers:
             version.old_readers = dict(message.old_readers)
-        self.store.install_ordered(version)
+        self.store.install(version)
         tracer = self.tracer
         if tracer is not None:
             trace = self.current_trace

@@ -56,6 +56,24 @@ from repro.wire.intern import intern_key
 class VectorServerKernel(ServerKernel):
     """The partition-server state machine of the Contrarian/Cure design.
 
+    **Version order.**  The store keeps each key's versions in
+    ``(timestamp, origin_dc)`` order, whatever order they arrive in
+    (:meth:`~repro.storage.mvstore.MultiVersionStore.install`), and a read
+    returns the last version in that order its snapshot admits.  Two
+    replicas holding the same versions thus answer a snapshot that admits
+    them all alike: concurrent writes of a key converge under
+    last-writer-wins, not under the order replication delivered them in.
+    The order keeps a read causal because a version that causally follows
+    another of its key sorts after it: a PUT's timestamp is strictly above
+    ``max(client_vector)`` (:meth:`ClockBox.timestamp_after
+    <repro.core.vector.clockbox.ClockBox.timestamp_after>` in all three
+    clock modes, hlc, logical and physical), and each entry of the client's
+    vector is at least the timestamp of every version of that DC in the
+    client's causal past.  A tie of
+    ``(timestamp, origin_dc)`` (two physical-clock PUTs in one microsecond)
+    keeps arrival order, which for one origin is the same FIFO order at
+    every replica.
+
     **Version GC.**  A ROT returns, per key, the newest version its snapshot
     admits, so that version must still be stored.  A partition's *floor* is
     the entry-wise minimum of the latest ``previous_gss`` of every DC peer
@@ -66,7 +84,10 @@ class VectorServerKernel(ServerKernel):
     the partition drops the front of the key's chain while the next
     version's dependency vector is at or below the floor
     (:meth:`~repro.storage.mvstore.MultiVersionStore.collect_below_floor`),
-    which changes no read whose snapshot dominates the floor; every one does:
+    which changes no read whose snapshot dominates the floor: such a
+    snapshot admits that next version, which stays in the chain and sorts
+    after every version collected before it, so the read returns it or a
+    later one.  Every read's snapshot dominates the floor:
 
     * *1 1/2 rounds.*  A coordinator sends its proxy reads before its next
       stabilization message on the same channel, and channels are FIFO per
@@ -81,9 +102,13 @@ class VectorServerKernel(ServerKernel):
       one-broadcast lag of ``previous_gss`` covers a read that reaches its
       partition within one stabilization interval (5 ms) of its snapshot
       being chosen, about two intra-DC hops.  That is an assumption, as
-      CC-LO's 500 ms reader window is one; a read that breaks it finds no
-      version of a stored key, which :meth:`_serve_read` counts in
-      ``snapshot_misses``, never a silent bottom value.
+      CC-LO's 500 ms reader window is one.  A read that breaks it may find
+      no version of a stored key, which :meth:`_serve_read` counts in
+      ``snapshot_misses``.  It may also return a version older than the
+      one its snapshot needed, uncounted: a replica of an older version
+      that arrives after the trim sorts to the front of the chain, and a
+      snapshot below the floor can admit it alone.  ROADMAP's item on
+      refusing such a read names the fix.
     * *``rot-block``.*  A held read arrived above the floor and keeps its
       snapshot in every floor computed until it is served.
 

@@ -17,6 +17,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.seeding import node_rng, preload_initial_keyspace
 from repro.cluster.topology import ClusterTopology
 from repro.core.registry import resolve_spec
+from repro.errors import ConfigurationError
 from repro.metrics.collectors import MetricsRegistry
 from repro.obs.bus import EventBus
 from repro.sim.drivers import BaseClient, PartitionServer
@@ -64,6 +65,27 @@ class BuiltCluster:
     # ``close`` is the lifecycle spelling the facade uses; it is the same
     # idempotent teardown.
     close = stop
+
+    def perform(self, client: BaseClient, operation) -> tuple[object, float]:
+        """Issue ``operation`` on the idle ``client`` and step the simulator
+        until it completes; return its outcome and simulated seconds.
+
+        The client's closed loop must not be running (never started, or
+        stopped), so completing the operation does not issue the next one.
+        """
+        sim = self.sim
+        started = sim.now
+        client.issue(operation)
+        guard = 0
+        while client.operation is not None:
+            if not sim.step():
+                raise ConfigurationError(
+                    "the simulation ran out of events before the operation "
+                    "completed; this indicates a protocol bug")
+            guard += 1
+            if guard > 5_000_000:
+                raise ConfigurationError("operation did not complete")
+        return client.outcome, sim.now - started
 
 
 def build_cluster(protocol: str, config: ClusterConfig,

@@ -5,6 +5,8 @@ of the :data:`BACKENDS` and returns the measured
 :class:`~repro.metrics.collectors.RunResult` plus the raw pieces (the
 cluster and, when enabled, the consistency checker report).  Every backend
 writes the same row, so simulated and wall-clock numbers sit in one table.
+A checked run ends with a quiesce step after the row is recorded, so its
+report also judges whether the replicas converged.
 ``load_sweep`` varies the number of closed-loop clients to trace one
 throughput-versus-latency curve, which is how every figure in the paper's
 evaluation is produced.
@@ -18,6 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from repro.causal.checker import CheckerReport
 from repro.causal.streaming import StreamingChecker
 from repro.cluster.config import ClusterConfig
+from repro.cluster.partitioning import HashPartitioner
 from repro.errors import ConfigurationError
 from repro.faults.controller import FaultController
 from repro.faults.scenario import Scenario
@@ -26,6 +29,7 @@ from repro.harness.parallel import run_specs, sweep_specs
 from repro.metrics.collectors import RunResult
 from repro.metrics.overheads import OverheadCounters
 from repro.obs.trace import TraceAssembler
+from repro.workload.generator import Operation
 from repro.workload.parameters import DEFAULT_WORKLOAD, WorkloadParameters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -106,6 +110,15 @@ def run_experiment(protocol: str,
         Record the run's repro.obs event stream and attach the assembled
         timeline to the outcome; the result row then carries the per-write
         remote-visibility lag distribution.  Never perturbs the simulation.
+
+    When ``checker`` is a checker (it has ``check``), a ``sim`` or
+    ``inproc`` run ends with a quiesce step: the clients stop and the row is
+    recorded, the servers run on for a settle period, the checker is
+    marked quiesced and one client per DC reads the whole key space
+    (:func:`_audit_reads`), so the report judges convergence on those reads;
+    then the servers stop.  The row and the trace are taken before the
+    step, which changes neither.  On ``tcp`` the clients live in worker
+    processes, and no quiesce step runs.
     """
     require_backend(backend)
     faulted = scenario is not None and not scenario.is_empty
@@ -118,6 +131,22 @@ def run_experiment(protocol: str,
         checker = StreamingChecker.offline()
     controller: Optional[FaultController] = None
     assembler: Optional[TraceAssembler] = None
+    label = label or (workload.describe() if backend == "sim"
+                      else f"{backend} {workload.describe()}")
+
+    def measure(metrics, overhead: OverheadCounters, cpu_utilization: float,
+                assembler: Optional[TraceAssembler]) -> RunResult:
+        return metrics.finalize(
+            protocol=protocol,
+            num_dcs=config.num_dcs,
+            clients=config.total_clients,
+            measurement_seconds=config.measurement_seconds,
+            overhead=overhead,
+            cpu_utilization=cpu_utilization,
+            label=label,
+            visibility_trace=(assembler.visibility_summary()
+                              if assembler is not None else None))
+
     if backend == "sim":
         cluster = build_cluster(protocol, config, workload, checker=checker,
                                 trace=trace)
@@ -127,7 +156,8 @@ def run_experiment(protocol: str,
             controller.install()
         cluster.start()
         cluster.sim.run(until=config.duration_seconds)
-        cluster.stop()
+        for client in cluster.topology.clients:
+            client.stop()
         if controller is not None:
             controller.shutdown()
         if cluster.trace_bus is not None:
@@ -136,27 +166,15 @@ def run_experiment(protocol: str,
         overhead = OverheadCounters()
         for server in cluster.topology.all_servers():
             overhead.merge(server.counters)
-        cpu_utilization = cluster.topology.average_cpu_utilization(
-            config.duration_seconds)
+        result = measure(cluster.metrics, overhead,
+                         cluster.topology.average_cpu_utilization(
+                             config.duration_seconds), assembler)
+        if hasattr(checker, "check"):
+            _quiesce_sim(cluster, checker)
+        cluster.stop()
     else:
-        cluster = _serve_wall_clock(protocol, config, workload, backend,
-                                    checker, trace)
-        if trace:
-            assembler = cluster.collect_trace()
-        overhead = cluster.overhead()
-        cpu_utilization = 0.0
-        label = label or f"{backend} {workload.describe()}"
-
-    result = cluster.metrics.finalize(
-        protocol=protocol,
-        num_dcs=config.num_dcs,
-        clients=config.total_clients,
-        measurement_seconds=config.measurement_seconds,
-        overhead=overhead,
-        cpu_utilization=cpu_utilization,
-        label=label or workload.describe(),
-        visibility_trace=(assembler.visibility_summary()
-                          if assembler is not None else None))
+        cluster, result, assembler = _serve_wall_clock(
+            protocol, config, workload, backend, checker, trace, measure)
 
     report: Optional[CheckerReport] = None
     if hasattr(checker, "check"):
@@ -170,9 +188,11 @@ def run_experiment(protocol: str,
 
 def _serve_wall_clock(protocol: str, config: ClusterConfig,
                       workload: WorkloadParameters, backend: str,
-                      checker: Optional[object], trace: bool):
+                      checker: Optional[object], trace: bool, measure):
     """Start a wall-clock cluster, serve its closed loops for
-    ``config.duration_seconds`` and stop it; return the stopped cluster.
+    ``config.duration_seconds``, record the row with ``measure``, quiesce
+    (``inproc``, see :func:`run_experiment`) and stop it; return the
+    stopped cluster, the row and the trace.
 
     The runtime is imported here, so a simulated run (and every pool worker
     of :func:`~repro.harness.parallel.run_specs`) never loads asyncio.
@@ -194,12 +214,24 @@ def _serve_wall_clock(protocol: str, config: ClusterConfig,
         async def serve(seconds: float) -> None:
             await drive_closed_loops(cluster, seconds)
 
+    def measured():
+        assembler = cluster.collect_trace() if trace else None
+        return measure(cluster.metrics, cluster.overhead(), 0.0,
+                       assembler), assembler
+
+    row = None
+
     async def run() -> None:
+        nonlocal row
         # stop() also covers a start() that failed mid-handshake: the
         # already-spawned worker processes must not be leaked.
         try:
             await cluster.start()
             await serve(config.duration_seconds)
+            if backend == "inproc":
+                row = measured()
+                if hasattr(checker, "check"):
+                    await _quiesce_inproc(cluster, checker)
         finally:
             await cluster.stop()
         # Failures recorded during teardown (e.g. a link that broke while
@@ -209,7 +241,56 @@ def _serve_wall_clock(protocol: str, config: ClusterConfig,
             raise failure
 
     asyncio.run(run())
-    return cluster
+    if row is None:
+        # The TCP workers ship their metrics, counters and trace at stop.
+        row = measured()
+    return (cluster, *row)
+
+
+def _settle_seconds(config: ClusterConfig) -> float:
+    """How long the quiesce step lets the servers run without clients: ten
+    periods of the slower of the stabilization and heartbeat timers, each
+    plus one cross-DC hop, so the last writes replicate and every DC's
+    stable snapshot covers them (about 50 ms at the defaults)."""
+    period = max(config.stabilization_interval_ms,
+                 config.heartbeat_interval_ms) / 1e3
+    return 10 * (period + config.latency_model.inter_dc_us / 1e6)
+
+
+def _audit_reads(config: ClusterConfig) -> list[Operation]:
+    """The quiesce step's ROTs: together they read the whole key space,
+    each one key index on every partition."""
+    key = HashPartitioner.structured_key
+    partitions = range(config.num_partitions)
+    return [Operation("rot", tuple(key(partition, index)
+                                   for partition in partitions))
+            for index in range(config.keys_per_partition)]
+
+
+def _quiesce_sim(cluster: BuiltCluster, checker) -> None:
+    """The quiesce step of :func:`run_experiment` on the simulator; the
+    clients are stopped and idle once the settle period is over."""
+    sim = cluster.sim
+    sim.run(until=sim.now + _settle_seconds(cluster.config))
+    checker.mark_quiesced()
+    reads = _audit_reads(cluster.config)
+    for dc in range(cluster.config.num_dcs):
+        client = cluster.topology.clients_in_dc(dc)[0]
+        for operation in reads:
+            cluster.perform(client, operation)
+
+
+async def _quiesce_inproc(cluster: "RealtimeCluster", checker) -> None:
+    """The quiesce step on ``inproc``, once the closed loops have stopped."""
+    import asyncio
+
+    await asyncio.sleep(_settle_seconds(cluster.config))
+    checker.mark_quiesced()
+    reads = _audit_reads(cluster.config)
+    for dc in range(cluster.config.num_dcs):
+        client = cluster.clients_in_dc(dc)[0]
+        for operation in reads:
+            await client.perform(operation)
 
 
 def load_sweep(protocol: str, client_counts: Sequence[int],

@@ -1,17 +1,18 @@
 """Per-partition multi-version store.
 
 Every partition server owns one :class:`MultiVersionStore`.  Versions of the
-same key are kept in a list, oldest first; reads walk the list from the
-newest version backwards applying a protocol-supplied predicate (snapshot
-membership, visibility, old-reader exclusion), so "newest" is the list's
-order.  The vector kernels append (:meth:`MultiVersionStore.install`), and
-their predicate picks by snapshot; CC-LO places each version at its
-``(timestamp, origin_dc)`` position (:meth:`MultiVersionStore.install_ordered`),
-because a ROT reads the most recent visible version in timestamp order and a
-replica receives an origin's versions in the order their readers checks
-finish there, not in timestamp order.
+same key are kept in a list in ``(timestamp, origin_dc)`` order, oldest
+first, whatever order they arrive in (:meth:`MultiVersionStore.install`);
+reads walk the list from the newest version backwards applying a
+protocol-supplied predicate (snapshot membership, visibility, old-reader
+exclusion).  So every protocol reads "the most recent version" under one
+last-writer-wins order, and two replicas that hold the same versions of a
+key answer a read that admits them all with the same one, in whatever order
+replication delivered them.  The kernels argue why the order also keeps a
+read causal (:class:`~repro.core.vector.kernel.VectorServerKernel`,
+:class:`~repro.core.cclo.kernel.CcloKernel`).
 
-Neither install collects anything; each protocol family asks for its own
+No install collects anything; each protocol family asks for its own
 collection under its own rule:
 
 * Contrarian and Cure: :meth:`MultiVersionStore.collect_below_floor`, after
@@ -32,7 +33,6 @@ kernel puts the shared empty record back
 No cap bounds a chain: it grows while its protocol's rule holds versions
 back (a stalled stable snapshot, a long reader window).
 """
-
 from __future__ import annotations
 
 from bisect import insort
@@ -44,7 +44,7 @@ from repro.storage.version import Version
 #: Predicate deciding whether a version may be returned for a given read.
 VersionPredicate = Callable[[Version], bool]
 
-#: CC-LO's version order: Lamport timestamp, ties broken by origin DC.
+#: The version order of every chain: timestamp, ties broken by origin DC.
 _TIMESTAMP_ORDER = attrgetter("timestamp", "origin_dc")
 
 
@@ -58,20 +58,15 @@ class MultiVersionStore:
 
     # ----------------------------------------------------------------- writes
     def install(self, version: Version) -> Version:
-        """Install a new version of ``version.key`` and return it."""
-        chain = self._chains.setdefault(version.key, [])
-        chain.append(version)
-        self.puts_applied += 1
-        return version
-
-    def install_ordered(self, version: Version) -> Version:
         """Install ``version`` at its ``(timestamp, origin_dc)`` position in
-        its key's chain and return it (CC-LO's install).
+        its key's chain and return it.
 
-        A chain built only by this method stays sorted in that order.  A
-        local PUT carries the largest Lamport timestamp its server has seen,
-        so it lands at the end; a replicated version may overtake an older
-        one of its origin that arrived before it.
+        A local PUT carries a timestamp above every one its server has
+        seen, so it lands at the end; a replicated version may overtake an
+        older one that arrived before it.  A version with the same
+        ``(timestamp, origin_dc)`` as a stored one goes after it: only one
+        origin writes such a pair, and its replicas receive its versions in
+        the same FIFO order.
         """
         insort(self._chains.setdefault(version.key, []), version,
                key=_TIMESTAMP_ORDER)
@@ -111,8 +106,8 @@ class MultiVersionStore:
         its origin DC is visible, so the newest visible version of every
         origin survives and with it every answer to "is a version of origin
         ``o`` at or after ``t`` visible?".  The chain is in timestamp order
-        (:meth:`install_ordered`), so a later version of the origin has a
-        larger timestamp.  The first version that fails stops the trim,
+        (:meth:`install`), so a later version of the origin has a larger
+        timestamp.  The first version that fails stops the trim,
         which therefore costs one step per collected version plus the
         look-ahead for the one that stops it.
         """

@@ -1,9 +1,9 @@
 """CC-LO's version chains: timestamp order, the window trim and shared old
 readers.
 
-``CcloKernel`` keeps each key's chain in ``(timestamp, origin_dc)`` order
-(``MultiVersionStore.install_ordered``), whatever order replicated versions
-arrive and finish their readers checks in, so a read returns the newest
+Every chain is in ``(timestamp, origin_dc)`` order
+(``MultiVersionStore.install``), whatever order replicated versions arrive
+and finish their readers checks in, so a read returns the newest
 visible version it is not barred from in timestamp order.  A CC-LO version
 is collected once a newer version of its key has been visible for a full
 reader window (``MultiVersionStore.collect_superseded``, run by
@@ -45,7 +45,7 @@ def version(ts, *, visible=True, visible_at=0.0, origin=0, key="k"):
 def store_of(*versions):
     store = MultiVersionStore()
     for each in versions:
-        store.install_ordered(each)
+        store.install(each)
     return store
 
 
@@ -87,7 +87,7 @@ class TestWindowTrim:
         # everything behind it (the trim only cuts the chain's front).
         assert store.versions("k") == (remote, *local)
         newer_remote = version(9, origin=1, visible_at=9.0)
-        store.install_ordered(newer_remote)
+        store.install(newer_remote)
         store.collect_superseded("k", horizon=10.0)
         # Now DC 0's newest stops the trim.
         assert store.versions("k") == (local[-1], newer_remote)

@@ -86,10 +86,23 @@ class TestMultiVersionStore:
         store.install(make_version(ts=2))
         assert store.puts_applied == 2
 
-    @given(st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=60))
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=50),
+                              st.integers(min_value=0, max_value=2)),
+                    min_size=1, max_size=60, unique=True))
     @settings(max_examples=50, deadline=None)
-    def test_latest_is_last_installed(self, timestamps):
+    def test_latest_is_the_newest_in_timestamp_order(self, stamps):
+        """Whatever order ``(timestamp, origin_dc)`` pairs arrive in,
+        ``latest`` is their maximum and the chain is sorted."""
         store = MultiVersionStore()
-        for ts in timestamps:
-            store.install(make_version(ts=ts))
-        assert store.latest("k").timestamp == timestamps[-1]
+        for ts, origin in stamps:
+            store.install(make_version(ts=ts, origin_dc=origin))
+        latest = store.latest("k")
+        assert (latest.timestamp, latest.origin_dc) == max(stamps)
+        assert [(v.timestamp, v.origin_dc) for v in store.versions("k")] \
+            == sorted(stamps)
+
+    def test_an_equal_stamp_goes_after_the_stored_one(self):
+        store = MultiVersionStore()
+        store.install(make_version(ts=3, writer="first"))
+        store.install(make_version(ts=3, writer="second"))
+        assert [v.writer for v in store.versions("k")] == ["first", "second"]

@@ -293,17 +293,27 @@ class TestReentrantCheck:
         assert checker.peak_live_versions <= 300
 
 
+def quiesced_report(puts, rots, *, before=()):
+    """Record ``puts`` and the ROTs ``before``, mark the run quiesced, then
+    record ``rots`` and check."""
+    checker = StreamingChecker()
+    checker.record_history(puts, before)
+    checker.mark_quiesced()
+    checker.record_history((), rots)
+    return checker.check()
+
+
+CONCURRENT_PUTS = [put("k", 5, client="w0", seq=1, origin=0),
+                   put("k", 6, client="w1", seq=1, origin=1)]
+DIVERGENT_ROTS = [rot("r1", [("k", 5, 0)], client="ca", seq=1),
+                  rot("r2", [("k", 6, 1)], client="cb", seq=1)]
+
+
 class TestConvergence:
     def test_divergent_cross_dc_finals_are_flagged(self):
         # Two concurrent writes to k from different DCs; each client's last
         # read returns a different one and neither precedes the other.
-        puts = [put("k", 5, client="w0", seq=1, origin=0),
-                put("k", 6, client="w1", seq=1, origin=1)]
-        rots = [rot("r1", [("k", 5, 0)], client="ca", seq=1),
-                rot("r2", [("k", 6, 1)], client="cb", seq=1)]
-        checker = StreamingChecker(check_convergence=True)
-        checker.record_history(puts, rots)
-        report = checker.check()
+        report = quiesced_report(CONCURRENT_PUTS, DIVERGENT_ROTS)
         assert len(report.convergence_violations) == 1
         assert "divergent final reads" in report.convergence_violations[0]
         assert not report.ok
@@ -312,11 +322,8 @@ class TestConvergence:
         puts = [put("k", 5, client="w0", seq=1, origin=0),
                 put("k", 6, client="w1", seq=1, origin=1,
                     deps=[("k", 5, 0)])]
-        rots = [rot("r1", [("k", 5, 0)], client="ca", seq=1),
-                rot("r2", [("k", 6, 1)], client="cb", seq=1)]
-        checker = StreamingChecker(check_convergence=True)
-        checker.record_history(puts, rots)
-        assert checker.check().convergence_violations == []
+        assert quiesced_report(puts, DIVERGENT_ROTS).convergence_violations \
+            == []
 
     def test_same_origin_finals_are_not_divergence(self):
         # k@5 and k@6 are unrelated writes stamped by one server in DC 0:
@@ -325,16 +332,23 @@ class TestConvergence:
                 put("k", 6, client="w1", seq=1)]
         rots = [rot("r1", [("k", 5, 0)], client="ca", seq=1),
                 rot("r2", [("k", 6, 0)], client="cb", seq=1)]
-        checker = StreamingChecker(check_convergence=True)
-        checker.record_history(puts, rots)
-        assert checker.check().convergence_violations == []
+        assert quiesced_report(puts, rots).convergence_violations == []
 
-    def test_convergence_is_off_by_default(self):
-        puts = [put("k", 5, client="w0", seq=1, origin=0),
-                put("k", 6, client="w1", seq=1, origin=1)]
-        rots = [rot("r1", [("k", 5, 0)], client="ca", seq=1),
-                rot("r2", [("k", 6, 1)], client="cb", seq=1)]
-        report = report_of(puts, rots)
+    def test_finals_recorded_before_the_mark_are_not_judged(self):
+        report = quiesced_report(CONCURRENT_PUTS, (), before=DIVERGENT_ROTS)
+        assert report.convergence_violations == []
+        assert report.ok
+
+    def test_only_reads_after_the_mark_are_judged(self):
+        # The clients disagreed mid-run and agree once quiesced.
+        agreeing = [rot("r3", [("k", 6, 1)], client="ca", seq=2),
+                    rot("r4", [("k", 6, 1)], client="cb", seq=2)]
+        report = quiesced_report(CONCURRENT_PUTS, agreeing,
+                                 before=DIVERGENT_ROTS)
+        assert report.ok
+
+    def test_an_unmarked_history_is_not_judged(self):
+        report = report_of(CONCURRENT_PUTS, DIVERGENT_ROTS)
         assert report.convergence_violations == []
         assert report.ok
 

@@ -17,6 +17,14 @@ docstring argues the rule); CC-LO collects under its reader window.
   kept each key's versions in arrival order (a replica receives an origin's
   versions in the order their readers checks finish there), and none with
   the chains in timestamp order.
+* Every checked run ends quiesced, and its reads from both DCs must agree.
+  The ``-converges`` runs (8 clients per DC for 0.3 s) fail while
+  Contrarian and Cure appended each version, so that a snapshot's "newest"
+  version was the last to arrive: concurrent writes of a key reached the
+  two DCs in opposite orders and each DC kept returning its own.  Contrarian
+  diverged on 6 of 40 keys at seed 1, Cure on 1 at seeds 1 and 3, and the
+  ``inproc`` Contrarian run on 4 of 8 seeds (1 to 8).  With every chain in
+  timestamp order, none diverges.
 * A hypothesis property pins the store's half of the rule: a trim changes
   no read whose snapshot dominates the floor.
 * Scripted tests drive two partitions of one DC by hand through the three
@@ -62,26 +70,33 @@ CONTENDED = WorkloadParameters(write_ratio=0.5, rot_size=2, skew=0.99)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("protocol, clients, seconds, rounds, seed", [
-    ("contrarian", 12, 0.2, 1.5, 1),
-    ("contrarian", 12, 0.3, 2.0, 1),
-    ("cure", 8, 0.15, 2.0, 1),
-    ("cc-lo", 16, 0.3, 1.5, 1),
-    ("cc-lo", 8, 1.0, 1.5, 6),
+@pytest.mark.parametrize("protocol, clients, seconds, rounds, seed, backend", [
+    ("contrarian", 12, 0.2, 1.5, 1, "sim"),
+    ("contrarian", 12, 0.3, 2.0, 1, "sim"),
+    ("cure", 8, 0.15, 2.0, 1, "sim"),
+    ("cc-lo", 16, 0.3, 1.5, 1, "sim"),
+    ("cc-lo", 8, 1.0, 1.5, 6, "sim"),
+    ("contrarian", 8, 0.3, 1.5, 1, "sim"),
+    ("cure", 8, 0.3, 2.0, 1, "sim"),
+    ("cure", 8, 0.3, 2.0, 3, "sim"),
+    ("contrarian", 8, 1.0, 1.5, 2, "inproc"),
 ], ids=["contrarian", "contrarian-2-rounds", "cure", "cc-lo",
-        "cc-lo-timestamp-order"])
+        "cc-lo-timestamp-order", "contrarian-converges", "cure-converges",
+        "cure-converges-seed-3", "contrarian-inproc-converges"])
 def test_a_contended_run_reads_every_snapshot_in_full(protocol, clients,
-                                                      seconds, rounds, seed):
+                                                      seconds, rounds, seed,
+                                                      backend):
     config = ClusterConfig.test_scale(
         num_dcs=2, num_partitions=2, clients_per_dc=clients,
         keys_per_partition=20, warmup_seconds=0.05, duration_seconds=seconds,
         rot_rounds=rounds, seed=seed)
-    outcome = run_experiment(protocol, config, CONTENDED,
+    outcome = run_experiment(protocol, config, CONTENDED, backend=backend,
                              checker=StreamingChecker.offline())
     report = outcome.checker_report
     assert report.rots > 1000
     assert report.snapshot_violations == []
     assert report.session_violations == []
+    assert report.convergence_violations == []
     assert outcome.result.overhead.snapshot_misses == 0
 
 
